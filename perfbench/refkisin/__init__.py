@@ -1,0 +1,62 @@
+"""Exact semi-module stratification of Kisin varieties for products of GL_n."""
+
+from .core import (
+    Cochar,
+    ExtAffine,
+    GroupShape,
+    Root,
+    WeylElt,
+    act_sigma,
+    act_weyl,
+    dominance_leq,
+    dominant,
+    ext_inv,
+    ext_mul,
+    ext_sigma_conj,
+    is_central,
+    is_dominant,
+    is_minuscule,
+    lambda_alpha,
+)
+from .normal_form import (
+    FrobeniusDatum,
+    alcove_reduce,
+    caruso_datum,
+    fixed_point,
+    gcd_power_fact,
+    in_alcove,
+    is_caruso_simple,
+    make_datum,
+)
+from .strata import (
+    Stratum,
+    central_twist,
+    d_set,
+    enumerate_strata,
+    natural_lambda,
+    r_set,
+    singleton_sufficient,
+    stratum_nonempty,
+    sum_profile,
+)
+from .multicopy import (
+    MultiDatum,
+    decompose_mu,
+    descent_stats,
+    make_multi,
+    project_first,
+    recursion_check,
+    unique_zero_stratum,
+    varsigma,
+)
+from .connectivity import (
+    Pi0Report,
+    StrataGraph,
+    build_graph,
+    chain_gl3,
+    edge_exists,
+    pi0_report,
+)
+from .oracle import GF, LSeries, TruncMat, elementary_divisors, hnf_cosets, iwahori_label, kisin_points
+
+__version__ = "0.1.0"

@@ -1,0 +1,494 @@
+"""Batch front-end: parse instance descriptions, run computations, emit
+JSON/DOT reports.
+
+Exit codes: 0 success, 1 golden verification mismatch, 2 invalid config,
+3 precondition violated, 4 internal theorem-violation assertion.  Output is
+deterministic: strata are sorted by label and JSON keys are sorted.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import sys
+from dataclasses import dataclass
+from typing import Optional
+
+from . import connectivity, multicopy, normal_form, oracle, strata
+from .core import ExtAffine, GroupShape, Root, is_dominant, is_minuscule
+from .errors import ConfigError, KisinError, PreconditionError, TheoremViolationError
+
+SCHEMA = 1
+
+
+@dataclass
+class InstanceConfig:
+    p: int
+    n: int
+    f: int
+    eps: Optional[tuple] = None  # explicit scale pattern overriding f
+    m: Optional[int] = None  # Caruso b-spec
+    tau: Optional[tuple] = None  # explicit b-spec
+    w: Optional[tuple] = None
+    mu: Optional[tuple] = None
+    d: Optional[int] = None
+    field_deg: int = 1
+    box: int = 2
+    alcove_reduce: bool = False
+
+    @property
+    def blocks(self) -> int:
+        return len(self.eps) if self.eps is not None else self.f
+
+
+# ---------------------------------------------------------------------------
+# parsing helpers
+
+
+def _parse_nested(text: str, blocks: int, n: int, what: str) -> tuple:
+    try:
+        data = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"{what}: invalid JSON ({exc})")
+    if data and isinstance(data[0], int):
+        data = [data]
+    if len(data) != blocks or any(len(b) != n for b in data):
+        raise ConfigError(f"{what}: expected {blocks} blocks of length {n}")
+    if any(not isinstance(x, int) for b in data for x in b):
+        raise ConfigError(f"{what}: entries must be integers")
+    return tuple(tuple(b) for b in data)
+
+
+def _parse_perms(text: str, blocks: int, n: int) -> tuple:
+    data = _parse_nested(text, blocks, n, "w")
+    perms = []
+    for b in data:
+        if sorted(b) != list(range(1, n + 1)):
+            raise ConfigError("w blocks must be one-line permutations of 1..n")
+        perms.append(tuple(x - 1 for x in b))
+    return tuple(perms)
+
+
+def config_from_args(args) -> InstanceConfig:
+    cfg = InstanceConfig(
+        p=args.p,
+        n=args.n,
+        f=args.f,
+        m=getattr(args, "m", None),
+        d=getattr(args, "d", None),
+        field_deg=getattr(args, "field_deg", 1),
+        box=getattr(args, "box", 2),
+        alcove_reduce=getattr(args, "alcove_reduce", False),
+    )
+    if getattr(args, "eps", None) is not None:
+        try:
+            eps = json.loads(args.eps)
+        except json.JSONDecodeError as exc:
+            raise ConfigError(f"eps: invalid JSON ({exc})")
+        if not isinstance(eps, list) or not all(isinstance(x, int) for x in eps):
+            raise ConfigError("eps must be a JSON list of integers")
+        cfg.eps = tuple(eps)
+    if getattr(args, "tau", None) is not None or getattr(args, "w", None) is not None:
+        if args.tau is None or args.w is None:
+            raise ConfigError("explicit b needs both --tau and --w")
+        cfg.tau = _parse_nested(args.tau, cfg.blocks, cfg.n, "tau")
+        cfg.w = _parse_perms(args.w, cfg.blocks, cfg.n)
+    if getattr(args, "mu", None) is not None:
+        cfg.mu = _parse_nested(args.mu, cfg.blocks, cfg.n, "mu")
+        if not is_dominant(cfg.mu):
+            raise ConfigError("mu must be dominant")
+    return cfg
+
+
+def resolve_datum(cfg: InstanceConfig):
+    """Build the Frobenius datum from a config; returns (datum, reduction z or None)."""
+    if cfg.m is not None:
+        if cfg.eps is not None:
+            raise ConfigError("Caruso data use --f; --eps needs an explicit --tau/--w")
+        return normal_form.caruso_datum(cfg.n, cfg.f, cfg.p, cfg.m), None
+    if cfg.tau is None:
+        raise ConfigError("either --m (Caruso) or --tau/--w must be given")
+    if cfg.eps is not None:
+        shape = GroupShape(n=cfg.n, blocks=len(cfg.eps), eps=cfg.eps, p=cfg.p)
+    else:
+        shape = GroupShape.res_field(cfg.n, cfg.f, cfg.p)
+    datum = normal_form.make_datum(shape, ExtAffine(cfg.tau, cfg.w))
+    if datum.alcove_ok:
+        return datum, None
+    if not cfg.alcove_reduce:
+        raise PreconditionError("fixed point not in the alcove; pass --alcove-reduce")
+    z, reduced = normal_form.alcove_reduce(datum)
+    return reduced, z
+
+
+# ---------------------------------------------------------------------------
+# serialization
+
+
+def ser_cochar(v) -> list:
+    return [list(b) for b in v]
+
+
+def ser_rat_cochar(v) -> list:
+    return [[str(x) for x in b] for b in v]
+
+
+def ser_perms(w) -> list:
+    return [[x + 1 for x in b] for b in w]
+
+
+def ser_root(a: Root) -> dict:
+    return {"block": a.block + 1, "i": a.i + 1, "j": a.j + 1}
+
+
+def ser_datum(datum) -> dict:
+    return {
+        "p": datum.shape.p,
+        "n": datum.shape.n,
+        "eps": list(datum.shape.eps),
+        "tau": ser_cochar(datum.tau),
+        "w": ser_perms(datum.w),
+        "e": ser_rat_cochar(datum.e),
+        "alcove_ok": datum.alcove_ok,
+    }
+
+
+def ser_stratum(s) -> dict:
+    return {
+        "lam": ser_cochar(s.lam),
+        "nat": ser_cochar(s.nat),
+        "dag": ser_cochar(s.dag),
+        "dim": s.dim if s.dim is not None else "unknown",
+        "singleton": s.singleton,
+        "singleton_rule": s.singleton_rule,
+        "r_set": [ser_root(a) for a in s.r_set] if s.r_set is not None else None,
+        "d_set": [ser_root(a) for a in s.d_set],
+        "block_sums": list(strata.sum_profile(s.lam)),
+    }
+
+
+def emit(report: dict) -> None:
+    sys.stdout.write(json.dumps(report, indent=2, sort_keys=True) + "\n")
+
+
+def graph_dot(graph) -> str:
+    lines = ["graph strata {"]
+    for s in graph.vertices:
+        label = f"lam={s.lam}\\ndim={s.dim if s.dim is not None else '?'}\\nsingleton={s.singleton}"
+        lines.append(f'  "{s.lam}" [label="{label}"];')
+    for lam, lam2, alpha in graph.edges:
+        lines.append(
+            f'  "{lam}" -- "{lam2}" [label="covee b{alpha.block + 1}:({alpha.i + 1},{alpha.j + 1})"];'
+        )
+    lines.append("}")
+    return "\n".join(lines) + "\n"
+
+
+# ---------------------------------------------------------------------------
+# commands
+
+
+def cmd_normal_form(args) -> int:
+    cfg = config_from_args(args)
+    datum, z = resolve_datum(cfg)
+    report = {
+        "schema": SCHEMA,
+        "command": "normal-form",
+        "datum": ser_datum(datum),
+        "reduced": z is not None,
+    }
+    if z is not None:
+        report["z"] = {"chi": ser_cochar(z.chi), "y": ser_perms(z.w)}
+    emit(report)
+    return 0
+
+
+def _strata_report(datum, mu) -> dict:
+    ss = strata.enumerate_strata(datum, mu)
+    return {
+        "schema": SCHEMA,
+        "command": "strata",
+        "datum": ser_datum(datum),
+        "mu": ser_cochar(mu),
+        "mu_minuscule": is_minuscule(mu),
+        "count": len(ss),
+        "strata": [ser_stratum(s) for s in ss],
+        "empty": not ss,
+    }
+
+
+def cmd_strata(args) -> int:
+    cfg = config_from_args(args)
+    if cfg.mu is None:
+        raise ConfigError("--mu is required")
+    datum, _ = resolve_datum(cfg)
+    emit(_strata_report(datum, cfg.mu))
+    return 0
+
+
+def cmd_graph(args) -> int:
+    cfg = config_from_args(args)
+    if cfg.mu is None:
+        raise ConfigError("--mu is required")
+    datum, _ = resolve_datum(cfg)
+    graph = connectivity.build_graph(datum, cfg.mu)
+    report = connectivity.pi0_report(graph)
+    if args.out == "dot":
+        sys.stdout.write(graph_dot(graph))
+        return 0
+    emit(
+        {
+            "schema": SCHEMA,
+            "command": "graph",
+            "datum": ser_datum(datum),
+            "mu": ser_cochar(cfg.mu),
+            "vertices": [ser_stratum(s) for s in graph.vertices],
+            "edges": [
+                {"from": ser_cochar(a), "to": ser_cochar(b), "coroot": ser_root(r)}
+                for a, b, r in graph.edges
+            ],
+            "components": [[ser_cochar(l) for l in comp] for comp in graph.components],
+            "pi0": {"upper_bound": report.upper_bound, "exactness": report.exactness},
+        }
+    )
+    return 0
+
+
+def cmd_multicopy(args) -> int:
+    cfg = config_from_args(args)
+    if cfg.mu is None:
+        raise ConfigError("--mu is required")
+    datum, _ = resolve_datum(cfg)
+    chi, mu_omega = strata.omega_reduction(cfg.mu)
+    datum2, mu2 = strata.central_twist(datum, cfg.mu, chi)
+    ms = [b[0] for b in mu2]
+    d = cfg.d if cfg.d is not None else max(max(ms), 1)
+    mu_bullet = multicopy.decompose_mu(mu2, d)
+    multi = multicopy.make_multi(datum2, d)
+    zero = multicopy.unique_zero_stratum(multi, mu_bullet)
+    ok, bad = multicopy.recursion_check(multi, mu_bullet, zero.lam)
+    if not ok:
+        raise TheoremViolationError(f"recursion check failed at block {bad}")
+    emit(
+        {
+            "schema": SCHEMA,
+            "command": "multicopy",
+            "datum": ser_datum(datum2),
+            "central_chi": ser_cochar(chi),
+            "mu": ser_cochar(cfg.mu),
+            "mu_omega": ser_cochar(mu_omega),
+            "d": d,
+            "mu_bullet": ser_cochar(mu_bullet),
+            "zero_stratum": ser_stratum(zero),
+            "recursion_ok": ok,
+            "projection": ser_cochar(multicopy.project_first(multi, zero.lam)),
+        }
+    )
+    return 0
+
+
+def cmd_chain_gl3(args) -> int:
+    cfg = config_from_args(args)
+    if cfg.n != 3 or cfg.f != 1:
+        raise ConfigError("chain-gl3 requires --n 3 --f 1")
+    if cfg.mu is None:
+        raise ConfigError("--mu is required")
+    datum, _ = resolve_datum(cfg)
+    lam = _parse_nested(args.lam, 1, 3, "lam")
+    lam2 = _parse_nested(args.lam_prime, 1, 3, "lam-prime")
+    chain, steps = connectivity.chain_gl3(datum, cfg.mu, lam, lam2)
+    emit(
+        {
+            "schema": SCHEMA,
+            "command": "chain-gl3",
+            "datum": ser_datum(datum),
+            "mu": ser_cochar(cfg.mu),
+            "chain": [ser_cochar(l) for l in chain],
+            "steps": [ser_cochar(s) for s in steps],
+        }
+    )
+    return 0
+
+
+def cmd_oracle_count(args) -> int:
+    cfg = config_from_args(args)
+    if cfg.f != 1:
+        raise ConfigError("oracle-count requires --f 1")
+    if cfg.mu is None:
+        raise ConfigError("--mu is required")
+    datum, _ = resolve_datum(cfg)
+    field = oracle.GF(cfg.p, cfg.field_deg)
+    pts = oracle.kisin_points(datum, cfg.mu, field, cfg.box)
+    by_lambda: dict = {}
+    for _, lam in pts:
+        key = json.dumps(ser_cochar(lam))
+        by_lambda[key] = by_lambda.get(key, 0) + 1
+    emit(
+        {
+            "schema": SCHEMA,
+            "command": "oracle-count",
+            "field": {"p": cfg.p, "deg": cfg.field_deg},
+            "box": cfg.box,
+            "window_policy": oracle.oracle_window(cfg.p, cfg.box, datum.tau, cfg.mu),
+            "count": len(pts),
+            "by_lambda": by_lambda,
+            "points": [
+                {
+                    "lambda": ser_cochar(lam),
+                    "matrix": [[repr(e) for e in row] for row in g.rows],
+                }
+                for g, lam in pts
+            ],
+        }
+    )
+    return 0
+
+
+# ---------------------------------------------------------------------------
+# golden counterexample verification
+
+_CASES = {
+    "a": {
+        "n": 4,
+        "f": 1,
+        "tau": lambda p: ((2, 0, 2, 0),),
+        "w": ((1, 3, 0, 2),),  # the 4-cycle 1 -> 2 -> 4 -> 3 -> 1
+        "mu": lambda p: ((2 * p - 1, p, p, 1),),
+        "expected": (((1, 1, 1, 1),), ((2, 1, 1, 0),)),
+        "rules": {((1, 1, 1, 1),): "central", ((2, 1, 1, 0),): "d-set"},
+    },
+    "b": {
+        "n": 3,
+        "f": 2,
+        "tau": lambda p: ((2, 0, 1), (0, 0, 1)),
+        "w": ((1, 2, 0), (0, 1, 2)),  # (3-cycle, identity)
+        "mu": lambda p: ((p + 1, 0, 0), (p, p, 0)),
+        "expected": (((1, 0, 1), (0, 0, 1)), ((1, 1, 0), (1, 0, 0))),
+        "rules": {
+            ((1, 0, 1), (0, 0, 1)): "d-set",
+            ((1, 1, 0), (1, 0, 0)): "dominant-minuscule",
+        },
+    },
+}
+
+
+def cmd_verify_counterexample(args) -> int:
+    case = _CASES.get(args.case)
+    if case is None:
+        raise ConfigError("case must be a or b")
+    p = args.p
+    if p < 3:
+        raise ConfigError("counterexample verification requires p >= 3")
+    shape = GroupShape.res_field(case["n"], case["f"], p)
+    datum = normal_form.make_datum(shape, ExtAffine(case["tau"](p), case["w"]))
+    if not datum.alcove_ok:
+        raise TheoremViolationError("counterexample datum is not alcove-reduced")
+    mu = case["mu"](p)
+    graph = connectivity.build_graph(datum, mu)
+    report = connectivity.pi0_report(graph)
+    got = tuple(sorted(s.lam for s in graph.vertices))
+    expected = tuple(sorted(case["expected"]))
+    ok = (
+        got == expected
+        and all(s.singleton == "proven" for s in graph.vertices)
+        and all(case["rules"][s.lam] == s.singleton_rule for s in graph.vertices)
+        and report.exactness == "exact"
+        and report.upper_bound == 2
+    )
+    emit(
+        {
+            "schema": SCHEMA,
+            "command": "verify-counterexample",
+            "case": args.case,
+            "p": p,
+            "datum": ser_datum(datum),
+            "mu": ser_cochar(mu),
+            "expected": [ser_cochar(l) for l in expected],
+            "strata": [ser_stratum(s) for s in graph.vertices],
+            "pi0": {"upper_bound": report.upper_bound, "exactness": report.exactness},
+            "ok": ok,
+        }
+    )
+    return 0 if ok else 1
+
+
+# ---------------------------------------------------------------------------
+# argument plumbing
+
+
+def _add_instance_args(sp, need_mu=True):
+    sp.add_argument("--p", type=int, required=True)
+    sp.add_argument("--n", type=int, required=True)
+    sp.add_argument("--f", type=int, default=1)
+    sp.add_argument("--eps", type=str, default=None, help="JSON list of scale factors, overrides --f")
+    sp.add_argument("--m", type=int, default=None, help="Caruso parameter")
+    sp.add_argument("--tau", type=str, default=None, help="JSON nested int arrays")
+    sp.add_argument("--w", type=str, default=None, help="JSON one-line permutations (1-indexed)")
+    sp.add_argument("--alcove-reduce", action="store_true", dest="alcove_reduce")
+    if need_mu:
+        sp.add_argument("--mu", type=str, default=None, help="JSON nested int arrays")
+
+
+def build_parser() -> argparse.ArgumentParser:
+    ap = argparse.ArgumentParser(prog="kisin", description=__doc__)
+    sub = ap.add_subparsers(dest="cmd", required=True)
+
+    sp = sub.add_parser("normal-form", help="Caruso datum, fixed point, alcove reduction")
+    _add_instance_args(sp, need_mu=False)
+    sp.set_defaults(fn=cmd_normal_form)
+
+    sp = sub.add_parser("strata", help="stratum labels with dims and singleton verdicts")
+    _add_instance_args(sp)
+    sp.set_defaults(fn=cmd_strata)
+
+    sp = sub.add_parser("graph", help="coroot-curve graph and pi0 report")
+    _add_instance_args(sp)
+    sp.add_argument("--out", choices=("json", "dot"), default="json")
+    sp.set_defaults(fn=cmd_graph)
+
+    sp = sub.add_parser("multicopy", help="unique zero-dimensional stratum and recursion check")
+    _add_instance_args(sp)
+    sp.add_argument("--d", type=int, default=None)
+    sp.set_defaults(fn=cmd_multicopy)
+
+    sp = sub.add_parser("chain-gl3", help="coroot chain between two GL3 strata")
+    _add_instance_args(sp)
+    sp.add_argument("--lam", type=str, required=True)
+    sp.add_argument("--lam-prime", type=str, required=True, dest="lam_prime")
+    sp.set_defaults(fn=cmd_chain_gl3)
+
+    sp = sub.add_parser("oracle-count", help="brute-force point enumeration over a small field")
+    _add_instance_args(sp)
+    sp.add_argument("--field-deg", type=int, default=1, dest="field_deg")
+    sp.add_argument("--box", type=int, default=2)
+    sp.set_defaults(fn=cmd_oracle_count)
+
+    sp = sub.add_parser("verify-counterexample", help="golden disconnectedness checks")
+    sp.add_argument("case", choices=("a", "b"))
+    sp.add_argument("--p", type=int, required=True)
+    sp.set_defaults(fn=cmd_verify_counterexample)
+
+    return ap
+
+
+def main(argv=None) -> int:
+    ap = build_parser()
+    args = ap.parse_args(argv)
+    try:
+        return args.fn(args)
+    except ConfigError as exc:
+        print(f"config error: {exc}", file=sys.stderr)
+        return 2
+    except TheoremViolationError as exc:
+        print(f"theorem violation: {exc}", file=sys.stderr)
+        return 4
+    except PreconditionError as exc:
+        print(f"precondition violated: {exc}", file=sys.stderr)
+        return 3
+    except KisinError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+
+
+if __name__ == "__main__":
+    sys.exit(main())

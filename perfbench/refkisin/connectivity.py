@@ -1,0 +1,205 @@
+"""Coroot-curve adjacency between strata, pi_0 bounds, and the GL_3 chains.
+
+An edge between lam and lam' = lam - alpha_cov certifies that the affine line
+u^lam U_alpha(u^{-1}x) closes to a curve joining u^lam and u^lam'; three
+dominance conditions on lam_nat decide it.  Components merged by such edges
+bound pi_0 from above; the bound is exact when every stratum carries a proven
+singleton certificate, in which case the variety is a finite set of points.
+Disconnectedness is never claimed without those certificates.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+
+from .core import (
+    Cochar,
+    Root,
+    act_perm,
+    act_sigma,
+    act_weyl,
+    all_roots,
+    cochar_add,
+    cochar_sub,
+    dominance_leq,
+    dominant,
+    perm_order,
+)
+from .errors import ConfigError, PreconditionError, TheoremViolationError
+from .normal_form import FrobeniusDatum
+from .strata import enumerate_strata, natural_lambda, stratum_nonempty
+
+
+@dataclass(frozen=True)
+class StrataGraph:
+    vertices: tuple  # tuple of Stratum
+    edges: tuple  # tuple of (lam, lam', Root) with lam' = lam - coroot
+    components: tuple  # partition of vertex labels, each a sorted tuple of lam
+
+
+@dataclass(frozen=True)
+class Pi0Report:
+    upper_bound: int
+    exactness: str  # "exact" | "upper bound only" | "empty"
+
+    @property
+    def exact(self) -> bool:
+        return self.exactness == "exact"
+
+
+class _UnionFind:
+    def __init__(self, size: int):
+        self.parent = list(range(size))
+
+    def find(self, x: int) -> int:
+        while self.parent[x] != x:
+            self.parent[x] = self.parent[self.parent[x]]
+            x = self.parent[x]
+        return x
+
+    def union(self, a: int, b: int) -> None:
+        ra, rb = self.find(a), self.find(b)
+        if ra != rb:
+            self.parent[rb] = ra
+
+
+def edge_exists(datum: FrobeniusDatum, mu: Cochar, lam: Cochar, alpha: Root) -> bool:
+    """Whether the coroot curve through u^lam in direction -alpha_cov lies in
+    the variety: dominant sorts of lam_nat + alpha_cov, lam_nat - w(sigma(alpha_cov))
+    and lam'_nat must all be dominated by mu."""
+    shape = datum.shape
+    if not (0 <= alpha.block < shape.blocks and 0 <= alpha.i < shape.n and 0 <= alpha.j < shape.n):
+        raise ConfigError("alpha is not a root of the shape")
+    if not stratum_nonempty(datum, mu, lam):
+        raise PreconditionError("lam is not a stratum label of C_mu(b)")
+    cov = alpha.coroot(shape)
+    nat = natural_lambda(datum, lam)
+    twisted = act_weyl(datum.w, act_sigma(shape, cov))
+    for vec in (
+        cochar_add(nat, cov),
+        cochar_sub(nat, twisted),
+        cochar_sub(cochar_add(nat, cov), twisted),
+    ):
+        dom, _ = dominant(vec)
+        if not dominance_leq(dom, mu):
+            return False
+    return True
+
+
+def build_graph(datum: FrobeniusDatum, mu: Cochar) -> StrataGraph:
+    strata = enumerate_strata(datum, mu)
+    index = {s.lam: t for t, s in enumerate(strata)}
+    uf = _UnionFind(len(strata))
+    edges = []
+    seen_pairs = set()
+    for s in strata:
+        for alpha in all_roots(datum.shape):
+            lam2 = cochar_sub(s.lam, alpha.coroot(datum.shape))
+            if lam2 not in index:
+                continue
+            key = frozenset((s.lam, lam2))
+            if key in seen_pairs:
+                continue
+            if edge_exists(datum, mu, s.lam, alpha):
+                seen_pairs.add(key)
+                edges.append((s.lam, lam2, alpha))
+                uf.union(index[s.lam], index[lam2])
+    comps = {}
+    for s in strata:
+        comps.setdefault(uf.find(index[s.lam]), []).append(s.lam)
+    components = tuple(sorted(tuple(sorted(c)) for c in comps.values()))
+    return StrataGraph(strata, tuple(edges), components)
+
+
+def pi0_report(graph: StrataGraph) -> Pi0Report:
+    if not graph.vertices:
+        return Pi0Report(0, "empty")
+    all_proven = all(s.singleton == "proven" for s in graph.vertices)
+    return Pi0Report(len(graph.components), "exact" if all_proven else "upper bound only")
+
+
+# ---------------------------------------------------------------------------
+# GL_3 chains
+
+_GL3_COROOTS = (
+    (1, -1, 0),
+    (0, 1, -1),
+    (1, 0, -1),
+    (-1, 1, 0),
+    (0, -1, 1),
+    (-1, 0, 1),
+)
+
+
+def _gl3_normal_form(diff: tuple, w: tuple):
+    """Decompose diff = n1*c + n2*w(c) with n1 = max(|n1|, |n2|, |n1-n2|) >= n2 >= 0.
+
+    Tries each of the six coroots c; existence follows from c + w(c) + w^2(c) = 0.
+    """
+    for c in _GL3_COROOTS:
+        wc = act_perm(w, c)
+        # {c, w(c)} is a unimodular basis of the sum-zero lattice when w is a
+        # 3-cycle, so the 2x2 solve over the first two coordinates is exact
+        det = c[0] * wc[1] - c[1] * wc[0]
+        n1 = (diff[0] * wc[1] - diff[1] * wc[0]) // det
+        n2 = (c[0] * diff[1] - c[1] * diff[0]) // det
+        if n1 * c[2] + n2 * wc[2] != diff[2]:
+            continue
+        if n1 == max(abs(n1), abs(n2), abs(n1 - n2)) and n1 >= n2 >= 0:
+            return c, n1, n2
+    raise TheoremViolationError("no max-normalized coroot decomposition found")
+
+
+def chain_gl3(datum: FrobeniusDatum, mu: Cochar, lam: Cochar, lam_prime: Cochar):
+    """A coroot chain lam = lam_0, ..., lam_r = lam' inside S for GL_3, f = 1.
+
+    Greedy induction on the max-normalized decomposition of the remaining
+    difference: walk straight when it is a coroot multiple, otherwise step by
+    +c or -(w^2 c), whichever stays in S.  Each step reduces the normal form's
+    leading coefficient by one (asserted); if neither step stays in S the
+    induction hypothesis is violated and a hard error is raised.
+
+    Returns (chain, steps) with steps the coroots lam_{i+1} - lam_i.
+    """
+    shape = datum.shape
+    if shape.n != 3 or shape.blocks != 1:
+        raise PreconditionError("chain construction requires GL_3 with f = 1")
+    w = datum.w[0]
+    if perm_order(w) != 3:
+        raise PreconditionError("chain construction requires a 3-cycle Weyl part")
+    strata = enumerate_strata(datum, mu)
+    labels = {s.lam for s in strata}
+    if lam not in labels or lam_prime not in labels:
+        raise PreconditionError("both endpoints must be stratum labels")
+    if sum(lam[0]) != sum(lam_prime[0]):
+        raise TheoremViolationError("difference of labels is not in the coroot lattice")
+
+    chain = [lam]
+    steps = []
+    cur = lam
+    prev_n1 = None
+    while cur != lam_prime:
+        diff = tuple(a - b for a, b in zip(lam_prime[0], cur[0]))
+        c, n1, n2 = _gl3_normal_form(diff, w)
+        if prev_n1 is not None and n1 >= prev_n1:
+            raise TheoremViolationError("leading coefficient failed to decrease")
+        prev_n1 = n1
+        w2c = act_perm(w, act_perm(w, c))
+        step_plus = (c,)
+        step_minus = (tuple(-x for x in w2c),)
+        if n2 == 0:
+            candidates = (step_plus,)
+        elif n2 == n1:
+            candidates = (step_minus,)
+        else:
+            candidates = (step_plus, step_minus)
+        for step in candidates:
+            nxt = cochar_add(cur, step)
+            if nxt in labels:
+                break
+        else:
+            raise TheoremViolationError("no admissible coroot step stays in S")
+        steps.append(step)
+        chain.append(nxt)
+        cur = nxt
+    return tuple(chain), tuple(steps)

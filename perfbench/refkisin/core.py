@@ -1,0 +1,332 @@
+"""Root-datum, cocharacter and extended-affine-Weyl arithmetic for products of GL_n.
+
+Everything is exact: cocharacters are tuples of tuples of ints (or Fractions for
+the rational variants), Weyl elements are tuples of permutations, and no floating
+point appears anywhere.  The block structure of the group, including the twisted
+Frobenius scaling pattern, lives in :class:`GroupShape`; the Res_{k/F_p}GL_n case
+and its d-copy variants share every algorithm and differ only in that data.
+
+Conventions (fixed once, used everywhere):
+
+* permutations are 0-indexed tuples ``perm`` with ``perm[i]`` the image of ``i``;
+* the Weyl action on cochar blocks is the place permutation
+  ``(w.v)[i] = v[w^{-1}(i)]``, the unique convention with ``u^{w(v)} = w u^v w^{-1}``;
+* the Frobenius on cochars is ``sigma(v)[k] = eps[k] * v[k+1]`` with cyclic block
+  index, and on Weyl elements the block shift without the scaling.
+"""
+
+from __future__ import annotations
+
+import itertools
+from dataclasses import dataclass
+from fractions import Fraction
+from typing import Iterator, Sequence, Union
+
+from .errors import ConfigError
+
+Vec = tuple  # one GL_n block: tuple of int (or Fraction)
+Cochar = tuple  # N blocks: tuple of Vec
+Perm = tuple  # 0-indexed permutation: perm[i] = image of i
+WeylElt = tuple  # N permutations, one per block
+
+Scalar = Union[int, Fraction]
+
+
+def _is_prime(p: int) -> bool:
+    if p < 2:
+        return False
+    d = 2
+    while d * d <= p:
+        if p % d == 0:
+            return False
+        d += 1
+    return True
+
+
+@dataclass(frozen=True)
+class GroupShape:
+    """Block structure (n, N blocks, per-block Frobenius scale eps) of the group."""
+
+    n: int
+    blocks: int
+    eps: tuple
+    p: int
+
+    def __post_init__(self):
+        if self.n < 1 or self.blocks < 1:
+            raise ConfigError("n and blocks must be positive")
+        if not _is_prime(self.p):
+            raise ConfigError(f"p={self.p} is not prime")
+        if len(self.eps) != self.blocks:
+            raise ConfigError("eps pattern length must equal number of blocks")
+        if any(e not in (1, self.p) for e in self.eps):
+            raise ConfigError("eps entries must be 1 or p")
+        if all(e == 1 for e in self.eps):
+            raise ConfigError("at least one eps entry must equal p")
+
+    @classmethod
+    def res_field(cls, n: int, f: int, p: int) -> "GroupShape":
+        """Res_{k/F_p}GL_n with [k:F_p] = f: every block scales by p."""
+        return cls(n=n, blocks=f, eps=(p,) * f, p=p)
+
+    @classmethod
+    def multi_copy(cls, n: int, f: int, p: int, d: int) -> "GroupShape":
+        """d copies of the res_field shape: N = d*f, scale p on blocks k with d | k+1."""
+        if d < 1:
+            raise ConfigError("d must be positive")
+        eps = tuple(p if (k + 1) % d == 0 else 1 for k in range(d * f))
+        return cls(n=n, blocks=d * f, eps=eps, p=p)
+
+    @property
+    def scale_product(self) -> int:
+        prod = 1
+        for e in self.eps:
+            prod *= e
+        return prod
+
+    def zero_cochar(self) -> Cochar:
+        return tuple((0,) * self.n for _ in range(self.blocks))
+
+    def identity_weyl(self) -> WeylElt:
+        return (identity_perm(self.n),) * self.blocks
+
+    def check_cochar(self, v: Cochar) -> None:
+        if len(v) != self.blocks or any(len(b) != self.n for b in v):
+            raise ConfigError(f"cochar shape mismatch: expected {self.blocks} blocks of length {self.n}")
+
+    def check_weyl(self, w: WeylElt) -> None:
+        if len(w) != self.blocks or any(sorted(b) != list(range(self.n)) for b in w):
+            raise ConfigError("Weyl element shape mismatch")
+
+
+# ---------------------------------------------------------------------------
+# permutations
+
+
+def identity_perm(n: int) -> Perm:
+    return tuple(range(n))
+
+
+def perm_mul(a: Perm, b: Perm) -> Perm:
+    """Composition a∘b, acting as (a∘b)(i) = a(b(i))."""
+    return tuple(a[b[i]] for i in range(len(a)))
+
+
+def perm_inv(a: Perm) -> Perm:
+    inv = [0] * len(a)
+    for i, ai in enumerate(a):
+        inv[ai] = i
+    return tuple(inv)
+
+
+def n_cycle(n: int) -> Perm:
+    """The cycle i -> i+1 mod n."""
+    return tuple((i + 1) % n for i in range(n))
+
+
+def perm_order(a: Perm) -> int:
+    k, b = 1, a
+    while b != identity_perm(len(a)):
+        b = perm_mul(a, b)
+        k += 1
+    return k
+
+
+def act_perm(perm: Perm, block: Vec) -> Vec:
+    """Place permutation on one block: result[perm[i]] = block[i]."""
+    out = [None] * len(block)
+    for i, x in enumerate(block):
+        out[perm[i]] = x
+    return tuple(out)
+
+
+# ---------------------------------------------------------------------------
+# cochar arithmetic
+
+
+def cochar_add(a: Cochar, b: Cochar) -> Cochar:
+    return tuple(tuple(x + y for x, y in zip(ba, bb)) for ba, bb in zip(a, b))
+
+
+def cochar_sub(a: Cochar, b: Cochar) -> Cochar:
+    return tuple(tuple(x - y for x, y in zip(ba, bb)) for ba, bb in zip(a, b))
+
+
+def cochar_neg(a: Cochar) -> Cochar:
+    return tuple(tuple(-x for x in b) for b in a)
+
+
+def cochar_scale(c: Scalar, a: Cochar) -> Cochar:
+    return tuple(tuple(c * x for x in b) for b in a)
+
+
+def block_sums(v: Cochar) -> tuple:
+    return tuple(sum(b) for b in v)
+
+
+def is_central(v: Cochar) -> bool:
+    """Constant within every block."""
+    return all(len(set(b)) <= 1 for b in v)
+
+
+def is_dominant(v: Cochar) -> bool:
+    return all(all(b[i] >= b[i + 1] for i in range(len(b) - 1)) for b in v)
+
+
+def is_minuscule(v: Cochar) -> bool:
+    """Per block, entries take at most two consecutive values."""
+    return all(max(b) - min(b) <= 1 for b in v)
+
+
+def act_weyl(w: WeylElt, v: Cochar) -> Cochar:
+    """Blockwise place permutation: (w.v)[k][i] = v[k][w_k^{-1}(i)]."""
+    if len(w) != len(v):
+        raise ConfigError("act_weyl: block count mismatch")
+    return tuple(act_perm(wk, bk) for wk, bk in zip(w, v))
+
+
+def sigma_blocks(eps: Sequence, v: Cochar) -> Cochar:
+    """result[k] = eps[k] * v[k+1], cyclic in the block index."""
+    nblocks = len(v)
+    if len(eps) != nblocks:
+        raise ConfigError("sigma: eps length mismatch")
+    return tuple(
+        tuple(eps[k] * x for x in v[(k + 1) % nblocks]) for k in range(nblocks)
+    )
+
+
+def act_sigma(shape: GroupShape, v: Cochar) -> Cochar:
+    shape.check_cochar(v)
+    return sigma_blocks(shape.eps, v)
+
+
+def sigma0_weyl(shape: GroupShape, w: WeylElt) -> WeylElt:
+    """Block shift of a Weyl element (the unscaled part of sigma)."""
+    shape.check_weyl(w)
+    return tuple(w[(k + 1) % shape.blocks] for k in range(shape.blocks))
+
+
+def dominant(v: Cochar) -> tuple:
+    """Sort each block non-increasingly; also return a Weyl witness.
+
+    Returns (dom, w) with act_weyl(w, v) == dom.
+    """
+    dom_blocks = []
+    perms = []
+    for b in v:
+        order = sorted(range(len(b)), key=lambda i: (-b[i], i))
+        dom_blocks.append(tuple(b[i] for i in order))
+        perm = [0] * len(b)
+        for t, i in enumerate(order):
+            perm[i] = t
+        perms.append(tuple(perm))
+    return tuple(dom_blocks), tuple(perms)
+
+
+def dominance_leq(nu: Cochar, mu: Cochar) -> bool:
+    """Blockwise dominance order on dominant cochars: equal block sums and
+    partial sums of nu bounded by those of mu.
+
+    For products of GL_n this is the Bruhat order on dominant cocharacters.
+    """
+    if not is_dominant(nu) or not is_dominant(mu):
+        raise ConfigError("dominance_leq requires dominant inputs")
+    if len(nu) != len(mu) or any(len(a) != len(b) for a, b in zip(nu, mu)):
+        raise ConfigError("dominance_leq: shape mismatch")
+    for bn, bm in zip(nu, mu):
+        if sum(bn) != sum(bm):
+            return False
+        acc_n = acc_m = 0
+        for x, y in zip(bn[:-1], bm[:-1]):
+            acc_n += x
+            acc_m += y
+            if acc_n > acc_m:
+                return False
+    return True
+
+
+# ---------------------------------------------------------------------------
+# roots
+
+
+@dataclass(frozen=True)
+class Root:
+    """The root e_i - e_j in one block (0-indexed; positive iff i < j)."""
+
+    block: int
+    i: int
+    j: int
+
+    def __post_init__(self):
+        if self.i == self.j:
+            raise ConfigError("root indices must be distinct")
+
+    @property
+    def positive(self) -> bool:
+        return self.i < self.j
+
+    def pair(self, v: Cochar) -> Scalar:
+        """<alpha, v> = v[block][i] - v[block][j]."""
+        return v[self.block][self.i] - v[self.block][self.j]
+
+    def coroot(self, shape: GroupShape) -> Cochar:
+        out = [[0] * shape.n for _ in range(shape.blocks)]
+        out[self.block][self.i] = 1
+        out[self.block][self.j] = -1
+        return tuple(tuple(b) for b in out)
+
+
+def all_roots(shape: GroupShape) -> Iterator[Root]:
+    for k in range(shape.blocks):
+        for i, j in itertools.permutations(range(shape.n), 2):
+            yield Root(k, i, j)
+
+
+def lambda_alpha(lam: Cochar, alpha: Root) -> Scalar:
+    """<lam, alpha> for negative alpha, <lam, alpha> - 1 for positive alpha."""
+    pairing = alpha.pair(lam)
+    return pairing - 1 if alpha.positive else pairing
+
+
+# ---------------------------------------------------------------------------
+# extended affine Weyl group W~ = Y x| W_0
+
+
+@dataclass(frozen=True)
+class ExtAffine:
+    """u^chi y with chi an integral cochar and y a Weyl element."""
+
+    chi: Cochar
+    w: WeylElt
+
+    def act(self, v: Cochar) -> Cochar:
+        """Affine action on Y_R: v -> chi + y(v)."""
+        return cochar_add(self.chi, act_weyl(self.w, v))
+
+
+def ext_identity(shape: GroupShape) -> ExtAffine:
+    return ExtAffine(shape.zero_cochar(), shape.identity_weyl())
+
+
+def ext_mul(a: ExtAffine, b: ExtAffine) -> ExtAffine:
+    """(u^a x)(u^b y) = u^{a + x(b)} xy."""
+    if len(a.chi) != len(b.chi):
+        raise ConfigError("ext_mul: shape mismatch")
+    chi = cochar_add(a.chi, act_weyl(a.w, b.chi))
+    w = tuple(perm_mul(x, y) for x, y in zip(a.w, b.w))
+    return ExtAffine(chi, w)
+
+
+def ext_inv(a: ExtAffine) -> ExtAffine:
+    winv = tuple(perm_inv(x) for x in a.w)
+    return ExtAffine(cochar_neg(act_weyl(winv, a.chi)), winv)
+
+
+def ext_sigma(shape: GroupShape, a: ExtAffine) -> ExtAffine:
+    """sigma(u^chi y) = u^{sigma(chi)} sigma_0(y)."""
+    return ExtAffine(act_sigma(shape, a.chi), sigma0_weyl(shape, a.w))
+
+
+def ext_sigma_conj(shape: GroupShape, z: ExtAffine, wt: ExtAffine) -> ExtAffine:
+    """z^{-1} wt sigma(z); transports a Frobenius datum along z."""
+    return ext_mul(ext_mul(ext_inv(z), wt), ext_sigma(shape, z))

@@ -1,0 +1,51 @@
+"""Error taxonomy shared by the library and the CLI exit-code mapping."""
+
+
+class KisinError(Exception):
+    """Base class for all library errors."""
+
+
+class ConfigError(KisinError):
+    """Structurally invalid input: bad shapes, non-dominant mu, malformed config."""
+
+    exit_code = 2
+
+
+class PreconditionError(KisinError):
+    """A documented operation precondition is violated."""
+
+    exit_code = 3
+
+
+class NotSimpleError(PreconditionError):
+    """The requested Frobenius datum is not simple in Caruso's sense."""
+
+
+class NotInGeneralPositionError(PreconditionError):
+    """Fixed point has an integral entry or integral pairwise difference."""
+
+
+class NonMinusculeError(PreconditionError):
+    """Dimension formula requested for a non-minuscule bound."""
+
+
+class EnumerationCapError(PreconditionError):
+    """Candidate enumeration would exceed the configured cap."""
+
+
+class BoxTooSmallError(PreconditionError):
+    """Oracle box does not contain every stratum label."""
+
+
+class PrecisionError(PreconditionError):
+    """A valuation or coefficient is not determined by the precision window."""
+
+
+class SingularMatrixError(PreconditionError):
+    """Matrix is singular over the Laurent field."""
+
+
+class TheoremViolationError(KisinError):
+    """An identity the theory guarantees failed; indicates a bug or bad input."""
+
+    exit_code = 4

@@ -1,0 +1,272 @@
+"""Caruso normal forms, exact fixed points of wt*sigma, and alcove reduction.
+
+The fixed point of ``u^tau w . sigma`` is always obtained by exact linear
+elimination of ``e = tau + w(sigma(e))`` over the rationals; the closed form
+from the simple-module classification is used only as a test oracle.  The map
+``w sigma`` scales by the product of the eps pattern per full block cycle, so
+``1 - w sigma`` is invertible whenever that product exceeds 1.
+"""
+
+from __future__ import annotations
+
+import math
+from dataclasses import dataclass
+from fractions import Fraction
+from functools import lru_cache
+
+from .core import (
+    Cochar,
+    ExtAffine,
+    GroupShape,
+    WeylElt,
+    act_sigma,
+    act_weyl,
+    act_perm,
+    cochar_add,
+    ext_identity,
+    ext_inv,
+    ext_sigma_conj,
+    identity_perm,
+    n_cycle,
+    perm_mul,
+)
+from .errors import ConfigError, NotInGeneralPositionError, NotSimpleError, TheoremViolationError
+
+
+@dataclass(frozen=True)
+class FrobeniusDatum:
+    """wt = u^tau w together with the exact fixed point of wt*sigma."""
+
+    shape: GroupShape
+    wt: ExtAffine
+    e: Cochar  # rational entries
+    alcove_ok: bool
+
+    @property
+    def tau(self) -> Cochar:
+        return self.wt.chi
+
+    @property
+    def w(self) -> WeylElt:
+        return self.wt.w
+
+
+# ---------------------------------------------------------------------------
+# the cyclic affine solver
+
+
+@lru_cache(maxsize=None)
+def _solve_plan(shape: GroupShape, w: WeylElt):
+    """Unroll the block recurrence x[k] = c[k] + eps[k] w_k(x[k+1]).
+
+    Substituting around the cycle of blocks reduces to the single-block system
+    (1 - q W) x[0] = sum_k E_k P_k(c[k]) with q the full eps product,
+    P_k = w_0 ... w_{k-1} and W = P_N; that system splits along the cycles of
+    the permutation W.  Returns (prefix scales E_k, prefix perms P_k, q, W,
+    cycle data) reused across many right-hand sides.
+    """
+    nblocks, n = shape.blocks, shape.n
+    prefix_eps = [1] * (nblocks + 1)
+    prefix_perm = [identity_perm(n)]
+    for k in range(nblocks):
+        prefix_eps[k + 1] = prefix_eps[k] * shape.eps[k]
+        prefix_perm.append(perm_mul(prefix_perm[-1], w[k]))
+    q = prefix_eps[nblocks]
+    big_w = prefix_perm[nblocks]
+    # cycles of big_w, walked backwards: position i, W^{-1}(i), W^{-2}(i), ...
+    winv = [0] * n
+    for i, x in enumerate(big_w):
+        winv[x] = i
+    seen = [False] * n
+    cycles = []
+    for start in range(n):
+        if seen[start]:
+            continue
+        cyc = []
+        i = start
+        while not seen[i]:
+            seen[i] = True
+            cyc.append(i)
+            i = winv[i]
+        cycles.append(tuple(cyc))
+    return tuple(prefix_eps), tuple(prefix_perm), q, big_w, tuple(cycles)
+
+
+def _solve_block0(shape: GroupShape, w: WeylElt, rhs: Cochar):
+    """Integer numerators and per-position denominators for x[0] of the system
+    x = rhs + w(sigma(x)); both are exact ints when rhs is integral."""
+    prefix_eps, prefix_perm, q, _, cycles = _solve_plan(shape, w)
+    n = shape.n
+    b = [0] * n
+    for k in range(shape.blocks):
+        moved = act_perm(prefix_perm[k], rhs[k])
+        scale = prefix_eps[k]
+        for i in range(n):
+            b[i] += scale * moved[i]
+    nums = [0] * n
+    dens = [1] * n
+    for cyc in cycles:
+        length = len(cyc)
+        den = 1 - q ** length
+        for t0, i in enumerate(cyc):
+            # walking backwards from i along the cycle is walking cyc forwards
+            acc = 0
+            power = 1
+            for t in range(length):
+                acc += power * b[cyc[(t0 + t) % length]]
+                power *= q
+            nums[i] = acc
+            dens[i] = den
+    return nums, dens
+
+
+def _back_substitute(shape: GroupShape, w: WeylElt, rhs: Cochar, x0):
+    nblocks = shape.blocks
+    out = [None] * nblocks
+    out[0] = tuple(x0)
+    for k in range(nblocks - 1, 0, -1):
+        nxt = out[(k + 1) % nblocks]
+        moved = act_perm(w[k], nxt)
+        out[k] = tuple(rhs[k][i] + shape.eps[k] * moved[i] for i in range(shape.n))
+    return tuple(out)
+
+
+def solve_affine(shape: GroupShape, w: WeylElt, rhs: Cochar) -> Cochar:
+    """Unique exact rational solution of x = rhs + w(sigma(x))."""
+    if shape.scale_product == 1:
+        raise ConfigError("1 - w*sigma is not invertible when all eps equal 1")
+    nums, dens = _solve_block0(shape, w, rhs)
+    x0 = tuple(Fraction(nu, de) for nu, de in zip(nums, dens))
+    return _back_substitute(shape, w, rhs, x0)
+
+
+def solve_affine_integral(shape: GroupShape, w: WeylElt, rhs: Cochar):
+    """Integral solution of x = rhs + w(sigma(x)), or None if none exists."""
+    if shape.scale_product == 1:
+        raise ConfigError("1 - w*sigma is not invertible when all eps equal 1")
+    nums, dens = _solve_block0(shape, w, rhs)
+    x0 = []
+    for nu, de in zip(nums, dens):
+        quot, rem = divmod(nu, de)
+        if rem:
+            return None
+        x0.append(quot)
+    return _back_substitute(shape, w, rhs, tuple(x0))
+
+
+def fixed_point(shape: GroupShape, wt: ExtAffine) -> Cochar:
+    """The unique exact rational fixed point of wt*sigma."""
+    shape.check_cochar(wt.chi)
+    shape.check_weyl(wt.w)
+    return solve_affine(shape, wt.w, wt.chi)
+
+
+def make_datum(shape: GroupShape, wt: ExtAffine) -> FrobeniusDatum:
+    e = fixed_point(shape, wt)
+    if e != cochar_add(wt.chi, act_weyl(wt.w, act_sigma(shape, e))):
+        raise TheoremViolationError("fixed point fails its defining identity")
+    return FrobeniusDatum(shape, wt, e, in_alcove(e))
+
+
+# ---------------------------------------------------------------------------
+# alcove geometry
+
+
+def in_alcove(e: Cochar) -> bool:
+    """Per block: strictly decreasing with spread strictly less than 1."""
+    for b in e:
+        if any(b[i] <= b[i + 1] for i in range(len(b) - 1)):
+            return False
+        if b[0] - b[-1] >= 1:
+            return False
+    return True
+
+
+def _is_integral(x) -> bool:
+    return x == int(x)
+
+
+def in_general_position(e: Cochar) -> bool:
+    """No integral entry, no integral pairwise difference within a block."""
+    for b in e:
+        if any(_is_integral(x) for x in b):
+            return False
+        for i in range(len(b)):
+            for j in range(i + 1, len(b)):
+                if _is_integral(b[i] - b[j]):
+                    return False
+    return True
+
+
+def alcove_reduce(datum: FrobeniusDatum):
+    """Conjugate a datum so its fixed point lies in the fundamental alcove.
+
+    Returns (z, datum') with z = u^chi y, datum'.wt = z^{-1} wt sigma(z) and
+    fixed point z^{-1}(e) in the alcove.  Per block, chi subtracts the floors
+    of e and y sorts the fractional parts into decreasing order; ties are
+    impossible for simple data and raise instead of being broken arbitrarily.
+    """
+    shape = datum.shape
+    if in_alcove(datum.e):
+        return ext_identity(shape), datum
+    if not in_general_position(datum.e):
+        raise NotInGeneralPositionError("fixed point not in general position")
+    chi_blocks = []
+    perms = []
+    for b in datum.e:
+        floors = tuple(math.floor(x) for x in b)
+        frac = [x - fl for x, fl in zip(b, floors)]
+        order = sorted(range(len(b)), key=lambda i: -frac[i])
+        perm = [0] * len(b)
+        for t, i in enumerate(order):
+            # y(t) = order[t] puts the t-th largest fractional part in slot t
+            perm[t] = i
+        chi_blocks.append(floors)
+        perms.append(tuple(perm))
+    z = ExtAffine(tuple(chi_blocks), tuple(perms))
+    e2 = ext_inv(z).act(datum.e)
+    if not in_alcove(e2):
+        raise TheoremViolationError("alcove reduction produced a point outside the alcove")
+    wt2 = ext_sigma_conj(shape, z, datum.wt)
+    datum2 = FrobeniusDatum(shape, wt2, e2, True)
+    if fixed_point(shape, wt2) != e2:
+        raise TheoremViolationError("transported fixed point mismatch")
+    return z, datum2
+
+
+# ---------------------------------------------------------------------------
+# Caruso representatives
+
+
+def is_caruso_simple(n: int, q: int, m: int) -> bool:
+    """m*(q^n' - 1)/(q^n - 1) is a non-integer for every proper divisor n' of n."""
+    if n < 1 or q < 2:
+        raise ConfigError("need n >= 1 and prime power q >= 2")
+    denom = q**n - 1
+    for np in range(1, n):
+        if n % np == 0 and (m * (q**np - 1)) % denom == 0:
+            return False
+    return True
+
+
+def caruso_datum(n: int, f: int, p: int, m: int) -> FrobeniusDatum:
+    """The simple representative u^{(m,0,...,0)} (n-cycle) on the first block,
+    solved for its fixed point and reduced into the alcove."""
+    if not is_caruso_simple(n, p**f, m):
+        raise NotSimpleError(f"(n={n}, q={p**f}, m={m}) is not simple")
+    shape = GroupShape.res_field(n, f, p)
+    tau = ((m,) + (0,) * (n - 1),) + ((0,) * n,) * (f - 1)
+    w = (n_cycle(n),) + (identity_perm(n),) * (f - 1)
+    datum = make_datum(shape, ExtAffine(tau, w))
+    if any(_is_integral(x) for b in datum.e for x in b):
+        raise TheoremViolationError("simple datum has an integral fixed-point entry")
+    _, reduced = alcove_reduce(datum)
+    return reduced
+
+
+def gcd_power_fact(q: int, a: int, b: int) -> int:
+    """gcd(q^a - 1, q^b - 1), asserted equal to q^gcd(a,b) - 1."""
+    g = math.gcd(q**a - 1, q**b - 1)
+    if g != q ** math.gcd(a, b) - 1:
+        raise TheoremViolationError("gcd of q-power minus ones violated the closed form")
+    return g

@@ -1,0 +1,687 @@
+"""Brute-force ground truth at tiny scale: literal points of the variety over
+small finite fields, as Hermite-style lattice cosets with exact Laurent
+arithmetic.
+
+Coefficients live in F_{p^r} with r <= 2 (the Frobenius fixes coefficients and
+sends u to u^p, so points over a subfield are honest points of the variety).
+Series carry a validity window `prec`: coefficients of u^k are guaranteed for
+k < prec, and any operation that would need an undetermined valuation raises
+instead of silently truncating.  Coset representatives and Iwahori labels are
+exact; only elementary-divisor pivoting works inside a window.
+"""
+
+from __future__ import annotations
+
+import itertools
+from dataclasses import dataclass
+from typing import Iterator, Optional
+
+from .core import Cochar, dominance_leq
+from .errors import (
+    ConfigError,
+    PrecisionError,
+    PreconditionError,
+    SingularMatrixError,
+)
+from .normal_form import FrobeniusDatum
+
+
+# ---------------------------------------------------------------------------
+# small finite fields with precomputed tables
+
+
+class GF:
+    """F_{p^r} for r in {1, 2}; elements are ints 0..q-1 (index a + p*b <-> a + b*t)."""
+
+    def __init__(self, p: int, r: int = 1):
+        if r not in (1, 2):
+            raise ConfigError("coefficient fields are limited to r <= 2")
+        self.p, self.r, self.q = p, r, p**r
+        q = self.q
+        if r == 1:
+            add = [[(a + b) % p for b in range(p)] for a in range(p)]
+            mul = [[(a * b) % p for b in range(p)] for a in range(p)]
+        else:
+            bc = self._irreducible_quadratic(p)
+            B, C = bc
+            add = [
+                [((a % p + b % p) % p) + p * ((a // p + b // p) % p) for b in range(q)]
+                for a in range(q)
+            ]
+            mul = []
+            for x in range(q):
+                a1, b1 = x % p, x // p
+                row = []
+                for y in range(q):
+                    a2, b2 = y % p, y // p
+                    lo = (a1 * a2 - C * b1 * b2) % p
+                    hi = (a1 * b2 + a2 * b1 - B * b1 * b2) % p
+                    row.append(lo + p * hi)
+                mul.append(row)
+            self._t_poly = bc
+        self._add = tuple(tuple(row) for row in add)
+        self._mul = tuple(tuple(row) for row in mul)
+        neg = [0] * q
+        inv = [0] * q
+        for x in range(q):
+            for y in range(q):
+                if self._add[x][y] == 0:
+                    neg[x] = y
+                if x and self._mul[x][y] == 1:
+                    inv[x] = y
+        self._neg, self._inv = tuple(neg), tuple(inv)
+        self.zero, self.one = 0, 1
+
+    @staticmethod
+    def _irreducible_quadratic(p: int):
+        # x^2 + Bx + C with no root mod p
+        for B in range(p):
+            for C in range(1, p):
+                if all((x * x + B * x + C) % p for x in range(p)):
+                    return B, C
+        raise ConfigError("no irreducible quadratic found")  # unreachable for prime p
+
+    def add(self, a, b):
+        return self._add[a][b]
+
+    def sub(self, a, b):
+        return self._add[a][self._neg[b]]
+
+    def mul(self, a, b):
+        return self._mul[a][b]
+
+    def neg(self, a):
+        return self._neg[a]
+
+    def inv(self, a):
+        if a == 0:
+            raise ZeroDivisionError("inverse of zero in GF")
+        return self._inv[a]
+
+    def coerce_int(self, c: int):
+        """Embed a rational integer via the prime subfield."""
+        return c % self.p
+
+    def elements(self):
+        return range(self.q)
+
+    def elem_str(self, x) -> str:
+        if self.r == 1 or x < self.p:
+            return str(x)
+        a, b = x % self.p, x // self.p
+        bt = "t" if b == 1 else f"{b}*t"
+        return bt if a == 0 else f"{bt}+{a}"
+
+    def __repr__(self):
+        return f"GF({self.p}^{self.r})" if self.r > 1 else f"GF({self.p})"
+
+
+# ---------------------------------------------------------------------------
+# truncated Laurent series
+
+
+_INF = None  # precision sentinel: exact
+
+
+def _prec_min(*ps):
+    finite = [p for p in ps if p is not _INF]
+    return min(finite) if finite else _INF
+
+
+class LSeries:
+    """sum coeffs[t] u^(offset+t) + O(u^prec); prec None means exact."""
+
+    __slots__ = ("field", "offset", "coeffs", "prec")
+
+    def __init__(self, field: GF, offset: int, coeffs, prec=_INF):
+        # normalize: strip zero margins, drop coefficients at exponents >= prec
+        coeffs = list(coeffs)
+        if prec is not _INF:
+            keep = prec - offset
+            coeffs = coeffs[: max(keep, 0)]
+        while coeffs and coeffs[-1] == 0:
+            coeffs.pop()
+        drop = 0
+        while drop < len(coeffs) and coeffs[drop] == 0:
+            drop += 1
+        coeffs = coeffs[drop:]
+        offset += drop
+        self.field = field
+        self.offset = offset if coeffs else 0
+        self.coeffs = tuple(coeffs)
+        self.prec = prec
+
+    # -- constructors -------------------------------------------------------
+
+    @classmethod
+    def zero(cls, field: GF, prec=_INF):
+        return cls(field, 0, (), prec)
+
+    @classmethod
+    def monomial(cls, field: GF, exp: int, coeff=1, prec=_INF):
+        return cls(field, exp, (coeff,), prec)
+
+    @classmethod
+    def from_terms(cls, field: GF, terms: dict, prec=_INF):
+        if not terms:
+            return cls.zero(field, prec)
+        lo = min(terms)
+        hi = max(terms)
+        coeffs = [0] * (hi - lo + 1)
+        for e, c in terms.items():
+            coeffs[e - lo] = c
+        return cls(field, lo, coeffs, prec)
+
+    # -- structure ----------------------------------------------------------
+
+    @property
+    def is_exact(self) -> bool:
+        return self.prec is _INF
+
+    @property
+    def is_exact_zero(self) -> bool:
+        return not self.coeffs and self.is_exact
+
+    def known_val(self) -> Optional[int]:
+        """Valuation if a nonzero coefficient is known, else None."""
+        return self.offset if self.coeffs else None
+
+    def val(self) -> int:
+        v = self.known_val()
+        if v is None:
+            if self.is_exact:
+                raise ZeroDivisionError("valuation of exact zero")
+            raise PrecisionError("valuation not determined by the window")
+        return v
+
+    def coeff(self, e: int):
+        if self.prec is not _INF and e >= self.prec:
+            raise PrecisionError(f"coefficient of u^{e} beyond window {self.prec}")
+        t = e - self.offset
+        return self.coeffs[t] if self.coeffs and 0 <= t < len(self.coeffs) else 0
+
+    def _low(self):
+        """Lower bound for the valuation of the full series (None if exact zero)."""
+        if self.coeffs:
+            return self.offset
+        return self.prec  # None when exact zero
+
+    # -- arithmetic ---------------------------------------------------------
+
+    def add(self, other: "LSeries") -> "LSeries":
+        f = self.field
+        prec = _prec_min(self.prec, other.prec)
+        if not self.coeffs:
+            return LSeries(f, other.offset, other.coeffs, prec)
+        if not other.coeffs:
+            return LSeries(f, self.offset, self.coeffs, prec)
+        lo = min(self.offset, other.offset)
+        hi = max(self.offset + len(self.coeffs), other.offset + len(other.coeffs))
+        out = [0] * (hi - lo)
+        for t, c in enumerate(self.coeffs):
+            out[self.offset - lo + t] = c
+        for t, c in enumerate(other.coeffs):
+            i = other.offset - lo + t
+            out[i] = f.add(out[i], c)
+        return LSeries(f, lo, out, prec)
+
+    def neg(self) -> "LSeries":
+        f = self.field
+        return LSeries(f, self.offset, [f.neg(c) for c in self.coeffs], self.prec)
+
+    def sub(self, other: "LSeries") -> "LSeries":
+        return self.add(other.neg())
+
+    def mul(self, other: "LSeries") -> "LSeries":
+        f = self.field
+        lows = []
+        if self.prec is not _INF:
+            ol = other._low()
+            lows.append(self.prec + ol if ol is not None else _INF)
+        if other.prec is not _INF:
+            sl = self._low()
+            lows.append(other.prec + sl if sl is not None else _INF)
+        if self.prec is not _INF and other.prec is not _INF:
+            lows.append(self.prec + other.prec)
+        prec = _prec_min(*lows) if lows else _INF
+        if not self.coeffs or not other.coeffs:
+            return LSeries.zero(f, prec)
+        out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
+        mul, add = f.mul, f.add
+        for i, a in enumerate(self.coeffs):
+            if a == 0:
+                continue
+            for j, b in enumerate(other.coeffs):
+                if b:
+                    out[i + j] = add(out[i + j], mul(a, b))
+        return LSeries(f, self.offset + other.offset, out, prec)
+
+    def scale(self, c) -> "LSeries":
+        f = self.field
+        if c == 0:
+            return LSeries.zero(f, self.prec)
+        return LSeries(f, self.offset, [f.mul(c, x) for x in self.coeffs], self.prec)
+
+    def shift(self, k: int) -> "LSeries":
+        prec = self.prec if self.prec is _INF else self.prec + k
+        return LSeries(self.field, self.offset + k, self.coeffs, prec)
+
+    def truncate(self, prec: int) -> "LSeries":
+        return LSeries(self.field, self.offset, self.coeffs, _prec_min(self.prec, prec))
+
+    def frobenius(self, p: int) -> "LSeries":
+        """u -> u^p with coefficients fixed."""
+        if not self.coeffs:
+            prec = self.prec if self.prec is _INF else p * self.prec
+            return LSeries.zero(self.field, prec)
+        out = [0] * (p * (len(self.coeffs) - 1) + 1)
+        for t, c in enumerate(self.coeffs):
+            out[p * t] = c
+        prec = self.prec if self.prec is _INF else p * self.prec
+        return LSeries(self.field, p * self.offset, out, prec)
+
+    def unit_part(self) -> "LSeries":
+        """self * u^{-val}; requires a determined valuation."""
+        return self.shift(-self.val())
+
+    def inverse(self, nterms: int) -> "LSeries":
+        """Multiplicative inverse to nterms coefficients past the leading one."""
+        f = self.field
+        v = self.val()
+        c = list(self.coeffs)
+        c0inv = f.inv(c[0])
+        out = [c0inv] + [0] * (nterms - 1)
+        for k in range(1, nterms):
+            acc = 0
+            for t in range(1, min(k, len(c) - 1) + 1):
+                acc = f.add(acc, f.mul(c[t], out[k - t]))
+            out[k] = f.neg(f.mul(c0inv, acc))
+        prec = -v + nterms
+        if self.prec is not _INF:
+            prec = min(prec, self.prec - 2 * v)
+        return LSeries(f, -v, out, prec)
+
+    # -- misc ---------------------------------------------------------------
+
+    def __eq__(self, other):
+        return (
+            isinstance(other, LSeries)
+            and self.field is other.field
+            and self.offset == other.offset
+            and self.coeffs == other.coeffs
+            and self.prec == other.prec
+        )
+
+    def __hash__(self):
+        return hash((self.offset, self.coeffs, self.prec))
+
+    def __repr__(self):
+        if not self.coeffs:
+            body = "0"
+        else:
+            parts = []
+            for t, c in enumerate(self.coeffs):
+                if c == 0:
+                    continue
+                e = self.offset + t
+                cs = self.field.elem_str(c)
+                if e == 0:
+                    parts.append(cs)
+                elif cs == "1":
+                    parts.append(f"u^{e}" if e != 1 else "u")
+                else:
+                    parts.append(f"({cs})*u^{e}" if e != 1 else f"({cs})*u")
+            body = " + ".join(parts)
+        if self.prec is not _INF:
+            body += f" + O(u^{self.prec})"
+        return body
+
+
+# ---------------------------------------------------------------------------
+# truncated matrices
+
+
+@dataclass(frozen=True)
+class TruncMat:
+    """Square matrix of Laurent series; prec is the common validity window."""
+
+    field: GF
+    n: int
+    rows: tuple  # tuple of tuple of LSeries
+
+    @property
+    def prec(self):
+        return _prec_min(*(e.prec for row in self.rows for e in row))
+
+    def entry(self, i: int, j: int) -> LSeries:
+        return self.rows[i][j]
+
+
+def mat_from_rows(field: GF, rows) -> TruncMat:
+    rows = tuple(tuple(r) for r in rows)
+    return TruncMat(field, len(rows), rows)
+
+
+def mat_identity(field: GF, n: int) -> TruncMat:
+    one = LSeries.monomial(field, 0)
+    zero = LSeries.zero(field)
+    return mat_from_rows(field, [[one if i == j else zero for j in range(n)] for i in range(n)])
+
+
+def mat_diag_u(field: GF, exps) -> TruncMat:
+    zero = LSeries.zero(field)
+    n = len(exps)
+    return mat_from_rows(
+        field,
+        [[LSeries.monomial(field, exps[i]) if i == j else zero for j in range(n)] for i in range(n)],
+    )
+
+
+def mat_mul(a: TruncMat, b: TruncMat) -> TruncMat:
+    n = a.n
+    zero = LSeries.zero(a.field)
+    rows = []
+    for i in range(n):
+        row = []
+        for j in range(n):
+            acc = zero
+            for k in range(n):
+                acc = acc.add(a.rows[i][k].mul(b.rows[k][j]))
+            row.append(acc)
+        rows.append(row)
+    return mat_from_rows(a.field, rows)
+
+
+def mat_frobenius(a: TruncMat, p: int) -> TruncMat:
+    return mat_from_rows(a.field, [[e.frobenius(p) for e in row] for row in a.rows])
+
+
+def mat_scale_u(a: TruncMat, k: int) -> TruncMat:
+    return mat_from_rows(a.field, [[e.shift(k) for e in row] for row in a.rows])
+
+
+def mat_truncate(a: TruncMat, prec: int) -> TruncMat:
+    return mat_from_rows(a.field, [[e.truncate(prec) for e in row] for row in a.rows])
+
+
+def _det(field: GF, rows, cols) -> LSeries:
+    if len(rows) == 1:
+        return rows[0][cols[0]]
+    acc = LSeries.zero(field)
+    sub_rows = rows[1:]
+    for t, c in enumerate(cols):
+        minor = _det(field, sub_rows, cols[:t] + cols[t + 1 :])
+        term = rows[0][c].mul(minor)
+        acc = acc.add(term.neg() if t % 2 else term)
+    return acc
+
+
+def mat_det(a: TruncMat) -> LSeries:
+    return _det(a.field, a.rows, tuple(range(a.n)))
+
+
+def mat_adjugate(a: TruncMat) -> TruncMat:
+    """Classical adjugate: adj(a)[i][j] = (-1)^{i+j} minor(a; j, i)."""
+    n = a.n
+    if n == 1:
+        return mat_identity(a.field, 1)
+    rows = []
+    for i in range(n):
+        row = []
+        for j in range(n):
+            keep_rows = tuple(a.rows[r] for r in range(n) if r != j)
+            keep_cols = tuple(c for c in range(n) if c != i)
+            minor = _det(a.field, keep_rows, keep_cols)
+            row.append(minor.neg() if (i + j) % 2 else minor)
+        rows.append(row)
+    return mat_from_rows(a.field, rows)
+
+
+def weyl_matrix(field: GF, tau, perm) -> TruncMat:
+    """The lift u^tau w with w the permutation matrix sending e_j to e_{w(j)}."""
+    n = len(tau)
+    zero = LSeries.zero(field)
+    rows = [[zero] * n for _ in range(n)]
+    for j in range(n):
+        rows[perm[j]][j] = LSeries.monomial(field, tau[perm[j]])
+    return mat_from_rows(field, rows)
+
+
+# ---------------------------------------------------------------------------
+# pivoting shared by the two reductions
+
+
+def _select_pivot(work, alive_rows, alive_cols):
+    """(i, j, val) of a minimal-valuation entry, topmost row first.
+
+    Raises PrecisionError if an undetermined entry could beat the minimum, and
+    SingularMatrixError if every alive entry is an exact zero.
+    """
+    best = None
+    undetermined = []
+    for i in alive_rows:
+        for j in alive_cols:
+            e = work[i][j]
+            v = e.known_val()
+            if v is None:
+                if not e.is_exact:
+                    undetermined.append(e.prec)
+            elif best is None or v < best[2] or (v == best[2] and i < best[0]):
+                best = (i, j, v)
+    if best is None:
+        if undetermined:
+            raise PrecisionError("no pivot valuation determined by the window")
+        raise SingularMatrixError("matrix is singular")
+    if any(p <= best[2] for p in undetermined):
+        raise PrecisionError("pivot valuation not separated from the window")
+    return best
+
+
+def elementary_divisors(m: TruncMat) -> Cochar:
+    """Exponents of the Cartan double coset of m, as one dominant block.
+
+    Smith-style reduction with minimal-valuation pivoting; rows are rescaled by
+    the pivot's unit part (cross-multiplication) so exact inputs stay exact.
+    """
+    n = m.n
+    work = [list(row) for row in m.rows]
+    alive_rows = list(range(n))
+    alive_cols = list(range(n))
+    divisors = []
+    while alive_rows:
+        ip, jp, v = _select_pivot(work, alive_rows, alive_cols)
+        divisors.append(v)
+        pivot = work[ip][jp]
+        unit = pivot.shift(-v)
+        for i in alive_rows:
+            if i == ip:
+                continue
+            q = work[i][jp].shift(-v)
+            if q.known_val() is None and q.is_exact:
+                continue
+            for j in alive_cols:
+                work[i][j] = unit.mul(work[i][j]).sub(q.mul(work[ip][j]))
+        for j in alive_cols:
+            if j == jp:
+                continue
+            q = work[ip][j].shift(-v)
+            if q.known_val() is None and q.is_exact:
+                continue
+            for i in alive_rows:
+                work[i][j] = unit.mul(work[i][j]).sub(q.mul(work[i][jp]))
+        alive_rows.remove(ip)
+        alive_cols.remove(jp)
+    return tuple(sorted(divisors, reverse=True))
+
+
+def iwahori_label(g: TruncMat) -> tuple:
+    """The unique lam with g in I u^lam G(O), I the preimage of the lower Borel.
+
+    Column reduction to a monomial matrix using right-G(O) column operations
+    and left-I row operations: pivots are minimal-valuation entries in the
+    topmost row, so clearing upward always uses coefficients in uO.
+    """
+    n = g.n
+    work = [list(row) for row in g.rows]
+    alive_rows = list(range(n))
+    alive_cols = list(range(n))
+    lam = [None] * n
+    while alive_rows:
+        ip, jp, v = _select_pivot(work, alive_rows, alive_cols)
+        lam[ip] = v
+        pivot = work[ip][jp]
+        unit = pivot.shift(-v)
+        # clear the pivot row with column operations (right K)
+        for j in alive_cols:
+            if j == jp:
+                continue
+            q = work[ip][j].shift(-v)
+            if q.known_val() is None and q.is_exact:
+                continue
+            for i in alive_rows:
+                work[i][j] = unit.mul(work[i][j]).sub(q.mul(work[i][jp]))
+        # clear the pivot column with row operations (left I); rows above the
+        # pivot have strictly larger valuation there, so their coefficient
+        # q = entry/pivot lies in uO as the Iwahori requires
+        for i in alive_rows:
+            if i == ip:
+                continue
+            q = work[i][jp].shift(-v)
+            qv = q.known_val()
+            if qv is None and q.is_exact:
+                continue
+            if i < ip and (qv is not None and qv < 1):
+                raise PreconditionError("pivot selection violated the Iwahori row order")
+            for j in alive_cols:
+                work[i][j] = unit.mul(work[i][j]).sub(q.mul(work[ip][j]))
+        alive_rows.remove(ip)
+        alive_cols.remove(jp)
+    return tuple(lam)
+
+
+# ---------------------------------------------------------------------------
+# coset enumeration
+
+
+def _count_cosets(n: int, lam_bound: int, q: int) -> int:
+    total = 0
+    for lams in itertools.product(range(-lam_bound, lam_bound + 1), repeat=n):
+        size = 1
+        for i in range(n):
+            for _ in range(i + 1, n):
+                size *= q ** max(lams[i] + lam_bound, 0)
+        total += size
+    return total
+
+
+def hnf_cosets(
+    n: int, lam_bound: int, field: GF, max_cosets: int = 2_000_000
+) -> Iterator[TruncMat]:
+    """Hermite-style representatives of the lattices between u^B O^n and
+    u^{-B} O^n: upper triangular, diagonal u^{lam_j} with |lam_j| <= B, entry
+    (i, j) reduced modulo u^{lam_i} with valuation >= -B.  Complete and
+    duplicate-free for that box.
+    """
+    if n > 3:
+        raise PreconditionError("coset enumeration is limited to n <= 3")
+    count = _count_cosets(n, lam_bound, field.q)
+    if count > max_cosets:
+        raise PreconditionError(f"{count} cosets exceed the guard {max_cosets}")
+    B = lam_bound
+    zero = LSeries.zero(field)
+    pairs = [(i, j) for j in range(n) for i in range(j)]
+    for lams in itertools.product(range(-B, B + 1), repeat=n):
+        spans = [list(range(-B, lams[i])) for i, _ in pairs]
+        for choice in itertools.product(*(itertools.product(field.elements(), repeat=len(s)) for s in spans)):
+            rows = [[zero] * n for _ in range(n)]
+            for i in range(n):
+                rows[i][i] = LSeries.monomial(field, lams[i])
+            ok = True
+            for (i, j), exps, coeffs in zip(pairs, spans, choice):
+                terms = {e: c for e, c in zip(exps, coeffs) if c}
+                rows[i][j] = LSeries.from_terms(field, terms)
+            g = mat_from_rows(field, rows)
+            # box lower bound: u^B O^n inside the lattice, i.e. u^B g^{-1} integral
+            s = sum(lams)
+            adj = mat_adjugate(g)
+            for row in adj.rows:
+                for e in row:
+                    kv = e.known_val()
+                    if kv is not None and kv < s - B:
+                        ok = False
+                        break
+                if not ok:
+                    break
+            if ok:
+                yield g
+
+
+# ---------------------------------------------------------------------------
+# point enumeration
+
+
+def oracle_window(p: int, lam_bound: int, tau, mu) -> int:
+    """Precision radius guaranteeing determined pivots for the divisor check."""
+    t = max(abs(x) for b in tau for x in b)
+    m = max(abs(x) for b in mu for x in b)
+    return (p + 1) * (lam_bound + t + m)
+
+
+def coset_survey(
+    datum: FrobeniusDatum, field: GF, lam_bound: int, max_cosets: int = 2_000_000
+):
+    """(g, dominant elementary divisors of g^{-1} b sigma(g), Iwahori label)
+    for every coset in the box; independent of any mu, so one survey serves a
+    whole family of bounds."""
+    shape = datum.shape
+    if shape.blocks != 1:
+        raise PreconditionError("the point oracle only supports f = 1")
+    if not datum.alcove_ok:
+        raise PreconditionError("datum's fixed point is not in the alcove")
+    if field.p != shape.p:
+        raise ConfigError("field characteristic must match the shape")
+    p = shape.p
+    b = weyl_matrix(field, datum.tau[0], datum.w[0])
+    out = []
+    for g in hnf_cosets(shape.n, lam_bound, field, max_cosets=max_cosets):
+        # det g = u^s exactly for the triangular representatives, so
+        # g^{-1} b sigma(g) = adjugate(g) b sigma(g) u^{-s} with exact entries;
+        # the policy window is a lower bound the exact computation exceeds
+        s = sum(g.rows[i][i].val() for i in range(shape.n))
+        hq = mat_mul(mat_mul(mat_adjugate(g), b), mat_frobenius(g, p))
+        try:
+            divisors = elementary_divisors(hq)
+        except SingularMatrixError:
+            continue
+        ed = tuple(d - s for d in divisors)
+        out.append((g, ed, (iwahori_label(g),)))
+    return out
+
+
+def kisin_points(
+    datum: FrobeniusDatum,
+    mu: Cochar,
+    field: GF,
+    lam_bound: int,
+    max_cosets: int = 2_000_000,
+    survey=None,
+):
+    """All cosets g in the box with dominant elementary divisors of
+    g^{-1} b sigma(g) dominated by mu, labeled by their Iwahori stratum.
+
+    Only f = 1 is supported; the coefficient field is fixed, so this lists the
+    points of the variety rational over that field.
+    """
+    from .strata import enumerate_strata  # local import to avoid a cycle at import time
+
+    strata = enumerate_strata(datum, mu)
+    for s in strata:
+        if any(abs(x) > lam_bound for x in s.lam[0]):
+            raise PreconditionError(
+                f"box {lam_bound} too small: stratum label {s.lam[0]} outside; rerun larger"
+            )
+    if survey is None:
+        survey = coset_survey(datum, field, lam_bound, max_cosets=max_cosets)
+    points = [(g, label) for g, ed, label in survey if dominance_leq((ed,), mu)]
+    points.sort(key=lambda t: (t[1], [repr(e) for row in t[0].rows for e in row]))
+    return points

@@ -1,0 +1,264 @@
+"""Semi-module strata: enumeration, dimensions in the minuscule case, and
+singleton certificates.
+
+A stratum label lam is nonempty exactly when the twisted difference
+lam_nat = -lam + tau + w(sigma(lam)) is dominated by mu.  Enumeration inverts
+that affine map: candidate values nu of lam_nat are finite (blockwise vectors
+whose dominant sort is dominated by mu's block), and each nu has at most one
+preimage because 1 - w*sigma is invertible; integral preimages are kept.  A
+box search over lam would need a bound the theory does not provide, so it is
+demoted to a test oracle.
+"""
+
+from __future__ import annotations
+
+import itertools
+import os
+from dataclasses import dataclass
+from functools import lru_cache
+from typing import Optional
+
+from .core import (
+    Cochar,
+    all_roots,
+    act_sigma,
+    act_weyl,
+    cochar_add,
+    cochar_sub,
+    dominance_leq,
+    dominant,
+    is_central,
+    is_dominant,
+    is_minuscule,
+    lambda_alpha,
+    ExtAffine,
+)
+from .errors import ConfigError, EnumerationCapError, NonMinusculeError, PreconditionError
+from .normal_form import FrobeniusDatum, make_datum, solve_affine_integral
+
+DEFAULT_ENUM_CAP = 10**7
+
+SINGLETON_RULES = ("central", "dominant-minuscule", "d-set", "empty-r-set")
+
+
+@dataclass(frozen=True)
+class Stratum:
+    lam: Cochar
+    nat: Cochar  # -lam + tau + w(sigma(lam))
+    dag: Cochar  # tau + w(sigma(lam)); stored for reference only
+    r_set: Optional[tuple]  # tuple of Root when mu is minuscule, else None
+    d_set: tuple  # tuple of Root
+    dim: Optional[int]  # |r_set| when mu is minuscule, else None ("unknown")
+    singleton: str  # "proven" | "unknown"
+    singleton_rule: Optional[str]
+
+
+def _require_alcove(datum: FrobeniusDatum) -> None:
+    if not datum.alcove_ok:
+        raise PreconditionError("datum's fixed point is not in the alcove")
+
+
+def _require_dominant_mu(mu: Cochar) -> None:
+    if not is_dominant(mu):
+        raise ConfigError("mu must be dominant")
+
+
+def natural_lambda(datum: FrobeniusDatum, lam: Cochar) -> Cochar:
+    """-lam + tau + w(sigma(lam))."""
+    _require_alcove(datum)
+    datum.shape.check_cochar(lam)
+    twisted = act_weyl(datum.w, act_sigma(datum.shape, lam))
+    return cochar_add(cochar_sub(datum.tau, lam), twisted)
+
+
+def dagger_lambda(datum: FrobeniusDatum, lam: Cochar) -> Cochar:
+    """tau + w(sigma(lam))."""
+    datum.shape.check_cochar(lam)
+    return cochar_add(datum.tau, act_weyl(datum.w, act_sigma(datum.shape, lam)))
+
+
+def stratum_nonempty(datum: FrobeniusDatum, mu: Cochar, lam: Cochar) -> bool:
+    _require_alcove(datum)
+    _require_dominant_mu(mu)
+    nat_dom, _ = dominant(natural_lambda(datum, lam))
+    return dominance_leq(nat_dom, mu)
+
+
+# ---------------------------------------------------------------------------
+# candidate generation for enumeration
+
+
+@lru_cache(maxsize=None)
+def dominant_blocks_leq(mu_block: tuple) -> tuple:
+    """All dominant integer vectors nu with nu <= mu_block (same length/sum)."""
+    n = len(mu_block)
+    total = sum(mu_block)
+    lo, hi = min(mu_block), max(mu_block)
+    prefix_mu = list(itertools.accumulate(mu_block))
+
+    out = []
+
+    def descend(pos, prev, acc, partial):
+        if pos == n - 1:
+            last = total - acc
+            if lo <= last <= prev:
+                out.append(partial + (last,))
+            return
+        remaining = n - pos - 1
+        for v in range(min(prev, hi), lo - 1, -1):
+            new_acc = acc + v
+            if new_acc > prefix_mu[pos]:
+                continue
+            # the tail cannot exceed v per entry nor drop below lo
+            if new_acc + remaining * v < total or new_acc + remaining * lo > total:
+                continue
+            descend(pos + 1, v, new_acc, partial + (v,))
+
+    descend(0, hi, 0, ())
+    return tuple(out)
+
+
+def _distinct_permutations(block: tuple):
+    seen = set()
+    for p in itertools.permutations(block):
+        if p not in seen:
+            seen.add(p)
+            yield p
+
+
+@lru_cache(maxsize=None)
+def candidate_blocks(mu_block: tuple) -> tuple:
+    """All integer vectors whose dominant sort is <= mu_block."""
+    out = []
+    for dom_block in dominant_blocks_leq(mu_block):
+        out.extend(_distinct_permutations(dom_block))
+    return tuple(out)
+
+
+def _enum_cap() -> int:
+    raw = os.environ.get("KISIN_MAX_ENUM", "")
+    try:
+        return int(raw) if raw else DEFAULT_ENUM_CAP
+    except ValueError:
+        return DEFAULT_ENUM_CAP
+
+
+def enumerate_strata(datum: FrobeniusDatum, mu: Cochar) -> tuple:
+    """All strata S = {lam : dominant(lam_nat) <= mu}, sorted by lam.
+
+    Complete and duplicate-free: candidates nu run over every vector with
+    dominant(nu) <= mu, and nu -> lam is injective.
+    """
+    _require_alcove(datum)
+    _require_dominant_mu(mu)
+    datum.shape.check_cochar(mu)
+    per_block = [candidate_blocks(b) for b in mu]
+    count = 1
+    for blk in per_block:
+        count *= len(blk)
+    cap = _enum_cap()
+    if count > cap:
+        raise EnumerationCapError(f"{count} candidates exceed cap {cap} (KISIN_MAX_ENUM)")
+    shape, w, tau = datum.shape, datum.w, datum.tau
+    strata = []
+    for nu in itertools.product(*per_block):
+        lam = solve_affine_integral(shape, w, cochar_sub(tau, nu))
+        if lam is not None:
+            strata.append(make_stratum(datum, mu, lam))
+    strata.sort(key=lambda s: s.lam)
+    return tuple(strata)
+
+
+# ---------------------------------------------------------------------------
+# per-stratum invariants
+
+
+def r_set(datum: FrobeniusDatum, mu: Cochar, lam: Cochar) -> tuple:
+    """R(lam) = {alpha : lam_alpha >= 1, <alpha, lam_nat> = -1}; its size is the
+    stratum dimension when mu is minuscule."""
+    if not is_minuscule(mu):
+        raise NonMinusculeError("dimension formula unavailable: mu is not minuscule")
+    nat = natural_lambda(datum, lam)
+    return tuple(
+        a for a in all_roots(datum.shape)
+        if lambda_alpha(lam, a) >= 1 and a.pair(nat) == -1
+    )
+
+
+def d_set(datum: FrobeniusDatum, mu: Cochar, lam: Cochar) -> tuple:
+    """D(lam) = {alpha : lam_alpha >= 0, <alpha, lam_nat> <= -1}."""
+    if not stratum_nonempty(datum, mu, lam):
+        raise PreconditionError("lam is not a stratum label of C_mu(b)")
+    nat = natural_lambda(datum, lam)
+    return tuple(
+        a for a in all_roots(datum.shape)
+        if lambda_alpha(lam, a) >= 0 and a.pair(nat) <= -1
+    )
+
+
+def singleton_sufficient(datum: FrobeniusDatum, mu: Cochar, lam: Cochar):
+    """Sufficient singleton certificates, tried in order:
+
+    central lam; dominant and minuscule lam; lam_nat conjugate to mu with
+    lam_alpha = 0 on all of D(lam); minuscule mu with empty R(lam).
+    Returns ("proven", rule) or ("unknown", None); never guesses beyond these.
+    """
+    if not stratum_nonempty(datum, mu, lam):
+        raise PreconditionError("lam is not a stratum label of C_mu(b)")
+    if is_central(lam):
+        return "proven", "central"
+    if is_dominant(lam) and is_minuscule(lam):
+        return "proven", "dominant-minuscule"
+    nat_dom, _ = dominant(natural_lambda(datum, lam))
+    if nat_dom == mu and all(lambda_alpha(lam, a) == 0 for a in d_set(datum, mu, lam)):
+        return "proven", "d-set"
+    if is_minuscule(mu) and not r_set(datum, mu, lam):
+        return "proven", "empty-r-set"
+    return "unknown", None
+
+
+def make_stratum(datum: FrobeniusDatum, mu: Cochar, lam: Cochar) -> Stratum:
+    if not stratum_nonempty(datum, mu, lam):
+        raise PreconditionError("lam is not a stratum label of C_mu(b)")
+    nat = natural_lambda(datum, lam)
+    dag = dagger_lambda(datum, lam)
+    if is_minuscule(mu):
+        rs = r_set(datum, mu, lam)
+        dim = len(rs)
+    else:
+        rs, dim = None, None
+    ds = d_set(datum, mu, lam)
+    verdict, rule = singleton_sufficient(datum, mu, lam)
+    return Stratum(lam, nat, dag, rs, ds, dim, verdict, rule)
+
+
+# ---------------------------------------------------------------------------
+# central twists and the omega-shape reduction
+
+
+def central_twist(datum: FrobeniusDatum, mu: Cochar, chi: Cochar):
+    """C_mu(b) = C_{mu+chi}(u^chi b) for central chi; strata correspond via the
+    identity on lam while lam_nat shifts by chi."""
+    datum.shape.check_cochar(chi)
+    if not is_central(chi):
+        raise ConfigError("chi must be central (constant per block)")
+    wt2 = ExtAffine(cochar_add(datum.tau, chi), datum.w)
+    datum2 = make_datum(datum.shape, wt2)
+    if datum.alcove_ok and not datum2.alcove_ok:
+        raise PreconditionError("central twist unexpectedly left the alcove")
+    return datum2, cochar_add(mu, chi)
+
+
+def omega_reduction(mu: Cochar):
+    """For mu with per-block shape (a, c, ..., c), the central chi with
+    mu + chi = (m_k omega_1) per block; returns (chi, reduced mu)."""
+    for b in mu:
+        if len(b) > 1 and (any(x != b[1] for x in b[1:]) or b[0] < b[1]):
+            raise ConfigError("mu is not of the (a, c, ..., c) shape")
+    chi = tuple(((-b[1] if len(b) > 1 else 0),) * len(b) for b in mu)
+    return chi, cochar_add(mu, chi)
+
+
+def sum_profile(lam: Cochar) -> tuple:
+    """Per-block coordinate sums; constant across all strata of one variety."""
+    return tuple(sum(b) for b in lam)
