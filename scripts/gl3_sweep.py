@@ -12,7 +12,6 @@ from collections import Counter
 
 from kisin.connectivity import build_graph, chain_gl3
 from kisin.normal_form import caruso_datum, is_caruso_simple
-from kisin.strata import enumerate_strata
 
 
 def main():
@@ -35,13 +34,12 @@ def main():
             d = caruso_datum(3, 1, p, m)
             for mu_flat in mus:
                 mu = (mu_flat,)
-                S = enumerate_strata(d, mu)
-                if not S:
+                graph = build_graph(d, mu)
+                if not graph.vertices:
                     continue
                 nonempty += 1
-                graph = build_graph(d, mu)
                 assert len(graph.components) == 1, (p, m, mu)
-                labels = [s.lam for s in S]
+                labels = [s.lam for s in graph.vertices]
                 for a, b in itertools.combinations(labels, 2):
                     chain, steps = chain_gl3(d, mu, a, b)
                     chains += 1

@@ -45,16 +45,23 @@ class InstanceConfig:
 # parsing helpers
 
 
+def _is_int(x) -> bool:
+    """A JSON integer; booleans are not integers here."""
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def _parse_nested(text: str, blocks: int, n: int, what: str) -> tuple:
     try:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{what}: invalid JSON ({exc})")
-    if data and isinstance(data[0], int):
-        data = [data]
-    if len(data) != blocks or any(len(b) != n for b in data):
+    if not isinstance(data, list):
+        raise ConfigError(f"{what}: expected a JSON list")
+    if data and not isinstance(data[0], list):
+        data = [data]  # a single block written flat
+    if len(data) != blocks or any(not isinstance(b, list) or len(b) != n for b in data):
         raise ConfigError(f"{what}: expected {blocks} blocks of length {n}")
-    if any(not isinstance(x, int) for b in data for x in b):
+    if any(not _is_int(x) for b in data for x in b):
         raise ConfigError(f"{what}: entries must be integers")
     return tuple(tuple(b) for b in data)
 
@@ -85,7 +92,7 @@ def config_from_args(args) -> InstanceConfig:
             eps = json.loads(args.eps)
         except json.JSONDecodeError as exc:
             raise ConfigError(f"eps: invalid JSON ({exc})")
-        if not isinstance(eps, list) or not all(isinstance(x, int) for x in eps):
+        if not isinstance(eps, list) or not all(_is_int(x) for x in eps):
             raise ConfigError("eps must be a JSON list of integers")
         cfg.eps = tuple(eps)
     if getattr(args, "tau", None) is not None or getattr(args, "w", None) is not None:

@@ -27,7 +27,14 @@ from .core import (
 )
 from .errors import ConfigError, PreconditionError, TheoremViolationError
 from .normal_form import FrobeniusDatum
-from .strata import enumerate_strata, natural_lambda, stratum_nonempty
+from .strata import (
+    _is_label,
+    _require_alcove,
+    _require_dominant_mu,
+    enumerate_strata,
+    natural_lambda,
+    stratum_nonempty,
+)
 
 
 @dataclass(frozen=True)
@@ -63,18 +70,9 @@ class _UnionFind:
             self.parent[rb] = ra
 
 
-def edge_exists(datum: FrobeniusDatum, mu: Cochar, lam: Cochar, alpha: Root) -> bool:
-    """Whether the coroot curve through u^lam in direction -alpha_cov lies in
-    the variety: dominant sorts of lam_nat + alpha_cov, lam_nat - w(sigma(alpha_cov))
-    and lam'_nat must all be dominated by mu."""
-    shape = datum.shape
-    if not (0 <= alpha.block < shape.blocks and 0 <= alpha.i < shape.n and 0 <= alpha.j < shape.n):
-        raise ConfigError("alpha is not a root of the shape")
-    if not stratum_nonempty(datum, mu, lam):
-        raise PreconditionError("lam is not a stratum label of C_mu(b)")
-    cov = alpha.coroot(shape)
-    nat = natural_lambda(datum, lam)
-    twisted = act_weyl(datum.w, act_sigma(shape, cov))
+def _edge_ok(mu: Cochar, nat: Cochar, cov: Cochar, twisted: Cochar) -> bool:
+    """The three dominance conditions, from lam_nat, alpha_cov and
+    twisted = w(sigma(alpha_cov)); unchecked."""
     for vec in (
         cochar_add(nat, cov),
         cochar_sub(nat, twisted),
@@ -86,21 +84,48 @@ def edge_exists(datum: FrobeniusDatum, mu: Cochar, lam: Cochar, alpha: Root) -> 
     return True
 
 
+def _root_moves(datum: FrobeniusDatum) -> tuple:
+    """(alpha, alpha_cov, w(sigma(alpha_cov))) for every root, in all_roots order."""
+    shape = datum.shape
+    moves = []
+    for alpha in all_roots(shape):
+        cov = alpha.coroot(shape)
+        moves.append((alpha, cov, act_weyl(datum.w, act_sigma(shape, cov))))
+    return tuple(moves)
+
+
+def edge_exists(datum: FrobeniusDatum, mu: Cochar, lam: Cochar, alpha: Root) -> bool:
+    """Whether the coroot curve through u^lam in direction -alpha_cov lies in
+    the variety: dominant sorts of lam_nat + alpha_cov, lam_nat - w(sigma(alpha_cov))
+    and lam'_nat must all be dominated by mu."""
+    shape = datum.shape
+    if not (0 <= alpha.block < shape.blocks and 0 <= alpha.i < shape.n and 0 <= alpha.j < shape.n):
+        raise ConfigError("alpha is not a root of the shape")
+    if not stratum_nonempty(datum, mu, lam):
+        raise PreconditionError("lam is not a stratum label of C_mu(b)")
+    cov = alpha.coroot(shape)
+    twisted = act_weyl(datum.w, act_sigma(shape, cov))
+    return _edge_ok(mu, natural_lambda(datum, lam), cov, twisted)
+
+
 def build_graph(datum: FrobeniusDatum, mu: Cochar) -> StrataGraph:
+    """The coroot-curve graph on the strata; edge tests start from each
+    stratum's stored lam_nat."""
     strata = enumerate_strata(datum, mu)
     index = {s.lam: t for t, s in enumerate(strata)}
+    moves = _root_moves(datum) if len(strata) > 1 else ()  # one stratum has no edges
     uf = _UnionFind(len(strata))
     edges = []
     seen_pairs = set()
     for s in strata:
-        for alpha in all_roots(datum.shape):
-            lam2 = cochar_sub(s.lam, alpha.coroot(datum.shape))
+        for alpha, cov, twisted in moves:
+            lam2 = cochar_sub(s.lam, cov)
             if lam2 not in index:
                 continue
             key = frozenset((s.lam, lam2))
             if key in seen_pairs:
                 continue
-            if edge_exists(datum, mu, s.lam, alpha):
+            if _edge_ok(mu, s.nat, cov, twisted):
                 seen_pairs.add(key)
                 edges.append((s.lam, lam2, alpha))
                 uf.union(index[s.lam], index[lam2])
@@ -150,6 +175,17 @@ def _gl3_normal_form(diff: tuple, w: tuple):
     raise TheoremViolationError("no max-normalized coroot decomposition found")
 
 
+def _is_gl3_label(lam) -> bool:
+    """Whether lam is shaped like a GL_3, f = 1 label: ((a, b, c),) with ints."""
+    return (
+        isinstance(lam, tuple)
+        and len(lam) == 1
+        and isinstance(lam[0], tuple)
+        and len(lam[0]) == 3
+        and all(type(x) is int for x in lam[0])
+    )
+
+
 def chain_gl3(datum: FrobeniusDatum, mu: Cochar, lam: Cochar, lam_prime: Cochar):
     """A coroot chain lam = lam_0, ..., lam_r = lam' inside S for GL_3, f = 1.
 
@@ -159,6 +195,11 @@ def chain_gl3(datum: FrobeniusDatum, mu: Cochar, lam: Cochar, lam_prime: Cochar)
     leading coefficient by one (asserted); if neither step stays in S the
     induction hypothesis is violated and a hard error is raised.
 
+    Membership in S = {lam : dominant(lam_nat) <= mu} is decided by that
+    defining inequality for the endpoints and for every step, so no strata are
+    enumerated and no EnumerationCapError can arise.  An endpoint that is not
+    a label, or not shaped like one, raises PreconditionError.
+
     Returns (chain, steps) with steps the coroots lam_{i+1} - lam_i.
     """
     shape = datum.shape
@@ -167,10 +208,12 @@ def chain_gl3(datum: FrobeniusDatum, mu: Cochar, lam: Cochar, lam_prime: Cochar)
     w = datum.w[0]
     if perm_order(w) != 3:
         raise PreconditionError("chain construction requires a 3-cycle Weyl part")
-    strata = enumerate_strata(datum, mu)
-    labels = {s.lam for s in strata}
-    if lam not in labels or lam_prime not in labels:
-        raise PreconditionError("both endpoints must be stratum labels")
+    _require_alcove(datum)
+    _require_dominant_mu(mu)
+    shape.check_cochar(mu)
+    for end in (lam, lam_prime):
+        if not (_is_gl3_label(end) and _is_label(datum, mu, end)):
+            raise PreconditionError("both endpoints must be stratum labels")
     if sum(lam[0]) != sum(lam_prime[0]):
         raise TheoremViolationError("difference of labels is not in the coroot lattice")
 
@@ -195,7 +238,7 @@ def chain_gl3(datum: FrobeniusDatum, mu: Cochar, lam: Cochar, lam_prime: Cochar)
             candidates = (step_plus, step_minus)
         for step in candidates:
             nxt = cochar_add(cur, step)
-            if nxt in labels:
+            if _is_label(datum, mu, nxt):
                 break
         else:
             raise TheoremViolationError("no admissible coroot step stays in S")

@@ -8,6 +8,11 @@ whose dominant sort is dominated by mu's block), and each nu has at most one
 preimage because 1 - w*sigma is invertible; integral preimages are kept.  A
 box search over lam would need a bound the theory does not provide, so it is
 demoted to a test oracle.
+
+Every invariant of a label (lam_nat, lam_dag, the R- and D-sets, the
+dimension and the singleton certificate) comes from one pass in
+``_stratum``; ``make_stratum``, ``r_set``, ``d_set`` and
+``singleton_sufficient`` validate their arguments and read from it.
 """
 
 from __future__ import annotations
@@ -21,7 +26,6 @@ from typing import Optional
 from .core import (
     Cochar,
     all_roots,
-    act_sigma,
     act_weyl,
     cochar_add,
     cochar_sub,
@@ -31,6 +35,7 @@ from .core import (
     is_dominant,
     is_minuscule,
     lambda_alpha,
+    sigma_blocks,
     ExtAffine,
 )
 from .errors import ConfigError, EnumerationCapError, NonMinusculeError, PreconditionError
@@ -63,25 +68,39 @@ def _require_dominant_mu(mu: Cochar) -> None:
         raise ConfigError("mu must be dominant")
 
 
+def _twist(datum: FrobeniusDatum, lam: Cochar) -> tuple:
+    """(dag, nat) = (tau + w(sigma(lam)), dag - lam), unchecked."""
+    dag = cochar_add(datum.tau, act_weyl(datum.w, sigma_blocks(datum.shape.eps, lam)))
+    return dag, cochar_sub(dag, lam)
+
+
 def natural_lambda(datum: FrobeniusDatum, lam: Cochar) -> Cochar:
     """-lam + tau + w(sigma(lam))."""
     _require_alcove(datum)
     datum.shape.check_cochar(lam)
-    twisted = act_weyl(datum.w, act_sigma(datum.shape, lam))
-    return cochar_add(cochar_sub(datum.tau, lam), twisted)
+    return _twist(datum, lam)[1]
 
 
 def dagger_lambda(datum: FrobeniusDatum, lam: Cochar) -> Cochar:
     """tau + w(sigma(lam))."""
     datum.shape.check_cochar(lam)
-    return cochar_add(datum.tau, act_weyl(datum.w, act_sigma(datum.shape, lam)))
+    return _twist(datum, lam)[0]
+
+
+def _require_label_args(datum: FrobeniusDatum, mu: Cochar, lam: Cochar) -> None:
+    _require_alcove(datum)
+    _require_dominant_mu(mu)
+    datum.shape.check_cochar(lam)
+
+
+def _is_label(datum: FrobeniusDatum, mu: Cochar, lam: Cochar) -> bool:
+    """The defining inequality dominant(lam_nat) <= mu, unchecked."""
+    return dominance_leq(dominant(_twist(datum, lam)[1])[0], mu)
 
 
 def stratum_nonempty(datum: FrobeniusDatum, mu: Cochar, lam: Cochar) -> bool:
-    _require_alcove(datum)
-    _require_dominant_mu(mu)
-    nat_dom, _ = dominant(natural_lambda(datum, lam))
-    return dominance_leq(nat_dom, mu)
+    _require_label_args(datum, mu, lam)
+    return _is_label(datum, mu, lam)
 
 
 # ---------------------------------------------------------------------------
@@ -136,11 +155,18 @@ def candidate_blocks(mu_block: tuple) -> tuple:
 
 
 def _enum_cap() -> int:
+    """The candidate cap: KISIN_MAX_ENUM when set (a non-negative integer),
+    else DEFAULT_ENUM_CAP."""
     raw = os.environ.get("KISIN_MAX_ENUM", "")
-    try:
-        return int(raw) if raw else DEFAULT_ENUM_CAP
-    except ValueError:
+    if not raw:
         return DEFAULT_ENUM_CAP
+    try:
+        cap = int(raw)
+        if cap < 0:
+            raise ValueError
+    except ValueError:
+        raise ConfigError(f"KISIN_MAX_ENUM={raw!r} is not a non-negative integer") from None
+    return cap
 
 
 def enumerate_strata(datum: FrobeniusDatum, mu: Cochar) -> tuple:
@@ -173,63 +199,76 @@ def enumerate_strata(datum: FrobeniusDatum, mu: Cochar) -> tuple:
 # per-stratum invariants
 
 
+def _stratum(datum: FrobeniusDatum, mu: Cochar, lam: Cochar) -> Stratum:
+    """Every invariant of the label lam in one pass, unchecked apart from
+    membership (PreconditionError when lam is not a label).
+
+    R(lam) = {alpha : lam_alpha >= 1, <alpha, lam_nat> = -1} and
+    D(lam) = {alpha : lam_alpha >= 0, <alpha, lam_nat> <= -1}; |R(lam)| is the
+    dimension when mu is minuscule.  The singleton certificates are tried in
+    order: central lam; dominant and minuscule lam; lam_nat conjugate to mu
+    with lam_alpha = 0 on all of D(lam); minuscule mu with empty R(lam).
+    """
+    dag, nat = _twist(datum, lam)
+    nat_dom = dominant(nat)[0]
+    if not dominance_leq(nat_dom, mu):
+        raise PreconditionError("lam is not a stratum label of C_mu(b)")
+    minuscule = is_minuscule(mu)
+    rs, ds = [], []
+    d_flat = True  # lam_alpha == 0 on all of D(lam)
+    for a in all_roots(datum.shape):
+        la, pairing = lambda_alpha(lam, a), a.pair(nat)
+        if la >= 0 and pairing <= -1:
+            ds.append(a)
+            d_flat = d_flat and la == 0
+            if la >= 1 and pairing == -1:
+                rs.append(a)
+    if is_central(lam):
+        rule = "central"
+    elif is_dominant(lam) and is_minuscule(lam):
+        rule = "dominant-minuscule"
+    elif nat_dom == mu and d_flat:
+        rule = "d-set"
+    elif minuscule and not rs:
+        rule = "empty-r-set"
+    else:
+        rule = None
+    return Stratum(
+        lam,
+        nat,
+        dag,
+        tuple(rs) if minuscule else None,
+        tuple(ds),
+        len(rs) if minuscule else None,
+        "unknown" if rule is None else "proven",
+        rule,
+    )
+
+
 def r_set(datum: FrobeniusDatum, mu: Cochar, lam: Cochar) -> tuple:
-    """R(lam) = {alpha : lam_alpha >= 1, <alpha, lam_nat> = -1}; its size is the
-    stratum dimension when mu is minuscule."""
+    """R(lam) for a stratum label lam; its size is the stratum dimension.
+    Needs minuscule mu."""
     if not is_minuscule(mu):
         raise NonMinusculeError("dimension formula unavailable: mu is not minuscule")
-    nat = natural_lambda(datum, lam)
-    return tuple(
-        a for a in all_roots(datum.shape)
-        if lambda_alpha(lam, a) >= 1 and a.pair(nat) == -1
-    )
+    return make_stratum(datum, mu, lam).r_set
 
 
 def d_set(datum: FrobeniusDatum, mu: Cochar, lam: Cochar) -> tuple:
-    """D(lam) = {alpha : lam_alpha >= 0, <alpha, lam_nat> <= -1}."""
-    if not stratum_nonempty(datum, mu, lam):
-        raise PreconditionError("lam is not a stratum label of C_mu(b)")
-    nat = natural_lambda(datum, lam)
-    return tuple(
-        a for a in all_roots(datum.shape)
-        if lambda_alpha(lam, a) >= 0 and a.pair(nat) <= -1
-    )
+    """D(lam) for a stratum label lam."""
+    return make_stratum(datum, mu, lam).d_set
 
 
 def singleton_sufficient(datum: FrobeniusDatum, mu: Cochar, lam: Cochar):
-    """Sufficient singleton certificates, tried in order:
-
-    central lam; dominant and minuscule lam; lam_nat conjugate to mu with
-    lam_alpha = 0 on all of D(lam); minuscule mu with empty R(lam).
-    Returns ("proven", rule) or ("unknown", None); never guesses beyond these.
-    """
-    if not stratum_nonempty(datum, mu, lam):
-        raise PreconditionError("lam is not a stratum label of C_mu(b)")
-    if is_central(lam):
-        return "proven", "central"
-    if is_dominant(lam) and is_minuscule(lam):
-        return "proven", "dominant-minuscule"
-    nat_dom, _ = dominant(natural_lambda(datum, lam))
-    if nat_dom == mu and all(lambda_alpha(lam, a) == 0 for a in d_set(datum, mu, lam)):
-        return "proven", "d-set"
-    if is_minuscule(mu) and not r_set(datum, mu, lam):
-        return "proven", "empty-r-set"
-    return "unknown", None
+    """The first sufficient singleton certificate of a stratum label lam, as
+    ("proven", rule), or ("unknown", None); never guesses beyond the four rules
+    of SINGLETON_RULES."""
+    s = make_stratum(datum, mu, lam)
+    return s.singleton, s.singleton_rule
 
 
 def make_stratum(datum: FrobeniusDatum, mu: Cochar, lam: Cochar) -> Stratum:
-    if not stratum_nonempty(datum, mu, lam):
-        raise PreconditionError("lam is not a stratum label of C_mu(b)")
-    nat = natural_lambda(datum, lam)
-    dag = dagger_lambda(datum, lam)
-    if is_minuscule(mu):
-        rs = r_set(datum, mu, lam)
-        dim = len(rs)
-    else:
-        rs, dim = None, None
-    ds = d_set(datum, mu, lam)
-    verdict, rule = singleton_sufficient(datum, mu, lam)
-    return Stratum(lam, nat, dag, rs, ds, dim, verdict, rule)
+    _require_label_args(datum, mu, lam)
+    return _stratum(datum, mu, lam)
 
 
 # ---------------------------------------------------------------------------

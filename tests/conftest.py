@@ -5,6 +5,22 @@ from fractions import Fraction
 from functools import lru_cache
 import itertools
 
+from kisin.core import (
+    act_sigma,
+    act_weyl,
+    all_roots,
+    cochar_add,
+    cochar_sub,
+    dominance_leq,
+    dominant,
+    is_central,
+    is_dominant,
+    is_minuscule,
+    lambda_alpha,
+)
+from kisin.errors import NonMinusculeError, PreconditionError
+from kisin.strata import Stratum
+
 
 def dominant_vecs(n, lo, hi):
     """All non-increasing integer n-tuples with entries in [lo, hi]."""
@@ -189,3 +205,58 @@ def count_stable_submodules(n, B, q):
                     nxt.append(new)
         frontier = nxt
     return sum(1 for rows in all_rrefs if u_stable(rows))
+
+
+def composed_stratum(datum, mu, lam):
+    """Stratum oracle: the per-stratum invariants composed function by function,
+    each recomputing lam_nat and re-testing membership, as the library did
+    before its single-pass core.  Raises PreconditionError for a non-label."""
+
+    def nat_of(v):
+        twisted = act_weyl(datum.w, act_sigma(datum.shape, v))
+        return cochar_add(cochar_sub(datum.tau, v), twisted)
+
+    def nonempty():
+        return dominance_leq(dominant(nat_of(lam))[0], mu)
+
+    def r_set():
+        if not is_minuscule(mu):
+            raise NonMinusculeError("mu is not minuscule")
+        nat = nat_of(lam)
+        return tuple(
+            a for a in all_roots(datum.shape)
+            if lambda_alpha(lam, a) >= 1 and a.pair(nat) == -1
+        )
+
+    def d_set():
+        if not nonempty():
+            raise PreconditionError("not a label")
+        nat = nat_of(lam)
+        return tuple(
+            a for a in all_roots(datum.shape)
+            if lambda_alpha(lam, a) >= 0 and a.pair(nat) <= -1
+        )
+
+    def singleton():
+        if not nonempty():
+            raise PreconditionError("not a label")
+        if is_central(lam):
+            return "proven", "central"
+        if is_dominant(lam) and is_minuscule(lam):
+            return "proven", "dominant-minuscule"
+        if dominant(nat_of(lam))[0] == mu and all(lambda_alpha(lam, a) == 0 for a in d_set()):
+            return "proven", "d-set"
+        if is_minuscule(mu) and not r_set():
+            return "proven", "empty-r-set"
+        return "unknown", None
+
+    if not nonempty():
+        raise PreconditionError("not a label")
+    dag = cochar_add(datum.tau, act_weyl(datum.w, act_sigma(datum.shape, lam)))
+    if is_minuscule(mu):
+        rs = r_set()
+        dim = len(rs)
+    else:
+        rs, dim = None, None
+    verdict, rule = singleton()
+    return Stratum(lam, nat_of(lam), dag, rs, d_set(), dim, verdict, rule)

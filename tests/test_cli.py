@@ -1,6 +1,9 @@
+import contextlib
+import io
 import json
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from kisin.cli import main
 
@@ -267,3 +270,88 @@ class TestExitCodes:
     def test_missing_b_spec(self, capsys):
         code, _ = run_cli(capsys, "strata", "--p", "3", "--n", "2", "--mu", "[[1,0]]")
         assert code == 2
+
+    @pytest.mark.parametrize("mu", ["5", '"x"', '[[1,"a"]]', "[[true,0]]", "[1,[2]]", "{}", "null"])
+    def test_mu_json_types(self, capsys, mu):
+        code, out = run_cli(capsys, "strata", "--p", "3", "--n", "2", "--f", "1", "--m", "1", "--mu", mu)
+        assert code == 2 and out == ""
+
+    @pytest.mark.parametrize("eps", ["[true]", "[true,3]"])
+    def test_bool_eps(self, capsys, eps):
+        # [true,3] would pass as the pattern (1, 3) if booleans were integers
+        code, _ = run_cli(
+            capsys,
+            "strata",
+            "--p", "3", "--n", "2",
+            "--eps", eps,
+            "--tau", "[[0,0],[1,0]]",
+            "--w", "[[1,2],[2,1]]",
+            "--mu", "[[1,0],[1,0]]",
+        )
+        assert code == 2
+
+    def test_bool_lam(self, capsys):
+        code, _ = run_cli(
+            capsys,
+            "chain-gl3",
+            "--p", "2", "--n", "3", "--f", "1", "--m", "1",
+            "--mu", "[[2,1,-2]]",
+            "--lam", "[[0,0,0]]",
+            "--lam-prime", "[[true,0,-1]]",
+        )
+        assert code == 2
+
+    def test_malformed_enum_cap(self, capsys, monkeypatch):
+        monkeypatch.setenv("KISIN_MAX_ENUM", "abc")
+        code = main(["verify-counterexample", "a", "--p", "3"])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert "KISIN_MAX_ENUM" in captured.err
+
+
+def _json_text(valid):
+    """JSON text for one CLI argument: mostly the right nesting of small
+    integers, sometimes any JSON value, sometimes not JSON at all."""
+    scalars = st.none() | st.booleans() | st.integers(-4, 4) | st.floats(allow_nan=False) | st.text(max_size=3)
+    values = st.recursive(
+        scalars,
+        lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=2), inner, max_size=2),
+        max_leaves=10,
+    )
+    return st.one_of(
+        valid.map(lambda b: json.dumps([b])),
+        valid.map(json.dumps),
+        values.map(json.dumps),
+        st.text(max_size=6),
+    )
+
+
+_block = st.lists(st.integers(-3, 3), min_size=3, max_size=3)
+
+
+class TestExitCodeFuzz:
+    """Whatever JSON the array arguments hold, strata, graph and chain-gl3
+    end with a documented exit code (0, 2, 3 or 4) and never raise."""
+
+    @settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(
+        cmd=st.sampled_from(["strata", "graph", "chain-gl3"]),
+        p=st.sampled_from([2, 3]),
+        m=st.integers(-8, 8),
+        mu=_json_text(_block.map(lambda b: sorted(b, reverse=True))),
+        tau=st.none() | _json_text(_block),
+        w=st.none() | _json_text(st.permutations([1, 2, 3])),
+        eps=st.none() | _json_text(st.just([2])),
+        lam=_json_text(_block),
+        lam_prime=_json_text(_block),
+    )
+    def test_documented_exit_codes(self, cmd, p, m, mu, tau, w, eps, lam, lam_prime):
+        argv = [cmd, f"--p={p}", "--n=3", "--f=1", f"--m={m}", f"--mu={mu}"]
+        for name, value in (("tau", tau), ("w", w), ("eps", eps)):
+            if value is not None:
+                argv.append(f"--{name}={value}")
+        if cmd == "chain-gl3":
+            argv += [f"--lam={lam}", f"--lam-prime={lam_prime}"]
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            code = main(argv)
+        assert code in (0, 2, 3, 4), argv

@@ -4,8 +4,9 @@ import random
 import pytest
 
 from kisin.core import ExtAffine, GroupShape, Root, all_roots, cochar_sub
-from kisin.errors import PreconditionError, TheoremViolationError
+from kisin.errors import ConfigError, PreconditionError, TheoremViolationError
 from kisin.connectivity import (
+    _is_label,
     build_graph,
     chain_gl3,
     edge_exists,
@@ -71,6 +72,32 @@ class TestEdges:
                         continue
                     rev = Root(alpha.block, alpha.j, alpha.i)
                     assert edge_exists(d, mu, lam, alpha) == edge_exists(d, mu, lam2, rev)
+
+    @pytest.mark.parametrize(
+        "datum,mu",
+        [
+            (datum_a(), ((5, 3, 3, 1),)),
+            (datum_b(), ((4, 0, 0), (3, 3, 0))),
+            (caruso_datum(3, 1, 2, 6), ((3, -1, -3),)),
+            (caruso_datum(3, 1, 3, 25), ((3, 0, -2),)),
+            (caruso_datum(2, 2, 2, 2), ((2, 0), (1, -1))),
+        ],
+    )
+    def test_graph_edges_match_edge_exists(self, datum, mu):
+        # build_graph tests edges from the stored lam_nat; the public
+        # validating edge_exists recomputes it and must agree edge for edge
+        S = enumerate_strata(datum, mu)
+        index = {s.lam for s in S}
+        edges, seen = [], set()
+        for s in S:
+            for alpha in all_roots(datum.shape):
+                lam2 = cochar_sub(s.lam, alpha.coroot(datum.shape))
+                key = frozenset((s.lam, lam2))
+                if lam2 in index and key not in seen and edge_exists(datum, mu, s.lam, alpha):
+                    seen.add(key)
+                    edges.append((s.lam, lam2, alpha))
+        graph = build_graph(datum, mu)
+        assert graph.vertices == S and graph.edges == tuple(edges)
 
     def test_gl3_third_condition_shortcut(self):
         # for a 3-cycle the third dominance condition implies the first two
@@ -184,6 +211,34 @@ class TestChains:
         with pytest.raises(PreconditionError):
             chain_gl3(d, ((1, 0),), ((0, 0),), ((0, 0),))
 
+    def test_mu_shape_checked(self):
+        d = caruso_datum(3, 1, 2, 1)
+        with pytest.raises(ConfigError):
+            chain_gl3(d, ((1, 0, 0), (1, 0, 0)), ((0, 0, 0),), ((0, 0, 0),))
+
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            ((9, 0, -9),),  # well-formed but not a label
+            ((0, 0),),
+            ((0, 0, 0), (0, 0, 0)),
+            ((0, 0, 0, 0),),
+            [[1, 0, -1]],
+            ((1.0, 0, -1),),
+            ((True, 0, -1),),
+            ((1, 0, "x"),),
+            None,
+        ],
+    )
+    def test_bad_endpoint_is_a_precondition_error(self, bad):
+        d = caruso_datum(3, 1, 2, 1)
+        mu = ((2, 1, -2),)
+        good = ((1, 0, -1),)
+        assert _is_label(d, mu, good)
+        for a, b in ((bad, good), (good, bad)):
+            with pytest.raises(PreconditionError):
+                chain_gl3(d, mu, a, b)
+
     def test_chain_is_path_in_graph(self):
         d = caruso_datum(3, 1, 2, 1)
         mu = ((2, 1, -2),)
@@ -201,3 +256,45 @@ class TestChains:
         r = pi0_report(g)
         assert r.exact
         assert (r.upper_bound == len(g.vertices)) == (len(g.edges) == 0)
+
+
+class TestChainMembership:
+    """chain_gl3 decides membership in S by the defining inequality; over the
+    box-search oracle's box it must agree with the enumerated labels."""
+
+    CASES = [
+        (2, -5, ((2, 1, -2),)),
+        (2, 1, ((3, 1, -3),)),
+        (2, 6, ((3, -1, -3),)),
+        (3, 1, ((2, 1, -2),)),
+        (3, 5, ((3, 0, -2),)),
+        (3, 25, ((3, 0, -2),)),
+    ]
+
+    @pytest.mark.parametrize("p,m,mu", CASES)
+    def test_membership_matches_enumeration(self, p, m, mu):
+        d = caruso_datum(3, 1, p, m)
+        labels = {s.lam for s in enumerate_strata(d, mu)}
+        assert labels
+        # the box bound of the strata box-search oracle, for n = 3, f = 1
+        B = max(abs(x) for x in d.tau[0]) + max(abs(x) for x in mu[0]) * 4
+        inside = 0
+        for flat in itertools.product(range(-B, B + 1), repeat=3):
+            lam = (flat,)
+            member = _is_label(d, mu, lam)
+            assert member == (lam in labels), lam
+            inside += member
+        assert inside == len(labels)
+
+    @pytest.mark.parametrize("p,m,mu", CASES)
+    def test_endpoints_accepted_iff_labels(self, p, m, mu):
+        d = caruso_datum(3, 1, p, m)
+        labels = {s.lam for s in enumerate_strata(d, mu)}
+        B = max(abs(x) for x in d.tau[0]) + max(abs(x) for x in mu[0]) * 4
+        for flat in itertools.product(range(-B, B + 1), repeat=3):
+            lam = (flat,)
+            if lam in labels:
+                assert chain_gl3(d, mu, lam, lam) == ((lam,), ())
+            elif sum(flat) == sum(mu[0]):
+                with pytest.raises(PreconditionError):
+                    chain_gl3(d, mu, lam, lam)

@@ -1,15 +1,20 @@
 import itertools
+import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from conftest import composed_stratum
 from kisin.core import ExtAffine, GroupShape, dominant, is_minuscule
 from kisin.errors import ConfigError, EnumerationCapError, NonMinusculeError, PreconditionError
-from kisin.normal_form import caruso_datum, make_datum
+from kisin.multicopy import decompose_mu, make_multi
+from kisin.normal_form import caruso_datum, is_caruso_simple, make_datum
 from kisin.strata import (
     central_twist,
     d_set,
     dominant_blocks_leq,
     enumerate_strata,
+    make_stratum,
     natural_lambda,
     omega_reduction,
     r_set,
@@ -134,6 +139,14 @@ class TestEnumerate:
         with pytest.raises(EnumerationCapError):
             enumerate_strata(datum_a(), mu_a())
 
+    def test_malformed_cap_is_a_config_error(self, monkeypatch):
+        monkeypatch.setenv("KISIN_MAX_ENUM", "abc")
+        with pytest.raises(ConfigError):
+            enumerate_strata(datum_a(), mu_a())
+        monkeypatch.setenv("KISIN_MAX_ENUM", "-1")
+        with pytest.raises(ConfigError):
+            enumerate_strata(datum_a(), mu_a())
+
     def test_dominant_blocks_leq(self):
         blocks = dominant_blocks_leq((2, 0))
         assert set(blocks) == {(2, 0), (1, 1)}
@@ -168,6 +181,111 @@ class TestDimensionsAndCertificates:
     def test_d_set_requires_membership(self):
         with pytest.raises(PreconditionError):
             d_set(datum_a(), mu_a(), ((2, 2, 0, 0),))
+
+    def test_r_set_requires_membership(self):
+        d = caruso_datum(2, 1, 3, 1)
+        assert not stratum_nonempty(d, ((1, 0),), ((3, -3),))
+        with pytest.raises(PreconditionError):
+            r_set(d, ((1, 0),), ((3, -3),))
+
+
+FIELDS = ("lam", "nat", "dag", "r_set", "d_set", "dim", "singleton", "singleton_rule")
+
+
+def assert_single_pass_matches(datum, mu, lam):
+    """make_stratum and its wrappers against the composed oracle; a non-label
+    must be rejected by both."""
+    try:
+        want = composed_stratum(datum, mu, lam)
+    except PreconditionError:
+        for fn in (make_stratum, d_set, singleton_sufficient):
+            with pytest.raises(PreconditionError):
+                fn(datum, mu, lam)
+        return False
+    got = make_stratum(datum, mu, lam)
+    for field in FIELDS:
+        assert getattr(got, field) == getattr(want, field), (field, lam)
+    assert d_set(datum, mu, lam) == want.d_set
+    assert singleton_sufficient(datum, mu, lam) == (want.singleton, want.singleton_rule)
+    if is_minuscule(mu):
+        assert r_set(datum, mu, lam) == want.r_set
+    return True
+
+
+class TestSinglePassOracle:
+    """The single-pass stratum core against the old function-by-function
+    composition, field by field."""
+
+    @pytest.mark.parametrize(
+        "datum,mu",
+        [(datum_a(p), mu_a(p)) for p in (3, 5, 7)] + [(datum_b(p), mu_b(p)) for p in (3, 5)],
+    )
+    def test_golden_counterexamples(self, datum, mu):
+        S = enumerate_strata(datum, mu)
+        assert len(S) == 2
+        for s in S:
+            assert assert_single_pass_matches(datum, mu, s.lam)
+        # the labels' neighbours are mostly non-labels, rejected by both
+        for s in S:
+            for k, blk in enumerate(s.lam):
+                for i in range(len(blk)):
+                    bumped = list(map(list, s.lam))
+                    bumped[k][i] += 1
+                    assert_single_pass_matches(datum, mu, tuple(map(tuple, bumped)))
+
+    def test_gl3_sweep_sample(self):
+        checked = 0
+        for p in (2, 3):
+            ms = [m for m in range(-(p**3 - 1), p**3) if is_caruso_simple(3, p, m)][::5]
+            for m in ms:
+                d = caruso_datum(3, 1, p, m)
+                for flat in itertools.product(range(2, -3, -1), repeat=3):
+                    if flat[0] >= flat[1] >= flat[2]:
+                        for s in enumerate_strata(d, (flat,)):
+                            checked += assert_single_pass_matches(d, (flat,), s.lam)
+        assert checked > 100
+
+    def test_multicopy_lifted(self):
+        rng = random.Random(20261018)
+        done = 0
+        while done < 25:
+            p, n, f = rng.choice((2, 3)), rng.randint(2, 3), rng.randint(1, 2)
+            m = rng.randint(1, p ** (f * n) - 1)
+            if not is_caruso_simple(n, p**f, m):
+                continue
+            ms = [rng.randint(0, 3) for _ in range(f)]
+            d = max(max(ms), 1) + rng.randint(0, 1)
+            multi = make_multi(caruso_datum(n, f, p, m), d)
+            mu_bullet = decompose_mu(tuple((x,) + (0,) * (n - 1) for x in ms), d)
+            S = enumerate_strata(multi.lifted, mu_bullet)
+            if not S:
+                continue
+            done += 1
+            for s in S:
+                assert assert_single_pass_matches(multi.lifted, mu_bullet, s.lam)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        p=st.sampled_from((2, 3)),
+        n=st.integers(2, 3),
+        f=st.integers(1, 2),
+        m=st.integers(-20, 20),
+        mu_entries=st.lists(st.integers(-2, 2), min_size=6, max_size=6),
+        lam_entries=st.lists(st.integers(-2, 2), min_size=6, max_size=6),
+        pick=st.integers(0, 10**6),
+    )
+    def test_hypothesis_data(self, p, n, f, m, mu_entries, lam_entries, pick):
+        if not is_caruso_simple(n, p**f, m):
+            return
+        d = caruso_datum(n, f, p, m)
+        mu = tuple(
+            tuple(sorted(mu_entries[k * n : (k + 1) * n], reverse=True)) for k in range(f)
+        )
+        lam = tuple(tuple(lam_entries[k * n : (k + 1) * n]) for k in range(f))
+        assert_single_pass_matches(d, mu, lam)
+        S = enumerate_strata(d, mu)
+        if S:
+            assert assert_single_pass_matches(d, mu, S[pick % len(S)].lam)
 
 
 class TestCentralTwist:
