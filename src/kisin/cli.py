@@ -18,7 +18,7 @@ from . import connectivity, multicopy, normal_form, oracle, strata
 from .core import ExtAffine, GroupShape, Root, is_dominant, is_minuscule
 from .errors import ConfigError, KisinError, PreconditionError, TheoremViolationError
 
-SCHEMA = 1
+SCHEMA = 2
 
 
 @dataclass
@@ -336,7 +336,6 @@ def cmd_oracle_count(args) -> int:
             "command": "oracle-count",
             "field": {"p": cfg.p, "deg": cfg.field_deg},
             "box": cfg.box,
-            "window_policy": oracle.oracle_window(cfg.p, cfg.box, datum.tau, cfg.mu),
             "count": len(pts),
             "by_lambda": by_lambda,
             "points": [

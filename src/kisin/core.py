@@ -156,14 +156,6 @@ def cochar_neg(a: Cochar) -> Cochar:
     return tuple(tuple(-x for x in b) for b in a)
 
 
-def cochar_scale(c: Scalar, a: Cochar) -> Cochar:
-    return tuple(tuple(c * x for x in b) for b in a)
-
-
-def block_sums(v: Cochar) -> tuple:
-    return tuple(sum(b) for b in v)
-
-
 def is_central(v: Cochar) -> bool:
     """Constant within every block."""
     return all(len(set(b)) <= 1 for b in v)

@@ -37,10 +37,6 @@ class BoxTooSmallError(PreconditionError):
     """Oracle box does not contain every stratum label."""
 
 
-class PrecisionError(PreconditionError):
-    """A valuation or coefficient is not determined by the precision window."""
-
-
 class SingularMatrixError(PreconditionError):
     """Matrix is singular over the Laurent field."""
 

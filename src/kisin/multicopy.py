@@ -98,14 +98,6 @@ def decompose_mu(mu: Cochar, d: int) -> Cochar:
 # descent statistics on a single block
 
 
-def coord_set(v: tuple) -> frozenset:
-    return frozenset(v)
-
-
-def coord_sum(v: tuple):
-    return sum(v)
-
-
 def descent_stats(v: tuple):
     """(delta, h) with delta = <v> - n*min[v] and h = sum of floor(v_i - min[v])."""
     lo = min(v)

@@ -4,22 +4,22 @@ arithmetic.
 
 Coefficients live in F_{p^r} with r <= 2 (the Frobenius fixes coefficients and
 sends u to u^p, so points over a subfield are honest points of the variety).
-Series carry a validity window `prec`: coefficients of u^k are guaranteed for
-k < prec, and any operation that would need an undetermined valuation raises
-instead of silently truncating.  Coset representatives and Iwahori labels are
-exact; only elementary-divisor pivoting works inside a window.
+Every series is an exact Laurent polynomial: coset representatives, the
+twisting element u^tau w and their Frobenius twists all have finitely many
+terms, and the adjugate stands in for the inverse, so no computation ever
+truncates.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterator, Optional
+from typing import Iterator
 
 from .core import Cochar, dominance_leq
 from .errors import (
+    BoxTooSmallError,
     ConfigError,
-    PrecisionError,
     PreconditionError,
     SingularMatrixError,
 )
@@ -117,28 +117,17 @@ class GF:
 
 
 # ---------------------------------------------------------------------------
-# truncated Laurent series
-
-
-_INF = None  # precision sentinel: exact
-
-
-def _prec_min(*ps):
-    finite = [p for p in ps if p is not _INF]
-    return min(finite) if finite else _INF
+# Laurent polynomials
 
 
 class LSeries:
-    """sum coeffs[t] u^(offset+t) + O(u^prec); prec None means exact."""
+    """The exact Laurent polynomial sum coeffs[t] u^(offset+t) over a GF."""
 
-    __slots__ = ("field", "offset", "coeffs", "prec")
+    __slots__ = ("field", "offset", "coeffs")
 
-    def __init__(self, field: GF, offset: int, coeffs, prec=_INF):
-        # normalize: strip zero margins, drop coefficients at exponents >= prec
+    def __init__(self, field: GF, offset: int, coeffs):
+        # normalize: strip zero margins
         coeffs = list(coeffs)
-        if prec is not _INF:
-            keep = prec - offset
-            coeffs = coeffs[: max(keep, 0)]
         while coeffs and coeffs[-1] == 0:
             coeffs.pop()
         drop = 0
@@ -149,72 +138,43 @@ class LSeries:
         self.field = field
         self.offset = offset if coeffs else 0
         self.coeffs = tuple(coeffs)
-        self.prec = prec
 
     # -- constructors -------------------------------------------------------
 
     @classmethod
-    def zero(cls, field: GF, prec=_INF):
-        return cls(field, 0, (), prec)
+    def zero(cls, field: GF):
+        return cls(field, 0, ())
 
     @classmethod
-    def monomial(cls, field: GF, exp: int, coeff=1, prec=_INF):
-        return cls(field, exp, (coeff,), prec)
+    def monomial(cls, field: GF, exp: int, coeff=1):
+        return cls(field, exp, (coeff,))
 
     @classmethod
-    def from_terms(cls, field: GF, terms: dict, prec=_INF):
+    def from_terms(cls, field: GF, terms: dict):
         if not terms:
-            return cls.zero(field, prec)
+            return cls.zero(field)
         lo = min(terms)
         hi = max(terms)
         coeffs = [0] * (hi - lo + 1)
         for e, c in terms.items():
             coeffs[e - lo] = c
-        return cls(field, lo, coeffs, prec)
+        return cls(field, lo, coeffs)
 
     # -- structure ----------------------------------------------------------
 
-    @property
-    def is_exact(self) -> bool:
-        return self.prec is _INF
-
-    @property
-    def is_exact_zero(self) -> bool:
-        return not self.coeffs and self.is_exact
-
-    def known_val(self) -> Optional[int]:
-        """Valuation if a nonzero coefficient is known, else None."""
-        return self.offset if self.coeffs else None
-
     def val(self) -> int:
-        v = self.known_val()
-        if v is None:
-            if self.is_exact:
-                raise ZeroDivisionError("valuation of exact zero")
-            raise PrecisionError("valuation not determined by the window")
-        return v
-
-    def coeff(self, e: int):
-        if self.prec is not _INF and e >= self.prec:
-            raise PrecisionError(f"coefficient of u^{e} beyond window {self.prec}")
-        t = e - self.offset
-        return self.coeffs[t] if self.coeffs and 0 <= t < len(self.coeffs) else 0
-
-    def _low(self):
-        """Lower bound for the valuation of the full series (None if exact zero)."""
-        if self.coeffs:
-            return self.offset
-        return self.prec  # None when exact zero
+        if not self.coeffs:
+            raise ZeroDivisionError("valuation of zero")
+        return self.offset
 
     # -- arithmetic ---------------------------------------------------------
 
     def add(self, other: "LSeries") -> "LSeries":
-        f = self.field
-        prec = _prec_min(self.prec, other.prec)
         if not self.coeffs:
-            return LSeries(f, other.offset, other.coeffs, prec)
+            return other
         if not other.coeffs:
-            return LSeries(f, self.offset, self.coeffs, prec)
+            return self
+        f = self.field
         lo = min(self.offset, other.offset)
         hi = max(self.offset + len(self.coeffs), other.offset + len(other.coeffs))
         out = [0] * (hi - lo)
@@ -223,29 +183,19 @@ class LSeries:
         for t, c in enumerate(other.coeffs):
             i = other.offset - lo + t
             out[i] = f.add(out[i], c)
-        return LSeries(f, lo, out, prec)
+        return LSeries(f, lo, out)
 
     def neg(self) -> "LSeries":
         f = self.field
-        return LSeries(f, self.offset, [f.neg(c) for c in self.coeffs], self.prec)
+        return LSeries(f, self.offset, [f.neg(c) for c in self.coeffs])
 
     def sub(self, other: "LSeries") -> "LSeries":
         return self.add(other.neg())
 
     def mul(self, other: "LSeries") -> "LSeries":
         f = self.field
-        lows = []
-        if self.prec is not _INF:
-            ol = other._low()
-            lows.append(self.prec + ol if ol is not None else _INF)
-        if other.prec is not _INF:
-            sl = self._low()
-            lows.append(other.prec + sl if sl is not None else _INF)
-        if self.prec is not _INF and other.prec is not _INF:
-            lows.append(self.prec + other.prec)
-        prec = _prec_min(*lows) if lows else _INF
         if not self.coeffs or not other.coeffs:
-            return LSeries.zero(f, prec)
+            return LSeries.zero(f)
         out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
         mul, add = f.mul, f.add
         for i, a in enumerate(self.coeffs):
@@ -254,52 +204,19 @@ class LSeries:
             for j, b in enumerate(other.coeffs):
                 if b:
                     out[i + j] = add(out[i + j], mul(a, b))
-        return LSeries(f, self.offset + other.offset, out, prec)
-
-    def scale(self, c) -> "LSeries":
-        f = self.field
-        if c == 0:
-            return LSeries.zero(f, self.prec)
-        return LSeries(f, self.offset, [f.mul(c, x) for x in self.coeffs], self.prec)
+        return LSeries(f, self.offset + other.offset, out)
 
     def shift(self, k: int) -> "LSeries":
-        prec = self.prec if self.prec is _INF else self.prec + k
-        return LSeries(self.field, self.offset + k, self.coeffs, prec)
-
-    def truncate(self, prec: int) -> "LSeries":
-        return LSeries(self.field, self.offset, self.coeffs, _prec_min(self.prec, prec))
+        return LSeries(self.field, self.offset + k, self.coeffs)
 
     def frobenius(self, p: int) -> "LSeries":
         """u -> u^p with coefficients fixed."""
         if not self.coeffs:
-            prec = self.prec if self.prec is _INF else p * self.prec
-            return LSeries.zero(self.field, prec)
+            return self
         out = [0] * (p * (len(self.coeffs) - 1) + 1)
         for t, c in enumerate(self.coeffs):
             out[p * t] = c
-        prec = self.prec if self.prec is _INF else p * self.prec
-        return LSeries(self.field, p * self.offset, out, prec)
-
-    def unit_part(self) -> "LSeries":
-        """self * u^{-val}; requires a determined valuation."""
-        return self.shift(-self.val())
-
-    def inverse(self, nterms: int) -> "LSeries":
-        """Multiplicative inverse to nterms coefficients past the leading one."""
-        f = self.field
-        v = self.val()
-        c = list(self.coeffs)
-        c0inv = f.inv(c[0])
-        out = [c0inv] + [0] * (nterms - 1)
-        for k in range(1, nterms):
-            acc = 0
-            for t in range(1, min(k, len(c) - 1) + 1):
-                acc = f.add(acc, f.mul(c[t], out[k - t]))
-            out[k] = f.neg(f.mul(c0inv, acc))
-        prec = -v + nterms
-        if self.prec is not _INF:
-            prec = min(prec, self.prec - 2 * v)
-        return LSeries(f, -v, out, prec)
+        return LSeries(self.field, p * self.offset, out)
 
     # -- misc ---------------------------------------------------------------
 
@@ -309,52 +226,40 @@ class LSeries:
             and self.field is other.field
             and self.offset == other.offset
             and self.coeffs == other.coeffs
-            and self.prec == other.prec
         )
 
     def __hash__(self):
-        return hash((self.offset, self.coeffs, self.prec))
+        return hash((self.offset, self.coeffs))
 
     def __repr__(self):
         if not self.coeffs:
-            body = "0"
-        else:
-            parts = []
-            for t, c in enumerate(self.coeffs):
-                if c == 0:
-                    continue
-                e = self.offset + t
-                cs = self.field.elem_str(c)
-                if e == 0:
-                    parts.append(cs)
-                elif cs == "1":
-                    parts.append(f"u^{e}" if e != 1 else "u")
-                else:
-                    parts.append(f"({cs})*u^{e}" if e != 1 else f"({cs})*u")
-            body = " + ".join(parts)
-        if self.prec is not _INF:
-            body += f" + O(u^{self.prec})"
-        return body
+            return "0"
+        parts = []
+        for t, c in enumerate(self.coeffs):
+            if c == 0:
+                continue
+            e = self.offset + t
+            cs = self.field.elem_str(c)
+            if e == 0:
+                parts.append(cs)
+            elif cs == "1":
+                parts.append(f"u^{e}" if e != 1 else "u")
+            else:
+                parts.append(f"({cs})*u^{e}" if e != 1 else f"({cs})*u")
+        return " + ".join(parts)
 
 
 # ---------------------------------------------------------------------------
-# truncated matrices
+# matrices
 
 
 @dataclass(frozen=True)
 class TruncMat:
-    """Square matrix of Laurent series; prec is the common validity window."""
+    """Square matrix of Laurent polynomials."""
 
     field: GF
     n: int
     rows: tuple  # tuple of tuple of LSeries
-
-    @property
-    def prec(self):
-        return _prec_min(*(e.prec for row in self.rows for e in row))
-
-    def entry(self, i: int, j: int) -> LSeries:
-        return self.rows[i][j]
 
 
 def mat_from_rows(field: GF, rows) -> TruncMat:
@@ -394,14 +299,6 @@ def mat_mul(a: TruncMat, b: TruncMat) -> TruncMat:
 
 def mat_frobenius(a: TruncMat, p: int) -> TruncMat:
     return mat_from_rows(a.field, [[e.frobenius(p) for e in row] for row in a.rows])
-
-
-def mat_scale_u(a: TruncMat, k: int) -> TruncMat:
-    return mat_from_rows(a.field, [[e.shift(k) for e in row] for row in a.rows])
-
-
-def mat_truncate(a: TruncMat, prec: int) -> TruncMat:
-    return mat_from_rows(a.field, [[e.truncate(prec) for e in row] for row in a.rows])
 
 
 def _det(field: GF, rows, cols) -> LSeries:
@@ -454,26 +351,16 @@ def weyl_matrix(field: GF, tau, perm) -> TruncMat:
 def _select_pivot(work, alive_rows, alive_cols):
     """(i, j, val) of a minimal-valuation entry, topmost row first.
 
-    Raises PrecisionError if an undetermined entry could beat the minimum, and
-    SingularMatrixError if every alive entry is an exact zero.
+    Raises SingularMatrixError if every alive entry is zero.
     """
     best = None
-    undetermined = []
-    for i in alive_rows:
+    for i in alive_rows:  # ascending, so the first minimum found is topmost
         for j in alive_cols:
             e = work[i][j]
-            v = e.known_val()
-            if v is None:
-                if not e.is_exact:
-                    undetermined.append(e.prec)
-            elif best is None or v < best[2] or (v == best[2] and i < best[0]):
-                best = (i, j, v)
+            if e.coeffs and (best is None or e.offset < best[2]):
+                best = (i, j, e.offset)
     if best is None:
-        if undetermined:
-            raise PrecisionError("no pivot valuation determined by the window")
         raise SingularMatrixError("matrix is singular")
-    if any(p <= best[2] for p in undetermined):
-        raise PrecisionError("pivot valuation not separated from the window")
     return best
 
 
@@ -481,7 +368,7 @@ def elementary_divisors(m: TruncMat) -> Cochar:
     """Exponents of the Cartan double coset of m, as one dominant block.
 
     Smith-style reduction with minimal-valuation pivoting; rows are rescaled by
-    the pivot's unit part (cross-multiplication) so exact inputs stay exact.
+    the pivot's unit part (cross-multiplication) so no entry is ever inverted.
     """
     n = m.n
     work = [list(row) for row in m.rows]
@@ -497,7 +384,7 @@ def elementary_divisors(m: TruncMat) -> Cochar:
             if i == ip:
                 continue
             q = work[i][jp].shift(-v)
-            if q.known_val() is None and q.is_exact:
+            if not q.coeffs:
                 continue
             for j in alive_cols:
                 work[i][j] = unit.mul(work[i][j]).sub(q.mul(work[ip][j]))
@@ -505,7 +392,7 @@ def elementary_divisors(m: TruncMat) -> Cochar:
             if j == jp:
                 continue
             q = work[ip][j].shift(-v)
-            if q.known_val() is None and q.is_exact:
+            if not q.coeffs:
                 continue
             for i in alive_rows:
                 work[i][j] = unit.mul(work[i][j]).sub(q.mul(work[i][jp]))
@@ -536,7 +423,7 @@ def iwahori_label(g: TruncMat) -> tuple:
             if j == jp:
                 continue
             q = work[ip][j].shift(-v)
-            if q.known_val() is None and q.is_exact:
+            if not q.coeffs:
                 continue
             for i in alive_rows:
                 work[i][j] = unit.mul(work[i][j]).sub(q.mul(work[i][jp]))
@@ -547,10 +434,9 @@ def iwahori_label(g: TruncMat) -> tuple:
             if i == ip:
                 continue
             q = work[i][jp].shift(-v)
-            qv = q.known_val()
-            if qv is None and q.is_exact:
+            if not q.coeffs:
                 continue
-            if i < ip and (qv is not None and qv < 1):
+            if i < ip and q.offset < 1:
                 raise PreconditionError("pivot selection violated the Iwahori row order")
             for j in alive_cols:
                 work[i][j] = unit.mul(work[i][j]).sub(q.mul(work[ip][j]))
@@ -576,11 +462,14 @@ def _count_cosets(n: int, lam_bound: int, q: int) -> int:
 
 def hnf_cosets(
     n: int, lam_bound: int, field: GF, max_cosets: int = 2_000_000
-) -> Iterator[TruncMat]:
+) -> Iterator[tuple[TruncMat, TruncMat]]:
     """Hermite-style representatives of the lattices between u^B O^n and
     u^{-B} O^n: upper triangular, diagonal u^{lam_j} with |lam_j| <= B, entry
     (i, j) reduced modulo u^{lam_i} with valuation >= -B.  Complete and
     duplicate-free for that box.
+
+    Yields (g, adjugate(g)) per coset; the box check needs the adjugate, and
+    coset_survey reuses it.
     """
     if n > 3:
         raise PreconditionError("coset enumeration is limited to n <= 3")
@@ -596,35 +485,19 @@ def hnf_cosets(
             rows = [[zero] * n for _ in range(n)]
             for i in range(n):
                 rows[i][i] = LSeries.monomial(field, lams[i])
-            ok = True
             for (i, j), exps, coeffs in zip(pairs, spans, choice):
                 terms = {e: c for e, c in zip(exps, coeffs) if c}
                 rows[i][j] = LSeries.from_terms(field, terms)
             g = mat_from_rows(field, rows)
             # box lower bound: u^B O^n inside the lattice, i.e. u^B g^{-1} integral
-            s = sum(lams)
+            low = sum(lams) - B
             adj = mat_adjugate(g)
-            for row in adj.rows:
-                for e in row:
-                    kv = e.known_val()
-                    if kv is not None and kv < s - B:
-                        ok = False
-                        break
-                if not ok:
-                    break
-            if ok:
-                yield g
+            if all(not e.coeffs or e.offset >= low for row in adj.rows for e in row):
+                yield g, adj
 
 
 # ---------------------------------------------------------------------------
 # point enumeration
-
-
-def oracle_window(p: int, lam_bound: int, tau, mu) -> int:
-    """Precision radius guaranteeing determined pivots for the divisor check."""
-    t = max(abs(x) for b in tau for x in b)
-    m = max(abs(x) for b in mu for x in b)
-    return (p + 1) * (lam_bound + t + m)
 
 
 def coset_survey(
@@ -643,12 +516,11 @@ def coset_survey(
     p = shape.p
     b = weyl_matrix(field, datum.tau[0], datum.w[0])
     out = []
-    for g in hnf_cosets(shape.n, lam_bound, field, max_cosets=max_cosets):
+    for g, adj in hnf_cosets(shape.n, lam_bound, field, max_cosets=max_cosets):
         # det g = u^s exactly for the triangular representatives, so
-        # g^{-1} b sigma(g) = adjugate(g) b sigma(g) u^{-s} with exact entries;
-        # the policy window is a lower bound the exact computation exceeds
+        # g^{-1} b sigma(g) = adjugate(g) b sigma(g) u^{-s}
         s = sum(g.rows[i][i].val() for i in range(shape.n))
-        hq = mat_mul(mat_mul(mat_adjugate(g), b), mat_frobenius(g, p))
+        hq = mat_mul(mat_mul(adj, b), mat_frobenius(g, p))
         try:
             divisors = elementary_divisors(hq)
         except SingularMatrixError:
@@ -670,14 +542,15 @@ def kisin_points(
     g^{-1} b sigma(g) dominated by mu, labeled by their Iwahori stratum.
 
     Only f = 1 is supported; the coefficient field is fixed, so this lists the
-    points of the variety rational over that field.
+    points of the variety rational over that field.  A stratum label outside
+    the box raises BoxTooSmallError.
     """
     from .strata import enumerate_strata  # local import to avoid a cycle at import time
 
     strata = enumerate_strata(datum, mu)
     for s in strata:
         if any(abs(x) > lam_bound for x in s.lam[0]):
-            raise PreconditionError(
+            raise BoxTooSmallError(
                 f"box {lam_bound} too small: stratum label {s.lam[0]} outside; rerun larger"
             )
     if survey is None:

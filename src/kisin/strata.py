@@ -81,12 +81,6 @@ def natural_lambda(datum: FrobeniusDatum, lam: Cochar) -> Cochar:
     return _twist(datum, lam)[1]
 
 
-def dagger_lambda(datum: FrobeniusDatum, lam: Cochar) -> Cochar:
-    """tau + w(sigma(lam))."""
-    datum.shape.check_cochar(lam)
-    return _twist(datum, lam)[0]
-
-
 def _require_label_args(datum: FrobeniusDatum, mu: Cochar, lam: Cochar) -> None:
     _require_alcove(datum)
     _require_dominant_mu(mu)

@@ -132,9 +132,9 @@ def minor_divisors(mat):
         best = None
         for rows in itertools.combinations(idx, k):
             for cols in itertools.combinations(idx, k):
-                v = det(rows, cols).known_val()
-                if v is not None and (best is None or v < best):
-                    best = v
+                d = det(rows, cols)
+                if d.coeffs and (best is None or d.offset < best):
+                    best = d.offset
         assert best is not None, "singular matrix in minor oracle"
         divisors.append(best - prev)
         prev = best

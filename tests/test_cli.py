@@ -48,7 +48,7 @@ class TestCommands:
         )
         assert code == 0
         report = json.loads(out)
-        assert report["schema"] == 1
+        assert report["schema"] == 2
         assert report["datum"]["e"] == [["-1/8", "-3/8"]]
         assert report["datum"]["alcove_ok"] is True
 
@@ -208,6 +208,7 @@ class TestCommands:
         )
         assert code == 0
         report = json.loads(out)
+        assert set(report) == {"schema", "command", "field", "box", "count", "by_lambda", "points"}
         assert report["count"] == 1
         assert report["points"][0]["lambda"] == [[0, 0]]
 
@@ -300,6 +301,18 @@ class TestExitCodes:
             "--lam-prime", "[[true,0,-1]]",
         )
         assert code == 2
+
+    def test_oracle_box_too_small(self, capsys):
+        code = main([
+            "oracle-count",
+            "--p", "3", "--n", "2", "--f", "1", "--m", "1",
+            "--mu", "[[7,0]]",
+            "--field-deg", "1",
+            "--box", "1",
+        ])
+        captured = capsys.readouterr()
+        assert code == 3 and captured.out == ""
+        assert "box 1 too small" in captured.err and "Traceback" not in captured.err
 
     def test_malformed_enum_cap(self, capsys, monkeypatch):
         monkeypatch.setenv("KISIN_MAX_ENUM", "abc")
