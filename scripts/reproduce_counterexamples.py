@@ -1,14 +1,15 @@
 #!/usr/bin/env python3
 """Reproduce the two disconnected varieties: strata, certificates and pi_0.
 
+The instances are the golden counterexamples of ``kisin.cli.CASES``.
+
 Usage: python3 scripts/reproduce_counterexamples.py [--primes 3 5]
 """
 
 import argparse
 
+from kisin.cli import CASES, counterexample
 from kisin.connectivity import build_graph, pi0_report
-from kisin.core import ExtAffine, GroupShape
-from kisin.normal_form import make_datum
 
 
 def show(title, datum, mu):
@@ -31,15 +32,8 @@ def main():
     ap.add_argument("--primes", type=int, nargs="+", default=[3, 5])
     args = ap.parse_args()
     for p in args.primes:
-        da = make_datum(
-            GroupShape.res_field(4, 1, p), ExtAffine(((2, 0, 2, 0),), ((1, 3, 0, 2),))
-        )
-        show(f"GL4 twisted by u^(2,0,2,0)(1 2 4 3), p={p}", da, ((2 * p - 1, p, p, 1),))
-        db = make_datum(
-            GroupShape.res_field(3, 2, p),
-            ExtAffine(((2, 0, 1), (0, 0, 1)), ((1, 2, 0), (0, 1, 2))),
-        )
-        show(f"Res GL3, f=2, p={p}", db, ((p + 1, 0, 0), (p, p, 0)))
+        for case in CASES.values():
+            show(f"{case['title']}, p={p}", *counterexample(case, p))
 
 
 if __name__ == "__main__":

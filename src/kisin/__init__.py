@@ -31,11 +31,9 @@ from .normal_form import (
 from .strata import (
     Stratum,
     central_twist,
-    d_set,
     enumerate_strata,
+    make_stratum,
     natural_lambda,
-    r_set,
-    singleton_sufficient,
     stratum_nonempty,
     sum_profile,
 )
@@ -54,7 +52,6 @@ from .connectivity import (
     StrataGraph,
     build_graph,
     chain_gl3,
-    edge_exists,
     pi0_report,
 )
 from .oracle import GF, LSeries, TruncMat, elementary_divisors, hnf_cosets, iwahori_label, kisin_points

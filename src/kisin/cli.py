@@ -353,8 +353,9 @@ def cmd_oracle_count(args) -> int:
 # ---------------------------------------------------------------------------
 # golden counterexample verification
 
-_CASES = {
+CASES = {
     "a": {
+        "title": "GL4 twisted by u^(2,0,2,0)(1 2 4 3)",
         "n": 4,
         "f": 1,
         "tau": lambda p: ((2, 0, 2, 0),),
@@ -364,6 +365,7 @@ _CASES = {
         "rules": {((1, 1, 1, 1),): "central", ((2, 1, 1, 0),): "d-set"},
     },
     "b": {
+        "title": "Res GL3, f=2",
         "n": 3,
         "f": 2,
         "tau": lambda p: ((2, 0, 1), (0, 0, 1)),
@@ -378,18 +380,22 @@ _CASES = {
 }
 
 
+def counterexample(case: dict, p: int) -> tuple:
+    """(datum, mu) of a golden counterexample of CASES at the prime p."""
+    shape = GroupShape.res_field(case["n"], case["f"], p)
+    return normal_form.make_datum(shape, ExtAffine(case["tau"](p), case["w"])), case["mu"](p)
+
+
 def cmd_verify_counterexample(args) -> int:
-    case = _CASES.get(args.case)
+    case = CASES.get(args.case)
     if case is None:
         raise ConfigError("case must be a or b")
     p = args.p
     if p < 3:
         raise ConfigError("counterexample verification requires p >= 3")
-    shape = GroupShape.res_field(case["n"], case["f"], p)
-    datum = normal_form.make_datum(shape, ExtAffine(case["tau"](p), case["w"]))
+    datum, mu = counterexample(case, p)
     if not datum.alcove_ok:
         raise TheoremViolationError("counterexample datum is not alcove-reduced")
-    mu = case["mu"](p)
     graph = connectivity.build_graph(datum, mu)
     report = connectivity.pi0_report(graph)
     got = tuple(sorted(s.lam for s in graph.vertices))

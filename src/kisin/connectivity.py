@@ -14,7 +14,6 @@ from dataclasses import dataclass
 
 from .core import (
     Cochar,
-    Root,
     act_perm,
     act_sigma,
     act_weyl,
@@ -25,15 +24,13 @@ from .core import (
     dominant,
     perm_order,
 )
-from .errors import ConfigError, PreconditionError, TheoremViolationError
+from .errors import PreconditionError, TheoremViolationError
 from .normal_form import FrobeniusDatum
 from .strata import (
     _is_label,
     _require_alcove,
     _require_dominant_mu,
     enumerate_strata,
-    natural_lambda,
-    stratum_nonempty,
 )
 
 
@@ -48,10 +45,6 @@ class StrataGraph:
 class Pi0Report:
     upper_bound: int
     exactness: str  # "exact" | "upper bound only" | "empty"
-
-    @property
-    def exact(self) -> bool:
-        return self.exactness == "exact"
 
 
 class _UnionFind:
@@ -92,20 +85,6 @@ def _root_moves(datum: FrobeniusDatum) -> tuple:
         cov = alpha.coroot(shape)
         moves.append((alpha, cov, act_weyl(datum.w, act_sigma(shape, cov))))
     return tuple(moves)
-
-
-def edge_exists(datum: FrobeniusDatum, mu: Cochar, lam: Cochar, alpha: Root) -> bool:
-    """Whether the coroot curve through u^lam in direction -alpha_cov lies in
-    the variety: dominant sorts of lam_nat + alpha_cov, lam_nat - w(sigma(alpha_cov))
-    and lam'_nat must all be dominated by mu."""
-    shape = datum.shape
-    if not (0 <= alpha.block < shape.blocks and 0 <= alpha.i < shape.n and 0 <= alpha.j < shape.n):
-        raise ConfigError("alpha is not a root of the shape")
-    if not stratum_nonempty(datum, mu, lam):
-        raise PreconditionError("lam is not a stratum label of C_mu(b)")
-    cov = alpha.coroot(shape)
-    twisted = act_weyl(datum.w, act_sigma(shape, cov))
-    return _edge_ok(mu, natural_lambda(datum, lam), cov, twisted)
 
 
 def build_graph(datum: FrobeniusDatum, mu: Cochar) -> StrataGraph:

@@ -8,13 +8,9 @@ class KisinError(Exception):
 class ConfigError(KisinError):
     """Structurally invalid input: bad shapes, non-dominant mu, malformed config."""
 
-    exit_code = 2
-
 
 class PreconditionError(KisinError):
     """A documented operation precondition is violated."""
-
-    exit_code = 3
 
 
 class NotSimpleError(PreconditionError):
@@ -23,10 +19,6 @@ class NotSimpleError(PreconditionError):
 
 class NotInGeneralPositionError(PreconditionError):
     """Fixed point has an integral entry or integral pairwise difference."""
-
-
-class NonMinusculeError(PreconditionError):
-    """Dimension formula requested for a non-minuscule bound."""
 
 
 class EnumerationCapError(PreconditionError):
@@ -43,5 +35,3 @@ class SingularMatrixError(PreconditionError):
 
 class TheoremViolationError(KisinError):
     """An identity the theory guarantees failed; indicates a bug or bad input."""
-
-    exit_code = 4

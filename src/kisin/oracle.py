@@ -7,7 +7,8 @@ sends u to u^p, so points over a subfield are honest points of the variety).
 Every series is an exact Laurent polynomial: coset representatives, the
 twisting element u^tau w and their Frobenius twists all have finitely many
 terms, and the adjugate stands in for the inverse, so no computation ever
-truncates.
+truncates.  Elementary divisors and Iwahori labels come from one pivot
+elimination, ``_eliminate``, which never inverts a field element.
 """
 
 from __future__ import annotations
@@ -62,14 +63,11 @@ class GF:
         self._add = tuple(tuple(row) for row in add)
         self._mul = tuple(tuple(row) for row in mul)
         neg = [0] * q
-        inv = [0] * q
         for x in range(q):
             for y in range(q):
                 if self._add[x][y] == 0:
                     neg[x] = y
-                if x and self._mul[x][y] == 1:
-                    inv[x] = y
-        self._neg, self._inv = tuple(neg), tuple(inv)
+        self._neg = tuple(neg)
         self.zero, self.one = 0, 1
 
     @staticmethod
@@ -84,23 +82,11 @@ class GF:
     def add(self, a, b):
         return self._add[a][b]
 
-    def sub(self, a, b):
-        return self._add[a][self._neg[b]]
-
     def mul(self, a, b):
         return self._mul[a][b]
 
     def neg(self, a):
         return self._neg[a]
-
-    def inv(self, a):
-        if a == 0:
-            raise ZeroDivisionError("inverse of zero in GF")
-        return self._inv[a]
-
-    def coerce_int(self, c: int):
-        """Embed a rational integer via the prime subfield."""
-        return c % self.p
 
     def elements(self):
         return range(self.q)
@@ -345,7 +331,7 @@ def weyl_matrix(field: GF, tau, perm) -> TruncMat:
 
 
 # ---------------------------------------------------------------------------
-# pivoting shared by the two reductions
+# one elimination for both reductions
 
 
 def _select_pivot(work, alive_rows, alive_cols):
@@ -364,28 +350,35 @@ def _select_pivot(work, alive_rows, alive_cols):
     return best
 
 
-def elementary_divisors(m: TruncMat) -> Cochar:
-    """Exponents of the Cartan double coset of m, as one dominant block.
+def _eliminate(m: TruncMat, iwahori: bool) -> list:
+    """(pivot row, valuation) of each step of the reduction of m to a
+    monomial matrix.
 
-    Smith-style reduction with minimal-valuation pivoting; rows are rescaled by
-    the pivot's unit part (cross-multiplication) so no entry is ever inverted.
+    Each step takes a minimal-valuation pivot, clears its column with row
+    operations and then its row with column operations; rows and columns are
+    rescaled by the pivot's unit part (cross-multiplication), so no entry is
+    ever inverted.  With iwahori the row operations must lie in the Iwahori
+    subgroup I (the preimage of the lower Borel): a row above the pivot has
+    strictly larger valuation in the pivot column, so its coefficient
+    q = entry/pivot lies in uO, which is asserted.
     """
     n = m.n
     work = [list(row) for row in m.rows]
     alive_rows = list(range(n))
     alive_cols = list(range(n))
-    divisors = []
+    steps = []
     while alive_rows:
         ip, jp, v = _select_pivot(work, alive_rows, alive_cols)
-        divisors.append(v)
-        pivot = work[ip][jp]
-        unit = pivot.shift(-v)
+        steps.append((ip, v))
+        unit = work[ip][jp].shift(-v)
         for i in alive_rows:
             if i == ip:
                 continue
             q = work[i][jp].shift(-v)
             if not q.coeffs:
                 continue
+            if iwahori and i < ip and q.offset < 1:
+                raise PreconditionError("pivot selection violated the Iwahori row order")
             for j in alive_cols:
                 work[i][j] = unit.mul(work[i][j]).sub(q.mul(work[ip][j]))
         for j in alive_cols:
@@ -398,50 +391,24 @@ def elementary_divisors(m: TruncMat) -> Cochar:
                 work[i][j] = unit.mul(work[i][j]).sub(q.mul(work[i][jp]))
         alive_rows.remove(ip)
         alive_cols.remove(jp)
-    return tuple(sorted(divisors, reverse=True))
+    return steps
+
+
+def elementary_divisors(m: TruncMat) -> Cochar:
+    """Exponents of the Cartan double coset of m, as one dominant block: the
+    pivot valuations of the elimination, sorted."""
+    return tuple(sorted((v for _, v in _eliminate(m, iwahori=False)), reverse=True))
 
 
 def iwahori_label(g: TruncMat) -> tuple:
     """The unique lam with g in I u^lam G(O), I the preimage of the lower Borel.
 
-    Column reduction to a monomial matrix using right-G(O) column operations
-    and left-I row operations: pivots are minimal-valuation entries in the
-    topmost row, so clearing upward always uses coefficients in uO.
+    The elimination uses right-G(O) column operations and left-I row
+    operations, so lam_i is the valuation of the pivot taken in row i.
     """
-    n = g.n
-    work = [list(row) for row in g.rows]
-    alive_rows = list(range(n))
-    alive_cols = list(range(n))
-    lam = [None] * n
-    while alive_rows:
-        ip, jp, v = _select_pivot(work, alive_rows, alive_cols)
-        lam[ip] = v
-        pivot = work[ip][jp]
-        unit = pivot.shift(-v)
-        # clear the pivot row with column operations (right K)
-        for j in alive_cols:
-            if j == jp:
-                continue
-            q = work[ip][j].shift(-v)
-            if not q.coeffs:
-                continue
-            for i in alive_rows:
-                work[i][j] = unit.mul(work[i][j]).sub(q.mul(work[i][jp]))
-        # clear the pivot column with row operations (left I); rows above the
-        # pivot have strictly larger valuation there, so their coefficient
-        # q = entry/pivot lies in uO as the Iwahori requires
-        for i in alive_rows:
-            if i == ip:
-                continue
-            q = work[i][jp].shift(-v)
-            if not q.coeffs:
-                continue
-            if i < ip and q.offset < 1:
-                raise PreconditionError("pivot selection violated the Iwahori row order")
-            for j in alive_cols:
-                work[i][j] = unit.mul(work[i][j]).sub(q.mul(work[ip][j]))
-        alive_rows.remove(ip)
-        alive_cols.remove(jp)
+    lam = [None] * g.n
+    for i, v in _eliminate(g, iwahori=True):
+        lam[i] = v
     return tuple(lam)
 
 
@@ -449,7 +416,12 @@ def iwahori_label(g: TruncMat) -> tuple:
 # coset enumeration
 
 
-def _count_cosets(n: int, lam_bound: int, q: int) -> int:
+# The guard of hnf_cosets: how many candidate matrices it may build, before
+# the box check keeps the cosets among them.
+MAX_CANDIDATES = 2_000_000
+
+
+def _count_candidates(n: int, lam_bound: int, q: int) -> int:
     total = 0
     for lams in itertools.product(range(-lam_bound, lam_bound + 1), repeat=n):
         size = 1
@@ -460,9 +432,7 @@ def _count_cosets(n: int, lam_bound: int, q: int) -> int:
     return total
 
 
-def hnf_cosets(
-    n: int, lam_bound: int, field: GF, max_cosets: int = 2_000_000
-) -> Iterator[tuple[TruncMat, TruncMat]]:
+def hnf_cosets(n: int, lam_bound: int, field: GF) -> Iterator[tuple[TruncMat, TruncMat]]:
     """Hermite-style representatives of the lattices between u^B O^n and
     u^{-B} O^n: upper triangular, diagonal u^{lam_j} with |lam_j| <= B, entry
     (i, j) reduced modulo u^{lam_i} with valuation >= -B.  Complete and
@@ -473,9 +443,9 @@ def hnf_cosets(
     """
     if n > 3:
         raise PreconditionError("coset enumeration is limited to n <= 3")
-    count = _count_cosets(n, lam_bound, field.q)
-    if count > max_cosets:
-        raise PreconditionError(f"{count} cosets exceed the guard {max_cosets}")
+    count = _count_candidates(n, lam_bound, field.q)
+    if count > MAX_CANDIDATES:
+        raise PreconditionError(f"{count} candidate cosets exceed the guard {MAX_CANDIDATES}")
     B = lam_bound
     zero = LSeries.zero(field)
     pairs = [(i, j) for j in range(n) for i in range(j)]
@@ -500,9 +470,7 @@ def hnf_cosets(
 # point enumeration
 
 
-def coset_survey(
-    datum: FrobeniusDatum, field: GF, lam_bound: int, max_cosets: int = 2_000_000
-):
+def coset_survey(datum: FrobeniusDatum, field: GF, lam_bound: int):
     """(g, dominant elementary divisors of g^{-1} b sigma(g), Iwahori label)
     for every coset in the box; independent of any mu, so one survey serves a
     whole family of bounds."""
@@ -516,7 +484,7 @@ def coset_survey(
     p = shape.p
     b = weyl_matrix(field, datum.tau[0], datum.w[0])
     out = []
-    for g, adj in hnf_cosets(shape.n, lam_bound, field, max_cosets=max_cosets):
+    for g, adj in hnf_cosets(shape.n, lam_bound, field):
         # det g = u^s exactly for the triangular representatives, so
         # g^{-1} b sigma(g) = adjugate(g) b sigma(g) u^{-s}
         s = sum(g.rows[i][i].val() for i in range(shape.n))
@@ -535,7 +503,6 @@ def kisin_points(
     mu: Cochar,
     field: GF,
     lam_bound: int,
-    max_cosets: int = 2_000_000,
     survey=None,
 ):
     """All cosets g in the box with dominant elementary divisors of
@@ -554,7 +521,7 @@ def kisin_points(
                 f"box {lam_bound} too small: stratum label {s.lam[0]} outside; rerun larger"
             )
     if survey is None:
-        survey = coset_survey(datum, field, lam_bound, max_cosets=max_cosets)
+        survey = coset_survey(datum, field, lam_bound)
     points = [(g, label) for g, ed, label in survey if dominance_leq((ed,), mu)]
     points.sort(key=lambda t: (t[1], [repr(e) for row in t[0].rows for e in row]))
     return points

@@ -10,9 +10,9 @@ box search over lam would need a bound the theory does not provide, so it is
 demoted to a test oracle.
 
 Every invariant of a label (lam_nat, lam_dag, the R- and D-sets, the
-dimension and the singleton certificate) comes from one pass in
-``_stratum``; ``make_stratum``, ``r_set``, ``d_set`` and
-``singleton_sufficient`` validate their arguments and read from it.
+dimension and the singleton certificate) comes from one pass in ``_stratum``;
+``make_stratum`` validates its arguments and returns that record, the
+per-label API.
 """
 
 from __future__ import annotations
@@ -38,7 +38,7 @@ from .core import (
     sigma_blocks,
     ExtAffine,
 )
-from .errors import ConfigError, EnumerationCapError, NonMinusculeError, PreconditionError
+from .errors import ConfigError, EnumerationCapError, PreconditionError
 from .normal_form import FrobeniusDatum, make_datum, solve_affine_integral
 
 DEFAULT_ENUM_CAP = 10**7
@@ -239,28 +239,11 @@ def _stratum(datum: FrobeniusDatum, mu: Cochar, lam: Cochar) -> Stratum:
     )
 
 
-def r_set(datum: FrobeniusDatum, mu: Cochar, lam: Cochar) -> tuple:
-    """R(lam) for a stratum label lam; its size is the stratum dimension.
-    Needs minuscule mu."""
-    if not is_minuscule(mu):
-        raise NonMinusculeError("dimension formula unavailable: mu is not minuscule")
-    return make_stratum(datum, mu, lam).r_set
-
-
-def d_set(datum: FrobeniusDatum, mu: Cochar, lam: Cochar) -> tuple:
-    """D(lam) for a stratum label lam."""
-    return make_stratum(datum, mu, lam).d_set
-
-
-def singleton_sufficient(datum: FrobeniusDatum, mu: Cochar, lam: Cochar):
-    """The first sufficient singleton certificate of a stratum label lam, as
-    ("proven", rule), or ("unknown", None); never guesses beyond the four rules
-    of SINGLETON_RULES."""
-    s = make_stratum(datum, mu, lam)
-    return s.singleton, s.singleton_rule
-
-
 def make_stratum(datum: FrobeniusDatum, mu: Cochar, lam: Cochar) -> Stratum:
+    """The Stratum record of a label lam: R(lam) and the dimension (None
+    unless mu is minuscule), D(lam), and the first sufficient singleton
+    certificate of SINGLETON_RULES as ("proven", rule), else ("unknown",
+    None).  PreconditionError when lam is not a label."""
     _require_label_args(datum, mu, lam)
     return _stratum(datum, mu, lam)
 

@@ -18,7 +18,7 @@ from kisin.core import (
     is_minuscule,
     lambda_alpha,
 )
-from kisin.errors import NonMinusculeError, PreconditionError
+from kisin.errors import PreconditionError
 from kisin.strata import Stratum
 
 
@@ -220,8 +220,6 @@ def composed_stratum(datum, mu, lam):
         return dominance_leq(dominant(nat_of(lam))[0], mu)
 
     def r_set():
-        if not is_minuscule(mu):
-            raise NonMinusculeError("mu is not minuscule")
         nat = nat_of(lam)
         return tuple(
             a for a in all_roots(datum.shape)
@@ -260,3 +258,24 @@ def composed_stratum(datum, mu, lam):
         rs, dim = None, None
     verdict, rule = singleton()
     return Stratum(lam, nat_of(lam), dag, rs, d_set(), dim, verdict, rule)
+
+
+def edge_exists(datum, mu, lam, alpha):
+    """Coroot-curve edge oracle: the three dominance conditions as defined.
+    With lam' = lam - alpha_cov, the dominant sorts of lam_nat + alpha_cov,
+    lam_nat - w(sigma(alpha_cov)) and lam'_nat must all be dominated by mu;
+    lam_nat and lam'_nat come from their definition, dominance from the
+    breadth-first oracle."""
+
+    def nat_of(v):
+        return cochar_add(cochar_sub(datum.tau, v), act_weyl(datum.w, act_sigma(datum.shape, v)))
+
+    cov = alpha.coroot(datum.shape)
+    twisted = act_weyl(datum.w, act_sigma(datum.shape, cov))
+    nat = nat_of(lam)
+    conditions = (cochar_add(nat, cov), cochar_sub(nat, twisted), nat_of(cochar_sub(lam, cov)))
+    return all(
+        reachable_by_simple_coroots(m, tuple(sorted(b, reverse=True)))
+        for vec in conditions
+        for m, b in zip(mu, vec)
+    )

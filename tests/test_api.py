@@ -1,5 +1,6 @@
 """Guard against dead code: every public top-level function or class of the
-library is used by the library or the scripts, or exported by the package."""
+library, and every public method or property of its classes, is used by the
+library or the scripts, or exported by the package."""
 
 import ast
 from pathlib import Path
@@ -7,20 +8,43 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "kisin"
 
-# Public names whose only callers are tests, each with the reason it stays.
+# Public names whose only callers are tests, each with the reason it stays;
+# methods are keyed as Class.method.
 TEST_ONLY = {
     "mat_det": "reference determinant that test_adjugate_identity checks mat_adjugate against",
     "mat_diag_u": "builds the diagonal test matrices u^lam for the divisor and label tests",
 }
 
-DEFS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+FUNCS = (ast.FunctionDef, ast.AsyncFunctionDef)
+DEFS = FUNCS + (ast.ClassDef,)
 
 
 def _public_defs():
+    """(module, key, name): public top-level definitions keyed by name, and
+    public methods and properties of top-level classes keyed as Class.name."""
     for path in sorted(PACKAGE.glob("*.py")):
         for node in ast.parse(path.read_text()).body:
-            if isinstance(node, DEFS) and not node.name.startswith("_"):
-                yield path.name, node.name
+            if not isinstance(node, DEFS):
+                continue
+            if not node.name.startswith("_"):
+                yield path.name, node.name, node.name
+            if isinstance(node, ast.ClassDef):
+                for item in node.body:
+                    if isinstance(item, FUNCS) and not item.name.startswith("_"):
+                        yield path.name, f"{node.name}.{item.name}", item.name
+
+
+def _scopes(tree):
+    """(node, own names): each top-level statement, with each statement of a
+    class body as a scope of its own that also owns the class name."""
+    for top in tree.body:
+        if isinstance(top, ast.ClassDef):
+            for item in top.body:
+                yield item, {top.name, getattr(item, "name", None)}
+            for node in top.bases + top.keywords + top.decorator_list:
+                yield node, {top.name}
+        else:
+            yield top, {top.name} if isinstance(top, DEFS) else set()
 
 
 def _references():
@@ -28,16 +52,15 @@ def _references():
     definition's references to itself."""
     refs = set()
     for path in sorted((ROOT / "src").rglob("*.py")) + sorted((ROOT / "scripts").glob("*.py")):
-        for top in ast.parse(path.read_text()).body:
-            own = top.name if isinstance(top, DEFS) else None
-            for node in ast.walk(top):
+        for scope, own in _scopes(ast.parse(path.read_text())):
+            for node in ast.walk(scope):
                 if isinstance(node, ast.Name):
                     name = node.id
                 elif isinstance(node, ast.Attribute):
                     name = node.attr
                 else:
                     continue
-                if name != own:
+                if name not in own:
                     refs.add(name)
     return refs
 
@@ -53,13 +76,17 @@ def _exports():
 
 
 def test_every_public_name_has_a_use():
-    used = _references() | _exports() | set(TEST_ONLY)
-    dead = [f"{module}:{name}" for module, name in _public_defs() if name not in used]
+    used = _references() | _exports()
+    dead = [
+        f"{module}:{key}"
+        for module, key, name in _public_defs()
+        if name not in used and key not in TEST_ONLY
+    ]
     assert dead == [], f"public names with no reference in src/ or scripts/: {dead}"
 
 
 def test_allowlist_is_current():
     # an allowlisted name that gained a caller, or was deleted, leaves the list
-    defined = {name for _, name in _public_defs()}
+    defined = {key: name for _, key, name in _public_defs()}
     used = _references() | _exports()
-    assert {name for name in TEST_ONLY if name not in defined or name in used} == set()
+    assert {key for key in TEST_ONLY if key not in defined or defined[key] in used} == set()

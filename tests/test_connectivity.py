@@ -3,17 +3,17 @@ import random
 
 import pytest
 
+from conftest import edge_exists
 from kisin.core import ExtAffine, GroupShape, Root, all_roots, cochar_sub
 from kisin.errors import ConfigError, PreconditionError, TheoremViolationError
 from kisin.connectivity import (
     _is_label,
     build_graph,
     chain_gl3,
-    edge_exists,
     pi0_report,
 )
 from kisin.normal_form import caruso_datum, is_caruso_simple, make_datum
-from kisin.strata import enumerate_strata
+from kisin.strata import enumerate_strata, stratum_nonempty
 
 
 def datum_a(p=3):
@@ -58,6 +58,7 @@ class TestEdges:
             for alpha in all_roots(d.shape):
                 lam2 = cochar_sub(lam, alpha.coroot(d.shape))
                 if lam2 not in labels:
+                    assert not stratum_nonempty(d, mu, lam2)
                     assert not edge_exists(d, mu, lam, alpha)
 
     def test_edge_symmetry(self):
@@ -84,8 +85,9 @@ class TestEdges:
         ],
     )
     def test_graph_edges_match_edge_exists(self, datum, mu):
-        # build_graph tests edges from the stored lam_nat; the public
-        # validating edge_exists recomputes it and must agree edge for edge
+        # build_graph tests edges from the stored lam_nat; the edge oracle
+        # recomputes every condition from its definition and must agree edge
+        # for edge
         S = enumerate_strata(datum, mu)
         index = {s.lam for s in S}
         edges, seen = [], set()
@@ -100,7 +102,8 @@ class TestEdges:
         assert graph.vertices == S and graph.edges == tuple(edges)
 
     def test_gl3_third_condition_shortcut(self):
-        # for a 3-cycle the third dominance condition implies the first two
+        # for a 3-cycle the third dominance condition implies the first two,
+        # so build_graph joins every pair of labels one coroot apart
         for p, mmax in ((2, 7),):
             for m in range(-mmax, mmax + 1):
                 if not is_caruso_simple(3, p, m):
@@ -110,13 +113,15 @@ class TestEdges:
                     if not (mu_flat[0] >= mu_flat[1] >= mu_flat[2]):
                         continue
                     mu = (mu_flat,)
-                    S = [s.lam for s in enumerate_strata(d, mu)]
-                    labels = set(S)
-                    for lam in S:
+                    g = build_graph(d, mu)
+                    labels = {s.lam for s in g.vertices}
+                    edge_pairs = {frozenset((a, b)) for a, b, _ in g.edges}
+                    for lam in labels:
                         for alpha in all_roots(d.shape):
                             lam2 = cochar_sub(lam, alpha.coroot(d.shape))
                             if lam2 in labels:
                                 assert edge_exists(d, mu, lam, alpha)
+                                assert frozenset((lam, lam2)) in edge_pairs
 
 
 class TestChains:
@@ -254,7 +259,7 @@ class TestChains:
         d = datum_a()
         g = build_graph(d, ((5, 3, 3, 1),))
         r = pi0_report(g)
-        assert r.exact
+        assert r.exactness == "exact"
         assert (r.upper_bound == len(g.vertices)) == (len(g.edges) == 0)
 
 

@@ -39,7 +39,7 @@ class TestGF:
                 assert f.add(a, b) == (a + b) % p
                 assert f.mul(a, b) == (a * b) % p
             if a:
-                assert f.mul(a, f.inv(a)) == 1
+                assert any(f.mul(a, b) == 1 for b in range(p))
 
     @pytest.mark.parametrize("field", (F4, F9))
     def test_extension_axioms(self, field):
@@ -47,7 +47,7 @@ class TestGF:
         for a in els:
             assert field.add(a, field.neg(a)) == 0
             if a:
-                assert field.mul(a, field.inv(a)) == 1
+                assert any(field.mul(a, b) == 1 for b in els)
         rng = random.Random(83)
         for _ in range(200):
             a, b, c = (rng.choice(els) for _ in range(3))
@@ -55,8 +55,11 @@ class TestGF:
             assert field.mul(field.mul(a, b), c) == field.mul(a, field.mul(b, c))
 
     def test_prime_subfield_embedding(self):
-        assert F9.coerce_int(5) == 2
-        assert F9.mul(F9.coerce_int(2), F9.coerce_int(2)) == F9.coerce_int(4)
+        # the indices 0..p-1 are the prime subfield, with arithmetic mod p
+        for a in range(3):
+            for b in range(3):
+                assert F9.add(a, b) == (a + b) % 3
+                assert F9.mul(a, b) == (a * b) % 3
 
 
 class TestLSeries:
@@ -352,8 +355,8 @@ class TestCosets:
             assert adj == mat_adjugate(g)
 
     def test_guard(self):
-        with pytest.raises(PreconditionError):
-            list(hnf_cosets(3, 3, F9, max_cosets=1000))
+        with pytest.raises(PreconditionError, match="candidate cosets exceed the guard"):
+            list(hnf_cosets(3, 3, F9))
         with pytest.raises(PreconditionError):
             list(hnf_cosets(4, 1, F2))
 

@@ -5,20 +5,17 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import composed_stratum
-from kisin.core import ExtAffine, GroupShape, dominant, is_minuscule
-from kisin.errors import ConfigError, EnumerationCapError, NonMinusculeError, PreconditionError
+from kisin.core import ExtAffine, GroupShape, dominant
+from kisin.errors import ConfigError, EnumerationCapError, PreconditionError
 from kisin.multicopy import decompose_mu, make_multi
 from kisin.normal_form import caruso_datum, is_caruso_simple, make_datum
 from kisin.strata import (
     central_twist,
-    d_set,
     dominant_blocks_leq,
     enumerate_strata,
     make_stratum,
     natural_lambda,
     omega_reduction,
-    r_set,
-    singleton_sufficient,
     stratum_nonempty,
     sum_profile,
 )
@@ -154,61 +151,64 @@ class TestEnumerate:
 
 class TestDimensionsAndCertificates:
     def test_r_set_needs_minuscule(self):
-        with pytest.raises(NonMinusculeError):
-            r_set(datum_a(), mu_a(), ((2, 1, 1, 0),))
+        # r_set and dim are None for non-minuscule mu
+        s = make_stratum(datum_a(), mu_a(), ((2, 1, 1, 0),))
+        assert s.r_set is None and s.dim is None
 
     def test_lambda_zero_r_empty(self):
         # lam = 0 has lam_alpha in {0, -1}, so no root passes the >= 1 cut
         d = caruso_datum(2, 1, 3, 1)
-        assert r_set(d, ((1, 0),), ((0, 0),)) == ()
+        s = make_stratum(d, ((1, 0),), ((0, 0),))
+        assert s.r_set == () and s.dim == 0
+
+    @staticmethod
+    def rule(datum, mu, lam):
+        s = make_stratum(datum, mu, lam)
+        return s.singleton, s.singleton_rule
 
     def test_counterexample_a_rules(self):
         d = datum_a()
-        assert singleton_sufficient(d, mu_a(), ((1, 1, 1, 1),)) == ("proven", "central")
-        assert singleton_sufficient(d, mu_a(), ((2, 1, 1, 0),)) == ("proven", "d-set")
+        assert self.rule(d, mu_a(), ((1, 1, 1, 1),)) == ("proven", "central")
+        assert self.rule(d, mu_a(), ((2, 1, 1, 0),)) == ("proven", "d-set")
 
     def test_counterexample_b_rules(self):
         d = datum_b()
-        assert singleton_sufficient(d, mu_b(), CHI) == ("proven", "d-set")
-        assert singleton_sufficient(d, mu_b(), CHI_PRIME) == ("proven", "dominant-minuscule")
+        assert self.rule(d, mu_b(), CHI) == ("proven", "d-set")
+        assert self.rule(d, mu_b(), CHI_PRIME) == ("proven", "dominant-minuscule")
 
     def test_d_set_values_counterexample_a(self):
         d = datum_a()
-        ds = d_set(d, mu_a(), ((2, 1, 1, 0),))
+        ds = make_stratum(d, mu_a(), ((2, 1, 1, 0),)).d_set
         got = {(a.i + 1, a.j + 1) for a in ds}
         assert got == {(1, 2), (3, 2), (3, 4)}
 
     def test_d_set_requires_membership(self):
         with pytest.raises(PreconditionError):
-            d_set(datum_a(), mu_a(), ((2, 2, 0, 0),))
+            make_stratum(datum_a(), mu_a(), ((2, 2, 0, 0),))
 
     def test_r_set_requires_membership(self):
+        # minuscule mu, so the non-label is rejected before any R-set exists
         d = caruso_datum(2, 1, 3, 1)
         assert not stratum_nonempty(d, ((1, 0),), ((3, -3),))
         with pytest.raises(PreconditionError):
-            r_set(d, ((1, 0),), ((3, -3),))
+            make_stratum(d, ((1, 0),), ((3, -3),))
 
 
 FIELDS = ("lam", "nat", "dag", "r_set", "d_set", "dim", "singleton", "singleton_rule")
 
 
 def assert_single_pass_matches(datum, mu, lam):
-    """make_stratum and its wrappers against the composed oracle; a non-label
+    """make_stratum against the composed oracle, field by field; a non-label
     must be rejected by both."""
     try:
         want = composed_stratum(datum, mu, lam)
     except PreconditionError:
-        for fn in (make_stratum, d_set, singleton_sufficient):
-            with pytest.raises(PreconditionError):
-                fn(datum, mu, lam)
+        with pytest.raises(PreconditionError):
+            make_stratum(datum, mu, lam)
         return False
     got = make_stratum(datum, mu, lam)
     for field in FIELDS:
         assert getattr(got, field) == getattr(want, field), (field, lam)
-    assert d_set(datum, mu, lam) == want.d_set
-    assert singleton_sufficient(datum, mu, lam) == (want.singleton, want.singleton_rule)
-    if is_minuscule(mu):
-        assert r_set(datum, mu, lam) == want.r_set
     return True
 
 
