@@ -321,6 +321,8 @@ def cmd_oracle_count(args) -> int:
     cfg = config_from_args(args)
     if cfg.f != 1:
         raise ConfigError("oracle-count requires --f 1")
+    if cfg.box < 0:
+        raise ConfigError(f"--box must be non-negative, got {cfg.box}")
     if cfg.mu is None:
         raise ConfigError("--mu is required")
     datum, _ = resolve_datum(cfg)

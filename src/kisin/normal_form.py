@@ -62,8 +62,16 @@ def _solve_plan(shape: GroupShape, w: WeylElt):
     Substituting around the cycle of blocks reduces to the single-block system
     (1 - q W) x[0] = sum_k E_k P_k(c[k]) with q the full eps product,
     P_k = w_0 ... w_{k-1} and W = P_N; that system splits along the cycles of
-    the permutation W.  Returns (prefix scales E_k, prefix perms P_k, q, W,
-    cycle data) reused across many right-hand sides.
+    the permutation W.  Returns (prefix scales E_k, prefix perms P_k, q,
+    cycles of W, moduli, residue coefficients) reused across many right-hand
+    sides.
+
+    The numerators of x[0] on a cycle c are integers congruent to each other
+    up to powers of q modulo q^|c| - 1, so x[0] is integral iff the one at
+    c's first position, sum_t q^t b[c_t], is divisible by q^|c| - 1.  That
+    numerator is sum_k <coef[k][c], rhs[k]>, since rhs[k][j] lands in
+    b[P_k(j)] scaled by E_k; the coefficients are stored reduced modulo
+    q^|c| - 1 (the moduli, one per cycle).
     """
     nblocks, n = shape.blocks, shape.n
     prefix_eps = [1] * (nblocks + 1)
@@ -89,13 +97,25 @@ def _solve_plan(shape: GroupShape, w: WeylElt):
             cyc.append(i)
             i = winv[i]
         cycles.append(tuple(cyc))
-    return tuple(prefix_eps), tuple(prefix_perm), q, big_w, tuple(cycles)
+    moduli = tuple(q ** len(cyc) - 1 for cyc in cycles)
+    place = {}  # position i -> (cycle index, step t with cyc[t] == i)
+    for ci, cyc in enumerate(cycles):
+        for t, i in enumerate(cyc):
+            place[i] = (ci, t)
+    coefs = []
+    for k in range(nblocks):
+        rows = [[0] * n for _ in cycles]
+        for j in range(n):
+            ci, t = place[prefix_perm[k][j]]
+            rows[ci][j] = prefix_eps[k] * q**t % moduli[ci]
+        coefs.append(tuple(map(tuple, rows)))
+    return tuple(prefix_eps), tuple(prefix_perm), q, tuple(cycles), moduli, tuple(coefs)
 
 
 def _solve_block0(shape: GroupShape, w: WeylElt, rhs: Cochar):
     """Integer numerators and per-position denominators for x[0] of the system
     x = rhs + w(sigma(x)); both are exact ints when rhs is integral."""
-    prefix_eps, prefix_perm, q, _, cycles = _solve_plan(shape, w)
+    prefix_eps, prefix_perm, q, cycles, _, _ = _solve_plan(shape, w)
     n = shape.n
     b = [0] * n
     for k in range(shape.blocks):

@@ -3,11 +3,19 @@ singleton certificates.
 
 A stratum label lam is nonempty exactly when the twisted difference
 lam_nat = -lam + tau + w(sigma(lam)) is dominated by mu.  Enumeration inverts
-that affine map: candidate values nu of lam_nat are finite (blockwise vectors
-whose dominant sort is dominated by mu's block), and each nu has at most one
-preimage because 1 - w*sigma is invertible; integral preimages are kept.  A
-box search over lam would need a bound the theory does not provide, so it is
-demoted to a test oracle.
+that affine map.  The candidate values nu of lam_nat are finite: blockwise
+vectors whose dominant sort is dominated by mu's block.  Each nu has exactly
+one rational preimage, because 1 - w*sigma is invertible, and that preimage is
+integral iff one congruence per cycle of the solver's permutation W holds; the
+congruence is linear in nu, block by block (``normal_form._solve_plan``).  So
+each block's candidates are bucketed by their residues, and a join over the
+blocks keeps a partial choice only while the residue still needed is a sum the
+remaining blocks can reach.  Only the surviving candidates are solved, and
+each must solve integrally (else TheoremViolationError).  Work follows the
+per-block candidate counts and the surviving partial choices, not their
+product; the KISIN_MAX_ENUM cap still bounds that product.  The product of
+candidate sets, each solved, and a box search over lam are kept as test
+oracles.
 
 Every invariant of a label (lam_nat, lam_dag, the R- and D-sets, the
 dimension and the singleton certificate) comes from one pass in ``_stratum``;
@@ -19,8 +27,10 @@ from __future__ import annotations
 
 import itertools
 import os
+from collections import defaultdict
 from dataclasses import dataclass
 from functools import lru_cache
+from operator import mul
 from typing import Optional
 
 from .core import (
@@ -38,8 +48,8 @@ from .core import (
     sigma_blocks,
     ExtAffine,
 )
-from .errors import ConfigError, EnumerationCapError, PreconditionError
-from .normal_form import FrobeniusDatum, make_datum, solve_affine_integral
+from .errors import ConfigError, EnumerationCapError, PreconditionError, TheoremViolationError
+from .normal_form import FrobeniusDatum, _solve_plan, make_datum, solve_affine_integral
 
 DEFAULT_ENUM_CAP = 10**7
 
@@ -132,11 +142,29 @@ def dominant_blocks_leq(mu_block: tuple) -> tuple:
 
 
 def _distinct_permutations(block: tuple):
-    seen = set()
-    for p in itertools.permutations(block):
-        if p not in seen:
-            seen.add(p)
-            yield p
+    """The distinct permutations of block, each once, in lexicographic order:
+    itertools.permutations of the sorted block when its entries are distinct,
+    else next-permutation steps on it, so repeated entries cost nothing."""
+    a = sorted(block)
+    if len(set(a)) == len(a):
+        return itertools.permutations(a)
+    return _next_permutations(a)
+
+
+def _next_permutations(a: list):
+    last = len(a) - 1
+    while True:
+        yield tuple(a)
+        i = last - 1
+        while i >= 0 and a[i] >= a[i + 1]:
+            i -= 1
+        if i < 0:
+            return
+        j = last
+        while a[j] <= a[i]:
+            j -= 1
+        a[i], a[j] = a[j], a[i]
+        a[i + 1 :] = a[:i:-1]
 
 
 @lru_cache(maxsize=None)
@@ -163,11 +191,44 @@ def _enum_cap() -> int:
     return cap
 
 
+def _residue_join(buckets: list, moduli: tuple, target: tuple):
+    """Each choice of one residue bucket per block whose residues sum to
+    target modulo moduli, as a tuple of candidate lists.
+
+    after[k] holds the residue sums of blocks k+1 onwards, built backward;
+    the forward walk extends a partial choice only when the residue it still
+    needs is in after[k], and the last block is a dict lookup.
+    """
+    last = len(buckets) - 1
+    after = [None] * last
+    if last:
+        after[-1] = buckets[last]
+    for k in range(last - 2, -1, -1):
+        after[k] = {
+            tuple((a + b) % m for a, b, m in zip(r, s, moduli))
+            for r in buckets[k + 1]
+            for s in after[k + 1]
+        }
+
+    def walk(k, need, chosen):
+        if k == last:
+            if need in buckets[k]:
+                yield chosen + (buckets[k][need],)
+            return
+        for r, vs in buckets[k].items():
+            rest = tuple((a - b) % m for a, b, m in zip(need, r, moduli))
+            if rest in after[k]:
+                yield from walk(k + 1, rest, chosen + (vs,))
+
+    return walk(0, target, ())
+
+
 def enumerate_strata(datum: FrobeniusDatum, mu: Cochar) -> tuple:
     """All strata S = {lam : dominant(lam_nat) <= mu}, sorted by lam.
 
     Complete and duplicate-free: candidates nu run over every vector with
-    dominant(nu) <= mu, and nu -> lam is injective.
+    dominant(nu) <= mu, nu -> lam is injective, and the residue join drops
+    exactly the nu whose preimage is not integral.
     """
     _require_alcove(datum)
     _require_dominant_mu(mu)
@@ -180,10 +241,27 @@ def enumerate_strata(datum: FrobeniusDatum, mu: Cochar) -> tuple:
     if count > cap:
         raise EnumerationCapError(f"{count} candidates exceed cap {cap} (KISIN_MAX_ENUM)")
     shape, w, tau = datum.shape, datum.w, datum.tau
+    *_, moduli, coefs = _solve_plan(shape, w)
+    # the preimage of nu is integral iff, per cycle, the residues of the
+    # nu_k sum to those of the tau_k
+    target = tuple(
+        sum(sum(map(mul, cs[ci], t)) for cs, t in zip(coefs, tau)) % m for ci, m in enumerate(moduli)
+    )
+    buckets = []
+    for cs, blk in zip(coefs, per_block):
+        residues = [[sum(map(mul, c, v)) % m for v in blk] for c, m in zip(cs, moduli)]
+        bucket = defaultdict(list)
+        for key, v in zip(zip(*residues), blk):
+            bucket[key].append(v)
+        buckets.append(bucket)
     strata = []
-    for nu in itertools.product(*per_block):
-        lam = solve_affine_integral(shape, w, cochar_sub(tau, nu))
-        if lam is not None:
+    for lists in _residue_join(buckets, moduli, target):
+        for nu in itertools.product(*lists):
+            lam = solve_affine_integral(shape, w, cochar_sub(tau, nu))
+            if lam is None:
+                raise TheoremViolationError(
+                    f"candidate {nu} meets the integrality congruence but its preimage is not integral"
+                )
             strata.append(make_stratum(datum, mu, lam))
     strata.sort(key=lambda s: s.lam)
     return tuple(strata)

@@ -19,7 +19,8 @@ from kisin.core import (
     lambda_alpha,
 )
 from kisin.errors import PreconditionError
-from kisin.strata import Stratum
+from kisin.normal_form import solve_affine_integral
+from kisin.strata import Stratum, candidate_blocks, make_stratum, natural_lambda
 
 
 def dominant_vecs(n, lo, hi):
@@ -279,3 +280,32 @@ def edge_exists(datum, mu, lam, alpha):
         for vec in conditions
         for m, b in zip(mu, vec)
     )
+
+
+def product_strata(datum, mu):
+    """Enumeration oracle: the product of the per-block candidate sets, every
+    candidate nu solved for its preimage and kept when that is integral, as
+    the library enumerated before its residue join.  Sorted by lam."""
+    out = []
+    for nu in itertools.product(*(candidate_blocks(b) for b in mu)):
+        lam = solve_affine_integral(datum.shape, datum.w, cochar_sub(datum.tau, nu))
+        if lam is not None:
+            out.append(make_stratum(datum, mu, lam))
+    out.sort(key=lambda s: s.lam)
+    return tuple(out)
+
+
+def box_strata(datum, mu):
+    """Box-search oracle: every lam in the box |lam| <= 2N(|tau| + |mu|) with
+    dominant(lam_nat) <= mu.  The box is complete: lam solves
+    lam = (tau - lam_nat) + w(sigma(lam)), and running that recurrence forward
+    around the N blocks (each step divides by eps >= 1, one full turn by
+    q >= 2) bounds every block by N|tau - lam_nat| q/(q - 1)."""
+    n, blocks = datum.shape.n, datum.shape.blocks
+    bound = 2 * blocks * (max(abs(x) for b in datum.tau for x in b) + max(abs(x) for b in mu for x in b))
+    found = set()
+    for flat in itertools.product(range(-bound, bound + 1), repeat=n * blocks):
+        lam = tuple(flat[k * n : (k + 1) * n] for k in range(blocks))
+        if dominance_leq(dominant(natural_lambda(datum, lam))[0], mu):
+            found.add(lam)
+    return found

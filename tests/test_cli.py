@@ -314,6 +314,19 @@ class TestExitCodes:
         assert code == 3 and captured.out == ""
         assert "box 1 too small" in captured.err and "Traceback" not in captured.err
 
+    @pytest.mark.parametrize("box", ["-1", "-3"])
+    def test_oracle_negative_box(self, capsys, box):
+        code = main([
+            "oracle-count",
+            "--p", "3", "--n", "2", "--f", "1", "--m", "1",
+            "--mu", "[[7,0]]",
+            "--box", box,
+        ])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert f"--box must be non-negative, got {box}" in captured.err
+        assert "Traceback" not in captured.err
+
     def test_malformed_enum_cap(self, capsys, monkeypatch):
         monkeypatch.setenv("KISIN_MAX_ENUM", "abc")
         code = main(["verify-counterexample", "a", "--p", "3"])

@@ -1,0 +1,188 @@
+"""The residue-joined strata enumeration against the product-of-candidates
+oracle and the box search, and its candidate generation."""
+
+import itertools
+import random
+
+import pytest
+from hypothesis import assume, given, settings, strategies as st
+
+from conftest import box_strata, dominant_vecs, product_strata
+from kisin import strata
+from kisin.cli import CASES, counterexample
+from kisin.core import ExtAffine, GroupShape
+from kisin.errors import KisinError, TheoremViolationError
+from kisin.multicopy import decompose_mu, make_multi
+from kisin.normal_form import _solve_plan, alcove_reduce, caruso_datum, is_caruso_simple, make_datum
+from kisin.strata import _distinct_permutations, enumerate_strata
+
+
+def assert_matches_product(datum, mu):
+    S = enumerate_strata(datum, mu)
+    assert S == product_strata(datum, mu), mu
+    return S
+
+
+def cycle_count(datum):
+    return len(_solve_plan(datum.shape, datum.w)[3])
+
+
+def reduced(shape, tau, w):
+    """The alcove reduction of u^tau w, or None when its fixed point is not in
+    general position."""
+    try:
+        return alcove_reduce(make_datum(shape, ExtAffine(tau, w)))[1]
+    except KisinError:
+        return None
+
+
+def multi_cycle_datums():
+    """Alcove datums whose permutation W has at least two cycles: GL_4 with
+    two 2-cycles at p = 3, GL_3 with three fixed points at p = 5, and GL_3,
+    f = 2, with W a transposition at p = 3."""
+    specs = [
+        (GroupShape.res_field(4, 1, 3), [((1, 0, 3, 2),), ((2, 3, 0, 1),), ((3, 2, 1, 0),)], range(0, 3)),
+        (GroupShape.res_field(3, 1, 5), [((0, 1, 2),)], range(0, 4)),
+        (GroupShape.res_field(3, 2, 3), [((1, 0, 2), (0, 1, 2)), ((0, 1, 2), (0, 2, 1))], range(0, 2)),
+    ]
+    out = {}
+    for shape, ws, entries in specs:
+        for w in ws:
+            for flat in itertools.product(entries, repeat=shape.n * shape.blocks):
+                tau = tuple(flat[k * shape.n : (k + 1) * shape.n] for k in range(shape.blocks))
+                d = reduced(shape, tau, w)
+                if d is not None:
+                    out.setdefault((shape, d.tau, d.w), d)
+    return list(out.values())
+
+
+MULTI_CYCLE = multi_cycle_datums()
+
+
+class TestGoldenCounterexamples:
+    @pytest.mark.parametrize(
+        "case,p", [("a", p) for p in (3, 5, 7, 11, 13)] + [("b", p) for p in (3, 5, 7, 11)]
+    )
+    def test_matches_product(self, case, p):
+        datum, mu = counterexample(CASES[case], p)
+        S = assert_matches_product(datum, mu)
+        assert tuple(s.lam for s in S) == CASES[case]["expected"]
+
+
+class TestAgainstOracles:
+    def test_gl3_sweep_sample(self):
+        checked = 0
+        for p in (2, 3):
+            ms = [m for m in range(-(p**3 - 1), p**3) if is_caruso_simple(3, p, m)][::5]
+            for m in ms:
+                d = caruso_datum(3, 1, p, m)
+                for mu in dominant_vecs(3, -2, 2):
+                    checked += len(assert_matches_product(d, (mu,)))
+        assert checked > 100
+
+    def test_gl3_box_search(self):
+        for m in (1, 5):
+            d = caruso_datum(3, 1, 2, m)
+            for mu in dominant_vecs(3, -1, 1):
+                assert {s.lam for s in enumerate_strata(d, (mu,))} == box_strata(d, (mu,))
+
+    def test_multicopy_lifts(self):
+        rng = random.Random(20261019)
+        done = nonempty = 0
+        while done < 30:
+            p, n, f = rng.choice((2, 3)), rng.randint(2, 3), rng.randint(1, 2)
+            m = rng.randint(1, p ** (f * n) - 1)
+            if not is_caruso_simple(n, p**f, m):
+                continue
+            ms = [rng.randint(0, 3) for _ in range(f)]
+            d = rng.randint(max(max(ms), 2), 3)
+            multi = make_multi(caruso_datum(n, f, p, m), d)
+            assert 1 in multi.lifted.shape.eps
+            mu_bullet = decompose_mu(tuple((x,) + (0,) * (n - 1) for x in ms), d)
+            nonempty += bool(assert_matches_product(multi.lifted, mu_bullet))
+            done += 1
+        assert nonempty > 5
+
+    def test_multicopy_box_search(self):
+        mu_bullet = decompose_mu(((1, 0),), 2)
+        sizes = []
+        for p, m in ((2, 1), (3, 5)):
+            lifted = make_multi(caruso_datum(2, 1, p, m), 2).lifted
+            S = {s.lam for s in enumerate_strata(lifted, mu_bullet)}
+            assert S == box_strata(lifted, mu_bullet)
+            sizes.append(len(S))
+        assert sizes == [1, 0]
+
+    def test_multi_cycle_datums(self):
+        assert {cycle_count(d) for d in MULTI_CYCLE} == {2, 3}
+        nonempty = 0
+        for d in MULTI_CYCLE:
+            n = d.shape.n
+            for block in dominant_vecs(n, -1, 2):
+                mu = (block,) * d.shape.blocks
+                nonempty += bool(assert_matches_product(d, mu))
+        assert nonempty > 20
+
+    def test_multi_cycle_box_search(self):
+        gl4 = [d for d in MULTI_CYCLE if d.shape.n == 4][:2]
+        gl3 = [d for d in MULTI_CYCLE if d.shape.n == 3 and d.shape.blocks == 1][:2]
+        assert len(gl4) == len(gl3) == 2
+        for d in gl4 + gl3:
+            for mu in ((1,) + (0,) * (d.shape.n - 1), (1, 1) + (0,) * (d.shape.n - 2)):
+                assert {s.lam for s in enumerate_strata(d, (mu,))} == box_strata(d, (mu,))
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        p=st.sampled_from((2, 3)),
+        n=st.integers(1, 3),
+        eps=st.lists(st.booleans(), min_size=1, max_size=3),
+        data=st.data(),
+    )
+    def test_hypothesis_data(self, p, n, eps, data):
+        assume(any(eps))
+        blocks = len(eps)
+        shape = GroupShape(n=n, blocks=blocks, eps=tuple(p if e else 1 for e in eps), p=p)
+        w = tuple(tuple(data.draw(st.permutations(range(n)))) for _ in range(blocks))
+        ints = st.lists(st.integers(-3, 3), min_size=n, max_size=n)
+        tau = tuple(tuple(data.draw(ints)) for _ in range(blocks))
+        datum = reduced(shape, tau, w)
+        assume(datum is not None)
+        small = st.lists(st.integers(-2, 2), min_size=n, max_size=n)
+        mu = tuple(tuple(sorted(data.draw(small), reverse=True)) for _ in range(blocks))
+        assert_matches_product(datum, mu)
+
+
+class TestTheoremViolation:
+    def test_residue_match_without_integral_preimage(self, monkeypatch):
+        datum, mu = counterexample(CASES["a"], 3)
+        monkeypatch.setattr(strata, "solve_affine_integral", lambda shape, w, rhs: None)
+        with pytest.raises(TheoremViolationError, match="integrality congruence"):
+            enumerate_strata(datum, mu)
+
+    def test_empty_variety_solves_nothing(self, monkeypatch):
+        # block sum 1 cannot meet tau's residue, so no candidate is solved
+        datum, _ = counterexample(CASES["a"], 3)
+        monkeypatch.setattr(strata, "solve_affine_integral", lambda shape, w, rhs: pytest.fail("solved"))
+        assert enumerate_strata(datum, ((1, 0, 0, 0),)) == ()
+
+
+class TestCandidateGeneration:
+    @pytest.mark.parametrize("n", range(1, 6))
+    def test_distinct_permutations(self, n):
+        rng = random.Random(n)
+        for _ in range(20):
+            block = tuple(rng.randint(0, 2) for _ in range(n))
+            perms = list(_distinct_permutations(block))
+            assert len(perms) == len(set(perms))
+            assert set(perms) == set(itertools.permutations(block))
+            assert perms == sorted(perms)
+
+    def test_candidate_blocks(self):
+        mu = (3, 1, 0)
+        want = {
+            v
+            for v in itertools.product(range(0, 4), repeat=3)
+            if sum(v) == 4 and max(v) <= 3
+        }
+        got = strata.candidate_blocks(mu)
+        assert len(got) == len(set(got)) and set(got) == want

@@ -4,7 +4,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import composed_stratum
+from conftest import box_strata, composed_stratum
 from kisin.core import ExtAffine, GroupShape, dominant
 from kisin.errors import ConfigError, EnumerationCapError, PreconditionError
 from kisin.multicopy import decompose_mu, make_multi
@@ -103,22 +103,8 @@ class TestEnumerate:
         ],
     )
     def test_box_search_oracle(self, n, f, p, m, mu):
-        # exhaustive box bound B = N(|tau| + |mu| + n|mu|), feasible at these sizes
-        from kisin.core import dominance_leq
-
         d = caruso_datum(n, f, p, m)
-        S = {s.lam for s in enumerate_strata(d, mu)}
-        B = f * (
-            max(abs(x) for blk in d.tau for x in blk)
-            + max(abs(x) for blk in mu for x in blk) * (1 + n)
-        )
-        box = set()
-        for flat in itertools.product(range(-B, B + 1), repeat=n * f):
-            lam = tuple(flat[k * n : (k + 1) * n] for k in range(f))
-            nat = natural_lambda(d, lam)
-            if dominance_leq(dominant(nat)[0], mu):
-                box.add(lam)
-        assert S == box
+        assert {s.lam for s in enumerate_strata(d, mu)} == box_strata(d, mu)
 
     def test_distinct_nat_values(self):
         S = enumerate_strata(datum_b(), mu_b())
