@@ -1,20 +1,23 @@
 #!/usr/bin/env python3
-"""Record the benchmark: run perfbench/run.py on all four workloads at fixed
-seeds and write the results to BENCH_<label>.json.
+"""Record the benchmark of this checkout to BENCH_<label>.json.
+
+Runs perfbench/run.py on every workload of BENCHMARK.json at seeds 201 to 210.
 
 Each run is ``python3 perfbench/run.py --workload W --seed N --seconds S
---trace 0`` from the root of a checkout.  With ``--baseline DIR`` the same
-runs are made in a second checkout (the commit the change is measured
-against), seed by seed, with the side that runs first alternating, so that
-drift of the machine's speed falls on both alike.  The file holds every run's result line
-and, per workload and metric, the median of each side and the number of seeds
-on which the change was better.
+--trace 0`` from the root of a checkout, with S the run_seconds of
+BENCHMARK.json.  With ``--baseline DIR`` the same runs are made in a second
+checkout (the commit the change is measured against), seed by seed, with the
+side that runs first alternating, so that drift of the machine's speed falls
+on both alike.  The file holds every run's result line and, per workload and
+end-to-end metric, the median of each side and the number of seeds on which
+the change was better.  A checkout with uncommitted changes is recorded as
+its commit plus -dirty and a hash of its ``git diff HEAD``.
 
-Usage: python3 scripts/bench.py --label NAME [--seeds 201 202 203]
-           [--seconds 20] [--baseline DIR] [--out DIR]
+Usage: python3 scripts/bench.py --label NAME [--baseline DIR] [--out FILE]
 """
 
 import argparse
+import hashlib
 import json
 import os
 import platform
@@ -24,24 +27,21 @@ import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-WORKLOADS = ("counterexample-ladder", "gl3-sweep", "multicopy-lift", "oracle-crosscheck")
-BETTER = {  # end-to-end metrics of BENCHMARK.json and their direction
-    "instances_per_s": "higher",
-    "latency_ms_p50": "lower",
-    "latency_ms_tail": "lower",
-    "setup_s": "lower",
-    "peak_rss_mb": "lower",
-}
+BENCHMARK = json.loads((ROOT / "BENCHMARK.json").read_text())
+SEEDS = range(201, 211)
 
 
 def commit_of(checkout: Path):
-    """The checkout's commit, suffixed -dirty when its tree has changes."""
-    done = subprocess.run(
-        ["git", "-C", str(checkout), "describe", "--always", "--dirty", "--abbrev=12"],
-        capture_output=True,
-        text=True,
-    )
-    return done.stdout.strip() or None
+    """The checkout's commit; with uncommitted changes, suffixed -dirty and
+    the first 12 hex digits of the sha256 of its diff against HEAD."""
+    def git(*args):
+        done = subprocess.run(["git", "-C", str(checkout), *args], capture_output=True)
+        return done.stdout
+
+    commit = git("describe", "--always", "--dirty", "--abbrev=12").decode().strip()
+    if commit.endswith("-dirty"):
+        commit += "-" + hashlib.sha256(git("diff", "HEAD")).hexdigest()[:12]
+    return commit or None
 
 
 def cpu_model():
@@ -70,8 +70,9 @@ def summarise(runs: dict) -> dict:
     out = {}
     for workload, sides in runs.items():
         per_metric = {}
-        for metric, better in BETTER.items():
-            values = {side: [r["metrics"][metric]["value"] for r in results] for side, results in sides.items()}
+        for metric in BENCHMARK["end_to_end"]:
+            name, better = metric["name"], metric["better"]
+            values = {side: [r["metrics"][name]["value"] for r in results] for side, results in sides.items()}
             entry = {side: statistics.median(v) for side, v in values.items()}
             if "baseline" in values:
                 wins = sum(
@@ -79,7 +80,7 @@ def summarise(runs: dict) -> dict:
                     for c, b in zip(values["change"], values["baseline"])
                 )
                 entry["change_better"] = f"{wins}/{len(values['change'])}"
-            per_metric[metric] = entry
+            per_metric[name] = entry
         per_metric["all_correct"] = all(r["correct"] and not r["failed"] for rs in sides.values() for r in rs)
         out[workload] = per_metric
     return out
@@ -88,36 +89,35 @@ def summarise(runs: dict) -> dict:
 def main():
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--label", required=True)
-    ap.add_argument("--seeds", type=int, nargs="+", default=[201, 202, 203])
-    ap.add_argument("--seconds", type=float, default=20)
     ap.add_argument("--baseline", type=Path, default=None, help="checkout to compare against")
-    ap.add_argument("--out", type=Path, default=ROOT)
+    ap.add_argument("--out", type=Path, default=None, help="output file (default BENCH_<label>.json)")
     args = ap.parse_args()
+    seconds = BENCHMARK["run_seconds"]
+    workloads = [w["name"] for w in BENCHMARK["workloads"]]
     sides = {"change": ROOT}
     if args.baseline is not None:
         sides = {"baseline": args.baseline.resolve(), "change": ROOT}
-    runs = {w: {side: [] for side in sides} for w in WORKLOADS}
-    for workload in WORKLOADS:
-        for i, seed in enumerate(args.seeds):
+    runs = {w: {side: [] for side in sides} for w in workloads}
+    for workload in workloads:
+        for i, seed in enumerate(SEEDS):
             for side, checkout in list(sides.items())[:: 1 if i % 2 == 0 else -1]:
-                result = run_once(checkout, workload, seed, args.seconds)
+                result = run_once(checkout, workload, seed, seconds)
                 runs[workload][side].append(dict(result, seed=seed))
                 ips = result["metrics"]["instances_per_s"]["value"]
                 print(f"{workload} seed {seed} {side}: {ips:.2f} instances/s", file=sys.stderr)
     record = {
         "label": args.label,
         "command": "python3 perfbench/run.py --workload W --seed N --seconds S --trace 0",
-        "seconds": args.seconds,
-        "seeds": args.seeds,
+        "seconds": seconds,
+        "seeds": list(SEEDS),
         "machine": {"python": platform.python_version(), "cpu": cpu_model(), "cpus": os.cpu_count()},
         "commits": {side: commit_of(checkout) for side, checkout in sides.items()},
         "summary": summarise(runs),
         "runs": runs,
     }
-    path = args.out / f"BENCH_{args.label}.json"
+    path = args.out or ROOT / f"BENCH_{args.label}.json"
     path.write_text(json.dumps(record, indent=1, sort_keys=True) + "\n")
     print(path)
-
 
 if __name__ == "__main__":
     main()

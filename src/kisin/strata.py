@@ -143,8 +143,10 @@ def dominant_blocks_leq(mu_block: tuple) -> tuple:
 
 def _distinct_permutations(block: tuple):
     """The distinct permutations of block, each once, in lexicographic order:
-    itertools.permutations of the sorted block when its entries are distinct,
-    else next-permutation steps on it, so repeated entries cost nothing."""
+    next-permutation steps on the sorted block, so repeated entries cost
+    nothing.  When the entries are distinct, itertools.permutations gives the
+    same sequence in C: most blocks of the counterexample ladder are distinct
+    and its throughput is about 15 % lower without that path."""
     a = sorted(block)
     if len(set(a)) == len(a):
         return itertools.permutations(a)
