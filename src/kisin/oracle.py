@@ -4,11 +4,15 @@ arithmetic.
 
 Coefficients live in F_{p^r} with r <= 2 (the Frobenius fixes coefficients and
 sends u to u^p, so points over a subfield are honest points of the variety).
-Every series is an exact Laurent polynomial: coset representatives, the
-twisting element u^tau w and their Frobenius twists all have finitely many
-terms, and the adjugate stands in for the inverse, so no computation ever
-truncates.  Elementary divisors and Iwahori labels come from one pivot
-elimination, ``_eliminate``, which never inverts a field element.
+Every series is an exact Laurent polynomial: coset representatives are upper
+triangular with monomial diagonal, so their inverses are Laurent polynomials
+too, and ``hnf_cosets`` builds each inverse column by column alongside its
+coset, which lets the box bound fix coefficients instead of rejecting
+candidates.  The twisting element u^tau w is monomial, so the twist is a
+reindexing and a shift, and no computation ever truncates.  Elementary
+divisors come from determinantal divisors (minimal valuations of minors);
+Iwahori labels come from a pivot elimination, ``_eliminate``, which never
+inverts a field element.
 """
 
 from __future__ import annotations
@@ -23,6 +27,7 @@ from .errors import (
     ConfigError,
     PreconditionError,
     SingularMatrixError,
+    TheoremViolationError,
 )
 from .normal_form import FrobeniusDatum
 
@@ -128,6 +133,14 @@ class LSeries:
     # -- constructors -------------------------------------------------------
 
     @classmethod
+    def _stripped(cls, field: GF, offset: int, coeffs: tuple):
+        """The series of coeffs, whose end entries are known to be nonzero
+        (or which is empty); skips the normalization."""
+        s = object.__new__(cls)
+        s.field, s.offset, s.coeffs = field, offset, coeffs
+        return s
+
+    @classmethod
     def zero(cls, field: GF):
         return cls(field, 0, ())
 
@@ -172,8 +185,8 @@ class LSeries:
         return LSeries(f, lo, out)
 
     def neg(self) -> "LSeries":
-        f = self.field
-        return LSeries(f, self.offset, [f.neg(c) for c in self.coeffs])
+        neg = self.field._neg
+        return LSeries._stripped(self.field, self.offset, tuple(neg[c] for c in self.coeffs))
 
     def sub(self, other: "LSeries") -> "LSeries":
         return self.add(other.neg())
@@ -183,17 +196,21 @@ class LSeries:
         if not self.coeffs or not other.coeffs:
             return LSeries.zero(f)
         out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
-        mul, add = f.mul, f.add
+        mul, add = f._mul, f._add
         for i, a in enumerate(self.coeffs):
             if a == 0:
                 continue
-            for j, b in enumerate(other.coeffs):
+            row = mul[a]
+            for j, b in enumerate(other.coeffs, i):
                 if b:
-                    out[i + j] = add(out[i + j], mul(a, b))
-        return LSeries(f, self.offset + other.offset, out)
+                    out[j] = add[out[j]][row[b]]
+        # a field has no zero divisors, so the end coefficients stay nonzero
+        return LSeries._stripped(f, self.offset + other.offset, tuple(out))
 
     def shift(self, k: int) -> "LSeries":
-        return LSeries(self.field, self.offset + k, self.coeffs)
+        if not self.coeffs:
+            return self
+        return LSeries._stripped(self.field, self.offset + k, self.coeffs)
 
     def frobenius(self, p: int) -> "LSeries":
         """u -> u^p with coefficients fixed."""
@@ -320,18 +337,35 @@ def mat_adjugate(a: TruncMat) -> TruncMat:
     return mat_from_rows(a.field, rows)
 
 
-def weyl_matrix(field: GF, tau, perm) -> TruncMat:
-    """The lift u^tau w with w the permutation matrix sending e_j to e_{w(j)}."""
-    n = len(tau)
-    zero = LSeries.zero(field)
-    rows = [[zero] * n for _ in range(n)]
-    for j in range(n):
-        rows[perm[j]][j] = LSeries.monomial(field, tau[perm[j]])
-    return mat_from_rows(field, rows)
-
-
 # ---------------------------------------------------------------------------
-# one elimination for both reductions
+# Cartan and Iwahori reductions
+
+
+def elementary_divisors(m: TruncMat) -> Cochar:
+    """Exponents of the Cartan double coset of m, as one dominant block.
+
+    The k-th determinantal divisor d_k, the least valuation of a k x k minor,
+    is the sum of the k smallest exponents, so the exponents are the
+    differences d_k - d_{k-1} (d_0 = 0).  The minors of size n and n - 1 are
+    the determinant and the adjugate's entries; smaller ones come from
+    ``_det`` directly.  Raises SingularMatrixError if det m = 0.
+    """
+    det = mat_det(m)
+    if not det.coeffs:
+        raise SingularMatrixError("matrix is singular")
+    n = m.n
+    d = [0]
+    for k in range(1, n - 1):
+        minors = (
+            _det(m.field, rows, cols)
+            for rows in itertools.combinations(m.rows, k)
+            for cols in itertools.combinations(range(n), k)
+        )
+        d.append(min(e.offset for e in minors if e.coeffs))
+    if n > 1:
+        d.append(min(e.offset for row in mat_adjugate(m).rows for e in row if e.coeffs))
+    d.append(det.offset)
+    return tuple(sorted((b - a for a, b in zip(d, d[1:])), reverse=True))
 
 
 def _select_pivot(work, alive_rows, alive_cols):
@@ -350,17 +384,17 @@ def _select_pivot(work, alive_rows, alive_cols):
     return best
 
 
-def _eliminate(m: TruncMat, iwahori: bool) -> list:
+def _eliminate(m: TruncMat) -> list:
     """(pivot row, valuation) of each step of the reduction of m to a
-    monomial matrix.
+    monomial matrix by left-I row and right-G(O) column operations, I the
+    preimage of the lower Borel.
 
     Each step takes a minimal-valuation pivot, clears its column with row
     operations and then its row with column operations; rows and columns are
     rescaled by the pivot's unit part (cross-multiplication), so no entry is
-    ever inverted.  With iwahori the row operations must lie in the Iwahori
-    subgroup I (the preimage of the lower Borel): a row above the pivot has
-    strictly larger valuation in the pivot column, so its coefficient
-    q = entry/pivot lies in uO, which is asserted.
+    ever inverted.  The pivot is the topmost of minimal valuation, so a row
+    above it has strictly larger valuation in the pivot column and its
+    coefficient q = entry/pivot lies in uO, as I requires; this is asserted.
     """
     n = m.n
     work = [list(row) for row in m.rows]
@@ -377,7 +411,7 @@ def _eliminate(m: TruncMat, iwahori: bool) -> list:
             q = work[i][jp].shift(-v)
             if not q.coeffs:
                 continue
-            if iwahori and i < ip and q.offset < 1:
+            if i < ip and q.offset < 1:
                 raise PreconditionError("pivot selection violated the Iwahori row order")
             for j in alive_cols:
                 work[i][j] = unit.mul(work[i][j]).sub(q.mul(work[ip][j]))
@@ -394,12 +428,6 @@ def _eliminate(m: TruncMat, iwahori: bool) -> list:
     return steps
 
 
-def elementary_divisors(m: TruncMat) -> Cochar:
-    """Exponents of the Cartan double coset of m, as one dominant block: the
-    pivot valuations of the elimination, sorted."""
-    return tuple(sorted((v for _, v in _eliminate(m, iwahori=False)), reverse=True))
-
-
 def iwahori_label(g: TruncMat) -> tuple:
     """The unique lam with g in I u^lam G(O), I the preimage of the lower Borel.
 
@@ -407,7 +435,7 @@ def iwahori_label(g: TruncMat) -> tuple:
     operations, so lam_i is the valuation of the pivot taken in row i.
     """
     lam = [None] * g.n
-    for i, v in _eliminate(g, iwahori=True):
+    for i, v in _eliminate(g):
         lam[i] = v
     return tuple(lam)
 
@@ -416,8 +444,9 @@ def iwahori_label(g: TruncMat) -> tuple:
 # coset enumeration
 
 
-# The guard of hnf_cosets: how many candidate matrices it may build, before
-# the box check keeps the cosets among them.
+# The guard of hnf_cosets: a bound on the candidate product (every upper
+# triangular g of the box shape, before the box lower bound), which bounds
+# the cosets built.
 MAX_CANDIDATES = 2_000_000
 
 
@@ -434,12 +463,21 @@ def _count_candidates(n: int, lam_bound: int, q: int) -> int:
 
 def hnf_cosets(n: int, lam_bound: int, field: GF) -> Iterator[tuple[TruncMat, TruncMat]]:
     """Hermite-style representatives of the lattices between u^B O^n and
-    u^{-B} O^n: upper triangular, diagonal u^{lam_j} with |lam_j| <= B, entry
-    (i, j) reduced modulo u^{lam_i} with valuation >= -B.  Complete and
-    duplicate-free for that box.
+    u^{-B} O^n: upper triangular g, diagonal u^{lam_j} with |lam_j| <= B,
+    entry (i, j) reduced modulo u^{lam_i} with valuation >= -B, and u^B g^{-1}
+    integral.  Complete and duplicate-free for that box.
 
-    Yields (g, adjugate(g)) per coset; the box check needs the adjugate, and
-    coset_survey reuses it.
+    The inverse h = g^{-1} is upper triangular and its column j depends only
+    on the columns <= j of g, so both are built one column at a time, each
+    column bottom-up.  With c = -u^{lam_j} sum_{i<k<j} g_ik h_kj already
+    known, h_ij = -u^{-lam_i-lam_j} (g_ij - c), so val h_ij >= -B says
+    g_ij = c mod u^{lam_i+lam_j-B}: the coefficients of g_ij below that
+    exponent are forced (the partial choice dies if one is forced below -B),
+    and only those from max(lam_i+lam_j-B, -B) up to lam_i are free.  Every
+    matrix built is a coset.
+
+    Yields (g, adjugate(g)) per coset, the adjugate being u^s g^{-1} with
+    u^s = det g.
     """
     if n > 3:
         raise PreconditionError("coset enumeration is limited to n <= 3")
@@ -448,22 +486,41 @@ def hnf_cosets(n: int, lam_bound: int, field: GF) -> Iterator[tuple[TruncMat, Tr
         raise PreconditionError(f"{count} candidate cosets exceed the guard {MAX_CANDIDATES}")
     B = lam_bound
     zero = LSeries.zero(field)
-    pairs = [(i, j) for j in range(n) for i in range(j)]
+    cells = [(i, j) for j in range(n) for i in reversed(range(j))]
     for lams in itertools.product(range(-B, B + 1), repeat=n):
-        spans = [list(range(-B, lams[i])) for i, _ in pairs]
-        for choice in itertools.product(*(itertools.product(field.elements(), repeat=len(s)) for s in spans)):
-            rows = [[zero] * n for _ in range(n)]
-            for i in range(n):
-                rows[i][i] = LSeries.monomial(field, lams[i])
-            for (i, j), exps, coeffs in zip(pairs, spans, choice):
-                terms = {e: c for e, c in zip(exps, coeffs) if c}
-                rows[i][j] = LSeries.from_terms(field, terms)
-            g = mat_from_rows(field, rows)
-            # box lower bound: u^B O^n inside the lattice, i.e. u^B g^{-1} integral
-            low = sum(lams) - B
-            adj = mat_adjugate(g)
-            if all(not e.coeffs or e.offset >= low for row in adj.rows for e in row):
-                yield g, adj
+        s = sum(lams)
+        g = [[zero] * n for _ in range(n)]
+        h = [[zero] * n for _ in range(n)]
+        for i in range(n):
+            g[i][i] = LSeries.monomial(field, lams[i])
+            h[i][i] = LSeries.monomial(field, -lams[i])
+        for _ in _fill_cells(field, B, lams, g, h, cells):
+            yield (
+                mat_from_rows(field, g),
+                mat_from_rows(field, [[e.shift(s) for e in row] for row in h]),
+            )
+
+
+def _fill_cells(field: GF, B: int, lams, g, h, cells) -> Iterator[None]:
+    """Fill g and h at cells[0], cells[1], ... in place, yielding once per
+    completion that keeps val h >= -B."""
+    if not cells:
+        yield
+        return
+    (i, j), rest = cells[0], cells[1:]
+    c = LSeries.zero(field)
+    for k in range(i + 1, j):
+        c = c.add(g[i][k].mul(h[k][j]))
+    c = c.shift(lams[j]).neg()
+    low = lams[i] + lams[j] - B  # val h_ij >= -B iff g_ij = c mod u^low
+    if c.coeffs and c.offset < min(low, -B):
+        return  # a coefficient of g_ij forced below -B
+    forced = [c.coeffs[e - c.offset] if 0 <= e - c.offset < len(c.coeffs) else 0 for e in range(-B, low)]
+    shift = -lams[i] - lams[j]
+    for coeffs in itertools.product(field.elements(), repeat=lams[i] - max(low, -B)):
+        g[i][j] = LSeries(field, -B, forced + list(coeffs))
+        h[i][j] = c.sub(g[i][j]).shift(shift)
+        yield from _fill_cells(field, B, lams, g, h, rest)
 
 
 # ---------------------------------------------------------------------------
@@ -473,7 +530,13 @@ def hnf_cosets(n: int, lam_bound: int, field: GF) -> Iterator[tuple[TruncMat, Tr
 def coset_survey(datum: FrobeniusDatum, field: GF, lam_bound: int):
     """(g, dominant elementary divisors of g^{-1} b sigma(g), Iwahori label)
     for every coset in the box; independent of any mu, so one survey serves a
-    whole family of bounds."""
+    whole family of bounds.
+
+    With b = u^tau w monomial, column j of g^{-1} b is column w(j) of g^{-1}
+    shifted by tau_{w(j)}, and sigma(g) is upper triangular, so the product
+    sums over k <= j only.  Its determinant is a unit times a power of u, so a
+    singular product is a TheoremViolationError.
+    """
     shape = datum.shape
     if shape.blocks != 1:
         raise PreconditionError("the point oracle only supports f = 1")
@@ -481,18 +544,30 @@ def coset_survey(datum: FrobeniusDatum, field: GF, lam_bound: int):
         raise PreconditionError("datum's fixed point is not in the alcove")
     if field.p != shape.p:
         raise ConfigError("field characteristic must match the shape")
-    p = shape.p
-    b = weyl_matrix(field, datum.tau[0], datum.w[0])
+    n, p = shape.n, shape.p
+    tau, w = datum.tau[0], datum.w[0]
+    zero = LSeries.zero(field)
     out = []
-    for g, adj in hnf_cosets(shape.n, lam_bound, field):
-        # det g = u^s exactly for the triangular representatives, so
-        # g^{-1} b sigma(g) = adjugate(g) b sigma(g) u^{-s}
-        s = sum(g.rows[i][i].val() for i in range(shape.n))
-        hq = mat_mul(mat_mul(adj, b), mat_frobenius(g, p))
+    for g, adj in hnf_cosets(n, lam_bound, field):
+        # det g = u^s exactly, so g^{-1} b sigma(g) = adjugate(g) b sigma(g) u^{-s}
+        s = sum(g.rows[i][i].val() for i in range(n))
+        ab = [[row[w[j]].shift(tau[w[j]]) for j in range(n)] for row in adj.rows]
+        sg = mat_frobenius(g, p).rows
+        rows = []
+        for i in range(n):
+            row = []
+            for j in range(n):
+                acc = zero
+                for k in range(j + 1):
+                    acc = acc.add(ab[i][k].mul(sg[k][j]))
+                row.append(acc)
+            rows.append(row)
         try:
-            divisors = elementary_divisors(hq)
-        except SingularMatrixError:
-            continue
+            divisors = elementary_divisors(mat_from_rows(field, rows))
+        except SingularMatrixError as exc:
+            raise TheoremViolationError(
+                f"g^-1 b sigma(g) is singular for the coset {g.rows}"
+            ) from exc
         ed = tuple(d - s for d in divisors)
         out.append((g, ed, (iwahori_label(g),)))
     return out

@@ -144,14 +144,20 @@ def minor_divisors(mat):
 
 def count_stable_submodules(n, B, q):
     """Independent lattice count for a prime field F_q: lattices between
-    u^B O^n and u^{-B} O^n correspond to u-stable subspaces of (O/u^{2B})^n;
-    enumerate all subspaces by reduced row echelon form and test stability."""
+    u^B O^n and u^{-B} O^n correspond to u-stable subspaces of (O/u^{2B})^n.
+    Each is a sum of cyclic ones, so grow them from 0, adding to a stable
+    subspace M the u-orbit of one vector v (v taken modulo M, and up to a
+    scalar), and count the distinct reduced row echelon forms reached."""
     assert all(q % d for d in range(2, q)), "oracle needs a prime field"
     dim = 2 * B * n
 
-    def u_image(coord):
-        i, e = divmod(coord, 2 * B)
-        return None if e == 2 * B - 1 else i * 2 * B + e + 1
+    def u_image(vec):
+        # coordinate i * 2B + e holds the coefficient of u^e in entry i
+        out = [0] * dim
+        for c, x in enumerate(vec):
+            if x and (c + 1) % (2 * B):
+                out[c + 1] = x
+        return out
 
     def rref(rows):
         rows = [list(r) for r in rows]
@@ -170,42 +176,31 @@ def count_stable_submodules(n, B, q):
             r += 1
         return tuple(tuple(row) for row in rows[:r])
 
-    def span_contains(rows, vec):
-        work = list(vec)
-        for row in rows:
-            c = next(i for i in range(dim) if row[i])
-            if work[c]:
-                f = work[c]
-                work = [(a - f * b) % q for a, b in zip(work, row)]
-        return not any(work)
-
-    def u_stable(rows):
-        for row in rows:
-            img = [0] * dim
-            for c, x in enumerate(row):
-                if x:
-                    t = u_image(c)
-                    if t is not None:
-                        img[t] = (img[t] + x) % q
-            if any(img) and not span_contains(rows, img):
-                return False
-        return True
-
-    vectors = list(itertools.product(range(q), repeat=dim))[1:]
-    all_rrefs = {(): None}
+    seen = {()}
     frontier = [()]
     while frontier:
         nxt = []
         for rows in frontier:
-            for vec in vectors:
-                if rows and span_contains(rows, vec):
+            pivots = {next(c for c in range(dim) if row[c]) for row in rows}
+            free = [c for c in range(dim) if c not in pivots]
+            # vectors supported off the pivots represent V/M once each
+            for vals in itertools.product(range(q), repeat=len(free)):
+                lead = next((x for x in vals if x), None)
+                if lead != 1:
                     continue
-                new = rref(rows + (vec,))
-                if new not in all_rrefs:
-                    all_rrefs[new] = None
+                vec = [0] * dim
+                for c, x in zip(free, vals):
+                    vec[c] = x
+                orbit = []
+                while any(vec):
+                    orbit.append(vec)
+                    vec = u_image(vec)
+                new = rref(rows + tuple(tuple(v) for v in orbit))
+                if new not in seen:
+                    seen.add(new)
                     nxt.append(new)
         frontier = nxt
-    return sum(1 for rows in all_rrefs if u_stable(rows))
+    return len(seen)
 
 
 def composed_stratum(datum, mu, lam):
@@ -309,3 +304,46 @@ def box_strata(datum, mu):
         if dominance_leq(dominant(natural_lambda(datum, lam))[0], mu):
             found.add(lam)
     return found
+
+
+def candidate_cosets(n, lam_bound, field, lam_filter=None):
+    """Coset oracle: every upper triangular candidate of the box shape
+    (diagonal u^{lam_j} with |lam_j| <= B, entry (i, j) a polynomial with
+    exponents in [-B, lam_i)), built with its adjugate and kept when u^B g^{-1}
+    is integral, as the library generated cosets before it built only the kept
+    ones.  lam_filter(lams) may restrict the diagonals tried.  Yields
+    (g, adjugate(g))."""
+    from kisin.oracle import LSeries, mat_adjugate, mat_from_rows
+
+    B = lam_bound
+    zero = LSeries.zero(field)
+    pairs = [(i, j) for j in range(n) for i in range(j)]
+    for lams in itertools.product(range(-B, B + 1), repeat=n):
+        if lam_filter is not None and not lam_filter(lams):
+            continue
+        spans = [list(range(-B, lams[i])) for i, _ in pairs]
+        for choice in itertools.product(*(itertools.product(field.elements(), repeat=len(s)) for s in spans)):
+            rows = [[zero] * n for _ in range(n)]
+            for i in range(n):
+                rows[i][i] = LSeries.monomial(field, lams[i])
+            for (i, j), exps, coeffs in zip(pairs, spans, choice):
+                rows[i][j] = LSeries.from_terms(field, {e: c for e, c in zip(exps, coeffs) if c})
+            g = mat_from_rows(field, rows)
+            # box lower bound: u^B O^n inside the lattice, i.e. u^B g^{-1} integral
+            low = sum(lams) - B
+            adj = mat_adjugate(g)
+            if all(not e.coeffs or e.offset >= low for row in adj.rows for e in row):
+                yield g, adj
+
+
+def weyl_matrix(field, tau, perm):
+    """The lift u^tau w as a full matrix, w the permutation matrix sending e_j
+    to e_{w(j)}."""
+    from kisin.oracle import LSeries, mat_from_rows
+
+    n = len(tau)
+    zero = LSeries.zero(field)
+    rows = [[zero] * n for _ in range(n)]
+    for j in range(n):
+        rows[perm[j]][j] = LSeries.monomial(field, tau[perm[j]])
+    return mat_from_rows(field, rows)

@@ -11,8 +11,9 @@ PACKAGE = ROOT / "src" / "kisin"
 # Public names whose only callers are tests, each with the reason it stays;
 # methods are keyed as Class.method.
 TEST_ONLY = {
-    "mat_det": "reference determinant that test_adjugate_identity checks mat_adjugate against",
     "mat_diag_u": "builds the diagonal test matrices u^lam for the divisor and label tests",
+    "mat_mul": "general product that the monomial twist of coset_survey is checked against",
+    "LSeries.from_terms": "builds the test series from exponent-to-coefficient maps",
 }
 
 FUNCS = (ast.FunctionDef, ast.AsyncFunctionDef)

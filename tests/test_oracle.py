@@ -4,12 +4,20 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
-from conftest import count_stable_submodules, minor_divisors
-from kisin.errors import BoxTooSmallError, PreconditionError, SingularMatrixError
+from conftest import candidate_cosets, count_stable_submodules, minor_divisors, weyl_matrix
+from kisin import oracle
+from kisin.cli import main
+from kisin.errors import (
+    BoxTooSmallError,
+    PreconditionError,
+    SingularMatrixError,
+    TheoremViolationError,
+)
 from kisin.normal_form import caruso_datum
 from kisin.oracle import (
     GF,
     LSeries,
+    _eliminate,
     coset_survey,
     elementary_divisors,
     hnf_cosets,
@@ -27,6 +35,7 @@ from kisin.strata import enumerate_strata
 F2 = GF(2)
 F3 = GF(3)
 F4 = GF(2, 2)
+F5 = GF(5)
 F9 = GF(3, 2)
 
 
@@ -181,6 +190,39 @@ class TestElementaryDivisors:
                 continue
             assert elementary_divisors(mat_frobenius(m, 3)) == tuple(3 * d for d in base)
 
+    @pytest.mark.parametrize("field", (F2, F3, F4, F9))
+    def test_matches_elimination(self, field):
+        # the determinantal divisors against the pivot valuations of the
+        # elimination; a quarter of the matrices are made singular
+        rng = random.Random(131 + field.q)
+        singular = 0
+        for n in (1, 2, 3, 4):
+            for _ in range(40 if n < 4 else 12):
+                rows = [
+                    [
+                        LSeries.from_terms(
+                            field,
+                            {e: c for e in range(rng.randint(-2, 0), rng.randint(0, 2)) if (c := rng.randrange(field.q))},
+                        )
+                        for _ in range(n)
+                    ]
+                    for _ in range(n)
+                ]
+                if rng.random() < 0.25:
+                    # the last row a multiple of the first (or zero when n = 1)
+                    k = LSeries.from_terms(field, {rng.randint(-1, 1): rng.randrange(field.q)})
+                    rows[-1] = [k.mul(e) for e in rows[0]] if n > 1 else [LSeries.zero(field)]
+                m = mat_from_rows(field, rows)
+                try:
+                    pivots = tuple(sorted((v for _, v in _eliminate(m)), reverse=True))
+                except SingularMatrixError:
+                    singular += 1
+                    with pytest.raises(SingularMatrixError):
+                        elementary_divisors(m)
+                    continue
+                assert elementary_divisors(m) == pivots
+        assert singular
+
     def test_singular(self):
         z = LSeries.zero(F3)
         one = LSeries.monomial(F3, 0)
@@ -316,6 +358,56 @@ class TestCosets:
         got = len(list(hnf_cosets(n, 1, field)))
         assert got == count_stable_submodules(n, 1, q)
 
+    @pytest.mark.parametrize("field,q", ((F2, 2), (F3, 3)))
+    def test_count_matches_submodule_oracle_at_box_2(self, field, q):
+        assert len(list(hnf_cosets(2, 2, field))) == count_stable_submodules(2, 2, q)
+
+    @staticmethod
+    def assert_same_cosets(n, box, field, lam_filter=None):
+        def keep(g):
+            return lam_filter is None or lam_filter(tuple(g.rows[i][i].val() for i in range(n)))
+
+        got = [(g.rows, adj.rows) for g, adj in hnf_cosets(n, box, field) if keep(g)]
+        want = {(g.rows, adj.rows) for g, adj in candidate_cosets(n, box, field, lam_filter)}
+        assert len(set(got)) == len(got)
+        assert set(got) == want
+
+    @pytest.mark.parametrize("field", (F2, F3, F4, F5, F9))
+    @pytest.mark.parametrize("n,box", ((1, 3), (2, 1), (2, 2), (3, 1)))
+    def test_matches_candidate_filter(self, n, box, field):
+        # the candidate filter builds q^(sum_{i<j} (lam_i + B)) matrices per
+        # diagonal lam; diagonals above 1,000 candidates are left out
+        def cheap(lams):
+            return field.q ** sum(lams[i] + box for i in range(n) for _ in range(i + 1, n)) <= 1000
+
+        self.assert_same_cosets(n, box, field, cheap)
+
+    @pytest.mark.parametrize(
+        "n,field,box",
+        # the (group, field, box) classes of the oracle-crosscheck benchmark
+        ((2, GF(7), 1), (2, F9, 1), (2, F3, 2), (2, F2, 3), (3, F2, 1), (2, F4, 2), (2, F5, 2), (3, F3, 1)),
+    )
+    def test_matches_candidate_filter_on_benchmark_shapes(self, n, field, box):
+        self.assert_same_cosets(n, box, field)
+
+    def test_builds_only_kept_cosets(self, monkeypatch):
+        # no adjugate by cofactors, and exactly two matrices (g and its
+        # adjugate) built per yielded coset
+        def no_adjugate(_):
+            raise AssertionError("mat_adjugate called during generation")
+
+        built = []
+        real = oracle.mat_from_rows
+
+        def counting(field, rows):
+            built.append(None)
+            return real(field, rows)
+
+        monkeypatch.setattr(oracle, "mat_adjugate", no_adjugate)
+        monkeypatch.setattr(oracle, "mat_from_rows", counting)
+        cosets = list(hnf_cosets(3, 1, F3))
+        assert len(built) == 2 * len(cosets) == 2 * 445
+
     @pytest.mark.parametrize("field,n", ((F2, 2), (F3, 2), (F2, 3)))
     def test_label_refines_divisors(self, field, n):
         # the Iwahori label and the Cartan exponents come from two unrelated
@@ -359,6 +451,36 @@ class TestCosets:
             list(hnf_cosets(3, 3, F9))
         with pytest.raises(PreconditionError):
             list(hnf_cosets(4, 1, F2))
+
+
+class TestSurvey:
+    @pytest.mark.parametrize("n,p,m,field,box", ((2, 2, 1, F4, 2), (2, 3, 2, F3, 2), (3, 2, 3, F2, 1), (3, 3, 5, F3, 1)))
+    def test_twist_matches_general_product(self, n, p, m, field, box):
+        # the monomial twist and the triangular product against the full
+        # product adjugate(g) b sigma(g)
+        datum = caruso_datum(n, 1, p, m)
+        b = weyl_matrix(field, datum.tau[0], datum.w[0])
+        survey = coset_survey(datum, field, box)
+        cosets = list(hnf_cosets(n, box, field))
+        assert [g for g, _, _ in survey] == [g for g, _ in cosets]
+        for (g, ed, label), (_, adj) in zip(survey, cosets):
+            s = sum(g.rows[i][i].val() for i in range(n))
+            full = mat_mul(mat_mul(adj, b), mat_frobenius(g, p))
+            assert ed == tuple(d - s for d in elementary_divisors(full))
+            assert label == (iwahori_label(g),)
+
+    def test_singular_product_is_a_theorem_violation(self, monkeypatch, capsys):
+        # det(g^{-1} b sigma(g)) is a unit times a power of u; a zero sigma(g)
+        # makes the product singular, which must not be skipped
+        def zero_frobenius(a, p):
+            return mat_from_rows(a.field, [[LSeries.zero(a.field)] * a.n] * a.n)
+
+        monkeypatch.setattr(oracle, "mat_frobenius", zero_frobenius)
+        with pytest.raises(TheoremViolationError, match="singular"):
+            coset_survey(caruso_datum(2, 1, 3, 1), F3, 1)
+        argv = ["oracle-count", "--p", "3", "--n", "2", "--m", "1", "--mu", "[[1, 0]]", "--box", "1"]
+        assert main(argv) == 4
+        assert "singular" in capsys.readouterr().err
 
 
 class TestKisinPoints:
