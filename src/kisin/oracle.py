@@ -186,7 +186,9 @@ class LSeries:
 
     def neg(self) -> "LSeries":
         neg = self.field._neg
-        return LSeries._stripped(self.field, self.offset, tuple(neg[c] for c in self.coeffs))
+        # from a list, not a generator: tuple(generator) grows by resizing,
+        # which over a coset survey cost the allocator one more arena
+        return LSeries._stripped(self.field, self.offset, tuple([neg[c] for c in self.coeffs]))
 
     def sub(self, other: "LSeries") -> "LSeries":
         return self.add(other.neg())
@@ -256,7 +258,7 @@ class LSeries:
 # matrices
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TruncMat:
     """Square matrix of Laurent polynomials."""
 
