@@ -287,21 +287,6 @@ def mat_diag_u(field: GF, exps) -> TruncMat:
     )
 
 
-def mat_mul(a: TruncMat, b: TruncMat) -> TruncMat:
-    n = a.n
-    zero = LSeries.zero(a.field)
-    rows = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            acc = zero
-            for k in range(n):
-                acc = acc.add(a.rows[i][k].mul(b.rows[k][j]))
-            row.append(acc)
-        rows.append(row)
-    return mat_from_rows(a.field, rows)
-
-
 def mat_frobenius(a: TruncMat, p: int) -> TruncMat:
     return mat_from_rows(a.field, [[e.frobenius(p) for e in row] for row in a.rows])
 

@@ -336,6 +336,25 @@ def candidate_cosets(n, lam_bound, field, lam_filter=None):
                 yield g, adj
 
 
+def mat_mul(a, b):
+    """The general matrix product, which the survey's monomial twist and
+    triangular product replace."""
+    from kisin.oracle import LSeries, mat_from_rows
+
+    n = a.n
+    zero = LSeries.zero(a.field)
+    rows = []
+    for i in range(n):
+        row = []
+        for j in range(n):
+            acc = zero
+            for k in range(n):
+                acc = acc.add(a.rows[i][k].mul(b.rows[k][j]))
+            row.append(acc)
+        rows.append(row)
+    return mat_from_rows(a.field, rows)
+
+
 def weyl_matrix(field, tau, perm):
     """The lift u^tau w as a full matrix, w the permutation matrix sending e_j
     to e_{w(j)}."""

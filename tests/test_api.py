@@ -12,7 +12,6 @@ PACKAGE = ROOT / "src" / "kisin"
 # methods are keyed as Class.method.
 TEST_ONLY = {
     "mat_diag_u": "builds the diagonal test matrices u^lam for the divisor and label tests",
-    "mat_mul": "general product that the monomial twist of coset_survey is checked against",
     "LSeries.from_terms": "builds the test series from exponent-to-coefficient maps",
 }
 

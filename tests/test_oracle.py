@@ -4,7 +4,7 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
-from conftest import candidate_cosets, count_stable_submodules, minor_divisors, weyl_matrix
+from conftest import candidate_cosets, count_stable_submodules, mat_mul, minor_divisors, weyl_matrix
 from kisin import oracle
 from kisin.cli import main
 from kisin.errors import (
@@ -28,7 +28,6 @@ from kisin.oracle import (
     mat_from_rows,
     mat_frobenius,
     mat_identity,
-    mat_mul,
 )
 from kisin.strata import enumerate_strata
 
