@@ -12,6 +12,7 @@ import argparse
 import json
 import sys
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Optional
 
 from . import connectivity, multicopy, normal_form, oracle, strata
@@ -485,9 +486,15 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+@lru_cache(maxsize=1)
+def _parser() -> argparse.ArgumentParser:
+    """The parser, built on the first main() call rather than at import;
+    parse_args keeps no state between calls, so one serves every call."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    ap = build_parser()
-    args = ap.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.fn(args)
     except ConfigError as exc:

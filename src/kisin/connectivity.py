@@ -14,14 +14,13 @@ from dataclasses import dataclass
 
 from .core import (
     Cochar,
+    _dominated,
     act_perm,
     act_sigma,
     act_weyl,
     all_roots,
     cochar_add,
     cochar_sub,
-    dominance_leq,
-    dominant,
     perm_order,
 )
 from .errors import PreconditionError, TheoremViolationError
@@ -65,16 +64,14 @@ class _UnionFind:
 
 def _edge_ok(mu: Cochar, nat: Cochar, cov: Cochar, twisted: Cochar) -> bool:
     """The three dominance conditions, from lam_nat, alpha_cov and
-    twisted = w(sigma(alpha_cov)); unchecked."""
-    for vec in (
-        cochar_add(nat, cov),
-        cochar_sub(nat, twisted),
-        cochar_sub(cochar_add(nat, cov), twisted),
-    ):
-        dom, _ = dominant(vec)
-        if not dominance_leq(dom, mu):
-            return False
-    return True
+    twisted = w(sigma(alpha_cov)), each by the dominance kernel of ``core``;
+    unchecked."""
+    up = cochar_add(nat, cov)
+    return (
+        _dominated(up, mu)
+        and _dominated(cochar_sub(nat, twisted), mu)
+        and _dominated(cochar_sub(up, twisted), mu)
+    )
 
 
 def _root_moves(datum: FrobeniusDatum) -> tuple:

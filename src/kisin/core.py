@@ -237,6 +237,22 @@ def dominance_leq(nu: Cochar, mu: Cochar) -> bool:
     return True
 
 
+def _dominated(v: Cochar, mu: Cochar) -> bool:
+    """dominance_leq(dominant(v)[0], mu) without the Weyl witness and unchecked:
+    per block, v sorted non-increasingly, the running sum of its differences
+    from mu never positive and ending at zero.  mu must be dominant and shaped
+    like v."""
+    for bv, bm in zip(v, mu):
+        acc = 0
+        for x, y in zip(sorted(bv, reverse=True), bm):
+            acc += x - y
+            if acc > 0:
+                return False
+        if acc:
+            return False
+    return True
+
+
 # ---------------------------------------------------------------------------
 # roots
 

@@ -18,9 +18,14 @@ candidate sets, each solved, and a box search over lam are kept as test
 oracles.
 
 Every invariant of a label (lam_nat, lam_dag, the R- and D-sets, the
-dimension and the singleton certificate) comes from one pass in ``_stratum``;
-``make_stratum`` validates its arguments and returns that record, the
-per-label API.
+dimension and the singleton certificate) comes from one pass in ``_stratum``
+over the label's (lam_dag, lam_nat) and a root table built once per call of
+``enumerate_strata`` or ``make_stratum``; every pairing is an integer
+difference.  ``enumerate_strata`` validates its arguments once and builds each
+record from the (nu, lam) pair it solved, checking lam_nat == nu (else
+TheoremViolationError).  ``make_stratum``, the per-label API, validates its
+arguments and tests membership with the dominance kernel of ``core``, which
+also serves the chains and graph edges of ``connectivity``.
 """
 
 from __future__ import annotations
@@ -35,17 +40,13 @@ from typing import Optional
 
 from .core import (
     Cochar,
+    _dominated,
     all_roots,
-    act_weyl,
     cochar_add,
     cochar_sub,
-    dominance_leq,
-    dominant,
     is_central,
     is_dominant,
     is_minuscule,
-    lambda_alpha,
-    sigma_blocks,
     ExtAffine,
 )
 from .errors import ConfigError, EnumerationCapError, PreconditionError, TheoremViolationError
@@ -79,9 +80,15 @@ def _require_dominant_mu(mu: Cochar) -> None:
 
 
 def _twist(datum: FrobeniusDatum, lam: Cochar) -> tuple:
-    """(dag, nat) = (tau + w(sigma(lam)), dag - lam), unchecked."""
-    dag = cochar_add(datum.tau, act_weyl(datum.w, sigma_blocks(datum.shape.eps, lam)))
-    return dag, cochar_sub(dag, lam)
+    """(dag, nat) = (tau + w(sigma(lam)), dag - lam), unchecked: block k of
+    w(sigma(lam)) holds eps[k] * lam[k+1][i] at place w_k(i)."""
+    dag = []
+    for tk, wk, e, src in zip(datum.tau, datum.w, datum.shape.eps, lam[1:] + lam[:1]):
+        blk = list(tk)
+        for i, x in zip(wk, src):
+            blk[i] += e * x
+        dag.append(tuple(blk))
+    return tuple(dag), tuple(tuple(d - x for d, x in zip(bd, bl)) for bd, bl in zip(dag, lam))
 
 
 def natural_lambda(datum: FrobeniusDatum, lam: Cochar) -> Cochar:
@@ -94,12 +101,13 @@ def natural_lambda(datum: FrobeniusDatum, lam: Cochar) -> Cochar:
 def _require_label_args(datum: FrobeniusDatum, mu: Cochar, lam: Cochar) -> None:
     _require_alcove(datum)
     _require_dominant_mu(mu)
+    datum.shape.check_cochar(mu)
     datum.shape.check_cochar(lam)
 
 
 def _is_label(datum: FrobeniusDatum, mu: Cochar, lam: Cochar) -> bool:
     """The defining inequality dominant(lam_nat) <= mu, unchecked."""
-    return dominance_leq(dominant(_twist(datum, lam)[1])[0], mu)
+    return _dominated(_twist(datum, lam)[1], mu)
 
 
 def stratum_nonempty(datum: FrobeniusDatum, mu: Cochar, lam: Cochar) -> bool:
@@ -230,7 +238,10 @@ def enumerate_strata(datum: FrobeniusDatum, mu: Cochar) -> tuple:
 
     Complete and duplicate-free: candidates nu run over every vector with
     dominant(nu) <= mu, nu -> lam is injective, and the residue join drops
-    exactly the nu whose preimage is not integral.
+    exactly the nu whose preimage is not integral.  The arguments are
+    validated once; each record is built from its solved pair (nu, lam), whose
+    lam_nat must be nu (else TheoremViolationError), so membership holds by
+    construction.
     """
     _require_alcove(datum)
     _require_dominant_mu(mu)
@@ -256,7 +267,7 @@ def enumerate_strata(datum: FrobeniusDatum, mu: Cochar) -> tuple:
         for key, v in zip(zip(*residues), blk):
             bucket[key].append(v)
         buckets.append(bucket)
-    strata = []
+    solved = []
     for lists in _residue_join(buckets, moduli, target):
         for nu in itertools.product(*lists):
             lam = solve_affine_integral(shape, w, cochar_sub(tau, nu))
@@ -264,8 +275,17 @@ def enumerate_strata(datum: FrobeniusDatum, mu: Cochar) -> tuple:
                 raise TheoremViolationError(
                     f"candidate {nu} meets the integrality congruence but its preimage is not integral"
                 )
-            strata.append(make_stratum(datum, mu, lam))
-    strata.sort(key=lambda s: s.lam)
+            solved.append((lam, nu))
+    if not solved:
+        return ()
+    solved.sort()  # by lam: distinct nu solve to distinct lam
+    roots, minuscule = _root_table(shape), is_minuscule(mu)
+    strata = []
+    for lam, nu in solved:
+        dag, nat = _twist(datum, lam)
+        if nat != nu:
+            raise TheoremViolationError(f"candidate {nu} solves to {lam}, whose lam_nat is {nat}")
+        strata.append(_stratum(mu, lam, dag, nat, roots, minuscule))
     return tuple(strata)
 
 
@@ -273,35 +293,40 @@ def enumerate_strata(datum: FrobeniusDatum, mu: Cochar) -> tuple:
 # per-stratum invariants
 
 
-def _stratum(datum: FrobeniusDatum, mu: Cochar, lam: Cochar) -> Stratum:
-    """Every invariant of the label lam in one pass, unchecked apart from
-    membership (PreconditionError when lam is not a label).
+def _root_table(shape) -> tuple:
+    """One row (root, block, i, j, shift) per root, in all_roots order; shift
+    is 1 for a positive root, so lam_alpha = lam[block][i] - lam[block][j] - shift."""
+    return tuple((a, a.block, a.i, a.j, int(a.positive)) for a in all_roots(shape))
+
+
+def _stratum(mu: Cochar, lam: Cochar, dag: Cochar, nat: Cochar, roots: tuple, minuscule: bool) -> Stratum:
+    """Every invariant of the label lam in one pass, from its (dag, nat), the
+    root table of its shape and whether mu is minuscule; unchecked, membership
+    included.
 
     R(lam) = {alpha : lam_alpha >= 1, <alpha, lam_nat> = -1} and
     D(lam) = {alpha : lam_alpha >= 0, <alpha, lam_nat> <= -1}; |R(lam)| is the
-    dimension when mu is minuscule.  The singleton certificates are tried in
+    dimension when mu is minuscule.  Both pairings are integer differences
+    read through the root table.  The singleton certificates are tried in
     order: central lam; dominant and minuscule lam; lam_nat conjugate to mu
     with lam_alpha = 0 on all of D(lam); minuscule mu with empty R(lam).
     """
-    dag, nat = _twist(datum, lam)
-    nat_dom = dominant(nat)[0]
-    if not dominance_leq(nat_dom, mu):
-        raise PreconditionError("lam is not a stratum label of C_mu(b)")
-    minuscule = is_minuscule(mu)
     rs, ds = [], []
     d_flat = True  # lam_alpha == 0 on all of D(lam)
-    for a in all_roots(datum.shape):
-        la, pairing = lambda_alpha(lam, a), a.pair(nat)
-        if la >= 0 and pairing <= -1:
-            ds.append(a)
-            d_flat = d_flat and la == 0
-            if la >= 1 and pairing == -1:
-                rs.append(a)
+    for a, k, i, j, shift in roots:
+        pairing = nat[k][i] - nat[k][j]
+        if pairing <= -1:
+            la = lam[k][i] - lam[k][j] - shift
+            if la >= 0:
+                ds.append(a)
+                d_flat = d_flat and la == 0
+                if la >= 1 and pairing == -1:
+                    rs.append(a)
     if is_central(lam):
         rule = "central"
     elif is_dominant(lam) and is_minuscule(lam):
         rule = "dominant-minuscule"
-    elif nat_dom == mu and d_flat:
+    elif d_flat and tuple(tuple(sorted(b, reverse=True)) for b in nat) == mu:
         rule = "d-set"
     elif minuscule and not rs:
         rule = "empty-r-set"
@@ -325,7 +350,10 @@ def make_stratum(datum: FrobeniusDatum, mu: Cochar, lam: Cochar) -> Stratum:
     certificate of SINGLETON_RULES as ("proven", rule), else ("unknown",
     None).  PreconditionError when lam is not a label."""
     _require_label_args(datum, mu, lam)
-    return _stratum(datum, mu, lam)
+    dag, nat = _twist(datum, lam)
+    if not _dominated(nat, mu):
+        raise PreconditionError("lam is not a stratum label of C_mu(b)")
+    return _stratum(mu, lam, dag, nat, _root_table(datum.shape), is_minuscule(mu))
 
 
 # ---------------------------------------------------------------------------

@@ -20,7 +20,7 @@ from kisin.core import (
 )
 from kisin.errors import PreconditionError
 from kisin.normal_form import solve_affine_integral
-from kisin.strata import Stratum, candidate_blocks, make_stratum, natural_lambda
+from kisin.strata import Stratum, candidate_blocks, natural_lambda
 
 
 def dominant_vecs(n, lo, hi):
@@ -280,12 +280,13 @@ def edge_exists(datum, mu, lam, alpha):
 def product_strata(datum, mu):
     """Enumeration oracle: the product of the per-block candidate sets, every
     candidate nu solved for its preimage and kept when that is integral, as
-    the library enumerated before its residue join.  Sorted by lam."""
+    the library enumerated before its residue join; each record is the
+    function-by-function composed_stratum.  Sorted by lam."""
     out = []
     for nu in itertools.product(*(candidate_blocks(b) for b in mu)):
         lam = solve_affine_integral(datum.shape, datum.w, cochar_sub(datum.tau, nu))
         if lam is not None:
-            out.append(make_stratum(datum, mu, lam))
+            out.append(composed_stratum(datum, mu, lam))
     out.sort(key=lambda s: s.lam)
     return tuple(out)
 

@@ -5,6 +5,7 @@ import json
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from kisin import cli
 from kisin.cli import main
 
 
@@ -333,6 +334,43 @@ class TestExitCodes:
         captured = capsys.readouterr()
         assert code == 2 and captured.out == ""
         assert "KISIN_MAX_ENUM" in captured.err
+
+
+class TestParserReuse:
+    VALID = ("strata", "--p", "3", "--n", "2", "--f", "1", "--m", "1", "--mu", "[[1,0]]")
+    REJECTED = ("strata", "--p", "three", "--n", "2")
+
+    @staticmethod
+    def outcome(argv):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = main(list(argv))
+            except SystemExit as exc:
+                code = exc.code
+        return code, out.getvalue(), err.getvalue()
+
+    def test_built_once_per_process(self, monkeypatch):
+        built, real = [], cli.build_parser
+        monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or real())
+        cli._parser.cache_clear()
+        try:
+            first, second = self.outcome(self.VALID), self.outcome(self.VALID)
+        finally:
+            cli._parser.cache_clear()
+        assert built == [1] and first == second
+
+    def test_rejection_then_valid_run_matches_fresh_parser(self):
+        cli._parser.cache_clear()
+        rejected = self.outcome(self.REJECTED)
+        after_rejection = self.outcome(self.VALID)
+        cli._parser.cache_clear()
+        fresh = self.outcome(self.VALID)
+        assert rejected[0] == 2 and rejected[1] == "" and "invalid int value" in rejected[2]
+        assert after_rejection == fresh
+        assert fresh[0] == 0 and json.loads(fresh[1])["strata"]
+        # a rejection on the reused parser reads as on a fresh one
+        assert self.outcome(self.REJECTED) == rejected
 
 
 def _json_text(valid):

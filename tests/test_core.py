@@ -2,13 +2,14 @@ import itertools
 import random
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from conftest import dominant_vecs, reachable_by_simple_coroots
 from kisin.core import (
     ExtAffine,
     GroupShape,
     Root,
+    _dominated,
     act_perm,
     act_sigma,
     act_weyl,
@@ -176,6 +177,53 @@ class TestDominanceOrder:
             for a in vecs:
                 for b in vecs:
                     assert dominance_leq((b,), (a,)) == reachable_by_simple_coroots(a, b)
+
+
+def _kernel_cases():
+    """(v, mu) over n = 1..5 and 1..3 blocks, mu dominant, v with entries in
+    a narrow range so ties are common, block sums equal or not."""
+    @st.composite
+    def cases(draw):
+        n, blocks = draw(st.integers(1, 5)), draw(st.integers(1, 3))
+        block = st.lists(st.integers(-2, 2), min_size=n, max_size=n)
+        mu = tuple(tuple(sorted(draw(block), reverse=True)) for _ in range(blocks))
+        v = []
+        for m in mu:
+            b = draw(block)
+            if draw(st.booleans()):  # move the last entry to reach mu's block sum
+                b[-1] += sum(m) - sum(b)
+            v.append(tuple(b))
+        return tuple(v), mu
+
+    return cases()
+
+
+class TestDominanceKernel:
+    """The witness-free kernel against dominance_leq(dominant(v)[0], mu)."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(_kernel_cases())
+    def test_matches_dominance_leq(self, case):
+        v, mu = case
+        assert _dominated(v, mu) == dominance_leq(dominant(v)[0], mu)
+
+    @pytest.mark.parametrize("n", range(1, 6))
+    def test_exhaustive_small(self, n):
+        rng = random.Random(n)
+        mus = dominant_vecs(n, -1, 2)
+        for v in itertools.product(range(-1, 3), repeat=n) if n <= 4 else (
+            tuple(rng.randint(-1, 2) for _ in range(n)) for _ in range(600)
+        ):
+            for m in mus:
+                want = dominance_leq(dominant((v,))[0], (m,))
+                assert _dominated((v,), (m,)) == want, (v, m)
+                # a dominated second block, on either side, leaves the verdict
+                assert _dominated((v, m), (m, m)) == want == _dominated((m, v), (m, m))
+
+    def test_unequal_block_sums(self):
+        assert not _dominated(((1, 0),), ((1, 1),))
+        assert not _dominated(((2, 0), (1, 0)), ((2, 0), (0, 0)))
+        assert _dominated(((0, 2, 1),), ((2, 1, 0),))
 
 
 class TestLambdaAlpha:

@@ -159,6 +159,18 @@ class TestTheoremViolation:
         with pytest.raises(TheoremViolationError, match="integrality congruence"):
             enumerate_strata(datum, mu)
 
+    def test_solved_label_must_twist_back_to_its_candidate(self, monkeypatch):
+        datum, mu = counterexample(CASES["a"], 3)
+        solve = strata.solve_affine_integral
+
+        def off_by_one(shape, w, rhs):
+            lam = solve(shape, w, rhs)
+            return None if lam is None else ((lam[0][0] + 1,) + lam[0][1:],) + lam[1:]
+
+        monkeypatch.setattr(strata, "solve_affine_integral", off_by_one)
+        with pytest.raises(TheoremViolationError, match="lam_nat"):
+            enumerate_strata(datum, mu)
+
     def test_empty_variety_solves_nothing(self, monkeypatch):
         # block sum 1 cannot meet tau's residue, so no candidate is solved
         datum, _ = counterexample(CASES["a"], 3)

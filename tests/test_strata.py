@@ -172,6 +172,14 @@ class TestDimensionsAndCertificates:
         with pytest.raises(PreconditionError):
             make_stratum(datum_a(), mu_a(), ((2, 2, 0, 0),))
 
+    @pytest.mark.parametrize("mu", [((1, 0), (1, 0)), ((1, 0, 0),), ((1,),)])
+    def test_mu_shape_is_checked(self, mu):
+        d = caruso_datum(2, 1, 3, 1)
+        with pytest.raises(ConfigError):
+            make_stratum(d, mu, ((0, 0),))
+        with pytest.raises(ConfigError):
+            stratum_nonempty(d, mu, ((0, 0),))
+
     def test_r_set_requires_membership(self):
         # minuscule mu, so the non-label is rejected before any R-set exists
         d = caruso_datum(2, 1, 3, 1)
