@@ -179,23 +179,20 @@ class TestDominanceOrder:
                     assert dominance_leq((b,), (a,)) == reachable_by_simple_coroots(a, b)
 
 
-def _kernel_cases():
+@st.composite
+def _kernel_cases(draw):
     """(v, mu) over n = 1..5 and 1..3 blocks, mu dominant, v with entries in
     a narrow range so ties are common, block sums equal or not."""
-    @st.composite
-    def cases(draw):
-        n, blocks = draw(st.integers(1, 5)), draw(st.integers(1, 3))
-        block = st.lists(st.integers(-2, 2), min_size=n, max_size=n)
-        mu = tuple(tuple(sorted(draw(block), reverse=True)) for _ in range(blocks))
-        v = []
-        for m in mu:
-            b = draw(block)
-            if draw(st.booleans()):  # move the last entry to reach mu's block sum
-                b[-1] += sum(m) - sum(b)
-            v.append(tuple(b))
-        return tuple(v), mu
-
-    return cases()
+    n, blocks = draw(st.integers(1, 5)), draw(st.integers(1, 3))
+    block = st.lists(st.integers(-2, 2), min_size=n, max_size=n)
+    mu = tuple(tuple(sorted(draw(block), reverse=True)) for _ in range(blocks))
+    v = []
+    for m in mu:
+        b = draw(block)
+        if draw(st.booleans()):  # move the last entry to reach mu's block sum
+            b[-1] += sum(m) - sum(b)
+        v.append(tuple(b))
+    return tuple(v), mu
 
 
 class TestDominanceKernel:
@@ -210,11 +207,12 @@ class TestDominanceKernel:
     @pytest.mark.parametrize("n", range(1, 6))
     def test_exhaustive_small(self, n):
         rng = random.Random(n)
-        mus = dominant_vecs(n, -1, 2)
-        for v in itertools.product(range(-1, 3), repeat=n) if n <= 4 else (
-            tuple(rng.randint(-1, 2) for _ in range(n)) for _ in range(600)
-        ):
-            for m in mus:
+        if n <= 4:
+            vs = itertools.product(range(-1, 3), repeat=n)
+        else:
+            vs = [tuple(rng.randint(-1, 2) for _ in range(n)) for _ in range(600)]
+        for v in vs:
+            for m in dominant_vecs(n, -1, 2):
                 want = dominance_leq(dominant((v,))[0], (m,))
                 assert _dominated((v,), (m,)) == want, (v, m)
                 # a dominated second block, on either side, leaves the verdict
