@@ -13,6 +13,14 @@ reindexing and a shift, and no computation ever truncates.  Elementary
 divisors come from determinantal divisors (minimal valuations of minors);
 Iwahori labels come from a pivot elimination, ``_eliminate``, which never
 inverts a field element.
+
+``kisin_points`` is pruned by the determinant.  A coset g has det g = u^s,
+s the sum of its diagonal exponents, so det(g^{-1} b sigma(g)) =
+sgn(w) u^{sum(tau) + (p-1)s}, and the elementary divisors of a point sum to
+sum(mu).  Only the cosets with (p - 1)s = sum(mu) - sum(tau) can be points:
+none when p - 1 does not divide that gap.  Only those cosets are built, each
+built coset's determinant is checked against the identity, and only the
+points are labeled.
 """
 
 from __future__ import annotations
@@ -448,6 +456,16 @@ def _count_candidates(n: int, lam_bound: int, q: int) -> int:
     return total
 
 
+def _check_guard(n: int, lam_bound: int, field: GF) -> None:
+    """The guard of the coset generators: n <= 3 and the candidate product of
+    the whole box within MAX_CANDIDATES."""
+    if n > 3:
+        raise PreconditionError("coset enumeration is limited to n <= 3")
+    count = _count_candidates(n, lam_bound, field.q)
+    if count > MAX_CANDIDATES:
+        raise PreconditionError(f"{count} candidate cosets exceed the guard {MAX_CANDIDATES}")
+
+
 def hnf_cosets(n: int, lam_bound: int, field: GF) -> Iterator[tuple[TruncMat, TruncMat]]:
     """Hermite-style representatives of the lattices between u^B O^n and
     u^{-B} O^n: upper triangular g, diagonal u^{lam_j} with |lam_j| <= B,
@@ -466,16 +484,19 @@ def hnf_cosets(n: int, lam_bound: int, field: GF) -> Iterator[tuple[TruncMat, Tr
     Yields (g, adjugate(g)) per coset, the adjugate being u^s g^{-1} with
     u^s = det g.
     """
-    if n > 3:
-        raise PreconditionError("coset enumeration is limited to n <= 3")
-    count = _count_candidates(n, lam_bound, field.q)
-    if count > MAX_CANDIDATES:
-        raise PreconditionError(f"{count} candidate cosets exceed the guard {MAX_CANDIDATES}")
-    B = lam_bound
+    _check_guard(n, lam_bound, field)
+    yield from _hnf_cosets(n, lam_bound, field, None)
+
+
+def _hnf_cosets(n: int, B: int, field: GF, diag_sum) -> Iterator[tuple[TruncMat, TruncMat]]:
+    """The cosets of ``hnf_cosets`` whose diagonal exponents sum to diag_sum
+    (every coset of the box for None), in the same order; unguarded."""
     zero = LSeries.zero(field)
     cells = [(i, j) for j in range(n) for i in reversed(range(j))]
     for lams in itertools.product(range(-B, B + 1), repeat=n):
         s = sum(lams)
+        if diag_sum is not None and s != diag_sum:
+            continue
         g = [[zero] * n for _ in range(n)]
         h = [[zero] * n for _ in range(n)]
         for i in range(n):
@@ -514,16 +535,34 @@ def _fill_cells(field: GF, B: int, lams, g, h, cells) -> Iterator[None]:
 # point enumeration
 
 
-def coset_survey(datum: FrobeniusDatum, field: GF, lam_bound: int):
-    """(g, dominant elementary divisors of g^{-1} b sigma(g), Iwahori label)
-    for every coset in the box; independent of any mu, so one survey serves a
-    whole family of bounds.
+def kisin_points(datum: FrobeniusDatum, mu: Cochar, field: GF, lam_bound: int):
+    """All cosets g in the box with dominant elementary divisors of
+    g^{-1} b sigma(g) dominated by mu, labeled by their Iwahori stratum.
+
+    Only f = 1 is supported; the coefficient field is fixed, so this lists the
+    points of the variety rational over that field.  A stratum label outside
+    the box raises BoxTooSmallError.
+
+    A coset g is upper triangular with diagonal u^{lam_j}, so det g = u^s
+    exactly with s = sum(lam), and det(g^{-1} b sigma(g)) is
+    sgn(w) u^{sum(tau) + (p-1)s}.  Dominance by mu needs the exponents to sum
+    to sum(mu), so a point has (p - 1)s = sum(mu) - sum(tau): when p - 1 does
+    not divide the gap there are no points, and otherwise only the cosets with
+    s = s0 are built.  Every coset built is checked against that identity (a
+    singular product or a determinant of another valuation is a
+    TheoremViolationError), and only the points get an Iwahori label.
 
     With b = u^tau w monomial, column j of g^{-1} b is column w(j) of g^{-1}
     shifted by tau_{w(j)}, and sigma(g) is upper triangular, so the product
-    sums over k <= j only.  Its determinant is a unit times a power of u, so a
-    singular product is a TheoremViolationError.
+    sums over k <= j only.
     """
+    from .strata import enumerate_strata  # local import to avoid a cycle at import time
+
+    for stratum in enumerate_strata(datum, mu):
+        if any(abs(x) > lam_bound for x in stratum.lam[0]):
+            raise BoxTooSmallError(
+                f"box {lam_bound} too small: stratum label {stratum.lam[0]} outside; rerun larger"
+            )
     shape = datum.shape
     if shape.blocks != 1:
         raise PreconditionError("the point oracle only supports f = 1")
@@ -532,10 +571,14 @@ def coset_survey(datum: FrobeniusDatum, field: GF, lam_bound: int):
     if field.p != shape.p:
         raise ConfigError("field characteristic must match the shape")
     n, p = shape.n, shape.p
+    _check_guard(n, lam_bound, field)
     tau, w = datum.tau[0], datum.w[0]
+    s0, rem = divmod(sum(mu[0]) - sum(tau), p - 1)
+    if rem:
+        return []
     zero = LSeries.zero(field)
-    out = []
-    for g, adj in hnf_cosets(n, lam_bound, field):
+    points = []
+    for g, adj in _hnf_cosets(n, lam_bound, field, s0):
         # det g = u^s exactly, so g^{-1} b sigma(g) = adjugate(g) b sigma(g) u^{-s}
         s = sum(g.rows[i][i].val() for i in range(n))
         ab = [[row[w[j]].shift(tau[w[j]]) for j in range(n)] for row in adj.rows]
@@ -555,35 +598,13 @@ def coset_survey(datum: FrobeniusDatum, field: GF, lam_bound: int):
             raise TheoremViolationError(
                 f"g^-1 b sigma(g) is singular for the coset {g.rows}"
             ) from exc
-        ed = tuple(d - s for d in divisors)
-        out.append((g, ed, (iwahori_label(g),)))
-    return out
-
-
-def kisin_points(
-    datum: FrobeniusDatum,
-    mu: Cochar,
-    field: GF,
-    lam_bound: int,
-    survey=None,
-):
-    """All cosets g in the box with dominant elementary divisors of
-    g^{-1} b sigma(g) dominated by mu, labeled by their Iwahori stratum.
-
-    Only f = 1 is supported; the coefficient field is fixed, so this lists the
-    points of the variety rational over that field.  A stratum label outside
-    the box raises BoxTooSmallError.
-    """
-    from .strata import enumerate_strata  # local import to avoid a cycle at import time
-
-    strata = enumerate_strata(datum, mu)
-    for s in strata:
-        if any(abs(x) > lam_bound for x in s.lam[0]):
-            raise BoxTooSmallError(
-                f"box {lam_bound} too small: stratum label {s.lam[0]} outside; rerun larger"
+        if sum(divisors) != n * s + sum(tau) + (p - 1) * s:
+            raise TheoremViolationError(
+                f"det(g^-1 b sigma(g)) has valuation {sum(divisors) - n * s}, "
+                f"not {sum(tau) + (p - 1) * s}, for the coset {g.rows}"
             )
-    if survey is None:
-        survey = coset_survey(datum, field, lam_bound)
-    points = [(g, label) for g, ed, label in survey if dominance_leq((ed,), mu)]
+        ed = tuple(d - s for d in divisors)
+        if dominance_leq((ed,), mu):
+            points.append((g, (iwahori_label(g),)))
     points.sort(key=lambda t: (t[1], [repr(e) for row in t[0].rows for e in row]))
     return points

@@ -18,7 +18,7 @@ from kisin.core import (
     is_minuscule,
     lambda_alpha,
 )
-from kisin.errors import PreconditionError
+from kisin.errors import ConfigError, PreconditionError, SingularMatrixError, TheoremViolationError
 from kisin.normal_form import solve_affine_integral
 from kisin.strata import Stratum, candidate_blocks, natural_lambda
 
@@ -367,3 +367,60 @@ def weyl_matrix(field, tau, perm):
     for j in range(n):
         rows[perm[j]][j] = LSeries.monomial(field, tau[perm[j]])
     return mat_from_rows(field, rows)
+
+
+def coset_survey(datum, field, lam_bound: int):
+    """(g, dominant elementary divisors of g^{-1} b sigma(g), Iwahori label)
+    for every coset in the box; independent of any mu, so one survey serves a
+    whole family of bounds.  The point oracle before it was pruned by the
+    determinant: kisin_points is this survey filtered by dominance by mu.
+
+    With b = u^tau w monomial, column j of g^{-1} b is column w(j) of g^{-1}
+    shifted by tau_{w(j)}, and sigma(g) is upper triangular, so the product
+    sums over k <= j only.  Its determinant is a unit times a power of u, so a
+    singular product is a TheoremViolationError.
+    """
+    from kisin.oracle import LSeries, elementary_divisors, hnf_cosets, iwahori_label, mat_frobenius, mat_from_rows
+
+    shape = datum.shape
+    if shape.blocks != 1:
+        raise PreconditionError("the point oracle only supports f = 1")
+    if not datum.alcove_ok:
+        raise PreconditionError("datum's fixed point is not in the alcove")
+    if field.p != shape.p:
+        raise ConfigError("field characteristic must match the shape")
+    n, p = shape.n, shape.p
+    tau, w = datum.tau[0], datum.w[0]
+    zero = LSeries.zero(field)
+    out = []
+    for g, adj in hnf_cosets(n, lam_bound, field):
+        # det g = u^s exactly, so g^{-1} b sigma(g) = adjugate(g) b sigma(g) u^{-s}
+        s = sum(g.rows[i][i].val() for i in range(n))
+        ab = [[row[w[j]].shift(tau[w[j]]) for j in range(n)] for row in adj.rows]
+        sg = mat_frobenius(g, p).rows
+        rows = []
+        for i in range(n):
+            row = []
+            for j in range(n):
+                acc = zero
+                for k in range(j + 1):
+                    acc = acc.add(ab[i][k].mul(sg[k][j]))
+                row.append(acc)
+            rows.append(row)
+        try:
+            divisors = elementary_divisors(mat_from_rows(field, rows))
+        except SingularMatrixError as exc:
+            raise TheoremViolationError(
+                f"g^-1 b sigma(g) is singular for the coset {g.rows}"
+            ) from exc
+        ed = tuple(d - s for d in divisors)
+        out.append((g, ed, (iwahori_label(g),)))
+    return out
+
+
+def survey_points(survey, mu):
+    """The points of a coset_survey for the bound mu, ordered as kisin_points
+    orders them: by label, then by the entries' reprs."""
+    points = [(g, label) for g, ed, label in survey if dominance_leq((ed,), mu)]
+    points.sort(key=lambda t: (t[1], [repr(e) for row in t[0].rows for e in row]))
+    return points

@@ -1,24 +1,34 @@
 import itertools
 import random
+from functools import lru_cache
 
 import pytest
 from hypothesis import given, strategies as st
 
-from conftest import candidate_cosets, count_stable_submodules, mat_mul, minor_divisors, weyl_matrix
+from conftest import (
+    candidate_cosets,
+    coset_survey,
+    count_stable_submodules,
+    dominant_vecs,
+    mat_mul,
+    minor_divisors,
+    survey_points,
+    weyl_matrix,
+)
 from kisin import oracle
 from kisin.cli import main
 from kisin.errors import (
     BoxTooSmallError,
+    ConfigError,
     PreconditionError,
     SingularMatrixError,
     TheoremViolationError,
 )
-from kisin.normal_form import caruso_datum
+from kisin.normal_form import caruso_datum, is_caruso_simple
 from kisin.oracle import (
     GF,
     LSeries,
     _eliminate,
-    coset_survey,
     elementary_divisors,
     hnf_cosets,
     iwahori_label,
@@ -29,7 +39,7 @@ from kisin.oracle import (
     mat_frobenius,
     mat_identity,
 )
-from kisin.strata import enumerate_strata
+from kisin.strata import central_twist, enumerate_strata
 
 F2 = GF(2)
 F3 = GF(3)
@@ -476,10 +486,168 @@ class TestSurvey:
 
         monkeypatch.setattr(oracle, "mat_frobenius", zero_frobenius)
         with pytest.raises(TheoremViolationError, match="singular"):
-            coset_survey(caruso_datum(2, 1, 3, 1), F3, 1)
+            kisin_points(caruso_datum(2, 1, 3, 1), ((1, 0),), F3, 1)
         argv = ["oracle-count", "--p", "3", "--n", "2", "--m", "1", "--mu", "[[1, 0]]", "--box", "1"]
         assert main(argv) == 4
         assert "singular" in capsys.readouterr().err
+
+    def test_determinant_valuation_is_checked(self, monkeypatch, capsys):
+        # sigma(g) shifted by u multiplies det(g^{-1} b sigma(g)) by u^n, which
+        # breaks the identity the prune rests on; every built coset checks it
+        real = oracle.mat_frobenius
+
+        def shifted_frobenius(a, p):
+            return mat_from_rows(a.field, [[e.shift(1) for e in row] for row in real(a, p).rows])
+
+        monkeypatch.setattr(oracle, "mat_frobenius", shifted_frobenius)
+        with pytest.raises(TheoremViolationError, match="valuation"):
+            kisin_points(caruso_datum(2, 1, 3, 1), ((1, 0),), F3, 1)
+        argv = ["oracle-count", "--p", "3", "--n", "2", "--m", "1", "--mu", "[[1, 0]]", "--box", "1"]
+        assert main(argv) == 4
+        assert "valuation" in capsys.readouterr().err
+
+
+def twist_classes(n, p):
+    """The simple twists caruso_datum(n, 1, p, m), one per class up to a
+    central shift (the least m of each class)."""
+    seen = set()
+    out = []
+    for m in range(1, p**n - 1):
+        if not is_caruso_simple(n, p, m):
+            continue
+        datum = caruso_datum(n, 1, p, m)
+        tau = datum.tau[0]
+        key = (tuple(x - tau[-1] for x in tau), datum.w[0])
+        if key not in seen:
+            seen.add(key)
+            out.append(datum)
+    return out
+
+
+FIELDS = {(p, r): GF(p, r) for p, r in ((2, 1), (2, 2), (3, 1), (3, 2), (5, 1), (7, 1))}
+
+
+@lru_cache(maxsize=None)
+def class_survey(n, p, r, box, m_index):
+    return coset_survey(twist_classes(n, p)[m_index], FIELDS[p, r], box)
+
+
+def shifted_survey(n, p, r, box, m_index, c):
+    """The m_index-th twist class of (n, p) shifted by the central c, and its
+    survey: g^{-1} u^c b sigma(g) = u^c g^{-1} b sigma(g), so the cosets and
+    labels stay and every divisor moves by c (checked against the survey of
+    the shifted datum at box 1)."""
+    datum, _ = central_twist(twist_classes(n, p)[m_index], ((0,) * n,), ((c,) * n,))
+    survey = [(g, tuple(d + c for d in ed), label) for g, ed, label in class_survey(n, p, r, box, m_index)]
+    return datum, survey
+
+
+# (n, p, field degree, box, central shifts): n = 2 over F_2, F_4, F_3, F_9,
+# F_5 and F_7 at boxes 1 and 2, n = 3 over F_2 and F_3 at box 1.  A shift
+# moves sum(tau), so s0 and the residue of the gap; every shift in [-2, 2] is
+# run at box 1 and over the small fields, and the three largest box-2 point
+# sets (F_5, F_7, F_9, each some seconds per shift) are run unshifted.
+SHIFTS = range(-2, 3)
+DIFFERENTIAL = tuple(
+    (n, p, r, box, SHIFTS if box == 1 or p**r < 5 else (0,))
+    for n, p, r, box in (
+        (2, 2, 1, 1), (2, 2, 1, 2), (2, 2, 2, 1), (2, 2, 2, 2),
+        (2, 3, 1, 1), (2, 3, 1, 2), (2, 3, 2, 1), (2, 3, 2, 2),
+        (2, 5, 1, 1), (2, 5, 1, 2), (2, 7, 1, 1), (2, 7, 1, 2),
+        (3, 2, 1, 1), (3, 3, 1, 1),
+    )
+)
+
+
+class TestDeterminantPrune:
+    @pytest.mark.parametrize("n,p,r,box,shifts", DIFFERENTIAL)
+    def test_divisor_sum_identity(self, n, p, r, box, shifts):
+        # over the whole box: sum(ed) = sum(tau) + (p - 1) s for every coset
+        for m_index, datum in enumerate(twist_classes(n, p)):
+            for g, ed, _ in class_survey(n, p, r, box, m_index):
+                s = sum(g.rows[i][i].val() for i in range(n))
+                assert sum(ed) == sum(datum.tau[0]) + (p - 1) * s
+
+    @pytest.mark.parametrize("n,p,r", sorted({case[:3] for case in DIFFERENTIAL}))
+    def test_central_shift_of_survey(self, n, p, r):
+        # the divisors move linearly in c, so one shift of each sign suffices
+        for m_index in range(len(twist_classes(n, p))):
+            for c in (-2, 1):
+                datum, survey = shifted_survey(n, p, r, 1, m_index, c)
+                assert survey == coset_survey(datum, FIELDS[p, r], 1)
+
+    @pytest.mark.parametrize("n,p,r,box,shifts", DIFFERENTIAL)
+    def test_matches_survey(self, n, p, r, box, shifts):
+        # every twist class and central shift, and every dominant mu of the
+        # shifted box, odd gaps included
+        field = FIELDS[p, r]
+        compared = 0
+        for m_index in range(len(twist_classes(n, p))):
+            for c in shifts:
+                datum, survey = shifted_survey(n, p, r, box, m_index, c)
+                for v in dominant_vecs(n, c - box, c + box):
+                    mu = (v,)
+                    try:
+                        got = kisin_points(datum, mu, field, box)
+                    except BoxTooSmallError:
+                        labels = [s.lam[0] for s in enumerate_strata(datum, mu)]
+                        assert any(abs(x) > box for lam in labels for x in lam)
+                        continue
+                    want = survey_points(survey, mu)
+                    assert [(g.rows, lab) for g, lab in got] == [(g.rows, lab) for g, lab in want]
+                    compared += 1
+        assert compared
+
+    @staticmethod
+    def counting_generator(monkeypatch):
+        built = []
+        real = oracle._hnf_cosets
+
+        def counting(*args):
+            for coset in real(*args):
+                built.append(coset[0])
+                yield coset
+
+        monkeypatch.setattr(oracle, "_hnf_cosets", counting)
+        return built
+
+    def test_odd_gap_builds_nothing(self, monkeypatch):
+        # sum(mu) - sum(tau) = 1 is not a multiple of p - 1 = 2
+        built = self.counting_generator(monkeypatch)
+        base = caruso_datum(2, 1, 3, 1)
+        assert kisin_points(base, ((1, 1),), F3, 2) == []
+        assert kisin_points(base, ((2, -2),), F9, 2) == []
+        assert built == []
+
+    @pytest.mark.parametrize(
+        "n,p,m,mu,field,box",
+        ((2, 3, 1, (1, 0), F3, 2), (2, 3, 1, (1, -2), F3, 2), (2, 2, 1, (2, -2), F4, 2), (3, 3, 1, (1, 0, 0), F3, 1)),
+    )
+    def test_even_gap_builds_one_diagonal_sum(self, monkeypatch, n, p, m, mu, field, box):
+        base = caruso_datum(n, 1, p, m)
+        s0, rem = divmod(sum(mu) - sum(base.tau[0]), p - 1)
+        assert rem == 0
+        want = [g for g, _ in hnf_cosets(n, box, field) if sum(g.rows[i][i].val() for i in range(n)) == s0]
+        built = self.counting_generator(monkeypatch)
+        kisin_points(base, (mu,), field, box)
+        assert built == want
+
+    def test_odd_gap_keeps_every_check(self, capsys):
+        # the checks run before the parity return: the field characteristic
+        # and the guard over the whole box (an odd gap has no strata, so it
+        # never reaches the box check, which still runs first on even gaps)
+        base = caruso_datum(2, 1, 3, 1)
+        with pytest.raises(ConfigError, match="characteristic"):
+            kisin_points(base, ((1, 1),), F2, 1)
+        with pytest.raises(BoxTooSmallError):
+            kisin_points(base, ((7, 0),), F2, 1)
+        gl3 = caruso_datum(3, 1, 3, 1)
+        assert enumerate_strata(gl3, ((1, 1, 0),)) == ()
+        with pytest.raises(PreconditionError, match="candidate cosets exceed the guard"):
+            kisin_points(gl3, ((1, 1, 0),), F3, 3)
+        argv = ["oracle-count", "--p", "3", "--n", "3", "--m", "1", "--mu", "[[1,1,0]]", "--box", "3"]
+        assert main(argv) == 3
+        assert "candidate cosets exceed the guard" in capsys.readouterr().err
 
 
 class TestKisinPoints:
@@ -497,10 +665,9 @@ class TestKisinPoints:
 
     def test_partition_and_presence(self):
         base = caruso_datum(2, 1, 2, 1)
-        survey = coset_survey(base, F2, 2)
         for mu in (((1, 0),), ((2, -1),), ((1, 1),)):
             S = {s.lam for s in enumerate_strata(base, mu)}
-            pts = kisin_points(base, mu, F2, 2, survey=survey)
+            pts = kisin_points(base, mu, F2, 2)
             labels = [lam for _, lam in pts]
             assert set(labels) <= S
             assert S <= set(labels)
@@ -533,13 +700,12 @@ class TestKisinPoints:
         # rank-3 exercise of the full pipeline on a small box
         base = caruso_datum(3, 1, p, 1)
         field = GF(p, field_deg)
-        survey = coset_survey(base, field, 1)
         for mu in (((1, 1, -1),), ((2, 1, -2),), ((1, 0, 0),)):
             S = enumerate_strata(base, mu)
             if any(abs(x) > 1 for s in S for x in s.lam[0]):
                 continue
             labels = {s.lam for s in S}
-            got = [lam for _, lam in kisin_points(base, mu, field, 1, survey=survey)]
+            got = [lam for _, lam in kisin_points(base, mu, field, 1)]
             assert set(got) <= labels and labels <= set(got), (p, field_deg, mu)
             for s in S:
                 if s.singleton == "proven":
