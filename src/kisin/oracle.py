@@ -573,7 +573,8 @@ def kisin_points(datum: FrobeniusDatum, mu: Cochar, field: GF, lam_bound: int):
     n, p = shape.n, shape.p
     _check_guard(n, lam_bound, field)
     tau, w = datum.tau[0], datum.w[0]
-    s0, rem = divmod(sum(mu[0]) - sum(tau), p - 1)
+    tau_sum = sum(tau)
+    s0, rem = divmod(sum(mu[0]) - tau_sum, p - 1)
     if rem:
         return []
     zero = LSeries.zero(field)
@@ -598,10 +599,12 @@ def kisin_points(datum: FrobeniusDatum, mu: Cochar, field: GF, lam_bound: int):
             raise TheoremViolationError(
                 f"g^-1 b sigma(g) is singular for the coset {g.rows}"
             ) from exc
-        if sum(divisors) != n * s + sum(tau) + (p - 1) * s:
+        # the divisors are those of u^s g^{-1} b sigma(g), so they sum to n*s more
+        val = sum(divisors) - n * s
+        if val != tau_sum + (p - 1) * s:
             raise TheoremViolationError(
-                f"det(g^-1 b sigma(g)) has valuation {sum(divisors) - n * s}, "
-                f"not {sum(tau) + (p - 1) * s}, for the coset {g.rows}"
+                f"det(g^-1 b sigma(g)) has valuation {val}, not {tau_sum + (p - 1) * s}, "
+                f"for the coset {g.rows}"
             )
         ed = tuple(d - s for d in divisors)
         if dominance_leq((ed,), mu):

@@ -507,6 +507,7 @@ class TestSurvey:
         assert "valuation" in capsys.readouterr().err
 
 
+@lru_cache(maxsize=None)
 def twist_classes(n, p):
     """The simple twists caruso_datum(n, 1, p, m), one per class up to a
     central shift (the least m of each class)."""
@@ -521,7 +522,7 @@ def twist_classes(n, p):
         if key not in seen:
             seen.add(key)
             out.append(datum)
-    return out
+    return tuple(out)
 
 
 FIELDS = {(p, r): GF(p, r) for p, r in ((2, 1), (2, 2), (3, 1), (3, 2), (5, 1), (7, 1))}
