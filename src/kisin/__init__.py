@@ -16,14 +16,12 @@ from .core import (
     is_central,
     is_dominant,
     is_minuscule,
-    lambda_alpha,
 )
 from .normal_form import (
     FrobeniusDatum,
     alcove_reduce,
     caruso_datum,
     fixed_point,
-    gcd_power_fact,
     in_alcove,
     is_caruso_simple,
     make_datum,
@@ -54,6 +52,6 @@ from .connectivity import (
     chain_gl3,
     pi0_report,
 )
-from .oracle import GF, LSeries, TruncMat, elementary_divisors, hnf_cosets, iwahori_label, kisin_points
+from .oracle import GF, LSeries, TruncMat, elementary_divisors, iwahori_label, kisin_points
 
 __version__ = "0.1.0"

@@ -19,8 +19,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from fractions import Fraction
-from typing import Iterator, Sequence, Union
+from typing import Iterator, Sequence
 
 from .errors import ConfigError
 
@@ -28,8 +27,6 @@ Vec = tuple  # one GL_n block: tuple of int (or Fraction)
 Cochar = tuple  # N blocks: tuple of Vec
 Perm = tuple  # 0-indexed permutation: perm[i] = image of i
 WeylElt = tuple  # N permutations, one per block
-
-Scalar = Union[int, Fraction]
 
 
 def _is_prime(p: int) -> bool:
@@ -273,10 +270,6 @@ class Root:
     def positive(self) -> bool:
         return self.i < self.j
 
-    def pair(self, v: Cochar) -> Scalar:
-        """<alpha, v> = v[block][i] - v[block][j]."""
-        return v[self.block][self.i] - v[self.block][self.j]
-
     def coroot(self, shape: GroupShape) -> Cochar:
         out = [[0] * shape.n for _ in range(shape.blocks)]
         out[self.block][self.i] = 1
@@ -288,12 +281,6 @@ def all_roots(shape: GroupShape) -> Iterator[Root]:
     for k in range(shape.blocks):
         for i, j in itertools.permutations(range(shape.n), 2):
             yield Root(k, i, j)
-
-
-def lambda_alpha(lam: Cochar, alpha: Root) -> Scalar:
-    """<lam, alpha> for negative alpha, <lam, alpha> - 1 for positive alpha."""
-    pairing = alpha.pair(lam)
-    return pairing - 1 if alpha.positive else pairing
 
 
 # ---------------------------------------------------------------------------

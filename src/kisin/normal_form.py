@@ -283,10 +283,3 @@ def caruso_datum(n: int, f: int, p: int, m: int) -> FrobeniusDatum:
     _, reduced = alcove_reduce(datum)
     return reduced
 
-
-def gcd_power_fact(q: int, a: int, b: int) -> int:
-    """gcd(q^a - 1, q^b - 1), asserted equal to q^gcd(a,b) - 1."""
-    g = math.gcd(q**a - 1, q**b - 1)
-    if g != q ** math.gcd(a, b) - 1:
-        raise TheoremViolationError("gcd of q-power minus ones violated the closed form")
-    return g

@@ -6,7 +6,7 @@ Coefficients live in F_{p^r} with r <= 2 (the Frobenius fixes coefficients and
 sends u to u^p, so points over a subfield are honest points of the variety).
 Every series is an exact Laurent polynomial: coset representatives are upper
 triangular with monomial diagonal, so their inverses are Laurent polynomials
-too, and ``hnf_cosets`` builds each inverse column by column alongside its
+too, and ``_hnf_cosets`` builds each inverse column by column alongside its
 coset, which lets the box bound fix coefficients instead of rejecting
 candidates.  The twisting element u^tau w is monomial, so the twist is a
 reindexing and a shift, and no computation ever truncates.  Elementary
@@ -439,7 +439,7 @@ def iwahori_label(g: TruncMat) -> tuple:
 # coset enumeration
 
 
-# The guard of hnf_cosets: a bound on the candidate product (every upper
+# The guard of the coset generator: a bound on the candidate product (every upper
 # triangular g of the box shape, before the box lower bound), which bounds
 # the cosets built.
 MAX_CANDIDATES = 2_000_000
@@ -466,11 +466,12 @@ def _check_guard(n: int, lam_bound: int, field: GF) -> None:
         raise PreconditionError(f"{count} candidate cosets exceed the guard {MAX_CANDIDATES}")
 
 
-def hnf_cosets(n: int, lam_bound: int, field: GF) -> Iterator[tuple[TruncMat, TruncMat]]:
+def _hnf_cosets(n: int, B: int, field: GF, diag_sum) -> Iterator[tuple[TruncMat, TruncMat]]:
     """Hermite-style representatives of the lattices between u^B O^n and
-    u^{-B} O^n: upper triangular g, diagonal u^{lam_j} with |lam_j| <= B,
-    entry (i, j) reduced modulo u^{lam_i} with valuation >= -B, and u^B g^{-1}
-    integral.  Complete and duplicate-free for that box.
+    u^{-B} O^n whose diagonal exponents sum to diag_sum (every one for None):
+    upper triangular g, diagonal u^{lam_j} with |lam_j| <= B, entry (i, j)
+    reduced modulo u^{lam_i} with valuation >= -B, and u^B g^{-1} integral.
+    Complete and duplicate-free for that box; unguarded.
 
     The inverse h = g^{-1} is upper triangular and its column j depends only
     on the columns <= j of g, so both are built one column at a time, each
@@ -484,13 +485,6 @@ def hnf_cosets(n: int, lam_bound: int, field: GF) -> Iterator[tuple[TruncMat, Tr
     Yields (g, adjugate(g)) per coset, the adjugate being u^s g^{-1} with
     u^s = det g.
     """
-    _check_guard(n, lam_bound, field)
-    yield from _hnf_cosets(n, lam_bound, field, None)
-
-
-def _hnf_cosets(n: int, B: int, field: GF, diag_sum) -> Iterator[tuple[TruncMat, TruncMat]]:
-    """The cosets of ``hnf_cosets`` whose diagonal exponents sum to diag_sum
-    (every coset of the box for None), in the same order; unguarded."""
     zero = LSeries.zero(field)
     cells = [(i, j) for j in range(n) for i in reversed(range(j))]
     for lams in itertools.product(range(-B, B + 1), repeat=n):

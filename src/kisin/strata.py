@@ -2,18 +2,47 @@
 singleton certificates.
 
 A stratum label lam is nonempty exactly when the twisted difference
-lam_nat = -lam + tau + w(sigma(lam)) is dominated by mu.  Enumeration inverts
-that affine map.  The candidate values nu of lam_nat are finite: blockwise
-vectors whose dominant sort is dominated by mu's block.  Each nu has exactly
-one rational preimage, because 1 - w*sigma is invertible, and that preimage is
-integral iff one congruence per cycle of the solver's permutation W holds; the
-congruence is linear in nu, block by block (``normal_form._solve_plan``).  So
-each block's candidates are bucketed by their residues, and a join over the
-blocks keeps a partial choice only while the residue still needed is a sum the
-remaining blocks can reach.  Only the surviving candidates are solved, and
-each must solve integrally (else TheoremViolationError).  Work follows the
-per-block candidate counts and the surviving partial choices, not their
-product; the KISIN_MAX_ENUM cap still bounds that product.  The product of
+lam_nat = -lam + tau + w(sigma(lam)) is dominated by mu.  Enumeration finds
+the labels in one of two ways, after the KISIN_MAX_ENUM cap has been checked
+against the candidate product (counted, per block, as the sum over the
+dominant vectors nu <= mu_k of the number of their distinct permutations, so
+no candidate is built for the cap).
+
+The residue join inverts the affine map.  The candidate values nu of lam_nat
+are finite: blockwise vectors whose dominant sort is dominated by mu's block.
+Each nu has exactly one rational preimage, because 1 - w*sigma is
+invertible, and that preimage is integral iff one congruence per cycle of the
+solver's permutation W holds; the congruence is linear in nu, block by block
+(``normal_form._solve_plan``).  So each block's candidates are bucketed by
+their residues, and a join over the blocks keeps a partial choice only while
+the residue still needed is a sum the remaining blocks can reach.  Only the
+surviving candidates are solved, and each must solve integrally and twist
+back to its candidate (else TheoremViolationError).  Its work follows the
+per-block candidate counts, which grow like p^(n-1) per block.
+
+The cycle walk searches lam directly when every eps_k >= 2.  Dominance gives
+lo_k <= nat_k[j] <= hi_k, lo_k and hi_k the least and largest entry of mu_k,
+and nat_k[j] = tau_k[j] + eps_k lam_{k+1}[w_k^-1(j)] - lam_k[j].  With
+A = max over positions of max(hi_k - tau_k[j], tau_k[j] - lo_k) and
+M = |lam|_inf, attained at some lam_{k+1}[i], this gives eps_min M <= A + M,
+so |lam|_inf <= R = floor(A / (eps_min - 1)); a central shift of tau and mu
+leaves A unchanged.  The position map (k, j) -> (k+1, w_k^-1(j)) splits into
+cycles.  On each cycle the walk picks the start in [-R, R]; every later entry
+then lies in [ceil((lam_P - tau_P + lo_k) / eps_k),
+floor((lam_P - tau_P + hi_k) / eps_k)] intersected with [-R, R], lam_P being
+the entry before it, at position P in block k, and the cycle must close at
+its start.  Each product of cycle paths is checked with ``_dominated`` on its
+``_twist``, and each label found must re-solve to itself under
+``solve_affine_integral`` (else TheoremViolationError).  No candidate tuple
+is built.  When some eps_k = 1 (the multi-copy lifts) the step divides by 1,
+no box follows, and the join is the only path.
+
+The dispatch takes the walk only when its a priori path bound, the product
+over cycles of (2R + 1) times the windows' widths min(floor((hi_k - lo_k) /
+eps_k) + 1, 2R + 1), times WALK_PATH_COST is below the candidate product:
+R does not grow with p, so the walk wins on the large contracting varieties
+(the counterexample ladder), while small candidate sets (the GL_3 sweep, the
+oracle cross-checks) keep the join, which is faster there.  The product of
 candidate sets, each solved, and a box search over lam are kept as test
 oracles.
 
@@ -21,16 +50,15 @@ Every invariant of a label (lam_nat, lam_dag, the R- and D-sets, the
 dimension and the singleton certificate) comes from one pass in ``_stratum``
 over the label's (lam_dag, lam_nat) and a root table built once per call of
 ``enumerate_strata`` or ``make_stratum``; every pairing is an integer
-difference.  ``enumerate_strata`` validates its arguments once and builds each
-record from the (nu, lam) pair it solved, checking lam_nat == nu (else
-TheoremViolationError).  ``make_stratum``, the per-label API, validates its
-arguments and tests membership with the dominance kernel of ``core``, which
-also serves the chains and graph edges of ``connectivity``.
+difference.  ``make_stratum``, the per-label API, validates its arguments and
+tests membership with the dominance kernel of ``core``, which also serves the
+chains and graph edges of ``connectivity``.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 import os
 from collections import defaultdict
 from dataclasses import dataclass
@@ -48,6 +76,7 @@ from .core import (
     is_dominant,
     is_minuscule,
     ExtAffine,
+    WeylElt,
 )
 from .errors import ConfigError, EnumerationCapError, PreconditionError, TheoremViolationError
 from .normal_form import FrobeniusDatum, _solve_plan, make_datum, solve_affine_integral
@@ -233,27 +262,18 @@ def _residue_join(buckets: list, moduli: tuple, target: tuple):
     return walk(0, target, ())
 
 
-def enumerate_strata(datum: FrobeniusDatum, mu: Cochar) -> tuple:
-    """All strata S = {lam : dominant(lam_nat) <= mu}, sorted by lam.
+def _join(datum: FrobeniusDatum, mu: Cochar) -> list:
+    """The labels as sorted (lam, dag, nat) triples, by the residue join of
+    the per-block candidate sets.
 
     Complete and duplicate-free: candidates nu run over every vector with
     dominant(nu) <= mu, nu -> lam is injective, and the residue join drops
-    exactly the nu whose preimage is not integral.  The arguments are
-    validated once; each record is built from its solved pair (nu, lam), whose
-    lam_nat must be nu (else TheoremViolationError), so membership holds by
-    construction.
+    exactly the nu whose preimage is not integral.  Each surviving nu must
+    solve integrally, and its lam must twist back to nu (else
+    TheoremViolationError), so membership holds by construction.
     """
-    _require_alcove(datum)
-    _require_dominant_mu(mu)
-    datum.shape.check_cochar(mu)
-    per_block = [candidate_blocks(b) for b in mu]
-    count = 1
-    for blk in per_block:
-        count *= len(blk)
-    cap = _enum_cap()
-    if count > cap:
-        raise EnumerationCapError(f"{count} candidates exceed cap {cap} (KISIN_MAX_ENUM)")
     shape, w, tau = datum.shape, datum.w, datum.tau
+    per_block = [candidate_blocks(b) for b in mu]
     *_, moduli, coefs = _solve_plan(shape, w)
     # the preimage of nu is integral iff, per cycle, the residues of the
     # nu_k sum to those of the tau_k
@@ -276,17 +296,191 @@ def enumerate_strata(datum: FrobeniusDatum, mu: Cochar) -> tuple:
                     f"candidate {nu} meets the integrality congruence but its preimage is not integral"
                 )
             solved.append((lam, nu))
-    if not solved:
-        return ()
     solved.sort()  # by lam: distinct nu solve to distinct lam
-    roots, minuscule = _root_table(shape), is_minuscule(mu)
-    strata = []
+    out = []
     for lam, nu in solved:
         dag, nat = _twist(datum, lam)
         if nat != nu:
             raise TheoremViolationError(f"candidate {nu} solves to {lam}, whose lam_nat is {nat}")
-        strata.append(_stratum(mu, lam, dag, nat, roots, minuscule))
-    return tuple(strata)
+        out.append((lam, dag, nat))
+    return out
+
+
+# ---------------------------------------------------------------------------
+# the cycle walk for contracting shapes
+
+
+# The cost of one walk path relative to one join candidate, rounded up.
+# Measured per call with both paths forced, interleaved, on the (twist, mu)
+# pairs of benchmark seed 201 (Python 3.11, shared 2-vCPU x86 machine, warm
+# candidate cache): per path of the bound, median 3.3 us on the 195 ladder
+# pairs and 5.1 us on the 5,040 GL_3 sweep pairs; per candidate, 0.84 and
+# 3.5 us.  Summed over the ladder pairs, the dispatched time is flat for
+# constants from 4 to 16 and grows by 40 % at 32.  The pairs of the GL_3
+# sweep and of the oracle cross-check have at most 3 candidates per path of
+# the bound, and those of the multi-copy lifts with no eps = 1 at most 2, so
+# they keep the join; the ladder's pairs with p >= 7 have 12-1,900.
+WALK_PATH_COST = 8
+
+
+@lru_cache(maxsize=None)
+def _candidate_count(mu_block: tuple) -> int:
+    """len(candidate_blocks(mu_block)) without building the candidates: the
+    sum over dominant_blocks_leq of the multinomials n! / prod(mult!)."""
+    n = len(mu_block)
+    total = 0
+    for dom in dominant_blocks_leq(mu_block):
+        c = math.factorial(n)
+        for _, run in itertools.groupby(dom):
+            c //= math.factorial(len(tuple(run)))
+        total += c
+    return total
+
+
+@lru_cache(maxsize=None)
+def _walk_plan(shape, w: WeylElt) -> tuple:
+    """The cycles of the position map (k, j) -> (k+1, w_k^-1(j)), each a tuple
+    of positions in walk order: entry t+1 of a cycle is the image of entry t,
+    and the image of the last entry is the first."""
+    n, blocks = shape.n, shape.blocks
+    winv = []
+    for wk in w:
+        inv = [0] * n
+        for i, x in enumerate(wk):
+            inv[x] = i
+        winv.append(inv)
+    seen = set()
+    cycles = []
+    for start in itertools.product(range(blocks), range(n)):
+        cyc = []
+        pos = start
+        while pos not in seen:
+            seen.add(pos)
+            cyc.append(pos)
+            k, j = pos
+            pos = ((k + 1) % blocks, winv[k][j])
+        if cyc:
+            cycles.append(tuple(cyc))
+    return tuple(cycles)
+
+
+def _walk_radius(datum: FrobeniusDatum, mu: Cochar) -> Optional[int]:
+    """R = A // (min eps - 1), the proven bound on |lam|_inf of every label,
+    or None when some eps is 1; A is the largest max(hi_k - tau_k[j],
+    tau_k[j] - lo_k) with lo_k, hi_k the least and largest entry of mu_k."""
+    e_min = min(datum.shape.eps)
+    if e_min == 1:
+        return None
+    a = 0
+    for t, m in zip(datum.tau, mu):
+        a = max(a, m[0] - min(t), max(t) - m[-1])
+    return a // (e_min - 1)
+
+
+def _walk_bound(datum: FrobeniusDatum, mu: Cochar, radius: int) -> int:
+    """The a priori bound on the walk's paths: per cycle, 2R + 1 starts times,
+    per later entry, the width of its window, at most 2R + 1."""
+    side = 2 * radius + 1
+    widths = [min((m[0] - m[-1]) // e + 1, side) for m, e in zip(mu, datum.shape.eps)]
+    bound = 1
+    for cyc in _walk_plan(datum.shape, datum.w):
+        bound *= side
+        for k, _ in cyc[:-1]:
+            bound *= widths[k]
+    return bound
+
+
+def _cycle_paths(datum: FrobeniusDatum, mu: Cochar, cyc: tuple, radius: int) -> list:
+    """Every assignment of lam on the positions of one cycle, each entry in
+    [-R, R], with lo_k <= nat_k[j] <= hi_k at each position (k, j) of it.
+
+    nat_k[j] = tau_k[j] + eps_k * lam at the image of (k, j) - lam_k[j], so
+    the value at the image of (k, j) lies in the window
+    [ceil((lam_k[j] - tau_k[j] + lo_k) / eps_k), floor((lam_k[j] - tau_k[j] + hi_k) / eps_k)],
+    and the last position's window must hold the first value."""
+    steps = []
+    for k, j in cyc:
+        e, t, m = datum.shape.eps[k], datum.tau[k][j], mu[k]
+        steps.append((e, m[-1] - t, m[0] - t))
+    last = len(cyc) - 1
+    paths = []
+
+    def extend(path, x):
+        e, off_lo, off_hi = steps[len(path) - 1]
+        lo = max(-((-(x + off_lo)) // e), -radius)
+        hi = min((x + off_hi) // e, radius)
+        if len(path) == last + 1:
+            if lo <= path[0] <= hi:
+                paths.append(tuple(path))
+            return
+        for y in range(lo, hi + 1):
+            path.append(y)
+            extend(path, y)
+            path.pop()
+
+    for x0 in range(-radius, radius + 1):
+        extend([x0], x0)
+    return paths
+
+
+def _walk(datum: FrobeniusDatum, mu: Cochar, radius: int) -> list:
+    """The labels as sorted (lam, dag, nat) triples, by the cycle walk in the
+    box |lam|_inf <= radius.
+
+    Every product of cycle paths is checked with _dominated on its _twist,
+    and every label found must re-solve to itself (else
+    TheoremViolationError)."""
+    shape, w, tau = datum.shape, datum.w, datum.tau
+    cycles = _walk_plan(shape, w)
+    per_cycle = [_cycle_paths(datum, mu, cyc, radius) for cyc in cycles]
+    out = []
+    grid = [[0] * shape.n for _ in range(shape.blocks)]
+    for choice in itertools.product(*per_cycle):
+        for cyc, path in zip(cycles, choice):
+            for (k, j), x in zip(cyc, path):
+                grid[k][j] = x
+        lam = tuple(map(tuple, grid))
+        dag, nat = _twist(datum, lam)
+        if _dominated(nat, mu):
+            again = solve_affine_integral(shape, w, cochar_sub(tau, nat))
+            if again != lam:
+                raise TheoremViolationError(f"walked label {lam} has lam_nat {nat}, which solves to {again}")
+            out.append((lam, dag, nat))
+    out.sort()
+    return out
+
+
+def enumerate_strata(datum: FrobeniusDatum, mu: Cochar) -> tuple:
+    """All strata S = {lam : dominant(lam_nat) <= mu}, sorted by lam.
+
+    The arguments are validated once and the candidate product is checked
+    against the cap before any work.  The labels come from the cycle walk
+    when every eps is at least 2 and its path bound, weighted by
+    WALK_PATH_COST, is below the candidate product; otherwise from the
+    residue join.  Each record is built from its checked (lam, dag, nat).
+    """
+    _require_alcove(datum)
+    _require_dominant_mu(mu)
+    datum.shape.check_cochar(mu)
+    count = 1
+    for b in mu:
+        count *= _candidate_count(b)
+    cap = _enum_cap()
+    if count > cap:
+        raise EnumerationCapError(f"{count} candidates exceed cap {cap} (KISIN_MAX_ENUM)")
+    radius = _walk_radius(datum, mu)
+    if (
+        radius is not None
+        and count > WALK_PATH_COST * (2 * radius + 1)
+        and WALK_PATH_COST * _walk_bound(datum, mu, radius) < count
+    ):
+        labels = _walk(datum, mu, radius)
+    else:
+        labels = _join(datum, mu)
+    if not labels:
+        return ()
+    roots, minuscule = _root_table(datum.shape), is_minuscule(mu)
+    return tuple(_stratum(mu, lam, dag, nat, roots, minuscule) for lam, dag, nat in labels)
 
 
 # ---------------------------------------------------------------------------

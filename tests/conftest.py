@@ -4,6 +4,7 @@ library's own algorithms."""
 from fractions import Fraction
 from functools import lru_cache
 import itertools
+import math
 
 from kisin.core import (
     act_sigma,
@@ -16,7 +17,6 @@ from kisin.core import (
     is_central,
     is_dominant,
     is_minuscule,
-    lambda_alpha,
 )
 from kisin.errors import ConfigError, PreconditionError, SingularMatrixError, TheoremViolationError
 from kisin.normal_form import solve_affine_integral
@@ -38,6 +38,25 @@ def dominant_vecs(n, lo, hi):
 
     rec(0, hi, [])
     return out
+
+
+def root_pair(alpha, v):
+    """<alpha, v> = v[block][i] - v[block][j]."""
+    return v[alpha.block][alpha.i] - v[alpha.block][alpha.j]
+
+
+def lambda_alpha(lam, alpha):
+    """<lam, alpha> for negative alpha, <lam, alpha> - 1 for positive alpha."""
+    pairing = root_pair(alpha, lam)
+    return pairing - 1 if alpha.positive else pairing
+
+
+def gcd_power_fact(q, a, b):
+    """gcd(q^a - 1, q^b - 1), asserted equal to q^gcd(a,b) - 1."""
+    g = math.gcd(q**a - 1, q**b - 1)
+    if g != q ** math.gcd(a, b) - 1:
+        raise TheoremViolationError("gcd of q-power minus ones violated the closed form")
+    return g
 
 
 def gauss_solve_fixed_point(shape, w, tau):
@@ -219,7 +238,7 @@ def composed_stratum(datum, mu, lam):
         nat = nat_of(lam)
         return tuple(
             a for a in all_roots(datum.shape)
-            if lambda_alpha(lam, a) >= 1 and a.pair(nat) == -1
+            if lambda_alpha(lam, a) >= 1 and root_pair(a, nat) == -1
         )
 
     def d_set():
@@ -228,7 +247,7 @@ def composed_stratum(datum, mu, lam):
         nat = nat_of(lam)
         return tuple(
             a for a in all_roots(datum.shape)
-            if lambda_alpha(lam, a) >= 0 and a.pair(nat) <= -1
+            if lambda_alpha(lam, a) >= 0 and root_pair(a, nat) <= -1
         )
 
     def singleton():
@@ -307,6 +326,16 @@ def box_strata(datum, mu):
     return found
 
 
+def hnf_cosets(n, lam_bound, field):
+    """Every coset of the box |lam_j| <= lam_bound, as (g, adjugate(g)), behind
+    the oracle's guard: the whole-box generator that kisin_points prunes to
+    one diagonal-sum slice."""
+    from kisin.oracle import _check_guard, _hnf_cosets
+
+    _check_guard(n, lam_bound, field)
+    yield from _hnf_cosets(n, lam_bound, field, None)
+
+
 def candidate_cosets(n, lam_bound, field, lam_filter=None):
     """Coset oracle: every upper triangular candidate of the box shape
     (diagonal u^{lam_j} with |lam_j| <= B, entry (i, j) a polynomial with
@@ -380,7 +409,7 @@ def coset_survey(datum, field, lam_bound: int):
     sums over k <= j only.  Its determinant is a unit times a power of u, so a
     singular product is a TheoremViolationError.
     """
-    from kisin.oracle import LSeries, elementary_divisors, hnf_cosets, iwahori_label, mat_frobenius, mat_from_rows
+    from kisin.oracle import LSeries, elementary_divisors, iwahori_label, mat_frobenius, mat_from_rows
 
     shape = datum.shape
     if shape.blocks != 1:

@@ -4,7 +4,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import dominant_vecs, reachable_by_simple_coroots
+from conftest import dominant_vecs, lambda_alpha, reachable_by_simple_coroots
 from kisin.core import (
     ExtAffine,
     GroupShape,
@@ -24,7 +24,6 @@ from kisin.core import (
     ext_sigma,
     ext_sigma_conj,
     identity_perm,
-    lambda_alpha,
     perm_mul,
     sigma_blocks,
     sigma0_weyl,

@@ -4,7 +4,7 @@ from fractions import Fraction as Q
 
 import pytest
 
-from conftest import gauss_solve_fixed_point
+from conftest import gauss_solve_fixed_point, gcd_power_fact
 from kisin.core import (
     ExtAffine,
     GroupShape,
@@ -20,7 +20,6 @@ from kisin.normal_form import (
     alcove_reduce,
     caruso_datum,
     fixed_point,
-    gcd_power_fact,
     in_alcove,
     in_general_position,
     is_caruso_simple,

@@ -10,6 +10,7 @@ from conftest import (
     coset_survey,
     count_stable_submodules,
     dominant_vecs,
+    hnf_cosets,
     mat_mul,
     minor_divisors,
     survey_points,
@@ -30,7 +31,6 @@ from kisin.oracle import (
     LSeries,
     _eliminate,
     elementary_divisors,
-    hnf_cosets,
     iwahori_label,
     kisin_points,
     mat_adjugate,
