@@ -296,6 +296,8 @@ def _join(datum: FrobeniusDatum, mu: Cochar) -> list:
                     f"candidate {nu} meets the integrality congruence but its preimage is not integral"
                 )
             solved.append((lam, nu))
+    if not solved:
+        return solved
     solved.sort()  # by lam: distinct nu solve to distinct lam
     out = []
     for lam, nu in solved:
@@ -468,7 +470,9 @@ def enumerate_strata(datum: FrobeniusDatum, mu: Cochar) -> tuple:
     cap = _enum_cap()
     if count > cap:
         raise EnumerationCapError(f"{count} candidates exceed cap {cap} (KISIN_MAX_ENUM)")
-    radius = _walk_radius(datum, mu)
+    # the path bound is at least 2R + 1, so a count of at most WALK_PATH_COST
+    # keeps the join before any arithmetic on tau
+    radius = _walk_radius(datum, mu) if count > WALK_PATH_COST else None
     if (
         radius is not None
         and count > WALK_PATH_COST * (2 * radius + 1)

@@ -310,14 +310,17 @@ def product_strata(datum, mu):
     return tuple(out)
 
 
-def box_strata(datum, mu):
-    """Box-search oracle: every lam in the box |lam| <= 2N(|tau| + |mu|) with
-    dominant(lam_nat) <= mu.  The box is complete: lam solves
-    lam = (tau - lam_nat) + w(sigma(lam)), and running that recurrence forward
-    around the N blocks (each step divides by eps >= 1, one full turn by
-    q >= 2) bounds every block by N|tau - lam_nat| q/(q - 1)."""
+def box_strata(datum, mu, bound=None):
+    """Box-search oracle: every lam in the box |lam| <= bound with
+    dominant(lam_nat) <= mu, the bound 2N(|tau| + |mu|) by default.  That box
+    is complete: lam solves lam = (tau - lam_nat) + w(sigma(lam)), and running
+    that recurrence forward around the N blocks (each step divides by
+    eps >= 1, one full turn by q >= 2) bounds every block by
+    N|tau - lam_nat| q/(q - 1).  A smaller bound is complete only where it is
+    proven, as the walk's radius is for contracting shapes."""
     n, blocks = datum.shape.n, datum.shape.blocks
-    bound = 2 * blocks * (max(abs(x) for b in datum.tau for x in b) + max(abs(x) for b in mu for x in b))
+    if bound is None:
+        bound = 2 * blocks * (max(abs(x) for b in datum.tau for x in b) + max(abs(x) for b in mu for x in b))
     found = set()
     for flat in itertools.product(range(-bound, bound + 1), repeat=n * blocks):
         lam = tuple(flat[k * n : (k + 1) * n] for k in range(blocks))

@@ -1,7 +1,10 @@
-"""The residue-joined strata enumeration against the product-of-candidates
-oracle and the box search, and its candidate generation."""
+"""The strata enumeration against the product-of-candidates oracle and the
+box search: the residue join, the cycle walk and the dispatch between them,
+and the candidate generation and count."""
 
+import dataclasses
 import itertools
+import json
 import random
 
 import pytest
@@ -9,12 +12,12 @@ from hypothesis import assume, given, settings, strategies as st
 
 from conftest import box_strata, dominant_vecs, product_strata
 from kisin import strata
-from kisin.cli import CASES, counterexample
+from kisin.cli import CASES, counterexample, main
 from kisin.core import ExtAffine, GroupShape
 from kisin.errors import KisinError, TheoremViolationError
 from kisin.multicopy import decompose_mu, make_multi
-from kisin.normal_form import _solve_plan, alcove_reduce, caruso_datum, is_caruso_simple, make_datum
-from kisin.strata import _distinct_permutations, enumerate_strata
+from kisin.normal_form import FrobeniusDatum, _solve_plan, alcove_reduce, caruso_datum, is_caruso_simple, make_datum
+from kisin.strata import _distinct_permutations, central_twist, enumerate_strata
 
 
 def assert_matches_product(datum, mu):
@@ -152,24 +155,152 @@ class TestAgainstOracles:
         assert_matches_product(datum, mu)
 
 
+def walk_and_join(datum, mu):
+    """The private walk and join on the same inputs, which must agree: the
+    walk's radius and the labels."""
+    radius = strata._walk_radius(datum, mu)
+    walked = strata._walk(datum, mu, radius)
+    assert walked == strata._join(datum, mu), mu
+    return radius, {lam for lam, _, _ in walked}
+
+
+def contracting_datum(tau, w, eps):
+    """The datum u^tau w on a shape with any eps pattern >= 2.  GroupShape
+    admits eps in {1, p} only, but the walk's bound holds for every eps >= 2,
+    so the shape is built past that validation; the label set is defined by
+    its inequality for any (tau, w), so the alcove flag is set."""
+    shape = object.__new__(GroupShape)
+    for name, value in (("n", len(tau[0])), ("blocks", len(eps)), ("eps", tuple(eps)), ("p", 2)):
+        object.__setattr__(shape, name, value)
+    return dataclasses.replace(make_datum(shape, ExtAffine(tau, w)), alcove_ok=True)
+
+
+@pytest.fixture
+def no_candidate_cache():
+    yield
+    strata.candidate_blocks.cache_clear()
+
+
+PRIMES = (3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43)
+
+
+@pytest.mark.usefixtures("no_candidate_cache")
+class TestWalkAgainstJoin:
+    @pytest.mark.parametrize(
+        "case,p", [("a", p) for p in PRIMES] + [("b", p) for p in PRIMES if p <= 31]
+    )
+    def test_golden(self, case, p):
+        datum, mu = counterexample(CASES[case], p)
+        radius, labels = walk_and_join(datum, mu)
+        assert labels == box_strata(datum, mu, radius) == set(CASES[case]["expected"])
+
+    @pytest.mark.parametrize("p", (2, 3, 5))
+    def test_gl3_simple_twists(self, p):
+        mus = dominant_vecs(3, -3, 3)
+        shifts = itertools.cycle(range(-2, 3))
+        checked = nonempty = 0
+        for m in range(-(p**3 - 1), p**3):
+            if not is_caruso_simple(3, p, m):
+                continue
+            c = next(shifts)
+            base = caruso_datum(3, 1, p, m)
+            datum, _ = central_twist(base, base.shape.zero_cochar(), ((c,) * 3,))
+            for v in mus:
+                mu = (tuple(x + c for x in v),)
+                radius, labels = walk_and_join(datum, mu)
+                if checked % 97 == 0:
+                    assert labels == box_strata(datum, mu, radius), (m, mu)
+                checked += 1
+                nonempty += bool(labels)
+        assert nonempty > 100
+
+    def test_empty_variety(self):
+        datum, _ = counterexample(CASES["a"], 19)
+        assert walk_and_join(datum, ((1, 0, 0, 0),))[1] == set()
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        f=st.integers(1, 3),
+        n=st.integers(1, 4),
+        data=st.data(),
+    )
+    def test_hypothesis_contracting(self, f, n, data):
+        eps = data.draw(st.lists(st.sampled_from((2, 3)), min_size=f, max_size=f))
+        w = tuple(tuple(data.draw(st.permutations(range(n)))) for _ in range(f))
+        tau = tuple(tuple(data.draw(st.lists(st.integers(-2, 2), min_size=n, max_size=n))) for _ in range(f))
+        small = st.lists(st.integers(-1, 1), min_size=n, max_size=n)
+        mu = tuple(tuple(sorted(data.draw(small), reverse=True)) for _ in range(f))
+        datum = contracting_datum(tau, w, eps)
+        radius, labels = walk_and_join(datum, mu)
+        if (2 * radius + 1) ** (n * f) <= 5000:
+            assert labels == box_strata(datum, mu, radius)
+        assert labels == {s.lam for s in product_strata(datum, mu)}
+
+
+class TestDispatch:
+    @pytest.mark.parametrize("case,p", [("a", 19), ("b", 17)])
+    def test_walk_builds_no_candidates(self, monkeypatch, case, p):
+        datum, mu = counterexample(CASES[case], p)
+        forbid(monkeypatch, "candidate_blocks")
+        forbid(monkeypatch, "_join")
+        assert tuple(s.lam for s in enumerate_strata(datum, mu)) == CASES[case]["expected"]
+
+    def test_multicopy_lift_keeps_the_join(self, monkeypatch):
+        lifted = make_multi(caruso_datum(2, 1, 2, 1), 2).lifted
+        mu_bullet = decompose_mu(((1, 0),), 2)
+        assert strata._walk_radius(lifted, mu_bullet) is None
+        forbid(monkeypatch, "_walk")
+        assert len(enumerate_strata(lifted, mu_bullet)) == 1
+
+    def test_verify_counterexamples_at_p101(self, monkeypatch, capsys):
+        # golden (b) has 28,135,068 candidates here, past the default cap
+        monkeypatch.setenv("KISIN_MAX_ENUM", str(10**8))
+        for case in "ab":
+            assert main(["verify-counterexample", case, "--p", "101"]) == 0
+            assert json.loads(capsys.readouterr().out)["ok"] is True
+
+
+_solve = strata.solve_affine_integral
+
+
+def off_by_one(shape, w, rhs):
+    """The affine solver with its first entry moved by one."""
+    lam = _solve(shape, w, rhs)
+    return None if lam is None else ((lam[0][0] + 1,) + lam[0][1:],) + lam[1:]
+
+
+def forbid(monkeypatch, name):
+    monkeypatch.setattr(strata, name, lambda *args: pytest.fail(f"{name} called"))
+
+
 class TestTheoremViolation:
     def test_residue_match_without_integral_preimage(self, monkeypatch):
         datum, mu = counterexample(CASES["a"], 3)
+        forbid(monkeypatch, "_walk")
         monkeypatch.setattr(strata, "solve_affine_integral", lambda shape, w, rhs: None)
         with pytest.raises(TheoremViolationError, match="integrality congruence"):
             enumerate_strata(datum, mu)
 
     def test_solved_label_must_twist_back_to_its_candidate(self, monkeypatch):
         datum, mu = counterexample(CASES["a"], 3)
-        solve = strata.solve_affine_integral
-
-        def off_by_one(shape, w, rhs):
-            lam = solve(shape, w, rhs)
-            return None if lam is None else ((lam[0][0] + 1,) + lam[0][1:],) + lam[1:]
-
+        forbid(monkeypatch, "_walk")
         monkeypatch.setattr(strata, "solve_affine_integral", off_by_one)
         with pytest.raises(TheoremViolationError, match="lam_nat"):
             enumerate_strata(datum, mu)
+
+    def test_walked_label_must_resolve_to_itself(self, monkeypatch):
+        datum, mu = counterexample(CASES["a"], 19)
+        forbid(monkeypatch, "_join")
+        monkeypatch.setattr(strata, "solve_affine_integral", off_by_one)
+        with pytest.raises(TheoremViolationError, match="walked label"):
+            enumerate_strata(datum, mu)
+
+    def test_walked_label_violation_exits_4(self, monkeypatch, capsys):
+        forbid(monkeypatch, "_join")
+        monkeypatch.setattr(strata, "solve_affine_integral", off_by_one)
+        assert main(["verify-counterexample", "b", "--p", "11"]) == 4
+        captured = capsys.readouterr()
+        assert captured.out == "" and "walked label" in captured.err
 
     def test_empty_variety_solves_nothing(self, monkeypatch):
         # block sum 1 cannot meet tau's residue, so no candidate is solved
@@ -198,3 +329,9 @@ class TestCandidateGeneration:
         }
         got = strata.candidate_blocks(mu)
         assert len(got) == len(set(got)) and set(got) == want
+
+    @pytest.mark.parametrize("n", range(1, 6))
+    def test_candidate_count(self, n):
+        # built without the cache, so the test leaves no candidate set behind
+        for b in dominant_vecs(n, -4, 6):
+            assert strata._candidate_count(b) == len(strata.candidate_blocks.__wrapped__(b)), b
