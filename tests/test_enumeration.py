@@ -16,7 +16,7 @@ from kisin.cli import CASES, counterexample, main
 from kisin.core import ExtAffine, GroupShape
 from kisin.errors import KisinError, TheoremViolationError
 from kisin.multicopy import decompose_mu, make_multi
-from kisin.normal_form import FrobeniusDatum, _solve_plan, alcove_reduce, caruso_datum, is_caruso_simple, make_datum
+from kisin.normal_form import _solve_plan, alcove_reduce, caruso_datum, is_caruso_simple, make_datum
 from kisin.strata import _distinct_permutations, central_twist, enumerate_strata
 
 
