@@ -11,9 +11,12 @@ Disconnectedness is never claimed without those certificates.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .core import (
     Cochar,
+    GroupShape,
+    WeylElt,
     _dominated,
     act_perm,
     act_sigma,
@@ -74,13 +77,14 @@ def _edge_ok(mu: Cochar, nat: Cochar, cov: Cochar, twisted: Cochar) -> bool:
     )
 
 
-def _root_moves(datum: FrobeniusDatum) -> tuple:
-    """(alpha, alpha_cov, w(sigma(alpha_cov))) for every root, in all_roots order."""
-    shape = datum.shape
+@lru_cache(maxsize=None)
+def _root_moves(shape: GroupShape, w: WeylElt) -> tuple:
+    """(alpha, alpha_cov, w(sigma(alpha_cov))) for every root, in all_roots
+    order; built once per (shape, w)."""
     moves = []
     for alpha in all_roots(shape):
         cov = alpha.coroot(shape)
-        moves.append((alpha, cov, act_weyl(datum.w, act_sigma(shape, cov))))
+        moves.append((alpha, cov, act_weyl(w, act_sigma(shape, cov))))
     return tuple(moves)
 
 
@@ -89,7 +93,7 @@ def build_graph(datum: FrobeniusDatum, mu: Cochar) -> StrataGraph:
     stratum's stored lam_nat."""
     strata = enumerate_strata(datum, mu)
     index = {s.lam: t for t, s in enumerate(strata)}
-    moves = _root_moves(datum) if len(strata) > 1 else ()  # one stratum has no edges
+    moves = _root_moves(datum.shape, datum.w) if len(strata) > 1 else ()  # one stratum has no edges
     uf = _UnionFind(len(strata))
     edges = []
     seen_pairs = set()

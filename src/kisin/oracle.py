@@ -280,12 +280,6 @@ def mat_from_rows(field: GF, rows) -> TruncMat:
     return TruncMat(field, len(rows), rows)
 
 
-def mat_identity(field: GF, n: int) -> TruncMat:
-    one = LSeries.monomial(field, 0)
-    zero = LSeries.zero(field)
-    return mat_from_rows(field, [[one if i == j else zero for j in range(n)] for i in range(n)])
-
-
 def mat_diag_u(field: GF, exps) -> TruncMat:
     zero = LSeries.zero(field)
     n = len(exps)
@@ -299,39 +293,6 @@ def mat_frobenius(a: TruncMat, p: int) -> TruncMat:
     return mat_from_rows(a.field, [[e.frobenius(p) for e in row] for row in a.rows])
 
 
-def _det(field: GF, rows, cols) -> LSeries:
-    if len(rows) == 1:
-        return rows[0][cols[0]]
-    acc = LSeries.zero(field)
-    sub_rows = rows[1:]
-    for t, c in enumerate(cols):
-        minor = _det(field, sub_rows, cols[:t] + cols[t + 1 :])
-        term = rows[0][c].mul(minor)
-        acc = acc.add(term.neg() if t % 2 else term)
-    return acc
-
-
-def mat_det(a: TruncMat) -> LSeries:
-    return _det(a.field, a.rows, tuple(range(a.n)))
-
-
-def mat_adjugate(a: TruncMat) -> TruncMat:
-    """Classical adjugate: adj(a)[i][j] = (-1)^{i+j} minor(a; j, i)."""
-    n = a.n
-    if n == 1:
-        return mat_identity(a.field, 1)
-    rows = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            keep_rows = tuple(a.rows[r] for r in range(n) if r != j)
-            keep_cols = tuple(c for c in range(n) if c != i)
-            minor = _det(a.field, keep_rows, keep_cols)
-            row.append(minor.neg() if (i + j) % 2 else minor)
-        rows.append(row)
-    return mat_from_rows(a.field, rows)
-
-
 # ---------------------------------------------------------------------------
 # Cartan and Iwahori reductions
 
@@ -341,25 +302,34 @@ def elementary_divisors(m: TruncMat) -> Cochar:
 
     The k-th determinantal divisor d_k, the least valuation of a k x k minor,
     is the sum of the k smallest exponents, so the exponents are the
-    differences d_k - d_{k-1} (d_0 = 0).  The minors of size n and n - 1 are
-    the determinant and the adjugate's entries; smaller ones come from
-    ``_det`` directly.  Raises SingularMatrixError if det m = 0.
+    differences d_k - d_{k-1} (d_0 = 0).  Each minor is computed once: the
+    k x k minor on rows R and columns C by expansion along the first row of R,
+    from the (k - 1) x (k - 1) minors on the other rows of R; the n x n minor
+    is the determinant.  Raises SingularMatrixError if det m = 0, which is so
+    exactly when every k x k minor vanishes for some k.
     """
-    det = mat_det(m)
-    if not det.coeffs:
-        raise SingularMatrixError("matrix is singular")
-    n = m.n
+    n, rows = m.n, m.rows
+    zero = LSeries.zero(m.field)
+    # minors[R][C] for the k-subsets R of rows and C of columns
+    minors = {(i,): {(j,): e for j, e in enumerate(row)} for i, row in enumerate(rows)}
     d = [0]
-    for k in range(1, n - 1):
-        minors = (
-            _det(m.field, rows, cols)
-            for rows in itertools.combinations(m.rows, k)
-            for cols in itertools.combinations(range(n), k)
-        )
-        d.append(min(e.offset for e in minors if e.coeffs))
-    if n > 1:
-        d.append(min(e.offset for row in mat_adjugate(m).rows for e in row if e.coeffs))
-    d.append(det.offset)
+    for k in range(1, n + 1):
+        if k > 1:
+            below = minors
+            minors = {}
+            for rs in itertools.combinations(range(n), k):
+                top, sub = rows[rs[0]], below[rs[1:]]
+                level = minors[rs] = {}
+                for cs in itertools.combinations(range(n), k):
+                    acc = zero
+                    for t, c in enumerate(cs):
+                        term = top[c].mul(sub[cs[:t] + cs[t + 1 :]])
+                        acc = acc.sub(term) if t % 2 else acc.add(term)
+                    level[cs] = acc
+        vals = [e.offset for level in minors.values() for e in level.values() if e.coeffs]
+        if not vals:
+            raise SingularMatrixError("matrix is singular")
+        d.append(min(vals))
     return tuple(sorted((b - a for a, b in zip(d, d[1:])), reverse=True))
 
 

@@ -4,9 +4,14 @@ singleton certificates.
 A stratum label lam is nonempty exactly when the twisted difference
 lam_nat = -lam + tau + w(sigma(lam)) is dominated by mu.  Enumeration finds
 the labels in one of two ways, after the KISIN_MAX_ENUM cap has been checked
-against the candidate product (counted, per block, as the sum over the
-dominant vectors nu <= mu_k of the number of their distinct permutations, so
-no candidate is built for the cap).
+against the candidate product.  The product is bounded by its box,
+prod_k (hi_k - lo_k + 1)^(n-1) with lo_k and hi_k the least and largest entry
+of mu_k: every entry of a candidate lies in [lo_k, hi_k] and the block sum
+fixes the last.  Only when the box exceeds the cap is the product counted,
+per block as the sum over the dominant vectors nu <= mu_k of the number of
+their distinct permutations, so no candidate is built for the cap, and the
+count stops once it passes the cap; an exceeded cap is then reported with
+the exact product.
 
 The residue join inverts the affine map.  The candidate values nu of lam_nat
 are finite: blockwise vectors whose dominant sort is dominated by mu's block.
@@ -42,17 +47,22 @@ over cycles of (2R + 1) times the windows' widths min(floor((hi_k - lo_k) /
 eps_k) + 1, 2R + 1), times WALK_PATH_COST is below the candidate product:
 R does not grow with p, so the walk wins on the large contracting varieties
 (the counterexample ladder), while small candidate sets (the GL_3 sweep, the
-oracle cross-checks) keep the join, which is faster there.  The product of
+oracle cross-checks) keep the join, which is faster there.  The rule is
+decided without the exact product: the box bounds the product and the path
+bound is at least 2R + 1, so R is computed only when the box exceeds
+WALK_PATH_COST, the path bound only when it exceeds WALK_PATH_COST (2R + 1),
+and the product only when it exceeds T = WALK_PATH_COST times the path
+bound, each block counted up to T + 1 (every block count is at least 1, so
+the capped product exceeds T exactly when the product does).  The product of
 candidate sets, each solved, and a box search over lam are kept as test
 oracles.
 
 Every invariant of a label (lam_nat, lam_dag, the R- and D-sets, the
 dimension and the singleton certificate) comes from one pass in ``_stratum``
-over the label's (lam_dag, lam_nat) and a root table built once per call of
-``enumerate_strata`` or ``make_stratum``; every pairing is an integer
-difference.  ``make_stratum``, the per-label API, validates its arguments and
-tests membership with the dominance kernel of ``core``, which also serves the
-chains and graph edges of ``connectivity``.
+over the label's (lam_dag, lam_nat) and a root table built once per shape;
+every pairing is an integer difference.  ``make_stratum``, the per-label API,
+validates its arguments and tests membership with the dominance kernel of
+``core``, which also serves the chains and graph edges of ``connectivity``.
 """
 
 from __future__ import annotations
@@ -148,21 +158,19 @@ def stratum_nonempty(datum: FrobeniusDatum, mu: Cochar, lam: Cochar) -> bool:
 # candidate generation for enumeration
 
 
-@lru_cache(maxsize=None)
-def dominant_blocks_leq(mu_block: tuple) -> tuple:
-    """All dominant integer vectors nu with nu <= mu_block (same length/sum)."""
+def _dominant_blocks(mu_block: tuple):
+    """Each dominant integer vector nu <= mu_block (same length and sum), in
+    decreasing lexicographic order."""
     n = len(mu_block)
     total = sum(mu_block)
     lo, hi = min(mu_block), max(mu_block)
     prefix_mu = list(itertools.accumulate(mu_block))
 
-    out = []
-
     def descend(pos, prev, acc, partial):
         if pos == n - 1:
             last = total - acc
             if lo <= last <= prev:
-                out.append(partial + (last,))
+                yield partial + (last,)
             return
         remaining = n - pos - 1
         for v in range(min(prev, hi), lo - 1, -1):
@@ -172,10 +180,15 @@ def dominant_blocks_leq(mu_block: tuple) -> tuple:
             # the tail cannot exceed v per entry nor drop below lo
             if new_acc + remaining * v < total or new_acc + remaining * lo > total:
                 continue
-            descend(pos + 1, v, new_acc, partial + (v,))
+            yield from descend(pos + 1, v, new_acc, partial + (v,))
 
-    descend(0, hi, 0, ())
-    return tuple(out)
+    return descend(0, hi, 0, ())
+
+
+@lru_cache(maxsize=None)
+def dominant_blocks_leq(mu_block: tuple) -> tuple:
+    """All dominant integer vectors nu with nu <= mu_block (same length/sum)."""
+    return tuple(_dominant_blocks(mu_block))
 
 
 def _distinct_permutations(block: tuple):
@@ -326,17 +339,43 @@ WALK_PATH_COST = 8
 
 
 @lru_cache(maxsize=None)
-def _candidate_count(mu_block: tuple) -> int:
+def _candidate_count(mu_block: tuple, limit: Optional[int] = None) -> int:
     """len(candidate_blocks(mu_block)) without building the candidates: the
-    sum over dominant_blocks_leq of the multinomials n! / prod(mult!)."""
+    sum over the dominant blocks of the multinomials n! / prod(mult!).  With a
+    limit, min(that, limit + 1): the search stops once the sum passes it."""
     n = len(mu_block)
     total = 0
-    for dom in dominant_blocks_leq(mu_block):
+    for dom in _dominant_blocks(mu_block):
         c = math.factorial(n)
         for _, run in itertools.groupby(dom):
             c //= math.factorial(len(tuple(run)))
         total += c
+        if limit is not None and total > limit:
+            return limit + 1
     return total
+
+
+def _candidate_box(mu: Cochar) -> int:
+    """prod_k (hi_k - lo_k + 1)^(n - 1), lo_k and hi_k the least and largest
+    entry of mu_k: a bound on the candidate product, since every entry of a
+    candidate lies in [lo_k, hi_k] and the block sum fixes its last entry."""
+    box = 1
+    for b in mu:
+        box *= (b[0] - b[-1] + 1) ** (len(b) - 1)
+    return box
+
+
+def _product_upto(mu: Cochar, limit: int) -> int:
+    """The candidate product when it is at most limit, else some number above
+    limit: each block is counted up to limit + 1, and the product stops once
+    it passes limit.  Every block count is at least 1, so the product of the
+    capped counts exceeds limit exactly when the product does."""
+    prod = 1
+    for b in mu:
+        prod *= _candidate_count(b, limit)
+        if prod > limit:
+            break
+    return prod
 
 
 @lru_cache(maxsize=None)
@@ -452,6 +491,27 @@ def _walk(datum: FrobeniusDatum, mu: Cochar, radius: int) -> list:
     return out
 
 
+def _walk_radius_chosen(datum: FrobeniusDatum, mu: Cochar, box: int, count: Optional[int]) -> Optional[int]:
+    """The walk's radius when the dispatch takes the walk, else None.
+
+    The rule: the walk iff no eps is 1 and WALK_PATH_COST * _walk_bound is
+    below the candidate product.  The product is at most box and the bound at
+    least 2R + 1, so the radius, the bound and the count are each computed
+    only when box leaves the answer open; count is the product when the cap
+    already counted it, and otherwise it is counted only up to that limit."""
+    if box <= WALK_PATH_COST:
+        return None
+    radius = _walk_radius(datum, mu)
+    if radius is None or box <= WALK_PATH_COST * (2 * radius + 1):
+        return None
+    limit = WALK_PATH_COST * _walk_bound(datum, mu, radius)
+    if box <= limit:
+        return None
+    if count is None:
+        count = _product_upto(mu, limit)
+    return radius if count > limit else None
+
+
 def enumerate_strata(datum: FrobeniusDatum, mu: Cochar) -> tuple:
     """All strata S = {lam : dominant(lam_nat) <= mu}, sorted by lam.
 
@@ -464,23 +524,16 @@ def enumerate_strata(datum: FrobeniusDatum, mu: Cochar) -> tuple:
     _require_alcove(datum)
     _require_dominant_mu(mu)
     datum.shape.check_cochar(mu)
-    count = 1
-    for b in mu:
-        count *= _candidate_count(b)
     cap = _enum_cap()
-    if count > cap:
-        raise EnumerationCapError(f"{count} candidates exceed cap {cap} (KISIN_MAX_ENUM)")
-    # the path bound is at least 2R + 1, so a count of at most WALK_PATH_COST
-    # keeps the join before any arithmetic on tau
-    radius = _walk_radius(datum, mu) if count > WALK_PATH_COST else None
-    if (
-        radius is not None
-        and count > WALK_PATH_COST * (2 * radius + 1)
-        and WALK_PATH_COST * _walk_bound(datum, mu, radius) < count
-    ):
-        labels = _walk(datum, mu, radius)
-    else:
-        labels = _join(datum, mu)
+    box = _candidate_box(mu)
+    count = None  # the candidate product, counted only when box leaves it open
+    if box > cap:
+        count = _product_upto(mu, cap)
+        if count > cap:
+            count = math.prod(_candidate_count(b) for b in mu)
+            raise EnumerationCapError(f"{count} candidates exceed cap {cap} (KISIN_MAX_ENUM)")
+    radius = _walk_radius_chosen(datum, mu, box, count)
+    labels = _join(datum, mu) if radius is None else _walk(datum, mu, radius)
     if not labels:
         return ()
     roots, minuscule = _root_table(datum.shape), is_minuscule(mu)
@@ -491,9 +544,11 @@ def enumerate_strata(datum: FrobeniusDatum, mu: Cochar) -> tuple:
 # per-stratum invariants
 
 
+@lru_cache(maxsize=None)
 def _root_table(shape) -> tuple:
     """One row (root, block, i, j, shift) per root, in all_roots order; shift
-    is 1 for a positive root, so lam_alpha = lam[block][i] - lam[block][j] - shift."""
+    is 1 for a positive root, so lam_alpha = lam[block][i] - lam[block][j] - shift.
+    Built once per shape."""
     return tuple((a, a.block, a.i, a.j, int(a.positive)) for a in all_roots(shape))
 
 

@@ -161,6 +161,70 @@ def minor_divisors(mat):
     return tuple(sorted(divisors, reverse=True))
 
 
+def _cofactor_det(field, rows, cols):
+    """The minor on rows and cols by recursive first-row expansion."""
+    from kisin.oracle import LSeries
+
+    if len(rows) == 1:
+        return rows[0][cols[0]]
+    acc = LSeries.zero(field)
+    for t, c in enumerate(cols):
+        term = rows[0][c].mul(_cofactor_det(field, rows[1:], cols[:t] + cols[t + 1 :]))
+        acc = acc.add(term.neg() if t % 2 else term)
+    return acc
+
+
+def mat_identity(field, n):
+    from kisin.oracle import LSeries, mat_from_rows
+
+    one, zero = LSeries.monomial(field, 0), LSeries.zero(field)
+    return mat_from_rows(field, [[one if i == j else zero for j in range(n)] for i in range(n)])
+
+
+def mat_det(a):
+    return _cofactor_det(a.field, a.rows, tuple(range(a.n)))
+
+
+def mat_adjugate(a):
+    """Classical adjugate: adj(a)[i][j] = (-1)^{i+j} minor(a; j, i)."""
+    from kisin.oracle import mat_from_rows
+
+    n = a.n
+    if n == 1:
+        return mat_identity(a.field, 1)
+    rows = []
+    for i in range(n):
+        row = []
+        for j in range(n):
+            keep_rows = tuple(a.rows[r] for r in range(n) if r != j)
+            minor = _cofactor_det(a.field, keep_rows, tuple(c for c in range(n) if c != i))
+            row.append(minor.neg() if (i + j) % 2 else minor)
+        rows.append(row)
+    return mat_from_rows(a.field, rows)
+
+
+def adjugate_divisors(m):
+    """The elementary divisors as the library computed them before it built
+    each minor once: the determinant, the adjugate's entries for the minors
+    of size n - 1, and every smaller minor by recursive expansion."""
+    det = mat_det(m)
+    if not det.coeffs:
+        raise SingularMatrixError("matrix is singular")
+    n = m.n
+    d = [0]
+    for k in range(1, n - 1):
+        minors = (
+            _cofactor_det(m.field, rows, cols)
+            for rows in itertools.combinations(m.rows, k)
+            for cols in itertools.combinations(range(n), k)
+        )
+        d.append(min(e.offset for e in minors if e.coeffs))
+    if n > 1:
+        d.append(min(e.offset for row in mat_adjugate(m).rows for e in row if e.coeffs))
+    d.append(det.offset)
+    return tuple(sorted((b - a for a, b in zip(d, d[1:])), reverse=True))
+
+
 def count_stable_submodules(n, B, q):
     """Independent lattice count for a prime field F_q: lattices between
     u^B O^n and u^{-B} O^n correspond to u-stable subspaces of (O/u^{2B})^n.
@@ -310,6 +374,24 @@ def product_strata(datum, mu):
     return tuple(out)
 
 
+def candidate_product(mu):
+    """The number of candidate tuples, from the built per-block sets (without
+    filling their cache)."""
+    return math.prod(len(candidate_blocks.__wrapped__(b)) for b in mu)
+
+
+def walk_by_exact_count(datum, mu):
+    """The dispatch rule on the exact candidate product, as the library
+    applied it before it bounded the product by its box: the cycle walk iff
+    no eps is 1 and WALK_PATH_COST times the walk's path bound is below the
+    product."""
+    from kisin import strata
+
+    count = math.prod(strata._candidate_count.__wrapped__(b) for b in mu)
+    radius = strata._walk_radius(datum, mu)
+    return radius is not None and strata.WALK_PATH_COST * strata._walk_bound(datum, mu, radius) < count
+
+
 def box_strata(datum, mu, bound=None):
     """Box-search oracle: every lam in the box |lam| <= bound with
     dominant(lam_nat) <= mu, the bound 2N(|tau| + |mu|) by default.  That box
@@ -346,7 +428,7 @@ def candidate_cosets(n, lam_bound, field, lam_filter=None):
     is integral, as the library generated cosets before it built only the kept
     ones.  lam_filter(lams) may restrict the diagonals tried.  Yields
     (g, adjugate(g))."""
-    from kisin.oracle import LSeries, mat_adjugate, mat_from_rows
+    from kisin.oracle import LSeries, mat_from_rows
 
     B = lam_bound
     zero = LSeries.zero(field)
@@ -401,18 +483,15 @@ def weyl_matrix(field, tau, perm):
     return mat_from_rows(field, rows)
 
 
-def coset_survey(datum, field, lam_bound: int):
-    """(g, dominant elementary divisors of g^{-1} b sigma(g), Iwahori label)
-    for every coset in the box; independent of any mu, so one survey serves a
-    whole family of bounds.  The point oracle before it was pruned by the
-    determinant: kisin_points is this survey filtered by dominance by mu.
+def survey_products(datum, field, lam_bound: int):
+    """(g, s, u^s g^{-1} b sigma(g)) for every coset g in the box, s the
+    valuation of det g.
 
     With b = u^tau w monomial, column j of g^{-1} b is column w(j) of g^{-1}
     shifted by tau_{w(j)}, and sigma(g) is upper triangular, so the product
-    sums over k <= j only.  Its determinant is a unit times a power of u, so a
-    singular product is a TheoremViolationError.
+    sums over k <= j only.
     """
-    from kisin.oracle import LSeries, elementary_divisors, iwahori_label, mat_frobenius, mat_from_rows
+    from kisin.oracle import LSeries, mat_frobenius, mat_from_rows
 
     shape = datum.shape
     if shape.blocks != 1:
@@ -424,7 +503,6 @@ def coset_survey(datum, field, lam_bound: int):
     n, p = shape.n, shape.p
     tau, w = datum.tau[0], datum.w[0]
     zero = LSeries.zero(field)
-    out = []
     for g, adj in hnf_cosets(n, lam_bound, field):
         # det g = u^s exactly, so g^{-1} b sigma(g) = adjugate(g) b sigma(g) u^{-s}
         s = sum(g.rows[i][i].val() for i in range(n))
@@ -439,8 +517,23 @@ def coset_survey(datum, field, lam_bound: int):
                     acc = acc.add(ab[i][k].mul(sg[k][j]))
                 row.append(acc)
             rows.append(row)
+        yield g, s, mat_from_rows(field, rows)
+
+
+def coset_survey(datum, field, lam_bound: int):
+    """(g, dominant elementary divisors of g^{-1} b sigma(g), Iwahori label)
+    for every coset in the box; independent of any mu, so one survey serves a
+    whole family of bounds.  The point oracle before it was pruned by the
+    determinant: kisin_points is this survey filtered by dominance by mu.
+    The determinant of the product is a unit times a power of u, so a
+    singular product is a TheoremViolationError.
+    """
+    from kisin.oracle import elementary_divisors, iwahori_label
+
+    out = []
+    for g, s, prod in survey_products(datum, field, lam_bound):
         try:
-            divisors = elementary_divisors(mat_from_rows(field, rows))
+            divisors = elementary_divisors(prod)
         except SingularMatrixError as exc:
             raise TheoremViolationError(
                 f"g^-1 b sigma(g) is singular for the coset {g.rows}"

@@ -10,11 +10,11 @@ import random
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from conftest import box_strata, dominant_vecs, product_strata
+from conftest import box_strata, candidate_product, dominant_vecs, product_strata, walk_by_exact_count
 from kisin import strata
 from kisin.cli import CASES, counterexample, main
 from kisin.core import ExtAffine, GroupShape
-from kisin.errors import KisinError, TheoremViolationError
+from kisin.errors import EnumerationCapError, KisinError, TheoremViolationError
 from kisin.multicopy import decompose_mu, make_multi
 from kisin.normal_form import _solve_plan, alcove_reduce, caruso_datum, is_caruso_simple, make_datum
 from kisin.strata import _distinct_permutations, central_twist, enumerate_strata
@@ -24,6 +24,22 @@ def assert_matches_product(datum, mu):
     S = enumerate_strata(datum, mu)
     assert S == product_strata(datum, mu), mu
     return S
+
+
+def dispatched_path(datum, mu):
+    """The paths enumerate_strata takes on (datum, mu), by name."""
+    taken = []
+    with pytest.MonkeyPatch.context() as mp:
+        for name in ("_walk", "_join"):
+            real = getattr(strata, name)
+            mp.setattr(strata, name, lambda *args, name=name, real=real: taken.append(name) or real(*args))
+        enumerate_strata(datum, mu)
+    return taken
+
+
+def assert_dispatch_matches_exact_count(datum, mu):
+    want = "_walk" if walk_by_exact_count(datum, mu) else "_join"
+    assert dispatched_path(datum, mu) == [want], mu
 
 
 def cycle_count(datum):
@@ -103,6 +119,7 @@ class TestAgainstOracles:
             assert 1 in multi.lifted.shape.eps
             mu_bullet = decompose_mu(tuple((x,) + (0,) * (n - 1) for x in ms), d)
             nonempty += bool(assert_matches_product(multi.lifted, mu_bullet))
+            assert_dispatch_matches_exact_count(multi.lifted, mu_bullet)
             done += 1
         assert nonempty > 5
 
@@ -157,10 +174,12 @@ class TestAgainstOracles:
 
 def walk_and_join(datum, mu):
     """The private walk and join on the same inputs, which must agree: the
-    walk's radius and the labels."""
+    walk's radius and the labels.  enumerate_strata must also take the path
+    that the dispatch rule chooses on the exact candidate product."""
     radius = strata._walk_radius(datum, mu)
     walked = strata._walk(datum, mu, radius)
     assert walked == strata._join(datum, mu), mu
+    assert_dispatch_matches_exact_count(datum, mu)
     return radius, {lam for lam, _, _ in walked}
 
 
@@ -252,12 +271,87 @@ class TestDispatch:
         forbid(monkeypatch, "_walk")
         assert len(enumerate_strata(lifted, mu_bullet)) == 1
 
+    @pytest.mark.parametrize(
+        "tau,w,mu",
+        [
+            (((-1, 0, 1, -2), (2, 2, 0, 0)), ((0, 1, 3, 2), (0, 3, 2, 1)), ((1, 1, 0, -1), (2, 1, 1, -2))),
+            (((0, -1, -2, -1), (1, -1, 2, -1)), ((0, 1, 3, 2), (2, 0, 1, 3)), ((3, 2, 0, -2), (3, 2, 0, 0))),
+        ],
+    )
+    def test_tie_keeps_the_join(self, tau, w, mu):
+        # the candidate product equals WALK_PATH_COST times the path bound
+        datum = contracting_datum(tau, w, (3, 3))
+        radius = strata._walk_radius(datum, mu)
+        assert candidate_product(mu) == strata.WALK_PATH_COST * strata._walk_bound(datum, mu, radius)
+        assert dispatched_path(datum, mu) == ["_join"]
+
     def test_verify_counterexamples_at_p101(self, monkeypatch, capsys):
         # golden (b) has 28,135,068 candidates here, past the default cap
         monkeypatch.setenv("KISIN_MAX_ENUM", str(10**8))
         for case in "ab":
             assert main(["verify-counterexample", case, "--p", "101"]) == 0
             assert json.loads(capsys.readouterr().out)["ok"] is True
+
+    def test_verify_counterexamples_at_p211_count_nothing_exactly(self, monkeypatch, capsys):
+        # box <= cap here, so the cap counts nothing; the dispatch counts each
+        # block only up to WALK_PATH_COST * path bound + 1 (321 for a, 769 for b)
+        monkeypatch.setenv("KISIN_MAX_ENUM", str(10**11))
+        forbid(monkeypatch, "dominant_blocks_leq")
+        limits = forbid_exact_count(monkeypatch)
+        for case in "ab":
+            assert main(["verify-counterexample", case, "--p", "211"]) == 0
+            assert json.loads(capsys.readouterr().out)["ok"] is True
+        assert limits and max(limits) < 1000
+
+
+def forbid_exact_count(monkeypatch):
+    """Make an exact count of a block's candidates fail; a count up to a
+    limit still runs, and its limits are returned."""
+    limits = []
+    real = strata._candidate_count
+
+    def limited_only(mu_block, limit=None):
+        if limit is None:
+            pytest.fail(f"exact candidate count of {mu_block}")
+        limits.append(limit)
+        return real(mu_block, limit)
+
+    monkeypatch.setattr(strata, "_candidate_count", limited_only)
+    return limits
+
+
+# Inputs whose candidate box exceeds their candidate product by more than 1:
+# the golden twists at small p (walk and join), a GL_3 sweep twist and a
+# multi-copy lift (join only).
+CAP_INPUTS = [counterexample(CASES[case], p) for case, p in (("a", 5), ("a", 11), ("b", 3), ("b", 7))] + [
+    (caruso_datum(3, 1, 3, 5), ((3, 0, -3),)),
+    (make_multi(caruso_datum(3, 1, 2, 3), 2).lifted, decompose_mu(((2, 0, 0),), 2)),
+]
+
+
+class TestEnumerationCap:
+    @pytest.mark.parametrize("datum,mu", CAP_INPUTS)
+    def test_raises_exactly_past_the_product(self, monkeypatch, datum, mu):
+        count, box = candidate_product(mu), strata._candidate_box(mu)
+        assert box > count + 1
+        want = enumerate_strata(datum, mu)
+        monkeypatch.setenv("KISIN_MAX_ENUM", str(count - 1))
+        with pytest.raises(EnumerationCapError) as info:
+            enumerate_strata(datum, mu)
+        assert str(info.value) == f"{count} candidates exceed cap {count - 1} (KISIN_MAX_ENUM)"
+        # a cap in [count, box) counts up to the cap, never exactly
+        forbid_exact_count(monkeypatch)
+        for cap in (count, count + 1, box - 1):
+            monkeypatch.setenv("KISIN_MAX_ENUM", str(cap))
+            assert enumerate_strata(datum, mu) == want
+
+    @pytest.mark.parametrize("datum,mu", CAP_INPUTS)
+    def test_box_within_the_cap_counts_nothing(self, monkeypatch, datum, mu):
+        want = enumerate_strata(datum, mu)
+        monkeypatch.setenv("KISIN_MAX_ENUM", str(strata._candidate_box(mu)))
+        limits = forbid_exact_count(monkeypatch)
+        assert enumerate_strata(datum, mu) == want
+        assert all(limit < strata._candidate_box(mu) for limit in limits)
 
 
 _solve = strata.solve_affine_integral
@@ -332,6 +426,11 @@ class TestCandidateGeneration:
 
     @pytest.mark.parametrize("n", range(1, 6))
     def test_candidate_count(self, n):
-        # built without the cache, so the test leaves no candidate set behind
+        # built without the cache, so the test leaves no candidate set behind;
+        # the box bounds the count, and a limited count stops at limit + 1
         for b in dominant_vecs(n, -4, 6):
-            assert strata._candidate_count(b) == len(strata.candidate_blocks.__wrapped__(b)), b
+            count = len(strata.candidate_blocks.__wrapped__(b))
+            assert strata._candidate_count(b) == count, b
+            assert strata._candidate_box((b,)) >= count, b
+            for limit in {0, count // 2, count - 1, count, count + 1} - {-1}:
+                assert strata._candidate_count.__wrapped__(b, limit) == min(count, limit + 1), (b, limit)

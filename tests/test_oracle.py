@@ -6,14 +6,19 @@ import pytest
 from hypothesis import given, strategies as st
 
 from conftest import (
+    adjugate_divisors,
     candidate_cosets,
     coset_survey,
     count_stable_submodules,
     dominant_vecs,
     hnf_cosets,
+    mat_adjugate,
+    mat_det,
+    mat_identity,
     mat_mul,
     minor_divisors,
     survey_points,
+    survey_products,
     weyl_matrix,
 )
 from kisin import oracle
@@ -33,11 +38,9 @@ from kisin.oracle import (
     elementary_divisors,
     iwahori_label,
     kisin_points,
-    mat_adjugate,
     mat_diag_u,
     mat_from_rows,
     mat_frobenius,
-    mat_identity,
 )
 from kisin.strata import central_twist, enumerate_strata
 
@@ -241,8 +244,6 @@ class TestElementaryDivisors:
             elementary_divisors(mat_from_rows(F3, [[z, z], [z, z]]))
 
     def test_adjugate_identity(self):
-        from kisin.oracle import mat_det
-
         rng = random.Random(109)
         for n in (2, 3):
             for _ in range(20):
@@ -400,11 +401,7 @@ class TestCosets:
         self.assert_same_cosets(n, box, field)
 
     def test_builds_only_kept_cosets(self, monkeypatch):
-        # no adjugate by cofactors, and exactly two matrices (g and its
-        # adjugate) built per yielded coset
-        def no_adjugate(_):
-            raise AssertionError("mat_adjugate called during generation")
-
+        # exactly two matrices (g and its adjugate) built per yielded coset
         built = []
         real = oracle.mat_from_rows
 
@@ -412,7 +409,6 @@ class TestCosets:
             built.append(None)
             return real(field, rows)
 
-        monkeypatch.setattr(oracle, "mat_adjugate", no_adjugate)
         monkeypatch.setattr(oracle, "mat_from_rows", counting)
         cosets = list(hnf_cosets(3, 1, F3))
         assert len(built) == 2 * len(cosets) == 2 * 445
@@ -568,6 +564,14 @@ class TestDeterminantPrune:
             for g, ed, _ in class_survey(n, p, r, box, m_index):
                 s = sum(g.rows[i][i].val() for i in range(n))
                 assert sum(ed) == sum(datum.tau[0]) + (p - 1) * s
+
+    @pytest.mark.parametrize("n,p,r,box", sorted({case[:4] for case in DIFFERENTIAL}))
+    def test_divisors_match_adjugate_divisors(self, n, p, r, box):
+        # each minor built once against the determinant and the adjugate of
+        # the cofactor expansion, on the product of every coset of the box
+        for datum in twist_classes(n, p):
+            for _, _, prod in survey_products(datum, FIELDS[p, r], box):
+                assert elementary_divisors(prod) == adjugate_divisors(prod)
 
     @pytest.mark.parametrize("n,p,r", sorted({case[:3] for case in DIFFERENTIAL}))
     def test_central_shift_of_survey(self, n, p, r):
