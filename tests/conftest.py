@@ -127,40 +127,6 @@ def reachable_by_simple_coroots(src, dst):
     return False
 
 
-def minor_divisors(mat):
-    """Independent elementary-divisor oracle via determinantal divisors:
-    d_1 + ... + d_k equals the minimal valuation over all k x k minors."""
-    from kisin.oracle import LSeries
-
-    n = mat.n
-    field = mat.field
-
-    def det(rows_idx, cols_idx):
-        if len(rows_idx) == 1:
-            return mat.rows[rows_idx[0]][cols_idx[0]]
-        acc = LSeries.zero(field)
-        for t, c in enumerate(cols_idx):
-            minor = det(rows_idx[1:], cols_idx[:t] + cols_idx[t + 1 :])
-            term = mat.rows[rows_idx[0]][c].mul(minor)
-            acc = acc.add(term.neg() if t % 2 else term)
-        return acc
-
-    idx = tuple(range(n))
-    prev = 0
-    divisors = []
-    for k in range(1, n + 1):
-        best = None
-        for rows in itertools.combinations(idx, k):
-            for cols in itertools.combinations(idx, k):
-                d = det(rows, cols)
-                if d.coeffs and (best is None or d.offset < best):
-                    best = d.offset
-        assert best is not None, "singular matrix in minor oracle"
-        divisors.append(best - prev)
-        prev = best
-    return tuple(sorted(divisors, reverse=True))
-
-
 def _cofactor_det(field, rows, cols):
     """The minor on rows and cols by recursive first-row expansion."""
     from kisin.oracle import LSeries
@@ -172,6 +138,26 @@ def _cofactor_det(field, rows, cols):
         term = rows[0][c].mul(_cofactor_det(field, rows[1:], cols[:t] + cols[t + 1 :]))
         acc = acc.add(term.neg() if t % 2 else term)
     return acc
+
+
+def minor_divisors(mat):
+    """Independent elementary-divisor oracle via determinantal divisors:
+    d_1 + ... + d_k equals the minimal valuation over all k x k minors."""
+    n = mat.n
+    idx = tuple(range(n))
+    prev = 0
+    divisors = []
+    for k in range(1, n + 1):
+        best = None
+        for rows in itertools.combinations(mat.rows, k):
+            for cols in itertools.combinations(idx, k):
+                d = _cofactor_det(mat.field, rows, cols)
+                if d.coeffs and (best is None or d.offset < best):
+                    best = d.offset
+        assert best is not None, "singular matrix in minor oracle"
+        divisors.append(best - prev)
+        prev = best
+    return tuple(sorted(divisors, reverse=True))
 
 
 def mat_identity(field, n):
