@@ -156,17 +156,6 @@ class LSeries:
     def monomial(cls, field: GF, exp: int, coeff=1):
         return cls(field, exp, (coeff,))
 
-    @classmethod
-    def from_terms(cls, field: GF, terms: dict):
-        if not terms:
-            return cls.zero(field)
-        lo = min(terms)
-        hi = max(terms)
-        coeffs = [0] * (hi - lo + 1)
-        for e, c in terms.items():
-            coeffs[e - lo] = c
-        return cls(field, lo, coeffs)
-
     # -- structure ----------------------------------------------------------
 
     def val(self) -> int:
@@ -278,15 +267,6 @@ class TruncMat:
 def mat_from_rows(field: GF, rows) -> TruncMat:
     rows = tuple(tuple(r) for r in rows)
     return TruncMat(field, len(rows), rows)
-
-
-def mat_diag_u(field: GF, exps) -> TruncMat:
-    zero = LSeries.zero(field)
-    n = len(exps)
-    return mat_from_rows(
-        field,
-        [[LSeries.monomial(field, exps[i]) if i == j else zero for j in range(n)] for i in range(n)],
-    )
 
 
 def mat_frobenius(a: TruncMat, p: int) -> TruncMat:

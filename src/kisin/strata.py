@@ -4,14 +4,12 @@ singleton certificates.
 A stratum label lam is nonempty exactly when the twisted difference
 lam_nat = -lam + tau + w(sigma(lam)) is dominated by mu.  Enumeration finds
 the labels in one of two ways, after the KISIN_MAX_ENUM cap has been checked
-against the candidate product.  The product is bounded by its box,
+against the candidate product.  The product is at most its box,
 prod_k (hi_k - lo_k + 1)^(n-1) with lo_k and hi_k the least and largest entry
 of mu_k: every entry of a candidate lies in [lo_k, hi_k] and the block sum
 fixes the last.  Only when the box exceeds the cap is the product counted,
 per block as the sum over the dominant vectors nu <= mu_k of the number of
-their distinct permutations, so no candidate is built for the cap, and the
-count stops once it passes the cap; an exceeded cap is then reported with
-the exact product.
+their distinct permutations, so no candidate is built for the cap.
 
 The residue join inverts the affine map.  The candidate values nu of lam_nat
 are finite: blockwise vectors whose dominant sort is dominated by mu's block.
@@ -44,16 +42,10 @@ no box follows, and the join is the only path.
 
 The dispatch takes the walk only when its a priori path bound, the product
 over cycles of (2R + 1) times the windows' widths min(floor((hi_k - lo_k) /
-eps_k) + 1, 2R + 1), times WALK_PATH_COST is below the candidate product:
-R does not grow with p, so the walk wins on the large contracting varieties
-(the counterexample ladder), while small candidate sets (the GL_3 sweep, the
-oracle cross-checks) keep the join, which is faster there.  The rule is
-decided without the exact product: the box bounds the product and the path
-bound is at least 2R + 1, so R is computed only when the box exceeds
-WALK_PATH_COST, the path bound only when it exceeds WALK_PATH_COST (2R + 1),
-and the product only when it exceeds T = WALK_PATH_COST times the path
-bound, each block counted up to T + 1 (every block count is at least 1, so
-the capped product exceeds T exactly when the product does).  The product of
+eps_k) + 1, 2R + 1), times WALK_PATH_COST is below the box: R does not grow
+with p, so the walk wins on the large contracting varieties (the
+counterexample ladder), while small candidate sets (the GL_3 sweep, the
+oracle cross-checks) keep the join, which is faster there.  The product of
 candidate sets, each solved, and a box search over lam are kept as test
 oracles.
 
@@ -194,16 +186,8 @@ def dominant_blocks_leq(mu_block: tuple) -> tuple:
 def _distinct_permutations(block: tuple):
     """The distinct permutations of block, each once, in lexicographic order:
     next-permutation steps on the sorted block, so repeated entries cost
-    nothing.  When the entries are distinct, itertools.permutations gives the
-    same sequence in C: most blocks of the counterexample ladder are distinct
-    and its throughput is about 15 % lower without that path."""
+    nothing."""
     a = sorted(block)
-    if len(set(a)) == len(a):
-        return itertools.permutations(a)
-    return _next_permutations(a)
-
-
-def _next_permutations(a: list):
     last = len(a) - 1
     while True:
         yield tuple(a)
@@ -325,24 +309,25 @@ def _join(datum: FrobeniusDatum, mu: Cochar) -> list:
 # the cycle walk for contracting shapes
 
 
-# The cost of one walk path relative to one join candidate, rounded up.
-# Measured per call with both paths forced, interleaved, on the (twist, mu)
-# pairs of benchmark seed 201 (Python 3.11, shared 2-vCPU x86 machine, warm
-# candidate cache): per path of the bound, median 3.3 us on the 195 ladder
-# pairs and 5.1 us on the 5,040 GL_3 sweep pairs; per candidate, 0.84 and
-# 3.5 us.  Summed over the ladder pairs, the dispatched time is flat for
-# constants from 4 to 16 and grows by 40 % at 32.  The pairs of the GL_3
-# sweep and of the oracle cross-check have at most 3 candidates per path of
-# the bound, and those of the multi-copy lifts with no eps = 1 at most 2, so
-# they keep the join; the ladder's pairs with p >= 7 have 12-1,900.
+# The cost of one walk path relative to one join candidate, rounded up: the
+# walk is taken when the candidate box exceeds WALK_PATH_COST times the path
+# bound.  Measured per call with both paths forced, interleaved, on the
+# (twist, mu) pairs of benchmark seed 201 (Python 3.11, shared 2-vCPU x86
+# machine, warm candidate cache): per path of the bound, median 3.3 us on the
+# 195 ladder pairs and 5.1 us on the 5,040 GL_3 sweep pairs; per candidate,
+# 0.84 and 3.5 us.  Summed over the ladder pairs, the dispatched time is flat
+# for constants from 4 to 16 and grows by 40 % at 32.  At that seed the box is
+# at most 4.0 times the path bound on the pairs of the GL_3 sweep and of the
+# oracle cross-check, and 2.67 times on the multi-copy lifts with no eps = 1,
+# so they keep the join; the ladder's pairs that walk have ratios of 8.1 to
+# 5,300.
 WALK_PATH_COST = 8
 
 
 @lru_cache(maxsize=None)
-def _candidate_count(mu_block: tuple, limit: Optional[int] = None) -> int:
+def _candidate_count(mu_block: tuple) -> int:
     """len(candidate_blocks(mu_block)) without building the candidates: the
-    sum over the dominant blocks of the multinomials n! / prod(mult!).  With a
-    limit, min(that, limit + 1): the search stops once the sum passes it."""
+    sum over the dominant blocks of the multinomials n! / prod(mult!)."""
     n = len(mu_block)
     total = 0
     for dom in _dominant_blocks(mu_block):
@@ -350,8 +335,6 @@ def _candidate_count(mu_block: tuple, limit: Optional[int] = None) -> int:
         for _, run in itertools.groupby(dom):
             c //= math.factorial(len(tuple(run)))
         total += c
-        if limit is not None and total > limit:
-            return limit + 1
     return total
 
 
@@ -363,19 +346,6 @@ def _candidate_box(mu: Cochar) -> int:
     for b in mu:
         box *= (b[0] - b[-1] + 1) ** (len(b) - 1)
     return box
-
-
-def _product_upto(mu: Cochar, limit: int) -> int:
-    """The candidate product when it is at most limit, else some number above
-    limit: each block is counted up to limit + 1, and the product stops once
-    it passes limit.  Every block count is at least 1, so the product of the
-    capped counts exceeds limit exactly when the product does."""
-    prod = 1
-    for b in mu:
-        prod *= _candidate_count(b, limit)
-        if prod > limit:
-            break
-    return prod
 
 
 @lru_cache(maxsize=None)
@@ -491,34 +461,13 @@ def _walk(datum: FrobeniusDatum, mu: Cochar, radius: int) -> list:
     return out
 
 
-def _walk_radius_chosen(datum: FrobeniusDatum, mu: Cochar, box: int, count: Optional[int]) -> Optional[int]:
-    """The walk's radius when the dispatch takes the walk, else None.
-
-    The rule: the walk iff no eps is 1 and WALK_PATH_COST * _walk_bound is
-    below the candidate product.  The product is at most box and the bound at
-    least 2R + 1, so the radius, the bound and the count are each computed
-    only when box leaves the answer open; count is the product when the cap
-    already counted it, and otherwise it is counted only up to that limit."""
-    if box <= WALK_PATH_COST:
-        return None
-    radius = _walk_radius(datum, mu)
-    if radius is None or box <= WALK_PATH_COST * (2 * radius + 1):
-        return None
-    limit = WALK_PATH_COST * _walk_bound(datum, mu, radius)
-    if box <= limit:
-        return None
-    if count is None:
-        count = _product_upto(mu, limit)
-    return radius if count > limit else None
-
-
 def enumerate_strata(datum: FrobeniusDatum, mu: Cochar) -> tuple:
     """All strata S = {lam : dominant(lam_nat) <= mu}, sorted by lam.
 
-    The arguments are validated once and the candidate product is checked
-    against the cap before any work.  The labels come from the cycle walk
-    when every eps is at least 2 and its path bound, weighted by
-    WALK_PATH_COST, is below the candidate product; otherwise from the
+    The arguments are validated once and the cap is checked before any work:
+    the candidate product is counted only when its box exceeds the cap.  The
+    labels come from the cycle walk when every eps is at least 2 and its path
+    bound, weighted by WALK_PATH_COST, is below the box; otherwise from the
     residue join.  Each record is built from its checked (lam, dag, nat).
     """
     _require_alcove(datum)
@@ -526,14 +475,18 @@ def enumerate_strata(datum: FrobeniusDatum, mu: Cochar) -> tuple:
     datum.shape.check_cochar(mu)
     cap = _enum_cap()
     box = _candidate_box(mu)
-    count = None  # the candidate product, counted only when box leaves it open
     if box > cap:
-        count = _product_upto(mu, cap)
+        count = math.prod(_candidate_count(b) for b in mu)
         if count > cap:
-            count = math.prod(_candidate_count(b) for b in mu)
             raise EnumerationCapError(f"{count} candidates exceed cap {cap} (KISIN_MAX_ENUM)")
-    radius = _walk_radius_chosen(datum, mu, box, count)
-    labels = _join(datum, mu) if radius is None else _walk(datum, mu, radius)
+    # the path bound is at least 2R + 1, so the first two tests only skip work
+    radius = _walk_radius(datum, mu) if box > WALK_PATH_COST else None
+    walk = (
+        radius is not None
+        and box > WALK_PATH_COST * (2 * radius + 1)
+        and box > WALK_PATH_COST * _walk_bound(datum, mu, radius)
+    )
+    labels = _walk(datum, mu, radius) if walk else _join(datum, mu)
     if not labels:
         return ()
     roots, minuscule = _root_table(datum.shape), is_minuscule(mu)

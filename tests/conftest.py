@@ -160,6 +160,28 @@ def minor_divisors(mat):
     return tuple(sorted(divisors, reverse=True))
 
 
+def series_from_terms(field, terms):
+    """The Laurent polynomial sum of terms[e] u^e."""
+    from kisin.oracle import LSeries
+
+    if not terms:
+        return LSeries.zero(field)
+    lo = min(terms)
+    return LSeries(field, lo, [terms.get(e, 0) for e in range(lo, max(terms) + 1)])
+
+
+def mat_diag_u(field, exps):
+    """The diagonal matrix with entries u^exps[i]."""
+    from kisin.oracle import LSeries, mat_from_rows
+
+    zero = LSeries.zero(field)
+    n = len(exps)
+    return mat_from_rows(
+        field,
+        [[LSeries.monomial(field, exps[i]) if i == j else zero for j in range(n)] for i in range(n)],
+    )
+
+
 def mat_identity(field, n):
     from kisin.oracle import LSeries, mat_from_rows
 
@@ -368,14 +390,24 @@ def candidate_product(mu):
 
 def walk_by_exact_count(datum, mu):
     """The dispatch rule on the exact candidate product, as the library
-    applied it before it bounded the product by its box: the cycle walk iff
-    no eps is 1 and WALK_PATH_COST times the walk's path bound is below the
-    product."""
+    applied it before it decided on the box: the cycle walk iff no eps is 1
+    and WALK_PATH_COST times the walk's path bound is below the product."""
     from kisin import strata
 
     count = math.prod(strata._candidate_count.__wrapped__(b) for b in mu)
     radius = strata._walk_radius(datum, mu)
     return radius is not None and strata.WALK_PATH_COST * strata._walk_bound(datum, mu, radius) < count
+
+
+def walk_by_box(datum, mu):
+    """The dispatch rule on the candidate box, without the library's
+    prefilters: the cycle walk iff no eps is 1 and WALK_PATH_COST times the
+    walk's path bound is below the box."""
+    from kisin import strata
+
+    radius = strata._walk_radius(datum, mu)
+    box = strata._candidate_box(mu)
+    return radius is not None and strata.WALK_PATH_COST * strata._walk_bound(datum, mu, radius) < box
 
 
 def box_strata(datum, mu, bound=None):
@@ -428,7 +460,7 @@ def candidate_cosets(n, lam_bound, field, lam_filter=None):
             for i in range(n):
                 rows[i][i] = LSeries.monomial(field, lams[i])
             for (i, j), exps, coeffs in zip(pairs, spans, choice):
-                rows[i][j] = LSeries.from_terms(field, {e: c for e, c in zip(exps, coeffs) if c})
+                rows[i][j] = series_from_terms(field, {e: c for e, c in zip(exps, coeffs) if c})
             g = mat_from_rows(field, rows)
             # box lower bound: u^B O^n inside the lattice, i.e. u^B g^{-1} integral
             low = sum(lams) - B

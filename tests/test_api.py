@@ -10,10 +10,7 @@ PACKAGE = ROOT / "src" / "kisin"
 
 # Public names whose only callers are tests, each with the reason it stays;
 # methods are keyed as Class.method.
-TEST_ONLY = {
-    "mat_diag_u": "builds the diagonal test matrices u^lam for the divisor and label tests",
-    "LSeries.from_terms": "builds the test series from exponent-to-coefficient maps",
-}
+TEST_ONLY = {}
 
 FUNCS = (ast.FunctionDef, ast.AsyncFunctionDef)
 DEFS = FUNCS + (ast.ClassDef,)

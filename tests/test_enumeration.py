@@ -10,7 +10,7 @@ import random
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from conftest import box_strata, candidate_product, dominant_vecs, product_strata, walk_by_exact_count
+from conftest import box_strata, candidate_product, dominant_vecs, product_strata, walk_by_box, walk_by_exact_count
 from kisin import strata
 from kisin.cli import CASES, counterexample, main
 from kisin.core import ExtAffine, GroupShape
@@ -37,9 +37,12 @@ def dispatched_path(datum, mu):
     return taken
 
 
-def assert_dispatch_matches_exact_count(datum, mu):
-    want = "_walk" if walk_by_exact_count(datum, mu) else "_join"
-    assert dispatched_path(datum, mu) == [want], mu
+def assert_dispatch_follows_the_box(datum, mu):
+    """enumerate_strata takes the path of the rule on the box, which walks
+    wherever the rule on the exact product walks, since box >= product."""
+    walk = walk_by_box(datum, mu)
+    assert dispatched_path(datum, mu) == (["_walk"] if walk else ["_join"]), mu
+    assert walk or not walk_by_exact_count(datum, mu), mu
 
 
 def cycle_count(datum):
@@ -119,7 +122,7 @@ class TestAgainstOracles:
             assert 1 in multi.lifted.shape.eps
             mu_bullet = decompose_mu(tuple((x,) + (0,) * (n - 1) for x in ms), d)
             nonempty += bool(assert_matches_product(multi.lifted, mu_bullet))
-            assert_dispatch_matches_exact_count(multi.lifted, mu_bullet)
+            assert_dispatch_follows_the_box(multi.lifted, mu_bullet)
             done += 1
         assert nonempty > 5
 
@@ -175,11 +178,11 @@ class TestAgainstOracles:
 def walk_and_join(datum, mu):
     """The private walk and join on the same inputs, which must agree: the
     walk's radius and the labels.  enumerate_strata must also take the path
-    that the dispatch rule chooses on the exact candidate product."""
+    that the dispatch rule chooses on the candidate box."""
     radius = strata._walk_radius(datum, mu)
     walked = strata._walk(datum, mu, radius)
     assert walked == strata._join(datum, mu), mu
-    assert_dispatch_matches_exact_count(datum, mu)
+    assert_dispatch_follows_the_box(datum, mu)
     return radius, {lam for lam, _, _ in walked}
 
 
@@ -274,15 +277,17 @@ class TestDispatch:
     @pytest.mark.parametrize(
         "tau,w,mu",
         [
-            (((-1, 0, 1, -2), (2, 2, 0, 0)), ((0, 1, 3, 2), (0, 3, 2, 1)), ((1, 1, 0, -1), (2, 1, 1, -2))),
-            (((0, -1, -2, -1), (1, -1, 2, -1)), ((0, 1, 3, 2), (2, 0, 1, 3)), ((3, 2, 0, -2), (3, 2, 0, 0))),
+            (((-1, 2, -1), (-2, -2, 1)), ((2, 1, 0), (0, 1, 2)), ((1, 0, -1), (1, -1, -2))),
+            (((1, 1, 2, -1), (-2, -1, -2, 1)), ((3, 2, 0, 1), (2, 0, 1, 3)), ((1, 0, 0, -1), (0, -1, -1, -1))),
         ],
     )
     def test_tie_keeps_the_join(self, tau, w, mu):
-        # the candidate product equals WALK_PATH_COST times the path bound
+        # the box equals WALK_PATH_COST times the path bound, past both prefilters
         datum = contracting_datum(tau, w, (3, 3))
         radius = strata._walk_radius(datum, mu)
-        assert candidate_product(mu) == strata.WALK_PATH_COST * strata._walk_bound(datum, mu, radius)
+        box = strata._candidate_box(mu)
+        assert box > strata.WALK_PATH_COST * (2 * radius + 1)
+        assert box == strata.WALK_PATH_COST * strata._walk_bound(datum, mu, radius)
         assert dispatched_path(datum, mu) == ["_join"]
 
     def test_verify_counterexamples_at_p101(self, monkeypatch, capsys):
@@ -293,31 +298,26 @@ class TestDispatch:
             assert json.loads(capsys.readouterr().out)["ok"] is True
 
     def test_verify_counterexamples_at_p211_count_nothing_exactly(self, monkeypatch, capsys):
-        # box <= cap here, so the cap counts nothing; the dispatch counts each
-        # block only up to WALK_PATH_COST * path bound + 1 (321 for a, 769 for b)
+        # box <= cap here, so neither the cap nor the dispatch counts anything
         monkeypatch.setenv("KISIN_MAX_ENUM", str(10**11))
         forbid(monkeypatch, "dominant_blocks_leq")
-        limits = forbid_exact_count(monkeypatch)
+        forbid(monkeypatch, "_candidate_count")
         for case in "ab":
             assert main(["verify-counterexample", case, "--p", "211"]) == 0
             assert json.loads(capsys.readouterr().out)["ok"] is True
-        assert limits and max(limits) < 1000
 
 
-def forbid_exact_count(monkeypatch):
-    """Make an exact count of a block's candidates fail; a count up to a
-    limit still runs, and its limits are returned."""
-    limits = []
+def counted_blocks(monkeypatch):
+    """Record the blocks whose candidates are counted; the count still runs."""
+    blocks = []
     real = strata._candidate_count
 
-    def limited_only(mu_block, limit=None):
-        if limit is None:
-            pytest.fail(f"exact candidate count of {mu_block}")
-        limits.append(limit)
-        return real(mu_block, limit)
+    def counting(mu_block):
+        blocks.append(mu_block)
+        return real(mu_block)
 
-    monkeypatch.setattr(strata, "_candidate_count", limited_only)
-    return limits
+    monkeypatch.setattr(strata, "_candidate_count", counting)
+    return blocks
 
 
 # Inputs whose candidate box exceeds their candidate product by more than 1:
@@ -336,11 +336,11 @@ class TestEnumerationCap:
         assert box > count + 1
         want = enumerate_strata(datum, mu)
         monkeypatch.setenv("KISIN_MAX_ENUM", str(count - 1))
+        blocks = counted_blocks(monkeypatch)
         with pytest.raises(EnumerationCapError) as info:
             enumerate_strata(datum, mu)
         assert str(info.value) == f"{count} candidates exceed cap {count - 1} (KISIN_MAX_ENUM)"
-        # a cap in [count, box) counts up to the cap, never exactly
-        forbid_exact_count(monkeypatch)
+        assert blocks == list(mu)  # each block counted once
         for cap in (count, count + 1, box - 1):
             monkeypatch.setenv("KISIN_MAX_ENUM", str(cap))
             assert enumerate_strata(datum, mu) == want
@@ -349,9 +349,8 @@ class TestEnumerationCap:
     def test_box_within_the_cap_counts_nothing(self, monkeypatch, datum, mu):
         want = enumerate_strata(datum, mu)
         monkeypatch.setenv("KISIN_MAX_ENUM", str(strata._candidate_box(mu)))
-        limits = forbid_exact_count(monkeypatch)
+        forbid(monkeypatch, "_candidate_count")
         assert enumerate_strata(datum, mu) == want
-        assert all(limit < strata._candidate_box(mu) for limit in limits)
 
 
 _solve = strata.solve_affine_integral
@@ -427,10 +426,8 @@ class TestCandidateGeneration:
     @pytest.mark.parametrize("n", range(1, 6))
     def test_candidate_count(self, n):
         # built without the cache, so the test leaves no candidate set behind;
-        # the box bounds the count, and a limited count stops at limit + 1
+        # the box bounds the count
         for b in dominant_vecs(n, -4, 6):
             count = len(strata.candidate_blocks.__wrapped__(b))
             assert strata._candidate_count(b) == count, b
             assert strata._candidate_box((b,)) >= count, b
-            for limit in {0, count // 2, count - 1, count, count + 1} - {-1}:
-                assert strata._candidate_count.__wrapped__(b, limit) == min(count, limit + 1), (b, limit)
