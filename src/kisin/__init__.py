@@ -8,8 +8,6 @@ from .core import (
     WeylElt,
     act_sigma,
     act_weyl,
-    dominance_leq,
-    dominant,
     ext_inv,
     ext_mul,
     ext_sigma_conj,

@@ -195,50 +195,11 @@ def sigma0_weyl(shape: GroupShape, w: WeylElt) -> WeylElt:
     return tuple(w[(k + 1) % shape.blocks] for k in range(shape.blocks))
 
 
-def dominant(v: Cochar) -> tuple:
-    """Sort each block non-increasingly; also return a Weyl witness.
-
-    Returns (dom, w) with act_weyl(w, v) == dom.
-    """
-    dom_blocks = []
-    perms = []
-    for b in v:
-        order = sorted(range(len(b)), key=lambda i: (-b[i], i))
-        dom_blocks.append(tuple(b[i] for i in order))
-        perm = [0] * len(b)
-        for t, i in enumerate(order):
-            perm[i] = t
-        perms.append(tuple(perm))
-    return tuple(dom_blocks), tuple(perms)
-
-
-def dominance_leq(nu: Cochar, mu: Cochar) -> bool:
-    """Blockwise dominance order on dominant cochars: equal block sums and
-    partial sums of nu bounded by those of mu.
-
-    For products of GL_n this is the Bruhat order on dominant cocharacters.
-    """
-    if not is_dominant(nu) or not is_dominant(mu):
-        raise ConfigError("dominance_leq requires dominant inputs")
-    if len(nu) != len(mu) or any(len(a) != len(b) for a, b in zip(nu, mu)):
-        raise ConfigError("dominance_leq: shape mismatch")
-    for bn, bm in zip(nu, mu):
-        if sum(bn) != sum(bm):
-            return False
-        acc_n = acc_m = 0
-        for x, y in zip(bn[:-1], bm[:-1]):
-            acc_n += x
-            acc_m += y
-            if acc_n > acc_m:
-                return False
-    return True
-
-
 def _dominated(v: Cochar, mu: Cochar) -> bool:
-    """dominance_leq(dominant(v)[0], mu) without the Weyl witness and unchecked:
-    per block, v sorted non-increasingly, the running sum of its differences
-    from mu never positive and ending at zero.  mu must be dominant and shaped
-    like v."""
+    """Whether the dominant sort of v is dominated by mu, unchecked: per block,
+    v sorted non-increasingly, the running sum of its differences from mu
+    never positive and ending at zero (equal block sums, partial sums bounded
+    by mu's).  mu must be dominant and shaped like v."""
     for bv, bm in zip(v, mu):
         acc = 0
         for x, y in zip(sorted(bv, reverse=True), bm):

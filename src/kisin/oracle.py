@@ -17,8 +17,9 @@ inverts a field element.
 ``kisin_points`` is pruned by the determinant.  A coset g has det g = u^s,
 s the sum of its diagonal exponents, so det(g^{-1} b sigma(g)) =
 sgn(w) u^{sum(tau) + (p-1)s}, and the elementary divisors of a point sum to
-sum(mu).  Only the cosets with (p - 1)s = sum(mu) - sum(tau) can be points:
-none when p - 1 does not divide that gap.  Only those cosets are built, each
+sum(mu).  Only the slice of cosets with (p - 1)s = sum(mu) - sum(tau) can
+hold points: none when p - 1 does not divide that gap.  Only that slice is
+guarded and built, the product is formed from each coset's inverse, each
 built coset's determinant is checked against the identity, and only the
 points are labeled.
 """
@@ -29,7 +30,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterator
 
-from .core import Cochar, dominance_leq
+from .core import Cochar, _dominated
 from .errors import (
     BoxTooSmallError,
     ConfigError,
@@ -155,13 +156,6 @@ class LSeries:
     @classmethod
     def monomial(cls, field: GF, exp: int, coeff=1):
         return cls(field, exp, (coeff,))
-
-    # -- structure ----------------------------------------------------------
-
-    def val(self) -> int:
-        if not self.coeffs:
-            raise ZeroDivisionError("valuation of zero")
-        return self.offset
 
     # -- arithmetic ---------------------------------------------------------
 
@@ -389,39 +383,48 @@ def iwahori_label(g: TruncMat) -> tuple:
 # coset enumeration
 
 
-# The guard of the coset generator: a bound on the candidate product (every upper
-# triangular g of the box shape, before the box lower bound), which bounds
-# the cosets built.
+# The guard of the coset generator: a bound on the candidate product of one
+# diagonal-sum slice (every upper triangular g of the box shape with that
+# diagonal sum, before the box lower bound), which bounds the cosets built.
 MAX_CANDIDATES = 2_000_000
 
 
-def _count_candidates(n: int, lam_bound: int, q: int) -> int:
+def _slice_diagonals(n: int, B: int, s: int) -> Iterator[tuple]:
+    """The diagonals lam in [-B, B]^n with sum(lam) = s, in lexicographic
+    order; each entry is drawn from the range that the remaining entries can
+    still complete, so every partial choice completes."""
+    if n == 1:
+        if -B <= s <= B:
+            yield (s,)
+        return
+    rest = (n - 1) * B
+    for x in range(max(-B, s - rest), min(B, s + rest) + 1):
+        for tail in _slice_diagonals(n - 1, B, s - x):
+            yield (x, *tail)
+
+
+def _check_guard(n: int, B: int, q: int, s: int) -> None:
+    """The guard of the slice sum(lam) = s: its candidate product, the sum
+    over its diagonals of q^(sum_{i<j} (lam_i + B)), within MAX_CANDIDATES.
+
+    The sum stops at the first term that passes the guard, and an exponent
+    of at least MAX_CANDIDATES.bit_length() passes it without q^e being
+    taken (q >= 2), so no integer larger than the guard is built."""
+    bits = MAX_CANDIDATES.bit_length()
     total = 0
-    for lams in itertools.product(range(-lam_bound, lam_bound + 1), repeat=n):
-        size = 1
-        for i in range(n):
-            for _ in range(i + 1, n):
-                size *= q ** max(lams[i] + lam_bound, 0)
-        total += size
-    return total
+    for lams in _slice_diagonals(n, B, s):
+        e = sum((n - 1 - i) * (lam + B) for i, lam in enumerate(lams))
+        total += q**e if e < bits else MAX_CANDIDATES + 1
+        if total > MAX_CANDIDATES:
+            raise PreconditionError(f"candidate cosets exceed the guard {MAX_CANDIDATES}")
 
 
-def _check_guard(n: int, lam_bound: int, field: GF) -> None:
-    """The guard of the coset generators: n <= 3 and the candidate product of
-    the whole box within MAX_CANDIDATES."""
-    if n > 3:
-        raise PreconditionError("coset enumeration is limited to n <= 3")
-    count = _count_candidates(n, lam_bound, field.q)
-    if count > MAX_CANDIDATES:
-        raise PreconditionError(f"{count} candidate cosets exceed the guard {MAX_CANDIDATES}")
-
-
-def _hnf_cosets(n: int, B: int, field: GF, diag_sum) -> Iterator[tuple[TruncMat, TruncMat]]:
+def _hnf_cosets(n: int, B: int, field: GF, s: int) -> Iterator[tuple[TruncMat, TruncMat]]:
     """Hermite-style representatives of the lattices between u^B O^n and
-    u^{-B} O^n whose diagonal exponents sum to diag_sum (every one for None):
-    upper triangular g, diagonal u^{lam_j} with |lam_j| <= B, entry (i, j)
+    u^{-B} O^n whose diagonal exponents sum to s: upper triangular g,
+    diagonal u^{lam_j} with |lam_j| <= B and sum(lam) = s, entry (i, j)
     reduced modulo u^{lam_i} with valuation >= -B, and u^B g^{-1} integral.
-    Complete and duplicate-free for that box; unguarded.
+    Complete and duplicate-free for that slice of the box; unguarded.
 
     The inverse h = g^{-1} is upper triangular and its column j depends only
     on the columns <= j of g, so both are built one column at a time, each
@@ -432,25 +435,18 @@ def _hnf_cosets(n: int, B: int, field: GF, diag_sum) -> Iterator[tuple[TruncMat,
     and only those from max(lam_i+lam_j-B, -B) up to lam_i are free.  Every
     matrix built is a coset.
 
-    Yields (g, adjugate(g)) per coset, the adjugate being u^s g^{-1} with
-    u^s = det g.
+    Yields (g, g^{-1}) per coset.
     """
     zero = LSeries.zero(field)
     cells = [(i, j) for j in range(n) for i in reversed(range(j))]
-    for lams in itertools.product(range(-B, B + 1), repeat=n):
-        s = sum(lams)
-        if diag_sum is not None and s != diag_sum:
-            continue
+    for lams in _slice_diagonals(n, B, s):
         g = [[zero] * n for _ in range(n)]
         h = [[zero] * n for _ in range(n)]
         for i in range(n):
             g[i][i] = LSeries.monomial(field, lams[i])
             h[i][i] = LSeries.monomial(field, -lams[i])
         for _ in _fill_cells(field, B, lams, g, h, cells):
-            yield (
-                mat_from_rows(field, g),
-                mat_from_rows(field, [[e.shift(s) for e in row] for row in h]),
-            )
+            yield mat_from_rows(field, g), mat_from_rows(field, h)
 
 
 def _fill_cells(field: GF, B: int, lams, g, h, cells) -> Iterator[None]:
@@ -483,18 +479,19 @@ def kisin_points(datum: FrobeniusDatum, mu: Cochar, field: GF, lam_bound: int):
     """All cosets g in the box with dominant elementary divisors of
     g^{-1} b sigma(g) dominated by mu, labeled by their Iwahori stratum.
 
-    Only f = 1 is supported; the coefficient field is fixed, so this lists the
-    points of the variety rational over that field.  A stratum label outside
-    the box raises BoxTooSmallError.
+    Only f = 1 and n <= 3 are supported; the coefficient field is fixed, so
+    this lists the points of the variety rational over that field.  A stratum
+    label outside the box raises BoxTooSmallError.
 
     A coset g is upper triangular with diagonal u^{lam_j}, so det g = u^s
     exactly with s = sum(lam), and det(g^{-1} b sigma(g)) is
     sgn(w) u^{sum(tau) + (p-1)s}.  Dominance by mu needs the exponents to sum
     to sum(mu), so a point has (p - 1)s = sum(mu) - sum(tau): when p - 1 does
-    not divide the gap there are no points, and otherwise only the cosets with
-    s = s0 are built.  Every coset built is checked against that identity (a
-    singular product or a determinant of another valuation is a
-    TheoremViolationError), and only the points get an Iwahori label.
+    not divide the gap there are no points, and otherwise only the slice
+    s = s0 is guarded and built, each coset with its inverse.  Every coset
+    built is checked against that identity (a singular product or a
+    determinant of another valuation is a TheoremViolationError), and only
+    the points get an Iwahori label.
 
     With b = u^tau w monomial, column j of g^{-1} b is column w(j) of g^{-1}
     shifted by tau_{w(j)}, and sigma(g) is upper triangular, so the product
@@ -515,18 +512,19 @@ def kisin_points(datum: FrobeniusDatum, mu: Cochar, field: GF, lam_bound: int):
     if field.p != shape.p:
         raise ConfigError("field characteristic must match the shape")
     n, p = shape.n, shape.p
-    _check_guard(n, lam_bound, field)
+    if n > 3:
+        raise PreconditionError("coset enumeration is limited to n <= 3")
     tau, w = datum.tau[0], datum.w[0]
     tau_sum = sum(tau)
     s0, rem = divmod(sum(mu[0]) - tau_sum, p - 1)
     if rem:
         return []
+    val = tau_sum + (p - 1) * s0
+    _check_guard(n, lam_bound, field.q, s0)
     zero = LSeries.zero(field)
     points = []
-    for g, adj in _hnf_cosets(n, lam_bound, field, s0):
-        # det g = u^s exactly, so g^{-1} b sigma(g) = adjugate(g) b sigma(g) u^{-s}
-        s = sum(g.rows[i][i].val() for i in range(n))
-        ab = [[row[w[j]].shift(tau[w[j]]) for j in range(n)] for row in adj.rows]
+    for g, h in _hnf_cosets(n, lam_bound, field, s0):
+        hb = [[row[w[j]].shift(tau[w[j]]) for j in range(n)] for row in h.rows]
         sg = mat_frobenius(g, p).rows
         rows = []
         for i in range(n):
@@ -534,24 +532,21 @@ def kisin_points(datum: FrobeniusDatum, mu: Cochar, field: GF, lam_bound: int):
             for j in range(n):
                 acc = zero
                 for k in range(j + 1):
-                    acc = acc.add(ab[i][k].mul(sg[k][j]))
+                    acc = acc.add(hb[i][k].mul(sg[k][j]))
                 row.append(acc)
             rows.append(row)
         try:
-            divisors = elementary_divisors(mat_from_rows(field, rows))
+            ed = elementary_divisors(mat_from_rows(field, rows))
         except SingularMatrixError as exc:
             raise TheoremViolationError(
                 f"g^-1 b sigma(g) is singular for the coset {g.rows}"
             ) from exc
-        # the divisors are those of u^s g^{-1} b sigma(g), so they sum to n*s more
-        val = sum(divisors) - n * s
-        if val != tau_sum + (p - 1) * s:
+        if sum(ed) != val:
             raise TheoremViolationError(
-                f"det(g^-1 b sigma(g)) has valuation {val}, not {tau_sum + (p - 1) * s}, "
+                f"det(g^-1 b sigma(g)) has valuation {sum(ed)}, not {val}, "
                 f"for the coset {g.rows}"
             )
-        ed = tuple(d - s for d in divisors)
-        if dominance_leq((ed,), mu):
+        if _dominated((ed,), mu):
             points.append((g, (iwahori_label(g),)))
     points.sort(key=lambda t: (t[1], [repr(e) for row in t[0].rows for e in row]))
     return points

@@ -12,8 +12,6 @@ from kisin.core import (
     all_roots,
     cochar_add,
     cochar_sub,
-    dominance_leq,
-    dominant,
     is_central,
     is_dominant,
     is_minuscule,
@@ -21,6 +19,46 @@ from kisin.core import (
 from kisin.errors import ConfigError, PreconditionError, SingularMatrixError, TheoremViolationError
 from kisin.normal_form import solve_affine_integral
 from kisin.strata import Stratum, candidate_blocks, natural_lambda
+
+
+def dominant(v):
+    """Sort each block non-increasingly; also return a Weyl witness.
+
+    Returns (dom, w) with act_weyl(w, v) == dom.  With dominance_leq, the
+    checked oracle of the library's unchecked kernel core._dominated.
+    """
+    dom_blocks = []
+    perms = []
+    for b in v:
+        order = sorted(range(len(b)), key=lambda i: (-b[i], i))
+        dom_blocks.append(tuple(b[i] for i in order))
+        perm = [0] * len(b)
+        for t, i in enumerate(order):
+            perm[i] = t
+        perms.append(tuple(perm))
+    return tuple(dom_blocks), tuple(perms)
+
+
+def dominance_leq(nu, mu):
+    """Blockwise dominance order on dominant cochars: equal block sums and
+    partial sums of nu bounded by those of mu.
+
+    For products of GL_n this is the Bruhat order on dominant cocharacters.
+    """
+    if not is_dominant(nu) or not is_dominant(mu):
+        raise ConfigError("dominance_leq requires dominant inputs")
+    if len(nu) != len(mu) or any(len(a) != len(b) for a, b in zip(nu, mu)):
+        raise ConfigError("dominance_leq: shape mismatch")
+    for bn, bm in zip(nu, mu):
+        if sum(bn) != sum(bm):
+            return False
+        acc_n = acc_m = 0
+        for x, y in zip(bn[:-1], bm[:-1]):
+            acc_n += x
+            acc_m += y
+            if acc_n > acc_m:
+                return False
+    return True
 
 
 def dominant_vecs(n, lo, hi):
@@ -430,13 +468,14 @@ def box_strata(datum, mu, bound=None):
 
 
 def hnf_cosets(n, lam_bound, field):
-    """Every coset of the box |lam_j| <= lam_bound, as (g, adjugate(g)), behind
-    the oracle's guard: the whole-box generator that kisin_points prunes to
-    one diagonal-sum slice."""
+    """Every coset of the box |lam_j| <= lam_bound, as (g, g^{-1}): the union
+    over s of the slices sum(lam) = s, of which kisin_points builds one, each
+    behind the oracle's slice guard."""
     from kisin.oracle import _check_guard, _hnf_cosets
 
-    _check_guard(n, lam_bound, field)
-    yield from _hnf_cosets(n, lam_bound, field, None)
+    for s in range(-n * lam_bound, n * lam_bound + 1):
+        _check_guard(n, lam_bound, field.q, s)
+        yield from _hnf_cosets(n, lam_bound, field, s)
 
 
 def candidate_cosets(n, lam_bound, field, lam_filter=None):
@@ -445,7 +484,7 @@ def candidate_cosets(n, lam_bound, field, lam_filter=None):
     exponents in [-B, lam_i)), built with its adjugate and kept when u^B g^{-1}
     is integral, as the library generated cosets before it built only the kept
     ones.  lam_filter(lams) may restrict the diagonals tried.  Yields
-    (g, adjugate(g))."""
+    (g, g^{-1}), the inverse being the adjugate over det g = u^{sum(lam)}."""
     from kisin.oracle import LSeries, mat_from_rows
 
     B = lam_bound
@@ -463,10 +502,10 @@ def candidate_cosets(n, lam_bound, field, lam_filter=None):
                 rows[i][j] = series_from_terms(field, {e: c for e, c in zip(exps, coeffs) if c})
             g = mat_from_rows(field, rows)
             # box lower bound: u^B O^n inside the lattice, i.e. u^B g^{-1} integral
-            low = sum(lams) - B
+            s = sum(lams)
             adj = mat_adjugate(g)
-            if all(not e.coeffs or e.offset >= low for row in adj.rows for e in row):
-                yield g, adj
+            if all(not e.coeffs or e.offset >= s - B for row in adj.rows for e in row):
+                yield g, mat_from_rows(field, [[e.shift(-s) for e in row] for row in adj.rows])
 
 
 def mat_mul(a, b):
@@ -502,8 +541,7 @@ def weyl_matrix(field, tau, perm):
 
 
 def survey_products(datum, field, lam_bound: int):
-    """(g, s, u^s g^{-1} b sigma(g)) for every coset g in the box, s the
-    valuation of det g.
+    """(g, g^{-1} b sigma(g)) for every coset g in the box.
 
     With b = u^tau w monomial, column j of g^{-1} b is column w(j) of g^{-1}
     shifted by tau_{w(j)}, and sigma(g) is upper triangular, so the product
@@ -521,10 +559,8 @@ def survey_products(datum, field, lam_bound: int):
     n, p = shape.n, shape.p
     tau, w = datum.tau[0], datum.w[0]
     zero = LSeries.zero(field)
-    for g, adj in hnf_cosets(n, lam_bound, field):
-        # det g = u^s exactly, so g^{-1} b sigma(g) = adjugate(g) b sigma(g) u^{-s}
-        s = sum(g.rows[i][i].val() for i in range(n))
-        ab = [[row[w[j]].shift(tau[w[j]]) for j in range(n)] for row in adj.rows]
+    for g, h in hnf_cosets(n, lam_bound, field):
+        hb = [[row[w[j]].shift(tau[w[j]]) for j in range(n)] for row in h.rows]
         sg = mat_frobenius(g, p).rows
         rows = []
         for i in range(n):
@@ -532,10 +568,10 @@ def survey_products(datum, field, lam_bound: int):
             for j in range(n):
                 acc = zero
                 for k in range(j + 1):
-                    acc = acc.add(ab[i][k].mul(sg[k][j]))
+                    acc = acc.add(hb[i][k].mul(sg[k][j]))
                 row.append(acc)
             rows.append(row)
-        yield g, s, mat_from_rows(field, rows)
+        yield g, mat_from_rows(field, rows)
 
 
 def coset_survey(datum, field, lam_bound: int):
@@ -549,14 +585,13 @@ def coset_survey(datum, field, lam_bound: int):
     from kisin.oracle import elementary_divisors, iwahori_label
 
     out = []
-    for g, s, prod in survey_products(datum, field, lam_bound):
+    for g, prod in survey_products(datum, field, lam_bound):
         try:
-            divisors = elementary_divisors(prod)
+            ed = elementary_divisors(prod)
         except SingularMatrixError as exc:
             raise TheoremViolationError(
                 f"g^-1 b sigma(g) is singular for the coset {g.rows}"
             ) from exc
-        ed = tuple(d - s for d in divisors)
         out.append((g, ed, (iwahori_label(g),)))
     return out
 

@@ -10,10 +10,10 @@ from fractions import Fraction as Q
 import numpy as np
 import pytest
 
-from conftest import gauss_solve_fixed_point, reachable_by_simple_coroots
+from conftest import dominance_leq, dominant, gauss_solve_fixed_point, reachable_by_simple_coroots
 from kisin.cli import main as cli_main
 from kisin.connectivity import build_graph, chain_gl3, pi0_report
-from kisin.core import ExtAffine, GroupShape, dominance_leq, dominant
+from kisin.core import ExtAffine, GroupShape
 from kisin.errors import TheoremViolationError
 from kisin.multicopy import descent_stats, make_multi, recursion_check, varsigma
 from kisin.normal_form import caruso_datum, is_caruso_simple, make_datum

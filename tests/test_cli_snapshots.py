@@ -153,7 +153,7 @@ EXPECTED = {
     "oracle-gl2-f4": "08d534d57d815fb381e443e0f57b6893b98259ca2f8b7ff4a88fe16f1d9a0831",  # exit 0
     "oracle-gl3-f2": "87eae3c26fa71b994ab826dd442ff1faa64aefeae3c02b2c817c3378a5787cdc",  # exit 0
     "oracle-box-too-small": "11cb6b44d700e2d83a07ef720ae098fba0aacf3058232aa7b78c88757282d021",  # exit 3
-    "oracle-guard": "e4b56d6d9d25161b3c40381756cb745558c3bc9d92e0626a47fac6db3fe27870",  # exit 3; regenerated for the new guard message
+    "oracle-guard": "08ff25febe78b4c33949c2865edcca0b3da9b5a2a39f362ea73372a2651414a6",  # exit 3; regenerated for the slice guard, whose message gives no count
     "oracle-f2": "602ca0054b16eb874a80e788f48023207c50c564a6d110268870075c72c880e7",  # exit 2
     "oracle-field-deg-3": "9098b779032282403d3b38e4d633c881305a2c43d0f1bb34267b957309f9550b",  # exit 2
 }

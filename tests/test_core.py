@@ -4,7 +4,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import dominant_vecs, lambda_alpha, reachable_by_simple_coroots
+from conftest import dominance_leq, dominant, dominant_vecs, lambda_alpha, reachable_by_simple_coroots
 from kisin.core import (
     ExtAffine,
     GroupShape,
@@ -16,8 +16,6 @@ from kisin.core import (
     all_roots,
     cochar_add,
     cochar_sub,
-    dominance_leq,
-    dominant,
     ext_identity,
     ext_inv,
     ext_mul,

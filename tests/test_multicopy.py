@@ -4,7 +4,8 @@ from fractions import Fraction as Q
 import pytest
 from hypothesis import given, strategies as st
 
-from kisin.core import GroupShape, dominant
+from conftest import dominant
+from kisin.core import GroupShape
 from kisin.errors import ConfigError, PreconditionError, TheoremViolationError
 from kisin.multicopy import (
     decompose_mu,

@@ -10,6 +10,7 @@ from conftest import (
     candidate_cosets,
     coset_survey,
     count_stable_submodules,
+    dominant,
     dominant_vecs,
     hnf_cosets,
     mat_adjugate,
@@ -89,10 +90,6 @@ class TestLSeries:
         s = series_from_terms(F3, {-1: 1, 0: 2, 2: 1})
         assert repr(s) == "u^-1 + 2 + u^2"
         assert not LSeries.zero(F3).coeffs
-
-    def test_val_of_zero_raises(self):
-        with pytest.raises(ZeroDivisionError):
-            LSeries.zero(F3).val()
 
     def test_mul_exact(self):
         a = series_from_terms(F3, {0: 1, 1: 1})
@@ -361,7 +358,7 @@ class TestIwahoriLabel:
 class TestCosets:
     def test_rank_one(self):
         got = list(hnf_cosets(1, 2, F3))
-        vals = sorted(g.rows[0][0].val() for g, _ in got)
+        vals = sorted(g.rows[0][0].offset for g, _ in got)
         assert vals == [-2, -1, 0, 1, 2]
 
     @pytest.mark.parametrize("n,field,q", ((2, F2, 2), (2, F3, 3), (3, F2, 2)))
@@ -376,10 +373,10 @@ class TestCosets:
     @staticmethod
     def assert_same_cosets(n, box, field, lam_filter=None):
         def keep(g):
-            return lam_filter is None or lam_filter(tuple(g.rows[i][i].val() for i in range(n)))
+            return lam_filter is None or lam_filter(tuple(g.rows[i][i].offset for i in range(n)))
 
-        got = [(g.rows, adj.rows) for g, adj in hnf_cosets(n, box, field) if keep(g)]
-        want = {(g.rows, adj.rows) for g, adj in candidate_cosets(n, box, field, lam_filter)}
+        got = [(g.rows, h.rows) for g, h in hnf_cosets(n, box, field) if keep(g)]
+        want = {(g.rows, h.rows) for g, h in candidate_cosets(n, box, field, lam_filter)}
         assert len(set(got)) == len(got)
         assert set(got) == want
 
@@ -402,7 +399,7 @@ class TestCosets:
         self.assert_same_cosets(n, box, field)
 
     def test_builds_only_kept_cosets(self, monkeypatch):
-        # exactly two matrices (g and its adjugate) built per yielded coset
+        # exactly two matrices (g and its inverse) built per yielded coset
         built = []
         real = oracle.mat_from_rows
 
@@ -418,8 +415,6 @@ class TestCosets:
     def test_label_refines_divisors(self, field, n):
         # the Iwahori label and the Cartan exponents come from two unrelated
         # reductions, but I sits inside G(O), so they must agree up to sorting
-        from kisin.core import dominant
-
         for g, _ in hnf_cosets(n, 1, field):
             lam = iwahori_label(g)
             assert dominant((lam,))[0][0] == elementary_divisors(g)
@@ -429,7 +424,7 @@ class TestCosets:
             g
             for g, _ in hnf_cosets(2, 1, F3)
             if all(
-                (not g.rows[i][j].coeffs if i != j else g.rows[i][j].val() == 0)
+                (not g.rows[i][j].coeffs if i != j else g.rows[i][j].offset == 0)
                 for i in range(2)
                 for j in range(2)
             )
@@ -449,30 +444,89 @@ class TestCosets:
 
     @pytest.mark.parametrize("n,field", ((2, F2), (2, F3), (3, F2)))
     def test_yielded_adjugate(self, n, field):
-        for g, adj in hnf_cosets(n, 1, field):
-            assert adj == mat_adjugate(g)
+        # the yielded h is the inverse, and the adjugate over det g = u^s
+        one = mat_identity(field, n)
+        for g, h in hnf_cosets(n, 1, field):
+            s = sum(g.rows[i][i].offset for i in range(n))
+            assert mat_mul(g, h) == one
+            assert h.rows == tuple(tuple(e.shift(-s) for e in row) for row in mat_adjugate(g).rows)
 
-    def test_guard(self):
+    @staticmethod
+    def slice_product(n, B, q, s):
+        # the candidate product of one slice, from the whole box
+        return sum(
+            q ** sum(lams[i] + B for i in range(n) for _ in range(i + 1, n))
+            for lams in itertools.product(range(-B, B + 1), repeat=n)
+            if sum(lams) == s
+        )
+
+    def test_guard(self, monkeypatch):
+        # the guard passes a slice whose candidate product is exactly the
+        # guard and refuses it one below, whatever the other slices hold
+        for n, B, q in ((1, 3, 3), (2, 2, 4), (3, 1, 3), (3, 2, 2), (3, 3, 2)):
+            for s in range(-n * B, n * B + 1):
+                count = self.slice_product(n, B, q, s)
+                monkeypatch.setattr(oracle, "MAX_CANDIDATES", count)
+                oracle._check_guard(n, B, q, s)
+                monkeypatch.setattr(oracle, "MAX_CANDIDATES", count - 1)
+                with pytest.raises(PreconditionError, match="candidate cosets exceed the guard"):
+                    oracle._check_guard(n, B, q, s)
+
+    def test_guard_of_the_default(self):
+        # the middle slice of n = 3 over F_9 at box 3 exceeds the default
+        # guard; its lowest slice is a single candidate
+        assert self.slice_product(3, 3, 9, 0) > oracle.MAX_CANDIDATES
+        with pytest.raises(PreconditionError, match="candidate cosets exceed the guard 2000000"):
+            oracle._check_guard(3, 3, 9, 0)
+        oracle._check_guard(3, 3, 9, -9)
+
+    @pytest.mark.parametrize("box", (3, 1000, 10**9))
+    def test_guard_stops_early(self, monkeypatch, box):
+        # a huge box refuses after a few slice diagonals, before any coset
+        # is built, and takes no power of q past the guard's bit length
+        class Q(int):
+            def __pow__(self, e):
+                assert e < oracle.MAX_CANDIDATES.bit_length(), e
+                return int(self) ** e
+
         with pytest.raises(PreconditionError, match="candidate cosets exceed the guard"):
-            list(hnf_cosets(3, 3, F9))
-        with pytest.raises(PreconditionError):
-            list(hnf_cosets(4, 1, F2))
+            oracle._check_guard(3, box, Q(3), 0)
+        steps = []
+        real = oracle._slice_diagonals
+
+        def counting(*args):
+            for lams in real(*args):
+                steps.append(lams)
+                yield lams
+
+        monkeypatch.setattr(oracle, "_slice_diagonals", counting)
+        monkeypatch.setattr(oracle, "_hnf_cosets", None)
+        with pytest.raises(PreconditionError, match="candidate cosets exceed the guard"):
+            kisin_points(caruso_datum(3, 1, 3, 1), ((1, 0, 0),), F3, box)
+        assert 0 < len(steps) < 100
+
+    @pytest.mark.parametrize("n", (1, 2, 3))
+    @pytest.mark.parametrize("B", (0, 1, 2, 3))
+    def test_slice_diagonals(self, n, B):
+        # every s, including the empty slices just outside [-nB, nB]
+        for s in range(-n * B - 1, n * B + 2):
+            want = [lams for lams in itertools.product(range(-B, B + 1), repeat=n) if sum(lams) == s]
+            assert list(oracle._slice_diagonals(n, B, s)) == want
 
 
 class TestSurvey:
     @pytest.mark.parametrize("n,p,m,field,box", ((2, 2, 1, F4, 2), (2, 3, 2, F3, 2), (3, 2, 3, F2, 1), (3, 3, 5, F3, 1)))
     def test_twist_matches_general_product(self, n, p, m, field, box):
         # the monomial twist and the triangular product against the full
-        # product adjugate(g) b sigma(g)
+        # product g^{-1} b sigma(g)
         datum = caruso_datum(n, 1, p, m)
         b = weyl_matrix(field, datum.tau[0], datum.w[0])
         survey = coset_survey(datum, field, box)
         cosets = list(hnf_cosets(n, box, field))
         assert [g for g, _, _ in survey] == [g for g, _ in cosets]
-        for (g, ed, label), (_, adj) in zip(survey, cosets):
-            s = sum(g.rows[i][i].val() for i in range(n))
-            full = mat_mul(mat_mul(adj, b), mat_frobenius(g, p))
-            assert ed == tuple(d - s for d in elementary_divisors(full))
+        for (g, ed, label), (_, h) in zip(survey, cosets):
+            full = mat_mul(mat_mul(h, b), mat_frobenius(g, p))
+            assert ed == elementary_divisors(full)
             assert label == (iwahori_label(g),)
 
     def test_singular_product_is_a_theorem_violation(self, monkeypatch, capsys):
@@ -563,7 +617,7 @@ class TestDeterminantPrune:
         # over the whole box: sum(ed) = sum(tau) + (p - 1) s for every coset
         for m_index, datum in enumerate(twist_classes(n, p)):
             for g, ed, _ in class_survey(n, p, r, box, m_index):
-                s = sum(g.rows[i][i].val() for i in range(n))
+                s = sum(g.rows[i][i].offset for i in range(n))
                 assert sum(ed) == sum(datum.tau[0]) + (p - 1) * s
 
     @pytest.mark.parametrize("n,p,r,box", sorted({case[:4] for case in DIFFERENTIAL}))
@@ -571,7 +625,7 @@ class TestDeterminantPrune:
         # each minor built once against the determinant and the adjugate of
         # the cofactor expansion, on the product of every coset of the box
         for datum in twist_classes(n, p):
-            for _, _, prod in survey_products(datum, FIELDS[p, r], box):
+            for _, prod in survey_products(datum, FIELDS[p, r], box):
                 assert elementary_divisors(prod) == adjugate_divisors(prod)
 
     @pytest.mark.parametrize("n,p,r", sorted({case[:3] for case in DIFFERENTIAL}))
@@ -633,27 +687,33 @@ class TestDeterminantPrune:
         base = caruso_datum(n, 1, p, m)
         s0, rem = divmod(sum(mu) - sum(base.tau[0]), p - 1)
         assert rem == 0
-        want = [g for g, _ in hnf_cosets(n, box, field) if sum(g.rows[i][i].val() for i in range(n)) == s0]
+        want = [g for g, _ in hnf_cosets(n, box, field) if sum(g.rows[i][i].offset for i in range(n)) == s0]
         built = self.counting_generator(monkeypatch)
         kisin_points(base, (mu,), field, box)
         assert built == want
 
-    def test_odd_gap_keeps_every_check(self, capsys):
-        # the checks run before the parity return: the field characteristic
-        # and the guard over the whole box (an odd gap has no strata, so it
-        # never reaches the box check, which still runs first on even gaps)
+    def test_odd_gap_keeps_every_check(self, monkeypatch, capsys):
+        # the checks run before the parity return: the field characteristic,
+        # the box and n <= 3 (an odd gap has no strata, so it never reaches
+        # the box check, which still runs first on even gaps); the slice
+        # guard runs after it, since an odd gap builds nothing
         base = caruso_datum(2, 1, 3, 1)
         with pytest.raises(ConfigError, match="characteristic"):
             kisin_points(base, ((1, 1),), F2, 1)
         with pytest.raises(BoxTooSmallError):
             kisin_points(base, ((7, 0),), F2, 1)
+        gl4 = caruso_datum(4, 1, 3, 1)
+        assert (2 - sum(gl4.tau[0])) % 2 == 1
+        with pytest.raises(PreconditionError, match="n <= 3"):
+            kisin_points(gl4, ((1, 1, 0, 0),), F3, 1)
         gl3 = caruso_datum(3, 1, 3, 1)
         assert enumerate_strata(gl3, ((1, 1, 0),)) == ()
-        with pytest.raises(PreconditionError, match="candidate cosets exceed the guard"):
-            kisin_points(gl3, ((1, 1, 0),), F3, 3)
+        built = self.counting_generator(monkeypatch)
+        assert kisin_points(gl3, ((1, 1, 0),), F3, 3) == []
         argv = ["oracle-count", "--p", "3", "--n", "3", "--m", "1", "--mu", "[[1,1,0]]", "--box", "3"]
-        assert main(argv) == 3
-        assert "candidate cosets exceed the guard" in capsys.readouterr().err
+        assert main(argv) == 0
+        assert capsys.readouterr().err == ""
+        assert built == []
 
 
 class TestKisinPoints:
@@ -663,6 +723,16 @@ class TestKisinPoints:
         for field in (F3, F9):
             pts = kisin_points(base, mu, field, 2)
             assert [lam for _, lam in pts] == [((0, 0),)]
+
+    def test_slice_within_the_guard(self):
+        # the whole box (4,465,505 candidates) exceeds the guard, but the
+        # slice s0 is cheap; its one point is the single dim-0 stratum
+        base = caruso_datum(3, 1, 3, 1)
+        mu = ((1, 0, 0),)
+        assert TestCosets.slice_product(3, 2, 3, 0) <= oracle.MAX_CANDIDATES
+        assert sum(TestCosets.slice_product(3, 2, 3, s) for s in range(-6, 7)) > oracle.MAX_CANDIDATES
+        assert [(s.lam, s.dim, s.singleton) for s in enumerate_strata(base, mu)] == [(((0, 0, 0),), 0, "proven")]
+        assert [lam for _, lam in kisin_points(base, mu, F3, 2)] == [((0, 0, 0),)]
 
     def test_empty_mu(self):
         base = caruso_datum(2, 1, 3, 1)

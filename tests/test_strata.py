@@ -4,8 +4,8 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import box_strata, composed_stratum
-from kisin.core import ExtAffine, GroupShape, dominant
+from conftest import box_strata, composed_stratum, dominant
+from kisin.core import ExtAffine, GroupShape
 from kisin.errors import ConfigError, EnumerationCapError, PreconditionError
 from kisin.multicopy import decompose_mu, make_multi
 from kisin.normal_form import caruso_datum, is_caruso_simple, make_datum
