@@ -5,15 +5,19 @@ Runs perfbench/run.py on every workload of BENCHMARK.json at seeds 201 to 210.
 
 Each run is ``python3 perfbench/run.py --workload W --seed N --seconds S
 --trace 0`` from the root of a checkout, with S the run_seconds of
-BENCHMARK.json.  With ``--baseline DIR`` the same runs are made in a second
-checkout (the commit the change is measured against), seed by seed, with the
-side that runs first alternating, so that drift of the machine's speed falls
-on both alike.  The file holds every run's result line and, per workload and
-end-to-end metric, the median of each side and the number of seeds on which
-the change was better.  A checkout with uncommitted changes is recorded as
-its commit plus -dirty and a hash of its ``git diff HEAD``.
+BENCHMARK.json.  With ``--baseline REV`` both sides run from fresh clones in a
+temporary directory, removed afterwards: this checkout's HEAD (the change) and
+the git revision REV (the commit the change is measured against), seed by
+seed, with the side that runs first alternating, so that drift of the
+machine's speed falls on both alike, and neither side runs in a working tree
+with its own build leftovers.  With a baseline the checkout must have no
+uncommitted changes to tracked files, since only HEAD is cloned.  Without
+one, this checkout runs in place, and uncommitted changes are recorded as its
+commit plus -dirty and a hash of its ``git diff HEAD``.  The file holds every
+run's result line and, per workload and end-to-end metric, the median of each
+side and the number of seeds on which the change was better.
 
-Usage: python3 scripts/bench.py --label NAME [--baseline DIR] [--out FILE]
+Usage: python3 scripts/bench.py --label NAME [--baseline REV] [--out FILE]
 """
 
 import argparse
@@ -24,6 +28,7 @@ import platform
 import statistics
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -42,6 +47,21 @@ def commit_of(checkout: Path):
     if commit.endswith("-dirty"):
         commit += "-" + hashlib.sha256(git("diff", "HEAD")).hexdigest()[:12]
     return commit or None
+
+
+def git(*args) -> str:
+    done = subprocess.run(["git", "-C", str(ROOT), *args], capture_output=True, text=True)
+    if done.returncode:
+        raise SystemExit(f"git {' '.join(args)} failed:\n{done.stderr}")
+    return done.stdout.strip()
+
+
+def clone(rev: str, into: Path) -> Path:
+    """A fresh clone of this repository at the commit rev."""
+    sha = git("rev-parse", "--verify", f"{rev}^{{commit}}")
+    subprocess.run(["git", "clone", "-q", "--no-checkout", str(ROOT), str(into)], check=True)
+    subprocess.run(["git", "-C", str(into), "checkout", "-q", "--detach", sha], check=True)
+    return into
 
 
 def cpu_model():
@@ -89,14 +109,23 @@ def summarise(runs: dict) -> dict:
 def main():
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--label", required=True)
-    ap.add_argument("--baseline", type=Path, default=None, help="checkout to compare against")
+    ap.add_argument("--baseline", default=None, help="git revision to compare against")
     ap.add_argument("--out", type=Path, default=None, help="output file (default BENCH_<label>.json)")
     args = ap.parse_args()
+    if args.baseline is None:
+        record(args, {"change": ROOT})
+        return
+    if git("status", "--porcelain", "--untracked-files=no"):
+        raise SystemExit("the checkout has uncommitted changes; commit them, since only HEAD is cloned")
+    with tempfile.TemporaryDirectory(prefix="kisin-bench-") as tmp:
+        tmp = Path(tmp)
+        record(args, {"baseline": clone(args.baseline, tmp / "baseline"), "change": clone("HEAD", tmp / "change")})
+
+
+def record(args, sides: dict):
+    """Run every workload and seed on each side and write the record."""
     seconds = BENCHMARK["run_seconds"]
     workloads = [w["name"] for w in BENCHMARK["workloads"]]
-    sides = {"change": ROOT}
-    if args.baseline is not None:
-        sides = {"baseline": args.baseline.resolve(), "change": ROOT}
     runs = {w: {side: [] for side in sides} for w in workloads}
     for workload in workloads:
         for i, seed in enumerate(SEEDS):
@@ -105,7 +134,7 @@ def main():
                 runs[workload][side].append(dict(result, seed=seed))
                 ips = result["metrics"]["instances_per_s"]["value"]
                 print(f"{workload} seed {seed} {side}: {ips:.2f} instances/s", file=sys.stderr)
-    record = {
+    out = {
         "label": args.label,
         "command": "python3 perfbench/run.py --workload W --seed N --seconds S --trace 0",
         "seconds": seconds,
@@ -116,7 +145,7 @@ def main():
         "runs": runs,
     }
     path = args.out or ROOT / f"BENCH_{args.label}.json"
-    path.write_text(json.dumps(record, indent=1, sort_keys=True) + "\n")
+    path.write_text(json.dumps(out, indent=1, sort_keys=True) + "\n")
     print(path)
 
 if __name__ == "__main__":

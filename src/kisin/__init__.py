@@ -50,6 +50,6 @@ from .connectivity import (
     chain_gl3,
     pi0_report,
 )
-from .oracle import GF, LSeries, TruncMat, elementary_divisors, iwahori_label, kisin_points
+from .oracle import GF, elementary_divisors, iwahori_label, kisin_points
 
 __version__ = "0.1.0"

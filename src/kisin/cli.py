@@ -344,7 +344,7 @@ def cmd_oracle_count(args) -> int:
             "points": [
                 {
                     "lambda": ser_cochar(lam),
-                    "matrix": [[repr(e) for e in row] for row in g.rows],
+                    "matrix": [list(row) for row in g],
                 }
                 for g, lam in pts
             ],

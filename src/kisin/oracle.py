@@ -1,33 +1,35 @@
 """Brute-force ground truth at tiny scale: literal points of the variety over
-small finite fields, as Hermite-style lattice cosets with exact Laurent
-arithmetic.
+small finite fields, as Hermite-style lattice cosets, in exact arithmetic on
+polynomials packed into Python integers.
 
 Coefficients live in F_{p^r} with r <= 2 (the Frobenius fixes coefficients and
 sends u to u^p, so points over a subfield are honest points of the variety).
-Every series is an exact Laurent polynomial: coset representatives are upper
-triangular with monomial diagonal, so their inverses are Laurent polynomials
-too, and ``_hnf_cosets`` builds each inverse column by column alongside its
-coset, which lets the box bound fix coefficients instead of rejecting
-candidates.  The twisting element u^tau w is monomial, so the twist is a
-reindexing and a shift, and no computation ever truncates.  Elementary
-divisors come from determinantal divisors (minimal valuations of minors);
-Iwahori labels come from a pivot elimination, ``_eliminate``, which never
-inverts a field element.
+No field table is built: a polynomial over F_p is lifted to Z[u] with
+coefficients in [0, p) and stored as its value at X = 2^W, F_{p^2} =
+F_p[t]/(t^2 + Bt + C) as a pair of such integers, and negation is
+multiplication by p - 1, so no coefficient is ever negative.  Z[u] -> F_p[u]
+and Z[u][t]/(t^2 - (p-B)t - (p-C)) -> F_{p^2}[u] are ring homomorphisms, so
+every minor reduces to the minor over the field.  A matrix is stored times a
+fixed u^S (a k x k minor carries kS), a valuation is the first digit nonzero
+mod p, and ``_width`` chooses W from a proven bound on every digit read.
 
-``kisin_points`` is pruned by the determinant.  A coset g has det g = u^s,
-s the sum of its diagonal exponents, so det(g^{-1} b sigma(g)) =
-sgn(w) u^{sum(tau) + (p-1)s}, and the elementary divisors of a point sum to
-sum(mu).  Only the slice of cosets with (p - 1)s = sum(mu) - sum(tau) can
-hold points: none when p - 1 does not divide that gap.  Only that slice is
-guarded and built, the product is formed from each coset's inverse, each
-built coset's determinant is checked against the identity, and only the
-points are labeled.
+Coset representatives are upper triangular with monomial diagonal, so their
+inverses are Laurent polynomials too; ``_hnf_cosets`` builds each inverse and
+sigma(g) alongside its coset, which lets the box bound fix coefficients
+instead of rejecting candidates.  The twisting element u^tau w is monomial,
+so the twist is a reindexing and a shift.  Elementary divisors come from
+determinantal divisors (minimal valuations of minors); Iwahori labels come
+from a pivot elimination, ``_eliminate``, which never inverts a field element.
+
+``kisin_points`` builds only the diagonal-sum slice that the determinant
+identity allows, and labels and prints only the points.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
-from dataclasses import dataclass
+import operator
 from typing import Iterator
 
 from .core import Cochar, _dominated
@@ -42,68 +44,37 @@ from .normal_form import FrobeniusDatum
 
 
 # ---------------------------------------------------------------------------
-# small finite fields with precomputed tables
+# finite fields and packed polynomials
 
 
 class GF:
-    """F_{p^r} for r in {1, 2}; elements are ints 0..q-1 (index a + p*b <-> a + b*t)."""
+    """F_{p^r} for r in {1, 2}.  An element is named by its index a + p*b for
+    a + b*t, t a root of the irreducible t^2 + Bt + C of ``t_poly`` = (B, C);
+    the arithmetic lives in ``Packing``."""
 
     def __init__(self, p: int, r: int = 1):
         if r not in (1, 2):
             raise ConfigError("coefficient fields are limited to r <= 2")
         self.p, self.r, self.q = p, r, p**r
-        q = self.q
-        if r == 1:
-            add = [[(a + b) % p for b in range(p)] for a in range(p)]
-            mul = [[(a * b) % p for b in range(p)] for a in range(p)]
-        else:
-            bc = self._irreducible_quadratic(p)
-            B, C = bc
-            add = [
-                [((a % p + b % p) % p) + p * ((a // p + b // p) % p) for b in range(q)]
-                for a in range(q)
-            ]
-            mul = []
-            for x in range(q):
-                a1, b1 = x % p, x // p
-                row = []
-                for y in range(q):
-                    a2, b2 = y % p, y // p
-                    lo = (a1 * a2 - C * b1 * b2) % p
-                    hi = (a1 * b2 + a2 * b1 - B * b1 * b2) % p
-                    row.append(lo + p * hi)
-                mul.append(row)
-            self._t_poly = bc
-        self._add = tuple(tuple(row) for row in add)
-        self._mul = tuple(tuple(row) for row in mul)
-        neg = [0] * q
-        for x in range(q):
-            for y in range(q):
-                if self._add[x][y] == 0:
-                    neg[x] = y
-        self._neg = tuple(neg)
-        self.zero, self.one = 0, 1
+        self.t_poly = self._irreducible_quadratic(p) if r == 2 else None
 
     @staticmethod
     def _irreducible_quadratic(p: int):
-        # x^2 + Bx + C with no root mod p
+        """The first (B, C), B = 0, 1, ... and then C = 1, 2, ..., with
+        x^2 + Bx + C irreducible over F_p.  For odd p the quadratic has a root
+        iff its discriminant B^2 - 4C is a square mod p, and by Euler's
+        criterion a nonzero D is a non-square iff D^((p-1)/2) = -1."""
+        if p == 2:
+            return 1, 1
         for B in range(p):
             for C in range(1, p):
-                if all((x * x + B * x + C) % p for x in range(p)):
+                if pow(B * B - 4 * C, (p - 1) // 2, p) == p - 1:
                     return B, C
         raise ConfigError("no irreducible quadratic found")  # unreachable for prime p
 
-    def add(self, a, b):
-        return self._add[a][b]
-
-    def mul(self, a, b):
-        return self._mul[a][b]
-
-    def neg(self, a):
-        return self._neg[a]
-
-    def elements(self):
-        return range(self.q)
+    def neg(self, x: int) -> int:
+        """The index of -x."""
+        return (-x) % self.p + self.p * ((-(x // self.p)) % self.p)
 
     def elem_str(self, x) -> str:
         if self.r == 1 or x < self.p:
@@ -112,269 +83,251 @@ class GF:
         bt = "t" if b == 1 else f"{b}*t"
         return bt if a == 0 else f"{bt}+{a}"
 
-    def __repr__(self):
-        return f"GF({self.p}^{self.r})" if self.r > 1 else f"GF({self.p})"
+
+class Packing:
+    """Polynomials over a GF packed at X = 2^width: an int for r = 1, a pair
+    of ints (a, b) for a + b t when r = 2.  Every packed coefficient is a
+    non-negative integer below 2^(width - 1) (the top bit of each digit is a
+    spare bit); ``mul``, ``add`` and ``neg`` are exact over Z and reduce to
+    the field arithmetic mod p."""
+
+    def __init__(self, field: GF, width: int):
+        self.field, self.width = field, width
+        self._mask, self._half = (1 << width) - 1, 1 << (width - 1)
+        p, m1 = field.p, field.p - 1
+        if field.r == 1:
+            self.zero, self._flat = 0, list
+            self.mul, self.add, self.neg = operator.mul, operator.add, m1.__mul__
+            return
+        beta, gamma = ((-c) % p for c in field.t_poly)  # t^2 = beta t + gamma
+
+        def mul(x, y):
+            (a, b), (c, d) = x, y
+            if not b:  # a monomial of the diagonal, or an F_p multiple
+                return a * c, a * d
+            if not d:
+                return a * c, b * c
+            ac, bd = a * c, b * d
+            return ac + gamma * bd, (a + b) * (c + d) - ac - bd + beta * bd
+
+        self.zero, self.mul, self._flat = (0, 0), mul, lambda xs: [c for x in xs for c in x]
+        self.add = lambda x, y: (x[0] + y[0], x[1] + y[1])
+        self.neg = lambda x: (m1 * x[0], m1 * x[1])
+
+    def term(self, c: int, pos: int):
+        """The field element of index c at position pos (times X^pos)."""
+        p, at = self.field.p, pos * self.width
+        return c << at if self.field.r == 1 else ((c % p) << at, (c // p) << at)
+
+    def above(self, x, pos: int):
+        """x without its coefficients below position pos, divided by X^pos."""
+        at = pos * self.width
+        return x >> at if self.field.r == 1 else (x[0] >> at, x[1] >> at)
+
+    def _digit(self, x: int, pos: int) -> int:
+        d = (x >> pos * self.width) & self._mask
+        if d & self._half:
+            raise TheoremViolationError(f"a packed coefficient passed its bound 2^{self.width - 1}")
+        return d
+
+    def coeff(self, x, pos: int) -> int:
+        """The index of the coefficient of x at position pos, reduced mod p."""
+        p = self.field.p
+        return sum(self._digit(v, pos) % p * p**k for k, v in enumerate(self._flat([x])))
+
+    def minval(self, xs) -> int | None:
+        """The least position at which some x of xs is nonzero mod p, or None.
+        Exact zero digits are skipped with z & -z on the union z of the xs,
+        and only the digits at the candidate position are read (and checked)."""
+        ints = self._flat(xs)
+        z = functools.reduce(operator.or_, ints, 0)
+        W, p, mask, half = self.width, self.field.p, self._mask, self._half
+        while z:
+            t = ((z & -z).bit_length() - 1) // W
+            for x in ints:
+                d = (x >> t * W) & mask
+                if d & half:
+                    self._digit(x, t)  # raises
+                if d % p:
+                    return t
+            z = z >> (t + 1) * W << (t + 1) * W
+        return None
+
+    def render(self, x, shift: int) -> str:
+        """x / u^shift, printed as sum of c*u^e in increasing e."""
+        terms = []
+        for t in range(max(c.bit_length() for c in self._flat([x])) // self.width + 1):
+            c = self.coeff(x, t)
+            if c:
+                e, cs = t - shift, self.field.elem_str(c)
+                u = "u" if e == 1 else f"u^{e}"
+                terms.append(cs if e == 0 else u if cs == "1" else f"({cs})*{u}")
+        return " + ".join(terms) or "0"
+
+    def rendered(self, rows, shift: int) -> tuple:
+        return tuple(tuple(self.render(e, shift) for e in row) for row in rows)
 
 
-# ---------------------------------------------------------------------------
-# Laurent polynomials
+def _matrix_bounds(n: int, p: int, r: int, digit: int, support: int) -> tuple:
+    """Bounds (M, E) on every packed coefficient of the minors that
+    ``elementary_divisors`` forms, and of the entries that ``_eliminate``
+    forms, from an n x n matrix whose entries have coefficients <= digit and
+    at most ``support`` nonzero ones.
+
+    A product of packed a and c has coefficients <= rho min(|a|, |c|) a c,
+    with |.| the count of nonzero coefficients and a, c coefficient bounds:
+    rho = 1 for r = 1, and rho = p + 1 for r = 2, since the pair product's
+    components ac + gamma bd and ad + bc + beta bd have beta, gamma <= p - 1.
+    A k x k minor sums ceil(k/2) terms top * minor and floor(k/2) such terms
+    times p - 1, so with M_1 = digit, M_k = s_k rho support digit M_{k-1},
+    s_k = ceil(k/2) + floor(k/2)(p - 1).  An elimination step sets an entry to
+    pivot * x + (p - 1) a y, so E_{t+1} = p rho L_t E_t^2 and
+    L_{t+1} = 2 L_t^2, from E_0 = digit and L_0 = support."""
+    rho = 1 if r == 1 else p + 1
+    m = e = digit
+    ell = support
+    for k in range(2, n + 1):
+        m *= ((k + 1) // 2 + k // 2 * (p - 1)) * rho * support * digit
+        e, ell = p * rho * ell * e * e, 2 * ell * ell
+    return m, e
 
 
-class LSeries:
-    """The exact Laurent polynomial sum coeffs[t] u^(offset+t) over a GF."""
+def _width(n: int, p: int, r: int, B: int) -> int:
+    """W for the cosets of the box B in GL_n over F_{p^r}: one spare bit over
+    a bound D on every packed coefficient that is read, masked or shifted
+    right, W = D.bit_length() + 1.
 
-    __slots__ = ("field", "offset", "coeffs")
-
-    def __init__(self, field: GF, offset: int, coeffs):
-        # normalize: strip zero margins
-        coeffs = list(coeffs)
-        while coeffs and coeffs[-1] == 0:
-            coeffs.pop()
-        drop = 0
-        while drop < len(coeffs) and coeffs[drop] == 0:
-            drop += 1
-        coeffs = coeffs[drop:]
-        offset += drop
-        self.field = field
-        self.offset = offset if coeffs else 0
-        self.coeffs = tuple(coeffs)
-
-    # -- constructors -------------------------------------------------------
-
-    @classmethod
-    def _stripped(cls, field: GF, offset: int, coeffs: tuple):
-        """The series of coeffs, whose end entries are known to be nonzero
-        (or which is empty); skips the normalization."""
-        s = object.__new__(cls)
-        s.field, s.offset, s.coeffs = field, offset, coeffs
-        return s
-
-    @classmethod
-    def zero(cls, field: GF):
-        return cls(field, 0, ())
-
-    @classmethod
-    def monomial(cls, field: GF, exp: int, coeff=1):
-        return cls(field, exp, (coeff,))
-
-    # -- arithmetic ---------------------------------------------------------
-
-    def add(self, other: "LSeries") -> "LSeries":
-        if not self.coeffs:
-            return other
-        if not other.coeffs:
-            return self
-        f = self.field
-        lo = min(self.offset, other.offset)
-        hi = max(self.offset + len(self.coeffs), other.offset + len(other.coeffs))
-        out = [0] * (hi - lo)
-        for t, c in enumerate(self.coeffs):
-            out[self.offset - lo + t] = c
-        for t, c in enumerate(other.coeffs):
-            i = other.offset - lo + t
-            out[i] = f.add(out[i], c)
-        return LSeries(f, lo, out)
-
-    def neg(self) -> "LSeries":
-        neg = self.field._neg
-        # from a list, not a generator: tuple(generator) grows by resizing,
-        # which over a coset survey cost the allocator one more arena
-        return LSeries._stripped(self.field, self.offset, tuple([neg[c] for c in self.coeffs]))
-
-    def sub(self, other: "LSeries") -> "LSeries":
-        return self.add(other.neg())
-
-    def mul(self, other: "LSeries") -> "LSeries":
-        f = self.field
-        if not self.coeffs or not other.coeffs:
-            return LSeries.zero(f)
-        out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
-        mul, add = f._mul, f._add
-        for i, a in enumerate(self.coeffs):
-            if a == 0:
-                continue
-            row = mul[a]
-            for j, b in enumerate(other.coeffs, i):
-                if b:
-                    out[j] = add[out[j]][row[b]]
-        # a field has no zero divisors, so the end coefficients stay nonzero
-        return LSeries._stripped(f, self.offset + other.offset, tuple(out))
-
-    def shift(self, k: int) -> "LSeries":
-        if not self.coeffs:
-            return self
-        return LSeries._stripped(self.field, self.offset + k, self.coeffs)
-
-    def frobenius(self, p: int) -> "LSeries":
-        """u -> u^p with coefficients fixed."""
-        if not self.coeffs:
-            return self
-        out = [0] * (p * (len(self.coeffs) - 1) + 1)
-        for t, c in enumerate(self.coeffs):
-            out[p * t] = c
-        return LSeries(self.field, p * self.offset, out)
-
-    # -- misc ---------------------------------------------------------------
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, LSeries)
-            and self.field is other.field
-            and self.offset == other.offset
-            and self.coeffs == other.coeffs
-        )
-
-    def __hash__(self):
-        return hash((self.offset, self.coeffs))
-
-    def __repr__(self):
-        if not self.coeffs:
-            return "0"
-        parts = []
-        for t, c in enumerate(self.coeffs):
-            if c == 0:
-                continue
-            e = self.offset + t
-            cs = self.field.elem_str(c)
-            if e == 0:
-                parts.append(cs)
-            elif cs == "1":
-                parts.append(f"u^{e}" if e != 1 else "u")
-            else:
-                parts.append(f"({cs})*u^{e}" if e != 1 else f"({cs})*u")
-        return " + ".join(parts)
-
-
-# ---------------------------------------------------------------------------
-# matrices
-
-
-@dataclass(frozen=True, slots=True)
-class TruncMat:
-    """Square matrix of Laurent polynomials."""
-
-    field: GF
-    n: int
-    rows: tuple  # tuple of tuple of LSeries
-
-
-def mat_from_rows(field: GF, rows) -> TruncMat:
-    rows = tuple(tuple(r) for r in rows)
-    return TruncMat(field, len(rows), rows)
-
-
-def mat_frobenius(a: TruncMat, p: int) -> TruncMat:
-    return mat_from_rows(a.field, [[e.frobenius(p) for e in row] for row in a.rows])
+    Every entry of g, h = g^{-1} and sigma(g) has its exponents in [-B, B) or
+    is the monomial of the diagonal, so at most ell = max(1, 2B) nonzero
+    coefficients; those of g and sigma(g) are canonical, <= d = max(1, p - 1).
+    An entry h_ij with j - i = e is (p - 1) c_hi plus a canonical part, c_hi
+    the top of T = sum_{i<k<j} g_ik h_kj, so by the product rule of
+    _matrix_bounds its coefficients are <= D_h(e), D_h(1) = d and
+    D_h(e) = d (1 + rho ell d sum_{e' < e} D_h(e')); T <= D_h(e) too.  An entry
+    of the product P = h b sigma(g) sums at most n products, so it has
+    coefficients <= D_P = n rho ell D_H d (D_H the largest D_h) and at most
+    L_P = n ell^2 nonzero ones.  D is the largest of D_H, the minor bound M
+    of (D_P, L_P) and the elimination bound E of g, of (d, ell)."""
+    rho = 1 if r == 1 else p + 1
+    ell, d = max(1, 2 * B), max(1, p - 1)
+    dh = [d]
+    for _ in range(2, n):
+        dh.append(d * (1 + rho * ell * d * sum(dh)))
+    dp = n * rho * ell * dh[-1] * d
+    bound = max(dh[-1], _matrix_bounds(n, p, r, dp, n * ell * ell)[0], _matrix_bounds(n, p, r, d, ell)[1])
+    return bound.bit_length() + 1
 
 
 # ---------------------------------------------------------------------------
 # Cartan and Iwahori reductions
 
 
-def elementary_divisors(m: TruncMat) -> Cochar:
-    """Exponents of the Cartan double coset of m, as one dominant block.
+def elementary_divisors(ring: Packing, rows, shift: int) -> Cochar:
+    """Exponents of the Cartan double coset of the matrix rows / u^shift (rows
+    packed by ring), as one dominant block.
 
     The k-th determinantal divisor d_k, the least valuation of a k x k minor,
     is the sum of the k smallest exponents, so the exponents are the
     differences d_k - d_{k-1} (d_0 = 0).  Each minor is computed once: the
     k x k minor on rows R and columns C by expansion along the first row of R,
     from the (k - 1) x (k - 1) minors on the other rows of R; the n x n minor
-    is the determinant.  Raises SingularMatrixError if det m = 0, which is so
-    exactly when every k x k minor vanishes for some k.
+    is the determinant; it carries the shift k * shift.  Raises
+    SingularMatrixError if det = 0, that is if every k x k minor vanishes for
+    some k.
     """
-    n, rows = m.n, m.rows
-    zero = LSeries.zero(m.field)
-    # minors[R][C] for the k-subsets R of rows and C of columns
-    minors = {(i,): {(j,): e for j, e in enumerate(row)} for i, row in enumerate(rows)}
+    mul, add, neg = ring.mul, ring.add, ring.neg
+    level = [e for row in rows for e in row]
     d = [0]
-    for k in range(1, n + 1):
-        if k > 1:
-            below = minors
-            minors = {}
-            for rs in itertools.combinations(range(n), k):
-                top, sub = rows[rs[0]], below[rs[1:]]
-                level = minors[rs] = {}
-                for cs in itertools.combinations(range(n), k):
-                    acc = zero
-                    for t, c in enumerate(cs):
-                        term = top[c].mul(sub[cs[:t] + cs[t + 1 :]])
-                        acc = acc.sub(term) if t % 2 else acc.add(term)
-                    level[cs] = acc
-        vals = [e.offset for level in minors.values() for e in level.values() if e.coeffs]
-        if not vals:
+    for k, plan in enumerate(_minor_plan(len(rows)), 1):
+        if plan:
+            below, level = level, []
+            for terms in plan:
+                (i, j, m, _), *rest = terms
+                acc = mul(rows[i][j], below[m])
+                for i, j, m, odd in rest:
+                    term = mul(rows[i][j], below[m])
+                    acc = add(acc, neg(term) if odd else term)
+                level.append(acc)
+        v = ring.minval(level)
+        if v is None:
             raise SingularMatrixError("matrix is singular")
-        d.append(min(vals))
+        d.append(v - k * shift)
     return tuple(sorted((b - a for a, b in zip(d, d[1:])), reverse=True))
 
 
-def _select_pivot(work, alive_rows, alive_cols):
-    """(i, j, val) of a minimal-valuation entry, topmost row first.
+@functools.lru_cache(maxsize=None)
+def _minor_plan(n: int) -> tuple:
+    """Per k, the k x k minors in the order of (rows R, columns C) over
+    itertools.combinations, each as its first-row expansion: (R[0], C[t], the
+    index of the (k - 1) x (k - 1) minor on R[1:] and C without C[t], t odd).
+    Level 1 is the entries themselves, indexed i n + j, and has no plan."""
+    levels, index = [()], {((i,), (j,)): i * n + j for i in range(n) for j in range(n)}
+    for k in range(2, n + 1):
+        subsets = list(itertools.combinations(range(n), k))
+        levels.append(tuple(
+            tuple((rs[0], c, index[rs[1:], cs[:t] + cs[t + 1:]], t % 2) for t, c in enumerate(cs))
+            for rs in subsets for cs in subsets
+        ))
+        index = {(rs, cs): m for m, (rs, cs) in enumerate(itertools.product(subsets, subsets))}
+    return tuple(levels)
 
-    Raises SingularMatrixError if every alive entry is zero.
-    """
-    best = None
-    for i in alive_rows:  # ascending, so the first minimum found is topmost
-        for j in alive_cols:
-            e = work[i][j]
-            if e.coeffs and (best is None or e.offset < best[2]):
-                best = (i, j, e.offset)
-    if best is None:
-        raise SingularMatrixError("matrix is singular")
-    return best
 
-
-def _eliminate(m: TruncMat) -> list:
-    """(pivot row, valuation) of each step of the reduction of m to a
-    monomial matrix by left-I row and right-G(O) column operations, I the
+def _eliminate(ring: Packing, rows, shift: int) -> list:
+    """(pivot row, valuation) of each step of the reduction of rows / u^shift
+    to a monomial matrix by left-I row and right-G(O) column operations, I the
     preimage of the lower Borel.
 
-    Each step takes a minimal-valuation pivot, clears its column with row
-    operations and then its row with column operations; rows and columns are
-    rescaled by the pivot's unit part (cross-multiplication), so no entry is
-    ever inverted.  The pivot is the topmost of minimal valuation, so a row
-    above it has strictly larger valuation in the pivot column and its
-    coefficient q = entry/pivot lies in uO, as I requires; this is asserted.
+    Each step takes a minimal-valuation pivot and clears its column with row
+    operations, rescaling each row by the pivot's unit part
+    (cross-multiplication), so no entry is ever inverted; row i is kept times
+    u^rsh[i] instead of dividing by the pivot's u^v.  Clearing the pivot row
+    by column operations would only rescale the other columns by units, which
+    changes no valuation, so it is left out.  The pivot is the topmost of
+    minimal valuation, so a row above it has strictly larger valuation in the
+    pivot column and its coefficient q = entry/pivot lies in uO, as I
+    requires; this is asserted.
     """
-    n = m.n
-    work = [list(row) for row in m.rows]
-    alive_rows = list(range(n))
-    alive_cols = list(range(n))
+    n, mul, add, neg = len(rows), ring.mul, ring.add, ring.neg
+    work = [list(row) for row in rows]
+    rsh = [shift] * n
+    alive_rows, alive_cols = list(range(n)), list(range(n))
     steps = []
     while alive_rows:
-        ip, jp, v = _select_pivot(work, alive_rows, alive_cols)
+        best = None
+        for i in alive_rows:  # ascending, so the first minimum found is topmost
+            for j in alive_cols:
+                v = ring.minval([work[i][j]])
+                if v is not None and (best is None or v - rsh[i] < best[2]):
+                    best = (i, j, v - rsh[i])
+        if best is None:
+            raise SingularMatrixError("matrix is singular")
+        ip, jp, v = best
         steps.append((ip, v))
-        unit = work[ip][jp].shift(-v)
+        pivot = work[ip][jp]
         for i in alive_rows:
-            if i == ip:
+            a = work[i][jp]
+            va = None if i == ip else ring.minval([a])
+            if va is None:
                 continue
-            q = work[i][jp].shift(-v)
-            if not q.coeffs:
-                continue
-            if i < ip and q.offset < 1:
+            if i < ip and va - rsh[i] - v < 1:
                 raise PreconditionError("pivot selection violated the Iwahori row order")
             for j in alive_cols:
-                work[i][j] = unit.mul(work[i][j]).sub(q.mul(work[ip][j]))
-        for j in alive_cols:
-            if j == jp:
-                continue
-            q = work[ip][j].shift(-v)
-            if not q.coeffs:
-                continue
-            for i in alive_rows:
-                work[i][j] = unit.mul(work[i][j]).sub(q.mul(work[i][jp]))
+                work[i][j] = add(mul(pivot, work[i][j]), neg(mul(a, work[ip][j])))
+            rsh[i] += rsh[ip] + v
         alive_rows.remove(ip)
         alive_cols.remove(jp)
     return steps
 
 
-def iwahori_label(g: TruncMat) -> tuple:
-    """The unique lam with g in I u^lam G(O), I the preimage of the lower Borel.
+def iwahori_label(ring: Packing, rows, shift: int) -> tuple:
+    """The unique lam with g in I u^lam G(O), g = rows / u^shift, I the
+    preimage of the lower Borel.
 
     The elimination uses right-G(O) column operations and left-I row
     operations, so lam_i is the valuation of the pivot taken in row i.
     """
-    lam = [None] * g.n
-    for i, v in _eliminate(g):
+    lam = [None] * len(rows)
+    for i, v in _eliminate(ring, rows, shift):
         lam[i] = v
     return tuple(lam)
 
@@ -386,7 +339,9 @@ def iwahori_label(g: TruncMat) -> tuple:
 # The guard of the coset generator: a bound on the candidate product of one
 # diagonal-sum slice (every upper triangular g of the box shape with that
 # diagonal sum, before the box lower bound), which bounds the cosets built.
+# Lists of at most _PARTS_KEPT free parts are built once per slice and kept.
 MAX_CANDIDATES = 2_000_000
+_PARTS_KEPT = 4096
 
 
 def _slice_diagonals(n: int, B: int, s: int) -> Iterator[tuple]:
@@ -419,7 +374,13 @@ def _check_guard(n: int, B: int, q: int, s: int) -> None:
             raise PreconditionError(f"candidate cosets exceed the guard {MAX_CANDIDATES}")
 
 
-def _hnf_cosets(n: int, B: int, field: GF, s: int) -> Iterator[tuple[TruncMat, TruncMat]]:
+def _frobenius_term(ring: Packing, c: int, pos: int, twist: int):
+    """sigma(c X^pos) u^twist for a term of g packed at shift B: sigma fixes
+    coefficients and sends u^e to u^(pe), so at shift pB it lands at p pos."""
+    return ring.term(c, ring.field.p * pos + twist)
+
+
+def _hnf_cosets(n: int, B: int, ring: Packing, s: int, twist) -> Iterator[tuple]:
     """Hermite-style representatives of the lattices between u^B O^n and
     u^{-B} O^n whose diagonal exponents sum to s: upper triangular g,
     diagonal u^{lam_j} with |lam_j| <= B and sum(lam) = s, entry (i, j)
@@ -435,40 +396,86 @@ def _hnf_cosets(n: int, B: int, field: GF, s: int) -> Iterator[tuple[TruncMat, T
     and only those from max(lam_i+lam_j-B, -B) up to lam_i are free.  Every
     matrix built is a coset.
 
-    Yields (g, g^{-1}) per coset.
+    Yields (g, h, bsg) per coset, packed by ring: g and h at shift B, and
+    bsg, row k of sigma(g) times u^twist[k], at shift pB.  The three lists
+    are filled in place and change after each yield.
     """
-    zero = LSeries.zero(field)
     cells = [(i, j) for j in range(n) for i in reversed(range(j))]
+    parts = {}
     for lams in _slice_diagonals(n, B, s):
-        g = [[zero] * n for _ in range(n)]
-        h = [[zero] * n for _ in range(n)]
+        g, h, bsg = ([[ring.zero] * n for _ in range(n)] for _ in range(3))
         for i in range(n):
-            g[i][i] = LSeries.monomial(field, lams[i])
-            h[i][i] = LSeries.monomial(field, -lams[i])
-        for _ in _fill_cells(field, B, lams, g, h, cells):
-            yield mat_from_rows(field, g), mat_from_rows(field, h)
+            g[i][i] = ring.term(1, lams[i] + B)
+            h[i][i] = ring.term(1, B - lams[i])
+            bsg[i][i] = _frobenius_term(ring, 1, lams[i] + B, twist[i])
+        for _ in _fill_cells(ring, B, lams, (g, h, bsg), cells, twist, parts) if cells else [None]:
+            yield g, h, bsg
 
 
-def _fill_cells(field: GF, B: int, lams, g, h, cells) -> Iterator[None]:
-    """Fill g and h at cells[0], cells[1], ... in place, yielding once per
-    completion that keeps val h >= -B."""
-    if not cells:
-        yield
-        return
+def _free_parts(ring: Packing, a: int, b: int, d: int, tw: int, kept: dict):
+    """(F, sigma(F) u^tw, -F u^-d) for every F with its coefficients at the
+    positions [a, b) (shift B), lowest position slowest, as in
+    itertools.product; lists of at most _PARTS_KEPT are kept in ``kept``."""
+    if (a, b, d, tw) in kept:
+        return kept[a, b, d, tw]
+    if b == a:
+        return [(ring.zero,) * 3]
+    add, neg, t = ring.add, ring.field.neg, b - 1
+    out = (
+        (add(x[0], ring.term(c, t)), add(x[1], _frobenius_term(ring, c, t, tw)),
+         add(x[2], ring.term(neg(c), t - d)))
+        for x in _free_parts(ring, a, t, d, tw, kept)
+        for c in range(ring.field.q)
+    )
+    if ring.field.q ** (b - a) <= _PARTS_KEPT:
+        kept[a, b, d, tw] = out = list(out)
+    return out
+
+
+def _fill_cells(ring: Packing, B: int, lams, mats, cells, twist, kept) -> Iterator[None]:
+    """Fill g, h and bsg at cells[0], cells[1], ... (at least one) in place,
+    yielding once per completion that keeps val h >= -B."""
+    g, h, bsg = mats
     (i, j), rest = cells[0], cells[1:]
-    c = LSeries.zero(field)
-    for k in range(i + 1, j):
-        c = c.add(g[i][k].mul(h[k][j]))
-    c = c.shift(lams[j]).neg()
     low = lams[i] + lams[j] - B  # val h_ij >= -B iff g_ij = c mod u^low
-    if c.coeffs and c.offset < min(low, -B):
-        return  # a coefficient of g_ij forced below -B
-    forced = [c.coeffs[e - c.offset] if 0 <= e - c.offset < len(c.coeffs) else 0 for e in range(-B, low)]
-    shift = -lams[i] - lams[j]
-    for coeffs in itertools.product(field.elements(), repeat=lams[i] - max(low, -B)):
-        g[i][j] = LSeries(field, -B, forced + list(coeffs))
-        h[i][j] = c.sub(g[i][j]).shift(shift)
-        yield from _fill_cells(field, B, lams, g, h, rest)
+    a, top = max(low, -B) + B, lams[i] + B  # the free positions of g_ij
+    fills = _free_parts(ring, a, top, lams[i] + lams[j], twist[i], kept)
+    if j > i + 1:  # c = -u^{lam_j} T, exponent e of c at position e - lam_j + 2B of T
+        T = ring.zero
+        for k in range(i + 1, j):
+            T = ring.add(T, ring.mul(g[i][k], h[k][j]))
+        v = ring.minval([T])
+        if v is not None and v < min(low, -B) - lams[j] + 2 * B:
+            return  # a coefficient of g_ij forced below -B
+        forced = sforced = ring.zero
+        for e in range(-B, low):
+            c = ring.field.neg(ring.coeff(T, e - lams[j] + 2 * B))
+            forced = ring.add(forced, ring.term(c, e + B))
+            sforced = ring.add(sforced, _frobenius_term(ring, c, e + B, twist[i]))
+        # c at exponents >= low, times -u^{-lam_i-lam_j}: h_ij less its free part
+        chi, add = ring.neg(ring.above(T, top)), ring.add
+        fills = ((add(forced, F), add(sforced, sF), add(chi, hF)) for F, sF, hF in fills)
+    for g[i][j], bsg[i][j], h[i][j] in fills:
+        if rest:
+            yield from _fill_cells(ring, B, lams, mats, rest, twist, kept)
+        else:
+            yield
+
+
+def _product(ring: Packing, h, bsg, terms) -> list:
+    """The packed g^-1 b sigma(g): entry (i, j) sums h_{i w(k)} bsg_kj over
+    the pairs (w(k), k) of terms[i][j]."""
+    mul, add, zero = ring.mul, ring.add, ring.zero
+    rows = []
+    for hi, row_terms in zip(h, terms):
+        row = []
+        for j, pairs in enumerate(row_terms):
+            acc = zero
+            for m, k in pairs:
+                acc = mul(hi[m], bsg[k][j]) if acc is zero else add(acc, mul(hi[m], bsg[k][j]))
+            row.append(acc)
+        rows.append(row)
+    return rows
 
 
 # ---------------------------------------------------------------------------
@@ -477,7 +484,8 @@ def _fill_cells(field: GF, B: int, lams, g, h, cells) -> Iterator[None]:
 
 def kisin_points(datum: FrobeniusDatum, mu: Cochar, field: GF, lam_bound: int):
     """All cosets g in the box with dominant elementary divisors of
-    g^{-1} b sigma(g) dominated by mu, labeled by their Iwahori stratum.
+    g^{-1} b sigma(g) dominated by mu, labeled by their Iwahori stratum:
+    a sorted list of (matrix, label), the matrix as rows of printed entries.
 
     Only f = 1 and n <= 3 are supported; the coefficient field is fixed, so
     this lists the points of the variety rational over that field.  A stratum
@@ -488,14 +496,13 @@ def kisin_points(datum: FrobeniusDatum, mu: Cochar, field: GF, lam_bound: int):
     sgn(w) u^{sum(tau) + (p-1)s}.  Dominance by mu needs the exponents to sum
     to sum(mu), so a point has (p - 1)s = sum(mu) - sum(tau): when p - 1 does
     not divide the gap there are no points, and otherwise only the slice
-    s = s0 is guarded and built, each coset with its inverse.  Every coset
-    built is checked against that identity (a singular product or a
-    determinant of another valuation is a TheoremViolationError), and only
-    the points get an Iwahori label.
-
-    With b = u^tau w monomial, column j of g^{-1} b is column w(j) of g^{-1}
-    shifted by tau_{w(j)}, and sigma(g) is upper triangular, so the product
-    sums over k <= j only.
+    s = s0 is guarded and built.  Every coset built is checked against that
+    identity (a singular product or a determinant of another valuation is a
+    TheoremViolationError), and only the points get an Iwahori label.  With
+    b = u^tau w, column j of g^{-1} b is column w(j) of g^{-1} times
+    u^tau_{w(j)}, and sigma(g) is upper triangular, so entry (i, j) of the
+    product sums over k <= j with w(k) >= i; row k of sigma(g) is built times
+    u^(tau_{w(k)} - min tau), so the product is packed at (p + 1)B - min tau.
     """
     from .strata import enumerate_strata  # local import to avoid a cycle at import time
 
@@ -511,7 +518,7 @@ def kisin_points(datum: FrobeniusDatum, mu: Cochar, field: GF, lam_bound: int):
         raise PreconditionError("datum's fixed point is not in the alcove")
     if field.p != shape.p:
         raise ConfigError("field characteristic must match the shape")
-    n, p = shape.n, shape.p
+    n, p, B = shape.n, shape.p, lam_bound
     if n > 3:
         raise PreconditionError("coset enumeration is limited to n <= 3")
     tau, w = datum.tau[0], datum.w[0]
@@ -520,33 +527,26 @@ def kisin_points(datum: FrobeniusDatum, mu: Cochar, field: GF, lam_bound: int):
     if rem:
         return []
     val = tau_sum + (p - 1) * s0
-    _check_guard(n, lam_bound, field.q, s0)
-    zero = LSeries.zero(field)
+    _check_guard(n, B, field.q, s0)
+    ring = Packing(field, _width(n, p, field.r, B))
+    twist = [tau[w[k]] - min(tau) for k in range(n)]
+    terms = [[[(w[k], k) for k in range(j + 1) if w[k] >= i] for j in range(n)] for i in range(n)]
+    shift = (p + 1) * B - min(tau)
     points = []
-    for g, h in _hnf_cosets(n, lam_bound, field, s0):
-        hb = [[row[w[j]].shift(tau[w[j]]) for j in range(n)] for row in h.rows]
-        sg = mat_frobenius(g, p).rows
-        rows = []
-        for i in range(n):
-            row = []
-            for j in range(n):
-                acc = zero
-                for k in range(j + 1):
-                    acc = acc.add(hb[i][k].mul(sg[k][j]))
-                row.append(acc)
-            rows.append(row)
+    for g, h, bsg in _hnf_cosets(n, B, ring, s0, twist):
         try:
-            ed = elementary_divisors(mat_from_rows(field, rows))
+            ed = elementary_divisors(ring, _product(ring, h, bsg, terms), shift)
         except SingularMatrixError as exc:
             raise TheoremViolationError(
-                f"g^-1 b sigma(g) is singular for the coset {g.rows}"
+                f"g^-1 b sigma(g) is singular for the coset {ring.rendered(g, B)}"
             ) from exc
         if sum(ed) != val:
             raise TheoremViolationError(
                 f"det(g^-1 b sigma(g)) has valuation {sum(ed)}, not {val}, "
-                f"for the coset {g.rows}"
+                f"for the coset {ring.rendered(g, B)}"
             )
         if _dominated((ed,), mu):
-            points.append((g, (iwahori_label(g),)))
-    points.sort(key=lambda t: (t[1], [repr(e) for row in t[0].rows for e in row]))
+            points.append((ring.rendered(g, B), (iwahori_label(ring, g, B),)))
+    points.sort(key=lambda t: (t[1], [e for row in t[0] for e in row]))
     return points
+

@@ -1,6 +1,7 @@
 """Shared test helpers: independent oracles kept deliberately separate from the
 library's own algorithms."""
 
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 import itertools
@@ -18,6 +19,8 @@ from kisin.core import (
 )
 from kisin.errors import ConfigError, PreconditionError, SingularMatrixError, TheoremViolationError
 from kisin.normal_form import solve_affine_integral
+from kisin import oracle
+from kisin.oracle import GF
 from kisin.strata import Stratum, candidate_blocks, natural_lambda
 
 
@@ -165,10 +168,374 @@ def reachable_by_simple_coroots(src, dst):
     return False
 
 
+# ---------------------------------------------------------------------------
+# The point oracle's arithmetic before it packed polynomials into integers:
+# table-driven finite fields, Laurent polynomials as coefficient tuples, and
+# the coset generator, divisors and elimination built on them.  Kept as the
+# differential oracle of kisin.oracle.
+
+
+def irreducible_quadratic_by_search(p):
+    """The first (B, C), B = 0, 1, ... and then C = 1, 2, ..., with x^2 + Bx + C
+    without a root mod p, by trying every x: O(p) per candidate."""
+    for B in range(p):
+        for C in range(1, p):
+            if all((x * x + B * x + C) % p for x in range(p)):
+                return B, C
+    raise ConfigError("no irreducible quadratic found")
+
+
+class _OnDemand:
+    """table[a] = op(a), computed when read: the table interface of a field
+    too large to tabulate."""
+
+    def __init__(self, op):
+        self.op = op
+
+    def __getitem__(self, a):
+        return self.op(a)
+
+
+class TableField(GF):
+    """F_{p^r} with precomputed q x q add and mul tables (index a + p*b <->
+    a + b*t), t a root of irreducible_quadratic_by_search(p); fields with
+    q > 4096 compute each entry on demand instead."""
+
+    def __init__(self, p, r=1):
+        super().__init__(p, r)
+        q = self.q
+        if r == 1:
+            add, mul = (lambda a, b: (a + b) % p), (lambda a, b: (a * b) % p)
+        else:
+            B, C = irreducible_quadratic_by_search(p)
+
+            def add(x, y):
+                return ((x % p + y % p) % p) + p * ((x // p + y // p) % p)
+
+            def mul(x, y):
+                a1, b1, a2, b2 = x % p, x // p, y % p, y // p
+                return (a1 * a2 - C * b1 * b2) % p + p * ((a1 * b2 + a2 * b1 - B * b1 * b2) % p)
+
+        if q > 4096:
+            self._add = _OnDemand(lambda a: _OnDemand(lambda b: add(a, b)))
+            self._mul = _OnDemand(lambda a: _OnDemand(lambda b: mul(a, b)))
+            self._neg = _OnDemand(lambda x: (-(x % p)) % p + p * ((-(x // p)) % p))
+        else:
+            self._add = tuple(tuple(add(a, b) for b in range(q)) for a in range(q))
+            self._mul = tuple(tuple(mul(a, b) for b in range(q)) for a in range(q))
+            self._neg = tuple(next(y for y in range(q) if self._add[x][y] == 0) for x in range(q))
+        self.zero, self.one = 0, 1
+
+    def add(self, a, b):
+        return self._add[a][b]
+
+    def mul(self, a, b):
+        return self._mul[a][b]
+
+    def neg(self, a):
+        return self._neg[a]
+
+    def elements(self):
+        return range(self.q)
+
+
+class LSeries:
+    """The exact Laurent polynomial sum coeffs[t] u^(offset+t) over a TableField."""
+
+    __slots__ = ("field", "offset", "coeffs")
+
+    def __init__(self, field, offset, coeffs):
+        # normalize: strip zero margins
+        coeffs = list(coeffs)
+        while coeffs and coeffs[-1] == 0:
+            coeffs.pop()
+        drop = 0
+        while drop < len(coeffs) and coeffs[drop] == 0:
+            drop += 1
+        coeffs = coeffs[drop:]
+        offset += drop
+        self.field = field
+        self.offset = offset if coeffs else 0
+        self.coeffs = tuple(coeffs)
+
+    @classmethod
+    def _stripped(cls, field, offset, coeffs):
+        """The series of coeffs, whose end entries are known to be nonzero
+        (or which is empty); skips the normalization."""
+        s = object.__new__(cls)
+        s.field, s.offset, s.coeffs = field, offset, coeffs
+        return s
+
+    @classmethod
+    def zero(cls, field):
+        return cls(field, 0, ())
+
+    @classmethod
+    def monomial(cls, field, exp, coeff=1):
+        return cls(field, exp, (coeff,))
+
+    def add(self, other):
+        if not self.coeffs:
+            return other
+        if not other.coeffs:
+            return self
+        f = self.field
+        lo = min(self.offset, other.offset)
+        hi = max(self.offset + len(self.coeffs), other.offset + len(other.coeffs))
+        out = [0] * (hi - lo)
+        for t, c in enumerate(self.coeffs):
+            out[self.offset - lo + t] = c
+        for t, c in enumerate(other.coeffs):
+            i = other.offset - lo + t
+            out[i] = f.add(out[i], c)
+        return LSeries(f, lo, out)
+
+    def neg(self):
+        neg = self.field._neg
+        return LSeries._stripped(self.field, self.offset, tuple([neg[c] for c in self.coeffs]))
+
+    def sub(self, other):
+        return self.add(other.neg())
+
+    def mul(self, other):
+        f = self.field
+        if not self.coeffs or not other.coeffs:
+            return LSeries.zero(f)
+        out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
+        mul, add = f._mul, f._add
+        for i, a in enumerate(self.coeffs):
+            if a == 0:
+                continue
+            row = mul[a]
+            for j, b in enumerate(other.coeffs, i):
+                if b:
+                    out[j] = add[out[j]][row[b]]
+        # a field has no zero divisors, so the end coefficients stay nonzero
+        return LSeries._stripped(f, self.offset + other.offset, tuple(out))
+
+    def shift(self, k):
+        if not self.coeffs:
+            return self
+        return LSeries._stripped(self.field, self.offset + k, self.coeffs)
+
+    def frobenius(self, p):
+        """u -> u^p with coefficients fixed."""
+        if not self.coeffs:
+            return self
+        out = [0] * (p * (len(self.coeffs) - 1) + 1)
+        for t, c in enumerate(self.coeffs):
+            out[p * t] = c
+        return LSeries(self.field, p * self.offset, out)
+
+    def __eq__(self, other):
+        return (
+            isinstance(other, LSeries)
+            and self.field is other.field
+            and self.offset == other.offset
+            and self.coeffs == other.coeffs
+        )
+
+    def __hash__(self):
+        return hash((self.offset, self.coeffs))
+
+    def __repr__(self):
+        if not self.coeffs:
+            return "0"
+        parts = []
+        for t, c in enumerate(self.coeffs):
+            if c == 0:
+                continue
+            e = self.offset + t
+            cs = self.field.elem_str(c)
+            if e == 0:
+                parts.append(cs)
+            elif cs == "1":
+                parts.append(f"u^{e}" if e != 1 else "u")
+            else:
+                parts.append(f"({cs})*u^{e}" if e != 1 else f"({cs})*u")
+        return " + ".join(parts)
+
+
+@dataclass(frozen=True, slots=True)
+class TruncMat:
+    """Square matrix of Laurent polynomials."""
+
+    field: TableField
+    n: int
+    rows: tuple  # tuple of tuple of LSeries
+
+
+def mat_from_rows(field, rows):
+    rows = tuple(tuple(r) for r in rows)
+    return TruncMat(field, len(rows), rows)
+
+
+def mat_frobenius(a, p):
+    return mat_from_rows(a.field, [[e.frobenius(p) for e in row] for row in a.rows])
+
+
+def lseries_divisors(m):
+    """Elementary divisors of an LSeries matrix from its determinantal
+    divisors, every minor built once by first-row expansion: the library's
+    algorithm before packing."""
+    n, rows = m.n, m.rows
+    zero = LSeries.zero(m.field)
+    minors = {(i,): {(j,): e for j, e in enumerate(row)} for i, row in enumerate(rows)}
+    d = [0]
+    for k in range(1, n + 1):
+        if k > 1:
+            below = minors
+            minors = {}
+            for rs in itertools.combinations(range(n), k):
+                top, sub = rows[rs[0]], below[rs[1:]]
+                level = minors[rs] = {}
+                for cs in itertools.combinations(range(n), k):
+                    acc = zero
+                    for t, c in enumerate(cs):
+                        term = top[c].mul(sub[cs[:t] + cs[t + 1 :]])
+                        acc = acc.sub(term) if t % 2 else acc.add(term)
+                    level[cs] = acc
+        vals = [e.offset for level in minors.values() for e in level.values() if e.coeffs]
+        if not vals:
+            raise SingularMatrixError("matrix is singular")
+        d.append(min(vals))
+    return tuple(sorted((b - a for a, b in zip(d, d[1:])), reverse=True))
+
+
+def lseries_eliminate(m):
+    """(pivot row, valuation) of each step of the reduction of an LSeries
+    matrix to a monomial matrix, clearing the pivot column by row operations
+    and then the pivot row by column operations, both cross-multiplied."""
+    n = m.n
+    work = [list(row) for row in m.rows]
+    alive_rows, alive_cols = list(range(n)), list(range(n))
+    steps = []
+    while alive_rows:
+        best = None
+        for i in alive_rows:
+            for j in alive_cols:
+                e = work[i][j]
+                if e.coeffs and (best is None or e.offset < best[2]):
+                    best = (i, j, e.offset)
+        if best is None:
+            raise SingularMatrixError("matrix is singular")
+        ip, jp, v = best
+        steps.append((ip, v))
+        unit = work[ip][jp].shift(-v)
+        for i in alive_rows:
+            q = work[i][jp].shift(-v)
+            if i == ip or not q.coeffs:
+                continue
+            if i < ip and q.offset < 1:
+                raise PreconditionError("pivot selection violated the Iwahori row order")
+            for j in alive_cols:
+                work[i][j] = unit.mul(work[i][j]).sub(q.mul(work[ip][j]))
+        for j in alive_cols:
+            q = work[ip][j].shift(-v)
+            if j == jp or not q.coeffs:
+                continue
+            for i in alive_rows:
+                work[i][j] = unit.mul(work[i][j]).sub(q.mul(work[i][jp]))
+        alive_rows.remove(ip)
+        alive_cols.remove(jp)
+    return steps
+
+
+def lseries_label(g):
+    """The Iwahori label of an LSeries matrix by lseries_eliminate."""
+    lam = [None] * g.n
+    for i, v in lseries_eliminate(g):
+        lam[i] = v
+    return tuple(lam)
+
+
+def lseries_hnf_cosets(n, B, field, s):
+    """The cosets of the slice sum(lam) = s as (g, g^{-1}) LSeries matrices,
+    by the library's algorithm before packing."""
+    zero = LSeries.zero(field)
+    cells = [(i, j) for j in range(n) for i in reversed(range(j))]
+    for lams in oracle._slice_diagonals(n, B, s):
+        g = [[zero] * n for _ in range(n)]
+        h = [[zero] * n for _ in range(n)]
+        for i in range(n):
+            g[i][i] = LSeries.monomial(field, lams[i])
+            h[i][i] = LSeries.monomial(field, -lams[i])
+        for _ in _lseries_fill_cells(field, B, lams, g, h, cells):
+            yield mat_from_rows(field, g), mat_from_rows(field, h)
+
+
+def _lseries_fill_cells(field, B, lams, g, h, cells):
+    if not cells:
+        yield
+        return
+    (i, j), rest = cells[0], cells[1:]
+    c = LSeries.zero(field)
+    for k in range(i + 1, j):
+        c = c.add(g[i][k].mul(h[k][j]))
+    c = c.shift(lams[j]).neg()
+    low = lams[i] + lams[j] - B
+    if c.coeffs and c.offset < min(low, -B):
+        return
+    forced = [c.coeffs[e - c.offset] if 0 <= e - c.offset < len(c.coeffs) else 0 for e in range(-B, low)]
+    shift = -lams[i] - lams[j]
+    for coeffs in itertools.product(field.elements(), repeat=lams[i] - max(low, -B)):
+        g[i][j] = LSeries(field, -B, forced + list(coeffs))
+        h[i][j] = c.sub(g[i][j]).shift(shift)
+        yield from _lseries_fill_cells(field, B, lams, g, h, rest)
+
+
+# conversions between LSeries and the library's packed integers
+
+
+def pack_series(ring, s, shift):
+    """The packed s u^shift; every exponent of s must be >= -shift."""
+    x = ring.zero
+    for t, c in enumerate(s.coeffs):
+        if c:
+            x = ring.add(x, ring.term(c, s.offset + t + shift))
+    return x
+
+
+def unpack_series(ring, x, shift):
+    """The LSeries x / u^shift over the ring's field (a TableField)."""
+    comps = [x] if ring.field.r == 1 else list(x)
+    top = max(c.bit_length() for c in comps) // ring.width + 1
+    return LSeries(ring.field, -shift, [ring.coeff(x, t) for t in range(top)])
+
+
+def unpack_matrix(ring, rows, shift):
+    return mat_from_rows(ring.field, [[unpack_series(ring, e, shift) for e in row] for row in rows])
+
+
+def packing_width(m):
+    """W for an LSeries matrix with canonical coefficients: one spare bit over
+    the library's minor and elimination bounds."""
+    p, r = m.field.p, m.field.r
+    support = max([len(e.coeffs) for row in m.rows for e in row] + [1])
+    bound = max(oracle._matrix_bounds(m.n, p, r, p - 1, support))
+    return bound.bit_length() + 1
+
+
+def pack_matrix(m, width=None):
+    """(ring, rows, shift) of an LSeries matrix for the library's packed
+    elementary_divisors and iwahori_label."""
+    ring = oracle.Packing(m.field, width or packing_width(m))
+    shift = max([-e.offset for row in m.rows for e in row if e.coeffs] + [0])
+    return ring, [[pack_series(ring, e, shift) for e in row] for row in m.rows], shift
+
+
+def packed_divisors(m):
+    """The library's elementary_divisors of an LSeries matrix."""
+    return oracle.elementary_divisors(*pack_matrix(m))
+
+
+def packed_label(m):
+    """The library's iwahori_label of an LSeries matrix."""
+    return oracle.iwahori_label(*pack_matrix(m))
+
+
 def _cofactor_det(field, rows, cols):
     """The minor on rows and cols by recursive first-row expansion."""
-    from kisin.oracle import LSeries
-
     if len(rows) == 1:
         return rows[0][cols[0]]
     acc = LSeries.zero(field)
@@ -200,8 +567,6 @@ def minor_divisors(mat):
 
 def series_from_terms(field, terms):
     """The Laurent polynomial sum of terms[e] u^e."""
-    from kisin.oracle import LSeries
-
     if not terms:
         return LSeries.zero(field)
     lo = min(terms)
@@ -210,8 +575,6 @@ def series_from_terms(field, terms):
 
 def mat_diag_u(field, exps):
     """The diagonal matrix with entries u^exps[i]."""
-    from kisin.oracle import LSeries, mat_from_rows
-
     zero = LSeries.zero(field)
     n = len(exps)
     return mat_from_rows(
@@ -221,8 +584,6 @@ def mat_diag_u(field, exps):
 
 
 def mat_identity(field, n):
-    from kisin.oracle import LSeries, mat_from_rows
-
     one, zero = LSeries.monomial(field, 0), LSeries.zero(field)
     return mat_from_rows(field, [[one if i == j else zero for j in range(n)] for i in range(n)])
 
@@ -233,8 +594,6 @@ def mat_det(a):
 
 def mat_adjugate(a):
     """Classical adjugate: adj(a)[i][j] = (-1)^{i+j} minor(a; j, i)."""
-    from kisin.oracle import mat_from_rows
-
     n = a.n
     if n == 1:
         return mat_identity(a.field, 1)
@@ -467,15 +826,29 @@ def box_strata(datum, mu, bound=None):
     return found
 
 
-def hnf_cosets(n, lam_bound, field):
-    """Every coset of the box |lam_j| <= lam_bound, as (g, g^{-1}): the union
-    over s of the slices sum(lam) = s, of which kisin_points builds one, each
-    behind the oracle's slice guard."""
-    from kisin.oracle import _check_guard, _hnf_cosets
-
+def packed_cosets(n, lam_bound, field, twist=None):
+    """(ring, g, h, bsg) for every coset of the box |lam_j| <= lam_bound from
+    the library's packed generator: the union over s of the slices
+    sum(lam) = s, of which kisin_points builds one, each behind the oracle's
+    slice guard.  The matrices are copies."""
+    ring = oracle.Packing(field, oracle._width(n, field.p, field.r, lam_bound))
     for s in range(-n * lam_bound, n * lam_bound + 1):
-        _check_guard(n, lam_bound, field.q, s)
-        yield from _hnf_cosets(n, lam_bound, field, s)
+        oracle._check_guard(n, lam_bound, field.q, s)
+        for g, h, bsg in oracle._hnf_cosets(n, lam_bound, ring, s, twist or [0] * n):
+            yield ring, [list(r) for r in g], [list(r) for r in h], [list(r) for r in bsg]
+
+
+def hnf_cosets(n, lam_bound, field):
+    """Every coset of the box from the library's packed generator, as
+    (g, g^{-1}) LSeries matrices."""
+    for ring, g, h, _ in packed_cosets(n, lam_bound, field):
+        yield unpack_matrix(ring, g, lam_bound), unpack_matrix(ring, h, lam_bound)
+
+
+def lseries_box_cosets(n, lam_bound, field):
+    """Every coset of the box by lseries_hnf_cosets, slice by slice."""
+    for s in range(-n * lam_bound, n * lam_bound + 1):
+        yield from lseries_hnf_cosets(n, lam_bound, field, s)
 
 
 def candidate_cosets(n, lam_bound, field, lam_filter=None):
@@ -485,8 +858,6 @@ def candidate_cosets(n, lam_bound, field, lam_filter=None):
     is integral, as the library generated cosets before it built only the kept
     ones.  lam_filter(lams) may restrict the diagonals tried.  Yields
     (g, g^{-1}), the inverse being the adjugate over det g = u^{sum(lam)}."""
-    from kisin.oracle import LSeries, mat_from_rows
-
     B = lam_bound
     zero = LSeries.zero(field)
     pairs = [(i, j) for j in range(n) for i in range(j)]
@@ -511,8 +882,6 @@ def candidate_cosets(n, lam_bound, field, lam_filter=None):
 def mat_mul(a, b):
     """The general matrix product, which the survey's monomial twist and
     triangular product replace."""
-    from kisin.oracle import LSeries, mat_from_rows
-
     n = a.n
     zero = LSeries.zero(a.field)
     rows = []
@@ -530,8 +899,6 @@ def mat_mul(a, b):
 def weyl_matrix(field, tau, perm):
     """The lift u^tau w as a full matrix, w the permutation matrix sending e_j
     to e_{w(j)}."""
-    from kisin.oracle import LSeries, mat_from_rows
-
     n = len(tau)
     zero = LSeries.zero(field)
     rows = [[zero] * n for _ in range(n)]
@@ -541,14 +908,12 @@ def weyl_matrix(field, tau, perm):
 
 
 def survey_products(datum, field, lam_bound: int):
-    """(g, g^{-1} b sigma(g)) for every coset g in the box.
+    """(g, g^{-1} b sigma(g)) for every coset g in the box, in LSeries.
 
     With b = u^tau w monomial, column j of g^{-1} b is column w(j) of g^{-1}
     shifted by tau_{w(j)}, and sigma(g) is upper triangular, so the product
     sums over k <= j only.
     """
-    from kisin.oracle import LSeries, mat_frobenius, mat_from_rows
-
     shape = datum.shape
     if shape.blocks != 1:
         raise PreconditionError("the point oracle only supports f = 1")
@@ -559,7 +924,7 @@ def survey_products(datum, field, lam_bound: int):
     n, p = shape.n, shape.p
     tau, w = datum.tau[0], datum.w[0]
     zero = LSeries.zero(field)
-    for g, h in hnf_cosets(n, lam_bound, field):
+    for g, h in lseries_box_cosets(n, lam_bound, field):
         hb = [[row[w[j]].shift(tau[w[j]]) for j in range(n)] for row in h.rows]
         sg = mat_frobenius(g, p).rows
         rows = []
@@ -575,30 +940,33 @@ def survey_products(datum, field, lam_bound: int):
 
 
 def coset_survey(datum, field, lam_bound: int):
-    """(g, dominant elementary divisors of g^{-1} b sigma(g), Iwahori label)
-    for every coset in the box; independent of any mu, so one survey serves a
-    whole family of bounds.  The point oracle before it was pruned by the
-    determinant: kisin_points is this survey filtered by dominance by mu.
-    The determinant of the product is a unit times a power of u, so a
-    singular product is a TheoremViolationError.
+    """(g, g^{-1} b sigma(g), its dominant elementary divisors, Iwahori label)
+    for every coset in the box, all in LSeries; independent of any mu, so one
+    survey serves a whole family of bounds.  The point oracle before it was
+    pruned by the determinant and packed: kisin_points is this survey
+    filtered by dominance by mu.  The determinant of the product is a unit
+    times a power of u, so a singular product is a TheoremViolationError.
     """
-    from kisin.oracle import elementary_divisors, iwahori_label
-
     out = []
     for g, prod in survey_products(datum, field, lam_bound):
         try:
-            ed = elementary_divisors(prod)
+            ed = lseries_divisors(prod)
         except SingularMatrixError as exc:
             raise TheoremViolationError(
                 f"g^-1 b sigma(g) is singular for the coset {g.rows}"
             ) from exc
-        out.append((g, ed, (iwahori_label(g),)))
+        out.append((g, prod, ed, (lseries_label(g),)))
     return out
 
 
 def survey_points(survey, mu):
-    """The points of a coset_survey for the bound mu, ordered as kisin_points
-    orders them: by label, then by the entries' reprs."""
-    points = [(g, label) for g, ed, label in survey if dominance_leq((ed,), mu)]
-    points.sort(key=lambda t: (t[1], [repr(e) for row in t[0].rows for e in row]))
+    """The points of a coset_survey for the bound mu, ordered and printed as
+    kisin_points gives them: (rows of entry reprs, label), by label, then by
+    the entries' reprs."""
+    points = [
+        (tuple(tuple(repr(e) for e in row) for row in g.rows), label)
+        for g, _, ed, label in survey
+        if dominance_leq((ed,), mu)
+    ]
+    points.sort(key=lambda t: (t[1], [e for row in t[0] for e in row]))
     return points

@@ -6,6 +6,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from conftest import (
+    LSeries,
+    TableField,
     adjugate_divisors,
     candidate_cosets,
     coset_survey,
@@ -13,15 +15,29 @@ from conftest import (
     dominant,
     dominant_vecs,
     hnf_cosets,
+    irreducible_quadratic_by_search,
+    lseries_divisors,
+    lseries_eliminate,
+    lseries_label,
     mat_adjugate,
     mat_det,
     mat_diag_u,
+    mat_frobenius,
+    mat_from_rows,
     mat_identity,
     mat_mul,
     minor_divisors,
+    pack_matrix,
+    pack_series,
+    packed_cosets,
+    packed_divisors,
+    packed_label,
+    packing_width,
     series_from_terms,
     survey_points,
     survey_products,
+    unpack_matrix,
+    unpack_series,
     weyl_matrix,
 )
 from kisin import oracle
@@ -34,29 +50,24 @@ from kisin.errors import (
     TheoremViolationError,
 )
 from kisin.normal_form import caruso_datum, is_caruso_simple
-from kisin.oracle import (
-    GF,
-    LSeries,
-    _eliminate,
-    elementary_divisors,
-    iwahori_label,
-    kisin_points,
-    mat_from_rows,
-    mat_frobenius,
-)
+from kisin.oracle import GF, Packing, _eliminate, elementary_divisors, iwahori_label, kisin_points
 from kisin.strata import central_twist, enumerate_strata
 
-F2 = GF(2)
-F3 = GF(3)
-F4 = GF(2, 2)
-F5 = GF(5)
-F9 = GF(3, 2)
+# table-driven twins of the library's fields (kisin.oracle.GF subclasses), so
+# one object serves the LSeries oracle and the packed library
+F2 = TableField(2)
+F3 = TableField(3)
+F4 = TableField(2, 2)
+F5 = TableField(5)
+F9 = TableField(3, 2)
+
+PRIMES_BELOW_1000 = [p for p in range(2, 1000) if all(p % d for d in range(2, int(p**0.5) + 1))]
 
 
 class TestGF:
     @pytest.mark.parametrize("p", (2, 3, 5))
     def test_prime_field_tables(self, p):
-        f = GF(p)
+        f = TableField(p)
         for a in range(p):
             for b in range(p):
                 assert f.add(a, b) == (a + b) % p
@@ -84,8 +95,61 @@ class TestGF:
                 assert F9.add(a, b) == (a + b) % 3
                 assert F9.mul(a, b) == (a * b) % 3
 
+    def test_irreducible_quadratic_matches_search(self):
+        # Euler's criterion finds the polynomial of the root search, which
+        # names every F_{p^2} element in the point reports
+        for p in PRIMES_BELOW_1000:
+            assert GF._irreducible_quadratic(p) == irreducible_quadratic_by_search(p), p
+
+    def test_irreducible_quadratic_at_a_large_prime(self):
+        # near 10^12 the answer is x^2 + C, C the least with -C a non-square;
+        # every smaller C gives a square, so the search made C tries
+        p = 999999999989
+        B, C = GF(p, 2).t_poly
+        assert B == 0 and C < 100
+        assert pow(-4 * C, (p - 1) // 2, p) == p - 1
+        assert all(pow(-4 * c, (p - 1) // 2, p) == 1 for c in range(1, C))
+
+    @pytest.mark.parametrize("p,r", ((1000003, 1), (1009, 2), (999999999989, 2)))
+    def test_builds_no_table(self, p, r):
+        f = GF(p, r)
+        assert (f.p, f.r, f.q) == (p, r, p**r)
+        assert all(not isinstance(v, (list, tuple, dict)) or len(v) <= 2 for v in vars(f).values())
+
+
+class TestPacking:
+    """Packed polynomials against LSeries: Z[u] -> F_p[u] and the pair ring
+    -> F_{p^2}[u] are ring homomorphisms."""
+
+    polys = st.dictionaries(st.integers(-3, 5), st.integers(0, 80), max_size=6)
+
+    @pytest.mark.parametrize("field", (F2, F3, F4, F5, F9))
+    @given(ta=polys, tb=polys, tc=polys)
+    def test_homomorphism(self, field, ta, tb, tc):
+        a, b, c = (series_from_terms(field, {e: x % field.q for e, x in t.items() if x % field.q}) for t in (ta, tb, tc))
+        ring = Packing(field, 40)
+        pa, pb, pc = (pack_series(ring, x, 3) for x in (a, b, c))
+        assert unpack_series(ring, pa, 3) == a
+        assert unpack_series(ring, ring.mul(pa, pb), 6) == a.mul(b)
+        assert unpack_series(ring, ring.add(ring.mul(pa, pb), ring.neg(ring.mul(pb, pc))), 6) == a.mul(b).sub(b.mul(c))
+        assert ring.render(pa, 3) == repr(a)
+        v = ring.minval([pa])
+        assert (v is None) == (not a.coeffs) and (v is None or v - 3 == a.offset)
+
+    def test_minval_skips_multiples_of_p(self):
+        # p X^0 + 1 X^2 over F_3: the exact digit 3 is zero mod 3
+        ring = Packing(F3, 8)
+        assert ring.minval([3 + (1 << 16)]) == 2
+        assert ring.minval([3, 6 << 8]) is None
+
+    def test_digit_past_the_spare_bit_is_a_theorem_violation(self):
+        ring = Packing(F3, 8)
+        with pytest.raises(TheoremViolationError, match="bound"):
+            ring.minval([1 << 7])
+
 
 class TestLSeries:
+    # the Laurent arithmetic of the conftest oracle
     def test_repr_and_zero(self):
         s = series_from_terms(F3, {-1: 1, 0: 2, 2: 1})
         assert repr(s) == "u^-1 + 2 + u^2"
@@ -120,7 +184,7 @@ class TestLSeries:
 
 class TestElementaryDivisors:
     def test_diagonal(self):
-        assert elementary_divisors(mat_diag_u(F3, (2, 0))) == (2, 0)
+        assert packed_divisors(mat_diag_u(F3, (2, 0))) == (2, 0)
 
     def test_unimodular(self):
         m = mat_from_rows(
@@ -130,7 +194,7 @@ class TestElementaryDivisors:
                 [series_from_terms(F3, {1: 1}), series_from_terms(F3, {0: 1})],
             ],
         )
-        assert elementary_divisors(m) == (0, 0)
+        assert packed_divisors(m) == (0, 0)
 
     def test_upper_jordan_like(self):
         m = mat_from_rows(
@@ -141,7 +205,7 @@ class TestElementaryDivisors:
             ],
         )
         # d1 = min valuation 0, d1 + d2 = val det = 2
-        assert elementary_divisors(m) == (2, 0)
+        assert packed_divisors(m) == (2, 0)
 
     def test_matches_minor_oracle_4x4(self):
         rng = random.Random(113)
@@ -157,7 +221,7 @@ class TestElementaryDivisors:
             ]
             m = mat_from_rows(F2, rows)
             try:
-                got = elementary_divisors(m)
+                got = packed_divisors(m)
             except SingularMatrixError:
                 continue
             assert got == minor_divisors(m)
@@ -178,7 +242,7 @@ class TestElementaryDivisors:
                     rows.append(row)
                 m = mat_from_rows(F3, rows)
                 try:
-                    got = elementary_divisors(m)
+                    got = packed_divisors(m)
                 except SingularMatrixError:
                     continue
                 assert got == minor_divisors(m)
@@ -195,15 +259,17 @@ class TestElementaryDivisors:
                 rows.append(row)
             m = mat_from_rows(F3, rows)
             try:
-                base = elementary_divisors(m)
+                base = packed_divisors(m)
             except SingularMatrixError:
                 continue
-            assert elementary_divisors(mat_frobenius(m, 3)) == tuple(3 * d for d in base)
+            assert packed_divisors(mat_frobenius(m, 3)) == tuple(3 * d for d in base)
 
     @pytest.mark.parametrize("field", (F2, F3, F4, F9))
     def test_matches_elimination(self, field):
         # the determinantal divisors against the pivot valuations of the
-        # elimination; a quarter of the matrices are made singular
+        # elimination, and the elimination against the oracle's, which also
+        # clears each pivot row by column operations; a quarter of the
+        # matrices are made singular
         rng = random.Random(131 + field.q)
         singular = 0
         for n in (1, 2, 3, 4):
@@ -224,22 +290,25 @@ class TestElementaryDivisors:
                     rows[-1] = [k.mul(e) for e in rows[0]] if n > 1 else [LSeries.zero(field)]
                 m = mat_from_rows(field, rows)
                 try:
-                    pivots = tuple(sorted((v for _, v in _eliminate(m)), reverse=True))
+                    steps = _eliminate(*pack_matrix(m))
                 except SingularMatrixError:
                     singular += 1
                     with pytest.raises(SingularMatrixError):
-                        elementary_divisors(m)
+                        packed_divisors(m)
+                    with pytest.raises(SingularMatrixError):
+                        lseries_eliminate(m)
                     continue
-                assert elementary_divisors(m) == pivots
+                assert steps == lseries_eliminate(m)
+                assert packed_divisors(m) == tuple(sorted((v for _, v in steps), reverse=True))
         assert singular
 
     def test_singular(self):
         z = LSeries.zero(F3)
         one = LSeries.monomial(F3, 0)
         with pytest.raises(SingularMatrixError):
-            elementary_divisors(mat_from_rows(F3, [[one, one], [one, one]]))
+            packed_divisors(mat_from_rows(F3, [[one, one], [one, one]]))
         with pytest.raises(SingularMatrixError):
-            elementary_divisors(mat_from_rows(F3, [[z, z], [z, z]]))
+            packed_divisors(mat_from_rows(F3, [[z, z], [z, z]]))
 
     def test_adjugate_identity(self):
         rng = random.Random(109)
@@ -286,6 +355,51 @@ class TestElementaryDivisors:
             assert mat_frobenius(mat_mul(a, b), 3).rows == mat_mul(
                 mat_frobenius(a, 3), mat_frobenius(b, 3)
             ).rows
+
+    @pytest.mark.parametrize("r", (1, 2))
+    def test_matches_oracle_at_a_large_prime(self, r):
+        # at p = 1,000,003 the width passes 64 bits; random 3 x 3 matrices
+        # with few terms, a fifth of them made singular
+        field = TableField(1000003, r)
+        rng = random.Random(151 + r)
+        singular = 0
+        for _ in range(30):
+            rows = [
+                [
+                    series_from_terms(field, {e: rng.randrange(1, field.q) for e in rng.sample(range(-2, 3), rng.randint(0, 3))})
+                    for _ in range(3)
+                ]
+                for _ in range(3)
+            ]
+            if rng.random() < 0.2:
+                rows[2] = [series_from_terms(field, {1: rng.randrange(1, field.q)}).mul(e) for e in rows[0]]
+            m = mat_from_rows(field, rows)
+            assert packing_width(m) > 64
+            try:
+                want = lseries_divisors(m)
+            except SingularMatrixError:
+                singular += 1
+                with pytest.raises(SingularMatrixError):
+                    packed_divisors(m)
+                continue
+            assert packed_divisors(m) == want
+            assert packed_label(m) == lseries_label(m)
+        assert singular
+
+    @pytest.mark.parametrize("field", (F2, F3, F5, TableField(7), F4, F9))
+    def test_one_bit_fewer_is_caught(self, field):
+        # every entry the largest digit (p - 1, or (p - 1) + (p - 1) t): the
+        # determinant's digits reach the minor bound of _matrix_bounds, so at
+        # the stated width the matrix is found singular, and with one bit
+        # fewer the determinant's digit runs into the spare bit
+        top = series_from_terms(field, {0: field.q - 1})
+        m = mat_from_rows(field, [[top, top], [top, top]])
+        width = packing_width(m)
+        assert width == oracle._matrix_bounds(2, field.p, field.r, field.p - 1, 1)[0].bit_length() + 1
+        with pytest.raises(SingularMatrixError):
+            elementary_divisors(*pack_matrix(m, width))
+        with pytest.raises(TheoremViolationError, match="bound"):
+            elementary_divisors(*pack_matrix(m, width - 1))
 
 
 def random_iwahori(field, n, rng, depth=6):
@@ -335,14 +449,14 @@ def random_integral(field, n, rng, depth=6):
 
 class TestIwahoriLabel:
     def test_diagonal(self):
-        assert iwahori_label(mat_diag_u(F3, (2, -1, 0))) == (2, -1, 0)
+        assert packed_label(mat_diag_u(F3, (2, -1, 0))) == (2, -1, 0)
 
     def test_lower_unipotent_times_diag(self):
         rows = [
             [LSeries.monomial(F3, 1), LSeries.zero(F3)],
             [series_from_terms(F3, {0: 2}), LSeries.monomial(F3, -1)],
         ]
-        assert iwahori_label(mat_from_rows(F3, rows)) == (1, -1)
+        assert packed_label(mat_from_rows(F3, rows)) == (1, -1)
 
     @pytest.mark.parametrize("field,n", ((F3, 2), (F2, 3), (F4, 2), (F4, 3)))
     def test_round_trip(self, field, n):
@@ -352,7 +466,8 @@ class TestIwahoriLabel:
             h = random_iwahori(field, n, rng)
             k = random_integral(field, n, rng)
             g = mat_mul(mat_mul(h, mat_diag_u(field, lam)), k)
-            assert iwahori_label(g) == lam
+            assert packed_label(g) == lam
+            assert lseries_label(g) == lam
 
 
 class TestCosets:
@@ -393,31 +508,48 @@ class TestCosets:
     @pytest.mark.parametrize(
         "n,field,box",
         # the (group, field, box) classes of the oracle-crosscheck benchmark
-        ((2, GF(7), 1), (2, F9, 1), (2, F3, 2), (2, F2, 3), (3, F2, 1), (2, F4, 2), (2, F5, 2), (3, F3, 1)),
+        ((2, TableField(7), 1), (2, F9, 1), (2, F3, 2), (2, F2, 3), (3, F2, 1), (2, F4, 2), (2, F5, 2), (3, F3, 1)),
     )
     def test_matches_candidate_filter_on_benchmark_shapes(self, n, field, box):
         self.assert_same_cosets(n, box, field)
 
     def test_builds_only_kept_cosets(self, monkeypatch):
-        # exactly two matrices (g and its inverse) built per yielded coset
-        built = []
-        real = oracle.mat_from_rows
+        # every free coefficient choice is drawn once, and every choice of
+        # the last cell (0, 2) completes a yielded coset: the draws are those
+        # of (0, 1), of (1, 2) under each of them, and one per coset (the
+        # calls that build the kept lists of choices are not counted)
+        n, B, q = 3, 1, 3
+        drawn, depth = [], [0]
+        real = oracle._free_parts
 
-        def counting(field, rows):
-            built.append(None)
-            return real(field, rows)
+        def counting(*args):
+            depth[0] += 1
+            try:
+                parts = real(*args)
+            finally:
+                depth[0] -= 1
+            outer = depth[0] == 0
+            for part in parts:
+                if outer:
+                    drawn.append(None)
+                yield part
 
-        monkeypatch.setattr(oracle, "mat_from_rows", counting)
-        cosets = list(hnf_cosets(3, 1, F3))
-        assert len(built) == 2 * len(cosets) == 2 * 445
+        monkeypatch.setattr(oracle, "_free_parts", counting)
+        cosets = list(hnf_cosets(n, B, F3))
+        free = [
+            (lams[0] - max(lams[0] + lams[1] - B, -B), lams[1] - max(lams[1] + lams[2] - B, -B))
+            for lams in itertools.product(range(-B, B + 1), repeat=n)
+        ]
+        assert len(cosets) == 445
+        assert len(drawn) == sum(q**a + q ** (a + b) for a, b in free) + len(cosets)
 
     @pytest.mark.parametrize("field,n", ((F2, 2), (F3, 2), (F2, 3)))
     def test_label_refines_divisors(self, field, n):
         # the Iwahori label and the Cartan exponents come from two unrelated
         # reductions, but I sits inside G(O), so they must agree up to sorting
-        for g, _ in hnf_cosets(n, 1, field):
-            lam = iwahori_label(g)
-            assert dominant((lam,))[0][0] == elementary_divisors(g)
+        for ring, g, _, _ in packed_cosets(n, 1, field):
+            lam = iwahori_label(ring, g, 1)
+            assert dominant((lam,))[0][0] == elementary_divisors(ring, g, 1)
 
     def test_identity_present(self):
         ids = [
@@ -435,7 +567,7 @@ class TestCosets:
         # pairwise-distinct cosets: g1^{-1} g2 integral with integral inverse
         # happens only on the diagonal of the pairing
         mats = [g for g, _ in hnf_cosets(2, 1, F2)]
-        labels = [iwahori_label(g) for g in mats]
+        labels = [packed_label(g) for g in mats]
         seen = set()
         for g, lab in zip(mats, labels):
             key = (lab, tuple(repr(e) for row in g.rows for e in row))
@@ -523,19 +655,20 @@ class TestSurvey:
         b = weyl_matrix(field, datum.tau[0], datum.w[0])
         survey = coset_survey(datum, field, box)
         cosets = list(hnf_cosets(n, box, field))
-        assert [g for g, _, _ in survey] == [g for g, _ in cosets]
-        for (g, ed, label), (_, h) in zip(survey, cosets):
+        assert [g for g, _, _, _ in survey] == [g for g, _ in cosets]
+        for (g, prod, ed, label), (_, h) in zip(survey, cosets):
             full = mat_mul(mat_mul(h, b), mat_frobenius(g, p))
-            assert ed == elementary_divisors(full)
-            assert label == (iwahori_label(g),)
+            assert full == prod
+            assert ed == packed_divisors(full)
+            assert label == (packed_label(g),)
 
     def test_singular_product_is_a_theorem_violation(self, monkeypatch, capsys):
         # det(g^{-1} b sigma(g)) is a unit times a power of u; a zero sigma(g)
         # makes the product singular, which must not be skipped
-        def zero_frobenius(a, p):
-            return mat_from_rows(a.field, [[LSeries.zero(a.field)] * a.n] * a.n)
+        def zero_frobenius(ring, c, pos, twist):
+            return ring.zero
 
-        monkeypatch.setattr(oracle, "mat_frobenius", zero_frobenius)
+        monkeypatch.setattr(oracle, "_frobenius_term", zero_frobenius)
         with pytest.raises(TheoremViolationError, match="singular"):
             kisin_points(caruso_datum(2, 1, 3, 1), ((1, 0),), F3, 1)
         argv = ["oracle-count", "--p", "3", "--n", "2", "--m", "1", "--mu", "[[1, 0]]", "--box", "1"]
@@ -545,12 +678,12 @@ class TestSurvey:
     def test_determinant_valuation_is_checked(self, monkeypatch, capsys):
         # sigma(g) shifted by u multiplies det(g^{-1} b sigma(g)) by u^n, which
         # breaks the identity the prune rests on; every built coset checks it
-        real = oracle.mat_frobenius
+        real = oracle._frobenius_term
 
-        def shifted_frobenius(a, p):
-            return mat_from_rows(a.field, [[e.shift(1) for e in row] for row in real(a, p).rows])
+        def shifted_frobenius(ring, c, pos, twist):
+            return real(ring, c, pos, twist + 1)
 
-        monkeypatch.setattr(oracle, "mat_frobenius", shifted_frobenius)
+        monkeypatch.setattr(oracle, "_frobenius_term", shifted_frobenius)
         with pytest.raises(TheoremViolationError, match="valuation"):
             kisin_points(caruso_datum(2, 1, 3, 1), ((1, 0),), F3, 1)
         argv = ["oracle-count", "--p", "3", "--n", "2", "--m", "1", "--mu", "[[1, 0]]", "--box", "1"]
@@ -576,7 +709,7 @@ def twist_classes(n, p):
     return tuple(out)
 
 
-FIELDS = {(p, r): GF(p, r) for p, r in ((2, 1), (2, 2), (3, 1), (3, 2), (5, 1), (7, 1))}
+FIELDS = {(p, r): TableField(p, r) for p, r in ((2, 1), (2, 2), (3, 1), (3, 2), (5, 1), (7, 1))}
 
 
 @lru_cache(maxsize=None)
@@ -584,13 +717,27 @@ def class_survey(n, p, r, box, m_index):
     return coset_survey(twist_classes(n, p)[m_index], FIELDS[p, r], box)
 
 
+def packed_products(datum, field, box):
+    """(ring, g, product, shift) of every coset of the box, in the order of
+    the slices, by the library's packed path as kisin_points forms it."""
+    n, p = datum.shape.n, datum.shape.p
+    tau, w = datum.tau[0], datum.w[0]
+    twist = [tau[w[k]] - min(tau) for k in range(n)]
+    terms = [[[(w[k], k) for k in range(j + 1) if w[k] >= i] for j in range(n)] for i in range(n)]
+    for ring, g, h, bsg in packed_cosets(n, box, field, twist):
+        yield ring, g, oracle._product(ring, h, bsg, terms), (p + 1) * box - min(tau)
+
+
 def shifted_survey(n, p, r, box, m_index, c):
     """The m_index-th twist class of (n, p) shifted by the central c, and its
     survey: g^{-1} u^c b sigma(g) = u^c g^{-1} b sigma(g), so the cosets and
-    labels stay and every divisor moves by c (checked against the survey of
-    the shifted datum at box 1)."""
+    labels stay, every product is multiplied by u^c and every divisor moves
+    by c (checked against the survey of the shifted datum at box 1)."""
     datum, _ = central_twist(twist_classes(n, p)[m_index], ((0,) * n,), ((c,) * n,))
-    survey = [(g, tuple(d + c for d in ed), label) for g, ed, label in class_survey(n, p, r, box, m_index)]
+    survey = [
+        (g, mat_from_rows(prod.field, [[e.shift(c) for e in row] for row in prod.rows]), tuple(d + c for d in ed), label)
+        for g, prod, ed, label in class_survey(n, p, r, box, m_index)
+    ]
     return datum, survey
 
 
@@ -616,17 +763,20 @@ class TestDeterminantPrune:
     def test_divisor_sum_identity(self, n, p, r, box, shifts):
         # over the whole box: sum(ed) = sum(tau) + (p - 1) s for every coset
         for m_index, datum in enumerate(twist_classes(n, p)):
-            for g, ed, _ in class_survey(n, p, r, box, m_index):
+            for g, _, ed, _ in class_survey(n, p, r, box, m_index):
                 s = sum(g.rows[i][i].offset for i in range(n))
                 assert sum(ed) == sum(datum.tau[0]) + (p - 1) * s
 
     @pytest.mark.parametrize("n,p,r,box", sorted({case[:4] for case in DIFFERENTIAL}))
     def test_divisors_match_adjugate_divisors(self, n, p, r, box):
         # each minor built once against the determinant and the adjugate of
-        # the cofactor expansion, on the product of every coset of the box
+        # the cofactor expansion, on the packed product of every coset of the
+        # box, which unpacks to the oracle's product
         for datum in twist_classes(n, p):
-            for _, prod in survey_products(datum, FIELDS[p, r], box):
-                assert elementary_divisors(prod) == adjugate_divisors(prod)
+            oracle_products = survey_products(datum, FIELDS[p, r], box)
+            for (ring, _, prod, shift), (_, want) in zip(packed_products(datum, FIELDS[p, r], box), oracle_products, strict=True):
+                assert unpack_matrix(ring, prod, shift) == want
+                assert elementary_divisors(ring, prod, shift) == adjugate_divisors(want)
 
     @pytest.mark.parametrize("n,p,r", sorted({case[:3] for case in DIFFERENTIAL}))
     def test_central_shift_of_survey(self, n, p, r):
@@ -653,8 +803,7 @@ class TestDeterminantPrune:
                         labels = [s.lam[0] for s in enumerate_strata(datum, mu)]
                         assert any(abs(x) > box for lam in labels for x in lam)
                         continue
-                    want = survey_points(survey, mu)
-                    assert [(g.rows, lab) for g, lab in got] == [(g.rows, lab) for g, lab in want]
+                    assert got == survey_points(survey, mu)
                     compared += 1
         assert compared
 
@@ -663,9 +812,9 @@ class TestDeterminantPrune:
         built = []
         real = oracle._hnf_cosets
 
-        def counting(*args):
-            for coset in real(*args):
-                built.append(coset[0])
+        def counting(n, B, ring, s, twist):
+            for coset in real(n, B, ring, s, twist):
+                built.append(unpack_matrix(ring, coset[0], B))
                 yield coset
 
         monkeypatch.setattr(oracle, "_hnf_cosets", counting)
@@ -716,7 +865,42 @@ class TestDeterminantPrune:
         assert built == []
 
 
+# (n, p, field degree, box) of the whole-box differential of the packed path:
+# the cases of DIFFERENTIAL, and rank 3 over F_4 at box 1 and over F_2 at box 2
+PACKED_CASES = sorted({case[:4] for case in DIFFERENTIAL} | {(3, 2, 2, 1), (3, 2, 1, 2)})
+
+
+class TestPackedPath:
+    @pytest.mark.parametrize("n,p,r,box", PACKED_CASES)
+    def test_matches_lseries_oracle(self, n, p, r, box):
+        # every slice of the box and every twist class: the same cosets in
+        # the same order, and the same products, divisors and labels, as the
+        # LSeries oracle of conftest
+        field = FIELDS[p, r]
+        compared = 0
+        for m_index, datum in enumerate(twist_classes(n, p)):
+            survey = class_survey(n, p, r, box, m_index)
+            for (ring, g, prod, shift), (g0, prod0, ed0, label0) in zip(
+                packed_products(datum, field, box), survey, strict=True
+            ):
+                assert unpack_matrix(ring, g, box) == g0
+                assert unpack_matrix(ring, prod, shift) == prod0
+                assert elementary_divisors(ring, prod, shift) == ed0
+                assert (iwahori_label(ring, g, box),) == label0
+                compared += 1
+        assert compared
+
+
 class TestKisinPoints:
+    @pytest.mark.parametrize("p,deg", ((1000003, 1), (1009, 2), (101, 2)))
+    def test_large_field_exits_at_the_guard(self, capsys, p, deg):
+        # the field builds no q x q table, so the slice guard refuses these
+        # before any coset is built
+        argv = ["oracle-count", "--p", str(p), "--n", "2", "--f", "1", "--m", "1", "--mu", "[[1,0]]"]
+        assert main(argv + ["--field-deg", str(deg), "--box", "1"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == "" and "candidate cosets exceed the guard" in captured.err
+
     def test_singleton_mu(self):
         base = caruso_datum(2, 1, 3, 1)
         mu = ((1, 0),)
@@ -795,6 +979,6 @@ class TestKisinPoints:
         base = caruso_datum(2, 1, 2, 1)
         mu = ((2, -2),)
         datum2, mu2 = central_twist(base, mu, ((1, 1),))
-        before = [(repr(g.rows), lam) for g, lam in kisin_points(base, mu, F2, 2)]
-        after = [(repr(g.rows), lam) for g, lam in kisin_points(datum2, mu2, F2, 2)]
+        before = kisin_points(base, mu, F2, 2)
+        after = kisin_points(datum2, mu2, F2, 2)
         assert before == after
