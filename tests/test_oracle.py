@@ -470,6 +470,25 @@ class TestIwahoriLabel:
             assert lseries_label(g) == lam
 
 
+    def test_row_order_is_asserted(self, monkeypatch):
+        # the pivot is the topmost of least valuation, so the check cannot
+        # fire on its own: a search that misreads row 0 one valuation too high
+        # takes the pivot (1, 0), and clearing row 0, whose entry has the
+        # pivot's valuation, breaks the Iwahori row order
+        one = series_from_terms(F3, {0: 1})
+        ring, rows, shift = pack_matrix(mat_from_rows(F3, [[one, one], [one, LSeries.zero(F3)]]))
+        real, reads = Packing.minval, []
+
+        def misread(self, xs):
+            reads.append(None)
+            v = real(self, xs)
+            return v + 1 if len(reads) <= 2 else v  # the reads of row 0 in the first search
+
+        monkeypatch.setattr(Packing, "minval", misread)
+        with pytest.raises(PreconditionError, match="Iwahori row order"):
+            iwahori_label(ring, rows, shift)
+
+
 class TestCosets:
     def test_rank_one(self):
         got = list(hnf_cosets(1, 2, F3))
@@ -954,6 +973,11 @@ class TestKisinPoints:
         base = caruso_datum(2, 1, 3, 1)
         with pytest.raises(BoxTooSmallError):
             kisin_points(base, ((7, 0),), F3, 1)
+
+    def test_refuses_f_other_than_1(self):
+        # the CLI refuses --f 2 itself, so the library's refusal is met only here
+        with pytest.raises(PreconditionError, match="only supports f = 1"):
+            kisin_points(caruso_datum(2, 2, 3, 1), ((1, 0), (1, 0)), F3, 3)
 
     @pytest.mark.parametrize("p,field_deg", ((2, 1), (2, 2), (3, 1)))
     def test_gl3_cross_check(self, p, field_deg):
