@@ -32,6 +32,7 @@ from .strata import (
     _is_label,
     _require_alcove,
     _require_dominant_mu,
+    _twist,
     enumerate_strata,
 )
 
@@ -173,7 +174,8 @@ def chain_gl3(datum: FrobeniusDatum, mu: Cochar, lam: Cochar, lam_prime: Cochar)
     difference: walk straight when it is a coroot multiple, otherwise step by
     +c or -(w^2 c), whichever stays in S.  Each step reduces the normal form's
     leading coefficient by one (asserted); if neither step stays in S the
-    induction hypothesis is violated and a hard error is raised.
+    induction hypothesis is violated and a hard error is raised.  Each step
+    must pass ``_edge_ok``, the edge test of ``build_graph`` (asserted).
 
     Membership in S = {lam : dominant(lam_nat) <= mu} is decided by that
     defining inequality for the endpoints and for every step, so no strata are
@@ -199,6 +201,7 @@ def chain_gl3(datum: FrobeniusDatum, mu: Cochar, lam: Cochar, lam_prime: Cochar)
 
     chain = [lam]
     steps = []
+    twisted = {cov: tw for _, cov, tw in _root_moves(shape, datum.w)}  # steps are coroots
     cur = lam
     prev_n1 = None
     while cur != lam_prime:
@@ -218,10 +221,13 @@ def chain_gl3(datum: FrobeniusDatum, mu: Cochar, lam: Cochar, lam_prime: Cochar)
             candidates = (step_plus, step_minus)
         for step in candidates:
             nxt = cochar_add(cur, step)
-            if _is_label(datum, mu, nxt):
+            nat = _twist(datum, nxt)[1]
+            if _dominated(nat, mu):
                 break
         else:
             raise TheoremViolationError("no admissible coroot step stays in S")
+        if not _edge_ok(mu, nat, step, twisted[step]):  # the edge nxt -> nxt - step = cur
+            raise TheoremViolationError(f"chain step {cur} -> {nxt} is not a coroot-curve edge")
         steps.append(step)
         chain.append(nxt)
         cur = nxt

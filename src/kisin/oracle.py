@@ -140,7 +140,14 @@ class Packing:
         Exact zero digits are skipped with z & -z on the union z of the xs,
         and only the digits at the candidate position are read (and checked)."""
         ints = self._flat(xs)
-        z = functools.reduce(operator.or_, ints, 0)
+        return self._scan(ints, functools.reduce(operator.or_, ints, 0))
+
+    def val(self, x) -> int | None:
+        """minval([x]), the same digits read and checked, with no list."""
+        ints = (x,) if self.field.r == 1 else x
+        return self._scan(ints, ints[0] | ints[-1])
+
+    def _scan(self, ints, z: int) -> int | None:  # z: the union of ints
         W, p, mask, half = self.width, self.field.p, self._mask, self._half
         while z:
             t = ((z & -z).bit_length() - 1) // W
@@ -296,7 +303,7 @@ def _eliminate(ring: Packing, rows, shift: int) -> list:
         best = None
         for i in alive_rows:  # ascending, so the first minimum found is topmost
             for j in alive_cols:
-                v = ring.minval([work[i][j]])
+                v = ring.val(work[i][j])
                 if v is not None and (best is None or v - rsh[i] < best[2]):
                     best = (i, j, v - rsh[i])
         if best is None:
@@ -306,7 +313,7 @@ def _eliminate(ring: Packing, rows, shift: int) -> list:
         pivot = work[ip][jp]
         for i in alive_rows:
             a = work[i][jp]
-            va = None if i == ip else ring.minval([a])
+            va = None if i == ip else ring.val(a)
             if va is None:
                 continue
             if i < ip and va - rsh[i] - v < 1:
@@ -444,7 +451,7 @@ def _fill_cells(ring: Packing, B: int, lams, mats, cells, twist, kept) -> Iterat
         T = ring.zero
         for k in range(i + 1, j):
             T = ring.add(T, ring.mul(g[i][k], h[k][j]))
-        v = ring.minval([T])
+        v = ring.val(T)
         if v is not None and v < min(low, -B) - lams[j] + 2 * B:
             return  # a coefficient of g_ij forced below -B
         forced = sforced = ring.zero

@@ -21,7 +21,10 @@ their residues, and a join over the blocks keeps a partial choice only while
 the residue still needed is a sum the remaining blocks can reach.  Only the
 surviving candidates are solved, and each must solve integrally and twist
 back to its candidate (else TheoremViolationError).  Its work follows the
-per-block candidate counts, which grow like p^(n-1) per block.
+per-block candidate counts, which grow like p^(n-1) per block.  It runs up
+to central shift (``central_twist``), so a block's bucket table depends only
+on its coefficient rows, the moduli and mu_k less its least entry; the tables
+sit in one cache, and every cache of this module is bounded by _CACHED.
 
 The cycle walk searches lam directly when every eps_k >= 2.  Dominance gives
 lo_k <= nat_k[j] <= hi_k, lo_k and hi_k the least and largest entry of mu_k,
@@ -177,7 +180,6 @@ def _dominant_blocks(mu_block: tuple):
     return descend(0, hi, 0, ())
 
 
-@lru_cache(maxsize=None)
 def dominant_blocks_leq(mu_block: tuple) -> tuple:
     """All dominant integer vectors nu with nu <= mu_block (same length/sum)."""
     return tuple(_dominant_blocks(mu_block))
@@ -203,7 +205,12 @@ def _distinct_permutations(block: tuple):
         a[i + 1 :] = a[:i:-1]
 
 
-@lru_cache(maxsize=None)
+# Entries kept by each cache of this module: the GL_3 sweep fills about 110
+# residue tables and the multi-copy lifts about 150; eviction only rebuilds.
+_CACHED = 256
+
+
+@lru_cache(maxsize=_CACHED)
 def candidate_blocks(mu_block: tuple) -> tuple:
     """All integer vectors whose dominant sort is <= mu_block."""
     out = []
@@ -259,46 +266,58 @@ def _residue_join(buckets: list, moduli: tuple, target: tuple):
     return walk(0, target, ())
 
 
+@lru_cache(maxsize=_CACHED)
+def _residue_table(rows: tuple, moduli: tuple, mu_block: tuple) -> dict:
+    """The candidates of mu_block as residue tuple -> candidate list, the
+    residues sum(c * v) mod m per coefficient row c and modulus m.  Blocks
+    that share their rows (as in a multi-copy lift) share the table."""
+    blk = candidate_blocks(mu_block)
+    residues = [[sum(map(mul, c, v)) % m for v in blk] for c, m in zip(rows, moduli)]
+    bucket = defaultdict(list)
+    for key, v in zip(zip(*residues), blk):
+        bucket[key].append(v)
+    return dict(bucket)
+
+
 def _join(datum: FrobeniusDatum, mu: Cochar) -> list:
     """The labels as sorted (lam, dag, nat) triples, by the residue join of
     the per-block candidate sets.
 
+    Up to central shift (``central_twist``): with chi_k the least entry of
+    mu_k, nu0 = nu - chi runs over the candidates of mu - chi and
+    tau - nu = tau0 - nu0 for tau0 = tau - chi, so every lam is unchanged.
     Complete and duplicate-free: candidates nu run over every vector with
     dominant(nu) <= mu, nu -> lam is injective, and the residue join drops
     exactly the nu whose preimage is not integral.  Each surviving nu must
     solve integrally, and its lam must twist back to nu (else
     TheoremViolationError), so membership holds by construction.
     """
-    shape, w, tau = datum.shape, datum.w, datum.tau
-    per_block = [candidate_blocks(b) for b in mu]
+    shape, w = datum.shape, datum.w
     *_, moduli, coefs = _solve_plan(shape, w)
+    chi = tuple((b[-1],) * len(b) for b in mu)
+    tau0 = cochar_sub(datum.tau, chi)
     # the preimage of nu is integral iff, per cycle, the residues of the
-    # nu_k sum to those of the tau_k
+    # nu0_k sum to those of the tau0_k
     target = tuple(
-        sum(sum(map(mul, cs[ci], t)) for cs, t in zip(coefs, tau)) % m for ci, m in enumerate(moduli)
+        sum(sum(map(mul, cs[ci], t)) for cs, t in zip(coefs, tau0)) % m for ci, m in enumerate(moduli)
     )
-    buckets = []
-    for cs, blk in zip(coefs, per_block):
-        residues = [[sum(map(mul, c, v)) % m for v in blk] for c, m in zip(cs, moduli)]
-        bucket = defaultdict(list)
-        for key, v in zip(zip(*residues), blk):
-            bucket[key].append(v)
-        buckets.append(bucket)
+    buckets = [_residue_table(cs, moduli, b) for cs, b in zip(coefs, cochar_sub(mu, chi))]
     solved = []
     for lists in _residue_join(buckets, moduli, target):
-        for nu in itertools.product(*lists):
-            lam = solve_affine_integral(shape, w, cochar_sub(tau, nu))
+        for nu0 in itertools.product(*lists):
+            lam = solve_affine_integral(shape, w, cochar_sub(tau0, nu0))
             if lam is None:
                 raise TheoremViolationError(
-                    f"candidate {nu} meets the integrality congruence but its preimage is not integral"
+                    f"candidate {cochar_add(nu0, chi)} meets the integrality congruence but its preimage is not integral"
                 )
-            solved.append((lam, nu))
+            solved.append((lam, nu0))
     if not solved:
         return solved
     solved.sort()  # by lam: distinct nu solve to distinct lam
     out = []
-    for lam, nu in solved:
+    for lam, nu0 in solved:
         dag, nat = _twist(datum, lam)
+        nu = cochar_add(nu0, chi)
         if nat != nu:
             raise TheoremViolationError(f"candidate {nu} solves to {lam}, whose lam_nat is {nat}")
         out.append((lam, dag, nat))
@@ -311,20 +330,21 @@ def _join(datum: FrobeniusDatum, mu: Cochar) -> list:
 
 # The cost of one walk path relative to one join candidate, rounded up: the
 # walk is taken when the candidate box exceeds WALK_PATH_COST times the path
-# bound.  Measured per call with both paths forced, interleaved, on the
+# bound.  Measured per call with both paths forced, best of three, on the
 # (twist, mu) pairs of benchmark seed 201 (Python 3.11, shared 2-vCPU x86
-# machine, warm candidate cache): per path of the bound, median 3.3 us on the
-# 195 ladder pairs and 5.1 us on the 5,040 GL_3 sweep pairs; per candidate,
-# 0.84 and 3.5 us.  Summed over the ladder pairs, the dispatched time is flat
-# for constants from 4 to 16 and grows by 40 % at 32.  At that seed the box is
-# at most 4.0 times the path bound on the pairs of the GL_3 sweep and of the
-# oracle cross-check, and 2.67 times on the multi-copy lifts with no eps = 1,
-# so they keep the join; the ladder's pairs that walk have ratios of 8.1 to
-# 5,300.
+# machine): per path of the bound, median 2.0 us on the 195 ladder pairs and
+# 3.0 us on 5,040 GL_3 sweep pairs; per candidate, 0.59 us on the ladder pairs
+# with each residue table rebuilt (their mu do not repeat) and 1.34 us on the
+# sweep pairs from cached tables.  Summed over the ladder pairs, the
+# dispatched time is flat for constants from 4 to 16, least at 8, and grows by
+# 10 % at 32 and 59 % at 64.  At that seed the box is at most 4.0 times the
+# path bound on the pairs of the GL_3 sweep and of the oracle cross-check, and
+# 2.67 times on the multi-copy lifts with no eps = 1, so they keep the join;
+# the ladder's pairs that walk have ratios of 8.1 to 5,300.
 WALK_PATH_COST = 8
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_CACHED)
 def _candidate_count(mu_block: tuple) -> int:
     """len(candidate_blocks(mu_block)) without building the candidates: the
     sum over the dominant blocks of the multinomials n! / prod(mult!)."""
@@ -348,7 +368,7 @@ def _candidate_box(mu: Cochar) -> int:
     return box
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_CACHED)
 def _walk_plan(shape, w: WeylElt) -> tuple:
     """The cycles of the position map (k, j) -> (k+1, w_k^-1(j)), each a tuple
     of positions in walk order: entry t+1 of a cycle is the image of entry t,
@@ -476,7 +496,7 @@ def enumerate_strata(datum: FrobeniusDatum, mu: Cochar) -> tuple:
     cap = _enum_cap()
     box = _candidate_box(mu)
     if box > cap:
-        count = math.prod(_candidate_count(b) for b in mu)
+        count = math.prod(_candidate_count(tuple(x - b[-1] for x in b)) for b in mu)  # up to shift
         if count > cap:
             raise EnumerationCapError(f"{count} candidates exceed cap {cap} (KISIN_MAX_ENUM)")
     # the path bound is at least 2R + 1, so the first two tests only skip work
@@ -497,7 +517,7 @@ def enumerate_strata(datum: FrobeniusDatum, mu: Cochar) -> tuple:
 # per-stratum invariants
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_CACHED)
 def _root_table(shape) -> tuple:
     """One row (root, block, i, j, shift) per root, in all_roots order; shift
     is 1 for a positive root, so lam_alpha = lam[block][i] - lam[block][j] - shift.

@@ -4,6 +4,8 @@ import random
 import pytest
 
 from conftest import edge_exists
+from kisin import connectivity
+from kisin.cli import main
 from kisin.core import ExtAffine, GroupShape, Root, all_roots, cochar_sub
 from kisin.errors import ConfigError, PreconditionError, TheoremViolationError
 from kisin.connectivity import (
@@ -254,6 +256,23 @@ class TestChains:
             chain, _ = chain_gl3(d, mu, a, b)
             for x, y in zip(chain, chain[1:]):
                 assert frozenset((x, y)) in edge_pairs
+
+    def test_step_that_is_no_edge_is_a_theorem_violation(self, monkeypatch):
+        d = caruso_datum(3, 1, 2, 1)
+        mu = ((2, 1, -2),)
+        assert chain_gl3(d, mu, ((0, 0, 0),), ((1, 0, -1),))[1] == (((1, 0, -1),),)
+        monkeypatch.setattr(connectivity, "_edge_ok", lambda *args: False)
+        with pytest.raises(TheoremViolationError, match="not a coroot-curve edge"):
+            chain_gl3(d, mu, ((0, 0, 0),), ((1, 0, -1),))
+        assert chain_gl3(d, mu, ((0, 0, 0),), ((0, 0, 0),)) == ((((0, 0, 0),),), ())  # no step, no test
+
+    def test_step_that_is_no_edge_exits_4(self, monkeypatch, capsys):
+        monkeypatch.setattr(connectivity, "_edge_ok", lambda *args: False)
+        argv = ["chain-gl3", "--p", "2", "--n", "3", "--f", "1", "--m", "1", "--mu", "[[2,1,-2]]",
+                "--lam", "[[0,0,0]]", "--lam-prime", "[[1,0,-1]]"]
+        assert main(argv) == 4
+        captured = capsys.readouterr()
+        assert captured.out == "" and "not a coroot-curve edge" in captured.err
 
     def test_exact_pi0_equals_size_iff_no_edges(self):
         d = datum_a()

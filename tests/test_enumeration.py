@@ -3,6 +3,7 @@ box search: the residue join, the cycle walk and the dispatch between them,
 and the candidate generation and count."""
 
 import dataclasses
+import functools
 import itertools
 import json
 import random
@@ -13,7 +14,7 @@ from hypothesis import assume, given, settings, strategies as st
 from conftest import box_strata, candidate_product, dominant_vecs, product_strata, walk_by_box, walk_by_exact_count
 from kisin import strata
 from kisin.cli import CASES, counterexample, main
-from kisin.core import ExtAffine, GroupShape
+from kisin.core import ExtAffine, GroupShape, cochar_add
 from kisin.errors import EnumerationCapError, KisinError, TheoremViolationError
 from kisin.multicopy import decompose_mu, make_multi
 from kisin.normal_form import _solve_plan, alcove_reduce, caruso_datum, is_caruso_simple, make_datum
@@ -340,7 +341,7 @@ class TestEnumerationCap:
         with pytest.raises(EnumerationCapError) as info:
             enumerate_strata(datum, mu)
         assert str(info.value) == f"{count} candidates exceed cap {count - 1} (KISIN_MAX_ENUM)"
-        assert blocks == list(mu)  # each block counted once
+        assert blocks == [tuple(x - b[-1] for x in b) for b in mu]  # each block counted once, up to central shift
         for cap in (count, count + 1, box - 1):
             monkeypatch.setenv("KISIN_MAX_ENUM", str(cap))
             assert enumerate_strata(datum, mu) == want
@@ -431,3 +432,114 @@ class TestCandidateGeneration:
             count = len(strata.candidate_blocks.__wrapped__(b))
             assert strata._candidate_count(b) == count, b
             assert strata._candidate_box((b,)) >= count, b
+
+
+# ---------------------------------------------------------------------------
+# the join up to central shift, from the cached residue tables
+
+SHIFTS = (-7, 0, 5)
+
+
+def shifted(datum, mu, c):
+    """central_twist of (datum, mu) by c on every entry."""
+    return central_twist(datum, mu, ((c,) * datum.shape.n,) * datum.shape.blocks)
+
+
+def gl3_twists(f, p):
+    return [caruso_datum(3, f, p, m) for m in range(-(p ** (3 * f) - 1), p ** (3 * f)) if is_caruso_simple(3, p**f, m)]
+
+
+def lift_pairs():
+    """The lifts of caruso_datum(2, 1, 2, 1) for d <= 3, each with every
+    decomposed mu = (x omega_1) with x <= d."""
+    base = caruso_datum(2, 1, 2, 1)
+    return [(make_multi(base, d).lifted, decompose_mu(((x, 0),), d)) for d in (1, 2, 3) for x in range(d + 1)]
+
+
+def join_pairs():
+    """Every simple GL_3, f = 1 twist at p in {2, 3} with |mu| <= 2, the
+    simple GL_3, f = 2, p = 2 twists with mu blocks in [0, 1], and the lifts."""
+    pairs = [(d, (mu,)) for p in (2, 3) for d in gl3_twists(1, p) for mu in dominant_vecs(3, -2, 2)]
+    blocks = dominant_vecs(3, 0, 1)
+    pairs += [(d, mu) for d in gl3_twists(2, 2) for mu in itertools.product(blocks, repeat=2)]
+    return pairs + lift_pairs()
+
+
+def join_triples(datum, mu):
+    return [(s.lam, s.dag, s.nat) for s in product_strata(datum, mu)]
+
+
+def small_proven_box(datum, mu):
+    """The walk's radius when it is proven (no eps is 1) and its box holds at
+    most 5,000 labels, else None."""
+    radius = strata._walk_radius(datum, mu)
+    if radius is not None and (2 * radius + 1) ** (datum.shape.n * datum.shape.blocks) <= 5000:
+        return radius
+    return None
+
+
+class TestJoinUpToShift:
+    def test_join_matches_product_under_shifts(self):
+        nonempty = boxed = 0
+        for t, (datum, mu) in enumerate(join_pairs()):
+            for c in SHIFTS:
+                d, m = shifted(datum, mu, c)
+                got = strata._join(d, m)
+                assert got == join_triples(d, m), (datum.tau, mu, c)
+                radius = small_proven_box(d, m)
+                if t % 11 == 0 and radius is not None:  # the box search on a sample
+                    assert {lam for lam, _, _ in got} == box_strata(d, m, radius), (datum.tau, mu, c)
+                    boxed += 1
+                nonempty += bool(got)
+        assert nonempty > 1000 and boxed > 300
+
+    def test_central_twist_keeps_labels_and_shifts_nat(self):
+        for datum, mu in join_pairs()[::3]:
+            want = enumerate_strata(datum, mu)
+            for c in SHIFTS:
+                chi = ((c,) * datum.shape.n,) * datum.shape.blocks
+                got = enumerate_strata(*shifted(datum, mu, c))
+                assert got == tuple(
+                    dataclasses.replace(s, nat=cochar_add(s.nat, chi), dag=cochar_add(s.dag, chi)) for s in want
+                ), (datum.tau, mu, c)
+
+    def test_tables_are_shared_up_to_shift(self):
+        datum, mu = caruso_datum(3, 1, 3, 5), ((2, 0, -1),)
+        strata._join(datum, mu)
+        before = strata._residue_table.cache_info()
+        for c in SHIFTS:
+            strata._join(*shifted(datum, mu, c))
+        after = strata._residue_table.cache_info()
+        assert after.misses == before.misses and after.hits == before.hits + len(SHIFTS)
+
+    def test_eviction_is_safe(self, monkeypatch):
+        pairs = join_pairs()[::7] + lift_pairs()
+        want = [strata._join(*shifted(d, mu, c)) for d, mu in pairs for c in SHIFTS]
+        one = functools.lru_cache(maxsize=1)(strata._residue_table.__wrapped__)
+        monkeypatch.setattr(strata, "_residue_table", one)
+        assert [strata._join(*shifted(d, mu, c)) for d, mu in pairs for c in SHIFTS] == want
+        assert one.cache_info().currsize == 1 and one.cache_info().misses > len(pairs)
+
+    @pytest.mark.parametrize(
+        "datum,mu",
+        [counterexample(CASES["a"], 3), (caruso_datum(3, 1, 3, 5), ((2, 0, -1),))] + lift_pairs()[-2:],
+    )
+    def test_misfiled_candidate_is_a_theorem_violation(self, monkeypatch, datum, mu):
+        # each bucket of a table with two residues or more also holds a
+        # candidate of another residue, so whatever the join reaches, some
+        # candidate fails the integrality congruence
+        real, misfiled = strata._residue_table, []
+
+        def tampered(rows, moduli, mu_block):
+            table = real(rows, moduli, mu_block)
+            keys = list(table)
+            if len(keys) == 1:
+                return table
+            misfiled.append(mu_block)
+            return {k: table[k] + [table[keys[t - 1]][0]] for t, k in enumerate(keys)}
+
+        assert strata._join(datum, mu)
+        monkeypatch.setattr(strata, "_residue_table", tampered)
+        with pytest.raises(TheoremViolationError, match="integrality congruence"):
+            strata._join(datum, mu)
+        assert misfiled

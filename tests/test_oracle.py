@@ -147,6 +147,23 @@ class TestPacking:
         with pytest.raises(TheoremViolationError, match="bound"):
             ring.minval([1 << 7])
 
+    @pytest.mark.parametrize("field", (F3, F9))
+    @given(ta=polys)
+    def test_val_is_minval_of_one(self, field, ta):
+        a = series_from_terms(field, {e: x % field.q for e, x in ta.items() if x % field.q})
+        ring = Packing(field, 40)
+        pa = pack_series(ring, a, 3)
+        assert ring.val(pa) == ring.minval([pa])
+
+    def test_val_reads_digits_as_minval_does(self):
+        ring = Packing(F3, 8)
+        assert ring.val(3 + (1 << 16)) == 2
+        assert ring.val(3 + (6 << 8)) is None
+        assert Packing(F9, 8).val((3, 1 << 8)) == 1
+        for r, x in ((1, 1 << 7), (2, (0, 1 << 7))):
+            with pytest.raises(TheoremViolationError, match="bound"):
+                Packing(GF(3, r), 8).val(x)
+
 
 class TestLSeries:
     # the Laurent arithmetic of the conftest oracle
@@ -477,14 +494,14 @@ class TestIwahoriLabel:
         # pivot's valuation, breaks the Iwahori row order
         one = series_from_terms(F3, {0: 1})
         ring, rows, shift = pack_matrix(mat_from_rows(F3, [[one, one], [one, LSeries.zero(F3)]]))
-        real, reads = Packing.minval, []
+        real, reads = Packing.val, []
 
-        def misread(self, xs):
+        def misread(self, x):
             reads.append(None)
-            v = real(self, xs)
+            v = real(self, x)
             return v + 1 if len(reads) <= 2 else v  # the reads of row 0 in the first search
 
-        monkeypatch.setattr(Packing, "minval", misread)
+        monkeypatch.setattr(Packing, "val", misread)
         with pytest.raises(PreconditionError, match="Iwahori row order"):
             iwahori_label(ring, rows, shift)
 
