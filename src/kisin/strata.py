@@ -295,6 +295,7 @@ def _join(datum: FrobeniusDatum, mu: Cochar) -> list:
     shape, w = datum.shape, datum.w
     *_, moduli, coefs = _solve_plan(shape, w)
     chi = tuple((b[-1],) * len(b) for b in mu)
+    shift = any(b[-1] for b in mu)  # False on the multi-copy lifts, where nu0 is nu
     tau0 = cochar_sub(datum.tau, chi)
     # the preimage of nu is integral iff, per cycle, the residues of the
     # nu0_k sum to those of the tau0_k
@@ -317,7 +318,7 @@ def _join(datum: FrobeniusDatum, mu: Cochar) -> list:
     out = []
     for lam, nu0 in solved:
         dag, nat = _twist(datum, lam)
-        nu = cochar_add(nu0, chi)
+        nu = cochar_add(nu0, chi) if shift else nu0
         if nat != nu:
             raise TheoremViolationError(f"candidate {nu} solves to {lam}, whose lam_nat is {nat}")
         out.append((lam, dag, nat))
