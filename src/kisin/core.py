@@ -29,15 +29,21 @@ Perm = tuple  # 0-indexed permutation: perm[i] = image of i
 WeylElt = tuple  # N permutations, one per block
 
 
+# Miller-Rabin on the first 13 prime bases is exact below _PRIME_BOUND
+# (Sorenson and Webster, Math. Comp. 86 (2017)); past it p is refused.
+_PRIME_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_PRIME_BOUND = 3317044064679887385961981
+
+
 def _is_prime(p: int) -> bool:
-    if p < 2:
-        return False
-    d = 2
-    while d * d <= p:
-        if p % d == 0:
-            return False
-        d += 1
-    return True
+    if p >= _PRIME_BOUND:
+        raise ConfigError(f"p={p} is past the proven range of the primality test ({_PRIME_BOUND})")
+    if p < 2 or any(p % a == 0 for a in _PRIME_BASES):
+        return p in _PRIME_BASES
+    s = ((p - 1) & (1 - p)).bit_length() - 1  # p - 1 = d * 2^s with d odd
+    d = (p - 1) >> s
+    # p is a strong probable prime to base a iff a^d = 1 or a^(d 2^r) = -1 for some r < s
+    return all(pow(a, d, p) == 1 or any(pow(a, d << r, p) == p - 1 for r in range(s)) for a in _PRIME_BASES)
 
 
 @dataclass(frozen=True)

@@ -22,7 +22,7 @@ class NotInGeneralPositionError(PreconditionError):
 
 
 class EnumerationCapError(PreconditionError):
-    """Candidate enumeration would exceed the configured cap."""
+    """The walk's path bound, or the join's block box or product, passes KISIN_MAX_ENUM."""
 
 
 class BoxTooSmallError(PreconditionError):

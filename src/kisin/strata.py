@@ -3,13 +3,12 @@ singleton certificates.
 
 A stratum label lam is nonempty exactly when the twisted difference
 lam_nat = -lam + tau + w(sigma(lam)) is dominated by mu.  Enumeration finds
-the labels in one of two ways, after the KISIN_MAX_ENUM cap has been checked
-against the candidate product.  The product is at most its box,
-prod_k (hi_k - lo_k + 1)^(n-1) with lo_k and hi_k the least and largest entry
-of mu_k: every entry of a candidate lies in [lo_k, hi_k] and the block sum
-fixes the last.  Only when the box exceeds the cap is the product counted,
-per block as the sum over the dominant vectors nu <= mu_k of the number of
-their distinct permutations, so no candidate is built for the cap.
+the labels in one of two ways, and each checks the KISIN_MAX_ENUM cap against
+its own work, from numbers it already has.  The walk checks its path bound.
+The join checks only when the box (``_candidate_box``), which bounds the
+candidate product, exceeds the cap: each block's box before it builds any
+candidate set, then the running product of the sets' sizes over the distinct
+blocks, each raised to its number of copies.
 
 The residue join inverts the affine map.  The candidate values nu of lam_nat
 are finite: blockwise vectors whose dominant sort is dominated by mu's block.
@@ -63,9 +62,8 @@ validates its arguments and tests membership with the dominance kernel of
 from __future__ import annotations
 
 import itertools
-import math
 import os
-from collections import defaultdict
+from collections import Counter, defaultdict
 from dataclasses import dataclass
 from functools import lru_cache
 from operator import mul
@@ -239,8 +237,9 @@ def _residue_join(buckets: list, moduli: tuple, target: tuple):
     target modulo moduli, as a tuple of candidate lists.
 
     after[k] holds the residue sums of blocks k+1 onwards, built backward;
-    the forward walk extends a partial choice only when the residue it still
-    needs is in after[k], and the last block is a dict lookup.
+    the forward walk, depth first from a stack, extends a partial choice only
+    when the residue it still needs is in after[k], and the last block is a
+    dict lookup.
     """
     last = len(buckets) - 1
     after = [None] * last
@@ -253,17 +252,21 @@ def _residue_join(buckets: list, moduli: tuple, target: tuple):
             for s in after[k + 1]
         }
 
-    def walk(k, need, chosen):
+    chosen = []  # the buckets taken by blocks 0 .. k - 1
+    stack = [(0, target, None)]  # (k, the residue blocks k.. must reach, the bucket of block k - 1)
+    while stack:
+        k, need, vs = stack.pop()
+        if k:
+            del chosen[k - 1 :]
+            chosen.append(vs)
         if k == last:
             if need in buckets[k]:
-                yield chosen + (buckets[k][need],)
-            return
+                yield tuple(chosen) + (buckets[k][need],)
+            continue
         for r, vs in buckets[k].items():
             rest = tuple((a - b) % m for a, b, m in zip(need, r, moduli))
             if rest in after[k]:
-                yield from walk(k + 1, rest, chosen + (vs,))
-
-    return walk(0, target, ())
+                stack.append((k + 1, rest, vs))
 
 
 @lru_cache(maxsize=_CACHED)
@@ -279,7 +282,7 @@ def _residue_table(rows: tuple, moduli: tuple, mu_block: tuple) -> dict:
     return dict(bucket)
 
 
-def _join(datum: FrobeniusDatum, mu: Cochar) -> list:
+def _join(datum: FrobeniusDatum, mu: Cochar, cap: Optional[int] = None) -> list:
     """The labels as sorted (lam, dag, nat) triples, by the residue join of
     the per-block candidate sets.
 
@@ -296,13 +299,23 @@ def _join(datum: FrobeniusDatum, mu: Cochar) -> list:
     *_, moduli, coefs = _solve_plan(shape, w)
     chi = tuple((b[-1],) * len(b) for b in mu)
     shift = any(b[-1] for b in mu)  # False on the multi-copy lifts, where nu0 is nu
+    mu0 = cochar_sub(mu, chi)
+    if cap is not None:
+        for k, b in enumerate(mu0):
+            if (box := _candidate_box((b,))) > cap:
+                raise EnumerationCapError(f"{box} candidates in the box of block {k + 1} exceed cap {cap} (KISIN_MAX_ENUM)")
+        count = 1  # over the distinct blocks, so at most one set is built past the cap
+        for b, copies in Counter(mu0).items():
+            count *= len(candidate_blocks(b)) ** copies
+            if count > cap:
+                raise EnumerationCapError(f"{count} candidates exceed cap {cap} (KISIN_MAX_ENUM)")
     tau0 = cochar_sub(datum.tau, chi)
     # the preimage of nu is integral iff, per cycle, the residues of the
     # nu0_k sum to those of the tau0_k
     target = tuple(
         sum(sum(map(mul, cs[ci], t)) for cs, t in zip(coefs, tau0)) % m for ci, m in enumerate(moduli)
     )
-    buckets = [_residue_table(cs, moduli, b) for cs, b in zip(coefs, cochar_sub(mu, chi))]
+    buckets = [_residue_table(cs, moduli, b) for cs, b in zip(coefs, mu0)]
     solved = []
     for lists in _residue_join(buckets, moduli, target):
         for nu0 in itertools.product(*lists):
@@ -343,20 +356,6 @@ def _join(datum: FrobeniusDatum, mu: Cochar) -> list:
 # 2.67 times on the multi-copy lifts with no eps = 1, so they keep the join;
 # the ladder's pairs that walk have ratios of 8.1 to 5,300.
 WALK_PATH_COST = 8
-
-
-@lru_cache(maxsize=_CACHED)
-def _candidate_count(mu_block: tuple) -> int:
-    """len(candidate_blocks(mu_block)) without building the candidates: the
-    sum over the dominant blocks of the multinomials n! / prod(mult!)."""
-    n = len(mu_block)
-    total = 0
-    for dom in _dominant_blocks(mu_block):
-        c = math.factorial(n)
-        for _, run in itertools.groupby(dom):
-            c //= math.factorial(len(tuple(run)))
-        total += c
-    return total
 
 
 def _candidate_box(mu: Cochar) -> int:
@@ -435,23 +434,19 @@ def _cycle_paths(datum: FrobeniusDatum, mu: Cochar, cyc: tuple, radius: int) -> 
         e, t, m = datum.shape.eps[k], datum.tau[k][j], mu[k]
         steps.append((e, m[-1] - t, m[0] - t))
     last = len(cyc) - 1
-    paths = []
-
-    def extend(path, x):
-        e, off_lo, off_hi = steps[len(path) - 1]
+    paths, path = [], []  # path: the values before the popped position
+    stack = [(0, x0) for x0 in range(-radius, radius + 1)]  # (position, value), depth first
+    while stack:
+        t, x = stack.pop()
+        del path[t:]
+        path.append(x)
+        e, off_lo, off_hi = steps[t]
         lo = max(-((-(x + off_lo)) // e), -radius)
         hi = min((x + off_hi) // e, radius)
-        if len(path) == last + 1:
-            if lo <= path[0] <= hi:
-                paths.append(tuple(path))
-            return
-        for y in range(lo, hi + 1):
-            path.append(y)
-            extend(path, y)
-            path.pop()
-
-    for x0 in range(-radius, radius + 1):
-        extend([x0], x0)
+        if t < last:
+            stack.extend((t + 1, y) for y in range(lo, hi + 1))
+        elif lo <= path[0] <= hi:
+            paths.append(tuple(path))
     return paths
 
 
@@ -485,29 +480,26 @@ def _walk(datum: FrobeniusDatum, mu: Cochar, radius: int) -> list:
 def enumerate_strata(datum: FrobeniusDatum, mu: Cochar) -> tuple:
     """All strata S = {lam : dominant(lam_nat) <= mu}, sorted by lam.
 
-    The arguments are validated once and the cap is checked before any work:
-    the candidate product is counted only when its box exceeds the cap.  The
-    labels come from the cycle walk when every eps is at least 2 and its path
-    bound, weighted by WALK_PATH_COST, is below the box; otherwise from the
-    residue join.  Each record is built from its checked (lam, dag, nat).
+    The arguments are validated and the cap read once.  The labels come from
+    the cycle walk when every eps is at least 2 and its path bound, weighted
+    by WALK_PATH_COST, is below the box; otherwise from the residue join,
+    handed the cap only when the box exceeds it.  Each record is built from
+    its checked (lam, dag, nat).
     """
     _require_alcove(datum)
     _require_dominant_mu(mu)
     datum.shape.check_cochar(mu)
     cap = _enum_cap()
     box = _candidate_box(mu)
-    if box > cap:
-        count = math.prod(_candidate_count(tuple(x - b[-1] for x in b)) for b in mu)  # up to shift
-        if count > cap:
-            raise EnumerationCapError(f"{count} candidates exceed cap {cap} (KISIN_MAX_ENUM)")
     # the path bound is at least 2R + 1, so the first two tests only skip work
     radius = _walk_radius(datum, mu) if box > WALK_PATH_COST else None
-    walk = (
-        radius is not None
-        and box > WALK_PATH_COST * (2 * radius + 1)
-        and box > WALK_PATH_COST * _walk_bound(datum, mu, radius)
-    )
-    labels = _walk(datum, mu, radius) if walk else _join(datum, mu)
+    bound = _walk_bound(datum, mu, radius) if radius is not None and box > WALK_PATH_COST * (2 * radius + 1) else box
+    if box > WALK_PATH_COST * bound:  # never when the bound was skipped
+        if bound > cap:
+            raise EnumerationCapError(f"{bound} walk paths exceed cap {cap} (KISIN_MAX_ENUM)")
+        labels = _walk(datum, mu, radius)
+    else:
+        labels = _join(datum, mu, cap if box > cap else None)
     if not labels:
         return ()
     roots, minuscule = _root_table(datum.shape), is_minuscule(mu)

@@ -785,13 +785,30 @@ def candidate_product(mu):
     return math.prod(len(candidate_blocks.__wrapped__(b)) for b in mu)
 
 
+def candidate_count(mu_block):
+    """len(candidate_blocks(mu_block)) without building the candidates: the
+    sum over the dominant blocks nu <= mu_block of the multinomials
+    n! / prod(mult!), the number of distinct permutations of nu.  The library
+    once counted the candidate product this way for its cap."""
+    from kisin.strata import dominant_blocks_leq
+
+    n = len(mu_block)
+    total = 0
+    for dom in dominant_blocks_leq(mu_block):
+        c = math.factorial(n)
+        for _, run in itertools.groupby(dom):
+            c //= math.factorial(len(tuple(run)))
+        total += c
+    return total
+
+
 def walk_by_exact_count(datum, mu):
     """The dispatch rule on the exact candidate product, as the library
     applied it before it decided on the box: the cycle walk iff no eps is 1
     and WALK_PATH_COST times the walk's path bound is below the product."""
     from kisin import strata
 
-    count = math.prod(strata._candidate_count.__wrapped__(b) for b in mu)
+    count = math.prod(candidate_count(b) for b in mu)
     radius = strata._walk_radius(datum, mu)
     return radius is not None and strata.WALK_PATH_COST * strata._walk_bound(datum, mu, radius) < count
 

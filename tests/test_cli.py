@@ -1,12 +1,14 @@
 import contextlib
 import io
 import json
+import sys
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from kisin import cli
 from kisin.cli import main
+from kisin.core import _is_prime
 
 
 def run_cli(capsys, *argv):
@@ -419,3 +421,152 @@ class TestExitCodeFuzz:
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
             code = main(argv)
         assert code in (0, 2, 3, 4), argv
+
+
+# ---------------------------------------------------------------------------
+# scalar extremes under a small cap
+
+
+def _next_prime(n):
+    while not _is_prime(n):
+        n += 1
+    return n
+
+
+_PRIMES = st.sampled_from([2, 3, 5, 7, 211, 1009, 10**6 + 3, 10**9 + 7, 10**12 + 39]) | st.integers(2, 10**12).map(
+    _next_prime
+)
+_ENTRY = st.integers(-3, 3) | st.integers(-(10**6), 10**6)
+_COMMANDS = ("normal-form", "strata", "graph", "multicopy", "chain-gl3", "oracle-count", "verify-counterexample")
+
+
+def _cycled(draw, blocks, block):
+    """A cochar of the given number of blocks: one to three drawn blocks,
+    repeated, so that a long shape costs a few draws."""
+    pattern = draw(st.lists(block, min_size=1, max_size=3))
+    return [pattern[k % len(pattern)] for k in range(blocks)]
+
+
+@st.composite
+def _scalar_argv(draw):
+    """One CLI call with extreme scalars: primes up to 10^12, n <= 6, f <= 3,
+    up to 1,200 blocks through --d or --eps, --box up to 10^9, --field-deg 1-3
+    and mu entries up to 10^6."""
+    cmd = draw(st.sampled_from(_COMMANDS))
+    p = draw(_PRIMES | st.integers(-3, 10**12))
+    if cmd == "verify-counterexample":
+        return [cmd, draw(st.sampled_from("ab")), f"--p={p}"]
+    n, f = draw(st.integers(1, 6)), draw(st.integers(1, 3))
+    argv = [cmd, f"--p={p}", f"--n={n}", f"--f={f}"]
+    blocks = f
+    if draw(st.booleans()):
+        argv.append(f"--m={draw(st.integers(-3, 20) | st.integers(-3, 10**6))}")
+    else:
+        if draw(st.booleans()):
+            blocks = draw(st.integers(1, 3) | st.integers(1, 1200))
+            period = draw(st.integers(1, blocks))
+            argv.append("--eps=" + json.dumps([p if (k + 1) % period == 0 else 1 for k in range(blocks)]))
+        small = st.lists(st.integers(-3, 3), min_size=n, max_size=n)
+        argv.append("--tau=" + json.dumps(_cycled(draw, blocks, small)))
+        argv.append("--w=" + json.dumps(_cycled(draw, blocks, st.permutations(range(1, n + 1)))))
+        if draw(st.booleans()):
+            argv.append("--alcove-reduce")
+    if cmd == "multicopy":
+        d = draw(st.integers(1, 3) | st.integers(1, 1200 // blocks))
+        argv.append(f"--d={d}")
+        # (c + m, c, ..., c), the shape multicopy accepts
+        omega = st.tuples(st.integers(0, d + 1), _ENTRY).map(lambda mc: [mc[1] + mc[0]] + [mc[1]] * (n - 1))
+        mu = _cycled(draw, blocks, omega)
+    else:
+        mu = _cycled(draw, blocks, st.lists(_ENTRY, min_size=n, max_size=n).map(lambda b: sorted(b, reverse=True)))
+    if cmd != "normal-form":
+        argv.append("--mu=" + json.dumps(mu))
+    if cmd == "chain-gl3":
+        lam = st.lists(st.integers(-3, 3), min_size=3, max_size=3).map(lambda b: json.dumps([b]))
+        argv += [f"--lam={draw(lam)}", f"--lam-prime={draw(lam)}"]
+    if cmd == "oracle-count":
+        argv += [f"--box={draw(st.integers(-1, 3) | st.integers(0, 10**9))}", f"--field-deg={draw(st.integers(1, 3))}"]
+    return argv
+
+
+class _OutOfBudget(BaseException):
+    pass
+
+
+def _call_with_budget(argv, budget):
+    """main(argv) with stdout and stderr captured, under a profile hook that
+    counts Python and builtin calls and stops the call past the budget."""
+    calls = 0
+
+    def count(frame, event, arg):
+        nonlocal calls
+        if event in ("call", "c_call"):
+            calls += 1
+            if calls > budget:
+                raise _OutOfBudget
+        return count
+
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        sys.setprofile(count)
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse's own exit 2
+            code = exc.code
+        finally:
+            sys.setprofile(None)
+    return code, err.getvalue(), calls
+
+
+class TestScalarExtremes:
+    """Under KISIN_MAX_ENUM=10^4 every call with extreme scalars finishes or
+    is refused within a budget of counted calls, with a documented exit code
+    and no traceback."""
+
+    BUDGET = 4 * 10**6
+
+    @settings(max_examples=250, deadline=None, suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large])
+    @given(argv=_scalar_argv())
+    def test_documented_exit_within_budget(self, argv):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setenv("KISIN_MAX_ENUM", str(10**4))
+            try:
+                code, err, _ = _call_with_budget(argv, self.BUDGET)
+            except _OutOfBudget:
+                pytest.fail(f"no exit within {self.BUDGET} calls: {argv}")
+        assert code in (0, 1, 2, 3, 4) and "Traceback" not in err, argv
+
+    def test_budget_stops_a_long_call(self):
+        # refused on its block box, where an exact count of its candidates
+        # would run for minutes; a budget of 100 calls stops any command
+        argv = ["graph", "--p=3", "--n=3", "--f=1", "--m=1", "--mu=[[100000,0,-100000]]"]
+        code, err, calls = _call_with_budget(argv, self.BUDGET)
+        assert code == 3 and "exceed cap" in err and calls < 10**4
+        with pytest.raises(_OutOfBudget):
+            _call_with_budget(["verify-counterexample", "a", "--p=3"], 100)
+
+
+class TestDeepInputs:
+    """Shapes with more blocks than the interpreter's recursion limit: the
+    residue join and the cycle walk keep their own stacks."""
+
+    def test_multicopy_with_1000_copies(self, capsys):
+        code = main(["multicopy", "--p", "3", "--n", "2", "--f", "1", "--m", "1", "--mu", "[[3,0]]", "--d", "1000"])
+        captured = capsys.readouterr()
+        assert code == 0 and captured.err == ""
+        report = json.loads(captured.out)
+        assert report["d"] == 1000 and report["recursion_ok"] is True
+        assert len(report["zero_stratum"]["lam"]) == 1000
+
+    def test_strata_walk_over_1200_blocks(self, capsys):
+        argv = [
+            "strata", "--p", "3", "--n", "2",
+            "--eps", json.dumps([3] * 1200),
+            "--tau", json.dumps([[0, 0]] * 1199 + [[1, 0]]),
+            "--w", json.dumps([[1, 2]] * 1199 + [[2, 1]]),
+            "--mu", json.dumps([[1, 0]] * 1200),
+        ]
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == 0 and captured.err == ""
+        assert json.loads(captured.out)["strata"] == []

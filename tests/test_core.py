@@ -6,6 +6,8 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import dominance_leq, dominant, dominant_vecs, lambda_alpha, reachable_by_simple_coroots
 from kisin.core import (
+    _PRIME_BOUND,
+    _is_prime,
     ExtAffine,
     GroupShape,
     Root,
@@ -65,6 +67,61 @@ class TestShape:
     def test_rejects_composite_p(self):
         with pytest.raises(ConfigError):
             GroupShape(n=2, blocks=1, eps=(4,), p=4)
+
+
+def is_prime_by_trial_division(p):
+    """The primality test of the library before Miller-Rabin: O(sqrt(p))."""
+    if p < 2:
+        return False
+    d = 2
+    while d * d <= p:
+        if p % d == 0:
+            return False
+        d += 1
+    return True
+
+
+# The least strong pseudoprimes to the first k prime bases, for k = 1-7, 9
+# and 12 (OEIS A014233); the entry for k = 13 is _PRIME_BOUND.
+STRONG_PSEUDOPRIMES = (
+    2047,
+    1373653,
+    25326001,
+    3215031751,
+    2152302898747,
+    3474749660383,
+    341550071728321,
+    3825123056546413051,
+    318665857834031151167461,
+)
+
+
+class TestIsPrime:
+    def test_matches_trial_division_below_10_5(self):
+        assert [p for p in range(-2, 10**5) if _is_prime(p)] == [
+            p for p in range(-2, 10**5) if is_prime_by_trial_division(p)
+        ]
+
+    @pytest.mark.parametrize("n", STRONG_PSEUDOPRIMES + (561, 41041, 825265, _PRIME_BOUND - 2))
+    def test_strong_pseudoprimes_and_carmichael_numbers_are_composite(self, n):
+        assert not _is_prime(n)
+
+    # p - 1 is divisible by 2^23 for 998244353 and by 2^32 for 2^64 - 2^32 + 1,
+    # the longest squaring chains here
+    @pytest.mark.parametrize(
+        "p", (998244353, 2**31 - 1, 2**61 - 1, 2**64 - 2**32 + 1, 10**12 + 39, 10**14 + 31, 10**18 + 3)
+    )
+    def test_large_primes(self, p):
+        assert _is_prime(p)
+
+    def test_refuses_past_its_proven_bound(self):
+        # the least strong pseudoprime to the first 13 prime bases
+        assert _PRIME_BOUND == 3317044064679887385961981
+        for n in (_PRIME_BOUND, _PRIME_BOUND + 1, 2**127 - 1):
+            with pytest.raises(ConfigError, match="primality test"):
+                _is_prime(n)
+        with pytest.raises(ConfigError, match="primality test"):
+            GroupShape.res_field(2, 1, _PRIME_BOUND)
 
 
 class TestActWeyl:

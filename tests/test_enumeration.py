@@ -11,11 +11,19 @@ import random
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from conftest import box_strata, candidate_product, dominant_vecs, product_strata, walk_by_box, walk_by_exact_count
+from conftest import (
+    box_strata,
+    candidate_count,
+    candidate_product,
+    dominant_vecs,
+    product_strata,
+    walk_by_box,
+    walk_by_exact_count,
+)
 from kisin import strata
 from kisin.cli import CASES, counterexample, main
 from kisin.core import ExtAffine, GroupShape, cochar_add
-from kisin.errors import EnumerationCapError, KisinError, TheoremViolationError
+from kisin.errors import ConfigError, EnumerationCapError, KisinError, TheoremViolationError
 from kisin.multicopy import decompose_mu, make_multi
 from kisin.normal_form import _solve_plan, alcove_reduce, caruso_datum, is_caruso_simple, make_datum
 from kisin.strata import _distinct_permutations, central_twist, enumerate_strata
@@ -291,67 +299,122 @@ class TestDispatch:
         assert box == strata.WALK_PATH_COST * strata._walk_bound(datum, mu, radius)
         assert dispatched_path(datum, mu) == ["_join"]
 
-    def test_verify_counterexamples_at_p101(self, monkeypatch, capsys):
-        # golden (b) has 28,135,068 candidates here, past the default cap
-        monkeypatch.setenv("KISIN_MAX_ENUM", str(10**8))
+    def test_verify_counterexamples_at_p101(self, capsys):
+        # golden (b) has 28,135,068 candidates here, past the default cap,
+        # but the walk's path bound of 96 is within it
         for case in "ab":
             assert main(["verify-counterexample", case, "--p", "101"]) == 0
             assert json.loads(capsys.readouterr().out)["ok"] is True
 
     def test_verify_counterexamples_at_p211_count_nothing_exactly(self, monkeypatch, capsys):
-        # box <= cap here, so neither the cap nor the dispatch counts anything
-        monkeypatch.setenv("KISIN_MAX_ENUM", str(10**11))
+        # at the default cap the walk checks its path bound and builds no
+        # candidate set
         forbid(monkeypatch, "dominant_blocks_leq")
-        forbid(monkeypatch, "_candidate_count")
+        forbid(monkeypatch, "candidate_blocks")
         for case in "ab":
             assert main(["verify-counterexample", case, "--p", "211"]) == 0
             assert json.loads(capsys.readouterr().out)["ok"] is True
 
 
-def counted_blocks(monkeypatch):
-    """Record the blocks whose candidates are counted; the count still runs."""
-    blocks = []
-    real = strata._candidate_count
-
-    def counting(mu_block):
-        blocks.append(mu_block)
-        return real(mu_block)
-
-    monkeypatch.setattr(strata, "_candidate_count", counting)
-    return blocks
-
-
 # Inputs whose candidate box exceeds their candidate product by more than 1:
-# the golden twists at small p (walk and join), a GL_3 sweep twist and a
-# multi-copy lift (join only).
+# the golden twists at small p (walk, and join for (b) at p = 3), a GL_3 sweep
+# twist and a multi-copy lift (join only).
 CAP_INPUTS = [counterexample(CASES[case], p) for case, p in (("a", 5), ("a", 11), ("b", 3), ("b", 7))] + [
     (caruso_datum(3, 1, 3, 5), ((3, 0, -3),)),
     (make_multi(caruso_datum(3, 1, 2, 3), 2).lifted, decompose_mu(((2, 0, 0),), 2)),
 ]
 
 
+def cap_limit(datum, mu):
+    """The least cap that admits (datum, mu), and the message of the refusal
+    one below it: the walk's path bound, or on the join the larger of its
+    candidate product and its largest block box (the first such block)."""
+    if walk_by_box(datum, mu):
+        bound = strata._walk_bound(datum, mu, strata._walk_radius(datum, mu))
+        return bound, f"{bound} walk paths exceed cap {bound - 1} (KISIN_MAX_ENUM)"
+    count = candidate_product(mu)
+    k, box = max(enumerate(strata._candidate_box((b,)) for b in mu), key=lambda kb: kb[1])
+    if box > count:
+        return box, f"{box} candidates in the box of block {k + 1} exceed cap {box - 1} (KISIN_MAX_ENUM)"
+    return count, f"{count} candidates exceed cap {count - 1} (KISIN_MAX_ENUM)"
+
+
 class TestEnumerationCap:
     @pytest.mark.parametrize("datum,mu", CAP_INPUTS)
     def test_raises_exactly_past_the_product(self, monkeypatch, datum, mu):
-        count, box = candidate_product(mu), strata._candidate_box(mu)
-        assert box > count + 1
+        # each path refuses exactly past the product it would work through:
+        # the walk's path bound, or the join's candidate product (a block's
+        # box when that is larger)
+        limit, message = cap_limit(datum, mu)
+        box = strata._candidate_box(mu)
+        assert box > candidate_product(mu) + 1 and limit <= box
         want = enumerate_strata(datum, mu)
-        monkeypatch.setenv("KISIN_MAX_ENUM", str(count - 1))
-        blocks = counted_blocks(monkeypatch)
+        monkeypatch.setenv("KISIN_MAX_ENUM", str(limit - 1))
         with pytest.raises(EnumerationCapError) as info:
             enumerate_strata(datum, mu)
-        assert str(info.value) == f"{count} candidates exceed cap {count - 1} (KISIN_MAX_ENUM)"
-        assert blocks == [tuple(x - b[-1] for x in b) for b in mu]  # each block counted once, up to central shift
-        for cap in (count, count + 1, box - 1):
+        assert str(info.value) == message
+        for cap in (limit, limit + 1, box):
             monkeypatch.setenv("KISIN_MAX_ENUM", str(cap))
             assert enumerate_strata(datum, mu) == want
 
+    def test_inputs_reach_every_check(self):
+        messages = " | ".join(cap_limit(datum, mu)[1] for datum, mu in CAP_INPUTS)
+        for check in ("walk paths exceed", "candidates exceed", "in the box of block"):
+            assert check in messages
+
     @pytest.mark.parametrize("datum,mu", CAP_INPUTS)
     def test_box_within_the_cap_counts_nothing(self, monkeypatch, datum, mu):
+        # at cap = box neither path can refuse, and the join checks nothing:
+        # the dispatch's box is the only one taken
         want = enumerate_strata(datum, mu)
         monkeypatch.setenv("KISIN_MAX_ENUM", str(strata._candidate_box(mu)))
-        forbid(monkeypatch, "_candidate_count")
+        boxes = []
+        real = strata._candidate_box
+        monkeypatch.setattr(strata, "_candidate_box", lambda mu: boxes.append(mu) or real(mu))
         assert enumerate_strata(datum, mu) == want
+        assert boxes == [mu]
+
+    @pytest.mark.parametrize("datum,mu", [CAP_INPUTS[2], CAP_INPUTS[4]])
+    def test_block_box_refuses_before_any_set_is_built(self, monkeypatch, datum, mu):
+        box = max(strata._candidate_box((b,)) for b in mu)
+        monkeypatch.setenv("KISIN_MAX_ENUM", str(box - 1))
+        forbid(monkeypatch, "candidate_blocks")
+        forbid(monkeypatch, "_residue_table")
+        with pytest.raises(EnumerationCapError, match=f"^{box} candidates in the box of block"):
+            enumerate_strata(datum, mu)
+
+    def test_product_stops_at_the_first_distinct_block_past_the_cap(self, monkeypatch):
+        # block boxes 4, 3 and 2, candidate sets of 4, 3 and 2: the running
+        # product passes cap 11 at the second block, so the third is never built
+        lifted = make_multi(caruso_datum(2, 1, 3, 1), 3).lifted
+        monkeypatch.setenv("KISIN_MAX_ENUM", "11")
+        built = []
+        real = strata.candidate_blocks
+        monkeypatch.setattr(strata, "candidate_blocks", lambda b: built.append(b) or real(b))
+        with pytest.raises(EnumerationCapError, match=r"^12 candidates exceed cap 11 \(KISIN_MAX_ENUM\)$"):
+            enumerate_strata(lifted, ((3, 0), (2, 0), (1, 0)))
+        assert built == [(3, 0), (2, 0)]
+        # copies of a block count at once: 4^3 = 64 after the one set is built
+        built.clear()
+        with pytest.raises(EnumerationCapError, match="^64 candidates exceed"):
+            enumerate_strata(lifted, ((3, 0),) * 3)
+        assert built == [(3, 0)]
+
+    def test_huge_block_box_refuses_at_once(self, monkeypatch):
+        # the box grows like |mu|^(n-1); nothing is counted or built
+        monkeypatch.delenv("KISIN_MAX_ENUM", raising=False)
+        forbid(monkeypatch, "dominant_blocks_leq")
+        forbid(monkeypatch, "candidate_blocks")
+        message = "^40000400001 candidates in the box of block 1 exceed cap 10000000 "
+        with pytest.raises(EnumerationCapError, match=message):
+            enumerate_strata(caruso_datum(3, 1, 3, 1), ((100000, 0, -100000),))
+
+    @pytest.mark.parametrize("datum,mu", [CAP_INPUTS[0], CAP_INPUTS[2]])
+    @pytest.mark.parametrize("raw", ["abc", "-1", "1e3"])
+    def test_malformed_cap_on_both_paths(self, monkeypatch, datum, mu, raw):
+        monkeypatch.setenv("KISIN_MAX_ENUM", raw)
+        with pytest.raises(ConfigError, match="KISIN_MAX_ENUM"):
+            enumerate_strata(datum, mu)
 
 
 _solve = strata.solve_affine_integral
@@ -430,7 +493,7 @@ class TestCandidateGeneration:
         # the box bounds the count
         for b in dominant_vecs(n, -4, 6):
             count = len(strata.candidate_blocks.__wrapped__(b))
-            assert strata._candidate_count(b) == count, b
+            assert candidate_count(b) == count, b
             assert strata._candidate_box((b,)) >= count, b
 
 
