@@ -434,20 +434,17 @@ def _cycle_paths(datum: FrobeniusDatum, mu: Cochar, cyc: tuple, radius: int) -> 
         e, t, m = datum.shape.eps[k], datum.tau[k][j], mu[k]
         steps.append((e, m[-1] - t, m[0] - t))
     last = len(cyc) - 1
-    paths, path = [], []  # path: the values before the popped position
-    stack = [(0, x0) for x0 in range(-radius, radius + 1)]  # (position, value), depth first
-    while stack:
-        t, x = stack.pop()
-        del path[t:]
-        path.append(x)
-        e, off_lo, off_hi = steps[t]
-        lo = max(-((-(x + off_lo)) // e), -radius)
-        hi = min((x + off_hi) // e, radius)
+    # one position at a time, with no recursion; a window depends only on the
+    # value before it, so it is built once per distinct last value
+    paths = [(x,) for x in range(-radius, radius + 1)]
+    for t, (e, off_lo, off_hi) in enumerate(steps):
+        win = {
+            x: range(max(-((-(x + off_lo)) // e), -radius), min((x + off_hi) // e, radius) + 1)
+            for x in {path[-1] for path in paths}
+        }
         if t < last:
-            stack.extend((t + 1, y) for y in range(lo, hi + 1))
-        elif lo <= path[0] <= hi:
-            paths.append(tuple(path))
-    return paths
+            paths = [path + (y,) for path in paths for y in win[path[-1]]]
+    return [path for path in paths if path[0] in win[path[-1]]]
 
 
 def _walk(datum: FrobeniusDatum, mu: Cochar, radius: int) -> list:

@@ -548,7 +548,8 @@ class TestScalarExtremes:
 
 class TestDeepInputs:
     """Shapes with more blocks than the interpreter's recursion limit: the
-    residue join and the cycle walk keep their own stacks."""
+    residue join keeps its own stack, and the cycle walk extends its paths
+    one position at a time."""
 
     def test_multicopy_with_1000_copies(self, capsys):
         code = main(["multicopy", "--p", "3", "--n", "2", "--f", "1", "--m", "1", "--mu", "[[3,0]]", "--d", "1000"])
