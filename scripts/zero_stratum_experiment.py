@@ -1,7 +1,8 @@
 #!/usr/bin/env python3
 """Randomized sweep over multi-copy instances: verify that every nonempty
-stratum set carries exactly one zero-dimensional stratum and that the block
-recursion certifies it.
+stratum set carries exactly one zero-dimensional stratum, that the block
+recursion certifies it, and that unique_zero_stratum constructs the same
+stratum (and refuses every empty variety) without enumerating.
 
 Usage: python3 scripts/zero_stratum_experiment.py [--count 500] [--seed 1]
 """
@@ -11,8 +12,8 @@ import random
 import time
 from collections import Counter
 
-from kisin.errors import TheoremViolationError
-from kisin.multicopy import make_multi, recursion_check
+from kisin.errors import NotInGeneralPositionError, PreconditionError
+from kisin.multicopy import make_multi, recursion_check, unique_zero_stratum
 from kisin.normal_form import caruso_datum, is_caruso_simple
 from kisin.strata import enumerate_strata
 
@@ -36,8 +37,8 @@ def main():
             continue
         try:
             base = caruso_datum(n, f, p, m)
-        except TheoremViolationError:
-            continue
+        except NotInGeneralPositionError:
+            continue  # rank one with an integral fixed point
         multi = make_multi(base, d)
         mb = tuple(
             ((1,) + (0,) * (n - 1)) if rng.random() < 0.5 else (0,) * n
@@ -45,17 +46,23 @@ def main():
         )
         S = enumerate_strata(multi.lifted, mb)
         if not S:
-            continue
+            try:
+                unique_zero_stratum(multi, mb)
+            except PreconditionError:
+                continue
+            raise AssertionError(f"empty variety not refused at {(p, n, f, d, m, mb)}")
         hits += 1
         sizes[len(S)] += 1
         zeros = [s for s in S if s.dim == 0]
         assert len(zeros) == 1, f"uniqueness failed at {(p, n, f, d, m, mb)}"
+        built = unique_zero_stratum(multi, mb)
+        assert built == zeros[0], f"constructed {built.lam} != enumerated {zeros[0].lam} at {(p, n, f, d, m, mb)}"
         ok, bad = recursion_check(multi, mb, zeros[0].lam)
         assert ok, f"recursion failed at {(p, n, f, d, m, mb)} block {bad}"
     print(f"{hits} nonempty instances out of {attempts} attempts "
           f"({time.monotonic() - t0:.1f}s)")
     print("stratum-count histogram:", dict(sorted(sizes.items())))
-    print("unique zero-dimensional stratum + recursion certificate: all verified")
+    print("unique zero-dimensional stratum + recursion certificate + construction: all verified")
 
 
 if __name__ == "__main__":

@@ -5,6 +5,16 @@ The multi-copy group is not special-cased: it is the same GroupShape machinery
 with an eps pattern, so strata and dimension code are shared verbatim.  The
 interleaving map block(copy i, factor j) = i + j*d (0-indexed) is the single
 point of index bookkeeping.
+
+The zero-dimensional stratum is constructed, not searched for.  Its label
+solves the block recursion of ``recursion_check`` with an h = 0 witness
+block; the block sums of every label follow from mu and tau alone, the
+witness block then has exactly one candidate, and the recursion read
+backwards is an integer step.  So one walk around the blocks from each
+possible witness finds every solution, in O(N) steps per start
+(``unique_zero_stratum``).  Enumerating the lifted strata is left to tell an
+empty variety from a theorem violation when no walk closes, and stays the
+test oracle for the construction.
 """
 
 from __future__ import annotations
@@ -20,9 +30,9 @@ from .core import (
     act_perm,
     identity_perm,
 )
-from .errors import ConfigError, PreconditionError, TheoremViolationError
+from .errors import ConfigError, EnumerationCapError, PreconditionError, TheoremViolationError
 from .normal_form import FrobeniusDatum, fixed_point
-from .strata import Stratum, enumerate_strata
+from .strata import Stratum, _enum_cap, enumerate_strata, make_stratum
 
 
 @dataclass(frozen=True)
@@ -128,22 +138,131 @@ def _check_omega_pattern(mu_bullet: Cochar) -> tuple:
     return tuple(ms)
 
 
-def unique_zero_stratum(multi: MultiDatum, mu_bullet: Cochar) -> Stratum:
-    """Enumerate the lifted strata and return the unique zero-dimensional one.
+def _block_sums(lifted: FrobeniusDatum, ms: tuple):
+    """The block sums s_k shared by every label, or None when s_0 is not an
+    integer (then there is no label).
 
-    Zero or several zero-dimensional strata is a hard error: it contradicts
-    the uniqueness theorem and flags a bug (or an inadmissible instance).
+    s_k = c_k + eps_k s_{k+1} with c_k = sum(tau_k) - m_k, cyclic in k, so
+    s_0 = sum_k E_k c_k + P s_0 with E_k = eps_0 ... eps_{k-1} and P the full
+    product; the other sums follow downwards from k = N - 1."""
+    eps = lifted.shape.eps
+    c = [sum(t) - m for t, m in zip(lifted.tau, ms)]
+    num, scale = 0, 1
+    for ck, ek in zip(c, eps):
+        num += scale * ck
+        scale *= ek
+    s0, rem = divmod(num, 1 - scale)
+    if rem:
+        return None
+    sums = [0] * len(c)
+    nxt = s0
+    for k in range(len(c) - 1, 0, -1):
+        nxt = sums[k] = c[k] + eps[k] * nxt
+    sums[0] = s0
+    return tuple(sums)
+
+
+def _witness(s: int, n: int) -> tuple:
+    """The one integer block with sum s and h(lam - e) = 0: (t+1, ..., t+1,
+    t, ..., t) with r leading entries t + 1, (t, r) = divmod(s, n)."""
+    t, r = divmod(s, n)
+    return (t + 1,) * r + (t,) * (n - r)
+
+
+def unique_zero_stratum(multi: MultiDatum, mu_bullet: Cochar) -> Stratum:
+    """The unique zero-dimensional stratum of the lifted variety, constructed
+    from its block recursion; nothing is enumerated when it exists.
+
+    Write N for the number of lifted blocks, eps_k, w_k, tau_k for the lifted
+    twist, e for its fixed point (each block in the alcove: strictly
+    decreasing, spread below 1), m_k in {0, 1} for mu_bullet's blocks, and
+    hat = lam - e.  The zero-dimensional label is the one that solves the
+    recursion of ``recursion_check`` with a witness block k0, h(hat_k0) = 0.
+
+    1. Block sums.  lam_nat_k = tau_k + eps_k w_k(lam_{k+1}) - lam_k is
+       dominated by mu_k, so its sum is m_k, and every label has the sums
+       of ``_block_sums``.  When s_0 is not an integer the variety is empty.
+    2. The witness.  h(hat_k) = 0 iff the spread of hat_k is below 1.  For
+       i < j, 0 < e_i - e_j < 1, so |hat_i - hat_j| < 1 forces
+       lam_i - lam_j in {0, 1}: lam_k is ``_witness(s_k, n)``, which does
+       have h = 0.  Each block has exactly one witness candidate.
+    3. One step backwards.  e_k = tau_k + eps_k w_k(e_{k+1}) gives
+       hat_k = eps_k w_k(hat_{k+1}) - lam_nat_k, and the recursion makes
+       lam_nat_k zero when m_k = 0 and, when m_k = 1, the unit vector at the
+       largest entry of eps_k w_k(hat_{k+1}): at w_k(j*), j* the argmax of
+       hat_{k+1}.  An index where lam_{k+1} is below its maximum M has
+       hat <= M - 1 - e_i < M - e_j for every j, and among the indices where
+       lam_{k+1} = M, -e_i grows with i, so j* is the last of them.  Hence
+       lam_k = tau_k + eps_k w_k(lam_{k+1}) - [m_k = 1] unit(w_k(j*)), all
+       in integers.
+    4. The starts.  By 2 and 3 a solution is the walk that starts from the
+       witness of its block k0 and takes N steps backwards, back to k0,
+       ending where it began.  Conversely a closed walk is a label (each
+       lam_nat_k is zero or a unit vector, of sum m_k) that solves the
+       recursion with its start as the witness.  When the step into k0 - 1
+       is the identity (eps = 1, w = id, tau = 0, m = 0), lam_{k0-1} equals
+       lam_k0, which is the witness of block k0 - 1 (s_{k0-1} = s_k0), so
+       the walk from k0 closes iff the one from k0 - 1 does, on the same
+       label: k0 is skipped.  A block with eps = p is never the identity,
+       so some start remains, and the work is N steps per start.
+       KISIN_MAX_ENUM bounds starts times N before any step.
+    5. The result.  There must be exactly one solution, and ``make_stratum``
+       must give it dimension 0; it is then the same record enumeration
+       builds.  Anything else is a TheoremViolationError.  When no walk
+       closes, the strata are enumerated only to tell an empty variety
+       (PreconditionError) from a variety without the zero-dimensional
+       stratum (TheoremViolationError).
     """
-    _check_omega_pattern(mu_bullet)
-    strata = enumerate_strata(multi.lifted, mu_bullet)
-    if not strata:
+    ms = _check_omega_pattern(mu_bullet)
+    lifted = multi.lifted
+    shape = lifted.shape
+    shape.check_cochar(mu_bullet)
+    cap = _enum_cap()
+    sums = _block_sums(lifted, ms)
+    if sums is None:
         raise PreconditionError("the multi-copy variety is empty")
-    zero = [s for s in strata if s.dim == 0]
-    if len(zero) != 1:
-        raise TheoremViolationError(
-            f"expected exactly one zero-dimensional stratum, found {len(zero)}"
-        )
-    return zero[0]
+    big, n = shape.blocks, shape.n
+    origin, ident = (0,) * n, identity_perm(n)
+    # the step into block k, None when it is the identity
+    steps = [
+        None if e == 1 and w == ident and t == origin and not m else (e, w, t, m)
+        for e, w, t, m in zip(shape.eps, lifted.w, lifted.tau, ms)
+    ]
+    starts = [k for k in range(big) if steps[k - 1] is not None]
+    if len(starts) * big > cap:
+        raise EnumerationCapError(f"{len(starts) * big} recursion steps exceed cap {cap} (KISIN_MAX_ENUM)")
+    closed = set()
+    for k0 in starts:
+        lam = [None] * big
+        start = cur = lam[k0] = _witness(sums[k0], n)
+        for k in range(k0 - 1, k0 - big - 1, -1):
+            step = steps[k]
+            if step is not None:
+                e, w, t, m = step
+                blk = list(t)
+                for i, x in zip(w, cur):
+                    blk[i] += e * x
+                if m:
+                    top = max(cur)
+                    blk[w[n - 1 - cur[::-1].index(top)]] -= 1
+                cur = tuple(blk)
+            lam[k] = cur  # k runs down to k0 - big, which is k0 again
+        if cur == start:
+            closed.add(tuple(lam))
+    if not closed:
+        strata = enumerate_strata(lifted, mu_bullet)
+        if not strata:
+            raise PreconditionError("the multi-copy variety is empty")
+        zero = [s for s in strata if s.dim == 0]
+        if len(zero) == 1:
+            raise TheoremViolationError(f"the zero-dimensional stratum {zero[0].lam} solves no walk of the block recursion")
+        raise TheoremViolationError(f"expected exactly one zero-dimensional stratum, found {len(zero)}")
+    if len(closed) != 1:
+        raise TheoremViolationError(f"expected exactly one zero-dimensional stratum, found {len(closed)}")
+    zero = make_stratum(lifted, mu_bullet, closed.pop())
+    if zero.dim != 0:
+        raise TheoremViolationError(f"the block recursion's solution {zero.lam} has dimension {zero.dim}")
+    return zero
 
 
 def recursion_check(multi: MultiDatum, mu_bullet: Cochar, lam_bullet: Cochar):

@@ -55,7 +55,11 @@ class FrobeniusDatum:
 # the cyclic affine solver
 
 
-@lru_cache(maxsize=None)
+# Plans kept: one per (shape, w) in use; eviction only rebuilds.
+_PLANS = 256
+
+
+@lru_cache(maxsize=_PLANS)
 def _solve_plan(shape: GroupShape, w: WeylElt):
     """Unroll the block recurrence x[k] = c[k] + eps[k] w_k(x[k+1]).
 
@@ -271,9 +275,15 @@ def is_caruso_simple(n: int, q: int, m: int) -> bool:
 
 def caruso_datum(n: int, f: int, p: int, m: int) -> FrobeniusDatum:
     """The simple representative u^{(m,0,...,0)} (n-cycle) on the first block,
-    solved for its fixed point and reduced into the alcove."""
+    solved for its fixed point and reduced into the alcove.
+
+    For n = 1 every m is simple, but the fixed point -m/(q - 1) is integral
+    when q - 1 divides m, and such a datum is refused as not in general
+    position; for n > 1 simplicity already excludes an integral entry."""
     if not is_caruso_simple(n, p**f, m):
         raise NotSimpleError(f"(n={n}, q={p**f}, m={m}) is not simple")
+    if n == 1 and m % (p**f - 1) == 0:
+        raise NotInGeneralPositionError(f"(n=1, q={p**f}, m={m}) has the integral fixed point {-m // (p**f - 1)}")
     shape = GroupShape.res_field(n, f, p)
     tau = ((m,) + (0,) * (n - 1),) + ((0,) * n,) * (f - 1)
     w = (n_cycle(n),) + (identity_perm(n),) * (f - 1)

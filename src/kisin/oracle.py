@@ -262,7 +262,7 @@ def elementary_divisors(ring: Packing, rows, shift: int) -> Cochar:
     return tuple(sorted((b - a for a, b in zip(d, d[1:])), reverse=True))
 
 
-@functools.lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=8)  # one plan per n, and the oracle takes n <= 3
 def _minor_plan(n: int) -> tuple:
     """Per k, the k x k minors in the order of (rows R, columns C) over
     itertools.combinations, each as its first-row expansion: (R[0], C[t], the

@@ -21,7 +21,7 @@ from kisin.errors import ConfigError, PreconditionError, SingularMatrixError, Th
 from kisin.normal_form import solve_affine_integral
 from kisin import oracle
 from kisin.oracle import GF
-from kisin.strata import Stratum, candidate_blocks, natural_lambda
+from kisin.strata import Stratum, candidate_blocks, enumerate_strata, natural_lambda
 
 
 def dominant(v):
@@ -689,6 +689,21 @@ def count_stable_submodules(n, B, q):
                     nxt.append(new)
         frontier = nxt
     return len(seen)
+
+
+def zero_stratum_by_enumeration(multi, mu_bullet):
+    """Zero-stratum oracle: every stratum of the lifted variety enumerated and
+    filtered to the zero-dimensional one, as the library found it before it
+    constructed the stratum from its block recursion.  PreconditionError for
+    an empty variety, TheoremViolationError unless exactly one stratum has
+    dimension 0."""
+    strata = enumerate_strata(multi.lifted, mu_bullet)
+    if not strata:
+        raise PreconditionError("the multi-copy variety is empty")
+    zero = [s for s in strata if s.dim == 0]
+    if len(zero) != 1:
+        raise TheoremViolationError(f"expected exactly one zero-dimensional stratum, found {len(zero)}")
+    return zero[0]
 
 
 def composed_stratum(datum, mu, lam):

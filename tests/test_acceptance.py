@@ -10,12 +10,18 @@ from fractions import Fraction as Q
 import numpy as np
 import pytest
 
-from conftest import dominance_leq, dominant, gauss_solve_fixed_point, reachable_by_simple_coroots
+from conftest import (
+    dominance_leq,
+    dominant,
+    gauss_solve_fixed_point,
+    reachable_by_simple_coroots,
+    zero_stratum_by_enumeration,
+)
 from kisin.cli import main as cli_main
 from kisin.connectivity import build_graph, chain_gl3, pi0_report
 from kisin.core import ExtAffine, GroupShape
-from kisin.errors import TheoremViolationError
-from kisin.multicopy import descent_stats, make_multi, recursion_check, varsigma
+from kisin.errors import NotInGeneralPositionError
+from kisin.multicopy import descent_stats, make_multi, recursion_check, unique_zero_stratum, varsigma
 from kisin.normal_form import caruso_datum, is_caruso_simple, make_datum
 from kisin.oracle import GF, kisin_points
 from kisin.strata import enumerate_strata, natural_lambda, sum_profile
@@ -56,7 +62,7 @@ def random_multicopy_instances(seed=20260809, count=200, max_attempts=20000):
             continue
         try:
             base = caruso_datum(n, f, p, m)
-        except TheoremViolationError:
+        except NotInGeneralPositionError:
             continue  # rank-one m with integral fixed point
         multi = make_multi(base, d)
         mb = tuple(
@@ -166,9 +172,10 @@ def test_criterion_4_unique_zero_stratum(multicopy_suite, capsys):
     t0 = time.monotonic()
     assert len(instances) >= 200
     for multi, mb, S in instances:
-        zeros = [s for s in S if s.dim == 0]
-        assert len(zeros) == 1, (multi.base.shape, mb)
-        ok, bad = recursion_check(multi, mb, zeros[0].lam)
+        zero = unique_zero_stratum(multi, mb)
+        # the constructed stratum is the one enumeration finds
+        assert zero == zero_stratum_by_enumeration(multi, mb), (multi.base.shape, mb)
+        ok, bad = recursion_check(multi, mb, zero.lam)
         assert ok, (multi.base.shape, mb, bad)
     elapsed = time.monotonic() - t0 + build_time
     with capsys.disabled():

@@ -87,3 +87,30 @@ def test_allowlist_is_current():
     defined = {key: name for _, key, name in _public_defs()}
     used = _references() | _exports()
     assert {key for key in TEST_ONLY if key not in defined or defined[key] in used} == set()
+
+
+def _cached_defs():
+    """(module, name) of every function of the library decorated with
+    functools.lru_cache or functools.cache, at any depth."""
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(node, FUNCS):
+                continue
+            for dec in node.decorator_list:
+                target = dec.func if isinstance(dec, ast.Call) else dec
+                name = target.attr if isinstance(target, ast.Attribute) else getattr(target, "id", None)
+                if name in ("lru_cache", "cache"):
+                    yield path.stem, node.name
+
+
+def test_every_cache_is_bounded():
+    import importlib
+
+    cached = list(_cached_defs())
+    assert len(cached) >= 8
+    unbounded = [
+        f"{module}.{name}"
+        for module, name in cached
+        if getattr(importlib.import_module(f"kisin.{module}"), name).cache_info().maxsize is None
+    ]
+    assert unbounded == [], f"caches with no maxsize: {unbounded}"

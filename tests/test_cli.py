@@ -239,6 +239,19 @@ class TestExitCodes:
         )
         assert code == 3
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("normal-form", "--p", "5", "--n", "1", "--f", "1", "--m", "8"),
+            ("graph", "--p", "7", "--n", "1", "--f", "3", "--m", "0", "--mu", "[[0],[0],[0]]"),
+        ],
+    )
+    def test_rank_one_integral_fixed_point(self, capsys, argv):
+        # (p^f - 1) | m leaves -m/(p^f - 1) integral: refused, not a theorem violation
+        code = main(list(argv))
+        err = capsys.readouterr().err
+        assert code == 3 and "integral fixed point" in err
+
     def test_malformed_json(self, capsys):
         code, _ = run_cli(
             capsys,
@@ -548,8 +561,9 @@ class TestScalarExtremes:
 
 class TestDeepInputs:
     """Shapes with more blocks than the interpreter's recursion limit: the
-    residue join keeps its own stack, and the cycle walk extends its paths
-    one position at a time."""
+    zero-dimensional stratum is built by a loop over the blocks, the residue
+    join keeps its own stack, and the cycle walk extends its paths one
+    position at a time."""
 
     def test_multicopy_with_1000_copies(self, capsys):
         code = main(["multicopy", "--p", "3", "--n", "2", "--f", "1", "--m", "1", "--mu", "[[3,0]]", "--d", "1000"])
@@ -558,6 +572,18 @@ class TestDeepInputs:
         report = json.loads(captured.out)
         assert report["d"] == 1000 and report["recursion_ok"] is True
         assert len(report["zero_stratum"]["lam"]) == 1000
+
+    def test_multicopy_past_the_enumeration_cap(self, capsys, monkeypatch):
+        # 41 copies: 2^41 lifted candidates, and 41 starts of 41 recursion steps
+        argv = ["multicopy", "--p", "3", "--n", "2", "--f", "1", "--m", "1", "--mu", "[[41,0]]"]
+        assert main(argv) == 0
+        assert json.loads(capsys.readouterr().out)["recursion_ok"] is True
+        monkeypatch.setenv("KISIN_MAX_ENUM", "100")
+        assert main(argv) == 3
+        assert "1681 recursion steps exceed cap 100 (KISIN_MAX_ENUM)" in capsys.readouterr().err
+        monkeypatch.setenv("KISIN_MAX_ENUM", "abc")
+        assert main(argv) == 2
+        assert "KISIN_MAX_ENUM='abc' is not a non-negative integer" in capsys.readouterr().err
 
     def test_strata_walk_over_1200_blocks(self, capsys):
         argv = [

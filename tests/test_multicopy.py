@@ -1,12 +1,14 @@
+import dataclasses
 import random
 from fractions import Fraction as Q
 
 import pytest
 from hypothesis import given, strategies as st
 
-from conftest import dominant
+from conftest import dominant, zero_stratum_by_enumeration
+from kisin import multicopy
 from kisin.core import GroupShape
-from kisin.errors import ConfigError, PreconditionError, TheoremViolationError
+from kisin.errors import ConfigError, EnumerationCapError, PreconditionError, TheoremViolationError
 from kisin.multicopy import (
     decompose_mu,
     descent_stats,
@@ -208,12 +210,71 @@ class TestUniqueZeroStratum:
         assert z.dim == 0
         assert recursion_check(multi, mb, z.lam) == (True, None)
 
-    def test_empty_is_precondition_error(self):
+    @staticmethod
+    def refuse_enumeration(monkeypatch):
+        def refuse(*args):
+            raise AssertionError("enumerate_strata was called")
+
+        monkeypatch.setattr(multicopy, "enumerate_strata", refuse)
+
+    def test_empty_is_precondition_error(self, monkeypatch):
         base = caruso_datum(2, 1, 3, 1)
         multi = make_multi(base, 2)
         mb = decompose_mu(((2, 0),), 2)  # even sum is incompatible with m = 1
-        with pytest.raises(PreconditionError):
+        # s_0 = (1 - 2) / (1 - 3) is not an integer, so nothing is enumerated
+        self.refuse_enumeration(monkeypatch)
+        with pytest.raises(PreconditionError, match="the multi-copy variety is empty"):
             unique_zero_stratum(multi, mb)
+
+    def test_constructs_without_enumeration(self, monkeypatch):
+        cases = [
+            (caruso_datum(2, 1, 3, 1), ((3, 0),), 3),
+            (caruso_datum(2, 1, 3, 1), ((3, 0),), 5),
+            (caruso_datum(2, 2, 3, 1), ((3, 0), (2, 0)), 3),
+            (caruso_datum(3, 1, 2, 1), ((2, 0, 0),), 2),
+            (caruso_datum(4, 1, 3, 5), ((3, 0, 0, 0),), 4),
+        ]
+        lifts = [(make_multi(base, d), decompose_mu(mu, d)) for base, mu, d in cases]
+        want = [zero_stratum_by_enumeration(multi, mb) for multi, mb in lifts]
+        self.refuse_enumeration(monkeypatch)
+        assert [unique_zero_stratum(multi, mb) for multi, mb in lifts] == want
+
+    def test_empty_with_integral_sums_enumerates(self, monkeypatch):
+        # s_0 = -1 is an integer, no walk closes, and enumeration finds nothing
+        multi = make_multi(caruso_datum(2, 1, 3, 2), 2)
+        mb = decompose_mu(((0, 0),), 2)
+        calls = []
+        real = multicopy.enumerate_strata
+        monkeypatch.setattr(multicopy, "enumerate_strata", lambda *a: calls.append(a) or real(*a))
+        with pytest.raises(PreconditionError, match="the multi-copy variety is empty"):
+            unique_zero_stratum(multi, mb)
+        assert len(calls) == 1
+
+    def test_walk_missing_the_stratum_is_a_violation(self, monkeypatch):
+        # a witness of the wrong sum never closes, while enumeration still
+        # finds the zero-dimensional stratum
+        real = multicopy._witness
+        monkeypatch.setattr(multicopy, "_witness", lambda s, n: real(s + n, n))
+        multi = make_multi(caruso_datum(2, 1, 3, 1), 3)
+        with pytest.raises(TheoremViolationError, match="solves no walk"):
+            unique_zero_stratum(multi, decompose_mu(((3, 0),), 3))
+
+    def test_positive_dimension_is_a_violation(self, monkeypatch):
+        real = multicopy.make_stratum
+        monkeypatch.setattr(multicopy, "make_stratum", lambda *a: dataclasses.replace(real(*a), dim=1))
+        multi = make_multi(caruso_datum(2, 1, 3, 1), 3)
+        with pytest.raises(TheoremViolationError, match="has dimension 1"):
+            unique_zero_stratum(multi, decompose_mu(((3, 0),), 3))
+
+    def test_cap_bounds_the_recursion_steps(self, monkeypatch):
+        # 3 copies of omega_1 and the scaled block: 4 starts of 4 steps
+        multi = make_multi(caruso_datum(2, 1, 3, 1), 4)
+        mb = decompose_mu(((3, 0),), 4)
+        monkeypatch.setenv("KISIN_MAX_ENUM", "15")
+        with pytest.raises(EnumerationCapError, match="16 recursion steps exceed cap 15"):
+            unique_zero_stratum(multi, mb)
+        monkeypatch.setenv("KISIN_MAX_ENUM", "16")
+        assert unique_zero_stratum(multi, mb).dim == 0
 
     def test_recursion_rejects_positive_dim(self):
         rng = random.Random(67)
@@ -261,6 +322,7 @@ class TestUniqueZeroStratum:
             hits += 1
             zeros = [s for s in S if s.dim == 0]
             assert len(zeros) == 1
+            assert unique_zero_stratum(multi, mb) == zeros[0]
             assert recursion_check(multi, mb, zeros[0].lam) == (True, None)
             assert len({sum_profile(s.lam) for s in S}) == 1
             # minuscule bound: every label's twisted difference is conjugate to it

@@ -15,7 +15,7 @@ from kisin.core import (
     ext_inv,
     ext_sigma_conj,
 )
-from kisin.errors import ConfigError, NotSimpleError, TheoremViolationError
+from kisin.errors import ConfigError, NotInGeneralPositionError, NotSimpleError
 from kisin.normal_form import (
     alcove_reduce,
     caruso_datum,
@@ -217,10 +217,14 @@ class TestGeneralPosition:
                     d = caruso_datum(n, f, p, m)
                     assert in_general_position(d.e), (n, f, p, m)
 
-    def test_integral_entry_is_internal_error(self):
-        # rank one: simplicity is vacuous but (q-1) | m forces an integral fixed point
-        with pytest.raises(TheoremViolationError):
-            caruso_datum(1, 1, 3, 2)
+    def test_integral_entry_is_refused(self):
+        # rank one: simplicity is vacuous but (q-1) | m forces an integral
+        # fixed point, which is a precondition, not a theorem, failing
+        for n, f, p, m in ((1, 1, 3, 2), (1, 1, 5, 8), (1, 3, 7, 0), (1, 1, 2, 5)):
+            with pytest.raises(NotInGeneralPositionError, match="integral fixed point"):
+                caruso_datum(n, f, p, m)
+        # (q-1) not dividing m leaves the fixed point -m/(q-1) fractional
+        assert caruso_datum(1, 1, 5, 7).e == ((Q(-7, 4),),)
 
 
 class TestGcdPowerFact:
