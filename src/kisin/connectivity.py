@@ -78,12 +78,9 @@ def _edge_ok(mu: Cochar, nat: Cochar, cov: Cochar, twisted: Cochar) -> bool:
     )
 
 
-# Move tables kept, one per (shape, w): each holds n(n - 1) coroots of N
-# blocks, so an unbounded cache would grow with every shape graphed.
-_MOVES = 64
-
-
-@lru_cache(maxsize=_MOVES)
+# one table per (shape, w), each n(n - 1) coroots of N blocks: bounded, so
+# the cache does not grow with every shape graphed
+@lru_cache(maxsize=64)
 def _root_moves(shape: GroupShape, w: WeylElt) -> tuple:
     """(alpha, alpha_cov, w(sigma(alpha_cov))) for every root, in all_roots
     order; built once per (shape, w)."""

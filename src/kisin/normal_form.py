@@ -55,11 +55,7 @@ class FrobeniusDatum:
 # the cyclic affine solver
 
 
-# Plans kept: one per (shape, w) in use; eviction only rebuilds.
-_PLANS = 256
-
-
-@lru_cache(maxsize=_PLANS)
+@lru_cache(maxsize=256)  # one plan per (shape, w); eviction only rebuilds
 def _solve_plan(shape: GroupShape, w: WeylElt):
     """Unroll the block recurrence x[k] = c[k] + eps[k] w_k(x[k+1]).
 

@@ -1,8 +1,11 @@
 """Guard against dead code: every public top-level function or class of the
 library, and every public method or property of its classes, is used by the
-library or the scripts, or exported by the package."""
+library or the scripts, or exported by the package.  Also guard against
+caches that grow without bound: every lru_cache of the library has a
+maxsize."""
 
 import ast
+import importlib
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -104,8 +107,6 @@ def _cached_defs():
 
 
 def test_every_cache_is_bounded():
-    import importlib
-
     cached = list(_cached_defs())
     assert len(cached) >= 8
     unbounded = [
