@@ -495,6 +495,12 @@ def _parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
+    # reports print exact integers and rationals of any size, so the
+    # interpreter's limit on the decimal digits of an int (4,300 by default,
+    # absent before Python 3.10.7) is lifted while the command runs
+    limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    if limit is not None:
+        sys.set_int_max_str_digits(0)
     try:
         return args.fn(args)
     except ConfigError as exc:
@@ -509,6 +515,9 @@ def main(argv=None) -> int:
     except KisinError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    finally:
+        if limit is not None:
+            sys.set_int_max_str_digits(limit)
 
 
 if __name__ == "__main__":

@@ -11,27 +11,15 @@ Disconnectedness is never claimed without those certificates.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
-from .core import (
-    Cochar,
-    GroupShape,
-    WeylElt,
-    _dominated,
-    act_perm,
-    act_sigma,
-    act_weyl,
-    all_roots,
-    cochar_add,
-    cochar_sub,
-    perm_order,
-)
+from .core import Cochar, _block_dominated, _dominated, act_perm, cochar_add, perm_order
 from .errors import PreconditionError, TheoremViolationError
 from .normal_form import FrobeniusDatum
 from .strata import (
     _is_label,
     _require_alcove,
     _require_dominant_mu,
+    _root_table,
     _twist,
     enumerate_strata,
 )
@@ -66,55 +54,75 @@ class _UnionFind:
             self.parent[rb] = ra
 
 
-def _edge_ok(mu: Cochar, nat: Cochar, cov: Cochar, twisted: Cochar) -> bool:
-    """The three dominance conditions, from lam_nat, alpha_cov and
-    twisted = w(sigma(alpha_cov)), each by the dominance kernel of ``core``;
-    unchecked."""
-    up = cochar_add(nat, cov)
-    return (
-        _dominated(up, mu)
-        and _dominated(cochar_sub(nat, twisted), mu)
-        and _dominated(cochar_sub(up, twisted), mu)
-    )
+def _edge_ok(mu: Cochar, nat: Cochar, k: int, i: int, j: int, k2: int, a: int, b: int, e: int) -> bool:
+    """The three dominance conditions of the edge lam -> lam - cov, from the
+    label's lam_nat and the blocks the move touches, unchecked: cov = e_i - e_j
+    on block k and its twist w(sigma(cov)) = e * (e_a - e_b) on block
+    k2 = k - 1 mod N, with a = w_k2(i), b = w_k2(j) and e = eps_k2.
 
-
-# one table per (shape, w), each n(n - 1) coroots of N blocks: bounded, so
-# the cache does not grow with every shape graphed
-@lru_cache(maxsize=64)
-def _root_moves(shape: GroupShape, w: WeylElt) -> tuple:
-    """(alpha, alpha_cov, w(sigma(alpha_cov))) for every root, in all_roots
-    order; built once per (shape, w)."""
-    moves = []
-    for alpha in all_roots(shape):
-        cov = alpha.coroot(shape)
-        moves.append((alpha, cov, act_weyl(w, act_sigma(shape, cov))))
-    return tuple(moves)
+    The conditions are dominance of nat + cov, nat - twisted and
+    nat + cov - twisted, each tested by ``core._block_dominated`` on the
+    blocks it changes only.  This is exact: nat is a label's lam_nat, so every
+    block of nat is dominated already, and each vector differs from nat on
+    block k, block k2 or both.  Since nat(lam - cov) = nat + cov - twisted,
+    the third condition says exactly that lam - cov is a label.  When
+    k != k2 its block k is the first condition's and its block k2 the
+    second's, so it is tested only when k == k2.
+    """
+    up = list(nat[k])
+    up[i] += 1
+    up[j] -= 1
+    if not _block_dominated(up, mu[k]):
+        return False
+    down = list(nat[k2])
+    down[a] -= e
+    down[b] += e
+    if not _block_dominated(down, mu[k2]):
+        return False
+    if k != k2:
+        return True
+    up[a] -= e
+    up[b] += e
+    return _block_dominated(up, mu[k])
 
 
 def build_graph(datum: FrobeniusDatum, mu: Cochar) -> StrataGraph:
-    """The coroot-curve graph on the strata; edge tests start from each
-    stratum's stored lam_nat."""
+    """The coroot-curve graph on the strata.  Every root, in all_roots order,
+    is tested from each stratum's stored lam_nat by ``_edge_ok`` on the
+    blocks its coroot and the coroot's twist touch, so for a fixed set of
+    strata the cost is linear in the number of blocks.  lam' = lam - cov is
+    built only for an accepted edge; it is a label, and a lam' missing from
+    the strata means the enumeration lost a label (TheoremViolationError)."""
     strata = enumerate_strata(datum, mu)
     index = {s.lam: t for t, s in enumerate(strata)}
-    moves = _root_moves(datum.shape, datum.w) if len(strata) > 1 else ()  # one stratum has no edges
+    shape, w = datum.shape, datum.w
+    # one row (root, k, i, j, k2, a, b, e) per root; one stratum has no edges
+    moves = [
+        (alpha, k, i, j, (k - 1) % shape.blocks, w[k - 1][i], w[k - 1][j], shape.eps[k - 1])
+        for alpha, k, i, j, _ in _root_table(shape)
+    ] if len(strata) > 1 else ()
     uf = _UnionFind(len(strata))
     edges = []
     seen_pairs = set()
-    for s in strata:
-        for alpha, cov, twisted in moves:
-            lam2 = cochar_sub(s.lam, cov)
-            if lam2 not in index:
+    for t, s in enumerate(strata):
+        for alpha, k, i, j, k2, a, b, e in moves:
+            if not _edge_ok(mu, s.nat, k, i, j, k2, a, b, e):
                 continue
+            blk = list(s.lam[k])
+            blk[i] -= 1
+            blk[j] += 1
+            lam2 = s.lam[:k] + (tuple(blk),) + s.lam[k + 1:]
+            t2 = index.get(lam2)
+            if t2 is None:
+                raise TheoremViolationError(f"edge {s.lam} -> {lam2} passes the curve test, but {lam2} was not enumerated")
             key = frozenset((s.lam, lam2))
-            if key in seen_pairs:
-                continue
-            if _edge_ok(mu, s.nat, cov, twisted):
+            if key not in seen_pairs:
                 seen_pairs.add(key)
                 edges.append((s.lam, lam2, alpha))
-                uf.union(index[s.lam], index[lam2])
+                uf.union(t, t2)
     comps = {}
-    for s in strata:
-        comps.setdefault(uf.find(index[s.lam]), []).append(s.lam)
+    for t, s in enumerate(strata):
+        comps.setdefault(uf.find(t), []).append(s.lam)
     components = tuple(sorted(tuple(sorted(c)) for c in comps.values()))
     return StrataGraph(strata, tuple(edges), components)
 
@@ -177,7 +185,10 @@ def chain_gl3(datum: FrobeniusDatum, mu: Cochar, lam: Cochar, lam_prime: Cochar)
     +c or -(w^2 c), whichever stays in S.  Each step reduces the normal form's
     leading coefficient by one (asserted); if neither step stays in S the
     induction hypothesis is violated and a hard error is raised.  Each step
-    must pass ``_edge_ok``, the edge test of ``build_graph`` (asserted).
+    must pass ``_edge_ok``, the edge kernel of ``build_graph``, as the edge
+    from the new label back to the old one (asserted); the step (i, j) and
+    its twist are read off the one block, and the kernel's third test, the
+    old label's membership, costs one more 3-entry block.
 
     Membership in S = {lam : dominant(lam_nat) <= mu} is decided by that
     defining inequality for the endpoints and for every step, so no strata are
@@ -203,7 +214,6 @@ def chain_gl3(datum: FrobeniusDatum, mu: Cochar, lam: Cochar, lam_prime: Cochar)
 
     chain = [lam]
     steps = []
-    twisted = {cov: tw for _, cov, tw in _root_moves(shape, datum.w)}  # steps are coroots
     cur = lam
     prev_n1 = None
     while cur != lam_prime:
@@ -228,7 +238,8 @@ def chain_gl3(datum: FrobeniusDatum, mu: Cochar, lam: Cochar, lam_prime: Cochar)
                 break
         else:
             raise TheoremViolationError("no admissible coroot step stays in S")
-        if not _edge_ok(mu, nat, step, twisted[step]):  # the edge nxt -> nxt - step = cur
+        i, j = step[0].index(1), step[0].index(-1)
+        if not _edge_ok(mu, nat, 0, i, j, 0, w[i], w[j], shape.eps[0]):  # the edge nxt -> nxt - step = cur
             raise TheoremViolationError(f"chain step {cur} -> {nxt} is not a coroot-curve edge")
         steps.append(step)
         chain.append(nxt)

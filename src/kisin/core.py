@@ -201,20 +201,23 @@ def sigma0_weyl(shape: GroupShape, w: WeylElt) -> WeylElt:
     return tuple(w[(k + 1) % shape.blocks] for k in range(shape.blocks))
 
 
-def _dominated(v: Cochar, mu: Cochar) -> bool:
-    """Whether the dominant sort of v is dominated by mu, unchecked: per block,
-    v sorted non-increasingly, the running sum of its differences from mu
-    never positive and ending at zero (equal block sums, partial sums bounded
-    by mu's).  mu must be dominant and shaped like v."""
-    for bv, bm in zip(v, mu):
-        acc = 0
-        for x, y in zip(sorted(bv, reverse=True), bm):
-            acc += x - y
-            if acc > 0:
-                return False
-        if acc:
+def _block_dominated(bv: Vec, bm: Vec) -> bool:
+    """Whether the dominant sort of one block bv is dominated by the dominant
+    block bm of the same length, unchecked: bv sorted non-increasingly, the
+    running sum of its differences from bm never positive and ending at zero
+    (equal sums, partial sums bounded by bm's)."""
+    acc = 0
+    for x, y in zip(sorted(bv, reverse=True), bm):
+        acc += x - y
+        if acc > 0:
             return False
-    return True
+    return not acc
+
+
+def _dominated(v: Cochar, mu: Cochar) -> bool:
+    """Whether the dominant sort of v is dominated by mu, block by block,
+    unchecked.  mu must be dominant and shaped like v."""
+    return all(map(_block_dominated, v, mu))
 
 
 # ---------------------------------------------------------------------------
@@ -236,12 +239,6 @@ class Root:
     @property
     def positive(self) -> bool:
         return self.i < self.j
-
-    def coroot(self, shape: GroupShape) -> Cochar:
-        out = [[0] * shape.n for _ in range(shape.blocks)]
-        out[self.block][self.i] = 1
-        out[self.block][self.j] = -1
-        return tuple(tuple(b) for b in out)
 
 
 def all_roots(shape: GroupShape) -> Iterator[Root]:

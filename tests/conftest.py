@@ -7,7 +7,9 @@ from functools import lru_cache
 import itertools
 import math
 
+from kisin.connectivity import StrataGraph, _UnionFind
 from kisin.core import (
+    _dominated,
     act_sigma,
     act_weyl,
     all_roots,
@@ -759,6 +761,14 @@ def composed_stratum(datum, mu, lam):
     return Stratum(lam, nat_of(lam), dag, rs, d_set(), dim, verdict, rule)
 
 
+def coroot(alpha, shape):
+    """The coroot e_i - e_j of the root alpha as a full cochar of the shape."""
+    out = [[0] * shape.n for _ in range(shape.blocks)]
+    out[alpha.block][alpha.i] = 1
+    out[alpha.block][alpha.j] = -1
+    return tuple(tuple(b) for b in out)
+
+
 def edge_exists(datum, mu, lam, alpha):
     """Coroot-curve edge oracle: the three dominance conditions as defined.
     With lam' = lam - alpha_cov, the dominant sorts of lam_nat + alpha_cov,
@@ -769,7 +779,7 @@ def edge_exists(datum, mu, lam, alpha):
     def nat_of(v):
         return cochar_add(cochar_sub(datum.tau, v), act_weyl(datum.w, act_sigma(datum.shape, v)))
 
-    cov = alpha.coroot(datum.shape)
+    cov = coroot(alpha, datum.shape)
     twisted = act_weyl(datum.w, act_sigma(datum.shape, cov))
     nat = nat_of(lam)
     conditions = (cochar_add(nat, cov), cochar_sub(nat, twisted), nat_of(cochar_sub(lam, cov)))
@@ -778,6 +788,42 @@ def edge_exists(datum, mu, lam, alpha):
         for vec in conditions
         for m, b in zip(mu, vec)
     )
+
+
+def graph_by_full_cochars(datum, mu):
+    """Graph oracle: the coroot-curve graph as the library built it before it
+    tested each edge on the blocks the move touches.  Every root's coroot and
+    its twist w(sigma(cov)) are full N-block cochars; lam' = lam - cov is
+    looked up in the strata first, and the three dominance conditions are
+    tested on every block of lam_nat + cov, lam_nat - twisted and
+    lam_nat + cov - twisted."""
+    strata = enumerate_strata(datum, mu)
+    index = {s.lam: t for t, s in enumerate(strata)}
+    moves = []
+    for alpha in all_roots(datum.shape):
+        cov = coroot(alpha, datum.shape)
+        moves.append((alpha, cov, act_weyl(datum.w, act_sigma(datum.shape, cov))))
+    uf = _UnionFind(len(strata))
+    edges = []
+    seen_pairs = set()
+    for s in strata:
+        for alpha, cov, twisted in moves:
+            lam2 = cochar_sub(s.lam, cov)
+            if lam2 not in index:
+                continue
+            key = frozenset((s.lam, lam2))
+            if key in seen_pairs:
+                continue
+            up = cochar_add(s.nat, cov)
+            if _dominated(up, mu) and _dominated(cochar_sub(s.nat, twisted), mu) and _dominated(cochar_sub(up, twisted), mu):
+                seen_pairs.add(key)
+                edges.append((s.lam, lam2, alpha))
+                uf.union(index[s.lam], index[lam2])
+    comps = {}
+    for s in strata:
+        comps.setdefault(uf.find(index[s.lam]), []).append(s.lam)
+    components = tuple(sorted(tuple(sorted(c)) for c in comps.values()))
+    return StrataGraph(strata, tuple(edges), components)
 
 
 def product_strata(datum, mu):

@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 import sys
+from fractions import Fraction
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -9,6 +10,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from kisin import cli
 from kisin.cli import main
 from kisin.core import _is_prime
+from kisin.normal_form import caruso_datum
 
 
 def run_cli(capsys, *argv):
@@ -597,3 +599,40 @@ class TestDeepInputs:
         captured = capsys.readouterr()
         assert code == 0 and captured.err == ""
         assert json.loads(captured.out)["strata"] == []
+
+    def test_walk_bound_past_the_print_limit_of_ints(self, capsys, monkeypatch):
+        # found by TestScalarExtremes: the walk's path bound has 4,308
+        # digits, more than the interpreter prints by default
+        n, blocks = 6, 353
+        argv = [
+            "strata", "--p=3", f"--n={n}", "--f=1",
+            "--eps=" + json.dumps([3] * blocks),
+            "--tau=" + json.dumps([[0, 1, 0, 0, 0, 0]] * blocks),
+            "--w=" + json.dumps([[1, 3, 4, 5, 6, 2]] * blocks),
+            "--mu=" + json.dumps([[321, 0, 0, 0, 0, 0]] * blocks),
+        ]
+        monkeypatch.setenv("KISIN_MAX_ENUM", str(10**4))
+        assert main(argv) == 3
+        captured = capsys.readouterr()
+        assert captured.out == "" and "Traceback" not in captured.err
+        bound, rest = captured.err.removeprefix("precondition violated: ").split(" ", 1)
+        assert len(bound) == 4308 and rest == "walk paths exceed cap 10000 (KISIN_MAX_ENUM)\n"
+
+    def test_reports_print_ints_past_the_print_limit(self, capsys):
+        # found by TestScalarExtremes: the fixed point's denominator
+        # p^f - 1 has more digits than the interpreter prints by default; a
+        # limit of 640 digits, the least allowed, shows it with f = 60
+        if not hasattr(sys, "set_int_max_str_digits"):
+            pytest.skip("this interpreter has no limit on printed digits")
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(640)
+        try:
+            code = main(["normal-form", "--p", "1000000000039", "--n", "2", "--f", "60", "--m", "1"])
+            assert sys.get_int_max_str_digits() == 640
+        finally:
+            sys.set_int_max_str_digits(limit)
+        captured = capsys.readouterr()
+        assert code == 0 and captured.err == ""
+        num, den = json.loads(captured.out)["datum"]["e"][0][0].split("/")
+        assert len(den) > 640
+        assert Fraction(int(num), int(den)) == caruso_datum(2, 60, 1000000000039, 1).e[0][0]

@@ -1,11 +1,13 @@
 import itertools
+import json
 import random
+import re
 
 import pytest
 
-from conftest import edge_exists
+from conftest import coroot, dominant_vecs, edge_exists, graph_by_full_cochars
 from kisin import connectivity
-from kisin.cli import main
+from kisin.cli import CASES, counterexample, main
 from kisin.core import ExtAffine, GroupShape, Root, all_roots, cochar_sub
 from kisin.errors import ConfigError, PreconditionError, TheoremViolationError
 from kisin.connectivity import (
@@ -14,6 +16,7 @@ from kisin.connectivity import (
     chain_gl3,
     pi0_report,
 )
+from kisin.multicopy import make_multi
 from kisin.normal_form import caruso_datum, is_caruso_simple, make_datum
 from kisin.strata import enumerate_strata, stratum_nonempty
 
@@ -58,7 +61,7 @@ class TestEdges:
         labels = set(S)
         for lam in S:
             for alpha in all_roots(d.shape):
-                lam2 = cochar_sub(lam, alpha.coroot(d.shape))
+                lam2 = cochar_sub(lam, coroot(alpha, d.shape))
                 if lam2 not in labels:
                     assert not stratum_nonempty(d, mu, lam2)
                     assert not edge_exists(d, mu, lam, alpha)
@@ -70,7 +73,7 @@ class TestEdges:
             labels = set(S)
             for lam in S:
                 for alpha in all_roots(d.shape):
-                    lam2 = cochar_sub(lam, alpha.coroot(d.shape))
+                    lam2 = cochar_sub(lam, coroot(alpha, d.shape))
                     if lam2 not in labels:
                         continue
                     rev = Root(alpha.block, alpha.j, alpha.i)
@@ -95,7 +98,7 @@ class TestEdges:
         edges, seen = [], set()
         for s in S:
             for alpha in all_roots(datum.shape):
-                lam2 = cochar_sub(s.lam, alpha.coroot(datum.shape))
+                lam2 = cochar_sub(s.lam, coroot(alpha, datum.shape))
                 key = frozenset((s.lam, lam2))
                 if lam2 in index and key not in seen and edge_exists(datum, mu, s.lam, alpha):
                     seen.add(key)
@@ -120,10 +123,99 @@ class TestEdges:
                     edge_pairs = {frozenset((a, b)) for a, b, _ in g.edges}
                     for lam in labels:
                         for alpha in all_roots(d.shape):
-                            lam2 = cochar_sub(lam, alpha.coroot(d.shape))
+                            lam2 = cochar_sub(lam, coroot(alpha, d.shape))
                             if lam2 in labels:
                                 assert edge_exists(d, mu, lam, alpha)
                                 assert frozenset((lam, lam2)) in edge_pairs
+
+
+def found_family(N):
+    """The n = 2 shape with N blocks scaled (1, ..., 1, 3) whose graph cost
+    was quadratic in N: 16 strata, and 18 edges from N = 4 on."""
+    shape = GroupShape(n=2, blocks=N, eps=(1,) * (N - 1) + (3,), p=3)
+    tau = ((0, 0),) * (N - 1) + ((1, 0),)
+    w = ((0, 1),) * (N - 1) + ((1, 0),)
+    return make_datum(shape, ExtAffine(tau, w)), ((3, 0),) * 3 + ((0, 0),) * (N - 3)
+
+
+def sweep_twists():
+    return [(p, m) for p in (2, 3) for m in range(-(p**3 - 1), p**3) if is_caruso_simple(3, p, m)]
+
+
+class TestGraphByBlocks:
+    """build_graph tests each edge on the blocks its move touches; the graph
+    built from full N-block coroots and twists must be the same, edge for
+    edge and in the same order."""
+
+    @pytest.mark.parametrize("p,m", sweep_twists())
+    def test_gl3_sweep(self, p, m):
+        d = caruso_datum(3, 1, p, m)
+        for mu in dominant_vecs(3, -3, 3):
+            assert build_graph(d, (mu,)) == graph_by_full_cochars(d, (mu,)), mu
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    @pytest.mark.parametrize("p", (3, 5, 7, 211))
+    def test_goldens(self, case, p):
+        d, mu = counterexample(CASES[case], p)
+        graph = build_graph(d, mu)
+        assert graph == graph_by_full_cochars(d, mu)
+        assert len(graph.vertices) == 2 and graph.edges == ()
+
+    @pytest.mark.parametrize("n,p,m", ((2, 2, 1), (2, 3, 1), (3, 2, 1)))
+    @pytest.mark.parametrize("dd", (1, 2, 3))
+    def test_multicopy_lifts(self, n, p, m, dd):
+        lifted = make_multi(caruso_datum(n, 1, p, m), dd).lifted
+        blocks = dominant_vecs(n, 0, 2 if n == 2 else 1)
+        edges = 0
+        for mu in itertools.product(blocks, repeat=dd):
+            graph = build_graph(lifted, mu)
+            assert graph == graph_by_full_cochars(lifted, mu), mu
+            edges += len(graph.edges)
+        assert edges or dd == 1  # a single copy of these twists has no edge
+
+    @pytest.mark.parametrize("N", range(3, 21))
+    def test_found_family(self, N):
+        d, mu = found_family(N)
+        graph = build_graph(d, mu)
+        assert graph == graph_by_full_cochars(d, mu)
+        assert graph.edges
+
+    def test_lost_label_is_a_theorem_violation(self, monkeypatch, capsys):
+        d = caruso_datum(3, 1, 2, 1)
+        mu = ((3, 1, -3),)
+        graph = build_graph(d, mu)
+        assert len(graph.vertices) == 6 and len(graph.components) == 1
+        lost = graph.vertices[2].lam
+        full = connectivity.enumerate_strata
+        monkeypatch.setattr(
+            connectivity, "enumerate_strata", lambda *args: tuple(s for s in full(*args) if s.lam != lost)
+        )
+        with pytest.raises(TheoremViolationError, match=f"but {re.escape(str(lost))} was not enumerated"):
+            build_graph(d, mu)
+        assert main(["graph", "--p", "2", "--n", "3", "--f", "1", "--m", "1", "--mu", "[[3,1,-3]]"]) == 4
+        captured = capsys.readouterr()
+        assert captured.out == "" and "was not enumerated" in captured.err and "Traceback" not in captured.err
+
+
+def _stuck_normal_form(real):
+    """_gl3_normal_form with a leading coefficient that never decreases."""
+
+    def stuck(diff, w):
+        c, _, n2 = real(diff, w)
+        return c, 99, n2
+
+    return stuck
+
+
+# each assertion of chain_gl3 that no input reaches, by the one collaborator
+# it guards: (name patched in connectivity, factory from the real value to
+# the fault, lam, lam', message)
+CHAIN_FAULTS = [
+    ("_GL3_COROOTS", lambda real: (), ((0, 0, 0),), ((1, 0, -1),), "no max-normalized coroot decomposition found"),
+    ("_is_label", lambda real: lambda *args: True, ((0, 0, 0),), ((1, 0, 0),), "difference of labels is not in the coroot lattice"),
+    ("_gl3_normal_form", _stuck_normal_form, ((-1, 1, 0),), ((0, -1, 1),), "leading coefficient failed to decrease"),
+    ("_dominated", lambda real: lambda *args: False, ((0, 0, 0),), ((1, 0, -1),), "no admissible coroot step stays in S"),
+]
 
 
 class TestChains:
@@ -273,6 +365,21 @@ class TestChains:
         assert main(argv) == 4
         captured = capsys.readouterr()
         assert captured.out == "" and "not a coroot-curve edge" in captured.err
+
+    @pytest.mark.parametrize("target,fault,lam,lam_prime,message", CHAIN_FAULTS, ids=[f[0] for f in CHAIN_FAULTS])
+    def test_injected_fault_is_a_theorem_violation(self, monkeypatch, capsys, target, fault, lam, lam_prime, message):
+        d = caruso_datum(3, 1, 2, 1)
+        mu = ((3, 1, -3),)
+        if target != "_is_label":  # unpatched, the chain has the steps the fault needs
+            assert len(chain_gl3(d, mu, lam, lam_prime)[1]) >= 1 + (target == "_gl3_normal_form")
+        monkeypatch.setattr(connectivity, target, fault(getattr(connectivity, target)))
+        with pytest.raises(TheoremViolationError, match=message):
+            chain_gl3(d, mu, lam, lam_prime)
+        argv = ["chain-gl3", "--p", "2", "--n", "3", "--f", "1", "--m", "1", "--mu", "[[3,1,-3]]",
+                "--lam", json.dumps([lam[0]]), "--lam-prime", json.dumps([lam_prime[0]])]
+        assert main(argv) == 4
+        captured = capsys.readouterr()
+        assert captured.out == "" and message in captured.err and "Traceback" not in captured.err
 
     def test_exact_pi0_equals_size_iff_no_edges(self):
         d = datum_a()
