@@ -130,8 +130,8 @@ class TestEdges:
 
 
 def found_family(N):
-    """The n = 2 shape with N blocks scaled (1, ..., 1, 3) whose graph cost
-    was quadratic in N: 16 strata, and 18 edges from N = 4 on."""
+    """The n = 2 shape with N blocks scaled (1, ..., 1, 3), mu nonzero on
+    three of them: 16 strata for every N, and 18 edges from N = 4 on."""
     shape = GroupShape(n=2, blocks=N, eps=(1,) * (N - 1) + (3,), p=3)
     tau = ((0, 0),) * (N - 1) + ((1, 0),)
     w = ((0, 1),) * (N - 1) + ((1, 0),)
