@@ -159,6 +159,10 @@ def cochar_neg(a: Cochar) -> Cochar:
     return tuple(tuple(-x for x in b) for b in a)
 
 
+def cochar_scale(k: int, a: Cochar) -> Cochar:
+    return tuple(tuple(k * x for x in b) for b in a)
+
+
 def is_central(v: Cochar) -> bool:
     """Constant within every block."""
     return all(len(set(b)) <= 1 for b in v)

@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .core import (
     Cochar,
@@ -30,9 +29,9 @@ from .core import (
     act_perm,
     identity_perm,
 )
-from .errors import ConfigError, EnumerationCapError, PreconditionError, TheoremViolationError
-from .normal_form import FrobeniusDatum, fixed_point
-from .strata import Stratum, _enum_cap, enumerate_strata, make_stratum
+from .errors import ConfigError, PreconditionError, TheoremViolationError
+from .normal_form import FrobeniusDatum, _same_point, solve_affine_scaled
+from .strata import Stratum, _cap_error, _enum_cap, enumerate_strata, make_stratum
 
 
 @dataclass(frozen=True)
@@ -55,7 +54,8 @@ def make_multi(base: FrobeniusDatum, d: int) -> MultiDatum:
     """Lift a datum to d copies, the base sitting in the last copy.
 
     The lifted fixed point is the copy-interleaving (e, ..., e); each block
-    equals a block of e, so the alcove certificate is inherited.
+    equals a block of e, so the alcove certificate is inherited.  The lifted
+    solve must give the interleaved numerators over the base's denominator.
     """
     if d < 1:
         raise ConfigError("d must be positive")
@@ -69,17 +69,17 @@ def make_multi(base: FrobeniusDatum, d: int) -> MultiDatum:
     big = lifted_shape.blocks
     tau = [(0,) * n] * big
     w = [identity_perm(n)] * big
-    e = [None] * big
+    num = [None] * big
     for j in range(f):
         for i in range(d):
             k = interleave_index(i, j, d)
-            e[k] = base.e[j]
+            num[k] = base.e_num[j]
             if i == d - 1:
                 tau[k] = base.tau[j]
                 w[k] = base.w[j]
     wt = ExtAffine(tuple(tau), tuple(w))
-    lifted = FrobeniusDatum(lifted_shape, wt, tuple(e), True)
-    if fixed_point(lifted_shape, wt) != lifted.e:
+    lifted = FrobeniusDatum(lifted_shape, wt, tuple(num), base.e_den, True)
+    if not _same_point(*solve_affine_scaled(lifted_shape, wt.w, wt.chi), lifted.e_num, lifted.e_den):
         raise TheoremViolationError("interleaved fixed point fails its identity")
     return MultiDatum(base, d, lifted)
 
@@ -116,10 +116,10 @@ def descent_stats(v: tuple):
     return delta, h
 
 
-def varsigma(v: tuple) -> tuple:
-    """Decrement every maximal entry by 1."""
+def varsigma(v: tuple, step: int = 1) -> tuple:
+    """Decrement every maximal entry by step (by 1 on v itself, by D on D v)."""
     hi = max(v)
-    return tuple(x - 1 if x == hi else x for x in v)
+    return tuple(x - step if x == hi else x for x in v)
 
 
 # ---------------------------------------------------------------------------
@@ -230,7 +230,7 @@ def unique_zero_stratum(multi: MultiDatum, mu_bullet: Cochar) -> Stratum:
     ]
     starts = [k for k in range(big) if steps[k - 1] is not None]
     if len(starts) * big > cap:
-        raise EnumerationCapError(f"{len(starts) * big} recursion steps exceed cap {cap} (KISIN_MAX_ENUM)")
+        raise _cap_error(len(starts) * big, "recursion steps", cap)
     closed = set()
     for k0 in starts:
         lam = [None] * big
@@ -273,23 +273,28 @@ def recursion_check(multi: MultiDatum, mu_bullet: Cochar, lam_bullet: Cochar):
     hat^k = eps^k w^k(hat^{k+1}) when m^k = 0 and the varsigma of that value
     when m^k = 1; also that h(hat^k0) = 0 for some k0.  Returns (ok, index)
     with the first offending block index, or (True, None).
+
+    Everything runs on D hat = D lam - E in integers, e = E / D: the
+    recursion is linear, varsigma subtracts D from the maximal entries, and
+    h(hat) = 0 iff the spread of hat is below 1, that is max - min < D.
     """
     ms = _check_omega_pattern(mu_bullet)
     lifted = multi.lifted
     shape = lifted.shape
     shape.check_cochar(lam_bullet)
+    den = lifted.e_den
     hat = tuple(
-        tuple(Fraction(x) - e for x, e in zip(lb, eb))
-        for lb, eb in zip(lam_bullet, lifted.e)
+        tuple(den * x - e for x, e in zip(lb, eb))
+        for lb, eb in zip(lam_bullet, lifted.e_num)
     )
     big = shape.blocks
     for k in range(big):
         rhs = act_perm(lifted.w[k], hat[(k + 1) % big])
         rhs = tuple(shape.eps[k] * x for x in rhs)
-        expected = varsigma(rhs) if ms[k] == 1 else rhs
+        expected = varsigma(rhs, den) if ms[k] == 1 else rhs
         if hat[k] != expected:
             return False, k
-    if not any(descent_stats(b)[1] == 0 for b in hat):
+    if not any(max(b) - min(b) < den for b in hat):
         return False, None
     return True, None
 

@@ -1,10 +1,18 @@
 """Caruso normal forms, exact fixed points of wt*sigma, and alcove reduction.
 
 The fixed point of ``u^tau w . sigma`` is always obtained by exact linear
-elimination of ``e = tau + w(sigma(e))`` over the rationals; the closed form
-from the simple-module classification is used only as a test oracle.  The map
-``w sigma`` scales by the product of the eps pattern per full block cycle, so
-``1 - w sigma`` is invertible whenever that product exceeds 1.
+elimination of ``e = tau + w(sigma(e))``; the closed form from the
+simple-module classification is used only as a test oracle.  The map
+``w sigma`` scales by the product q of the eps pattern per full block cycle,
+so ``1 - w sigma`` is invertible whenever q exceeds 1.
+
+Fixed points are solved and checked in integers over one denominator: the
+solver returns (E, D) with e = E / D and D = q^L - 1, L the lcm of the cycle
+lengths of the solver's permutation W (``solve_affine_scaled``).  The
+defining identity, the alcove test, the alcove reduction and the transport
+check all run on (E, D).  ``Fraction``s appear only in ``FrobeniusDatum.e``,
+built once from E / D, and in the public ``solve_affine`` and
+``fixed_point``, thin wrappers over the integer solver.
 """
 
 from __future__ import annotations
@@ -12,7 +20,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 from .core import (
     Cochar,
@@ -20,9 +28,8 @@ from .core import (
     GroupShape,
     WeylElt,
     act_sigma,
-    act_weyl,
     act_perm,
-    cochar_add,
+    cochar_scale,
     ext_identity,
     ext_inv,
     ext_sigma_conj,
@@ -35,12 +42,19 @@ from .errors import ConfigError, NotInGeneralPositionError, NotSimpleError, Theo
 
 @dataclass(frozen=True)
 class FrobeniusDatum:
-    """wt = u^tau w together with the exact fixed point of wt*sigma."""
+    """wt = u^tau w together with the exact fixed point e = e_num / e_den of
+    wt*sigma, held as integers over one denominator."""
 
     shape: GroupShape
     wt: ExtAffine
-    e: Cochar  # rational entries
+    e_num: Cochar  # integer entries
+    e_den: int  # positive
     alcove_ok: bool
+
+    @cached_property
+    def e(self) -> Cochar:
+        """The fixed point with rational entries, built on first use."""
+        return _as_fractions(self.e_num, self.e_den)
 
     @property
     def tau(self) -> Cochar:
@@ -63,8 +77,9 @@ def _solve_plan(shape: GroupShape, w: WeylElt):
     (1 - q W) x[0] = sum_k E_k P_k(c[k]) with q the full eps product,
     P_k = w_0 ... w_{k-1} and W = P_N; that system splits along the cycles of
     the permutation W.  Returns (prefix scales E_k, prefix perms P_k, q,
-    cycles of W, moduli, residue coefficients) reused across many right-hand
-    sides.
+    cycles of W, the common denominator D, moduli, residue coefficients)
+    reused across many right-hand sides.  D = q^L - 1 with L the lcm of the
+    cycle lengths, so every q^|c| - 1 divides D.
 
     The numerators of x[0] on a cycle c are integers congruent to each other
     up to powers of q modulo q^|c| - 1, so x[0] is integral iff the one at
@@ -98,6 +113,7 @@ def _solve_plan(shape: GroupShape, w: WeylElt):
             i = winv[i]
         cycles.append(tuple(cyc))
     moduli = tuple(q ** len(cyc) - 1 for cyc in cycles)
+    den = q ** math.lcm(*map(len, cycles)) - 1
     place = {}  # position i -> (cycle index, step t with cyc[t] == i)
     for ci, cyc in enumerate(cycles):
         for t, i in enumerate(cyc):
@@ -109,13 +125,14 @@ def _solve_plan(shape: GroupShape, w: WeylElt):
             ci, t = place[prefix_perm[k][j]]
             rows[ci][j] = prefix_eps[k] * q**t % moduli[ci]
         coefs.append(tuple(map(tuple, rows)))
-    return tuple(prefix_eps), tuple(prefix_perm), q, tuple(cycles), moduli, tuple(coefs)
+    return tuple(prefix_eps), tuple(prefix_perm), q, tuple(cycles), den, moduli, tuple(coefs)
 
 
 def _solve_block0(shape: GroupShape, w: WeylElt, rhs: Cochar):
-    """Integer numerators and per-position denominators for x[0] of the system
-    x = rhs + w(sigma(x)); both are exact ints when rhs is integral."""
-    prefix_eps, prefix_perm, q, cycles, _, _ = _solve_plan(shape, w)
+    """Integer numerators and per-position denominators 1 - q^|c| for x[0]
+    of the system x = rhs + w(sigma(x)); both are exact ints when rhs is
+    integral."""
+    prefix_eps, prefix_perm, q, cycles, *_ = _solve_plan(shape, w)
     n = shape.n
     b = [0] * n
     for k in range(shape.blocks):
@@ -140,30 +157,49 @@ def _solve_block0(shape: GroupShape, w: WeylElt, rhs: Cochar):
     return nums, dens
 
 
-def _back_substitute(shape: GroupShape, w: WeylElt, rhs: Cochar, x0):
+def _back_substitute(shape: GroupShape, w: WeylElt, rhs: Cochar, x0, scale: int = 1):
+    """The blocks X_k = scale rhs_k + eps_k w_k(X_{k+1}) from X_0 = x0 down,
+    that is scale times the solution whose block 0 is x0 / scale."""
     nblocks = shape.blocks
     out = [None] * nblocks
     out[0] = tuple(x0)
     for k in range(nblocks - 1, 0, -1):
         nxt = out[(k + 1) % nblocks]
         moved = act_perm(w[k], nxt)
-        out[k] = tuple(rhs[k][i] + shape.eps[k] * moved[i] for i in range(shape.n))
+        out[k] = tuple(scale * rhs[k][i] + shape.eps[k] * moved[i] for i in range(shape.n))
     return tuple(out)
+
+
+def _check_invertible(shape: GroupShape) -> None:
+    if shape.scale_product == 1:
+        raise ConfigError("1 - w*sigma is not invertible when all eps equal 1")
+
+
+def solve_affine_scaled(shape: GroupShape, w: WeylElt, rhs: Cochar):
+    """The solution of x = rhs + w(sigma(x)) for integral rhs, as integers
+    over one denominator: (E, D) with x = E / D and D = q^L - 1 (see
+    ``_solve_plan``).  Block 0 is x[0]'s numerators over 1 - q^|c|, each
+    scaled by D / (1 - q^|c|) for its cycle c; the other blocks follow in
+    integers."""
+    _check_invertible(shape)
+    nums, dens = _solve_block0(shape, w, rhs)
+    den = _solve_plan(shape, w)[4]
+    x0 = [nu * (den // de) for nu, de in zip(nums, dens)]
+    return _back_substitute(shape, w, rhs, x0, den), den
+
+
+def _as_fractions(num: Cochar, den: int) -> Cochar:
+    return tuple(tuple(Fraction(x, den) for x in b) for b in num)
 
 
 def solve_affine(shape: GroupShape, w: WeylElt, rhs: Cochar) -> Cochar:
     """Unique exact rational solution of x = rhs + w(sigma(x))."""
-    if shape.scale_product == 1:
-        raise ConfigError("1 - w*sigma is not invertible when all eps equal 1")
-    nums, dens = _solve_block0(shape, w, rhs)
-    x0 = tuple(Fraction(nu, de) for nu, de in zip(nums, dens))
-    return _back_substitute(shape, w, rhs, x0)
+    return _as_fractions(*solve_affine_scaled(shape, w, rhs))
 
 
 def solve_affine_integral(shape: GroupShape, w: WeylElt, rhs: Cochar):
     """Integral solution of x = rhs + w(sigma(x)), or None if none exists."""
-    if shape.scale_product == 1:
-        raise ConfigError("1 - w*sigma is not invertible when all eps equal 1")
+    _check_invertible(shape)
     nums, dens = _solve_block0(shape, w, rhs)
     x0 = []
     for nu, de in zip(nums, dens):
@@ -171,7 +207,14 @@ def solve_affine_integral(shape: GroupShape, w: WeylElt, rhs: Cochar):
         if rem:
             return None
         x0.append(quot)
-    return _back_substitute(shape, w, rhs, tuple(x0))
+    return _back_substitute(shape, w, rhs, x0)
+
+
+def _fixed_point_scaled(shape: GroupShape, wt: ExtAffine):
+    """(E, D) with E / D the fixed point of wt*sigma."""
+    shape.check_cochar(wt.chi)
+    shape.check_weyl(wt.w)
+    return solve_affine_scaled(shape, wt.w, wt.chi)
 
 
 def fixed_point(shape: GroupShape, wt: ExtAffine) -> Cochar:
@@ -181,39 +224,47 @@ def fixed_point(shape: GroupShape, wt: ExtAffine) -> Cochar:
     return solve_affine(shape, wt.w, wt.chi)
 
 
+def _scaled_act(z: ExtAffine, num: Cochar, den: int) -> Cochar:
+    """den * z(num / den) = den chi + y(num), for z = u^chi y."""
+    return ExtAffine(cochar_scale(den, z.chi), z.w).act(num)
+
+
+def _same_point(num: Cochar, den: int, num2: Cochar, den2: int) -> bool:
+    """Whether num / den == num2 / den2, by cross-multiplying."""
+    return num == num2 if den == den2 else cochar_scale(den2, num) == cochar_scale(den, num2)
+
+
 def make_datum(shape: GroupShape, wt: ExtAffine) -> FrobeniusDatum:
-    e = fixed_point(shape, wt)
-    if e != cochar_add(wt.chi, act_weyl(wt.w, act_sigma(shape, e))):
+    num, den = _fixed_point_scaled(shape, wt)
+    if num != _scaled_act(wt, act_sigma(shape, num), den):
         raise TheoremViolationError("fixed point fails its defining identity")
-    return FrobeniusDatum(shape, wt, e, in_alcove(e))
+    return FrobeniusDatum(shape, wt, num, den, in_alcove(num, den))
 
 
 # ---------------------------------------------------------------------------
 # alcove geometry
 
 
-def in_alcove(e: Cochar) -> bool:
-    """Per block: strictly decreasing with spread strictly less than 1."""
+def in_alcove(e: Cochar, den: int = 1) -> bool:
+    """Whether e / den is in the alcove: per block, strictly decreasing with
+    spread strictly less than 1, that is e_0 - e_{n-1} < den."""
     for b in e:
         if any(b[i] <= b[i + 1] for i in range(len(b) - 1)):
             return False
-        if b[0] - b[-1] >= 1:
+        if b[0] - b[-1] >= den:
             return False
     return True
 
 
-def _is_integral(x) -> bool:
-    return x == int(x)
-
-
-def in_general_position(e: Cochar) -> bool:
-    """No integral entry, no integral pairwise difference within a block."""
+def in_general_position(e: Cochar, den: int = 1) -> bool:
+    """Whether e / den has no integral entry and no integral pairwise
+    difference within a block: no entry or difference of e is 0 mod den."""
     for b in e:
-        if any(_is_integral(x) for x in b):
+        if any(x % den == 0 for x in b):
             return False
         for i in range(len(b)):
             for j in range(i + 1, len(b)):
-                if _is_integral(b[i] - b[j]):
+                if (b[i] - b[j]) % den == 0:
                     return False
     return True
 
@@ -225,17 +276,21 @@ def alcove_reduce(datum: FrobeniusDatum):
     fixed point z^{-1}(e) in the alcove.  Per block, chi subtracts the floors
     of e and y sorts the fractional parts into decreasing order; ties are
     impossible for simple data and raise instead of being broken arbitrarily.
+    With e = E / D the floors are E // D and D times the fractional parts
+    are E % D, and z^{-1}(e) = E' / D with E' = D chi' + y'(E) for
+    z^{-1} = u^chi' y'.  The transported datum's own fixed point must equal
+    E' / D, checked by cross-multiplying.
     """
-    shape = datum.shape
-    if in_alcove(datum.e):
+    shape, num, den = datum.shape, datum.e_num, datum.e_den
+    if in_alcove(num, den):
         return ext_identity(shape), datum
-    if not in_general_position(datum.e):
+    if not in_general_position(num, den):
         raise NotInGeneralPositionError("fixed point not in general position")
     chi_blocks = []
     perms = []
-    for b in datum.e:
-        floors = tuple(math.floor(x) for x in b)
-        frac = [x - fl for x, fl in zip(b, floors)]
+    for b in num:
+        floors = tuple(x // den for x in b)
+        frac = [x % den for x in b]
         order = sorted(range(len(b)), key=lambda i: -frac[i])
         perm = [0] * len(b)
         for t, i in enumerate(order):
@@ -244,14 +299,13 @@ def alcove_reduce(datum: FrobeniusDatum):
         chi_blocks.append(floors)
         perms.append(tuple(perm))
     z = ExtAffine(tuple(chi_blocks), tuple(perms))
-    e2 = ext_inv(z).act(datum.e)
-    if not in_alcove(e2):
+    num2 = _scaled_act(ext_inv(z), num, den)
+    if not in_alcove(num2, den):
         raise TheoremViolationError("alcove reduction produced a point outside the alcove")
     wt2 = ext_sigma_conj(shape, z, datum.wt)
-    datum2 = FrobeniusDatum(shape, wt2, e2, True)
-    if fixed_point(shape, wt2) != e2:
+    if not _same_point(*_fixed_point_scaled(shape, wt2), num2, den):
         raise TheoremViolationError("transported fixed point mismatch")
-    return z, datum2
+    return z, FrobeniusDatum(shape, wt2, num2, den, True)
 
 
 # ---------------------------------------------------------------------------
@@ -284,8 +338,8 @@ def caruso_datum(n: int, f: int, p: int, m: int) -> FrobeniusDatum:
     tau = ((m,) + (0,) * (n - 1),) + ((0,) * n,) * (f - 1)
     w = (n_cycle(n),) + (identity_perm(n),) * (f - 1)
     datum = make_datum(shape, ExtAffine(tau, w))
-    if any(_is_integral(x) for b in datum.e for x in b):
+    den = datum.e_den
+    if any(x % den == 0 for b in datum.e_num for x in b):
         raise TheoremViolationError("simple datum has an integral fixed-point entry")
     _, reduced = alcove_reduce(datum)
     return reduced
-

@@ -232,6 +232,28 @@ def _enum_cap() -> int:
     return cap
 
 
+# digits per chunk, below the least limit on int-to-str conversion that the
+# interpreter accepts (640 digits)
+_CHUNK_DIGITS = 600
+_CHUNK = 10**_CHUNK_DIGITS
+
+
+def _decimal(x: int) -> str:
+    """The decimal digits of a non-negative int of any size.  str() refuses
+    an int past the interpreter's digit limit (4,300 by default), so the
+    digits are built in chunks below it, and the limit is left as it is."""
+    chunks = []
+    while x >= _CHUNK:
+        x, low = divmod(x, _CHUNK)
+        chunks.append(f"{low:0{_CHUNK_DIGITS}d}")
+    return str(x) + "".join(reversed(chunks))
+
+
+def _cap_error(count: int, what: str, cap: int) -> EnumerationCapError:
+    """The refusal of work past the cap, with its exact count of any size."""
+    return EnumerationCapError(f"{_decimal(count)} {what} exceed cap {_decimal(cap)} (KISIN_MAX_ENUM)")
+
+
 def _residue_join(buckets: list, moduli: tuple, target: tuple):
     """Each choice of one residue bucket per block whose residues sum to
     target modulo moduli, as a tuple of candidate lists.
@@ -303,12 +325,12 @@ def _join(datum: FrobeniusDatum, mu: Cochar, cap: Optional[int] = None) -> list:
     if cap is not None:
         for k, b in enumerate(mu0):
             if (box := _candidate_box((b,))) > cap:
-                raise EnumerationCapError(f"{box} candidates in the box of block {k + 1} exceed cap {cap} (KISIN_MAX_ENUM)")
+                raise _cap_error(box, f"candidates in the box of block {k + 1}", cap)
         count = 1  # over the distinct blocks, so at most one set is built past the cap
         for b, copies in Counter(mu0).items():
             count *= len(candidate_blocks(b)) ** copies
             if count > cap:
-                raise EnumerationCapError(f"{count} candidates exceed cap {cap} (KISIN_MAX_ENUM)")
+                raise _cap_error(count, "candidates", cap)
     tau0 = cochar_sub(datum.tau, chi)
     # the preimage of nu is integral iff, per cycle, the residues of the
     # nu0_k sum to those of the tau0_k
@@ -493,7 +515,7 @@ def enumerate_strata(datum: FrobeniusDatum, mu: Cochar) -> tuple:
     bound = _walk_bound(datum, mu, radius) if radius is not None and box > WALK_PATH_COST * (2 * radius + 1) else box
     if box > WALK_PATH_COST * bound:  # never when the bound was skipped
         if bound > cap:
-            raise EnumerationCapError(f"{bound} walk paths exceed cap {cap} (KISIN_MAX_ENUM)")
+            raise _cap_error(bound, "walk paths", cap)
         labels = _walk(datum, mu, radius)
     else:
         labels = _join(datum, mu, cap if box > cap else None)

@@ -9,18 +9,30 @@ import math
 
 from kisin.connectivity import StrataGraph, _UnionFind
 from kisin.core import (
+    ExtAffine,
     _dominated,
+    act_perm,
     act_sigma,
     act_weyl,
     all_roots,
     cochar_add,
     cochar_sub,
+    ext_identity,
+    ext_inv,
+    ext_sigma_conj,
     is_central,
     is_dominant,
     is_minuscule,
 )
-from kisin.errors import ConfigError, PreconditionError, SingularMatrixError, TheoremViolationError
-from kisin.normal_form import solve_affine_integral
+from kisin.errors import (
+    ConfigError,
+    NotInGeneralPositionError,
+    PreconditionError,
+    SingularMatrixError,
+    TheoremViolationError,
+)
+from kisin.multicopy import _check_omega_pattern, descent_stats, varsigma
+from kisin.normal_form import fixed_point, solve_affine_integral
 from kisin import oracle
 from kisin.oracle import GF
 from kisin.strata import Stratum, candidate_blocks, enumerate_strata, natural_lambda
@@ -135,6 +147,100 @@ def gauss_solve_fixed_point(shape, w, tau):
                 m[r] = [a - c * b for a, b in zip(m[r], m[col])]
                 rhs[r] -= c * rhs[col]
     return tuple(tuple(rhs[idx(k, i)] for i in range(n)) for k in range(N))
+
+
+# ---------------------------------------------------------------------------
+# fixed points over the rationals: the datum, the alcove reduction and the
+# multi-copy certificate as the library computed them before it solved and
+# checked fixed points in integers over one denominator
+
+
+@dataclass(frozen=True)
+class FractionDatum:
+    """A Frobenius datum whose fixed point e has Fraction entries."""
+
+    shape: object
+    wt: ExtAffine
+    e: tuple
+    alcove_ok: bool
+
+
+def in_alcove_by_fractions(e):
+    """Per block: strictly decreasing with spread strictly less than 1."""
+    for b in e:
+        if any(b[i] <= b[i + 1] for i in range(len(b) - 1)):
+            return False
+        if b[0] - b[-1] >= 1:
+            return False
+    return True
+
+
+def in_general_position_by_fractions(e):
+    """No integral entry, no integral pairwise difference within a block."""
+    for b in e:
+        if any(x == int(x) for x in b):
+            return False
+        for i in range(len(b)):
+            for j in range(i + 1, len(b)):
+                if b[i] - b[j] == int(b[i] - b[j]):
+                    return False
+    return True
+
+
+def make_datum_by_fractions(shape, wt):
+    """Datum oracle: the rational fixed point, its defining identity checked
+    over the rationals, and the alcove test on its entries."""
+    e = fixed_point(shape, wt)
+    if e != cochar_add(wt.chi, act_weyl(wt.w, act_sigma(shape, e))):
+        raise TheoremViolationError("fixed point fails its defining identity")
+    return FractionDatum(shape, wt, e, in_alcove_by_fractions(e))
+
+
+def alcove_reduce_by_fractions(datum):
+    """Alcove-reduction oracle on a FractionDatum: floors and fractional parts
+    of the rational entries, and the transported point compared as
+    Fractions."""
+    shape = datum.shape
+    if in_alcove_by_fractions(datum.e):
+        return ext_identity(shape), datum
+    if not in_general_position_by_fractions(datum.e):
+        raise NotInGeneralPositionError("fixed point not in general position")
+    chi_blocks = []
+    perms = []
+    for b in datum.e:
+        floors = tuple(math.floor(x) for x in b)
+        frac = [x - fl for x, fl in zip(b, floors)]
+        order = sorted(range(len(b)), key=lambda i: -frac[i])
+        chi_blocks.append(floors)
+        perms.append(tuple(order))
+    z = ExtAffine(tuple(chi_blocks), tuple(perms))
+    e2 = ext_inv(z).act(datum.e)
+    if not in_alcove_by_fractions(e2):
+        raise TheoremViolationError("alcove reduction produced a point outside the alcove")
+    wt2 = ext_sigma_conj(shape, z, datum.wt)
+    if fixed_point(shape, wt2) != e2:
+        raise TheoremViolationError("transported fixed point mismatch")
+    return z, FractionDatum(shape, wt2, e2, True)
+
+
+def recursion_check_by_fractions(multi, mu_bullet, lam_bullet):
+    """Certificate oracle: the block recursion and the h = 0 witness on
+    hat = lam - e built from Fractions."""
+    ms = _check_omega_pattern(mu_bullet)
+    lifted = multi.lifted
+    shape = lifted.shape
+    shape.check_cochar(lam_bullet)
+    hat = tuple(tuple(Fraction(x) - e for x, e in zip(lb, eb)) for lb, eb in zip(lam_bullet, lifted.e))
+    big = shape.blocks
+    for k in range(big):
+        rhs = act_perm(lifted.w[k], hat[(k + 1) % big])
+        rhs = tuple(shape.eps[k] * x for x in rhs)
+        expected = varsigma(rhs) if ms[k] == 1 else rhs
+        if hat[k] != expected:
+            return False, k
+    if not any(descent_stats(b)[1] == 0 for b in hat):
+        return False, None
+    return True, None
 
 
 @lru_cache(maxsize=None)

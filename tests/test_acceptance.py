@@ -15,6 +15,7 @@ from conftest import (
     dominant,
     gauss_solve_fixed_point,
     reachable_by_simple_coroots,
+    recursion_check_by_fractions,
     zero_stratum_by_enumeration,
 )
 from kisin.cli import main as cli_main
@@ -180,6 +181,26 @@ def test_criterion_4_unique_zero_stratum(multicopy_suite, capsys):
     elapsed = time.monotonic() - t0 + build_time
     with capsys.disabled():
         report("4 (unique zero-dimensional stratum)", elapsed, 60.0, f"{len(instances)} instances")
+
+
+def test_recursion_check_matches_fraction_oracle(multicopy_suite):
+    # on every criterion-4 instance: the zero stratum, and each mutation of
+    # it by +1 or -1 in one entry of one block
+    instances, _ = multicopy_suite
+    verdicts = set()
+    for multi, mb, _ in instances:
+        lam = unique_zero_stratum(multi, mb).lam
+        n = multi.lifted.shape.n
+        labels = [lam]
+        for k, block in enumerate(lam):
+            for delta in (1, -1):
+                i = (k + delta) % n
+                labels.append(lam[:k] + (block[:i] + (block[i] + delta,) + block[i + 1 :],) + lam[k + 1 :])
+        for label in labels:
+            got = recursion_check(multi, mb, label)
+            assert got == recursion_check_by_fractions(multi, mb, label), (multi.base.shape, mb, label)
+            verdicts.add(got[0])
+    assert verdicts == {True, False}
 
 
 def test_criterion_5_gl3_connectivity(gl3_suite, capsys):

@@ -9,8 +9,10 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from kisin import cli
 from kisin.cli import main
-from kisin.core import _is_prime
-from kisin.normal_form import caruso_datum
+from kisin.core import ExtAffine, GroupShape, _is_prime
+from kisin.errors import EnumerationCapError
+from kisin.normal_form import caruso_datum, make_datum
+from kisin.strata import enumerate_strata
 
 
 def run_cli(capsys, *argv):
@@ -536,11 +538,17 @@ def _call_with_budget(argv, budget):
 class TestScalarExtremes:
     """Under KISIN_MAX_ENUM=10^4 every call with extreme scalars finishes or
     is refused within a budget of counted calls, with a documented exit code
-    and no traceback."""
+    and no traceback.  The examples are derandomized (a seed from the test's
+    own source, and no example database), so every run draws the same 250."""
 
     BUDGET = 4 * 10**6
 
-    @settings(max_examples=250, deadline=None, suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large])
+    @settings(
+        max_examples=250,
+        deadline=None,
+        derandomize=True,
+        suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large],
+    )
     @given(argv=_scalar_argv())
     def test_documented_exit_within_budget(self, argv):
         with pytest.MonkeyPatch.context() as mp:
@@ -617,6 +625,28 @@ class TestDeepInputs:
         assert captured.out == "" and "Traceback" not in captured.err
         bound, rest = captured.err.removeprefix("precondition violated: ").split(" ", 1)
         assert len(bound) == 4308 and rest == "walk paths exceed cap 10000 (KISIN_MAX_ENUM)\n"
+
+    def test_library_cap_message_past_the_print_limit_of_ints(self, capsys, monkeypatch):
+        # the same walk bound, refused by enumerate_strata itself under the
+        # interpreter's own digit limit, with the CLI's message to the byte
+        n, blocks = 6, 353
+        shape = GroupShape(n=n, blocks=blocks, eps=(3,) * blocks, p=3)
+        datum = make_datum(shape, ExtAffine(((0, 1, 0, 0, 0, 0),) * blocks, ((0, 2, 3, 4, 5, 1),) * blocks))
+        mu = ((321, 0, 0, 0, 0, 0),) * blocks
+        monkeypatch.setenv("KISIN_MAX_ENUM", str(10**4))
+        if hasattr(sys, "get_int_max_str_digits"):
+            assert 0 < sys.get_int_max_str_digits() < 4308
+        with pytest.raises(EnumerationCapError) as refused:
+            enumerate_strata(datum, mu)
+        argv = [
+            "strata", "--p=3", f"--n={n}", "--f=1",
+            "--eps=" + json.dumps([3] * blocks),
+            "--tau=" + json.dumps([[0, 1, 0, 0, 0, 0]] * blocks),
+            "--w=" + json.dumps([[1, 3, 4, 5, 6, 2]] * blocks),
+            "--mu=" + json.dumps([[321, 0, 0, 0, 0, 0]] * blocks),
+        ]
+        assert main(argv) == 3
+        assert capsys.readouterr().err == f"precondition violated: {refused.value}\n"
 
     def test_reports_print_ints_past_the_print_limit(self, capsys):
         # found by TestScalarExtremes: the fixed point's denominator

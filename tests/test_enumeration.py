@@ -7,6 +7,7 @@ import functools
 import itertools
 import json
 import random
+import sys
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -408,6 +409,22 @@ class TestEnumerationCap:
         message = "^40000400001 candidates in the box of block 1 exceed cap 10000000 "
         with pytest.raises(EnumerationCapError, match=message):
             enumerate_strata(caruso_datum(3, 1, 3, 1), ((100000, 0, -100000),))
+
+    def test_counts_print_past_every_digit_limit(self):
+        # the digits of a cap message, at the least limit the interpreter
+        # accepts, equal str() with the limit lifted
+        values = [0, 1, 10**600 - 1, 10**600, 10**600 + 1, 10**1200, 7**9000, 3**20000 - 1]
+        if not hasattr(sys, "set_int_max_str_digits"):
+            assert [strata._decimal(x) for x in values] == [str(x) for x in values]
+            return
+        limit = sys.get_int_max_str_digits()
+        try:
+            sys.set_int_max_str_digits(640)
+            got = [strata._decimal(x) for x in values]
+            sys.set_int_max_str_digits(0)
+            assert got == [str(x) for x in values]
+        finally:
+            sys.set_int_max_str_digits(limit)
 
     @pytest.mark.parametrize("datum,mu", [CAP_INPUTS[0], CAP_INPUTS[2]])
     @pytest.mark.parametrize("raw", ["abc", "-1", "1e3"])

@@ -7,6 +7,7 @@ from hypothesis import given, strategies as st
 
 from conftest import dominant, zero_stratum_by_enumeration
 from kisin import multicopy
+from kisin.cli import main
 from kisin.core import GroupShape
 from kisin.errors import ConfigError, EnumerationCapError, PreconditionError, TheoremViolationError
 from kisin.multicopy import (
@@ -65,6 +66,24 @@ class TestLifting:
         base = caruso_datum(3, 1, 2, 1)
         multi = make_multi(base, 1)
         assert multi.lifted.wt == base.wt and multi.lifted.e == base.e
+
+    def test_lift_keeps_the_base_denominator(self):
+        base = caruso_datum(3, 2, 2, 5)
+        lifted = make_multi(base, 3).lifted
+        assert lifted.e_den == base.e_den == 4**3 - 1
+        assert lifted.e_num == tuple(base.e_num[k // 3] for k in range(6))
+
+    def test_lifted_solve_mismatch_exits_4(self, monkeypatch, capsys):
+        # the lifted solve over a denominator one too large is another point
+        real = multicopy.solve_affine_scaled
+        monkeypatch.setattr(multicopy, "solve_affine_scaled", lambda *a: (real(*a)[0], real(*a)[1] + 1))
+        message = "interleaved fixed point fails its identity"
+        with pytest.raises(TheoremViolationError, match=message):
+            make_multi(caruso_datum(2, 1, 3, 1), 3)
+        argv = ["multicopy", "--p", "3", "--n", "2", "--f", "1", "--m", "1", "--mu", "[[3,0]]", "--d", "3"]
+        assert main(argv) == 4
+        captured = capsys.readouterr()
+        assert captured.out == "" and message in captured.err and "Traceback" not in captured.err
 
 
 class TestDecomposeMu:
@@ -129,6 +148,14 @@ class TestDescentStats:
 
     def test_varsigma_ties(self):
         assert varsigma((1, 1, 0)) == (0, 0, 0)
+
+    def test_varsigma_scaled(self):
+        # on D v the step is D: D varsigma(v) = varsigma(D v, D)
+        rng = random.Random(59)
+        for _ in range(200):
+            den = rng.randint(1, 80)
+            v = tuple(Q(rng.randint(-99, 99), den) for _ in range(rng.randint(1, 4)))
+            assert tuple(den * x for x in varsigma(v)) == varsigma(tuple(den * x for x in v), den)
 
 
 def coset_vectors(rng, n, e_block, count, spread=4):

@@ -1,10 +1,18 @@
+import dataclasses
 import math
 import random
 from fractions import Fraction as Q
 
 import pytest
 
-from conftest import gauss_solve_fixed_point, gcd_power_fact
+from conftest import (
+    alcove_reduce_by_fractions,
+    gauss_solve_fixed_point,
+    gcd_power_fact,
+    make_datum_by_fractions,
+)
+from kisin import normal_form
+from kisin.cli import main
 from kisin.core import (
     ExtAffine,
     GroupShape,
@@ -14,8 +22,12 @@ from kisin.core import (
     ext_identity,
     ext_inv,
     ext_sigma_conj,
+    identity_perm,
+    n_cycle,
+    perm_mul,
+    perm_order,
 )
-from kisin.errors import ConfigError, NotInGeneralPositionError, NotSimpleError
+from kisin.errors import ConfigError, NotInGeneralPositionError, NotSimpleError, TheoremViolationError
 from kisin.normal_form import (
     alcove_reduce,
     caruso_datum,
@@ -25,7 +37,42 @@ from kisin.normal_form import (
     is_caruso_simple,
     make_datum,
     solve_affine_integral,
+    solve_affine_scaled,
 )
+
+
+def random_twist(rng, n, nb, p, eps=None):
+    """A random shape with nb blocks (random eps pattern unless given), and a
+    random wt = u^tau w on it."""
+    if eps is None:
+        eps = [rng.choice((1, p)) for _ in range(nb)]
+        if all(e == 1 for e in eps):
+            eps[rng.randrange(nb)] = p
+    sh = GroupShape(n=n, blocks=nb, eps=tuple(eps), p=p)
+    tau = tuple(tuple(rng.randint(-3, 3) for _ in range(n)) for _ in range(nb))
+    w = []
+    for _ in range(nb):
+        perm = list(range(n))
+        rng.shuffle(perm)
+        w.append(tuple(perm))
+    return sh, ExtAffine(tau, tuple(w))
+
+
+def caruso_twists():
+    """(shape, wt) of the Caruso representatives u^{(m,0,...,0)} (n-cycle)
+    before alcove reduction, for p in {2, 3, 5}, f <= 2 and n <= 4: every
+    simple m in [1, q^n - 2] when q^n - 1 <= 1000, else every m of a stride
+    of (q^n - 1) // 200."""
+    for p in (2, 3, 5):
+        for f in (1, 2):
+            q = p**f
+            for n in (1, 2, 3, 4):
+                space = q**n - 1
+                sh = GroupShape.res_field(n, f, p)
+                w = (n_cycle(n),) + (identity_perm(n),) * (f - 1)
+                for m in range(1, space) if space <= 1000 else range(1, space, space // 200):
+                    if is_caruso_simple(n, q, m):
+                        yield sh, ExtAffine(((m,) + (0,) * (n - 1),) + ((0,) * n,) * (f - 1), w)
 
 
 class TestCarusoSimple:
@@ -79,21 +126,23 @@ class TestFixedPoint:
     def test_matches_dense_gaussian_oracle(self):
         rng = random.Random(23)
         for _ in range(25):
-            n = rng.randint(1, 4)
-            nb = rng.randint(1, 3)
-            p = rng.choice((2, 3, 5))
-            eps = [rng.choice((1, p)) for _ in range(nb)]
-            if all(e == 1 for e in eps):
-                eps[rng.randrange(nb)] = p
-            sh = GroupShape(n=n, blocks=nb, eps=tuple(eps), p=p)
-            tau = tuple(tuple(rng.randint(-3, 3) for _ in range(n)) for _ in range(nb))
-            w = []
-            for _ in range(nb):
-                perm = list(range(n))
-                rng.shuffle(perm)
-                w.append(tuple(perm))
-            wt = ExtAffine(tau, tuple(w))
-            assert fixed_point(sh, wt) == gauss_solve_fixed_point(sh, tuple(w), tau)
+            sh, wt = random_twist(rng, rng.randint(1, 4), rng.randint(1, 3), rng.choice((2, 3, 5)))
+            assert fixed_point(sh, wt) == gauss_solve_fixed_point(sh, wt.w, wt.chi)
+
+    def test_scaled_solver_matches_dense_gaussian_oracle(self):
+        # (E, D) with E / D the solution and D = q^L - 1, L the lcm of the
+        # cycle lengths of W = w_0 ... w_{N-1}, that is the order of W
+        rng = random.Random(24)
+        for _ in range(200):
+            n, nb, p = rng.randint(1, 5), rng.randint(1, 4), rng.choice((2, 3, 5))
+            sh, wt = random_twist(rng, n, nb, p)
+            num, den = solve_affine_scaled(sh, wt.w, wt.chi)
+            big_w = identity_perm(n)
+            for perm in wt.w:
+                big_w = perm_mul(big_w, perm)
+            assert den == sh.scale_product ** perm_order(big_w) - 1
+            assert all(isinstance(x, int) for b in num for x in b)
+            assert tuple(tuple(Q(x, den) for x in b) for b in num) == gauss_solve_fixed_point(sh, wt.w, wt.chi)
 
     def test_integral_solver_agrees(self):
         rng = random.Random(29)
@@ -225,6 +274,95 @@ class TestGeneralPosition:
                 caruso_datum(n, f, p, m)
         # (q-1) not dividing m leaves the fixed point -m/(q-1) fractional
         assert caruso_datum(1, 1, 5, 7).e == ((Q(-7, 4),),)
+
+
+class TestFractionOracles:
+    """make_datum and alcove_reduce on (E, D) agree with the Fraction versions
+    they replaced, kept in conftest: the same twist, fixed point, alcove
+    verdict and reduction z, or the same refusal."""
+
+    @staticmethod
+    def assert_same(datum, oracle):
+        assert (datum.shape, datum.wt, datum.e, datum.alcove_ok) == (oracle.shape, oracle.wt, oracle.e, oracle.alcove_ok)
+
+    def assert_reductions_agree(self, datum, oracle):
+        try:
+            want = alcove_reduce_by_fractions(oracle)
+        except NotInGeneralPositionError:
+            with pytest.raises(NotInGeneralPositionError):
+                alcove_reduce(datum)
+            return False
+        z, got = alcove_reduce(datum)
+        assert z == want[0]
+        self.assert_same(got, want[1])
+        return True
+
+    def test_caruso_data(self):
+        reduced = 0
+        for sh, wt in caruso_twists():
+            datum = make_datum(sh, wt)
+            oracle = make_datum_by_fractions(sh, wt)
+            self.assert_same(datum, oracle)
+            reduced += self.assert_reductions_agree(datum, oracle) and not datum.alcove_ok
+        assert reduced > 2000
+
+    def test_random_data(self):
+        # several cycles of W, so D = q^lcm - 1 exceeds every q^|c| - 1
+        rng = random.Random(41)
+        counts = {True: 0, False: 0}
+        for _ in range(600):
+            sh, wt = random_twist(rng, rng.randint(2, 5), rng.randint(1, 3), rng.choice((2, 3, 5)))
+            datum = make_datum(sh, wt)
+            oracle = make_datum_by_fractions(sh, wt)
+            self.assert_same(datum, oracle)
+            counts[self.assert_reductions_agree(datum, oracle)] += 1
+        assert min(counts.values()) > 50
+
+
+# each theorem-violation site of normal_form that no input reaches, by the
+# one collaborator it guards: (name patched in normal_form, factory from the
+# real value to the fault, message).  Every one is reached on the Caruso
+# datum (n, f, p, m) = (2, 1, 3, 5), whose fixed point -(5/8)(1, 3) lies
+# outside the alcove, so its reduction runs.
+def _perturbed_solve(real):
+    def solve(shape, w, rhs):
+        num, den = real(shape, w, rhs)
+        return ((num[0][0] + 1,) + num[0][1:],) + num[1:], den
+
+    return solve
+
+
+def _integral_entry(real):
+    def make(shape, wt):
+        datum = real(shape, wt)
+        return dataclasses.replace(datum, e_num=((0,) + datum.e_num[0][1:],) + datum.e_num[1:])
+
+    return make
+
+
+NORMAL_FORM_FAULTS = [
+    ("solve_affine_scaled", _perturbed_solve, "fixed point fails its defining identity"),
+    (
+        "ext_inv",
+        lambda real: lambda z: ExtAffine(tuple((0,) * len(b) for b in z.chi), tuple(identity_perm(len(y)) for y in z.w)),
+        "alcove reduction produced a point outside the alcove",
+    ),
+    ("ext_sigma_conj", lambda real: lambda shape, z, wt: wt, "transported fixed point mismatch"),
+    ("make_datum", _integral_entry, "simple datum has an integral fixed-point entry"),
+]
+
+
+class TestTheoremViolations:
+    @pytest.mark.parametrize("target,fault,message", NORMAL_FORM_FAULTS, ids=[f[0] for f in NORMAL_FORM_FAULTS])
+    def test_injected_fault_exits_4(self, monkeypatch, capsys, target, fault, message):
+        assert not make_datum(GroupShape.res_field(2, 1, 3), ExtAffine(((5, 0),), ((1, 0),))).alcove_ok
+        assert caruso_datum(2, 1, 3, 5).alcove_ok
+        monkeypatch.setattr(normal_form, target, fault(getattr(normal_form, target)))
+        with pytest.raises(TheoremViolationError, match=message):
+            caruso_datum(2, 1, 3, 5)
+        assert main(["normal-form", "--p", "3", "--n", "2", "--f", "1", "--m", "5"]) == 4
+        captured = capsys.readouterr()
+        assert captured.out == "" and message in captured.err and "Traceback" not in captured.err
 
 
 class TestGcdPowerFact:
