@@ -19,7 +19,6 @@ from .normal_form import (
     FrobeniusDatum,
     alcove_reduce,
     caruso_datum,
-    fixed_point,
     in_alcove,
     is_caruso_simple,
     make_datum,
@@ -36,7 +35,6 @@ from .strata import (
 from .multicopy import (
     MultiDatum,
     decompose_mu,
-    descent_stats,
     make_multi,
     project_first,
     recursion_check,

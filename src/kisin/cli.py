@@ -11,35 +11,13 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
 from functools import lru_cache
-from typing import Optional
 
 from . import connectivity, multicopy, normal_form, oracle, strata
 from .core import ExtAffine, GroupShape, Root, is_dominant, is_minuscule
 from .errors import ConfigError, KisinError, PreconditionError, TheoremViolationError
 
 SCHEMA = 2
-
-
-@dataclass
-class InstanceConfig:
-    p: int
-    n: int
-    f: int
-    eps: Optional[tuple] = None  # explicit scale pattern overriding f
-    m: Optional[int] = None  # Caruso b-spec
-    tau: Optional[tuple] = None  # explicit b-spec
-    w: Optional[tuple] = None
-    mu: Optional[tuple] = None
-    d: Optional[int] = None
-    field_deg: int = 1
-    box: int = 2
-    alcove_reduce: bool = False
-
-    @property
-    def blocks(self) -> int:
-        return len(self.eps) if self.eps is not None else self.f
 
 
 # ---------------------------------------------------------------------------
@@ -77,53 +55,51 @@ def _parse_perms(text: str, blocks: int, n: int) -> tuple:
     return tuple(perms)
 
 
-def config_from_args(args) -> InstanceConfig:
-    cfg = InstanceConfig(
-        p=args.p,
-        n=args.n,
-        f=args.f,
-        m=getattr(args, "m", None),
-        d=getattr(args, "d", None),
-        field_deg=getattr(args, "field_deg", 1),
-        box=getattr(args, "box", 2),
-        alcove_reduce=getattr(args, "alcove_reduce", False),
-    )
-    if getattr(args, "eps", None) is not None:
+def _blocks(args) -> int:
+    """The block count: the length of the parsed --eps, else --f."""
+    return len(args.eps) if args.eps is not None else args.f
+
+
+def parse_instance(args) -> None:
+    """Replace the JSON strings of --eps, --tau, --w and --mu (when the
+    command has it) with their parsed tuples, checked in that order."""
+    if args.eps is not None:
         try:
             eps = json.loads(args.eps)
         except json.JSONDecodeError as exc:
             raise ConfigError(f"eps: invalid JSON ({exc})")
         if not isinstance(eps, list) or not all(_is_int(x) for x in eps):
             raise ConfigError("eps must be a JSON list of integers")
-        cfg.eps = tuple(eps)
-    if getattr(args, "tau", None) is not None or getattr(args, "w", None) is not None:
+        args.eps = tuple(eps)
+    blocks = _blocks(args)
+    if args.tau is not None or args.w is not None:
         if args.tau is None or args.w is None:
             raise ConfigError("explicit b needs both --tau and --w")
-        cfg.tau = _parse_nested(args.tau, cfg.blocks, cfg.n, "tau")
-        cfg.w = _parse_perms(args.w, cfg.blocks, cfg.n)
+        args.tau = _parse_nested(args.tau, blocks, args.n, "tau")
+        args.w = _parse_perms(args.w, blocks, args.n)
     if getattr(args, "mu", None) is not None:
-        cfg.mu = _parse_nested(args.mu, cfg.blocks, cfg.n, "mu")
-        if not is_dominant(cfg.mu):
+        args.mu = _parse_nested(args.mu, blocks, args.n, "mu")
+        if not is_dominant(args.mu):
             raise ConfigError("mu must be dominant")
-    return cfg
 
 
-def resolve_datum(cfg: InstanceConfig):
-    """Build the Frobenius datum from a config; returns (datum, reduction z or None)."""
-    if cfg.m is not None:
-        if cfg.eps is not None:
+def resolve_datum(args):
+    """Build the Frobenius datum from parsed instance arguments; returns
+    (datum, reduction z or None)."""
+    if args.m is not None:
+        if args.eps is not None:
             raise ConfigError("Caruso data use --f; --eps needs an explicit --tau/--w")
-        return normal_form.caruso_datum(cfg.n, cfg.f, cfg.p, cfg.m), None
-    if cfg.tau is None:
+        return normal_form.caruso_datum(args.n, args.f, args.p, args.m), None
+    if args.tau is None:
         raise ConfigError("either --m (Caruso) or --tau/--w must be given")
-    if cfg.eps is not None:
-        shape = GroupShape(n=cfg.n, blocks=len(cfg.eps), eps=cfg.eps, p=cfg.p)
+    if args.eps is not None:
+        shape = GroupShape(n=args.n, blocks=len(args.eps), eps=args.eps, p=args.p)
     else:
-        shape = GroupShape.res_field(cfg.n, cfg.f, cfg.p)
-    datum = normal_form.make_datum(shape, ExtAffine(cfg.tau, cfg.w))
+        shape = GroupShape.res_field(args.n, args.f, args.p)
+    datum = normal_form.make_datum(shape, ExtAffine(args.tau, args.w))
     if datum.alcove_ok:
         return datum, None
-    if not cfg.alcove_reduce:
+    if not args.alcove_reduce:
         raise PreconditionError("fixed point not in the alcove; pass --alcove-reduce")
     z, reduced = normal_form.alcove_reduce(datum)
     return reduced, z
@@ -197,8 +173,8 @@ def graph_dot(graph) -> str:
 
 
 def cmd_normal_form(args) -> int:
-    cfg = config_from_args(args)
-    datum, z = resolve_datum(cfg)
+    parse_instance(args)
+    datum, z = resolve_datum(args)
     report = {
         "schema": SCHEMA,
         "command": "normal-form",
@@ -226,20 +202,20 @@ def _strata_report(datum, mu) -> dict:
 
 
 def cmd_strata(args) -> int:
-    cfg = config_from_args(args)
-    if cfg.mu is None:
+    parse_instance(args)
+    if args.mu is None:
         raise ConfigError("--mu is required")
-    datum, _ = resolve_datum(cfg)
-    emit(_strata_report(datum, cfg.mu))
+    datum, _ = resolve_datum(args)
+    emit(_strata_report(datum, args.mu))
     return 0
 
 
 def cmd_graph(args) -> int:
-    cfg = config_from_args(args)
-    if cfg.mu is None:
+    parse_instance(args)
+    if args.mu is None:
         raise ConfigError("--mu is required")
-    datum, _ = resolve_datum(cfg)
-    graph = connectivity.build_graph(datum, cfg.mu)
+    datum, _ = resolve_datum(args)
+    graph = connectivity.build_graph(datum, args.mu)
     report = connectivity.pi0_report(graph)
     if args.out == "dot":
         sys.stdout.write(graph_dot(graph))
@@ -249,7 +225,7 @@ def cmd_graph(args) -> int:
             "schema": SCHEMA,
             "command": "graph",
             "datum": ser_datum(datum),
-            "mu": ser_cochar(cfg.mu),
+            "mu": ser_cochar(args.mu),
             "vertices": [ser_stratum(s) for s in graph.vertices],
             "edges": [
                 {"from": ser_cochar(a), "to": ser_cochar(b), "coroot": ser_root(r)}
@@ -263,14 +239,14 @@ def cmd_graph(args) -> int:
 
 
 def cmd_multicopy(args) -> int:
-    cfg = config_from_args(args)
-    if cfg.mu is None:
+    parse_instance(args)
+    if args.mu is None:
         raise ConfigError("--mu is required")
-    datum, _ = resolve_datum(cfg)
-    chi, mu_omega = strata.omega_reduction(cfg.mu)
-    datum2, mu2 = strata.central_twist(datum, cfg.mu, chi)
+    datum, _ = resolve_datum(args)
+    chi, mu_omega = strata.omega_reduction(args.mu)
+    datum2, mu2 = strata.central_twist(datum, args.mu, chi)
     ms = [b[0] for b in mu2]
-    d = cfg.d if cfg.d is not None else max(max(ms), 1)
+    d = args.d if args.d is not None else max(max(ms), 1)
     mu_bullet = multicopy.decompose_mu(mu2, d)
     multi = multicopy.make_multi(datum2, d)
     zero = multicopy.unique_zero_stratum(multi, mu_bullet)
@@ -283,7 +259,7 @@ def cmd_multicopy(args) -> int:
             "command": "multicopy",
             "datum": ser_datum(datum2),
             "central_chi": ser_cochar(chi),
-            "mu": ser_cochar(cfg.mu),
+            "mu": ser_cochar(args.mu),
             "mu_omega": ser_cochar(mu_omega),
             "d": d,
             "mu_bullet": ser_cochar(mu_bullet),
@@ -296,21 +272,21 @@ def cmd_multicopy(args) -> int:
 
 
 def cmd_chain_gl3(args) -> int:
-    cfg = config_from_args(args)
-    if cfg.n != 3 or cfg.f != 1:
+    parse_instance(args)
+    if args.n != 3 or args.f != 1 or _blocks(args) != 1:
         raise ConfigError("chain-gl3 requires --n 3 --f 1")
-    if cfg.mu is None:
+    if args.mu is None:
         raise ConfigError("--mu is required")
-    datum, _ = resolve_datum(cfg)
+    datum, _ = resolve_datum(args)
     lam = _parse_nested(args.lam, 1, 3, "lam")
     lam2 = _parse_nested(args.lam_prime, 1, 3, "lam-prime")
-    chain, steps = connectivity.chain_gl3(datum, cfg.mu, lam, lam2)
+    chain, steps = connectivity.chain_gl3(datum, args.mu, lam, lam2)
     emit(
         {
             "schema": SCHEMA,
             "command": "chain-gl3",
             "datum": ser_datum(datum),
-            "mu": ser_cochar(cfg.mu),
+            "mu": ser_cochar(args.mu),
             "chain": [ser_cochar(l) for l in chain],
             "steps": [ser_cochar(s) for s in steps],
         }
@@ -319,16 +295,16 @@ def cmd_chain_gl3(args) -> int:
 
 
 def cmd_oracle_count(args) -> int:
-    cfg = config_from_args(args)
-    if cfg.f != 1:
+    parse_instance(args)
+    if args.f != 1 or _blocks(args) != 1:
         raise ConfigError("oracle-count requires --f 1")
-    if cfg.box < 0:
-        raise ConfigError(f"--box must be non-negative, got {cfg.box}")
-    if cfg.mu is None:
+    if args.box < 0:
+        raise ConfigError(f"--box must be non-negative, got {args.box}")
+    if args.mu is None:
         raise ConfigError("--mu is required")
-    datum, _ = resolve_datum(cfg)
-    field = oracle.GF(cfg.p, cfg.field_deg)
-    pts = oracle.kisin_points(datum, cfg.mu, field, cfg.box)
+    datum, _ = resolve_datum(args)
+    field = oracle.GF(args.p, args.field_deg)
+    pts = oracle.kisin_points(datum, args.mu, field, args.box)
     by_lambda: dict = {}
     for _, lam in pts:
         key = json.dumps(ser_cochar(lam))
@@ -337,8 +313,8 @@ def cmd_oracle_count(args) -> int:
         {
             "schema": SCHEMA,
             "command": "oracle-count",
-            "field": {"p": cfg.p, "deg": cfg.field_deg},
-            "box": cfg.box,
+            "field": {"p": args.p, "deg": args.field_deg},
+            "box": args.box,
             "count": len(pts),
             "by_lambda": by_lambda,
             "points": [

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import Cochar, _block_dominated, _dominated, act_perm, cochar_add, perm_order
+from .core import Cochar, _block_dominated, _dominated, act_perm, cochar_add
 from .errors import PreconditionError, TheoremViolationError
 from .normal_form import FrobeniusDatum
 from .strata import (
@@ -201,7 +201,7 @@ def chain_gl3(datum: FrobeniusDatum, mu: Cochar, lam: Cochar, lam_prime: Cochar)
     if shape.n != 3 or shape.blocks != 1:
         raise PreconditionError("chain construction requires GL_3 with f = 1")
     w = datum.w[0]
-    if perm_order(w) != 3:
+    if any(w[i] == i for i in range(3)):  # a permutation of 3 points is a 3-cycle iff it fixes none
         raise PreconditionError("chain construction requires a 3-cycle Weyl part")
     _require_alcove(datum)
     _require_dominant_mu(mu)

@@ -1,8 +1,9 @@
 """Root-datum, cocharacter and extended-affine-Weyl arithmetic for products of GL_n.
 
-Everything is exact: cocharacters are tuples of tuples of ints (or Fractions for
-the rational variants), Weyl elements are tuples of permutations, and no floating
-point appears anywhere.  The block structure of the group, including the twisted
+Everything is exact: cocharacters are tuples of tuples of ints (a rational one,
+such as a fixed point, is held as integer numerators over one denominator),
+Weyl elements are tuples of permutations, and no floating point appears
+anywhere.  The block structure of the group, including the twisted
 Frobenius scaling pattern, lives in :class:`GroupShape`; the Res_{k/F_p}GL_n case
 and its d-copy variants share every algorithm and differ only in that data.
 
@@ -23,7 +24,7 @@ from typing import Iterator, Sequence
 
 from .errors import ConfigError
 
-Vec = tuple  # one GL_n block: tuple of int (or Fraction)
+Vec = tuple  # one GL_n block: tuple of int
 Cochar = tuple  # N blocks: tuple of Vec
 Perm = tuple  # 0-indexed permutation: perm[i] = image of i
 WeylElt = tuple  # N permutations, one per block
@@ -125,14 +126,6 @@ def perm_inv(a: Perm) -> Perm:
 def n_cycle(n: int) -> Perm:
     """The cycle i -> i+1 mod n."""
     return tuple((i + 1) % n for i in range(n))
-
-
-def perm_order(a: Perm) -> int:
-    k, b = 1, a
-    while b != identity_perm(len(a)):
-        b = perm_mul(a, b)
-        k += 1
-    return k
 
 
 def act_perm(perm: Perm, block: Vec) -> Vec:

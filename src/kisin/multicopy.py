@@ -1,5 +1,5 @@
-"""The d-copy apparatus: mu decomposition, descent statistics, the unique
-zero-dimensional stratum, and the recursion that certifies it.
+"""The d-copy apparatus: mu decomposition, the unique zero-dimensional
+stratum, and the recursion that certifies it.
 
 The multi-copy group is not special-cased: it is the same GroupShape machinery
 with an eps pattern, so strata and dimension code are shared verbatim.  The
@@ -19,7 +19,6 @@ test oracle for the construction.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 from .core import (
@@ -105,25 +104,13 @@ def decompose_mu(mu: Cochar, d: int) -> Cochar:
 
 
 # ---------------------------------------------------------------------------
-# descent statistics on a single block
+# the unique zero-dimensional stratum and its certificate
 
 
-def descent_stats(v: tuple):
-    """(delta, h) with delta = <v> - n*min[v] and h = sum of floor(v_i - min[v])."""
-    lo = min(v)
-    delta = sum(v) - len(v) * lo
-    h = sum(math.floor(x - lo) for x in v)
-    return delta, h
-
-
-def varsigma(v: tuple, step: int = 1) -> tuple:
-    """Decrement every maximal entry by step (by 1 on v itself, by D on D v)."""
+def varsigma(v: tuple, step: int) -> tuple:
+    """Decrement every maximal entry by step (by D on a block of D hat)."""
     hi = max(v)
     return tuple(x - step if x == hi else x for x in v)
-
-
-# ---------------------------------------------------------------------------
-# the unique zero-dimensional stratum and its certificate
 
 
 def _check_omega_pattern(mu_bullet: Cochar) -> tuple:

@@ -11,8 +11,7 @@ solver returns (E, D) with e = E / D and D = q^L - 1, L the lcm of the cycle
 lengths of the solver's permutation W (``solve_affine_scaled``).  The
 defining identity, the alcove test, the alcove reduction and the transport
 check all run on (E, D).  ``Fraction``s appear only in ``FrobeniusDatum.e``,
-built once from E / D, and in the public ``solve_affine`` and
-``fixed_point``, thin wrappers over the integer solver.
+built once from E / D.
 """
 
 from __future__ import annotations
@@ -35,6 +34,7 @@ from .core import (
     ext_sigma_conj,
     identity_perm,
     n_cycle,
+    perm_inv,
     perm_mul,
 )
 from .errors import ConfigError, NotInGeneralPositionError, NotSimpleError, TheoremViolationError
@@ -54,7 +54,7 @@ class FrobeniusDatum:
     @cached_property
     def e(self) -> Cochar:
         """The fixed point with rational entries, built on first use."""
-        return _as_fractions(self.e_num, self.e_den)
+        return tuple(tuple(Fraction(x, self.e_den) for x in b) for b in self.e_num)
 
     @property
     def tau(self) -> Cochar:
@@ -97,9 +97,7 @@ def _solve_plan(shape: GroupShape, w: WeylElt):
     q = prefix_eps[nblocks]
     big_w = prefix_perm[nblocks]
     # cycles of big_w, walked backwards: position i, W^{-1}(i), W^{-2}(i), ...
-    winv = [0] * n
-    for i, x in enumerate(big_w):
-        winv[x] = i
+    winv = perm_inv(big_w)
     seen = [False] * n
     cycles = []
     for start in range(n):
@@ -188,15 +186,6 @@ def solve_affine_scaled(shape: GroupShape, w: WeylElt, rhs: Cochar):
     return _back_substitute(shape, w, rhs, x0, den), den
 
 
-def _as_fractions(num: Cochar, den: int) -> Cochar:
-    return tuple(tuple(Fraction(x, den) for x in b) for b in num)
-
-
-def solve_affine(shape: GroupShape, w: WeylElt, rhs: Cochar) -> Cochar:
-    """Unique exact rational solution of x = rhs + w(sigma(x))."""
-    return _as_fractions(*solve_affine_scaled(shape, w, rhs))
-
-
 def solve_affine_integral(shape: GroupShape, w: WeylElt, rhs: Cochar):
     """Integral solution of x = rhs + w(sigma(x)), or None if none exists."""
     _check_invertible(shape)
@@ -215,13 +204,6 @@ def _fixed_point_scaled(shape: GroupShape, wt: ExtAffine):
     shape.check_cochar(wt.chi)
     shape.check_weyl(wt.w)
     return solve_affine_scaled(shape, wt.w, wt.chi)
-
-
-def fixed_point(shape: GroupShape, wt: ExtAffine) -> Cochar:
-    """The unique exact rational fixed point of wt*sigma."""
-    shape.check_cochar(wt.chi)
-    shape.check_weyl(wt.w)
-    return solve_affine(shape, wt.w, wt.chi)
 
 
 def _scaled_act(z: ExtAffine, num: Cochar, den: int) -> Cochar:
@@ -245,7 +227,7 @@ def make_datum(shape: GroupShape, wt: ExtAffine) -> FrobeniusDatum:
 # alcove geometry
 
 
-def in_alcove(e: Cochar, den: int = 1) -> bool:
+def in_alcove(e: Cochar, den: int) -> bool:
     """Whether e / den is in the alcove: per block, strictly decreasing with
     spread strictly less than 1, that is e_0 - e_{n-1} < den."""
     for b in e:
@@ -256,7 +238,7 @@ def in_alcove(e: Cochar, den: int = 1) -> bool:
     return True
 
 
-def in_general_position(e: Cochar, den: int = 1) -> bool:
+def in_general_position(e: Cochar, den: int) -> bool:
     """Whether e / den has no integral entry and no integral pairwise
     difference within a block: no entry or difference of e is 0 mod den."""
     for b in e:

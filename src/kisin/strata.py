@@ -78,6 +78,7 @@ from .core import (
     is_central,
     is_dominant,
     is_minuscule,
+    perm_inv,
     ExtAffine,
     WeylElt,
 )
@@ -204,7 +205,7 @@ def _distinct_permutations(block: tuple):
 
 
 # Entries kept by each cache of this module: the GL_3 sweep fills about 110
-# residue tables and the multi-copy lifts about 150; eviction only rebuilds.
+# residue tables; eviction only rebuilds.
 _CACHED = 256
 
 
@@ -320,7 +321,7 @@ def _join(datum: FrobeniusDatum, mu: Cochar, cap: Optional[int] = None) -> list:
     shape, w = datum.shape, datum.w
     *_, moduli, coefs = _solve_plan(shape, w)
     chi = tuple((b[-1],) * len(b) for b in mu)
-    shift = any(b[-1] for b in mu)  # False on the multi-copy lifts, where nu0 is nu
+    shift = any(b[-1] for b in mu)  # False when every least entry is 0, where nu0 is nu
     mu0 = cochar_sub(mu, chi)
     if cap is not None:
         for k, b in enumerate(mu0):
@@ -394,27 +395,15 @@ def _candidate_box(mu: Cochar) -> int:
 def _walk_plan(shape, w: WeylElt) -> tuple:
     """The cycles of the position map (k, j) -> (k+1, w_k^-1(j)), each a tuple
     of positions in walk order: entry t+1 of a cycle is the image of entry t,
-    and the image of the last entry is the first."""
-    n, blocks = shape.n, shape.blocks
-    winv = []
-    for wk in w:
-        inv = [0] * n
-        for i, x in enumerate(wk):
-            inv[x] = i
-        winv.append(inv)
-    seen = set()
-    cycles = []
-    for start in itertools.product(range(blocks), range(n)):
-        cyc = []
-        pos = start
-        while pos not in seen:
-            seen.add(pos)
-            cyc.append(pos)
-            k, j = pos
-            pos = ((k + 1) % blocks, winv[k][j])
-        if cyc:
-            cycles.append(tuple(cyc))
-    return tuple(cycles)
+    and the image of the last entry is the first.
+
+    Every cycle meets block 0.  The walk from (0, i) meets block k at
+    P_k^-1(i), P_k = w_0 ... w_{k-1}, and comes back to block 0 at W^-1(i),
+    W = P_N, so each cycle of W read backwards, as ``_solve_plan`` stores it,
+    is one walk cycle, in the order of its least position of block 0."""
+    _, prefix_perm, _, cycles, *_ = _solve_plan(shape, w)
+    inv = [perm_inv(pk) for pk in prefix_perm[: shape.blocks]]
+    return tuple(tuple((k, pk[i]) for i in cyc for k, pk in enumerate(inv)) for cyc in cycles)
 
 
 def _walk_radius(datum: FrobeniusDatum, mu: Cochar) -> Optional[int]:

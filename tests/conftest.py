@@ -23,6 +23,8 @@ from kisin.core import (
     is_central,
     is_dominant,
     is_minuscule,
+    identity_perm,
+    perm_mul,
 )
 from kisin.errors import (
     ConfigError,
@@ -31,8 +33,8 @@ from kisin.errors import (
     SingularMatrixError,
     TheoremViolationError,
 )
-from kisin.multicopy import _check_omega_pattern, descent_stats, varsigma
-from kisin.normal_form import fixed_point, solve_affine_integral
+from kisin.multicopy import _check_omega_pattern, varsigma
+from kisin.normal_form import solve_affine_integral, solve_affine_scaled
 from kisin import oracle
 from kisin.oracle import GF
 from kisin.strata import Stratum, candidate_blocks, enumerate_strata, natural_lambda
@@ -114,6 +116,41 @@ def gcd_power_fact(q, a, b):
     return g
 
 
+def perm_order(a):
+    """The order of a permutation, by composing it with itself."""
+    k, b = 1, a
+    while b != identity_perm(len(a)):
+        b = perm_mul(a, b)
+        k += 1
+    return k
+
+
+def walk_plan_by_position_map(shape, w):
+    """Walk-plan oracle: the cycles of the position map (k, j) -> (k+1,
+    w_k^-1(j)), each started at its first unseen position in (block, index)
+    order and followed through the map."""
+    n, blocks = shape.n, shape.blocks
+    winv = []
+    for wk in w:
+        inv = [0] * n
+        for i, x in enumerate(wk):
+            inv[x] = i
+        winv.append(inv)
+    seen = set()
+    cycles = []
+    for start in itertools.product(range(blocks), range(n)):
+        cyc = []
+        pos = start
+        while pos not in seen:
+            seen.add(pos)
+            cyc.append(pos)
+            k, j = pos
+            pos = ((k + 1) % blocks, winv[k][j])
+        if cyc:
+            cycles.append(tuple(cyc))
+    return tuple(cycles)
+
+
 def gauss_solve_fixed_point(shape, w, tau):
     """Independent fixed-point oracle: dense Gaussian elimination over Fractions
     on the full (n*N) x (n*N) system (1 - w sigma) x = tau."""
@@ -155,6 +192,22 @@ def gauss_solve_fixed_point(shape, w, tau):
 # checked fixed points in integers over one denominator
 
 
+def fixed_point_by_fractions(shape, wt):
+    """The fixed point of wt*sigma as Fractions E / D of the integer solver."""
+    shape.check_cochar(wt.chi)
+    shape.check_weyl(wt.w)
+    num, den = solve_affine_scaled(shape, wt.w, wt.chi)
+    return tuple(tuple(Fraction(x, den) for x in b) for b in num)
+
+
+def descent_stats(v):
+    """(delta, h) with delta = <v> - n*min[v] and h = sum of floor(v_i - min[v])."""
+    lo = min(v)
+    delta = sum(v) - len(v) * lo
+    h = sum(math.floor(x - lo) for x in v)
+    return delta, h
+
+
 @dataclass(frozen=True)
 class FractionDatum:
     """A Frobenius datum whose fixed point e has Fraction entries."""
@@ -190,7 +243,7 @@ def in_general_position_by_fractions(e):
 def make_datum_by_fractions(shape, wt):
     """Datum oracle: the rational fixed point, its defining identity checked
     over the rationals, and the alcove test on its entries."""
-    e = fixed_point(shape, wt)
+    e = fixed_point_by_fractions(shape, wt)
     if e != cochar_add(wt.chi, act_weyl(wt.w, act_sigma(shape, e))):
         raise TheoremViolationError("fixed point fails its defining identity")
     return FractionDatum(shape, wt, e, in_alcove_by_fractions(e))
@@ -218,7 +271,7 @@ def alcove_reduce_by_fractions(datum):
     if not in_alcove_by_fractions(e2):
         raise TheoremViolationError("alcove reduction produced a point outside the alcove")
     wt2 = ext_sigma_conj(shape, z, datum.wt)
-    if fixed_point(shape, wt2) != e2:
+    if fixed_point_by_fractions(shape, wt2) != e2:
         raise TheoremViolationError("transported fixed point mismatch")
     return z, FractionDatum(shape, wt2, e2, True)
 
@@ -235,7 +288,7 @@ def recursion_check_by_fractions(multi, mu_bullet, lam_bullet):
     for k in range(big):
         rhs = act_perm(lifted.w[k], hat[(k + 1) % big])
         rhs = tuple(shape.eps[k] * x for x in rhs)
-        expected = varsigma(rhs) if ms[k] == 1 else rhs
+        expected = varsigma(rhs, 1) if ms[k] == 1 else rhs
         if hat[k] != expected:
             return False, k
     if not any(descent_stats(b)[1] == 0 for b in hat):

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from conftest import (
+    descent_stats,
     dominance_leq,
     dominant,
     gauss_solve_fixed_point,
@@ -22,7 +23,7 @@ from kisin.cli import main as cli_main
 from kisin.connectivity import build_graph, chain_gl3, pi0_report
 from kisin.core import ExtAffine, GroupShape
 from kisin.errors import NotInGeneralPositionError
-from kisin.multicopy import descent_stats, make_multi, recursion_check, unique_zero_stratum, varsigma
+from kisin.multicopy import make_multi, recursion_check, unique_zero_stratum, varsigma
 from kisin.normal_form import caruso_datum, is_caruso_simple, make_datum
 from kisin.oracle import GF, kisin_points
 from kisin.strata import enumerate_strata, natural_lambda, sum_profile
@@ -254,7 +255,7 @@ def test_criterion_6_descent_lemma(capsys):
         vp = (vp[0] + shift,) + vp[1:]
         dv, hv = descent_stats(v)
         dvp, hvp = descent_stats(vp)
-        sv, svp = varsigma(v), varsigma(vp)
+        sv, svp = varsigma(v, 1), varsigma(vp, 1)
         dsv, hsv = descent_stats(sv)
         # (1) and (2)
         if hv >= 1:
@@ -267,7 +268,7 @@ def test_criterion_6_descent_lemma(capsys):
         # representative of their common sum
         rv, rvp = v, vp
         for _ in range(max(hv, hvp)):
-            rv, rvp = varsigma(rv), varsigma(rvp)
+            rv, rvp = varsigma(rv, 1), varsigma(rvp, 1)
         assert descent_stats(rv)[1] == 0 and descent_stats(rvp)[1] == 0
         assert rv == rvp
         counts[2] += 1

@@ -1,15 +1,19 @@
 """Guard against dead code: every public top-level function or class of the
 library, and every public method or property of its classes, is used by the
-library or the scripts, or exported by the package.  Also guard against
-caches that grow without bound: every lru_cache of the library has a
-maxsize."""
+library or the scripts, or exported by the package and named in the README.
+Also guard against caches that grow without bound (every lru_cache of the
+library has a maxsize), against rational arithmetic outside the fixed point's
+view (``Fraction`` only in normal_form.py), and against theorem-violation
+messages that no test names."""
 
 import ast
 import importlib
+import re
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "kisin"
+TESTS = ROOT / "tests"
 
 # Public names whose only callers are tests, each with the reason it stays;
 # methods are keyed as Class.method.
@@ -66,13 +70,16 @@ def _references():
 
 
 def _exports():
+    """The package's exports that the README names; an export no document
+    names has no user."""
+    readme = set(re.findall(r"\w+", (ROOT / "README.md").read_text()))
     tree = ast.parse((PACKAGE / "__init__.py").read_text())
     return {
         alias.asname or alias.name
         for node in tree.body
         if isinstance(node, ast.ImportFrom)
         for alias in node.names
-    }
+    } & readme
 
 
 def test_every_public_name_has_a_use():
@@ -82,7 +89,7 @@ def test_every_public_name_has_a_use():
         for module, key, name in _public_defs()
         if name not in used and key not in TEST_ONLY
     ]
-    assert dead == [], f"public names with no reference in src/ or scripts/: {dead}"
+    assert dead == [], f"public names with no reference in src/ or scripts/ and no README export: {dead}"
 
 
 def test_allowlist_is_current():
@@ -115,3 +122,57 @@ def test_every_cache_is_bounded():
         if getattr(importlib.import_module(f"kisin.{module}"), name).cache_info().maxsize is None
     ]
     assert unbounded == [], f"caches with no maxsize: {unbounded}"
+
+
+def test_fractions_only_in_normal_form():
+    # fixed points are solved and checked as integers over one denominator;
+    # only FrobeniusDatum.e, in normal_form.py, builds Fractions
+    named = [
+        path.name
+        for path in sorted(PACKAGE.glob("*.py"))
+        if path.name != "normal_form.py" and re.search(r"\b[Ff]ractions?\b", path.read_text())
+    ]
+    assert named == []
+
+
+# a literal fragment of a message, and a string constant of a test, count
+# only from this length on; the fragment is named when one of them holds the
+# other
+MIN_NAMED = 10
+
+
+def _violation_messages():
+    """(module, line, literal fragments) of every raise of
+    TheoremViolationError in the library; an f-string gives its literal
+    parts, stripped of the spaces and commas around its fields."""
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            exc = node.exc if isinstance(node, ast.Raise) else None
+            if isinstance(exc, ast.Call) and getattr(exc.func, "id", None) == "TheoremViolationError":
+                fragments = [
+                    c.value.strip(" ,")
+                    for c in ast.walk(exc.args[0])
+                    if isinstance(c, ast.Constant) and isinstance(c.value, str)
+                ]
+                yield path.name, node.lineno, [f for f in fragments if len(f) >= MIN_NAMED]
+
+
+def _test_strings():
+    return {
+        node.value
+        for path in sorted(TESTS.glob("test_*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Constant) and isinstance(node.value, str) and len(node.value) >= MIN_NAMED
+    }
+
+
+def test_every_theorem_violation_is_named_by_a_test():
+    messages = list(_violation_messages())
+    assert len(messages) >= 20
+    named = _test_strings()
+    unnamed = [
+        f"{module}:{line} {fragments}"
+        for module, line, fragments in messages
+        if not any(t in f or f in t for f in fragments for t in named)
+    ]
+    assert unnamed == [], f"theorem-violation messages that no test names: {unnamed}"

@@ -1,4 +1,5 @@
 import contextlib
+import dataclasses
 import io
 import json
 import sys
@@ -7,7 +8,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from kisin import cli
+from kisin import cli, normal_form
 from kisin.cli import main
 from kisin.core import ExtAffine, GroupShape, _is_prime
 from kisin.errors import EnumerationCapError
@@ -46,6 +47,16 @@ class TestVerifyCounterexamples:
     def test_rejects_p2(self, capsys):
         code, _ = run_cli(capsys, "verify-counterexample", "a", "--p", "2")
         assert code == 2
+
+    def test_datum_outside_the_alcove_exits_4(self, monkeypatch, capsys):
+        # the golden data lie in the alcove; a datum built without the alcove
+        # verdict must stop the check
+        real = normal_form.make_datum
+        monkeypatch.setattr(normal_form, "make_datum", lambda *a: dataclasses.replace(real(*a), alcove_ok=False))
+        assert main(["verify-counterexample", "a", "--p", "3"]) == 4
+        captured = capsys.readouterr()
+        assert captured.out == "" and "Traceback" not in captured.err
+        assert "counterexample datum is not alcove-reduced" in captured.err
 
 
 class TestCommands:
@@ -346,6 +357,32 @@ class TestExitCodes:
         assert code == 2 and captured.out == ""
         assert f"--box must be non-negative, got {box}" in captured.err
         assert "Traceback" not in captured.err
+
+    # the same two-block shape spelled as --eps and as --f: both are refused
+    # from the parsed block count, before any datum is built
+    TWO_BLOCKS = [
+        (
+            "oracle-count requires --f 1",
+            ["oracle-count", "--p", "3", "--n", "2", "--tau", "[[1,0],[0,0]]", "--w", "[[2,1],[1,2]]", "--mu", "[[1,0],[0,0]]"],
+            ["--eps", "[3,3]"],
+        ),
+        (
+            "chain-gl3 requires --n 3 --f 1",
+            [
+                "chain-gl3", "--p", "2", "--n", "3", "--tau", "[[1,0,0],[0,0,0]]", "--w", "[[2,3,1],[1,2,3]]",
+                "--mu", "[[1,0,0],[0,0,0]]", "--lam", "[[0,0,0]]", "--lam-prime", "[[0,0,0]]", "--alcove-reduce",
+            ],
+            ["--eps", "[2,2]"],
+        ),
+    ]
+
+    @pytest.mark.parametrize("spelling", ["eps", "f"])
+    @pytest.mark.parametrize("message,argv,eps", TWO_BLOCKS, ids=["oracle-count", "chain-gl3"])
+    def test_one_block_commands_check_the_block_count(self, monkeypatch, capsys, spelling, message, argv, eps):
+        monkeypatch.setattr(cli, "resolve_datum", lambda args: pytest.fail("a datum was built"))
+        assert main(argv + (eps if spelling == "eps" else ["--f", "2"])) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and f"config error: {message}\n" == captured.err
 
     def test_malformed_enum_cap(self, capsys, monkeypatch):
         monkeypatch.setenv("KISIN_MAX_ENUM", "abc")

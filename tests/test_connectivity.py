@@ -244,6 +244,18 @@ class TestChains:
                             n1s.add(n1)
                     assert len(n1s) == 1, (w, diff, n1s)
 
+    def test_weyl_part_must_be_a_3_cycle(self):
+        # a permutation of 3 points is a 3-cycle iff it fixes no point
+        shape, mu, lam = GroupShape.res_field(3, 1, 2), ((0, 0, 0),), ((0, 0, 0),)
+        for w in itertools.permutations(range(3)):
+            datum = make_datum(shape, ExtAffine(((0, 0, 0),), (w,)))
+            if any(w[i] == i for i in range(3)):
+                with pytest.raises(PreconditionError, match="requires a 3-cycle Weyl part"):
+                    chain_gl3(datum, mu, lam, lam)
+            else:
+                with pytest.raises(PreconditionError, match="not in the alcove"):
+                    chain_gl3(datum, mu, lam, lam)
+
     def test_equal_endpoints(self):
         d = caruso_datum(3, 1, 2, 1)
         mu = ((1, 1, -1),)

@@ -20,6 +20,7 @@ from conftest import (
     product_strata,
     walk_by_box,
     walk_by_exact_count,
+    walk_plan_by_position_map,
 )
 from kisin import strata
 from kisin.cli import CASES, counterexample, main
@@ -269,6 +270,30 @@ class TestWalkAgainstJoin:
         assert labels == {s.lam for s in product_strata(datum, mu)}
 
 
+class TestWalkPlan:
+    """The walk's cycles, read from the solver's cycles of W, equal the
+    cycles of the position map followed one step at a time, in the same
+    order: the path bound, and with it every cap message, depends on it."""
+
+    def test_random_twists(self):
+        rng = random.Random(97)
+        shapes = set()
+        for _ in range(640):
+            n, blocks, p = rng.randint(1, 4), rng.randint(1, 4), rng.choice((2, 3))
+            eps = [rng.choice((1, p)) for _ in range(blocks)]
+            eps[rng.randrange(blocks)] = p
+            shape = GroupShape(n=n, blocks=blocks, eps=tuple(eps), p=p)
+            w = tuple(tuple(rng.sample(range(n), n)) for _ in range(blocks))
+            assert strata._walk_plan(shape, w) == walk_plan_by_position_map(shape, w), w
+            shapes.add((n, blocks, len(strata._walk_plan(shape, w))))
+        assert {cycles for _, _, cycles in shapes} == {1, 2, 3, 4}
+
+    @pytest.mark.parametrize("case,p", [(c, p) for c in "ab" for p in (3, 5, 211)])
+    def test_golden(self, case, p):
+        datum, _ = counterexample(CASES[case], p)
+        assert strata._walk_plan(datum.shape, datum.w) == walk_plan_by_position_map(datum.shape, datum.w)
+
+
 class TestDispatch:
     @pytest.mark.parametrize("case,p", [("a", 19), ("b", 17)])
     def test_walk_builds_no_candidates(self, monkeypatch, case, p):
@@ -459,14 +484,14 @@ class TestTheoremViolation:
         datum, mu = counterexample(CASES["a"], 3)
         forbid(monkeypatch, "_walk")
         monkeypatch.setattr(strata, "solve_affine_integral", off_by_one)
-        with pytest.raises(TheoremViolationError, match="lam_nat"):
+        with pytest.raises(TheoremViolationError, match="whose lam_nat is"):
             enumerate_strata(datum, mu)
 
     def test_walked_label_must_resolve_to_itself(self, monkeypatch):
         datum, mu = counterexample(CASES["a"], 19)
         forbid(monkeypatch, "_join")
         monkeypatch.setattr(strata, "solve_affine_integral", off_by_one)
-        with pytest.raises(TheoremViolationError, match="walked label"):
+        with pytest.raises(TheoremViolationError, match="walked label .* which solves to"):
             enumerate_strata(datum, mu)
 
     def test_walked_label_violation_exits_4(self, monkeypatch, capsys):

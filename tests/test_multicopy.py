@@ -5,14 +5,13 @@ from fractions import Fraction as Q
 import pytest
 from hypothesis import given, strategies as st
 
-from conftest import dominant, zero_stratum_by_enumeration
+from conftest import descent_stats, dominant, zero_stratum_by_enumeration
 from kisin import multicopy
 from kisin.cli import main
 from kisin.core import GroupShape
 from kisin.errors import ConfigError, EnumerationCapError, PreconditionError, TheoremViolationError
 from kisin.multicopy import (
     decompose_mu,
-    descent_stats,
     interleave_index,
     make_multi,
     project_first,
@@ -20,7 +19,7 @@ from kisin.multicopy import (
     unique_zero_stratum,
     varsigma,
 )
-from kisin.normal_form import caruso_datum, fixed_point, is_caruso_simple
+from kisin.normal_form import caruso_datum, is_caruso_simple, make_datum
 from kisin.strata import enumerate_strata, sum_profile
 
 
@@ -45,7 +44,7 @@ class TestLifting:
         assert lifted.tau == ((0, 0), (1, 0))
         assert lifted.w == ((0, 1), (1, 0))
         assert lifted.e == (base.e[0], base.e[0])
-        assert fixed_point(lifted.shape, lifted.wt) == lifted.e
+        assert make_datum(lifted.shape, lifted.wt).e == lifted.e
 
     def test_lift_f2(self):
         base = caruso_datum(2, 2, 3, 1)
@@ -111,13 +110,13 @@ class TestDescentStats:
         v = (Q(9, 10), Q(1, 2), Q(1, 10))
         delta, h = descent_stats(v)
         assert delta == Q(6, 5) and h == 0
-        assert varsigma(v) == (Q(-1, 10), Q(1, 2), Q(1, 10))
+        assert varsigma(v, 1) == (Q(-1, 10), Q(1, 2), Q(1, 10))
 
     def test_example_h1_drop(self):
         v = (Q(6, 5), Q(1, 10))
         delta, h = descent_stats(v)
         assert delta == Q(11, 10) and h == 1
-        sv = varsigma(v)
+        sv = varsigma(v, 1)
         assert sv == (Q(1, 5), Q(1, 10))
         d2, h2 = descent_stats(sv)
         assert d2 == delta - 1 and h2 == 0
@@ -147,15 +146,15 @@ class TestDescentStats:
         assert h <= delta < h + len(v) - 1
 
     def test_varsigma_ties(self):
-        assert varsigma((1, 1, 0)) == (0, 0, 0)
+        assert varsigma((1, 1, 0), 1) == (0, 0, 0)
 
     def test_varsigma_scaled(self):
-        # on D v the step is D: D varsigma(v) = varsigma(D v, D)
+        # on D v the step is D: D varsigma(v, 1) = varsigma(D v, D)
         rng = random.Random(59)
         for _ in range(200):
             den = rng.randint(1, 80)
             v = tuple(Q(rng.randint(-99, 99), den) for _ in range(rng.randint(1, 4)))
-            assert tuple(den * x for x in varsigma(v)) == varsigma(tuple(den * x for x in v), den)
+            assert tuple(den * x for x in varsigma(v, 1)) == varsigma(tuple(den * x for x in v), den)
 
 
 def coset_vectors(rng, n, e_block, count, spread=4):
@@ -185,7 +184,7 @@ class TestDescentLemma:
         for _ in range(400):
             v, _ = self.sample(rng)
             delta, h = descent_stats(v)
-            d2, h2 = descent_stats(varsigma(v))
+            d2, h2 = descent_stats(varsigma(v, 1))
             if h >= 1:
                 seen_drop += 1
                 assert d2 == delta - 1 and h2 == h - 1
@@ -202,7 +201,7 @@ class TestDescentLemma:
             k = max(descent_stats(v)[1], descent_stats(vp)[1])
             sv, svp = v, vp
             for _ in range(k):
-                sv, svp = varsigma(sv), varsigma(svp)
+                sv, svp = varsigma(sv, 1), varsigma(svp, 1)
             assert descent_stats(sv)[1] == 0 and descent_stats(svp)[1] == 0
             assert sv == svp
 
@@ -214,8 +213,8 @@ class TestDescentLemma:
             dvp, hvp = descent_stats(vp)
             assert (dv <= dvp) == (hv <= hvp)
             if dv <= dvp:
-                ds, _ = descent_stats(varsigma(v))
-                dsp, _ = descent_stats(varsigma(vp))
+                ds, _ = descent_stats(varsigma(v, 1))
+                dsp, _ = descent_stats(varsigma(vp, 1))
                 assert ds <= dsp
 
 
@@ -286,12 +285,47 @@ class TestUniqueZeroStratum:
         with pytest.raises(TheoremViolationError, match="solves no walk"):
             unique_zero_stratum(multi, decompose_mu(((3, 0),), 3))
 
+    # multicopy of the GL_2 Caruso datum at p = 3, m = 1: three copies of
+    # omega_1, so three walk starts
+    ARGV = ["multicopy", "--p", "3", "--n", "2", "--f", "1", "--m", "1", "--mu", "[[3,0]]"]
+
+    def assert_exits_4(self, capsys, message):
+        assert main(self.ARGV) == 4
+        captured = capsys.readouterr()
+        assert captured.out == "" and message in captured.err and "Traceback" not in captured.err
+
+    def test_no_zero_stratum_found_by_enumeration_exits_4(self, monkeypatch, capsys):
+        # no walk closes (a witness of the wrong sum), and the enumeration that
+        # tells an empty variety from a violation finds strata of which none
+        # has dimension 0
+        real_witness, real_enumerate = multicopy._witness, multicopy.enumerate_strata
+        monkeypatch.setattr(multicopy, "_witness", lambda s, n: real_witness(s + n, n))
+        monkeypatch.setattr(
+            multicopy, "enumerate_strata", lambda *a: tuple(dataclasses.replace(s, dim=1) for s in real_enumerate(*a))
+        )
+        self.assert_exits_4(capsys, "expected exactly one zero-dimensional stratum, found 0")
+
+    def test_two_closed_walks_exit_4(self, monkeypatch, capsys):
+        # the zero stratum has a witness at more than one start, and the set
+        # of closed walks keeps each label once; a collector that keeps every
+        # closed walk sees two
+        class Walks(list):
+            add = list.append
+
+        monkeypatch.setattr(multicopy, "set", Walks, raising=False)
+        self.assert_exits_4(capsys, "expected exactly one zero-dimensional stratum, found 2")
+
+    def test_failed_recursion_check_exits_4(self, monkeypatch, capsys):
+        monkeypatch.setattr(multicopy, "recursion_check", lambda multi, mu_bullet, lam: (False, 1))
+        self.assert_exits_4(capsys, "recursion check failed at block 1")
+
     def test_positive_dimension_is_a_violation(self, monkeypatch):
         real = multicopy.make_stratum
         monkeypatch.setattr(multicopy, "make_stratum", lambda *a: dataclasses.replace(real(*a), dim=1))
         multi = make_multi(caruso_datum(2, 1, 3, 1), 3)
-        with pytest.raises(TheoremViolationError, match="has dimension 1"):
+        with pytest.raises(TheoremViolationError, match="the block recursion's solution") as exc:
             unique_zero_stratum(multi, decompose_mu(((3, 0),), 3))
+        assert str(exc.value).endswith("has dimension 1")
 
     def test_cap_bounds_the_recursion_steps(self, monkeypatch):
         # 3 copies of omega_1 and the scaled block: 4 starts of 4 steps

@@ -9,7 +9,10 @@ from conftest import (
     alcove_reduce_by_fractions,
     gauss_solve_fixed_point,
     gcd_power_fact,
+    in_alcove_by_fractions,
+    in_general_position_by_fractions,
     make_datum_by_fractions,
+    perm_order,
 )
 from kisin import normal_form
 from kisin.cli import main
@@ -25,13 +28,11 @@ from kisin.core import (
     identity_perm,
     n_cycle,
     perm_mul,
-    perm_order,
 )
 from kisin.errors import ConfigError, NotInGeneralPositionError, NotSimpleError, TheoremViolationError
 from kisin.normal_form import (
     alcove_reduce,
     caruso_datum,
-    fixed_point,
     in_alcove,
     in_general_position,
     is_caruso_simple,
@@ -92,13 +93,13 @@ class TestFixedPoint:
     def test_counterexample_a(self):
         sh = GroupShape(n=4, blocks=1, eps=(3,), p=3)
         wt = ExtAffine(((2, 0, 2, 0),), ((1, 3, 0, 2),))
-        e = fixed_point(sh, wt)
+        e = make_datum(sh, wt).e
         assert e == ((Q(-1, 10), Q(-3, 10), Q(-7, 10), Q(-9, 10)),)
 
     def test_identity_weyl(self):
         sh = GroupShape(n=2, blocks=1, eps=(2,), p=2)
         wt = ExtAffine(((1, 0),), ((0, 1),))
-        assert fixed_point(sh, wt) == ((Q(-1), Q(0)),)
+        assert make_datum(sh, wt).e == ((Q(-1), Q(0)),)
 
     def test_caruso_closed_form_f1(self):
         # e = -(m/(p^n-1)) * (1, p, ..., p^{n-1}) before alcove reduction
@@ -108,7 +109,7 @@ class TestFixedPoint:
             from kisin.core import n_cycle
 
             wt = ExtAffine(tau, (n_cycle(n),))
-            e = fixed_point(sh, wt)
+            e = make_datum(sh, wt).e
             expect = tuple(Q(-m * p**i, p**n - 1) for i in range(n))
             assert e == (expect,)
 
@@ -120,14 +121,14 @@ class TestFixedPoint:
         from kisin.core import n_cycle, identity_perm
 
         wt = ExtAffine(((m, 0), (0, 0)), (n_cycle(n), identity_perm(n)))
-        e = fixed_point(sh, wt)
+        e = make_datum(sh, wt).e
         assert e[0] == tuple(Q(-m * q**i, q**n - 1) for i in range(n))
 
     def test_matches_dense_gaussian_oracle(self):
         rng = random.Random(23)
         for _ in range(25):
             sh, wt = random_twist(rng, rng.randint(1, 4), rng.randint(1, 3), rng.choice((2, 3, 5)))
-            assert fixed_point(sh, wt) == gauss_solve_fixed_point(sh, wt.w, wt.chi)
+            assert make_datum(sh, wt).e == gauss_solve_fixed_point(sh, wt.w, wt.chi)
 
     def test_scaled_solver_matches_dense_gaussian_oracle(self):
         # (E, D) with E / D the solution and D = q^L - 1, L the lcm of the
@@ -158,7 +159,7 @@ class TestFixedPoint:
                 w.append(tuple(perm))
             w = tuple(w)
             lam = solve_affine_integral(sh, w, rhs)
-            frac = fixed_point(sh, ExtAffine(rhs, w))
+            frac = make_datum(sh, ExtAffine(rhs, w)).e
             integral = all(x.denominator == 1 for b in frac for x in b)
             assert (lam is not None) == integral
             if lam is not None:
@@ -173,12 +174,21 @@ class TestFixedPoint:
 
 class TestAlcove:
     def test_examples(self):
-        assert in_alcove(((Q(-1, 10), Q(-3, 10), Q(-7, 10), Q(-9, 10)),))
-        assert in_alcove(((Q(0), Q(-1, 2)),))
-        assert not in_alcove(((Q(1, 2), Q(1, 2)),))
+        # e / den with e the integer numerators
+        assert in_alcove(((-1, -3, -7, -9),), 10)
+        assert in_alcove(((0, -1),), 2)
+        assert not in_alcove(((1, 1),), 2)
 
     def test_spread_boundary(self):
-        assert not in_alcove(((Q(1, 2), Q(-1, 2)),))
+        assert not in_alcove(((1, -1),), 2)
+
+    def test_matches_fraction_oracle(self):
+        rng = random.Random(43)
+        for _ in range(500):
+            den = rng.randint(1, 12)
+            e = tuple(tuple(rng.randint(-2 * den, 2 * den) for _ in range(rng.randint(1, 4))) for _ in range(rng.randint(1, 2)))
+            frac = tuple(tuple(Q(x, den) for x in b) for b in e)
+            assert in_alcove(e, den) == in_alcove_by_fractions(frac)
 
     def test_caruso_examples(self):
         d = caruso_datum(2, 1, 3, 1)
@@ -204,7 +214,7 @@ class TestAlcoveReduce:
         d = make_datum(sh, ExtAffine(((-2, 1),), ((1, 0),)))
         assert d.e == ((Q(-1, 8), Q(5, 8)),) and not d.alcove_ok
         z, d2 = alcove_reduce(d)
-        assert d2.alcove_ok and in_alcove(d2.e)
+        assert d2.alcove_ok and in_alcove_by_fractions(d2.e)
         assert d2.e == ext_inv(z).act(d.e)
 
     def test_roundtrip_random_translate(self):
@@ -247,9 +257,7 @@ class TestAlcoveReduce:
                 tuple(tuple(rng.randint(-2, 2) for _ in range(3)) for _ in range(2)),
                 (perms[2], perms[3]),
             )
-            assert fixed_point(sh, ext_sigma_conj(sh, z, wt)) == ext_inv(z).act(
-                fixed_point(sh, wt)
-            )
+            assert make_datum(sh, ext_sigma_conj(sh, z, wt)).e == ext_inv(z).act(make_datum(sh, wt).e)
 
 
 class TestGeneralPosition:
@@ -264,7 +272,8 @@ class TestGeneralPosition:
                     if not is_caruso_simple(n, q, m):
                         continue
                     d = caruso_datum(n, f, p, m)
-                    assert in_general_position(d.e), (n, f, p, m)
+                    assert in_general_position(d.e_num, d.e_den), (n, f, p, m)
+                    assert in_general_position_by_fractions(d.e), (n, f, p, m)
 
     def test_integral_entry_is_refused(self):
         # rank one: simplicity is vacuous but (q-1) | m forces an integral

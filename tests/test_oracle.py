@@ -144,7 +144,7 @@ class TestPacking:
 
     def test_digit_past_the_spare_bit_is_a_theorem_violation(self):
         ring = Packing(F3, 8)
-        with pytest.raises(TheoremViolationError, match="bound"):
+        with pytest.raises(TheoremViolationError, match="a packed coefficient passed its bound"):
             ring.minval([1 << 7])
 
     @pytest.mark.parametrize("field", (F3, F9))
@@ -161,7 +161,7 @@ class TestPacking:
         assert ring.val(3 + (6 << 8)) is None
         assert Packing(F9, 8).val((3, 1 << 8)) == 1
         for r, x in ((1, 1 << 7), (2, (0, 1 << 7))):
-            with pytest.raises(TheoremViolationError, match="bound"):
+            with pytest.raises(TheoremViolationError, match="a packed coefficient passed its bound"):
                 Packing(GF(3, r), 8).val(x)
 
 
@@ -415,7 +415,7 @@ class TestElementaryDivisors:
         assert width == oracle._matrix_bounds(2, field.p, field.r, field.p - 1, 1)[0].bit_length() + 1
         with pytest.raises(SingularMatrixError):
             elementary_divisors(*pack_matrix(m, width))
-        with pytest.raises(TheoremViolationError, match="bound"):
+        with pytest.raises(TheoremViolationError, match="a packed coefficient passed its bound"):
             elementary_divisors(*pack_matrix(m, width - 1))
 
 
@@ -705,11 +705,11 @@ class TestSurvey:
             return ring.zero
 
         monkeypatch.setattr(oracle, "_frobenius_term", zero_frobenius)
-        with pytest.raises(TheoremViolationError, match="singular"):
+        with pytest.raises(TheoremViolationError, match="is singular for the coset"):
             kisin_points(caruso_datum(2, 1, 3, 1), ((1, 0),), F3, 1)
         argv = ["oracle-count", "--p", "3", "--n", "2", "--m", "1", "--mu", "[[1, 0]]", "--box", "1"]
         assert main(argv) == 4
-        assert "singular" in capsys.readouterr().err
+        assert "is singular for the coset" in capsys.readouterr().err
 
     def test_determinant_valuation_is_checked(self, monkeypatch, capsys):
         # sigma(g) shifted by u multiplies det(g^{-1} b sigma(g)) by u^n, which
@@ -720,11 +720,11 @@ class TestSurvey:
             return real(ring, c, pos, twist + 1)
 
         monkeypatch.setattr(oracle, "_frobenius_term", shifted_frobenius)
-        with pytest.raises(TheoremViolationError, match="valuation"):
+        with pytest.raises(TheoremViolationError, match="has valuation"):
             kisin_points(caruso_datum(2, 1, 3, 1), ((1, 0),), F3, 1)
         argv = ["oracle-count", "--p", "3", "--n", "2", "--m", "1", "--mu", "[[1, 0]]", "--box", "1"]
         assert main(argv) == 4
-        assert "valuation" in capsys.readouterr().err
+        assert "has valuation" in capsys.readouterr().err
 
 
 @lru_cache(maxsize=None)
