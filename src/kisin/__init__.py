@@ -6,11 +6,6 @@ from .core import (
     GroupShape,
     Root,
     WeylElt,
-    act_sigma,
-    act_weyl,
-    ext_inv,
-    ext_mul,
-    ext_sigma_conj,
     is_central,
     is_dominant,
     is_minuscule,

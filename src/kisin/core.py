@@ -1,4 +1,4 @@
-"""Root-datum, cocharacter and extended-affine-Weyl arithmetic for products of GL_n.
+"""Root-datum, cocharacter and twisted-Frobenius arithmetic for products of GL_n.
 
 Everything is exact: cocharacters are tuples of tuples of ints (a rational one,
 such as a fixed point, is held as integer numerators over one denominator),
@@ -14,13 +14,18 @@ Conventions (fixed once, used everywhere):
   ``(w.v)[i] = v[w^{-1}(i)]``, the unique convention with ``u^{w(v)} = w u^v w^{-1}``;
 * the Frobenius on cochars is ``sigma(v)[k] = eps[k] * v[k+1]`` with cyclic block
   index, and on Weyl elements the block shift without the scaling.
+
+The twisted Frobenius ``v -> tau + w(sigma(v))`` of a datum u^tau w, whose
+block k is ``tau_k + eps_k w_k(v_{k+1})``, is computed in one place:
+:func:`twist_block`.  The fixed points, the stratum labels, the zero-stratum
+walk and its certificate all call it.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Iterator
 
 from .errors import ConfigError
 
@@ -80,13 +85,6 @@ class GroupShape:
             raise ConfigError("d must be positive")
         eps = tuple(p if (k + 1) % d == 0 else 1 for k in range(d * f))
         return cls(n=n, blocks=d * f, eps=eps, p=p)
-
-    @property
-    def scale_product(self) -> int:
-        prod = 1
-        for e in self.eps:
-            prod *= e
-        return prod
 
     def zero_cochar(self) -> Cochar:
         return tuple((0,) * self.n for _ in range(self.blocks))
@@ -148,10 +146,6 @@ def cochar_sub(a: Cochar, b: Cochar) -> Cochar:
     return tuple(tuple(x - y for x, y in zip(ba, bb)) for ba, bb in zip(a, b))
 
 
-def cochar_neg(a: Cochar) -> Cochar:
-    return tuple(tuple(-x for x in b) for b in a)
-
-
 def cochar_scale(k: int, a: Cochar) -> Cochar:
     return tuple(tuple(k * x for x in b) for b in a)
 
@@ -170,32 +164,14 @@ def is_minuscule(v: Cochar) -> bool:
     return all(max(b) - min(b) <= 1 for b in v)
 
 
-def act_weyl(w: WeylElt, v: Cochar) -> Cochar:
-    """Blockwise place permutation: (w.v)[k][i] = v[k][w_k^{-1}(i)]."""
-    if len(w) != len(v):
-        raise ConfigError("act_weyl: block count mismatch")
-    return tuple(act_perm(wk, bk) for wk, bk in zip(w, v))
-
-
-def sigma_blocks(eps: Sequence, v: Cochar) -> Cochar:
-    """result[k] = eps[k] * v[k+1], cyclic in the block index."""
-    nblocks = len(v)
-    if len(eps) != nblocks:
-        raise ConfigError("sigma: eps length mismatch")
-    return tuple(
-        tuple(eps[k] * x for x in v[(k + 1) % nblocks]) for k in range(nblocks)
-    )
-
-
-def act_sigma(shape: GroupShape, v: Cochar) -> Cochar:
-    shape.check_cochar(v)
-    return sigma_blocks(shape.eps, v)
-
-
-def sigma0_weyl(shape: GroupShape, w: WeylElt) -> WeylElt:
-    """Block shift of a Weyl element (the unscaled part of sigma)."""
-    shape.check_weyl(w)
-    return tuple(w[(k + 1) % shape.blocks] for k in range(shape.blocks))
+def twist_block(t: Vec, wk: Perm, e: int, v: Vec, scale: int) -> Vec:
+    """Block k of scale * tau + w(sigma(v)), that is scale * tau_k +
+    eps_k w_k(v_{k+1}), from t = tau_k, wk = w_k, e = eps_k and v = v_{k+1},
+    unchecked: eps_k v_{k+1}[i] lands at place w_k(i)."""
+    blk = [scale * x for x in t]
+    for i, x in zip(wk, v):
+        blk[i] += e * x
+    return tuple(blk)
 
 
 def _block_dominated(bv: Vec, bm: Vec) -> bool:
@@ -254,35 +230,3 @@ class ExtAffine:
 
     chi: Cochar
     w: WeylElt
-
-    def act(self, v: Cochar) -> Cochar:
-        """Affine action on Y_R: v -> chi + y(v)."""
-        return cochar_add(self.chi, act_weyl(self.w, v))
-
-
-def ext_identity(shape: GroupShape) -> ExtAffine:
-    return ExtAffine(shape.zero_cochar(), shape.identity_weyl())
-
-
-def ext_mul(a: ExtAffine, b: ExtAffine) -> ExtAffine:
-    """(u^a x)(u^b y) = u^{a + x(b)} xy."""
-    if len(a.chi) != len(b.chi):
-        raise ConfigError("ext_mul: shape mismatch")
-    chi = cochar_add(a.chi, act_weyl(a.w, b.chi))
-    w = tuple(perm_mul(x, y) for x, y in zip(a.w, b.w))
-    return ExtAffine(chi, w)
-
-
-def ext_inv(a: ExtAffine) -> ExtAffine:
-    winv = tuple(perm_inv(x) for x in a.w)
-    return ExtAffine(cochar_neg(act_weyl(winv, a.chi)), winv)
-
-
-def ext_sigma(shape: GroupShape, a: ExtAffine) -> ExtAffine:
-    """sigma(u^chi y) = u^{sigma(chi)} sigma_0(y)."""
-    return ExtAffine(act_sigma(shape, a.chi), sigma0_weyl(shape, a.w))
-
-
-def ext_sigma_conj(shape: GroupShape, z: ExtAffine, wt: ExtAffine) -> ExtAffine:
-    """z^{-1} wt sigma(z); transports a Frobenius datum along z."""
-    return ext_mul(ext_mul(ext_inv(z), wt), ext_sigma(shape, z))

@@ -25,8 +25,8 @@ from .core import (
     Cochar,
     ExtAffine,
     GroupShape,
-    act_perm,
     identity_perm,
+    twist_block,
 )
 from .errors import ConfigError, PreconditionError, TheoremViolationError
 from .normal_form import FrobeniusDatum, _same_point, solve_affine_scaled
@@ -226,13 +226,11 @@ def unique_zero_stratum(multi: MultiDatum, mu_bullet: Cochar) -> Stratum:
             step = steps[k]
             if step is not None:
                 e, w, t, m = step
-                blk = list(t)
-                for i, x in zip(w, cur):
-                    blk[i] += e * x
+                blk = twist_block(t, w, e, cur, 1)
                 if m:
-                    top = max(cur)
-                    blk[w[n - 1 - cur[::-1].index(top)]] -= 1
-                cur = tuple(blk)
+                    i = w[n - 1 - cur[::-1].index(max(cur))]
+                    blk = blk[:i] + (blk[i] - 1,) + blk[i + 1 :]
+                cur = blk
             lam[k] = cur  # k runs down to k0 - big, which is k0 again
         if cur == start:
             closed.add(tuple(lam))
@@ -263,7 +261,10 @@ def recursion_check(multi: MultiDatum, mu_bullet: Cochar, lam_bullet: Cochar):
 
     Everything runs on D hat = D lam - E in integers, e = E / D: the
     recursion is linear, varsigma subtracts D from the maximal entries, and
-    h(hat) = 0 iff the spread of hat is below 1, that is max - min < D.
+    h(hat) = 0 iff the spread of hat is below 1, that is max - min < D.  By
+    the fixed-point identity E_k = D tau_k + eps_k w_k(E_{k+1}), the
+    recursion's right side eps_k w_k(D hat_{k+1}) is D lam_dag_k - E_k with
+    lam_dag_k = tau_k + eps_k w_k(lam_{k+1}).
     """
     ms = _check_omega_pattern(mu_bullet)
     lifted = multi.lifted
@@ -276,8 +277,8 @@ def recursion_check(multi: MultiDatum, mu_bullet: Cochar, lam_bullet: Cochar):
     )
     big = shape.blocks
     for k in range(big):
-        rhs = act_perm(lifted.w[k], hat[(k + 1) % big])
-        rhs = tuple(shape.eps[k] * x for x in rhs)
+        dag = twist_block(lifted.tau[k], lifted.w[k], shape.eps[k], lam_bullet[(k + 1) % big], 1)
+        rhs = tuple(den * x - e for x, e in zip(dag, lifted.e_num[k]))
         expected = varsigma(rhs, den) if ms[k] == 1 else rhs
         if hat[k] != expected:
             return False, k

@@ -12,6 +12,13 @@ lengths of the solver's permutation W (``solve_affine_scaled``).  The
 defining identity, the alcove test, the alcove reduction and the transport
 check all run on (E, D).  ``Fraction``s appear only in ``FrobeniusDatum.e``,
 built once from E / D.
+
+Alcove reduction transports a datum along z = u^chi y by formula, with no
+group law: z^{-1} wt sigma(z) is u^tau' w' with
+tau'_k = y_k^{-1}(tau_k + eps_k w_k(chi_{k+1}) - chi_k) and
+w'_k = y_k^{-1} w_k y_{k+1}, and its fixed point is z^{-1}(e), whose
+numerators are E'_k = y_k^{-1}(E_k - D chi_k), that is y_k^{-1}(E_k mod D)
+when chi holds the floors of e.
 """
 
 from __future__ import annotations
@@ -26,16 +33,13 @@ from .core import (
     ExtAffine,
     GroupShape,
     WeylElt,
-    act_sigma,
     act_perm,
     cochar_scale,
-    ext_identity,
-    ext_inv,
-    ext_sigma_conj,
     identity_perm,
     n_cycle,
     perm_inv,
     perm_mul,
+    twist_block,
 )
 from .errors import ConfigError, NotInGeneralPositionError, NotSimpleError, TheoremViolationError
 
@@ -155,22 +159,15 @@ def _solve_block0(shape: GroupShape, w: WeylElt, rhs: Cochar):
     return nums, dens
 
 
-def _back_substitute(shape: GroupShape, w: WeylElt, rhs: Cochar, x0, scale: int = 1):
+def _back_substitute(shape: GroupShape, w: WeylElt, rhs: Cochar, x0, scale: int):
     """The blocks X_k = scale rhs_k + eps_k w_k(X_{k+1}) from X_0 = x0 down,
     that is scale times the solution whose block 0 is x0 / scale."""
     nblocks = shape.blocks
     out = [None] * nblocks
     out[0] = tuple(x0)
     for k in range(nblocks - 1, 0, -1):
-        nxt = out[(k + 1) % nblocks]
-        moved = act_perm(w[k], nxt)
-        out[k] = tuple(scale * rhs[k][i] + shape.eps[k] * moved[i] for i in range(shape.n))
+        out[k] = twist_block(rhs[k], w[k], shape.eps[k], out[(k + 1) % nblocks], scale)
     return tuple(out)
-
-
-def _check_invertible(shape: GroupShape) -> None:
-    if shape.scale_product == 1:
-        raise ConfigError("1 - w*sigma is not invertible when all eps equal 1")
 
 
 def solve_affine_scaled(shape: GroupShape, w: WeylElt, rhs: Cochar):
@@ -178,8 +175,11 @@ def solve_affine_scaled(shape: GroupShape, w: WeylElt, rhs: Cochar):
     over one denominator: (E, D) with x = E / D and D = q^L - 1 (see
     ``_solve_plan``).  Block 0 is x[0]'s numerators over 1 - q^|c|, each
     scaled by D / (1 - q^|c|) for its cycle c; the other blocks follow in
-    integers."""
-    _check_invertible(shape)
+    integers.
+
+    The system is always uniquely solvable: ``GroupShape`` refuses an eps
+    pattern that is all 1, and every eps entry is 1 or p, so q >= p >= 2,
+    no 1 - q^|c| vanishes and D >= 1."""
     nums, dens = _solve_block0(shape, w, rhs)
     den = _solve_plan(shape, w)[4]
     x0 = [nu * (den // de) for nu, de in zip(nums, dens)]
@@ -187,8 +187,8 @@ def solve_affine_scaled(shape: GroupShape, w: WeylElt, rhs: Cochar):
 
 
 def solve_affine_integral(shape: GroupShape, w: WeylElt, rhs: Cochar):
-    """Integral solution of x = rhs + w(sigma(x)), or None if none exists."""
-    _check_invertible(shape)
+    """Integral solution of x = rhs + w(sigma(x)), or None if none exists;
+    solvable as in ``solve_affine_scaled``."""
     nums, dens = _solve_block0(shape, w, rhs)
     x0 = []
     for nu, de in zip(nums, dens):
@@ -196,7 +196,7 @@ def solve_affine_integral(shape: GroupShape, w: WeylElt, rhs: Cochar):
         if rem:
             return None
         x0.append(quot)
-    return _back_substitute(shape, w, rhs, x0)
+    return _back_substitute(shape, w, rhs, x0, 1)
 
 
 def _fixed_point_scaled(shape: GroupShape, wt: ExtAffine):
@@ -206,11 +206,6 @@ def _fixed_point_scaled(shape: GroupShape, wt: ExtAffine):
     return solve_affine_scaled(shape, wt.w, wt.chi)
 
 
-def _scaled_act(z: ExtAffine, num: Cochar, den: int) -> Cochar:
-    """den * z(num / den) = den chi + y(num), for z = u^chi y."""
-    return ExtAffine(cochar_scale(den, z.chi), z.w).act(num)
-
-
 def _same_point(num: Cochar, den: int, num2: Cochar, den2: int) -> bool:
     """Whether num / den == num2 / den2, by cross-multiplying."""
     return num == num2 if den == den2 else cochar_scale(den2, num) == cochar_scale(den, num2)
@@ -218,7 +213,9 @@ def _same_point(num: Cochar, den: int, num2: Cochar, den2: int) -> bool:
 
 def make_datum(shape: GroupShape, wt: ExtAffine) -> FrobeniusDatum:
     num, den = _fixed_point_scaled(shape, wt)
-    if num != _scaled_act(wt, act_sigma(shape, num), den):
+    # E = D tau + w(sigma(E)), the identity e = tau + w(sigma(e)) times D
+    twisted = (twist_block(t, wk, e, v, den) for t, wk, e, v in zip(wt.chi, wt.w, shape.eps, num[1:] + num[:1]))
+    if num != tuple(twisted):
         raise TheoremViolationError("fixed point fails its defining identity")
     return FrobeniusDatum(shape, wt, num, den, in_alcove(num, den))
 
@@ -251,6 +248,26 @@ def in_general_position(e: Cochar, den: int) -> bool:
     return True
 
 
+def _transport_point(z: ExtAffine, num: Cochar, den: int) -> Cochar:
+    """den * z^{-1}(num / den) for z = u^chi y: block k is
+    y_k^{-1}(num_k - den chi_k), whose place t holds the entry at y_k(t)."""
+    return tuple(tuple(b[i] - den * c[i] for i in y) for b, c, y in zip(num, z.chi, z.w))
+
+
+def _transport_datum(shape: GroupShape, z: ExtAffine, wt: ExtAffine) -> ExtAffine:
+    """z^{-1} wt sigma(z) for z = u^chi y and wt = u^tau w:
+    tau'_k = y_k^{-1}(tau_k + eps_k w_k(chi_{k+1}) - chi_k) and
+    w'_k = y_k^{-1} w_k y_{k+1}."""
+    chi, ys, nblocks = z.chi, z.w, shape.blocks
+    tau, w = [], []
+    for k, y in enumerate(ys):
+        nxt = (k + 1) % nblocks
+        blk = twist_block(wt.chi[k], wt.w[k], shape.eps[k], chi[nxt], 1)
+        tau.append(tuple(blk[i] - chi[k][i] for i in y))
+        w.append(perm_mul(perm_inv(y), perm_mul(wt.w[k], ys[nxt])))
+    return ExtAffine(tuple(tau), tuple(w))
+
+
 def alcove_reduce(datum: FrobeniusDatum):
     """Conjugate a datum so its fixed point lies in the fundamental alcove.
 
@@ -258,33 +275,29 @@ def alcove_reduce(datum: FrobeniusDatum):
     fixed point z^{-1}(e) in the alcove.  Per block, chi subtracts the floors
     of e and y sorts the fractional parts into decreasing order; ties are
     impossible for simple data and raise instead of being broken arbitrarily.
-    With e = E / D the floors are E // D and D times the fractional parts
-    are E % D, and z^{-1}(e) = E' / D with E' = D chi' + y'(E) for
-    z^{-1} = u^chi' y'.  The transported datum's own fixed point must equal
-    E' / D, checked by cross-multiplying.
+    With e = E / D the floors are E // D, and the transport is by formula
+    (``_transport_point``, ``_transport_datum``):
+    E'_k = y_k^{-1}(E_k mod D), tau'_k = y_k^{-1}(tau_k + eps_k w_k(chi_{k+1})
+    - chi_k) and w'_k = y_k^{-1} w_k y_{k+1}.  The transported datum's own
+    fixed point must equal E' / D, checked by cross-multiplying.
     """
     shape, num, den = datum.shape, datum.e_num, datum.e_den
     if in_alcove(num, den):
-        return ext_identity(shape), datum
+        return ExtAffine(shape.zero_cochar(), shape.identity_weyl()), datum
     if not in_general_position(num, den):
         raise NotInGeneralPositionError("fixed point not in general position")
     chi_blocks = []
     perms = []
     for b in num:
-        floors = tuple(x // den for x in b)
         frac = [x % den for x in b]
-        order = sorted(range(len(b)), key=lambda i: -frac[i])
-        perm = [0] * len(b)
-        for t, i in enumerate(order):
-            # y(t) = order[t] puts the t-th largest fractional part in slot t
-            perm[t] = i
-        chi_blocks.append(floors)
-        perms.append(tuple(perm))
+        # y(t) = order[t] puts the t-th largest fractional part in slot t
+        chi_blocks.append(tuple(x // den for x in b))
+        perms.append(tuple(sorted(range(len(b)), key=lambda i: -frac[i])))
     z = ExtAffine(tuple(chi_blocks), tuple(perms))
-    num2 = _scaled_act(ext_inv(z), num, den)
+    num2 = _transport_point(z, num, den)
     if not in_alcove(num2, den):
         raise TheoremViolationError("alcove reduction produced a point outside the alcove")
-    wt2 = ext_sigma_conj(shape, z, datum.wt)
+    wt2 = _transport_datum(shape, z, datum.wt)
     if not _same_point(*_fixed_point_scaled(shape, wt2), num2, den):
         raise TheoremViolationError("transported fixed point mismatch")
     return z, FrobeniusDatum(shape, wt2, num2, den, True)

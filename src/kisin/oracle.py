@@ -41,6 +41,7 @@ from .errors import (
     TheoremViolationError,
 )
 from .normal_form import FrobeniusDatum
+from .strata import enumerate_strata
 
 
 # ---------------------------------------------------------------------------
@@ -511,8 +512,6 @@ def kisin_points(datum: FrobeniusDatum, mu: Cochar, field: GF, lam_bound: int):
     product sums over k <= j with w(k) >= i; row k of sigma(g) is built times
     u^(tau_{w(k)} - min tau), so the product is packed at (p + 1)B - min tau.
     """
-    from .strata import enumerate_strata  # local import to avoid a cycle at import time
-
     for stratum in enumerate_strata(datum, mu):
         if any(abs(x) > lam_bound for x in stratum.lam[0]):
             raise BoxTooSmallError(

@@ -79,6 +79,7 @@ from .core import (
     is_dominant,
     is_minuscule,
     perm_inv,
+    twist_block,
     ExtAffine,
     WeylElt,
 )
@@ -113,15 +114,11 @@ def _require_dominant_mu(mu: Cochar) -> None:
 
 
 def _twist(datum: FrobeniusDatum, lam: Cochar) -> tuple:
-    """(dag, nat) = (tau + w(sigma(lam)), dag - lam), unchecked: block k of
-    w(sigma(lam)) holds eps[k] * lam[k+1][i] at place w_k(i)."""
-    dag = []
-    for tk, wk, e, src in zip(datum.tau, datum.w, datum.shape.eps, lam[1:] + lam[:1]):
-        blk = list(tk)
-        for i, x in zip(wk, src):
-            blk[i] += e * x
-        dag.append(tuple(blk))
-    return tuple(dag), tuple(tuple(d - x for d, x in zip(bd, bl)) for bd, bl in zip(dag, lam))
+    """(dag, nat) = (tau + w(sigma(lam)), dag - lam), unchecked."""
+    dag = tuple(
+        twist_block(t, w, e, v, 1) for t, w, e, v in zip(datum.tau, datum.w, datum.shape.eps, lam[1:] + lam[:1])
+    )
+    return dag, tuple(tuple(d - x for d, x in zip(bd, bl)) for bd, bl in zip(dag, lam))
 
 
 def natural_lambda(datum: FrobeniusDatum, lam: Cochar) -> Cochar:

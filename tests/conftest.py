@@ -12,18 +12,14 @@ from kisin.core import (
     ExtAffine,
     _dominated,
     act_perm,
-    act_sigma,
-    act_weyl,
     all_roots,
     cochar_add,
     cochar_sub,
-    ext_identity,
-    ext_inv,
-    ext_sigma_conj,
     is_central,
     is_dominant,
     is_minuscule,
     identity_perm,
+    perm_inv,
     perm_mul,
 )
 from kisin.errors import (
@@ -38,6 +34,76 @@ from kisin.normal_form import solve_affine_integral, solve_affine_scaled
 from kisin import oracle
 from kisin.oracle import GF
 from kisin.strata import Stratum, candidate_blocks, enumerate_strata, natural_lambda
+
+
+# ---------------------------------------------------------------------------
+# the extended affine Weyl group law, the reference for core.twist_block and
+# for the alcove transport of normal_form
+
+
+def act_weyl(w, v):
+    """Blockwise place permutation: (w.v)[k][i] = v[k][w_k^{-1}(i)]."""
+    if len(w) != len(v):
+        raise ConfigError("act_weyl: block count mismatch")
+    return tuple(act_perm(wk, bk) for wk, bk in zip(w, v))
+
+
+def sigma_blocks(eps, v):
+    """result[k] = eps[k] * v[k+1], cyclic in the block index."""
+    nblocks = len(v)
+    if len(eps) != nblocks:
+        raise ConfigError("sigma: eps length mismatch")
+    return tuple(tuple(eps[k] * x for x in v[(k + 1) % nblocks]) for k in range(nblocks))
+
+
+def act_sigma(shape, v):
+    shape.check_cochar(v)
+    return sigma_blocks(shape.eps, v)
+
+
+def sigma0_weyl(shape, w):
+    """Block shift of a Weyl element (the unscaled part of sigma)."""
+    shape.check_weyl(w)
+    return tuple(w[(k + 1) % shape.blocks] for k in range(shape.blocks))
+
+
+def cochar_neg(a):
+    return tuple(tuple(-x for x in b) for b in a)
+
+
+def ext_act(a, v):
+    """Affine action of a = u^chi y on Y_R: v -> chi + y(v)."""
+    return cochar_add(a.chi, act_weyl(a.w, v))
+
+
+def ext_identity(shape):
+    return ExtAffine(shape.zero_cochar(), shape.identity_weyl())
+
+
+def ext_mul(a, b):
+    """(u^a x)(u^b y) = u^{a + x(b)} xy."""
+    if len(a.chi) != len(b.chi):
+        raise ConfigError("ext_mul: shape mismatch")
+    return ExtAffine(cochar_add(a.chi, act_weyl(a.w, b.chi)), tuple(perm_mul(x, y) for x, y in zip(a.w, b.w)))
+
+
+def ext_inv(a):
+    winv = tuple(perm_inv(x) for x in a.w)
+    return ExtAffine(cochar_neg(act_weyl(winv, a.chi)), winv)
+
+
+def ext_sigma(shape, a):
+    """sigma(u^chi y) = u^{sigma(chi)} sigma_0(y)."""
+    return ExtAffine(act_sigma(shape, a.chi), sigma0_weyl(shape, a.w))
+
+
+def ext_sigma_conj(shape, z, wt):
+    """z^{-1} wt sigma(z); transports a Frobenius datum along z."""
+    return ext_mul(ext_mul(ext_inv(z), wt), ext_sigma(shape, z))
+
+
+# ---------------------------------------------------------------------------
+# dominance and roots
 
 
 def dominant(v):
@@ -267,7 +333,7 @@ def alcove_reduce_by_fractions(datum):
         chi_blocks.append(floors)
         perms.append(tuple(order))
     z = ExtAffine(tuple(chi_blocks), tuple(perms))
-    e2 = ext_inv(z).act(datum.e)
+    e2 = ext_act(ext_inv(z), datum.e)
     if not in_alcove_by_fractions(e2):
         raise TheoremViolationError("alcove reduction produced a point outside the alcove")
     wt2 = ext_sigma_conj(shape, z, datum.wt)

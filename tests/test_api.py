@@ -1,6 +1,7 @@
 """Guard against dead code: every public top-level function or class of the
 library, and every public method or property of its classes, is used by the
-library or the scripts, or exported by the package and named in the README.
+library, the scripts or the benchmark's worker (``perfbench/worker.py``), or
+exported by the package and named in the README.
 Also guard against caches that grow without bound (every lru_cache of the
 library has a maxsize), against rational arithmetic outside the fixed point's
 view (``Fraction`` only in normal_form.py), and against theorem-violation
@@ -52,10 +53,11 @@ def _scopes(tree):
 
 
 def _references():
-    """Every name read or attribute accessed in src/ and scripts/, except a
-    definition's references to itself."""
+    """Every name read or attribute accessed in src/, scripts/ and the
+    benchmark's worker, except a definition's references to itself."""
     refs = set()
-    for path in sorted((ROOT / "src").rglob("*.py")) + sorted((ROOT / "scripts").glob("*.py")):
+    callers = sorted((ROOT / "src").rglob("*.py")) + sorted((ROOT / "scripts").glob("*.py"))
+    for path in callers + [ROOT / "perfbench" / "worker.py"]:
         for scope, own in _scopes(ast.parse(path.read_text())):
             for node in ast.walk(scope):
                 if isinstance(node, ast.Name):
@@ -89,7 +91,7 @@ def test_every_public_name_has_a_use():
         for module, key, name in _public_defs()
         if name not in used and key not in TEST_ONLY
     ]
-    assert dead == [], f"public names with no reference in src/ or scripts/ and no README export: {dead}"
+    assert dead == [], f"public names with no reference in src/, scripts/ or the worker and no README export: {dead}"
 
 
 def test_allowlist_is_current():

@@ -44,6 +44,19 @@ COMMANDS = {
         {},
         {},
     ),
+    "normal-form-reduced-f2": (
+        ("normal-form", "--p", "2", "--n", "3", "--f", "2", "--tau", "[[0,1,-1],[1,2,-2]]", "--w", "[[2,1,3],[2,3,1]]", "--alcove-reduce"),
+        {},
+        {},
+    ),
+    "normal-form-reduced-eps": (
+        (
+            "normal-form", "--p", "3", "--n", "3", "--eps", "[3,1,1]",
+            "--tau", "[[-2,-1,0],[1,-1,-2],[-2,2,2]]", "--w", "[[3,1,2],[3,2,1],[1,3,2]]", "--alcove-reduce",
+        ),
+        {},
+        {},
+    ),
     "normal-form-no-b": (("normal-form", "--p", "3", "--n", "2"), {}, {}),
     "strata-gl2-minuscule": (("strata",) + GL2_P3 + ("--mu", "[[1,0]]"), {}, {}),
     "strata-gl2-empty": (("strata",) + GL2_P3 + ("--mu", "[[2,1]]"), {}, {}),
@@ -117,6 +130,8 @@ EXPECTED = {
     "normal-form-gl3": "05c594e05dca9bcb21cf8658adb7de75594fb35eed56cf08ed339bd844133dce",  # exit 0
     "normal-form-not-simple": "bb9041534254531722de398928f1342f6107ade7e90c8120c8c2d09a5ccc1dc9",  # exit 3
     "normal-form-reduced": "b12342020b44d2ebf65ec9a2e183563c18b08ad2f9ee1a649f725784c4b7b9fd",  # exit 0
+    "normal-form-reduced-f2": "ff783ea78dc811799876d05f594c9fe0ef9740d6a5ee282accdda135b8b687a8",  # exit 0; a non-identity y in each of two blocks
+    "normal-form-reduced-eps": "67337c13aff767eeb021a5fc176fba1310a9493d0053b695a077228c58fa2e49",  # exit 0; eps (3, 1, 1), three distinct y blocks
     "normal-form-no-b": "963790e1692320af6fabd855fe085c1715273099faaee9f01d2c063f56f33fa9",  # exit 2
     "strata-gl2-minuscule": "807dec56e6523e4b543184a14cc5d7a719f1620140dde00a83f5a469db7bd27e",  # exit 0
     "strata-gl2-empty": "4b60977a11b6e028052471c3b3c7a09da81bd5f98e04316f36dc5f29a6b1c809",  # exit 0

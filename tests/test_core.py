@@ -4,7 +4,23 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import dominance_leq, dominant, dominant_vecs, lambda_alpha, reachable_by_simple_coroots
+from conftest import (
+    act_sigma,
+    act_weyl,
+    dominance_leq,
+    dominant,
+    dominant_vecs,
+    ext_act,
+    ext_identity,
+    ext_inv,
+    ext_mul,
+    ext_sigma,
+    ext_sigma_conj,
+    lambda_alpha,
+    reachable_by_simple_coroots,
+    sigma_blocks,
+    sigma0_weyl,
+)
 from kisin.core import (
     _PRIME_BOUND,
     _is_prime,
@@ -13,22 +29,16 @@ from kisin.core import (
     Root,
     _dominated,
     act_perm,
-    act_sigma,
-    act_weyl,
     all_roots,
     cochar_add,
+    cochar_scale,
     cochar_sub,
-    ext_identity,
-    ext_inv,
-    ext_mul,
-    ext_sigma,
-    ext_sigma_conj,
     identity_perm,
     perm_mul,
-    sigma_blocks,
-    sigma0_weyl,
+    twist_block,
 )
 from kisin.errors import ConfigError
+from kisin.normal_form import solve_affine_scaled
 
 SH4 = GroupShape(n=4, blocks=1, eps=(3,), p=3)
 SH32 = GroupShape.res_field(3, 2, 3)
@@ -168,6 +178,26 @@ class TestActSigma:
             lhs = act_sigma(SH32, act_weyl(w, v))
             rhs = act_weyl(sigma0_weyl(SH32, w), act_sigma(SH32, v))
             assert lhs == rhs
+
+
+class TestTwistBlock:
+    def test_matches_group_law(self):
+        # block k of scale * tau + w(sigma(v)) against the group law's
+        # w(sigma(v)), on eps patterns holding both 1 and p, at scale 1 and at
+        # the denominator D of the fixed point, whose numerators E it fixes
+        rng = random.Random(19)
+        for _ in range(300):
+            n, nb, p = rng.randint(1, 4), rng.randint(2, 4), rng.choice((2, 3, 5))
+            one, big = rng.sample(range(nb), 2)
+            eps = [rng.choice((1, p)) for _ in range(nb)]
+            eps[one], eps[big] = 1, p
+            sh = GroupShape(n=n, blocks=nb, eps=tuple(eps), p=p)
+            tau, w, v = rand_cochar(rng, sh), rand_weyl(rng, sh), rand_cochar(rng, sh)
+            num, den = solve_affine_scaled(sh, w, tau)
+            for scale, x in ((1, v), (den, v), (den, num)):
+                got = tuple(twist_block(tau[k], w[k], eps[k], x[(k + 1) % nb], scale) for k in range(nb))
+                assert got == cochar_add(cochar_scale(scale, tau), act_weyl(w, act_sigma(sh, x)))
+            assert got == num
 
 
 class TestDominant:
@@ -317,7 +347,7 @@ class TestExtAffine:
             a = ExtAffine(rand_cochar(rng, SH32), rand_weyl(rng, SH32))
             b = ExtAffine(rand_cochar(rng, SH32), rand_weyl(rng, SH32))
             v = rand_cochar(rng, SH32)
-            assert ext_mul(a, b).act(v) == a.act(b.act(v))
+            assert ext_act(ext_mul(a, b), v) == ext_act(a, ext_act(b, v))
 
     def test_sigma_homomorphism(self):
         rng = random.Random(13)

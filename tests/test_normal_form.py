@@ -6,7 +6,13 @@ from fractions import Fraction as Q
 import pytest
 
 from conftest import (
+    act_sigma,
+    act_weyl,
     alcove_reduce_by_fractions,
+    ext_act,
+    ext_identity,
+    ext_inv,
+    ext_sigma_conj,
     gauss_solve_fixed_point,
     gcd_power_fact,
     in_alcove_by_fractions,
@@ -19,12 +25,7 @@ from kisin.cli import main
 from kisin.core import (
     ExtAffine,
     GroupShape,
-    act_sigma,
-    act_weyl,
     cochar_add,
-    ext_identity,
-    ext_inv,
-    ext_sigma_conj,
     identity_perm,
     n_cycle,
     perm_mul,
@@ -141,7 +142,7 @@ class TestFixedPoint:
             big_w = identity_perm(n)
             for perm in wt.w:
                 big_w = perm_mul(big_w, perm)
-            assert den == sh.scale_product ** perm_order(big_w) - 1
+            assert den == math.prod(sh.eps) ** perm_order(big_w) - 1
             assert all(isinstance(x, int) for b in num for x in b)
             assert tuple(tuple(Q(x, den) for x in b) for b in num) == gauss_solve_fixed_point(sh, wt.w, wt.chi)
 
@@ -168,8 +169,11 @@ class TestFixedPoint:
         assert hits > 0
 
     def test_all_eps_one_rejected_by_shape(self):
-        with pytest.raises(ConfigError):
-            GroupShape(n=2, blocks=1, eps=(1,), p=3)
+        # the solver has no invertibility check of its own: this refusal makes
+        # the cycle product q at least 2, so 1 - w*sigma is invertible
+        for eps in ((1,), (1, 1, 1)):
+            with pytest.raises(ConfigError, match="at least one eps entry must equal p"):
+                GroupShape(n=2, blocks=len(eps), eps=eps, p=3)
 
 
 class TestAlcove:
@@ -215,7 +219,7 @@ class TestAlcoveReduce:
         assert d.e == ((Q(-1, 8), Q(5, 8)),) and not d.alcove_ok
         z, d2 = alcove_reduce(d)
         assert d2.alcove_ok and in_alcove_by_fractions(d2.e)
-        assert d2.e == ext_inv(z).act(d.e)
+        assert d2.e == ext_act(ext_inv(z), d.e)
 
     def test_roundtrip_random_translate(self):
         rng = random.Random(31)
@@ -235,7 +239,7 @@ class TestAlcoveReduce:
                 perms.append(tuple(perm))
             z = ExtAffine(chi, tuple(perms))
             moved = make_datum(sh, ext_sigma_conj(sh, z, d.wt))
-            assert moved.e == ext_inv(z).act(d.e)
+            assert moved.e == ext_act(ext_inv(z), d.e)
             _, back = alcove_reduce(moved)
             assert back.alcove_ok
             # idempotence
@@ -257,7 +261,25 @@ class TestAlcoveReduce:
                 tuple(tuple(rng.randint(-2, 2) for _ in range(3)) for _ in range(2)),
                 (perms[2], perms[3]),
             )
-            assert make_datum(sh, ext_sigma_conj(sh, z, wt)).e == ext_inv(z).act(make_datum(sh, wt).e)
+            assert make_datum(sh, ext_sigma_conj(sh, z, wt)).e == ext_act(ext_inv(z), make_datum(sh, wt).e)
+
+    def test_transport_formula_matches_group_law(self):
+        # the transport by formula against the group law: the datum against
+        # z^{-1} wt sigma(z) and the point against z^{-1}(e), on random z over
+        # shapes of up to four blocks whose eps patterns may hold 1s
+        rng = random.Random(47)
+        multi = 0
+        for _ in range(300):
+            n, nb = rng.randint(1, 4), rng.randint(1, 4)
+            sh, wt = random_twist(rng, n, nb, rng.choice((2, 3, 5)))
+            chi = tuple(tuple(rng.randint(-3, 3) for _ in range(n)) for _ in range(nb))
+            z = ExtAffine(chi, tuple(tuple(rng.sample(range(n), n)) for _ in range(nb)))
+            assert normal_form._transport_datum(sh, z, wt) == ext_sigma_conj(sh, z, wt)
+            d = make_datum(sh, wt)
+            moved = normal_form._transport_point(z, d.e_num, d.e_den)
+            assert tuple(tuple(Q(x, d.e_den) for x in b) for b in moved) == ext_act(ext_inv(z), d.e)
+            multi += nb > 1 and 1 in sh.eps
+        assert multi > 50
 
 
 class TestGeneralPosition:
@@ -351,12 +373,8 @@ def _integral_entry(real):
 
 NORMAL_FORM_FAULTS = [
     ("solve_affine_scaled", _perturbed_solve, "fixed point fails its defining identity"),
-    (
-        "ext_inv",
-        lambda real: lambda z: ExtAffine(tuple((0,) * len(b) for b in z.chi), tuple(identity_perm(len(y)) for y in z.w)),
-        "alcove reduction produced a point outside the alcove",
-    ),
-    ("ext_sigma_conj", lambda real: lambda shape, z, wt: wt, "transported fixed point mismatch"),
+    ("_transport_point", lambda real: lambda z, num, den: num, "alcove reduction produced a point outside the alcove"),
+    ("_transport_datum", lambda real: lambda shape, z, wt: wt, "transported fixed point mismatch"),
     ("make_datum", _integral_entry, "simple datum has an integral fixed-point entry"),
 ]
 
