@@ -92,7 +92,9 @@ def build_graph(datum: FrobeniusDatum, mu: Cochar) -> StrataGraph:
     blocks its coroot and the coroot's twist touch, so for a fixed set of
     strata the cost is linear in the number of blocks.  lam' = lam - cov is
     built only for an accepted edge; it is a label, and a lam' missing from
-    the strata means the enumeration lost a label (TheoremViolationError)."""
+    the strata means the enumeration lost a label (TheoremViolationError).
+    The strata come from ``enumerate_strata``, whose records are shared: a
+    caller that enumerated the same (datum, mu) already pays nothing here."""
     strata = enumerate_strata(datum, mu)
     index = {s.lam: t for t, s in enumerate(strata)}
     shape, w = datum.shape, datum.w

@@ -230,3 +230,10 @@ class ExtAffine:
 
     chi: Cochar
     w: WeylElt
+
+    def __post_init__(self):
+        # held as tuples of tuples whatever sequences were given, so that a
+        # datum built on it hashes by value: the caches of solve plans and
+        # strata key on it
+        object.__setattr__(self, "chi", tuple(map(tuple, self.chi)))
+        object.__setattr__(self, "w", tuple(map(tuple, self.w)))

@@ -51,6 +51,12 @@ oracle cross-checks) keep the join, which is faster there.  The product of
 candidate sets, each solved, and a box search over lam are kept as test
 oracles.
 
+The strata are computed once per (datum, mu, cap) and kept in a bounded
+memo (``_strata``), so a caller that asks for the strata and then for the
+graph (``build_graph``) or the points (``oracle.kisin_points``) of the same
+pair enumerates once.  The cap is part of the key, and a refusal is never
+cached: a call under a lower KISIN_MAX_ENUM refuses as a fresh call does.
+
 Every invariant of a label (lam_nat, lam_dag, the R- and D-sets, the
 dimension and the singleton certificate) comes from one pass in ``_stratum``
 over the label's (lam_dag, lam_nat) and a root table built once per shape;
@@ -128,11 +134,20 @@ def natural_lambda(datum: FrobeniusDatum, lam: Cochar) -> Cochar:
     return _twist(datum, lam)[1]
 
 
-def _require_label_args(datum: FrobeniusDatum, mu: Cochar, lam: Cochar) -> None:
+def _cochar(v) -> Cochar:
+    """v as a tuple of tuples, whatever sequences it was given in: records
+    hold tuples, and the d-set test compares with mu by tuple equality."""
+    return tuple(map(tuple, v))
+
+
+def _require_label_args(datum: FrobeniusDatum, mu: Cochar, lam: Cochar) -> tuple:
+    """Checks the arguments of a per-label call; returns (mu, lam) as tuples
+    of tuples."""
     _require_alcove(datum)
     _require_dominant_mu(mu)
     datum.shape.check_cochar(mu)
     datum.shape.check_cochar(lam)
+    return _cochar(mu), _cochar(lam)
 
 
 def _is_label(datum: FrobeniusDatum, mu: Cochar, lam: Cochar) -> bool:
@@ -141,7 +156,7 @@ def _is_label(datum: FrobeniusDatum, mu: Cochar, lam: Cochar) -> bool:
 
 
 def stratum_nonempty(datum: FrobeniusDatum, mu: Cochar, lam: Cochar) -> bool:
-    _require_label_args(datum, mu, lam)
+    mu, lam = _require_label_args(datum, mu, lam)
     return _is_label(datum, mu, lam)
 
 
@@ -202,7 +217,9 @@ def _distinct_permutations(block: tuple):
 
 
 # Entries kept by each cache of this module: the GL_3 sweep fills about 110
-# residue tables; eviction only rebuilds.
+# residue tables, and the strata memo ``_strata`` needs only the last few
+# (datum, mu, cap) keys, since a caller asks for the strata and then for the
+# graph of the same pair; eviction only recomputes.
 _CACHED = 256
 
 
@@ -485,16 +502,27 @@ def _walk(datum: FrobeniusDatum, mu: Cochar, radius: int) -> list:
 def enumerate_strata(datum: FrobeniusDatum, mu: Cochar) -> tuple:
     """All strata S = {lam : dominant(lam_nat) <= mu}, sorted by lam.
 
-    The arguments are validated and the cap read once.  The labels come from
-    the cycle walk when every eps is at least 2 and its path bound, weighted
-    by WALK_PATH_COST, is below the box; otherwise from the residue join,
-    handed the cap only when the box exceeds it.  Each record is built from
-    its checked (lam, dag, nat).
+    The arguments are validated, mu is taken as a tuple of tuples, and the
+    cap is read; the records are then computed once per (datum, mu, cap) by
+    ``_strata`` and shared by every later call with equal arguments, such as
+    the one inside ``build_graph``.  A refusal (EnumerationCapError,
+    TheoremViolationError) is raised afresh on every call, never cached, and
+    a call under a lower cap is a different key, so it refuses as a fresh
+    call does.
     """
     _require_alcove(datum)
     _require_dominant_mu(mu)
     datum.shape.check_cochar(mu)
-    cap = _enum_cap()
+    return _strata(datum, _cochar(mu), _enum_cap())
+
+
+@lru_cache(maxsize=_CACHED)
+def _strata(datum: FrobeniusDatum, mu: Cochar, cap: int) -> tuple:
+    """The strata of checked arguments under the cap.  The labels come from
+    the cycle walk when every eps is at least 2 and its path bound, weighted
+    by WALK_PATH_COST, is below the box; otherwise from the residue join,
+    handed the cap only when the box exceeds it.  Each record is built from
+    its checked (lam, dag, nat)."""
     box = _candidate_box(mu)
     # the path bound is at least 2R + 1, so the first two tests only skip work
     radius = _walk_radius(datum, mu) if box > WALK_PATH_COST else None
@@ -573,7 +601,7 @@ def make_stratum(datum: FrobeniusDatum, mu: Cochar, lam: Cochar) -> Stratum:
     unless mu is minuscule), D(lam), and the first sufficient singleton
     certificate of SINGLETON_RULES as ("proven", rule), else ("unknown",
     None).  PreconditionError when lam is not a label."""
-    _require_label_args(datum, mu, lam)
+    mu, lam = _require_label_args(datum, mu, lam)
     dag, nat = _twist(datum, lam)
     if not _dominated(nat, mu):
         raise PreconditionError("lam is not a stratum label of C_mu(b)")

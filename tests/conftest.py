@@ -7,6 +7,8 @@ from functools import lru_cache
 import itertools
 import math
 
+import pytest
+
 from kisin.connectivity import StrataGraph, _UnionFind
 from kisin.core import (
     ExtAffine,
@@ -33,7 +35,15 @@ from kisin.multicopy import _check_omega_pattern, varsigma
 from kisin.normal_form import solve_affine_integral, solve_affine_scaled
 from kisin import oracle
 from kisin.oracle import GF
-from kisin.strata import Stratum, candidate_blocks, enumerate_strata, natural_lambda
+from kisin.strata import Stratum, _strata, candidate_blocks, enumerate_strata, natural_lambda
+
+
+@pytest.fixture(autouse=True)
+def fresh_strata_memo():
+    """Each test starts with an empty strata memo, so that a spy or a fault
+    it patches into the enumeration is reached, not skipped by an entry that
+    an earlier test left, and no test depends on the order of the others."""
+    _strata.cache_clear()
 
 
 # ---------------------------------------------------------------------------

@@ -117,7 +117,7 @@ def _cached_defs():
 
 def test_every_cache_is_bounded():
     cached = list(_cached_defs())
-    assert len(cached) >= 7
+    assert len(cached) >= 8
     unbounded = [
         f"{module}.{name}"
         for module, name in cached

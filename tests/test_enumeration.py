@@ -24,11 +24,19 @@ from conftest import (
 )
 from kisin import strata
 from kisin.cli import CASES, counterexample, main
+from kisin.connectivity import build_graph, pi0_report
 from kisin.core import ExtAffine, GroupShape, cochar_add
 from kisin.errors import ConfigError, EnumerationCapError, KisinError, TheoremViolationError
 from kisin.multicopy import decompose_mu, make_multi
 from kisin.normal_form import _solve_plan, alcove_reduce, caruso_datum, is_caruso_simple, make_datum
-from kisin.strata import _distinct_permutations, central_twist, enumerate_strata
+from kisin.oracle import GF, kisin_points
+from kisin.strata import (
+    _distinct_permutations,
+    central_twist,
+    enumerate_strata,
+    make_stratum,
+    stratum_nonempty,
+)
 
 
 def assert_matches_product(datum, mu):
@@ -38,9 +46,11 @@ def assert_matches_product(datum, mu):
 
 
 def dispatched_path(datum, mu):
-    """The paths enumerate_strata takes on (datum, mu), by name."""
+    """The paths enumerate_strata takes on (datum, mu), by name; the memo is
+    bypassed, so the dispatch runs even when the strata are cached."""
     taken = []
     with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(strata, "_strata", strata._strata.__wrapped__)
         for name in ("_walk", "_join"):
             real = getattr(strata, name)
             mp.setattr(strata, name, lambda *args, name=name, real=real: taken.append(name) or real(*args))
@@ -648,3 +658,145 @@ class TestJoinUpToShift:
         with pytest.raises(TheoremViolationError, match="integrality congruence"):
             strata._join(datum, mu)
         assert misfiled
+
+
+# ---------------------------------------------------------------------------
+# the strata memo: one enumeration per (datum, mu, cap)
+
+
+def count_dispatch(monkeypatch):
+    """A list that records each run of the walk or the join, by name."""
+    taken = []
+    for name in ("_walk", "_join"):
+        real = getattr(strata, name)
+        monkeypatch.setattr(strata, name, lambda *args, name=name, real=real: taken.append(name) or real(*args))
+    return taken
+
+
+def as_lists(v):
+    return [list(b) for b in v]
+
+
+def memo_sweep_pairs():
+    """Every simple GL_3 twist at p in {2, 3} with every dominant mu of
+    sup-norm at most 2, and the goldens (a) and (b) at p = 3 and 5."""
+    pairs = [counterexample(CASES[case], p) for case in "ab" for p in (3, 5)]
+    for p in (2, 3):
+        for m in range(-(p**3 - 1), p**3):
+            if is_caruso_simple(3, p, m):
+                d = caruso_datum(3, 1, p, m)
+                pairs.extend((d, (mu,)) for mu in dominant_vecs(3, -2, 2))
+    return pairs
+
+
+class TestStrataMemo:
+    def test_strata_graph_and_points_enumerate_once(self, monkeypatch):
+        datum, mu = caruso_datum(2, 1, 2, 1), ((4, 0),)
+        taken = count_dispatch(monkeypatch)
+        seen = []
+        real = enumerate_strata
+        for module in (sys.modules["kisin.connectivity"], sys.modules["kisin.oracle"]):
+            monkeypatch.setattr(module, "enumerate_strata", lambda d, m: seen.append(real(d, m)) or seen[-1])
+        first = enumerate_strata(datum, mu)
+        graph = build_graph(datum, mu)
+        points = kisin_points(datum, mu, GF(2), 2)
+        assert len(taken) == 1
+        assert len(first) == 2 and len(points) == 3
+        assert len(seen) == 2 and all(s is first for s in seen) and graph.vertices == first
+
+    def test_equal_datum_hits_and_central_shift_misses(self, monkeypatch):
+        mu = ((4, 0),)
+        taken = count_dispatch(monkeypatch)
+        first = enumerate_strata(caruso_datum(2, 1, 2, 1), mu)
+        rebuilt = caruso_datum(2, 1, 2, 1)
+        assert enumerate_strata(rebuilt, mu) is first and len(taken) == 1
+        shifted_datum, shifted_mu = central_twist(rebuilt, mu, ((1, 1),))
+        got = enumerate_strata(shifted_datum, shifted_mu)
+        assert len(taken) == 2
+        assert [s.lam for s in got] == [s.lam for s in first]
+
+    @pytest.mark.parametrize("case", "ab")
+    def test_list_mu_gives_the_records_of_tuples(self, case):
+        datum, mu = counterexample(CASES[case], 3)
+        listed = enumerate_strata(datum, as_lists(mu))
+        assert listed == enumerate_strata(datum, mu)
+        assert strata._strata.cache_info().currsize == 1
+        for s in listed:
+            assert make_stratum(datum, as_lists(mu), as_lists(s.lam)) == s
+            assert stratum_nonempty(datum, as_lists(mu), as_lists(s.lam))
+        graph = build_graph(datum, as_lists(mu))
+        assert graph == build_graph(datum, mu)
+        assert pi0_report(graph) == pi0_report(build_graph(datum, mu))
+
+    def test_datum_from_lists_shares_the_entry_of_tuples(self):
+        datum, mu = counterexample(CASES["a"], 3)
+        listed = make_datum(datum.shape, ExtAffine(as_lists(datum.tau), as_lists(datum.w)))
+        assert listed == datum
+        assert enumerate_strata(listed, mu) is enumerate_strata(datum, mu)
+
+    def test_list_mu_keeps_the_d_set_certificate(self):
+        datum, mu = counterexample(CASES["b"], 3)
+        lam = ((1, 0, 1), (0, 0, 1))
+        rules = {s.lam: s.singleton_rule for s in enumerate_strata(datum, as_lists(mu))}
+        assert rules[lam] == "d-set"
+        assert make_stratum(datum, as_lists(mu), lam).singleton_rule == "d-set"
+
+    def test_memo_matches_the_uncached_enumeration(self):
+        pairs = memo_sweep_pairs()
+        assert len(pairs) > 2 * strata._CACHED  # the second pass evicts and recomputes
+        uncached = strata._strata.__wrapped__
+        cap = strata._enum_cap()
+        first = []
+        for datum, mu in pairs:
+            got = enumerate_strata(datum, mu)
+            assert enumerate_strata(datum, mu) is got
+            assert got == uncached(datum, mu, cap), (datum.tau, mu)
+            first.append(got)
+        assert sum(map(bool, first)) > 100
+        assert [enumerate_strata(datum, mu) for datum, mu in pairs] == first
+
+    @pytest.mark.parametrize("datum,mu", CAP_INPUTS)
+    def test_a_lower_cap_refuses_after_a_cached_call(self, monkeypatch, datum, mu):
+        monkeypatch.delenv("KISIN_MAX_ENUM", raising=False)
+        want = enumerate_strata(datum, mu)
+        limit, message = cap_limit(datum, mu)
+        monkeypatch.setenv("KISIN_MAX_ENUM", str(limit - 1))
+        with pytest.raises(EnumerationCapError) as cached:
+            enumerate_strata(datum, mu)
+        assert strata._strata.cache_info().currsize == 1  # the refusal is not stored
+        strata._strata.cache_clear()
+        with pytest.raises(EnumerationCapError) as fresh:
+            enumerate_strata(datum, mu)
+        assert str(cached.value) == str(fresh.value) == message
+        monkeypatch.setenv("KISIN_MAX_ENUM", "1e3")
+        with pytest.raises(ConfigError, match="KISIN_MAX_ENUM"):
+            enumerate_strata(datum, mu)
+        monkeypatch.delenv("KISIN_MAX_ENUM")
+        assert enumerate_strata(datum, mu) == want
+
+    def test_a_fault_is_raised_on_every_call(self, monkeypatch):
+        datum, mu = counterexample(CASES["a"], 3)
+        monkeypatch.setattr(strata, "solve_affine_integral", off_by_one)
+        for _ in range(2):
+            with pytest.raises(TheoremViolationError, match="whose lam_nat is"):
+                enumerate_strata(datum, mu)
+        assert strata._strata.cache_info().currsize == 0
+        monkeypatch.undo()
+        assert enumerate_strata(datum, mu) == product_strata(datum, mu)
+
+    def test_cli_refuses_after_a_cached_call(self, monkeypatch, capsys):
+        monkeypatch.delenv("KISIN_MAX_ENUM", raising=False)
+        argv = ["graph", "--p", "3", "--n", "3", "--f", "1", "--m", "5", "--mu", "[[2,0,-1]]"]
+        assert main(argv) == 0
+        report = capsys.readouterr().out
+        assert strata._strata.cache_info().currsize == 1
+        monkeypatch.setenv("KISIN_MAX_ENUM", "2")
+        assert main(argv) == 3
+        captured = capsys.readouterr()
+        assert captured.out == "" and "exceed cap 2 (KISIN_MAX_ENUM)" in captured.err
+        monkeypatch.setenv("KISIN_MAX_ENUM", "abc")
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "KISIN_MAX_ENUM='abc'" in captured.err
+        monkeypatch.delenv("KISIN_MAX_ENUM")
+        assert main(argv) == 0 and capsys.readouterr().out == report
