@@ -76,7 +76,7 @@ def make_multi(base: FrobeniusDatum, d: int) -> MultiDatum:
             if i == d - 1:
                 tau[k] = base.tau[j]
                 w[k] = base.w[j]
-    wt = ExtAffine(tuple(tau), tuple(w))
+    wt = ExtAffine(tau, w)
     lifted = FrobeniusDatum(lifted_shape, wt, tuple(num), base.e_den, True)
     if not _same_point(*solve_affine_scaled(lifted_shape, wt.w, wt.chi), lifted.e_num, lifted.e_den):
         raise TheoremViolationError("interleaved fixed point fails its identity")

@@ -265,7 +265,7 @@ def _transport_datum(shape: GroupShape, z: ExtAffine, wt: ExtAffine) -> ExtAffin
         blk = twist_block(wt.chi[k], wt.w[k], shape.eps[k], chi[nxt], 1)
         tau.append(tuple(blk[i] - chi[k][i] for i in y))
         w.append(perm_mul(perm_inv(y), perm_mul(wt.w[k], ys[nxt])))
-    return ExtAffine(tuple(tau), tuple(w))
+    return ExtAffine(tau, w)
 
 
 def alcove_reduce(datum: FrobeniusDatum):
@@ -293,7 +293,7 @@ def alcove_reduce(datum: FrobeniusDatum):
         # y(t) = order[t] puts the t-th largest fractional part in slot t
         chi_blocks.append(tuple(x // den for x in b))
         perms.append(tuple(sorted(range(len(b)), key=lambda i: -frac[i])))
-    z = ExtAffine(tuple(chi_blocks), tuple(perms))
+    z = ExtAffine(chi_blocks, perms)
     num2 = _transport_point(z, num, den)
     if not in_alcove(num2, den):
         raise TheoremViolationError("alcove reduction produced a point outside the alcove")

@@ -22,7 +22,7 @@ from conftest import (
     walk_by_exact_count,
     walk_plan_by_position_map,
 )
-from kisin import strata
+from kisin import connectivity, oracle, strata
 from kisin.cli import CASES, counterexample, main
 from kisin.connectivity import build_graph, pi0_report
 from kisin.core import ExtAffine, GroupShape, cochar_add
@@ -45,15 +45,22 @@ def assert_matches_product(datum, mu):
     return S
 
 
+def spy_dispatch(mp):
+    """A list that records each run of the walk or the join, by name, while
+    the patches of mp hold."""
+    taken = []
+    for name in ("_walk", "_join"):
+        real = getattr(strata, name)
+        mp.setattr(strata, name, lambda *args, name=name, real=real: taken.append(name) or real(*args))
+    return taken
+
+
 def dispatched_path(datum, mu):
     """The paths enumerate_strata takes on (datum, mu), by name; the memo is
     bypassed, so the dispatch runs even when the strata are cached."""
-    taken = []
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(strata, "_strata", strata._strata.__wrapped__)
-        for name in ("_walk", "_join"):
-            real = getattr(strata, name)
-            mp.setattr(strata, name, lambda *args, name=name, real=real: taken.append(name) or real(*args))
+        taken = spy_dispatch(mp)
         enumerate_strata(datum, mu)
     return taken
 
@@ -664,15 +671,6 @@ class TestJoinUpToShift:
 # the strata memo: one enumeration per (datum, mu, cap)
 
 
-def count_dispatch(monkeypatch):
-    """A list that records each run of the walk or the join, by name."""
-    taken = []
-    for name in ("_walk", "_join"):
-        real = getattr(strata, name)
-        monkeypatch.setattr(strata, name, lambda *args, name=name, real=real: taken.append(name) or real(*args))
-    return taken
-
-
 def as_lists(v):
     return [list(b) for b in v]
 
@@ -692,10 +690,10 @@ def memo_sweep_pairs():
 class TestStrataMemo:
     def test_strata_graph_and_points_enumerate_once(self, monkeypatch):
         datum, mu = caruso_datum(2, 1, 2, 1), ((4, 0),)
-        taken = count_dispatch(monkeypatch)
+        taken = spy_dispatch(monkeypatch)
         seen = []
         real = enumerate_strata
-        for module in (sys.modules["kisin.connectivity"], sys.modules["kisin.oracle"]):
+        for module in (connectivity, oracle):
             monkeypatch.setattr(module, "enumerate_strata", lambda d, m: seen.append(real(d, m)) or seen[-1])
         first = enumerate_strata(datum, mu)
         graph = build_graph(datum, mu)
@@ -706,7 +704,7 @@ class TestStrataMemo:
 
     def test_equal_datum_hits_and_central_shift_misses(self, monkeypatch):
         mu = ((4, 0),)
-        taken = count_dispatch(monkeypatch)
+        taken = spy_dispatch(monkeypatch)
         first = enumerate_strata(caruso_datum(2, 1, 2, 1), mu)
         rebuilt = caruso_datum(2, 1, 2, 1)
         assert enumerate_strata(rebuilt, mu) is first and len(taken) == 1
@@ -717,6 +715,8 @@ class TestStrataMemo:
 
     @pytest.mark.parametrize("case", "ab")
     def test_list_mu_gives_the_records_of_tuples(self, case):
+        # the d-set certificate compares with mu; on (b) a list mu lost it
+        # from ((1, 0, 1), (0, 0, 1)), and pi0 read "upper bound only"
         datum, mu = counterexample(CASES[case], 3)
         listed = enumerate_strata(datum, as_lists(mu))
         assert listed == enumerate_strata(datum, mu)
@@ -733,13 +733,6 @@ class TestStrataMemo:
         listed = make_datum(datum.shape, ExtAffine(as_lists(datum.tau), as_lists(datum.w)))
         assert listed == datum
         assert enumerate_strata(listed, mu) is enumerate_strata(datum, mu)
-
-    def test_list_mu_keeps_the_d_set_certificate(self):
-        datum, mu = counterexample(CASES["b"], 3)
-        lam = ((1, 0, 1), (0, 0, 1))
-        rules = {s.lam: s.singleton_rule for s in enumerate_strata(datum, as_lists(mu))}
-        assert rules[lam] == "d-set"
-        assert make_stratum(datum, as_lists(mu), lam).singleton_rule == "d-set"
 
     def test_memo_matches_the_uncached_enumeration(self):
         pairs = memo_sweep_pairs()
