@@ -17,8 +17,7 @@ from .errors import PreconditionError, TheoremViolationError
 from .normal_form import FrobeniusDatum
 from .strata import (
     _is_label,
-    _require_alcove,
-    _require_dominant_mu,
+    _require_mu,
     _root_table,
     _twist,
     enumerate_strata,
@@ -205,9 +204,7 @@ def chain_gl3(datum: FrobeniusDatum, mu: Cochar, lam: Cochar, lam_prime: Cochar)
     w = datum.w[0]
     if any(w[i] == i for i in range(3)):  # a permutation of 3 points is a 3-cycle iff it fixes none
         raise PreconditionError("chain construction requires a 3-cycle Weyl part")
-    _require_alcove(datum)
-    _require_dominant_mu(mu)
-    shape.check_cochar(mu)
+    _require_mu(datum, mu)
     for end in (lam, lam_prime):
         if not (_is_gl3_label(end) and _is_label(datum, mu, end)):
             raise PreconditionError("both endpoints must be stratum labels")

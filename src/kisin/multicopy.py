@@ -8,13 +8,13 @@ point of index bookkeeping.
 
 The zero-dimensional stratum is constructed, not searched for.  Its label
 solves the block recursion of ``recursion_check`` with an h = 0 witness
-block; the block sums of every label follow from mu and tau alone, the
-witness block then has exactly one candidate, and the recursion read
-backwards is an integer step.  So one walk around the blocks from each
-possible witness finds every solution, in O(N) steps per start
-(``unique_zero_stratum``).  Enumerating the lifted strata is left to tell an
-empty variety from a theorem violation when no walk closes, and stays the
-test oracle for the construction.
+block; the block sums of every label follow from mu and tau alone
+(``strata.block_sums``), the witness block then has exactly one candidate,
+and the recursion read backwards is an integer step.  So one walk around the
+blocks from each possible witness finds every solution, in O(N) steps per
+start (``unique_zero_stratum``).  Enumerating the lifted strata is left to
+tell an empty variety from a theorem violation when no walk closes, and stays
+the test oracle for the construction.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ from .core import (
 )
 from .errors import ConfigError, PreconditionError, TheoremViolationError
 from .normal_form import FrobeniusDatum, _same_point, solve_affine_scaled
-from .strata import Stratum, _cap_error, _enum_cap, enumerate_strata, make_stratum
+from .strata import Stratum, _cap_error, _enum_cap, block_sums, enumerate_strata, make_stratum
 
 
 @dataclass(frozen=True)
@@ -125,30 +125,6 @@ def _check_omega_pattern(mu_bullet: Cochar) -> tuple:
     return tuple(ms)
 
 
-def _block_sums(lifted: FrobeniusDatum, ms: tuple):
-    """The block sums s_k shared by every label, or None when s_0 is not an
-    integer (then there is no label).
-
-    s_k = c_k + eps_k s_{k+1} with c_k = sum(tau_k) - m_k, cyclic in k, so
-    s_0 = sum_k E_k c_k + P s_0 with E_k = eps_0 ... eps_{k-1} and P the full
-    product; the other sums follow downwards from k = N - 1."""
-    eps = lifted.shape.eps
-    c = [sum(t) - m for t, m in zip(lifted.tau, ms)]
-    num, scale = 0, 1
-    for ck, ek in zip(c, eps):
-        num += scale * ck
-        scale *= ek
-    s0, rem = divmod(num, 1 - scale)
-    if rem:
-        return None
-    sums = [0] * len(c)
-    nxt = s0
-    for k in range(len(c) - 1, 0, -1):
-        nxt = sums[k] = c[k] + eps[k] * nxt
-    sums[0] = s0
-    return tuple(sums)
-
-
 def _witness(s: int, n: int) -> tuple:
     """The one integer block with sum s and h(lam - e) = 0: (t+1, ..., t+1,
     t, ..., t) with r leading entries t + 1, (t, r) = divmod(s, n)."""
@@ -168,7 +144,8 @@ def unique_zero_stratum(multi: MultiDatum, mu_bullet: Cochar) -> Stratum:
 
     1. Block sums.  lam_nat_k = tau_k + eps_k w_k(lam_{k+1}) - lam_k is
        dominated by mu_k, so its sum is m_k, and every label has the sums
-       of ``_block_sums``.  When s_0 is not an integer the variety is empty.
+       of ``strata.block_sums``.  When s_0 is not an integer the variety is
+       empty.
     2. The witness.  h(hat_k) = 0 iff the spread of hat_k is below 1.  For
        i < j, 0 < e_i - e_j < 1, so |hat_i - hat_j| < 1 forces
        lam_i - lam_j in {0, 1}: lam_k is ``_witness(s_k, n)``, which does
@@ -205,7 +182,7 @@ def unique_zero_stratum(multi: MultiDatum, mu_bullet: Cochar) -> Stratum:
     shape = lifted.shape
     shape.check_cochar(mu_bullet)
     cap = _enum_cap()
-    sums = _block_sums(lifted, ms)
+    sums = block_sums(lifted, mu_bullet)
     if sums is None:
         raise PreconditionError("the multi-copy variety is empty")
     big, n = shape.blocks, shape.n

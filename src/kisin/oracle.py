@@ -41,7 +41,7 @@ from .errors import (
     TheoremViolationError,
 )
 from .normal_form import FrobeniusDatum
-from .strata import enumerate_strata
+from .strata import block_sums, enumerate_strata
 
 
 # ---------------------------------------------------------------------------
@@ -502,15 +502,16 @@ def kisin_points(datum: FrobeniusDatum, mu: Cochar, field: GF, lam_bound: int):
     A coset g is upper triangular with diagonal u^{lam_j}, so det g = u^s
     exactly with s = sum(lam), and det(g^{-1} b sigma(g)) is
     sgn(w) u^{sum(tau) + (p-1)s}.  Dominance by mu needs the exponents to sum
-    to sum(mu), so a point has (p - 1)s = sum(mu) - sum(tau): when p - 1 does
-    not divide the gap there are no points, and otherwise only the slice
-    s = s0 is guarded and built.  Every coset built is checked against that
-    identity (a singular product or a determinant of another valuation is a
-    TheoremViolationError), and only the points get an Iwahori label.  With
-    b = u^tau w, column j of g^{-1} b is column w(j) of g^{-1} times
-    u^tau_{w(j)}, and sigma(g) is upper triangular, so entry (i, j) of the
-    product sums over k <= j with w(k) >= i; row k of sigma(g) is built times
-    u^(tau_{w(k)} - min tau), so the product is packed at (p + 1)B - min tau.
+    to sum(mu), so a point has (p - 1)s = sum(mu) - sum(tau), the N = 1 case
+    of ``strata.block_sums``: when that has no integer solution there are no
+    points, and otherwise only the slice s = s0 is guarded and built.  Every
+    coset built is checked against that identity (a singular product or a
+    determinant of valuation other than sum(mu) is a TheoremViolationError),
+    and only the points get an Iwahori label.  With b = u^tau w, column j of
+    g^{-1} b is column w(j) of g^{-1} times u^tau_{w(j)}, and sigma(g) is
+    upper triangular, so entry (i, j) of the product sums over k <= j with
+    w(k) >= i; row k of sigma(g) is built times u^(tau_{w(k)} - min tau), so
+    the product is packed at (p + 1)B - min tau.
     """
     for stratum in enumerate_strata(datum, mu):
         if any(abs(x) > lam_bound for x in stratum.lam[0]):
@@ -520,19 +521,16 @@ def kisin_points(datum: FrobeniusDatum, mu: Cochar, field: GF, lam_bound: int):
     shape = datum.shape
     if shape.blocks != 1:
         raise PreconditionError("the point oracle only supports f = 1")
-    if not datum.alcove_ok:
-        raise PreconditionError("datum's fixed point is not in the alcove")
     if field.p != shape.p:
         raise ConfigError("field characteristic must match the shape")
     n, p, B = shape.n, shape.p, lam_bound
     if n > 3:
         raise PreconditionError("coset enumeration is limited to n <= 3")
     tau, w = datum.tau[0], datum.w[0]
-    tau_sum = sum(tau)
-    s0, rem = divmod(sum(mu[0]) - tau_sum, p - 1)
-    if rem:
+    sums = block_sums(datum, mu)
+    if sums is None:
         return []
-    val = tau_sum + (p - 1) * s0
+    s0, val = sums[0], sum(mu[0])
     _check_guard(n, B, field.q, s0)
     ring = Packing(field, _width(n, p, field.r, B))
     twist = [tau[w[k]] - min(tau) for k in range(n)]

@@ -114,9 +114,13 @@ def _require_alcove(datum: FrobeniusDatum) -> None:
         raise PreconditionError("datum's fixed point is not in the alcove")
 
 
-def _require_dominant_mu(mu: Cochar) -> None:
+def _require_mu(datum: FrobeniusDatum, mu: Cochar) -> None:
+    """The checks of every call with a mu: the alcove, then mu's dominance,
+    then its shape."""
+    _require_alcove(datum)
     if not is_dominant(mu):
         raise ConfigError("mu must be dominant")
+    datum.shape.check_cochar(mu)
 
 
 def _twist(datum: FrobeniusDatum, lam: Cochar) -> tuple:
@@ -143,9 +147,7 @@ def _cochar(v) -> Cochar:
 def _require_label_args(datum: FrobeniusDatum, mu: Cochar, lam: Cochar) -> tuple:
     """Checks the arguments of a per-label call; returns (mu, lam) as tuples
     of tuples."""
-    _require_alcove(datum)
-    _require_dominant_mu(mu)
-    datum.shape.check_cochar(mu)
+    _require_mu(datum, mu)
     datum.shape.check_cochar(lam)
     return _cochar(mu), _cochar(lam)
 
@@ -510,9 +512,7 @@ def enumerate_strata(datum: FrobeniusDatum, mu: Cochar) -> tuple:
     a call under a lower cap is a different key, so it refuses as a fresh
     call does.
     """
-    _require_alcove(datum)
-    _require_dominant_mu(mu)
-    datum.shape.check_cochar(mu)
+    _require_mu(datum, mu)
     return _strata(datum, _cochar(mu), _enum_cap())
 
 
@@ -638,3 +638,25 @@ def omega_reduction(mu: Cochar):
 def sum_profile(lam: Cochar) -> tuple:
     """Per-block coordinate sums; constant across all strata of one variety."""
     return tuple(sum(b) for b in lam)
+
+
+def block_sums(datum: FrobeniusDatum, mu: Cochar) -> Optional[tuple]:
+    """The block sums s_k = sum(lam_k) shared by every label of C_mu(b), or
+    None when s_0 is not an integer (then there is no label); unchecked.
+
+    lam_nat_k = tau_k + eps_k w_k(lam_{k+1}) - lam_k is dominated by mu_k, so
+    its sum is sum(mu_k): s_k = c_k + eps_k s_{k+1} with
+    c_k = sum(tau_k) - sum(mu_k), cyclic in k.  Unrolled as in
+    ``normal_form._solve_plan``, (1 - q) s_0 = sum_k E_k c_k with the prefix
+    scales E_k and the full product q; the other sums follow downwards from
+    k = N - 1."""
+    prefix_eps, _, q, *_ = _solve_plan(datum.shape, datum.w)
+    eps = datum.shape.eps
+    c = [sum(t) - sum(m) for t, m in zip(datum.tau, mu)]
+    s0, rem = divmod(sum(map(mul, prefix_eps, c)), 1 - q)
+    if rem:
+        return None
+    sums = [s0] * len(c)
+    for k in range(len(c) - 1, 0, -1):
+        sums[k] = c[k] + eps[k] * sums[(k + 1) % len(c)]
+    return tuple(sums)

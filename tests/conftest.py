@@ -1,7 +1,7 @@
 """Shared test helpers: independent oracles kept deliberately separate from the
 library's own algorithms."""
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import lru_cache
 import itertools
@@ -12,6 +12,7 @@ import pytest
 from kisin.connectivity import StrataGraph, _UnionFind
 from kisin.core import (
     ExtAffine,
+    GroupShape,
     _dominated,
     act_perm,
     all_roots,
@@ -32,7 +33,7 @@ from kisin.errors import (
     TheoremViolationError,
 )
 from kisin.multicopy import _check_omega_pattern, varsigma
-from kisin.normal_form import solve_affine_integral, solve_affine_scaled
+from kisin.normal_form import make_datum, solve_affine_integral, solve_affine_scaled
 from kisin import oracle
 from kisin.oracle import GF
 from kisin.strata import Stratum, _strata, candidate_blocks, enumerate_strata, natural_lambda
@@ -225,6 +226,17 @@ def walk_plan_by_position_map(shape, w):
         if cyc:
             cycles.append(tuple(cyc))
     return tuple(cycles)
+
+
+def contracting_datum(tau, w, eps):
+    """The datum u^tau w on a shape with any eps pattern >= 2.  GroupShape
+    admits eps in {1, p} only, but the walk's bound holds for every eps >= 2,
+    so the shape is built past that validation; the label set is defined by
+    its inequality for any (tau, w), so the alcove flag is set."""
+    shape = object.__new__(GroupShape)
+    for name, value in (("n", len(tau[0])), ("blocks", len(eps)), ("eps", tuple(eps)), ("p", 2)):
+        object.__setattr__(shape, name, value)
+    return replace(make_datum(shape, ExtAffine(tau, w)), alcove_ok=True)
 
 
 def gauss_solve_fixed_point(shape, w, tau):

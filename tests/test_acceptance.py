@@ -26,7 +26,7 @@ from kisin.errors import NotInGeneralPositionError
 from kisin.multicopy import make_multi, recursion_check, unique_zero_stratum, varsigma
 from kisin.normal_form import caruso_datum, is_caruso_simple, make_datum
 from kisin.oracle import GF, kisin_points
-from kisin.strata import enumerate_strata, natural_lambda, sum_profile
+from kisin.strata import block_sums, enumerate_strata, natural_lambda, sum_profile
 
 
 def report(criterion, elapsed, limit, detail=""):
@@ -288,15 +288,18 @@ def test_criterion_6_descent_lemma(capsys):
 def test_criterion_7_sum_profiles(multicopy_suite, gl3_suite, capsys):
     t0 = time.monotonic()
     checked = 0
-    instances = []
-    instances.append(enumerate_strata(counterexample_datum_a(3), ((5, 3, 3, 1),)))
-    instances.append(enumerate_strata(counterexample_datum_a(5), ((9, 5, 5, 1),)))
-    instances.append(enumerate_strata(counterexample_datum_b(3), ((4, 0, 0), (3, 3, 0))))
-    instances.extend(S for _, _, S in multicopy_suite[0])
-    instances.extend(S for _, _, S in gl3_suite[0])
-    for S in instances:
-        profiles = {sum_profile(s.lam) for s in S}
-        assert len(profiles) <= 1
+    goldens = (
+        (counterexample_datum_a(3), ((5, 3, 3, 1),)),
+        (counterexample_datum_a(5), ((9, 5, 5, 1),)),
+        (counterexample_datum_b(3), ((4, 0, 0), (3, 3, 0))),
+    )
+    instances = [(d, mu, enumerate_strata(d, mu)) for d, mu in goldens]
+    instances.extend((multi.lifted, mb, S) for multi, mb, S in multicopy_suite[0])
+    instances.extend(gl3_suite[0])
+    for datum, mu, S in instances:
+        # every label has the sums that mu and tau alone determine
+        sums = block_sums(datum, mu)
+        assert all(sum_profile(s.lam) == sums for s in S), (datum, mu)
         checked += 1
     elapsed = time.monotonic() - t0
     with capsys.disabled():

@@ -16,6 +16,7 @@ from conftest import (
     box_strata,
     candidate_count,
     candidate_product,
+    contracting_datum,
     dominant_vecs,
     product_strata,
     walk_by_box,
@@ -212,17 +213,6 @@ def walk_and_join(datum, mu):
     assert walked == strata._join(datum, mu), mu
     assert_dispatch_follows_the_box(datum, mu)
     return radius, {lam for lam, _, _ in walked}
-
-
-def contracting_datum(tau, w, eps):
-    """The datum u^tau w on a shape with any eps pattern >= 2.  GroupShape
-    admits eps in {1, p} only, but the walk's bound holds for every eps >= 2,
-    so the shape is built past that validation; the label set is defined by
-    its inequality for any (tau, w), so the alcove flag is set."""
-    shape = object.__new__(GroupShape)
-    for name, value in (("n", len(tau[0])), ("blocks", len(eps)), ("eps", tuple(eps)), ("p", 2)):
-        object.__setattr__(shape, name, value)
-    return dataclasses.replace(make_datum(shape, ExtAffine(tau, w)), alcove_ok=True)
 
 
 @pytest.fixture

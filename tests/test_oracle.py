@@ -40,8 +40,9 @@ from conftest import (
     unpack_series,
     weyl_matrix,
 )
-from kisin import oracle
+from kisin import cli, oracle
 from kisin.cli import main
+from kisin.core import ExtAffine, GroupShape
 from kisin.errors import (
     BoxTooSmallError,
     ConfigError,
@@ -49,7 +50,7 @@ from kisin.errors import (
     SingularMatrixError,
     TheoremViolationError,
 )
-from kisin.normal_form import caruso_datum, is_caruso_simple
+from kisin.normal_form import caruso_datum, is_caruso_simple, make_datum
 from kisin.oracle import GF, Packing, _eliminate, elementary_divisors, iwahori_label, kisin_points
 from kisin.strata import central_twist, enumerate_strata
 
@@ -995,6 +996,20 @@ class TestKisinPoints:
         # the CLI refuses --f 2 itself, so the library's refusal is met only here
         with pytest.raises(PreconditionError, match="only supports f = 1"):
             kisin_points(caruso_datum(2, 2, 3, 1), ((1, 0), (1, 0)), F3, 3)
+
+    def test_refuses_a_datum_outside_the_alcove(self, monkeypatch, capsys):
+        # the CLI reduces or refuses such a datum itself, so the refusal from
+        # kisin_points (the enumeration's, before any coset) is met only here
+        datum = make_datum(GroupShape.res_field(2, 1, 3), ExtAffine(((0, 0),), ((1, 0),)))
+        assert not datum.alcove_ok
+        built = TestDeterminantPrune.counting_generator(monkeypatch)
+        with pytest.raises(PreconditionError, match="^datum's fixed point is not in the alcove$"):
+            kisin_points(datum, ((1, -1),), F3, 1)
+        monkeypatch.setattr(cli, "resolve_datum", lambda args: (datum, None))
+        argv = ["oracle-count", "--p", "3", "--n", "2", "--m", "1", "--mu", "[[1,-1]]", "--box", "1"]
+        assert main(argv) == 3
+        assert capsys.readouterr().err == "precondition violated: datum's fixed point is not in the alcove\n"
+        assert built == []
 
     @pytest.mark.parametrize("p,field_deg", ((2, 1), (2, 2), (3, 1)))
     def test_gl3_cross_check(self, p, field_deg):

@@ -1,15 +1,25 @@
+import dataclasses
 import itertools
 import random
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import box_strata, composed_stratum, dominant
+from conftest import (
+    box_strata,
+    composed_stratum,
+    contracting_datum,
+    dominant,
+    dominant_vecs,
+    gauss_solve_fixed_point,
+)
 from kisin.core import ExtAffine, GroupShape
 from kisin.errors import ConfigError, EnumerationCapError, PreconditionError
 from kisin.multicopy import decompose_mu, make_multi
 from kisin.normal_form import caruso_datum, is_caruso_simple, make_datum
 from kisin.strata import (
+    block_sums,
     central_twist,
     dominant_blocks_leq,
     enumerate_strata,
@@ -331,4 +341,66 @@ class TestSumProfile:
     def test_equal_across_strata(self):
         for d, mu in ((datum_a(), mu_a()), (datum_b(), mu_b())):
             profiles = {sum_profile(s.lam) for s in enumerate_strata(d, mu)}
-            assert len(profiles) == 1
+            assert profiles == {block_sums(d, mu)}
+
+
+def block_sums_by_fractions(datum, mu):
+    """The block sums by dense elimination over Fractions: s = c + eps sigma(s)
+    with c_k = sum(tau_k) - sum(mu_k) is the fixed-point system of GL_1
+    twisted by u^c."""
+    shape = SimpleNamespace(n=1, blocks=datum.shape.blocks, eps=datum.shape.eps)
+    c = tuple((sum(t) - sum(m),) for t, m in zip(datum.tau, mu))
+    return tuple(b[0] for b in gauss_solve_fixed_point(shape, ((0,),) * shape.blocks, c))
+
+
+class TestBlockSums:
+    def test_matches_fraction_solve(self):
+        # shapes with eps in {1, p} (the multi-copy patterns among them) and
+        # contracting shapes with eps in {2, 3}; every label's sums agree
+        rng = random.Random(26)
+        seen = {"integral": 0, "none": 0, "eps 1": 0, "labels": 0}
+        for trial in range(600):
+            n, blocks, p = rng.randint(1, 4), rng.randint(1, 4), rng.choice((2, 3, 5))
+            w = tuple(tuple(rng.sample(range(n), n)) for _ in range(blocks))
+            tau = tuple(tuple(rng.randint(-2, 2) for _ in range(n)) for _ in range(blocks))
+            mu = tuple(tuple(sorted((rng.randint(-1, 1) for _ in range(n)), reverse=True)) for _ in range(blocks))
+            if trial % 2:
+                datum = contracting_datum(tau, w, [rng.choice((2, 3)) for _ in range(blocks)])
+            else:
+                eps = [rng.choice((1, p)) for _ in range(blocks)]
+                eps[rng.randrange(blocks)] = p
+                shape = GroupShape(n=n, blocks=blocks, eps=tuple(eps), p=p)
+                # the label set is defined by its inequality for any twist
+                datum = dataclasses.replace(make_datum(shape, ExtAffine(tau, w)), alcove_ok=True)
+                seen["eps 1"] += 1 in eps
+            want = block_sums_by_fractions(datum, mu)
+            got = block_sums(datum, mu)
+            if all(x.denominator == 1 for x in want):
+                assert got == want, (datum, mu)
+                seen["integral"] += 1
+            else:
+                assert got is None, (datum, mu)
+                seen["none"] += 1
+            labels = enumerate_strata(datum, mu)
+            assert all(sum_profile(s.lam) == got for s in labels), (datum, mu)
+            seen["labels"] += bool(labels)
+        assert min(seen.values()) >= 50, seen
+
+    def test_none_has_no_strata_over_the_gl3_sweep(self):
+        # the pairs of the acceptance GL_3 suite: p in {2, 3}, every simple
+        # twist, every dominant mu of sup-norm <= 4, empty varieties included
+        none = nonempty = 0
+        for p in (2, 3):
+            for m in range(-(p**3 - 1), p**3):
+                if not is_caruso_simple(3, p, m):
+                    continue
+                d = caruso_datum(3, 1, p, m)
+                for v in dominant_vecs(3, -4, 4):
+                    sums, S = block_sums(d, (v,)), enumerate_strata(d, (v,))
+                    if sums is None:
+                        assert S == (), (m, v)
+                        none += 1
+                    else:
+                        assert all(sum_profile(s.lam) == sums for s in S), (m, v)
+                        nonempty += bool(S)
+        assert none > 1000 and nonempty > 1000
