@@ -3,7 +3,9 @@ JSON/DOT reports.
 
 Exit codes: 0 success, 1 golden verification mismatch, 2 invalid config,
 3 precondition violated, 4 internal theorem-violation assertion.  Output is
-deterministic: strata are sorted by label and JSON keys are sorted.
+deterministic: strata are sorted by label and JSON keys are sorted.  Reports are
+written by ``_json``, byte-identical to ``json.dumps(indent=2, sort_keys=True)``,
+which is its test oracle.
 """
 
 from __future__ import annotations
@@ -12,6 +14,7 @@ import argparse
 import json
 import sys
 from functools import lru_cache
+from json.encoder import encode_basestring_ascii
 
 from . import connectivity, multicopy, normal_form, oracle, strata
 from .core import ExtAffine, GroupShape, Root, is_dominant, is_minuscule
@@ -151,8 +154,45 @@ def ser_stratum(s) -> dict:
     }
 
 
+def _json(x, pad: str = "") -> str:
+    """x as ``json.dumps(x, indent=2, sort_keys=True)``, its test oracle, writes
+    it, without the pure-Python encoder that any indent selects there.  It takes
+    only what reports hold: dicts with str keys, lists, str, int of any size,
+    bool and None; anything else, a float or a tuple included, is a TypeError."""
+    if isinstance(x, dict):
+        if not x:
+            return "{}"
+        if not all(isinstance(k, str) for k in x):
+            raise TypeError("report keys must be str")
+        inner = pad + "  "
+        items = [
+            encode_basestring_ascii(k) + ": " + (int.__repr__(v) if type(v) is int else _json(v, inner))
+            for k, v in sorted(x.items())
+        ]
+        return "{\n" + inner + (",\n" + inner).join(items) + "\n" + pad + "}"
+    if isinstance(x, list):
+        if not x:
+            return "[]"
+        inner = pad + "  "
+        # an exact type test, since bool is a subclass of int
+        if set(map(type, x)) == {int}:
+            items = map(int.__repr__, x)
+        else:
+            items = [_json(v, inner) for v in x]
+        return "[\n" + inner + (",\n" + inner).join(items) + "\n" + pad + "]"
+    if isinstance(x, str):
+        return encode_basestring_ascii(x)
+    if x is True or x is False:
+        return "true" if x else "false"
+    if x is None:
+        return "null"
+    if isinstance(x, int):
+        return int.__repr__(x)
+    raise TypeError(f"Object of type {type(x).__name__} is not JSON serializable")
+
+
 def emit(report: dict) -> None:
-    sys.stdout.write(json.dumps(report, indent=2, sort_keys=True) + "\n")
+    sys.stdout.write(_json(report) + "\n")
 
 
 def graph_dot(graph) -> str:

@@ -4,9 +4,10 @@ import io
 import json
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from kisin import cli, normal_form
 from kisin.cli import main
@@ -703,3 +704,65 @@ class TestDeepInputs:
         num, den = json.loads(captured.out)["datum"]["e"][0][0].split("/")
         assert len(den) > 640
         assert Fraction(int(num), int(den)) == caruso_datum(2, 60, 1000000000039, 1).e[0][0]
+
+
+@contextlib.contextmanager
+def _no_digit_limit():
+    """Lift the interpreter's limit on the decimal digits of an int, as main
+    does while a command runs."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    if limit is not None:
+        sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        if limit is not None:
+            sys.set_int_max_str_digits(limit)
+
+
+# every code point: non-ASCII, lone surrogates, control characters, '"' and '\'
+_TEXT = st.text(st.characters(exclude_categories=()), max_size=8)
+_LEAVES = (
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.integers(min_value=10**4300, max_value=10**4400).map(lambda x: x * (-1) ** (x % 2))
+    | _TEXT
+)
+_REPORTS = st.recursive(
+    _LEAVES, lambda inner: st.lists(inner, max_size=5) | st.dictionaries(_TEXT, inner, max_size=5), max_leaves=30
+)
+
+
+class TestReportWriter:
+    """cli.emit writes every report by cli._json, which must give the bytes
+    of json.dumps(report, indent=2, sort_keys=True), its test oracle."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True, suppress_health_check=[HealthCheck.too_slow])
+    @given(x=_REPORTS)
+    @example(x={"": [], "a": {}, "b": [[], {}, [[]], {"c": {}}], "d": [True, False, None, 0, -1]})
+    @example(x=["\x00\x1f\x7f\"\\/", "é \ud800\U0001f600", {"\ud800\"\n": -(10**5000)}])
+    def test_matches_json_dumps(self, x):
+        with _no_digit_limit():
+            assert cli._json(x) == json.dumps(x, indent=2, sort_keys=True)
+
+    @pytest.mark.parametrize("x", [1.5, (1, 2), {1: "a"}, object(), {"a": [0, 1.0]}, [{"a": (0,)}], {"a": {None: 0}}])
+    def test_refuses_what_reports_do_not_hold(self, x):
+        with pytest.raises(TypeError):
+            cli._json(x)
+
+    @pytest.mark.parametrize("workload", ["counterexample-ladder", "multicopy-lift", "oracle-crosscheck"])
+    def test_every_workload_report(self, workload, monkeypatch, capsys):
+        # the benchmark's seed-201 instance lists, read from perfbench/
+        # without writing byte code there
+        monkeypatch.setattr(sys, "dont_write_bytecode", True)
+        monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+        import workloads
+
+        instances = workloads.generate(workload, 201, 20)
+        assert instances
+        for inst in instances:
+            main(inst["argv"])
+            out = capsys.readouterr().out
+            with _no_digit_limit():
+                assert out and out == json.dumps(json.loads(out), indent=2, sort_keys=True) + "\n", inst["argv"]
