@@ -155,10 +155,11 @@ def ser_stratum(s) -> dict:
 
 
 def _json(x, pad: str = "") -> str:
-    """x as ``json.dumps(x, indent=2, sort_keys=True)``, its test oracle, writes
-    it, without the pure-Python encoder that any indent selects there.  It takes
-    only what reports hold: dicts with str keys, lists, str, int of any size,
-    bool and None; anything else, a float or a tuple included, is a TypeError."""
+    """The text of ``json.dumps(x, indent=2, sort_keys=True)``, its test oracle,
+    built without the pure-Python encoder that any indent selects there.  It
+    takes only what reports hold: dicts with str keys, lists, str, int of any
+    size, bool and None; anything else, a float or a tuple included, is a
+    TypeError."""
     if isinstance(x, dict):
         if not x:
             return "{}"

@@ -726,7 +726,8 @@ _LEAVES = (
     st.none()
     | st.booleans()
     | st.integers()
-    | st.integers(min_value=10**4300, max_value=10**4400).map(lambda x: x * (-1) ** (x % 2))
+    | st.integers(min_value=10**4300, max_value=10**4400)
+    | st.integers(min_value=-(10**4400), max_value=-(10**4300))
     | _TEXT
 )
 _REPORTS = st.recursive(
