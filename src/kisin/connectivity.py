@@ -11,15 +11,17 @@ Disconnectedness is never claimed without those certificates.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
+from operator import add, sub
 
-from .core import Cochar, _block_dominated, _dominated, act_perm, cochar_add
+from .core import Cochar, GroupShape, Perm, WeylElt, _block_dominated, act_perm, perm_inv, twist_block
 from .errors import PreconditionError, TheoremViolationError
 from .normal_form import FrobeniusDatum
 from .strata import (
-    _is_label,
+    _CACHED,
+    _label_nat,
     _require_mu,
     _root_table,
-    _twist,
     enumerate_strata,
 )
 
@@ -85,6 +87,17 @@ def _edge_ok(mu: Cochar, nat: Cochar, k: int, i: int, j: int, k2: int, a: int, b
     return _block_dominated(up, mu[k])
 
 
+@lru_cache(maxsize=_CACHED)
+def _graph_moves(shape: GroupShape, w: WeylElt) -> tuple:
+    """One row (root, k, i, j, k2, a, b, e) per root, in all_roots order, with
+    the arguments ``_edge_ok`` takes for its coroot: k2 = k - 1 mod N,
+    a = w_k2(i), b = w_k2(j) and e = eps_k2.  Built once per (shape, w)."""
+    return tuple(
+        (alpha, k, i, j, (k - 1) % shape.blocks, w[k - 1][i], w[k - 1][j], shape.eps[k - 1])
+        for alpha, k, i, j, _ in _root_table(shape)
+    )
+
+
 def build_graph(datum: FrobeniusDatum, mu: Cochar) -> StrataGraph:
     """The coroot-curve graph on the strata.  Every root, in all_roots order,
     is tested from each stratum's stored lam_nat by ``_edge_ok`` on the
@@ -96,12 +109,8 @@ def build_graph(datum: FrobeniusDatum, mu: Cochar) -> StrataGraph:
     caller that enumerated the same (datum, mu) already pays nothing here."""
     strata = enumerate_strata(datum, mu)
     index = {s.lam: t for t, s in enumerate(strata)}
-    shape, w = datum.shape, datum.w
-    # one row (root, k, i, j, k2, a, b, e) per root; one stratum has no edges
-    moves = [
-        (alpha, k, i, j, (k - 1) % shape.blocks, w[k - 1][i], w[k - 1][j], shape.eps[k - 1])
-        for alpha, k, i, j, _ in _root_table(shape)
-    ] if len(strata) > 1 else ()
+    # one stratum has no edges
+    moves = _graph_moves(datum.shape, datum.w) if len(strata) > 1 else ()
     uf = _UnionFind(len(strata))
     edges = []
     seen_pairs = set()
@@ -148,22 +157,44 @@ _GL3_COROOTS = (
 )
 
 
-def _gl3_normal_form(diff: tuple, w: tuple):
-    """Decompose diff = n1*c + n2*w(c) with n1 = max(|n1|, |n2|, |n1-n2|) >= n2 >= 0.
+@lru_cache(maxsize=_CACHED)
+def _chain_table(w: Perm, e: int) -> tuple:
+    """Per coroot c of _GL3_COROOTS, in order, the row (c, w(c), det, plus,
+    minus) that the chains of a 3-cycle w with eps = e read: det is the
+    determinant of c and w(c) on the first two coordinates, and plus and
+    minus are the steps +c and -w^2(c), each as (step, i, j, inc) with
+    step = e_i - e_j and inc = -step + e w(step), the change of lam_nat when
+    the label moves by step.  Each inc is ``twist_block`` of the step with
+    tau = -step.  Built once per (w, e)."""
+    winv = perm_inv(w)
+    rows = []
+    for c in _GL3_COROOTS:
+        wc = act_perm(w, c)
+        w2c = act_perm(w, wc)
+        steps = []
+        for step in (c, tuple(-x for x in w2c)):
+            inc = twist_block(tuple(-x for x in step), winv, e, step, 1)
+            steps.append((step, step.index(1), step.index(-1), inc))
+        rows.append((c, wc, c[0] * wc[1] - c[1] * wc[0], *steps))
+    return tuple(rows)
+
+
+def _gl3_normal_form(diff: tuple, table: tuple):
+    """Decompose diff = n1*c + n2*w(c) with n1 = max(|n1|, |n2|, |n1-n2|) >= n2 >= 0;
+    returns (c's row of the chain table, n1, n2).
 
     Tries each of the six coroots c; existence follows from c + w(c) + w^2(c) = 0.
     """
-    for c in _GL3_COROOTS:
-        wc = act_perm(w, c)
+    for row in table:
+        c, wc, det = row[:3]
         # {c, w(c)} is a unimodular basis of the sum-zero lattice when w is a
         # 3-cycle, so the 2x2 solve over the first two coordinates is exact
-        det = c[0] * wc[1] - c[1] * wc[0]
         n1 = (diff[0] * wc[1] - diff[1] * wc[0]) // det
         n2 = (c[0] * diff[1] - c[1] * diff[0]) // det
         if n1 * c[2] + n2 * wc[2] != diff[2]:
             continue
         if n1 == max(abs(n1), abs(n2), abs(n1 - n2)) and n1 >= n2 >= 0:
-            return c, n1, n2
+            return row, n1, n2
     raise TheoremViolationError("no max-normalized coroot decomposition found")
 
 
@@ -192,9 +223,16 @@ def chain_gl3(datum: FrobeniusDatum, mu: Cochar, lam: Cochar, lam_prime: Cochar)
     old label's membership, costs one more 3-entry block.
 
     Membership in S = {lam : dominant(lam_nat) <= mu} is decided by that
-    defining inequality for the endpoints and for every step, so no strata are
-    enumerated and no EnumerationCapError can arise.  An endpoint that is not
-    a label, or not shaped like one, raises PreconditionError.
+    defining inequality, so no strata are enumerated and no
+    EnumerationCapError can arise.  Both endpoints are tested as labels by
+    ``strata._label_nat``, which twists each once, and the start's lam_nat is
+    kept from that test.  Each step then
+    moves lam_nat by the exact increment -step + eps w(step) of the chain
+    table (``_chain_table``, built once per (w, eps)), since
+    lam_nat(lam + step) = lam_nat(lam) - step + eps w(step) when f = 1, and
+    the stepped lam_nat is tested with ``core._block_dominated`` against mu.
+    An endpoint that is not a label, or not shaped like one, raises
+    PreconditionError.
 
     Returns (chain, steps) with steps the coroots lam_{i+1} - lam_i.
     """
@@ -205,42 +243,41 @@ def chain_gl3(datum: FrobeniusDatum, mu: Cochar, lam: Cochar, lam_prime: Cochar)
     if any(w[i] == i for i in range(3)):  # a permutation of 3 points is a 3-cycle iff it fixes none
         raise PreconditionError("chain construction requires a 3-cycle Weyl part")
     _require_mu(datum, mu)
-    for end in (lam, lam_prime):
-        if not (_is_gl3_label(end) and _is_label(datum, mu, end)):
-            raise PreconditionError("both endpoints must be stratum labels")
+    nats = [_label_nat(datum, mu, end) if _is_gl3_label(end) else None for end in (lam, lam_prime)]
+    if None in nats:
+        raise PreconditionError("both endpoints must be stratum labels")
     if sum(lam[0]) != sum(lam_prime[0]):
         raise TheoremViolationError("difference of labels is not in the coroot lattice")
 
+    e = shape.eps[0]
+    table = _chain_table(w, e)
+    bound = mu[0]
     chain = [lam]
     steps = []
-    cur = lam
+    cur, goal = lam[0], lam_prime[0]
+    nat = nats[0][0]
     prev_n1 = None
-    while cur != lam_prime:
-        diff = tuple(a - b for a, b in zip(lam_prime[0], cur[0]))
-        c, n1, n2 = _gl3_normal_form(diff, w)
+    while cur != goal:
+        row, n1, n2 = _gl3_normal_form(tuple(map(sub, goal, cur)), table)
         if prev_n1 is not None and n1 >= prev_n1:
             raise TheoremViolationError("leading coefficient failed to decrease")
         prev_n1 = n1
-        w2c = act_perm(w, act_perm(w, c))
-        step_plus = (c,)
-        step_minus = (tuple(-x for x in w2c),)
         if n2 == 0:
-            candidates = (step_plus,)
+            candidates = (row[3],)
         elif n2 == n1:
-            candidates = (step_minus,)
+            candidates = (row[4],)
         else:
-            candidates = (step_plus, step_minus)
-        for step in candidates:
-            nxt = cochar_add(cur, step)
-            nat = _twist(datum, nxt)[1]
-            if _dominated(nat, mu):
+            candidates = row[3:]
+        for step, i, j, inc in candidates:
+            nxt_nat = tuple(map(add, nat, inc))
+            if _block_dominated(nxt_nat, bound):
                 break
         else:
             raise TheoremViolationError("no admissible coroot step stays in S")
-        i, j = step[0].index(1), step[0].index(-1)
-        if not _edge_ok(mu, nat, 0, i, j, 0, w[i], w[j], shape.eps[0]):  # the edge nxt -> nxt - step = cur
-            raise TheoremViolationError(f"chain step {cur} -> {nxt} is not a coroot-curve edge")
-        steps.append(step)
-        chain.append(nxt)
-        cur = nxt
+        nxt = tuple(map(add, cur, step))
+        if not _edge_ok(mu, (nxt_nat,), 0, i, j, 0, w[i], w[j], e):  # the edge nxt -> nxt - step = cur
+            raise TheoremViolationError(f"chain step {(cur,)} -> {(nxt,)} is not a coroot-curve edge")
+        steps.append((step,))
+        chain.append((nxt,))
+        cur, nat = nxt, nxt_nat
     return tuple(chain), tuple(steps)

@@ -17,14 +17,16 @@ Conventions (fixed once, used everywhere):
 
 The twisted Frobenius ``v -> tau + w(sigma(v))`` of a datum u^tau w, whose
 block k is ``tau_k + eps_k w_k(v_{k+1})``, is computed in one place:
-:func:`twist_block`.  The fixed points, the stratum labels, the zero-stratum
-walk and its certificate all call it.
+:func:`twist_block`, from w_k^{-1} as ``normal_form._solve_plan`` stores it.
+The fixed points, the stratum labels, the GL_3 chains' endpoints and steps, the
+zero-stratum walk and its certificate all call it.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from operator import add, ge, sub
 from typing import Iterator
 
 from .errors import ConfigError
@@ -139,11 +141,11 @@ def act_perm(perm: Perm, block: Vec) -> Vec:
 
 
 def cochar_add(a: Cochar, b: Cochar) -> Cochar:
-    return tuple(tuple(x + y for x, y in zip(ba, bb)) for ba, bb in zip(a, b))
+    return tuple([tuple(map(add, ba, bb)) for ba, bb in zip(a, b)])
 
 
 def cochar_sub(a: Cochar, b: Cochar) -> Cochar:
-    return tuple(tuple(x - y for x, y in zip(ba, bb)) for ba, bb in zip(a, b))
+    return tuple([tuple(map(sub, ba, bb)) for ba, bb in zip(a, b)])
 
 
 def cochar_scale(k: int, a: Cochar) -> Cochar:
@@ -152,36 +154,45 @@ def cochar_scale(k: int, a: Cochar) -> Cochar:
 
 def is_central(v: Cochar) -> bool:
     """Constant within every block."""
-    return all(len(set(b)) <= 1 for b in v)
+    for b in v:
+        if len(set(b)) > 1:
+            return False
+    return True
 
 
 def is_dominant(v: Cochar) -> bool:
-    return all(all(b[i] >= b[i + 1] for i in range(len(b) - 1)) for b in v)
+    """Non-increasing within every block."""
+    for b in v:
+        if not all(map(ge, b, b[1:])):
+            return False
+    return True
 
 
 def is_minuscule(v: Cochar) -> bool:
     """Per block, entries take at most two consecutive values."""
-    return all(max(b) - min(b) <= 1 for b in v)
+    for b in v:
+        if max(b) - min(b) > 1:
+            return False
+    return True
 
 
-def twist_block(t: Vec, wk: Perm, e: int, v: Vec, scale: int) -> Vec:
+def twist_block(t: Vec, winv: Perm, e: int, v: Vec, scale: int) -> Vec:
     """Block k of scale * tau + w(sigma(v)), that is scale * tau_k +
-    eps_k w_k(v_{k+1}), from t = tau_k, wk = w_k, e = eps_k and v = v_{k+1},
-    unchecked: eps_k v_{k+1}[i] lands at place w_k(i)."""
-    blk = [scale * x for x in t]
-    for i, x in zip(wk, v):
-        blk[i] += e * x
-    return tuple(blk)
+    eps_k w_k(v_{k+1}), from t = tau_k, winv = w_k^{-1} (as
+    ``normal_form._solve_plan`` stores it), e = eps_k and v = v_{k+1},
+    unchecked: place i takes eps_k v_{k+1}[w_k^{-1}(i)], in one pass."""
+    return tuple([scale * x + e * v[j] for x, j in zip(t, winv)])
 
 
 def _block_dominated(bv: Vec, bm: Vec) -> bool:
     """Whether the dominant sort of one block bv is dominated by the dominant
-    block bm of the same length, unchecked: bv sorted non-increasingly, the
-    running sum of its differences from bm never positive and ending at zero
-    (equal sums, partial sums bounded by bm's)."""
+    block bm of the same length, unchecked: the running sum of the
+    differences of bv's entries, largest first, from bm's never positive and
+    ending at zero (equal sums, partial sums bounded by bm's)."""
     acc = 0
-    for x, y in zip(sorted(bv, reverse=True), bm):
-        acc += x - y
+    rest = sorted(bv)  # popped from the end, so largest first
+    for y in bm:
+        acc += rest.pop() - y
         if acc > 0:
             return False
     return not acc

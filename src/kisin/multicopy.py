@@ -189,8 +189,8 @@ def unique_zero_stratum(multi: MultiDatum, mu_bullet: Cochar) -> Stratum:
     origin, ident = (0,) * n, identity_perm(n)
     # the step into block k, None when it is the identity
     steps = [
-        None if e == 1 and w == ident and t == origin and not m else (e, w, t, m)
-        for e, w, t, m in zip(shape.eps, lifted.w, lifted.tau, ms)
+        None if e == 1 and w == ident and t == origin and not m else (e, w, wi, t, m)
+        for e, w, wi, t, m in zip(shape.eps, lifted.w, lifted.plan.winv, lifted.tau, ms)
     ]
     starts = [k for k in range(big) if steps[k - 1] is not None]
     if len(starts) * big > cap:
@@ -202,8 +202,8 @@ def unique_zero_stratum(multi: MultiDatum, mu_bullet: Cochar) -> Stratum:
         for k in range(k0 - 1, k0 - big - 1, -1):
             step = steps[k]
             if step is not None:
-                e, w, t, m = step
-                blk = twist_block(t, w, e, cur, 1)
+                e, w, wi, t, m = step
+                blk = twist_block(t, wi, e, cur, 1)
                 if m:
                     i = w[n - 1 - cur[::-1].index(max(cur))]
                     blk = blk[:i] + (blk[i] - 1,) + blk[i + 1 :]
@@ -252,9 +252,9 @@ def recursion_check(multi: MultiDatum, mu_bullet: Cochar, lam_bullet: Cochar):
         tuple(den * x - e for x, e in zip(lb, eb))
         for lb, eb in zip(lam_bullet, lifted.e_num)
     )
-    big = shape.blocks
+    big, winv = shape.blocks, lifted.plan.winv
     for k in range(big):
-        dag = twist_block(lifted.tau[k], lifted.w[k], shape.eps[k], lam_bullet[(k + 1) % big], 1)
+        dag = twist_block(lifted.tau[k], winv[k], shape.eps[k], lam_bullet[(k + 1) % big], 1)
         rhs = tuple(den * x - e for x, e in zip(dag, lifted.e_num[k]))
         expected = varsigma(rhs, den) if ms[k] == 1 else rhs
         if hat[k] != expected:

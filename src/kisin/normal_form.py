@@ -23,17 +23,19 @@ when chi holds the floors of e.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
+from operator import mul
+from typing import NamedTuple
 
 from .core import (
     Cochar,
     ExtAffine,
     GroupShape,
     WeylElt,
-    act_perm,
     cochar_scale,
     identity_perm,
     n_cycle,
@@ -60,6 +62,21 @@ class FrobeniusDatum:
         """The fixed point with rational entries, built on first use."""
         return tuple(tuple(Fraction(x, self.e_den) for x in b) for b in self.e_num)
 
+    @cached_property
+    def plan(self) -> "_SolvePlan":
+        """The solve plan of (shape, w), held by the datum so that its
+        per-label calls (twists, joins, chains) read it without a lookup."""
+        return _solve_plan(self.shape, self.w)
+
+    @cached_property
+    def _hash(self) -> int:
+        return hash((self.shape, self.wt, self.e_num, self.e_den, self.alcove_ok))
+
+    def __hash__(self) -> int:
+        # the hash by value of the generated one, computed once: the strata
+        # memo and the caches keyed on a datum look it up on every call
+        return self._hash
+
     @property
     def tau(self) -> Cochar:
         return self.wt.chi
@@ -73,24 +90,53 @@ class FrobeniusDatum:
 # the cyclic affine solver
 
 
+class _SolvePlan(NamedTuple):
+    """The data of x = c + w(sigma(x)) fixed by (shape, w); see ``_solve_plan``."""
+
+    prefix_eps: tuple  # E_k = eps_0 ... eps_{k-1}, for k = 0 .. N
+    prefix_perm: tuple  # P_k = w_0 ... w_{k-1}, for k = 0 .. N
+    q: int  # E_N, the full eps product
+    cycles: tuple  # the cycles of W = P_N, each walked backwards
+    den: int  # D = q^L - 1, L the lcm of the cycle lengths
+    moduli: tuple  # q^|c| - 1 per cycle c
+    coefs: tuple  # per block k, per cycle: the residue row of rhs[k]
+    rows: tuple  # per position i of block 0: the row of x[0][i]'s numerator
+    dens: tuple  # per position i of block 0: 1 - q^|c|, c its cycle
+    winv: tuple  # w_k^{-1} per block, as core.twist_block reads it
+
+
 @lru_cache(maxsize=256)  # one plan per (shape, w); eviction only rebuilds
-def _solve_plan(shape: GroupShape, w: WeylElt):
-    """Unroll the block recurrence x[k] = c[k] + eps[k] w_k(x[k+1]).
+def _solve_plan(shape: GroupShape, w: WeylElt) -> _SolvePlan:
+    """Unroll the block recurrence x[k] = rhs[k] + eps[k] w_k(x[k+1]).
 
     Substituting around the cycle of blocks reduces to the single-block system
-    (1 - q W) x[0] = sum_k E_k P_k(c[k]) with q the full eps product,
-    P_k = w_0 ... w_{k-1} and W = P_N; that system splits along the cycles of
-    the permutation W.  Returns (prefix scales E_k, prefix perms P_k, q,
-    cycles of W, the common denominator D, moduli, residue coefficients)
-    reused across many right-hand sides.  D = q^L - 1 with L the lcm of the
-    cycle lengths, so every q^|c| - 1 divides D.
+    (1 - q W) x[0] = b, b = sum_k E_k P_k(rhs[k]), with q the full eps
+    product, E_k and P_k = w_0 ... w_{k-1} the prefix scales and
+    permutations, and W = P_N; that system splits along the cycles of the
+    permutation W.  D = q^L - 1 with L the lcm of the cycle lengths, so every
+    q^|c| - 1 divides D.
 
-    The numerators of x[0] on a cycle c are integers congruent to each other
-    up to powers of q modulo q^|c| - 1, so x[0] is integral iff the one at
-    c's first position, sum_t q^t b[c_t], is divisible by q^|c| - 1.  That
-    numerator is sum_k <coef[k][c], rhs[k]>, since rhs[k][j] lands in
-    b[P_k(j)] scaled by E_k; the coefficients are stored reduced modulo
-    q^|c| - 1 (the moduli, one per cycle).
+    The rows.  Walk each cycle c of W backwards (c[t+1] = W^{-1}(c[t])) and
+    let t(x) be the step of position x on its cycle.  At i = c[t0], x[0][i]
+    is sum_t q^t b[c[(t0 + t) mod |c|]], t from 0 to |c| - 1, over
+    1 - q^|c|; that numerator is the one the cycle walk used to build.
+    Since rhs[k][j] lands in b[P_k(j)] scaled by E_k, and b[P_k(j)] enters
+    that sum only when P_k(j) lies on i's cycle, as the term with
+    c[(t0 + t) mod |c|] = P_k(j), that is t = (t(P_k j) - t0) mod |c|, the
+    numerator is the product of the flat right side (rhs[0], ..., rhs[N-1])
+    with the row of i whose entry at (k, j) is
+    E_k q^((t(P_k j) - t(i)) mod |c|) when P_k(j) lies on i's cycle and 0
+    otherwise.  The rows and the denominators 1 - q^|c| are stored per
+    position of block 0, so ``_solve_block0`` is one integer matrix-vector
+    product.
+
+    The residues.  The numerators on one cycle are congruent to each other up
+    to powers of q modulo q^|c| - 1, so x[0] is integral iff the one at c's
+    first position is divisible by q^|c| - 1.  That numerator is
+    sum_k <coef[k][c], rhs[k]>: the coefficients are its row, cut per block
+    and reduced modulo q^|c| - 1 (the moduli, one per cycle).
+
+    The plan also holds each w_k^{-1}, which ``core.twist_block`` reads.
     """
     nblocks, n = shape.blocks, shape.n
     prefix_eps = [1] * (nblocks + 1)
@@ -120,53 +166,45 @@ def _solve_plan(shape: GroupShape, w: WeylElt):
     for ci, cyc in enumerate(cycles):
         for t, i in enumerate(cyc):
             place[i] = (ci, t)
-    coefs = []
-    for k in range(nblocks):
-        rows = [[0] * n for _ in cycles]
-        for j in range(n):
-            ci, t = place[prefix_perm[k][j]]
-            rows[ci][j] = prefix_eps[k] * q**t % moduli[ci]
-        coefs.append(tuple(map(tuple, rows)))
-    return tuple(prefix_eps), tuple(prefix_perm), q, tuple(cycles), den, moduli, tuple(coefs)
+    powers = [q**t for t in range(max(map(len, cycles)))]
+    rows = []
+    for i in range(n):
+        ci, t0 = place[i]
+        length = len(cycles[ci])
+        row = []
+        for k in range(nblocks):
+            for j in range(n):
+                cj, t = place[prefix_perm[k][j]]
+                row.append(prefix_eps[k] * powers[(t - t0) % length] if cj == ci else 0)
+        rows.append(tuple(row))
+    # the row of each cycle's first position, cut per block and reduced
+    coefs = tuple(
+        tuple(tuple(x % m for x in rows[cyc[0]][k * n : (k + 1) * n]) for cyc, m in zip(cycles, moduli))
+        for k in range(nblocks)
+    )
+    dens = tuple(1 - q ** len(cycles[place[i][0]]) for i in range(n))
+    return _SolvePlan(
+        tuple(prefix_eps), tuple(prefix_perm), q, tuple(cycles), den, moduli, coefs, tuple(rows), dens,
+        tuple(map(perm_inv, w)),
+    )
 
 
-def _solve_block0(shape: GroupShape, w: WeylElt, rhs: Cochar):
-    """Integer numerators and per-position denominators 1 - q^|c| for x[0]
-    of the system x = rhs + w(sigma(x)); both are exact ints when rhs is
-    integral."""
-    prefix_eps, prefix_perm, q, cycles, *_ = _solve_plan(shape, w)
-    n = shape.n
-    b = [0] * n
-    for k in range(shape.blocks):
-        moved = act_perm(prefix_perm[k], rhs[k])
-        scale = prefix_eps[k]
-        for i in range(n):
-            b[i] += scale * moved[i]
-    nums = [0] * n
-    dens = [1] * n
-    for cyc in cycles:
-        length = len(cyc)
-        den = 1 - q ** length
-        for t0, i in enumerate(cyc):
-            # walking backwards from i along the cycle is walking cyc forwards
-            acc = 0
-            power = 1
-            for t in range(length):
-                acc += power * b[cyc[(t0 + t) % length]]
-                power *= q
-            nums[i] = acc
-            dens[i] = den
-    return nums, dens
+def _solve_block0(plan: _SolvePlan, rhs: Cochar) -> list:
+    """The integer numerators of x[0] over plan.dens for the system
+    x = rhs + w(sigma(x)), rhs integral: one product of the plan's rows with
+    the flat right side."""
+    flat = tuple(itertools.chain.from_iterable(rhs))
+    return [sum(map(mul, row, flat)) for row in plan.rows]
 
 
-def _back_substitute(shape: GroupShape, w: WeylElt, rhs: Cochar, x0, scale: int):
+def _back_substitute(shape: GroupShape, plan: _SolvePlan, rhs: Cochar, x0, scale: int):
     """The blocks X_k = scale rhs_k + eps_k w_k(X_{k+1}) from X_0 = x0 down,
     that is scale times the solution whose block 0 is x0 / scale."""
     nblocks = shape.blocks
     out = [None] * nblocks
     out[0] = tuple(x0)
     for k in range(nblocks - 1, 0, -1):
-        out[k] = twist_block(rhs[k], w[k], shape.eps[k], out[(k + 1) % nblocks], scale)
+        out[k] = twist_block(rhs[k], plan.winv[k], shape.eps[k], out[(k + 1) % nblocks], scale)
     return tuple(out)
 
 
@@ -180,23 +218,22 @@ def solve_affine_scaled(shape: GroupShape, w: WeylElt, rhs: Cochar):
     The system is always uniquely solvable: ``GroupShape`` refuses an eps
     pattern that is all 1, and every eps entry is 1 or p, so q >= p >= 2,
     no 1 - q^|c| vanishes and D >= 1."""
-    nums, dens = _solve_block0(shape, w, rhs)
-    den = _solve_plan(shape, w)[4]
-    x0 = [nu * (den // de) for nu, de in zip(nums, dens)]
-    return _back_substitute(shape, w, rhs, x0, den), den
+    plan = _solve_plan(shape, w)
+    x0 = [nu * (plan.den // de) for nu, de in zip(_solve_block0(plan, rhs), plan.dens)]
+    return _back_substitute(shape, plan, rhs, x0, plan.den), plan.den
 
 
 def solve_affine_integral(shape: GroupShape, w: WeylElt, rhs: Cochar):
     """Integral solution of x = rhs + w(sigma(x)), or None if none exists;
     solvable as in ``solve_affine_scaled``."""
-    nums, dens = _solve_block0(shape, w, rhs)
+    plan = _solve_plan(shape, w)
     x0 = []
-    for nu, de in zip(nums, dens):
+    for nu, de in zip(_solve_block0(plan, rhs), plan.dens):
         quot, rem = divmod(nu, de)
         if rem:
             return None
         x0.append(quot)
-    return _back_substitute(shape, w, rhs, x0, 1)
+    return _back_substitute(shape, plan, rhs, x0, 1)
 
 
 def _fixed_point_scaled(shape: GroupShape, wt: ExtAffine):
@@ -214,7 +251,8 @@ def _same_point(num: Cochar, den: int, num2: Cochar, den2: int) -> bool:
 def make_datum(shape: GroupShape, wt: ExtAffine) -> FrobeniusDatum:
     num, den = _fixed_point_scaled(shape, wt)
     # E = D tau + w(sigma(E)), the identity e = tau + w(sigma(e)) times D
-    twisted = (twist_block(t, wk, e, v, den) for t, wk, e, v in zip(wt.chi, wt.w, shape.eps, num[1:] + num[:1]))
+    winv = _solve_plan(shape, wt.w).winv
+    twisted = (twist_block(t, wi, e, v, den) for t, wi, e, v in zip(wt.chi, winv, shape.eps, num[1:] + num[:1]))
     if num != tuple(twisted):
         raise TheoremViolationError("fixed point fails its defining identity")
     return FrobeniusDatum(shape, wt, num, den, in_alcove(num, den))
@@ -262,7 +300,7 @@ def _transport_datum(shape: GroupShape, z: ExtAffine, wt: ExtAffine) -> ExtAffin
     tau, w = [], []
     for k, y in enumerate(ys):
         nxt = (k + 1) % nblocks
-        blk = twist_block(wt.chi[k], wt.w[k], shape.eps[k], chi[nxt], 1)
+        blk = twist_block(wt.chi[k], perm_inv(wt.w[k]), shape.eps[k], chi[nxt], 1)
         tau.append(tuple(blk[i] - chi[k][i] for i in y))
         w.append(perm_mul(perm_inv(y), perm_mul(wt.w[k], ys[nxt])))
     return ExtAffine(tau, w)
@@ -322,14 +360,17 @@ def caruso_datum(n: int, f: int, p: int, m: int) -> FrobeniusDatum:
     """The simple representative u^{(m,0,...,0)} (n-cycle) on the first block,
     solved for its fixed point and reduced into the alcove.
 
-    For n = 1 every m is simple, but the fixed point -m/(q - 1) is integral
-    when q - 1 divides m, and such a datum is refused as not in general
-    position; for n > 1 simplicity already excludes an integral entry."""
-    if not is_caruso_simple(n, p**f, m):
-        raise NotSimpleError(f"(n={n}, q={p**f}, m={m}) is not simple")
-    if n == 1 and m % (p**f - 1) == 0:
-        raise NotInGeneralPositionError(f"(n=1, q={p**f}, m={m}) has the integral fixed point {-m // (p**f - 1)}")
+    The shape is built first, so that n < 1, f < 1 and a p that is not prime
+    are refused (ConfigError) before q = p^f is formed.  For n = 1 every m
+    is simple, but the fixed point -m/(q - 1) is integral when q - 1 divides
+    m, and such a datum is refused as not in general position; for n > 1
+    simplicity already excludes an integral entry."""
     shape = GroupShape.res_field(n, f, p)
+    q = p**f
+    if not is_caruso_simple(n, q, m):
+        raise NotSimpleError(f"(n={n}, q={q}, m={m}) is not simple")
+    if n == 1 and m % (q - 1) == 0:
+        raise NotInGeneralPositionError(f"(n=1, q={q}, m={m}) has the integral fixed point {-m // (q - 1)}")
     tau = ((m,) + (0,) * (n - 1),) + ((0,) * n,) * (f - 1)
     w = (n_cycle(n),) + (identity_perm(n),) * (f - 1)
     datum = make_datum(shape, ExtAffine(tau, w))

@@ -23,7 +23,15 @@ back to its candidate (else TheoremViolationError).  Its work follows the
 per-block candidate counts, which grow like p^(n-1) per block.  It runs up
 to central shift (``central_twist``), so a block's bucket table depends only
 on its coefficient rows, the moduli and mu_k less its least entry; the tables
-sit in one cache, and every cache of this module is bounded by _CACHED.
+sit in one cache, and every cache of this module is bounded by _CACHED.  The
+residues that the shifted candidates must meet are read off tau and the
+least entries of mu, with no shifted tau built.
+
+Everything fixed by (shape, w) is built once, in the solve plan that each
+datum holds (``FrobeniusDatum.plan``): the solver's rows, its moduli and
+residue coefficients, and the inverse permutations that ``_twist`` hands to
+``core.twist_block``.  The per-label calls (solving a candidate, twisting a
+label) only read it.
 
 The cycle walk searches lam directly when every eps_k >= 2.  Dominance gives
 lo_k <= nat_k[j] <= hi_k, lo_k and hi_k the least and largest entry of mu_k,
@@ -72,7 +80,7 @@ import os
 from collections import Counter, defaultdict
 from dataclasses import dataclass
 from functools import lru_cache
-from operator import mul
+from operator import mul, sub
 from typing import Optional
 
 from .core import (
@@ -124,11 +132,13 @@ def _require_mu(datum: FrobeniusDatum, mu: Cochar) -> None:
 
 
 def _twist(datum: FrobeniusDatum, lam: Cochar) -> tuple:
-    """(dag, nat) = (tau + w(sigma(lam)), dag - lam), unchecked."""
+    """(dag, nat) = (tau + w(sigma(lam)), dag - lam), unchecked: one
+    ``twist_block`` per block, from the inverse permutations of the datum's
+    solve plan."""
     dag = tuple(
-        twist_block(t, w, e, v, 1) for t, w, e, v in zip(datum.tau, datum.w, datum.shape.eps, lam[1:] + lam[:1])
+        [twist_block(t, wi, e, v, 1) for t, wi, e, v in zip(datum.tau, datum.plan.winv, datum.shape.eps, lam[1:] + lam[:1])]
     )
-    return dag, tuple(tuple(d - x for d, x in zip(bd, bl)) for bd, bl in zip(dag, lam))
+    return dag, tuple([tuple(map(sub, bd, bl)) for bd, bl in zip(dag, lam)])
 
 
 def natural_lambda(datum: FrobeniusDatum, lam: Cochar) -> Cochar:
@@ -152,9 +162,16 @@ def _require_label_args(datum: FrobeniusDatum, mu: Cochar, lam: Cochar) -> tuple
     return _cochar(mu), _cochar(lam)
 
 
+def _label_nat(datum: FrobeniusDatum, mu: Cochar, lam: Cochar) -> Optional[Cochar]:
+    """lam_nat when lam meets the defining inequality dominant(lam_nat) <= mu,
+    else None, unchecked."""
+    nat = _twist(datum, lam)[1]
+    return nat if _dominated(nat, mu) else None
+
+
 def _is_label(datum: FrobeniusDatum, mu: Cochar, lam: Cochar) -> bool:
     """The defining inequality dominant(lam_nat) <= mu, unchecked."""
-    return _dominated(_twist(datum, lam)[1], mu)
+    return _label_nat(datum, mu, lam) is not None
 
 
 def stratum_nonempty(datum: FrobeniusDatum, mu: Cochar, lam: Cochar) -> bool:
@@ -326,19 +343,20 @@ def _join(datum: FrobeniusDatum, mu: Cochar, cap: Optional[int] = None) -> list:
     the per-block candidate sets.
 
     Up to central shift (``central_twist``): with chi_k the least entry of
-    mu_k, nu0 = nu - chi runs over the candidates of mu - chi and
-    tau - nu = tau0 - nu0 for tau0 = tau - chi, so every lam is unchanged.
-    Complete and duplicate-free: candidates nu run over every vector with
-    dominant(nu) <= mu, nu -> lam is injective, and the residue join drops
-    exactly the nu whose preimage is not integral.  Each surviving nu must
-    solve integrally, and its lam must twist back to nu (else
-    TheoremViolationError), so membership holds by construction.
+    mu_k, nu0 = nu - chi runs over the candidates of mu - chi, and the
+    residues that nu0 must meet are those of tau0 = tau - chi, read off tau
+    and chi with no tau0 built.  Each survivor is shifted back to nu and
+    solved from tau - nu.  Complete and duplicate-free: candidates nu run
+    over every vector with dominant(nu) <= mu, nu -> lam is injective, and
+    the residue join drops exactly the nu whose preimage is not integral.
+    Each surviving nu must solve integrally, and its lam must twist back to
+    nu (else TheoremViolationError), so membership holds by construction.
     """
-    shape, w = datum.shape, datum.w
-    *_, moduli, coefs = _solve_plan(shape, w)
-    chi = tuple((b[-1],) * len(b) for b in mu)
-    shift = any(b[-1] for b in mu)  # False when every least entry is 0, where nu0 is nu
-    mu0 = cochar_sub(mu, chi)
+    shape, w, plan = datum.shape, datum.w, datum.plan
+    moduli, coefs = plan.moduli, plan.coefs
+    lows = [b[-1] for b in mu]
+    shift = any(lows)  # False when every least entry is 0, where nu0 is nu
+    mu0 = _shift_blocks(mu, [-c for c in lows]) if shift else mu
     if cap is not None:
         for k, b in enumerate(mu0):
             if (box := _candidate_box((b,))) > cap:
@@ -348,33 +366,37 @@ def _join(datum: FrobeniusDatum, mu: Cochar, cap: Optional[int] = None) -> list:
             count *= len(candidate_blocks(b)) ** copies
             if count > cap:
                 raise _cap_error(count, "candidates", cap)
-    tau0 = cochar_sub(datum.tau, chi)
     # the preimage of nu is integral iff, per cycle, the residues of the
-    # nu0_k sum to those of the tau0_k
+    # nu0_k sum to those of the tau0_k = tau_k - chi_k, each of which is
+    # <row, tau_k> - chi_k * sum(row) for the cycle's row of block k
     target = tuple(
-        sum(sum(map(mul, cs[ci], t)) for cs, t in zip(coefs, tau0)) % m for ci, m in enumerate(moduli)
+        sum(sum(map(mul, cs[ci], t)) - c * sum(cs[ci]) for cs, t, c in zip(coefs, datum.tau, lows)) % m
+        for ci, m in enumerate(moduli)
     )
     buckets = [_residue_table(cs, moduli, b) for cs, b in zip(coefs, mu0)]
     solved = []
     for lists in _residue_join(buckets, moduli, target):
         for nu0 in itertools.product(*lists):
-            lam = solve_affine_integral(shape, w, cochar_sub(tau0, nu0))
+            nu = _shift_blocks(nu0, lows) if shift else nu0
+            lam = solve_affine_integral(shape, w, cochar_sub(datum.tau, nu))
             if lam is None:
                 raise TheoremViolationError(
-                    f"candidate {cochar_add(nu0, chi)} meets the integrality congruence but its preimage is not integral"
+                    f"candidate {nu} meets the integrality congruence but its preimage is not integral"
                 )
-            solved.append((lam, nu0))
-    if not solved:
-        return solved
+            solved.append((lam, nu))
     solved.sort()  # by lam: distinct nu solve to distinct lam
     out = []
-    for lam, nu0 in solved:
+    for lam, nu in solved:
         dag, nat = _twist(datum, lam)
-        nu = cochar_add(nu0, chi) if shift else nu0
         if nat != nu:
             raise TheoremViolationError(f"candidate {nu} solves to {lam}, whose lam_nat is {nat}")
         out.append((lam, dag, nat))
     return out
+
+
+def _shift_blocks(v: Cochar, c) -> Cochar:
+    """v with c[k] added to every entry of block k."""
+    return tuple([tuple([x + ck for x in b]) for b, ck in zip(v, c)])
 
 
 # ---------------------------------------------------------------------------
@@ -417,9 +439,9 @@ def _walk_plan(shape, w: WeylElt) -> tuple:
     P_k^-1(i), P_k = w_0 ... w_{k-1}, and comes back to block 0 at W^-1(i),
     W = P_N, so each cycle of W read backwards, as ``_solve_plan`` stores it,
     is one walk cycle, in the order of its least position of block 0."""
-    _, prefix_perm, _, cycles, *_ = _solve_plan(shape, w)
-    inv = [perm_inv(pk) for pk in prefix_perm[: shape.blocks]]
-    return tuple(tuple((k, pk[i]) for i in cyc for k, pk in enumerate(inv)) for cyc in cycles)
+    plan = _solve_plan(shape, w)
+    inv = [perm_inv(pk) for pk in plan.prefix_perm[: shape.blocks]]
+    return tuple(tuple((k, pk[i]) for i in cyc for k, pk in enumerate(inv)) for cyc in plan.cycles)
 
 
 def _walk_radius(datum: FrobeniusDatum, mu: Cochar) -> Optional[int]:
@@ -650,10 +672,9 @@ def block_sums(datum: FrobeniusDatum, mu: Cochar) -> Optional[tuple]:
     ``normal_form._solve_plan``, (1 - q) s_0 = sum_k E_k c_k with the prefix
     scales E_k and the full product q; the other sums follow downwards from
     k = N - 1."""
-    prefix_eps, _, q, *_ = _solve_plan(datum.shape, datum.w)
-    eps = datum.shape.eps
+    plan, eps = datum.plan, datum.shape.eps
     c = [sum(t) - sum(m) for t, m in zip(datum.tau, mu)]
-    s0, rem = divmod(sum(map(mul, prefix_eps, c)), 1 - q)
+    s0, rem = divmod(sum(map(mul, plan.prefix_eps, c)), 1 - plan.q)
     if rem:
         return None
     sums = [s0] * len(c)

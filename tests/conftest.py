@@ -9,7 +9,7 @@ import math
 
 import pytest
 
-from kisin.connectivity import StrataGraph, _UnionFind
+from kisin.connectivity import _GL3_COROOTS, StrataGraph, _UnionFind, _edge_ok, _is_gl3_label
 from kisin.core import (
     ExtAffine,
     GroupShape,
@@ -33,10 +33,10 @@ from kisin.errors import (
     TheoremViolationError,
 )
 from kisin.multicopy import _check_omega_pattern, varsigma
-from kisin.normal_form import make_datum, solve_affine_integral, solve_affine_scaled
+from kisin.normal_form import _solve_plan, caruso_datum, is_caruso_simple, make_datum, solve_affine_integral, solve_affine_scaled
 from kisin import oracle
 from kisin.oracle import GF
-from kisin.strata import Stratum, _strata, candidate_blocks, enumerate_strata, natural_lambda
+from kisin.strata import Stratum, _is_label, _require_mu, _strata, _twist, candidate_blocks, enumerate_strata, natural_lambda
 
 
 @pytest.fixture(autouse=True)
@@ -272,6 +272,37 @@ def gauss_solve_fixed_point(shape, w, tau):
                 m[r] = [a - c * b for a, b in zip(m[r], m[col])]
                 rhs[r] -= c * rhs[col]
     return tuple(tuple(rhs[idx(k, i)] for i in range(n)) for k in range(N))
+
+
+def solve_block0_by_cycle_walk(shape, w, rhs):
+    """Solver oracle: x[0] of x = rhs + w(sigma(x)) as the library computed it
+    before it read one row per position from its solve plan.  Returns the
+    integer numerators and the per-position denominators 1 - q^|c|: b sums
+    the blocks moved to block 0, E_k P_k(rhs[k]), and each cycle of W is
+    walked from every one of its positions, summing q^t b along it."""
+    prefix_eps, prefix_perm, q, cycles, *_ = _solve_plan(shape, w)
+    n = shape.n
+    b = [0] * n
+    for k in range(shape.blocks):
+        moved = act_perm(prefix_perm[k], rhs[k])
+        scale = prefix_eps[k]
+        for i in range(n):
+            b[i] += scale * moved[i]
+    nums = [0] * n
+    dens = [1] * n
+    for cyc in cycles:
+        length = len(cyc)
+        den = 1 - q ** length
+        for t0, i in enumerate(cyc):
+            # walking backwards from i along the cycle is walking cyc forwards
+            acc = 0
+            power = 1
+            for t in range(length):
+                acc += power * b[cyc[(t0 + t) % length]]
+                power *= q
+            nums[i] = acc
+            dens[i] = den
+    return nums, dens
 
 
 # ---------------------------------------------------------------------------
@@ -1295,3 +1326,95 @@ def survey_points(survey, mu):
     ]
     points.sort(key=lambda t: (t[1], [e for row in t[0] for e in row]))
     return points
+
+
+# ---------------------------------------------------------------------------
+# the GL_3 chains as the library built them before it stepped lam_nat by
+# increments from a per-(w, eps) table
+
+
+def gl3_normal_form_by_coroots(diff, w):
+    """diff = n1*c + n2*w(c) with n1 = max(|n1|, |n2|, |n1-n2|) >= n2 >= 0,
+    trying each coroot c with w(c) and the determinant computed afresh."""
+    for c in _GL3_COROOTS:
+        wc = act_perm(w, c)
+        det = c[0] * wc[1] - c[1] * wc[0]
+        n1 = (diff[0] * wc[1] - diff[1] * wc[0]) // det
+        n2 = (c[0] * diff[1] - c[1] * diff[0]) // det
+        if n1 * c[2] + n2 * wc[2] != diff[2]:
+            continue
+        if n1 == max(abs(n1), abs(n2), abs(n1 - n2)) and n1 >= n2 >= 0:
+            return c, n1, n2
+    raise TheoremViolationError("no max-normalized coroot decomposition found")
+
+
+def chain_gl3_by_retwisting(datum, mu, lam, lam_prime):
+    """Chain oracle: connectivity.chain_gl3 as it was before the chain table,
+    twisting every candidate step's label afresh and testing it with
+    _dominated on the full cochar."""
+    shape = datum.shape
+    if shape.n != 3 or shape.blocks != 1:
+        raise PreconditionError("chain construction requires GL_3 with f = 1")
+    w = datum.w[0]
+    if any(w[i] == i for i in range(3)):
+        raise PreconditionError("chain construction requires a 3-cycle Weyl part")
+    _require_mu(datum, mu)
+    for end in (lam, lam_prime):
+        if not (_is_gl3_label(end) and _is_label(datum, mu, end)):
+            raise PreconditionError("both endpoints must be stratum labels")
+    if sum(lam[0]) != sum(lam_prime[0]):
+        raise TheoremViolationError("difference of labels is not in the coroot lattice")
+
+    chain = [lam]
+    steps = []
+    cur = lam
+    prev_n1 = None
+    while cur != lam_prime:
+        diff = tuple(a - b for a, b in zip(lam_prime[0], cur[0]))
+        c, n1, n2 = gl3_normal_form_by_coroots(diff, w)
+        if prev_n1 is not None and n1 >= prev_n1:
+            raise TheoremViolationError("leading coefficient failed to decrease")
+        prev_n1 = n1
+        w2c = act_perm(w, act_perm(w, c))
+        step_plus = (c,)
+        step_minus = (tuple(-x for x in w2c),)
+        if n2 == 0:
+            candidates = (step_plus,)
+        elif n2 == n1:
+            candidates = (step_minus,)
+        else:
+            candidates = (step_plus, step_minus)
+        for step in candidates:
+            nxt = cochar_add(cur, step)
+            nat = _twist(datum, nxt)[1]
+            if _dominated(nat, mu):
+                break
+        else:
+            raise TheoremViolationError("no admissible coroot step stays in S")
+        i, j = step[0].index(1), step[0].index(-1)
+        if not _edge_ok(mu, nat, 0, i, j, 0, w[i], w[j], shape.eps[0]):
+            raise TheoremViolationError(f"chain step {cur} -> {nxt} is not a coroot-curve edge")
+        steps.append(step)
+        chain.append(nxt)
+        cur = nxt
+    return tuple(chain), tuple(steps)
+
+
+def gl3_sweep_instances():
+    """Every (datum, mu, strata) with S nonempty: p in {2,3}, all simple
+    |m| < p^3, all dominant mu with sup-norm <= 4."""
+    out = []
+    for p in (2, 3):
+        bound = p**3
+        for m in range(-(bound - 1), bound):
+            if not is_caruso_simple(3, p, m):
+                continue
+            d = caruso_datum(3, 1, p, m)
+            for flat in itertools.product(range(4, -5, -1), repeat=3):
+                if not (flat[0] >= flat[1] >= flat[2]):
+                    continue
+                mu = (flat,)
+                S = enumerate_strata(d, mu)
+                if S:
+                    out.append((d, mu, S))
+    return out

@@ -15,6 +15,7 @@ from conftest import (
     dominance_leq,
     dominant,
     gauss_solve_fixed_point,
+    gl3_sweep_instances,
     reachable_by_simple_coroots,
     recursion_check_by_fractions,
     zero_stratum_by_enumeration,
@@ -74,26 +75,6 @@ def random_multicopy_instances(seed=20260809, count=200, max_attempts=20000):
         S = enumerate_strata(multi.lifted, mb)
         if S:
             out.append((multi, mb, S))
-    return out
-
-
-def gl3_sweep_instances():
-    """Every (datum, mu, strata) with S nonempty: p in {2,3}, all simple
-    |m| < p^3, all dominant mu with sup-norm <= 4."""
-    out = []
-    for p in (2, 3):
-        bound = p**3
-        for m in range(-(bound - 1), bound):
-            if not is_caruso_simple(3, p, m):
-                continue
-            d = caruso_datum(3, 1, p, m)
-            for flat in itertools.product(range(4, -5, -1), repeat=3):
-                if not (flat[0] >= flat[1] >= flat[2]):
-                    continue
-                mu = (flat,)
-                S = enumerate_strata(d, mu)
-                if S:
-                    out.append((d, mu, S))
     return out
 
 

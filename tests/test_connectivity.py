@@ -5,20 +5,26 @@ import re
 
 import pytest
 
-from conftest import coroot, dominant_vecs, edge_exists, graph_by_full_cochars
+from conftest import (
+    chain_gl3_by_retwisting,
+    coroot,
+    dominant_vecs,
+    edge_exists,
+    graph_by_full_cochars,
+    gl3_sweep_instances,
+)
 from kisin import connectivity
 from kisin.cli import CASES, counterexample, main
-from kisin.core import ExtAffine, GroupShape, Root, all_roots, cochar_sub
+from kisin.core import ExtAffine, GroupShape, Root, act_perm, all_roots, cochar_sub
 from kisin.errors import ConfigError, PreconditionError, TheoremViolationError
 from kisin.connectivity import (
-    _is_label,
     build_graph,
     chain_gl3,
     pi0_report,
 )
 from kisin.multicopy import make_multi
 from kisin.normal_form import caruso_datum, is_caruso_simple, make_datum
-from kisin.strata import enumerate_strata, stratum_nonempty
+from kisin.strata import _is_label, _twist, enumerate_strata, stratum_nonempty
 
 
 def datum_a(p=3):
@@ -208,13 +214,16 @@ def _stuck_normal_form(real):
 
 
 # each assertion of chain_gl3 that no input reaches, by the one collaborator
-# it guards: (name patched in connectivity, factory from the real value to
-# the fault, lam, lam', message)
+# that decides it: (name patched in connectivity, factory from the real value
+# to the fault, lam, lam', message).  Each endpoint's membership is decided
+# by _label_nat, the coroots reach the chain through _chain_table, whose
+# cache the test clears, and each step's membership is decided by
+# _block_dominated on the stepped lam_nat
 CHAIN_FAULTS = [
     ("_GL3_COROOTS", lambda real: (), ((0, 0, 0),), ((1, 0, -1),), "no max-normalized coroot decomposition found"),
-    ("_is_label", lambda real: lambda *args: True, ((0, 0, 0),), ((1, 0, 0),), "difference of labels is not in the coroot lattice"),
+    ("_label_nat", lambda real: lambda d, mu, lam: _twist(d, lam)[1], ((0, 0, 0),), ((1, 0, 0),), "difference of labels is not in the coroot lattice"),
     ("_gl3_normal_form", _stuck_normal_form, ((-1, 1, 0),), ((0, -1, 1),), "leading coefficient failed to decrease"),
-    ("_dominated", lambda real: lambda *args: False, ((0, 0, 0),), ((1, 0, -1),), "no admissible coroot step stays in S"),
+    ("_block_dominated", lambda real: lambda *args: False, ((0, 0, 0),), ((1, 0, -1),), "no admissible coroot step stays in S"),
 ]
 
 
@@ -382,14 +391,18 @@ class TestChains:
     def test_injected_fault_is_a_theorem_violation(self, monkeypatch, capsys, target, fault, lam, lam_prime, message):
         d = caruso_datum(3, 1, 2, 1)
         mu = ((3, 1, -3),)
-        if target != "_is_label":  # unpatched, the chain has the steps the fault needs
+        if target != "_label_nat":  # unpatched, the chain has the steps the fault needs
             assert len(chain_gl3(d, mu, lam, lam_prime)[1]) >= 1 + (target == "_gl3_normal_form")
         monkeypatch.setattr(connectivity, target, fault(getattr(connectivity, target)))
-        with pytest.raises(TheoremViolationError, match=message):
-            chain_gl3(d, mu, lam, lam_prime)
-        argv = ["chain-gl3", "--p", "2", "--n", "3", "--f", "1", "--m", "1", "--mu", "[[3,1,-3]]",
-                "--lam", json.dumps([lam[0]]), "--lam-prime", json.dumps([lam_prime[0]])]
-        assert main(argv) == 4
+        connectivity._chain_table.cache_clear()  # built from the patched coroots, and dropped after
+        try:
+            with pytest.raises(TheoremViolationError, match=message):
+                chain_gl3(d, mu, lam, lam_prime)
+            argv = ["chain-gl3", "--p", "2", "--n", "3", "--f", "1", "--m", "1", "--mu", "[[3,1,-3]]",
+                    "--lam", json.dumps([lam[0]]), "--lam-prime", json.dumps([lam_prime[0]])]
+            assert main(argv) == 4
+        finally:
+            connectivity._chain_table.cache_clear()
         captured = capsys.readouterr()
         assert captured.out == "" and message in captured.err and "Traceback" not in captured.err
 
@@ -399,6 +412,32 @@ class TestChains:
         r = pi0_report(g)
         assert r.exactness == "exact"
         assert (r.upper_bound == len(g.vertices)) == (len(g.edges) == 0)
+
+
+class TestChainOracle:
+    def test_matches_the_retwisting_chain(self):
+        # chain_gl3 steps lam_nat by the increments of its table; the chain
+        # that twisted each step's label afresh is the oracle, on every
+        # ordered label pair of p in {2, 3} and mu of sup-norm <= 4
+        pairs = steps = 0
+        for d, mu, S in gl3_sweep_instances():
+            for a, b in itertools.permutations([s.lam for s in S], 2):
+                got = chain_gl3(d, mu, a, b)
+                assert got == chain_gl3_by_retwisting(d, mu, a, b), (d.tau, mu, a, b)
+                pairs += 1
+                steps += len(got[1])
+        assert pairs == 2 * 15084 and steps > pairs
+
+    @pytest.mark.parametrize("w", [(1, 2, 0), (2, 0, 1)])
+    @pytest.mark.parametrize("e", [2, 3, 5])
+    def test_table_increments(self, w, e):
+        # each row's steps are +c and -w^2(c), and inc = -step + e w(step)
+        for row, c in zip(connectivity._chain_table(w, e), connectivity._GL3_COROOTS):
+            assert row[0] == c and row[1] == act_perm(w, c)
+            assert row[3][0] == c and row[4][0] == tuple(-x for x in act_perm(w, act_perm(w, c)))
+            for step, i, j, inc in row[3:]:
+                assert step[i] == 1 and step[j] == -1
+                assert inc == tuple(-x + e * y for x, y in zip(step, act_perm(w, step)))
 
 
 class TestChainMembership:

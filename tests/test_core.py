@@ -34,6 +34,7 @@ from kisin.core import (
     cochar_scale,
     cochar_sub,
     identity_perm,
+    perm_inv,
     perm_mul,
     twist_block,
 )
@@ -184,7 +185,8 @@ class TestTwistBlock:
     def test_matches_group_law(self):
         # block k of scale * tau + w(sigma(v)) against the group law's
         # w(sigma(v)), on eps patterns holding both 1 and p, at scale 1 and at
-        # the denominator D of the fixed point, whose numerators E it fixes
+        # the denominator D of the fixed point, whose numerators E it fixes;
+        # the kernel takes each w_k as its inverse
         rng = random.Random(19)
         for _ in range(300):
             n, nb, p = rng.randint(1, 4), rng.randint(2, 4), rng.choice((2, 3, 5))
@@ -195,7 +197,7 @@ class TestTwistBlock:
             tau, w, v = rand_cochar(rng, sh), rand_weyl(rng, sh), rand_cochar(rng, sh)
             num, den = solve_affine_scaled(sh, w, tau)
             for scale, x in ((1, v), (den, v), (den, num)):
-                got = tuple(twist_block(tau[k], w[k], eps[k], x[(k + 1) % nb], scale) for k in range(nb))
+                got = tuple(twist_block(tau[k], perm_inv(w[k]), eps[k], x[(k + 1) % nb], scale) for k in range(nb))
                 assert got == cochar_add(cochar_scale(scale, tau), act_weyl(w, act_sigma(sh, x)))
             assert got == num
 

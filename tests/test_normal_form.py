@@ -19,18 +19,23 @@ from conftest import (
     in_general_position_by_fractions,
     make_datum_by_fractions,
     perm_order,
+    solve_block0_by_cycle_walk,
 )
 from kisin import normal_form
-from kisin.cli import main
+from kisin.cli import CASES, counterexample, main
 from kisin.core import (
     ExtAffine,
     GroupShape,
     cochar_add,
+    cochar_scale,
+    cochar_sub,
     identity_perm,
     n_cycle,
     perm_mul,
 )
 from kisin.errors import ConfigError, NotInGeneralPositionError, NotSimpleError, TheoremViolationError
+from kisin.multicopy import make_multi
+from kisin.strata import central_twist, enumerate_strata, omega_reduction
 from kisin.normal_form import (
     alcove_reduce,
     caruso_datum,
@@ -174,6 +179,92 @@ class TestFixedPoint:
         for eps in ((1,), (1, 1, 1)):
             with pytest.raises(ConfigError, match="at least one eps entry must equal p"):
                 GroupShape(n=2, blocks=len(eps), eps=eps, p=3)
+
+
+def cycle_count(w):
+    """The number of cycles of W = w_0 ... w_{N-1}."""
+    big_w = identity_perm(len(w[0]))
+    for perm in w:
+        big_w = perm_mul(big_w, perm)
+    seen, count = set(), 0
+    for start in range(len(big_w)):
+        if start not in seen:
+            count += 1
+            i = start
+            while i not in seen:
+                seen.add(i)
+                i = big_w[i]
+    return count
+
+
+def integral_rhs(rng, sh, w, bound):
+    """rhs = x - w(sigma(x)) for a random integral x, whose solution is x."""
+    x = tuple(tuple(rng.randint(-bound, bound) for _ in range(sh.n)) for _ in range(sh.blocks))
+    return cochar_sub(x, act_weyl(w, act_sigma(sh, x)))
+
+
+class TestSolverOracle:
+    """solve_affine_integral and solve_affine_scaled read x[0] off the rows of
+    the solve plan; the cycle walk they replaced is the oracle."""
+
+    @staticmethod
+    def assert_matches(sh, w, rhs) -> bool:
+        """Both solvers against the cycle walk on one right side; returns
+        whether the solution is integral."""
+        nums, dens = solve_block0_by_cycle_walk(sh, w, rhs)
+        integral = all(nu % de == 0 for nu, de in zip(nums, dens))
+        lam = solve_affine_integral(sh, w, rhs)
+        assert (lam is not None) == integral
+        if integral:
+            assert lam[0] == tuple(nu // de for nu, de in zip(nums, dens))
+            assert lam == cochar_add(rhs, act_weyl(w, act_sigma(sh, lam)))
+        num, den = solve_affine_scaled(sh, w, rhs)
+        assert num[0] == tuple(nu * (den // de) for nu, de in zip(nums, dens))
+        assert num == cochar_add(cochar_scale(den, rhs), act_weyl(w, act_sigma(sh, num)))
+        return integral
+
+    def test_random_shapes(self):
+        # n <= 4, N <= 4, eps in {1, p}, every count of cycles of W from 1 to
+        # 4; half of the right sides are built to solve integrally
+        rng = random.Random(53)
+        cycles = set()
+        outcomes = {True: 0, False: 0}
+        for _ in range(1500):
+            sh, wt = random_twist(rng, rng.randint(1, 4), rng.randint(1, 4), rng.choice((2, 3, 5)))
+            cycles.add(cycle_count(wt.w))
+            for rhs in (wt.chi, integral_rhs(rng, sh, wt.w, 6)):
+                outcomes[self.assert_matches(sh, wt.w, rhs)] += 1
+        assert cycles == {1, 2, 3, 4}
+        assert min(outcomes.values()) > 500
+
+    @pytest.mark.parametrize("case", ["a", "b"])
+    @pytest.mark.parametrize("p", [3, 5, 211])
+    def test_goldens(self, case, p):
+        # tau, tau - lam_nat of every label (integral), and random sides
+        datum, mu = counterexample(CASES[case], p)
+        sh, w = datum.shape, datum.w
+        rng = random.Random(p)
+        sides = [datum.tau] + [cochar_sub(datum.tau, s.nat) for s in enumerate_strata(datum, mu)]
+        for _ in range(100):
+            sides.append(tuple(tuple(rng.randint(-p, p) for _ in range(sh.n)) for _ in range(sh.blocks)))
+            sides.append(integral_rhs(rng, sh, w, p))
+        outcomes = [self.assert_matches(sh, w, rhs) for rhs in sides]
+        assert all(outcomes[1 : len(outcomes) - 200]) and not all(outcomes)
+
+    def test_multicopy_lift_of_3000_blocks(self):
+        # the lift of `multicopy --p 3 --n 2 --f 1 --m 1 --mu [[41,0]] --d 3000`
+        mu = ((41, 0),)
+        chi, _ = omega_reduction(mu)
+        datum, _ = central_twist(caruso_datum(2, 1, 3, 1), mu, chi)
+        lifted = make_multi(datum, 3000).lifted
+        sh, w = lifted.shape, lifted.w
+        rng = random.Random(3000)
+        sides = [lifted.tau]
+        for _ in range(3):
+            sides.append(tuple(tuple(rng.randint(-9, 9) for _ in range(sh.n)) for _ in range(sh.blocks)))
+            sides.append(integral_rhs(rng, sh, w, 9))
+        outcomes = [self.assert_matches(sh, w, rhs) for rhs in sides]
+        assert any(outcomes) and not all(outcomes)
 
 
 class TestAlcove:
@@ -388,6 +479,31 @@ class TestTheoremViolations:
         with pytest.raises(TheoremViolationError, match=message):
             caruso_datum(2, 1, 3, 5)
         assert main(["normal-form", "--p", "3", "--n", "2", "--f", "1", "--m", "5"]) == 4
+        captured = capsys.readouterr()
+        assert captured.out == "" and message in captured.err and "Traceback" not in captured.err
+
+
+class TestCarusoArguments:
+    # the shape is built before q = p^f: p = 0 with f = -1 once raised
+    # ZeroDivisionError from 0 ** -1, and the CLI showed its traceback
+    @pytest.mark.parametrize(
+        "n,f,p,m,message",
+        [
+            (3, -1, 0, 1, "n and blocks must be positive"),
+            (3, 0, 3, 1, "n and blocks must be positive"),
+            (3, -2, 2, 1, "n and blocks must be positive"),
+            (0, 1, 3, 1, "n and blocks must be positive"),
+            (3, 1, 0, 1, "p=0 is not prime"),
+            (3, 2, 1, 1, "p=1 is not prime"),
+            (2, 1, 4, 4, "p=4 is not prime"),
+            (2, 1, -3, 1, "p=-3 is not prime"),
+        ],
+    )
+    def test_bad_arguments_are_config_errors(self, capsys, n, f, p, m, message):
+        with pytest.raises(ConfigError, match=message):
+            caruso_datum(n, f, p, m)
+        argv = ["normal-form", "--p", str(p), "--n", str(n), "--f", str(f), "--m", str(m)]
+        assert main(argv) == 2
         captured = capsys.readouterr()
         assert captured.out == "" and message in captured.err and "Traceback" not in captured.err
 
