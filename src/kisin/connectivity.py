@@ -226,13 +226,12 @@ def chain_gl3(datum: FrobeniusDatum, mu: Cochar, lam: Cochar, lam_prime: Cochar)
     defining inequality, so no strata are enumerated and no
     EnumerationCapError can arise.  Both endpoints are tested as labels by
     ``strata._label_nat``, which twists each once, and the start's lam_nat is
-    kept from that test.  Each step then
-    moves lam_nat by the exact increment -step + eps w(step) of the chain
-    table (``_chain_table``, built once per (w, eps)), since
-    lam_nat(lam + step) = lam_nat(lam) - step + eps w(step) when f = 1, and
-    the stepped lam_nat is tested with ``core._block_dominated`` against mu.
-    An endpoint that is not a label, or not shaped like one, raises
-    PreconditionError.
+    kept from that test.  Each step then moves lam_nat by the exact increment
+    -step + eps w(step) of the chain table (``_chain_table``, built once per
+    (w, eps)), since lam_nat(lam + step) = lam_nat(lam) - step + eps w(step)
+    when f = 1, and the stepped lam_nat is tested with
+    ``core._block_dominated`` against mu.  An endpoint that is not a label,
+    or not shaped like one, raises PreconditionError.
 
     Returns (chain, steps) with steps the coroots lam_{i+1} - lam_i.
     """

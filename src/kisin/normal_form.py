@@ -167,25 +167,24 @@ def _solve_plan(shape: GroupShape, w: WeylElt) -> _SolvePlan:
         for t, i in enumerate(cyc):
             place[i] = (ci, t)
     powers = [q**t for t in range(max(map(len, cycles)))]
+    blocks = list(zip(prefix_perm, prefix_eps[:nblocks]))
     rows = []
     for i in range(n):
         ci, t0 = place[i]
         length = len(cycles[ci])
-        row = []
-        for k in range(nblocks):
-            for j in range(n):
-                cj, t = place[prefix_perm[k][j]]
-                row.append(prefix_eps[k] * powers[(t - t0) % length] if cj == ci else 0)
-        rows.append(tuple(row))
-    # the row of each cycle's first position, cut per block and reduced
-    coefs = tuple(
-        tuple(tuple(x % m for x in rows[cyc[0]][k * n : (k + 1) * n]) for cyc, m in zip(cycles, moduli))
-        for k in range(nblocks)
-    )
+        # the power of q that b[x] carries in x[0][i]'s numerator, 0 off i's cycle
+        scale = [0] * n
+        for t, x in enumerate(cycles[ci]):
+            scale[x] = powers[(t - t0) % length]
+        rows.append(tuple([e * scale[x] for pk, e in blocks for x in pk]))
+    # the row of each cycle's first position, reduced and cut into blocks of n
+    cuts = [zip(*[iter([x % m for x in rows[cyc[0]]])] * n) for cyc, m in zip(cycles, moduli)]
+    coefs = tuple(zip(*cuts))
     dens = tuple(1 - q ** len(cycles[place[i][0]]) for i in range(n))
+    inverse = {wk: perm_inv(wk) for wk in set(w)}
     return _SolvePlan(
         tuple(prefix_eps), tuple(prefix_perm), q, tuple(cycles), den, moduli, coefs, tuple(rows), dens,
-        tuple(map(perm_inv, w)),
+        tuple(map(inverse.__getitem__, w)),
     )
 
 
