@@ -22,7 +22,9 @@ determinantal divisors (minimal valuations of minors); Iwahori labels come
 from a pivot elimination, ``_eliminate``, which never inverts a field element.
 
 ``kisin_points`` builds only the diagonal-sum slice that the determinant
-identity allows, and labels and prints only the points.
+identity allows and, within it, only the cosets whose product's last row
+can reach min(mu); it forms the minors a level at a time against the
+partial sums of mu, and labels and prints only the points.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ import itertools
 import operator
 from typing import Iterator
 
-from .core import Cochar, _dominated
+from .core import Cochar
 from .errors import (
     BoxTooSmallError,
     ConfigError,
@@ -236,47 +238,73 @@ def elementary_divisors(ring: Packing, rows, shift: int) -> Cochar:
 
     The k-th determinantal divisor d_k, the least valuation of a k x k minor,
     is the sum of the k smallest exponents, so the exponents are the
-    differences d_k - d_{k-1} (d_0 = 0).  Each minor is computed once: the
-    k x k minor on rows R and columns C by expansion along the first row of R,
-    from the (k - 1) x (k - 1) minors on the other rows of R; the n x n minor
-    is the determinant; it carries the shift k * shift.  Raises
-    SingularMatrixError if det = 0, that is if every k x k minor vanishes for
-    some k.
+    differences d_k - d_{k-1} (d_0 = 0), from ``_divisor_sums`` with every
+    level formed.  Raises SingularMatrixError if det = 0.
+    """
+    d = [0, *_divisor_sums(ring, rows, shift, ())]
+    return tuple(sorted((b - a for a, b in zip(d, d[1:])), reverse=True))
+
+
+def _divisor_sums(ring: Packing, rows, shift: int, floors) -> list:
+    """[d_1, ..., d_n], the determinantal divisors of rows / u^shift, formed
+    while they stay at their floors: d_j >= floors[j - 1] for j <= len(floors).
+
+    Each minor is computed once: the k x k minor on rows R and columns C by
+    expansion along the first row of R, from the (k - 1) x (k - 1) minors on
+    the other rows of R; the n x n minor is the determinant; it carries the
+    shift k * shift.  Level k is formed in full while every level formed so
+    far is at its floor.  After the first level below its floor, only the
+    minors on the last k rows are formed (``_minor_plan``'s chain): they
+    expand into one another and end in the determinant, so d_n is always
+    formed, and every level strictly between is None.  Raises
+    SingularMatrixError if det = 0: when every minor of a level formed in
+    full vanishes, or the determinant does.
     """
     mul, add, neg = ring.mul, ring.add, ring.neg
-    level = [e for row in rows for e in row]
-    d = [0]
-    for k, plan in enumerate(_minor_plan(len(rows)), 1):
-        if plan:
+    n = len(rows)
+    level = [e for row in reversed(rows) for e in row]
+    d, full = [], True
+    for k, (plan, chain) in enumerate(_minor_plan(n), 1):
+        if k > 1:
             below, level = level, []
-            for terms in plan:
+            for terms in plan if full else chain:
                 (i, j, m, _), *rest = terms
                 acc = mul(rows[i][j], below[m])
                 for i, j, m, odd in rest:
                     term = mul(rows[i][j], below[m])
                     acc = add(acc, neg(term) if odd else term)
                 level.append(acc)
+        if not (full or k == n):
+            d.append(None)
+            continue
         v = ring.minval(level)
         if v is None:
             raise SingularMatrixError("matrix is singular")
         d.append(v - k * shift)
-    return tuple(sorted((b - a for a, b in zip(d, d[1:])), reverse=True))
+        full = k > len(floors) or d[-1] >= floors[k - 1]
+    return d
 
 
-@functools.lru_cache(maxsize=8)  # one plan per n, and the oracle takes n <= 3
+@functools.lru_cache(maxsize=8)  # one plan per n, each level with its chain; the oracle takes n <= 3
 def _minor_plan(n: int) -> tuple:
-    """Per k, the k x k minors in the order of (rows R, columns C) over
-    itertools.combinations, each as its first-row expansion: (R[0], C[t], the
-    index of the (k - 1) x (k - 1) minor on R[1:] and C without C[t], t odd).
-    Level 1 is the entries themselves, indexed i n + j, and has no plan."""
-    levels, index = [()], {((i,), (j,)): i * n + j for i in range(n) for j in range(n)}
-    for k in range(2, n + 1):
-        subsets = list(itertools.combinations(range(n), k))
-        levels.append(tuple(
+    """Per k, (plan, chain): plan is the k x k minors in the order of (rows
+    R, columns C), R over the k-subsets of rows from the last (the last k
+    rows) back and C over itertools.combinations, each as its first-row
+    expansion: (R[0], C[t], the index of the (k - 1) x (k - 1) minor on R[1:]
+    and C without C[t], t odd).  chain is plan's first C(n, k) minors, those
+    on the last k rows, whose expansions use only the chain of level k - 1.
+    Level 1 is the entries themselves, the last row first (index
+    (n - 1 - i) n + j), and has no plan."""
+    levels, index = [], {}
+    for k in range(1, n + 1):
+        cols = list(itertools.combinations(range(n), k))
+        pairs = [(rs, cs) for rs in reversed(cols) for cs in cols]
+        plan = () if k == 1 else tuple(
             tuple((rs[0], c, index[rs[1:], cs[:t] + cs[t + 1:]], t % 2) for t, c in enumerate(cs))
-            for rs in subsets for cs in subsets
-        ))
-        index = {(rs, cs): m for m, (rs, cs) in enumerate(itertools.product(subsets, subsets))}
+            for rs, cs in pairs
+        )
+        levels.append((plan, plan[:len(cols)]))
+        index = {pair: m for m, pair in enumerate(pairs)}
     return tuple(levels)
 
 
@@ -388,20 +416,29 @@ def _frobenius_term(ring: Packing, c: int, pos: int, twist: int):
     return ring.term(c, ring.field.p * pos + twist)
 
 
-def _hnf_cosets(n: int, B: int, ring: Packing, s: int, twist) -> Iterator[tuple]:
+def _hnf_cosets(n: int, B: int, ring: Packing, s: int, twist, floor) -> Iterator[tuple]:
     """Hermite-style representatives of the lattices between u^B O^n and
     u^{-B} O^n whose diagonal exponents sum to s: upper triangular g,
     diagonal u^{lam_j} with |lam_j| <= B and sum(lam) = s, entry (i, j)
     reduced modulo u^{lam_i} with valuation >= -B, and u^B g^{-1} integral.
     Complete and duplicate-free for that slice of the box; unguarded.
 
+    floor is None, or (k, c): then only the cosets whose row k has every
+    entry of valuation >= v* = ceil((c + lam_{n-1}) / p) are built, in the
+    same order.  ``kisin_points`` takes k = w^{-1}(n - 1) and
+    c = min(mu) - tau_{n-1}: row n - 1 of g^{-1} b sigma(g) is
+    u^(tau_{n-1} - lam_{n-1}) sigma(row k of g), whose entries have
+    valuations p val(g_kj) + tau_{n-1} - lam_{n-1}, and a point has every
+    entry of valuation >= min(mu).  Each row i gets a floor f_i: -B, or
+    max(-B, v*) on row k, whose diagonal is skipped when lam_k < v*.
+
     The inverse h = g^{-1} is upper triangular and its column j depends only
     on the columns <= j of g, so both are built one column at a time, each
     column bottom-up.  With c = -u^{lam_j} sum_{i<k<j} g_ik h_kj already
     known, h_ij = -u^{-lam_i-lam_j} (g_ij - c), so val h_ij >= -B says
     g_ij = c mod u^{lam_i+lam_j-B}: the coefficients of g_ij below that
-    exponent are forced (the partial choice dies if one is forced below -B),
-    and only those from max(lam_i+lam_j-B, -B) up to lam_i are free.  Every
+    exponent are forced (the partial choice dies if one is forced below f_i),
+    and only those from max(lam_i+lam_j-B, f_i) up to lam_i are free.  Every
     matrix built is a coset.
 
     Yields (g, h, bsg) per coset, packed by ring: g and h at shift B, and
@@ -411,12 +448,18 @@ def _hnf_cosets(n: int, B: int, ring: Packing, s: int, twist) -> Iterator[tuple]
     cells = [(i, j) for j in range(n) for i in reversed(range(j))]
     parts = {}
     for lams in _slice_diagonals(n, B, s):
+        lows = [-B] * n
+        if floor is not None:
+            k, c = floor
+            lows[k] = max(-B, -(-(c + lams[-1]) // ring.field.p))
+            if lams[k] < lows[k]:
+                continue
         g, h, bsg = ([[ring.zero] * n for _ in range(n)] for _ in range(3))
         for i in range(n):
             g[i][i] = ring.term(1, lams[i] + B)
             h[i][i] = ring.term(1, B - lams[i])
             bsg[i][i] = _frobenius_term(ring, 1, lams[i] + B, twist[i])
-        for _ in _fill_cells(ring, B, lams, (g, h, bsg), cells, twist, parts) if cells else [None]:
+        for _ in _fill_cells(ring, B, lams, lows, (g, h, bsg), cells, twist, parts) if cells else [None]:
             yield g, h, bsg
 
 
@@ -440,23 +483,24 @@ def _free_parts(ring: Packing, a: int, b: int, d: int, tw: int, kept: dict):
     return out
 
 
-def _fill_cells(ring: Packing, B: int, lams, mats, cells, twist, kept) -> Iterator[None]:
+def _fill_cells(ring: Packing, B: int, lams, lows, mats, cells, twist, kept) -> Iterator[None]:
     """Fill g, h and bsg at cells[0], cells[1], ... (at least one) in place,
-    yielding once per completion that keeps val h >= -B."""
+    yielding once per completion that keeps val h >= -B and every entry of
+    row i of g at valuation >= lows[i]."""
     g, h, bsg = mats
     (i, j), rest = cells[0], cells[1:]
-    low = lams[i] + lams[j] - B  # val h_ij >= -B iff g_ij = c mod u^low
-    a, top = max(low, -B) + B, lams[i] + B  # the free positions of g_ij
+    low, floor = lams[i] + lams[j] - B, lows[i]  # val h_ij >= -B iff g_ij = c mod u^low
+    a, top = max(low, floor) + B, lams[i] + B  # the free positions of g_ij
     fills = _free_parts(ring, a, top, lams[i] + lams[j], twist[i], kept)
     if j > i + 1:  # c = -u^{lam_j} T, exponent e of c at position e - lam_j + 2B of T
         T = ring.zero
         for k in range(i + 1, j):
             T = ring.add(T, ring.mul(g[i][k], h[k][j]))
         v = ring.val(T)
-        if v is not None and v < min(low, -B) - lams[j] + 2 * B:
-            return  # a coefficient of g_ij forced below -B
+        if v is not None and v < min(low, floor) - lams[j] + 2 * B:
+            return  # a coefficient of g_ij forced below its floor
         forced = sforced = ring.zero
-        for e in range(-B, low):
+        for e in range(floor, low):
             c = ring.field.neg(ring.coeff(T, e - lams[j] + 2 * B))
             forced = ring.add(forced, ring.term(c, e + B))
             sforced = ring.add(sforced, _frobenius_term(ring, c, e + B, twist[i]))
@@ -465,7 +509,7 @@ def _fill_cells(ring: Packing, B: int, lams, mats, cells, twist, kept) -> Iterat
         fills = ((add(forced, F), add(sforced, sF), add(chi, hF)) for F, sF, hF in fills)
     for g[i][j], bsg[i][j], h[i][j] in fills:
         if rest:
-            yield from _fill_cells(ring, B, lams, mats, rest, twist, kept)
+            yield from _fill_cells(ring, B, lams, lows, mats, rest, twist, kept)
         else:
             yield
 
@@ -512,6 +556,21 @@ def kisin_points(datum: FrobeniusDatum, mu: Cochar, field: GF, lam_bound: int):
     upper triangular, so entry (i, j) of the product sums over k <= j with
     w(k) >= i; row k of sigma(g) is built times u^(tau_{w(k)} - min tau), so
     the product is packed at (p + 1)B - min tau.
+
+    Two exact necessary tests reject cosets before the labels.  The last-row
+    floor: g^{-1} is upper triangular, so row n - 1 of the product P is
+    u^(-lam_{n-1}) times row n - 1 of b times sigma(g), that is
+    u^(tau_{n-1} - lam_{n-1}) sigma(row k of g) with k = w^{-1}(n - 1).  The
+    least exponent of a point is d_1 >= min(mu), so every g_kj has
+    p val(g_kj) + tau_{n-1} - lam_{n-1} >= min(mu), that is val(g_kj) >=
+    ceil((min(mu) + lam_{n-1} - tau_{n-1}) / p), and ``_hnf_cosets`` builds
+    only the cosets that meet this floor.  Divisor-sum dominance: d_j, the
+    least valuation of a j x j minor of P, is the sum of the j smallest
+    exponents, so the exponents are dominated by mu exactly when d_j is at
+    least the sum of the j least entries of mu for j < n and d_n = sum(mu).
+    ``_divisor_sums`` forms the levels up to the first below its floor and
+    then only the determinant's expansion chain, so d_n, and with it the
+    determinant check, is formed on every coset built.
     """
     for stratum in enumerate_strata(datum, mu):
         if any(abs(x) > lam_bound for x in stratum.lam[0]):
@@ -536,21 +595,22 @@ def kisin_points(datum: FrobeniusDatum, mu: Cochar, field: GF, lam_bound: int):
     twist = [tau[w[k]] - min(tau) for k in range(n)]
     terms = [[[(w[k], k) for k in range(j + 1) if w[k] >= i] for j in range(n)] for i in range(n)]
     shift = (p + 1) * B - min(tau)
+    last_row = (w.index(n - 1), min(mu[0]) - tau[-1])
+    floors = list(itertools.accumulate(sorted(mu[0])))[:-1]
     points = []
-    for g, h, bsg in _hnf_cosets(n, B, ring, s0, twist):
+    for g, h, bsg in _hnf_cosets(n, B, ring, s0, twist, last_row):
         try:
-            ed = elementary_divisors(ring, _product(ring, h, bsg, terms), shift)
+            d = _divisor_sums(ring, _product(ring, h, bsg, terms), shift, floors)
         except SingularMatrixError as exc:
             raise TheoremViolationError(
                 f"g^-1 b sigma(g) is singular for the coset {ring.rendered(g, B)}"
             ) from exc
-        if sum(ed) != val:
+        if d[-1] != val:
             raise TheoremViolationError(
-                f"det(g^-1 b sigma(g)) has valuation {sum(ed)}, not {val}, "
+                f"det(g^-1 b sigma(g)) has valuation {d[-1]}, not {val}, "
                 f"for the coset {ring.rendered(g, B)}"
             )
-        if _dominated((ed,), mu):
+        if all(x is not None and x >= y for x, y in zip(d, floors)):
             points.append((ring.rendered(g, B), (iwahori_label(ring, g, B),)))
     points.sort(key=lambda t: (t[1], [e for row in t[0] for e in row]))
     return points
-

@@ -1185,12 +1185,13 @@ def box_strata(datum, mu, bound=None):
 def packed_cosets(n, lam_bound, field, twist=None):
     """(ring, g, h, bsg) for every coset of the box |lam_j| <= lam_bound from
     the library's packed generator: the union over s of the slices
-    sum(lam) = s, of which kisin_points builds one, each behind the oracle's
-    slice guard.  The matrices are copies."""
+    sum(lam) = s, with no last-row floor (kisin_points builds one slice, less
+    the cosets below its floor), each behind the oracle's slice guard.  The
+    matrices are copies."""
     ring = oracle.Packing(field, oracle._width(n, field.p, field.r, lam_bound))
     for s in range(-n * lam_bound, n * lam_bound + 1):
         oracle._check_guard(n, lam_bound, field.q, s)
-        for g, h, bsg in oracle._hnf_cosets(n, lam_bound, ring, s, twist or [0] * n):
+        for g, h, bsg in oracle._hnf_cosets(n, lam_bound, ring, s, twist or [0] * n, None):
             yield ring, [list(r) for r in g], [list(r) for r in h], [list(r) for r in bsg]
 
 

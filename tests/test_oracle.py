@@ -1,6 +1,6 @@
 import itertools
 import random
-from functools import lru_cache
+from functools import lru_cache, reduce
 
 import pytest
 from hypothesis import given, strategies as st
@@ -42,7 +42,7 @@ from conftest import (
 )
 from kisin import cli, oracle
 from kisin.cli import main
-from kisin.core import ExtAffine, GroupShape
+from kisin.core import ExtAffine, GroupShape, _dominated
 from kisin.errors import (
     BoxTooSmallError,
     ConfigError,
@@ -465,6 +465,40 @@ def random_integral(field, n, rng, depth=6):
     return m
 
 
+class TestLazyDivisors:
+    @pytest.mark.parametrize("field", (F2, F3, F4))
+    @pytest.mark.parametrize("n", (2, 3, 4))
+    def test_matches_every_level(self, field, n):
+        # k u^a k' with k, k' in G(O) has the divisors a.  For bounds mu of
+        # the same sum as a and of another, the divisors formed against mu's
+        # floors give the full d_n, agree with every level formed in full,
+        # form the levels up to the first below its floor and then only the
+        # determinant, and give _dominated's verdict
+        rng = random.Random(131 * n + field.q)
+        verdicts = set()
+        for _ in range(12):
+            a = tuple(sorted((rng.randint(-2, 3) for _ in range(n)), reverse=True))
+            m = mat_mul(mat_mul(random_integral(field, n, rng), mat_diag_u(field, a)), random_integral(field, n, rng))
+            ring, rows, shift = pack_matrix(m)
+            ed = elementary_divisors(ring, rows, shift)
+            assert ed == a
+            full = list(itertools.accumulate(reversed(ed)))
+            assert oracle._divisor_sums(ring, rows, shift, ()) == full
+            bounds = [a, tuple(x + 1 for x in a)]
+            for _ in range(8):
+                head = [rng.randint(a[-1] - 2, a[0] + 2) for _ in range(n - 1)]
+                bounds.append(tuple(sorted(head + [sum(a) - sum(head)], reverse=True)))
+            for mu in bounds:
+                floors = list(itertools.accumulate(reversed(mu)))[:-1]
+                d = oracle._divisor_sums(ring, rows, shift, floors)
+                fail = next((j for j, (x, y) in enumerate(zip(full, floors)) if x < y), n - 1)
+                assert d == [x if j <= fail or j == n - 1 else None for j, x in enumerate(full)]
+                verdict = all(x is not None and x >= y for x, y in zip(d, floors)) and d[-1] == sum(mu)
+                assert verdict == _dominated((ed,), (mu,))
+                verdicts.add(verdict)
+        assert verdicts == {True, False}
+
+
 class TestIwahoriLabel:
     def test_diagonal(self):
         assert packed_label(mat_diag_u(F3, (2, -1, 0))) == (2, -1, 0)
@@ -778,6 +812,71 @@ def shifted_survey(n, p, r, box, m_index, c):
     return datum, survey
 
 
+def last_row_slice(datum, field, box, s):
+    """(ring, [(g, the least valuation of the last row of g^{-1} b sigma(g))])
+    for every coset g of the slice sum(lam) = s, in the order of the
+    library's unpruned generator.  The row is formed by the LSeries oracle
+    as row n - 1 of g^{-1}, times b, times sigma(g), with no use of the
+    last-row floor; a row of g is unpacked only where that row times b has a
+    nonzero entry."""
+    n, p = datum.shape.n, datum.shape.p
+    b = weyl_matrix(field, datum.tau[0], datum.w[0]).rows
+    zero = LSeries.zero(field)
+    ring = oracle.Packing(field, oracle._width(n, p, field.r, box))
+    out = []
+    for g, h, _ in oracle._hnf_cosets(n, box, ring, s, [0] * n, None):
+        h_last = [unpack_series(ring, e, box) for e in h[-1]]
+        hb = [reduce(LSeries.add, (h_last[k].mul(b[k][j]) for k in range(n)), zero) for j in range(n)]
+        row = [zero] * n
+        for k, x in enumerate(hb):
+            if x.coeffs:
+                sg = [unpack_series(ring, e, box).frobenius(p) for e in g[k]]
+                row = [acc.add(x.mul(e)) for acc, e in zip(row, sg)]
+        out.append(([list(r) for r in g], min(e.offset for e in row if e.coeffs)))
+    return ring, out
+
+
+# (n, p, field degree, box) of the last-row floor's exactness test: n <= 3,
+# box <= 2 and q in {2, 3, 4}.  n = 3 at box 2 over F_3 and F_4 holds 476,000
+# and 1,640,000 cosets over its twist classes, some minutes in LSeries, so
+# there only the slices with |s| >= 3 are run (19,000 and 37,000 cosets)
+FLOOR_CASES = tuple(
+    (n, p, r, box)
+    for n in (1, 2, 3)
+    for p, r in ((2, 1), (3, 1), (2, 2))
+    for box in (1, 2)
+    if twist_classes(n, p)
+)
+
+
+class TestLastRowFloor:
+    @pytest.mark.parametrize("n,p,r,box", FLOOR_CASES)
+    def test_floor_is_exact(self, n, p, r, box):
+        # every twist class and slice, and every least entry m of a dominant
+        # mu of that slice, mu = (sum(mu) - (n - 1) m, m, ..., m), from no
+        # cut (v* <= -B) to every coset cut (v* > B): the pruned generator
+        # yields exactly the slice's cosets whose product has its last row at
+        # valuation >= m, in the same order (at n = 1 the last row is the
+        # determinant, u^sum(mu) on the slice, so no m <= sum(mu) cuts)
+        field = FIELDS[p, r]
+        outer = n == 3 and box == 2 and p**r > 2
+        kept = cut = 0
+        for datum in twist_classes(n, p):
+            tau, w = datum.tau[0], datum.w[0]
+            for s in range(-n * box, n * box + 1):
+                if outer and abs(s) < 3:
+                    continue
+                ring, whole = last_row_slice(datum, field, box, s)
+                top = min((sum(tau) + (p - 1) * s) // n, tau[-1] + (p + 1) * box + 1)
+                for m in range(tau[-1] - (p + 1) * box - 1, top + 1):
+                    floor = (w.index(n - 1), m - tau[-1])
+                    got = [[list(row) for row in g] for g, _, _ in oracle._hnf_cosets(n, box, ring, s, [0] * n, floor)]
+                    want = [g for g, v in whole if v >= m]
+                    assert got == want, (datum.tau, s, m)
+                    kept, cut = kept + len(want), cut + len(whole) - len(want)
+        assert kept and (cut or n == 1)
+
+
 # (n, p, field degree, box, central shifts): n = 2 over F_2, F_4, F_3, F_9,
 # F_5 and F_7 at boxes 1 and 2, n = 3 over F_2 and F_3 at box 1.  A shift
 # moves sum(tau), so s0 and the residue of the gap; every shift in [-2, 2] is
@@ -849,8 +948,8 @@ class TestDeterminantPrune:
         built = []
         real = oracle._hnf_cosets
 
-        def counting(n, B, ring, s, twist):
-            for coset in real(n, B, ring, s, twist):
+        def counting(n, B, ring, s, twist, floor):
+            for coset in real(n, B, ring, s, twist, floor):
                 built.append(unpack_matrix(ring, coset[0], B))
                 yield coset
 
@@ -870,10 +969,16 @@ class TestDeterminantPrune:
         ((2, 3, 1, (1, 0), F3, 2), (2, 3, 1, (1, -2), F3, 2), (2, 2, 1, (2, -2), F4, 2), (3, 3, 1, (1, 0, 0), F3, 1)),
     )
     def test_even_gap_builds_one_diagonal_sum(self, monkeypatch, n, p, m, mu, field, box):
+        # the cosets built are the slice s0, less those whose product has an
+        # entry of its last row below min(mu), from the LSeries oracle
         base = caruso_datum(n, 1, p, m)
         s0, rem = divmod(sum(mu) - sum(base.tau[0]), p - 1)
         assert rem == 0
-        want = [g for g, _ in hnf_cosets(n, box, field) if sum(g.rows[i][i].offset for i in range(n)) == s0]
+        whole = [
+            (g, prod) for g, prod in survey_products(base, field, box) if sum(g.rows[i][i].offset for i in range(n)) == s0
+        ]
+        want = [g for g, prod in whole if all(not e.coeffs or e.offset >= min(mu) for e in prod.rows[-1])]
+        assert 0 < len(want) < len(whole)
         built = self.counting_generator(monkeypatch)
         kisin_points(base, (mu,), field, box)
         assert built == want
