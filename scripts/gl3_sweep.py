@@ -7,6 +7,7 @@ Usage: python3 scripts/gl3_sweep.py [--primes 2 3] [--mu-bound 4]
 
 import argparse
 import itertools
+import sys
 import time
 from collections import Counter
 
@@ -38,7 +39,8 @@ def main():
                 if not graph.vertices:
                     continue
                 nonempty += 1
-                assert len(graph.components) == 1, (p, m, mu)
+                if len(graph.components) != 1:
+                    sys.exit(f"GL3 sweep: {len(graph.components)} components at p={p}, m={m}, mu={mu}")
                 labels = [s.lam for s in graph.vertices]
                 for a, b in itertools.combinations(labels, 2):
                     chain, steps = chain_gl3(d, mu, a, b)

@@ -9,6 +9,7 @@ Usage: python3 scripts/zero_stratum_experiment.py [--count 500] [--seed 1]
 
 import argparse
 import random
+import sys
 import time
 from collections import Counter
 
@@ -16,6 +17,12 @@ from kisin.errors import NotInGeneralPositionError, PreconditionError
 from kisin.multicopy import make_multi, recursion_check, unique_zero_stratum
 from kisin.normal_form import caruso_datum, is_caruso_simple
 from kisin.strata import enumerate_strata
+
+
+def fail(message):
+    """Print the failed check with its instance (p, n, f, d, m, mu) and exit 1;
+    an explicit check, so that python -O keeps it."""
+    sys.exit(f"zero-stratum experiment: {message}")
 
 
 def main():
@@ -44,21 +51,25 @@ def main():
             ((1,) + (0,) * (n - 1)) if rng.random() < 0.5 else (0,) * n
             for _ in range(d * f)
         )
+        instance = (p, n, f, d, m, mb)
         S = enumerate_strata(multi.lifted, mb)
         if not S:
             try:
                 unique_zero_stratum(multi, mb)
             except PreconditionError:
                 continue
-            raise AssertionError(f"empty variety not refused at {(p, n, f, d, m, mb)}")
+            fail(f"empty variety not refused at {instance}")
         hits += 1
         sizes[len(S)] += 1
         zeros = [s for s in S if s.dim == 0]
-        assert len(zeros) == 1, f"uniqueness failed at {(p, n, f, d, m, mb)}"
+        if len(zeros) != 1:
+            fail(f"uniqueness failed at {instance}: {len(zeros)} zero-dimensional strata")
         built = unique_zero_stratum(multi, mb)
-        assert built == zeros[0], f"constructed {built.lam} != enumerated {zeros[0].lam} at {(p, n, f, d, m, mb)}"
+        if built != zeros[0]:
+            fail(f"constructed {built.lam} != enumerated {zeros[0].lam} at {instance}")
         ok, bad = recursion_check(multi, mb, zeros[0].lam)
-        assert ok, f"recursion failed at {(p, n, f, d, m, mb)} block {bad}"
+        if not ok:
+            fail(f"recursion failed at {instance} block {bad}")
     print(f"{hits} nonempty instances out of {attempts} attempts "
           f"({time.monotonic() - t0:.1f}s)")
     print("stratum-count histogram:", dict(sorted(sizes.items())))

@@ -22,6 +22,7 @@ from .strata import (
     _label_nat,
     _require_mu,
     _root_table,
+    _shift_blocks,
     enumerate_strata,
 )
 
@@ -98,9 +99,27 @@ def _graph_moves(shape: GroupShape, w: WeylElt) -> tuple:
     )
 
 
+@lru_cache(maxsize=_CACHED)
+def _move_table(shape: GroupShape, w: WeylElt, mu0: Cochar) -> dict:
+    """lam_nat lowered -> (root, k, i, j) of each row of ``_graph_moves`` that
+    ``_edge_ok`` accepts from it, in all_roots order, for the lowered mu0:
+    each block of mu less its least entry, and lam_nat's blocks less the
+    same.  A central shift moves lam_nat and mu alike and the moves keep
+    every block sum, so the verdicts depend on the lowered pair only, and
+    every twist of (shape, w) shares the table.
+
+    It starts empty and ``build_graph`` fills it, one entry per lowered
+    lam_nat it meets; each key is a candidate of mu0 (its dominant sort is
+    dominated by mu0), so the table holds at most prod_k
+    len(strata.candidate_blocks(mu0_k)) entries."""
+    return {}
+
+
 def build_graph(datum: FrobeniusDatum, mu: Cochar) -> StrataGraph:
-    """The coroot-curve graph on the strata.  Every root, in all_roots order,
-    is tested from each stratum's stored lam_nat by ``_edge_ok`` on the
+    """The coroot-curve graph on the strata.  Each stratum's accepted moves
+    are read from the move table of (shape, w, mu lowered per block)
+    (``_move_table``) under its lam_nat lowered the same way; a key not seen
+    yet is decided by ``_edge_ok`` for every root, in all_roots order, on the
     blocks its coroot and the coroot's twist touch, so for a fixed set of
     strata the cost is linear in the number of blocks.  lam' = lam - cov is
     built only for an accepted edge; it is a label, and a lam' missing from
@@ -108,28 +127,36 @@ def build_graph(datum: FrobeniusDatum, mu: Cochar) -> StrataGraph:
     The strata come from ``enumerate_strata``, whose records are shared: a
     caller that enumerated the same (datum, mu) already pays nothing here."""
     strata = enumerate_strata(datum, mu)
-    index = {s.lam: t for t, s in enumerate(strata)}
-    # one stratum has no edges
-    moves = _graph_moves(datum.shape, datum.w) if len(strata) > 1 else ()
     uf = _UnionFind(len(strata))
     edges = []
-    seen_pairs = set()
-    for t, s in enumerate(strata):
-        for alpha, k, i, j, k2, a, b, e in moves:
-            if not _edge_ok(mu, s.nat, k, i, j, k2, a, b, e):
-                continue
-            blk = list(s.lam[k])
-            blk[i] -= 1
-            blk[j] += 1
-            lam2 = s.lam[:k] + (tuple(blk),) + s.lam[k + 1:]
-            t2 = index.get(lam2)
-            if t2 is None:
-                raise TheoremViolationError(f"edge {s.lam} -> {lam2} passes the curve test, but {lam2} was not enumerated")
-            key = frozenset((s.lam, lam2))
-            if key not in seen_pairs:
-                seen_pairs.add(key)
-                edges.append((s.lam, lam2, alpha))
-                uf.union(t, t2)
+    if len(strata) > 1:  # one stratum has no edges
+        index = {s.lam: t for t, s in enumerate(strata)}
+        drop = [-b[-1] for b in mu]
+        shift = any(drop)
+        mu0 = _shift_blocks(mu, drop)  # tuples, also for a mu given as lists
+        table = _move_table(datum.shape, datum.w, mu0)
+        moves = _graph_moves(datum.shape, datum.w)
+        seen_pairs = set()
+        for t, s in enumerate(strata):
+            nat0 = _shift_blocks(s.nat, drop) if shift else s.nat
+            accepted = table.get(nat0)
+            if accepted is None:
+                accepted = table[nat0] = tuple(m[:4] for m in moves if _edge_ok(mu0, nat0, *m[1:]))
+            for alpha, k, i, j in accepted:
+                blk = list(s.lam[k])
+                blk[i] -= 1
+                blk[j] += 1
+                lam2 = s.lam[:k] + (tuple(blk),) + s.lam[k + 1 :]
+                t2 = index.get(lam2)
+                if t2 is None:
+                    raise TheoremViolationError(
+                        f"edge {s.lam} -> {lam2} passes the curve test, but {lam2} was not enumerated"
+                    )
+                key = (t, t2) if t < t2 else (t2, t)
+                if key not in seen_pairs:
+                    seen_pairs.add(key)
+                    edges.append((s.lam, lam2, alpha))
+                    uf.union(t, t2)
     comps = {}
     for t, s in enumerate(strata):
         comps.setdefault(uf.find(t), []).append(s.lam)

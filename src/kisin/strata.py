@@ -13,25 +13,33 @@ blocks, each raised to its number of copies.
 The residue join inverts the affine map.  The candidate values nu of lam_nat
 are finite: blockwise vectors whose dominant sort is dominated by mu's block.
 Each nu has exactly one rational preimage, because 1 - w*sigma is
-invertible, and that preimage is integral iff one congruence per cycle of the
-solver's permutation W holds; the congruence is linear in nu, block by block
-(``normal_form._solve_plan``).  So each block's candidates are bucketed by
-their residues, and a join over the blocks keeps a partial choice only while
-the residue still needed is a sum the remaining blocks can reach.  Only the
-surviving candidates are solved, and each must solve integrally and twist
-back to its candidate (else TheoremViolationError).  Its work follows the
+invertible: block 0 of it has the numerators <row_i, tau - nu> over
+1 - q^|c| (``normal_form._solve_plan``), and it is integral iff, per cycle
+of the solver's permutation W, the numerator at the cycle's first position
+is divisible by its modulus.  Both are linear in nu, block by block: a
+numerator is <row_i, tau> less, per block k, the partial <row_i on block k,
+nu_k>.  So each block's candidates are kept with their partials in a
+candidate table, bucketed by the residues of the partials, and a join over
+the blocks keeps a partial choice only while the residue still needed is a
+sum the remaining blocks can reach.  Each surviving choice is solved by
+subtraction: block 0 is (base - the sum of its partials) divmod the
+denominators, base = <rows, tau> formed once per call, and blocks N-1 .. 1
+follow by ``core.twist_block``; a remainder, or a label that does not twist
+back to its candidate, is a TheoremViolationError.  Its work follows the
 per-block candidate counts, which grow like p^(n-1) per block.  It runs up
-to central shift (``central_twist``), so a block's bucket table depends only
-on its coefficient rows, the moduli and mu_k less its least entry; the tables
-sit in one cache, and every cache of this module is bounded by _CACHED.  The
-residues that the shifted candidates must meet are read off tau and the
-least entries of mu, with no shifted tau built.
+to central shift (``central_twist``): mu_k and tau_k are lowered by mu_k's
+least entry, so a block's table depends only on the block's slice of the
+rows (``_join_plan``, built once per (shape, w)) and the lowered mu_k, and
+every twist of (shape, w) shares it.  The tables sit in one cache, and every
+cache of this module is bounded by _CACHED.
 
 Everything fixed by (shape, w) is built once, in the solve plan that each
-datum holds (``FrobeniusDatum.plan``): the solver's rows, its moduli and
-residue coefficients, and the inverse permutations that ``_twist`` hands to
+datum holds (``FrobeniusDatum.plan``): the solver's rows, moduli and
+denominators, and the inverse permutations that ``_twist`` hands to
 ``core.twist_block``.  The per-label calls (solving a candidate, twisting a
-label) only read it.
+label) only read it.  What only the join reads (the rows cut per block, the
+cycles' first positions) sits apart in ``_join_plan``, since ``multicopy``
+builds a plan per lift and solves it once or twice.
 
 The cycle walk searches lam directly when every eps_k >= 2.  Dominance gives
 lo_k <= nat_k[j] <= hi_k, lo_k and hi_k the least and largest entry of mu_k,
@@ -235,8 +243,8 @@ def _distinct_permutations(block: tuple):
         a[i + 1 :] = a[:i:-1]
 
 
-# Entries kept by each cache of this module: the GL_3 sweep fills about 110
-# residue tables, and the strata memo ``_strata`` needs only the last few
+# Entries kept by each cache of this module: the GL_3 sweep fills 112
+# candidate tables, and the strata memo ``_strata`` needs only the last few
 # (datum, mu, cap) keys, since a caller asks for the strata and then for the
 # graph of the same pair; eviction only recomputes.
 _CACHED = 256
@@ -290,7 +298,7 @@ def _cap_error(count: int, what: str, cap: int) -> EnumerationCapError:
 
 def _residue_join(buckets: list, moduli: tuple, target: tuple):
     """Each choice of one residue bucket per block whose residues sum to
-    target modulo moduli, as a tuple of candidate lists.
+    target modulo moduli, as a tuple of the chosen buckets.
 
     after[k] holds the residue sums of blocks k+1 onwards, built backward;
     the forward walk, depth first from a stack, extends a partial choice only
@@ -326,34 +334,83 @@ def _residue_join(buckets: list, moduli: tuple, target: tuple):
 
 
 @lru_cache(maxsize=_CACHED)
-def _residue_table(rows: tuple, moduli: tuple, mu_block: tuple) -> dict:
-    """The candidates of mu_block as residue tuple -> candidate list, the
-    residues sum(c * v) mod m per coefficient row c and modulus m.  Blocks
-    that share their rows (as in a multi-copy lift) share the table."""
-    blk = candidate_blocks(mu_block)
-    residues = [[sum(map(mul, c, v)) % m for v in blk] for c, m in zip(rows, moduli)]
+def _join_plan(shape, w: WeylElt) -> tuple:
+    """(cuts, firsts) of the join of (shape, w): cuts[k][i] is block k's slice
+    of the solver's row of position i of block 0, so that the numerator of
+    x[0][i] is sum_k <cuts[k][i], rhs[k]>, and firsts holds (c[0], q^|c| - 1)
+    per cycle c of the solve plan, the position whose numerator decides the
+    cycle's congruence and its modulus.  Built once per (shape, w), apart from
+    the solve plan, which ``multicopy`` builds afresh per lift."""
+    plan = _solve_plan(shape, w)
+    n = shape.n
+    cuts = tuple(tuple(row[k * n : (k + 1) * n] for row in plan.rows) for k in range(shape.blocks))
+    return cuts, tuple(zip([cyc[0] for cyc in plan.cycles], plan.moduli))
+
+
+@lru_cache(maxsize=_CACHED)
+def _candidate_table(cut: tuple, firsts: tuple, mu_block: tuple) -> dict:
+    """The candidates v of mu_block as one block of a join, bucketed by
+    residue: residue tuple -> list of (v, partials), partials[i] = <cut[i], v>
+    the block's share of position i's numerator, and the residue
+    partials[c0] mod m per (c0, m) of firsts.  Built whole on a miss; blocks
+    that share their cut (as in a multi-copy lift) share the table."""
     bucket = defaultdict(list)
-    for key, v in zip(zip(*residues), blk):
-        bucket[key].append(v)
+    for v in candidate_blocks(mu_block):
+        part = tuple([sum(map(mul, c, v)) for c in cut])
+        bucket[tuple([part[i] % m for i, m in firsts])].append((v, part))
     return dict(bucket)
+
+
+def _base_numerators(datum: FrobeniusDatum, lows) -> list:
+    """base[i] = <row_i, tau0> per position i of block 0, tau0 = tau - chi with
+    chi_k = lows[k] on every entry of block k: the numerator of x[0][i]
+    before a candidate's partials are taken off."""
+    flat = [x - c for t, c in zip(datum.tau, lows) for x in t]
+    return [sum(map(mul, row, flat)) for row in datum.plan.rows]
+
+
+def _subtraction_solve(datum: FrobeniusDatum, lows, base: list, entries: tuple) -> Optional[Cochar]:
+    """The solution lam of lam = (tau0 - nu0) + w(sigma(lam)), tau0 as in
+    ``_base_numerators``, for the candidate nu0 whose blocks and partials
+    are entries, one (nu0_k, partials) per block, or None when it is not
+    integral.  Block 0 is (base - sum_k partials_k) divmod plan.dens; blocks
+    N-1 .. 1 follow by ``twist_block`` from tau0_k - nu0_k."""
+    plan = datum.plan
+    num = base
+    for _, part in entries:
+        num = map(sub, num, part)
+    x0 = []
+    for x, d in zip(num, plan.dens):
+        quot, rem = divmod(x, d)
+        if rem:
+            return None
+        x0.append(quot)
+    nblocks = len(entries)
+    lam = [tuple(x0)] * nblocks
+    for k in range(nblocks - 1, 0, -1):
+        c = lows[k]
+        rhs = tuple([t - c - v for t, v in zip(datum.tau[k], entries[k][0])])
+        lam[k] = twist_block(rhs, plan.winv[k], datum.shape.eps[k], lam[(k + 1) % nblocks], 1)
+    return tuple(lam)
 
 
 def _join(datum: FrobeniusDatum, mu: Cochar, cap: Optional[int] = None) -> list:
     """The labels as sorted (lam, dag, nat) triples, by the residue join of
-    the per-block candidate sets.
+    the per-block candidate tables.
 
     Up to central shift (``central_twist``): with chi_k the least entry of
-    mu_k, nu0 = nu - chi runs over the candidates of mu - chi, and the
-    residues that nu0 must meet are those of tau0 = tau - chi, read off tau
-    and chi with no tau0 built.  Each survivor is shifted back to nu and
-    solved from tau - nu.  Complete and duplicate-free: candidates nu run
-    over every vector with dominant(nu) <= mu, nu -> lam is injective, and
-    the residue join drops exactly the nu whose preimage is not integral.
-    Each surviving nu must solve integrally, and its lam must twist back to
-    nu (else TheoremViolationError), so membership holds by construction.
+    mu_k, nu0 = nu - chi runs over the candidates of mu - chi, and the label
+    of nu solves lam = (tau0 - nu0) + w(sigma(lam)), tau0 = tau - chi.  The
+    numerator of x[0][i] is base[i] = <row_i, tau0>, formed once per call,
+    less each block's partials of nu0, read from its candidate table; nu0's
+    preimage is integral iff, per cycle, the partials' residues sum to
+    base's, which is what the join matches.  Complete and duplicate-free:
+    candidates nu run over every vector with dominant(nu) <= mu, nu -> lam is
+    injective, and the join drops exactly the nu whose preimage is not
+    integral.  Each survivor must divide out (``_subtraction_solve``) and
+    its lam must twist back to nu (else TheoremViolationError), so membership
+    holds by construction.
     """
-    shape, w, plan = datum.shape, datum.w, datum.plan
-    moduli, coefs = plan.moduli, plan.coefs
     lows = [b[-1] for b in mu]
     shift = any(lows)  # False when every least entry is 0, where nu0 is nu
     mu0 = _shift_blocks(mu, [-c for c in lows]) if shift else mu
@@ -366,19 +423,16 @@ def _join(datum: FrobeniusDatum, mu: Cochar, cap: Optional[int] = None) -> list:
             count *= len(candidate_blocks(b)) ** copies
             if count > cap:
                 raise _cap_error(count, "candidates", cap)
-    # the preimage of nu is integral iff, per cycle, the residues of the
-    # nu0_k sum to those of the tau0_k = tau_k - chi_k, each of which is
-    # <row, tau_k> - chi_k * sum(row) for the cycle's row of block k
-    target = tuple(
-        sum(sum(map(mul, cs[ci], t)) - c * sum(cs[ci]) for cs, t, c in zip(coefs, datum.tau, lows)) % m
-        for ci, m in enumerate(moduli)
-    )
-    buckets = [_residue_table(cs, moduli, b) for cs, b in zip(coefs, mu0)]
+    cuts, firsts = _join_plan(datum.shape, datum.w)
+    base = _base_numerators(datum, lows)
+    target = tuple([base[i] % m for i, m in firsts])
+    buckets = [_candidate_table(cut, firsts, b) for cut, b in zip(cuts, mu0)]
     solved = []
-    for lists in _residue_join(buckets, moduli, target):
-        for nu0 in itertools.product(*lists):
+    for lists in _residue_join(buckets, datum.plan.moduli, target):
+        for entries in itertools.product(*lists):
+            nu0 = tuple([v for v, _ in entries])
             nu = _shift_blocks(nu0, lows) if shift else nu0
-            lam = solve_affine_integral(shape, w, cochar_sub(datum.tau, nu))
+            lam = _subtraction_solve(datum, lows, base, entries)
             if lam is None:
                 raise TheoremViolationError(
                     f"candidate {nu} meets the integrality congruence but its preimage is not integral"

@@ -118,8 +118,15 @@ def _cached_defs():
 def test_every_cache_is_bounded():
     cached = list(_cached_defs())
     assert len(cached) >= 10
-    # the graph's move rows and the chains' coroot table are among them
-    assert {("connectivity", "_graph_moves"), ("connectivity", "_chain_table")} <= set(cached)
+    # the graph's move rows and move table, the chains' coroot table and the
+    # join's plan and candidate tables are among them
+    assert {
+        ("connectivity", "_graph_moves"),
+        ("connectivity", "_move_table"),
+        ("connectivity", "_chain_table"),
+        ("strata", "_join_plan"),
+        ("strata", "_candidate_table"),
+    } <= set(cached)
     unbounded = [
         f"{module}.{name}"
         for module, name in cached

@@ -24,7 +24,7 @@ from kisin.connectivity import (
 )
 from kisin.multicopy import make_multi
 from kisin.normal_form import caruso_datum, is_caruso_simple, make_datum
-from kisin.strata import _is_label, _twist, enumerate_strata, stratum_nonempty
+from kisin.strata import _is_label, _twist, candidate_blocks, central_twist, enumerate_strata, stratum_nonempty
 
 
 def datum_a(p=3):
@@ -201,6 +201,85 @@ class TestGraphByBlocks:
         assert main(["graph", "--p", "2", "--n", "3", "--f", "1", "--m", "1", "--mu", "[[3,1,-3]]"]) == 4
         captured = capsys.readouterr()
         assert captured.out == "" and "was not enumerated" in captured.err and "Traceback" not in captured.err
+
+
+def lowered(v, mu):
+    """v with block k less the least entry of mu_k."""
+    return tuple(tuple(x - b[-1] for x in blk) for blk, b in zip(v, mu))
+
+
+def move_table(datum, mu):
+    """The move table build_graph reads for (datum, mu)."""
+    return connectivity._move_table(datum.shape, datum.w, lowered(mu, mu))
+
+
+def f2_pairs():
+    """The simple n = 2 and every third n = 3 Caruso twist of f = 2 at p = 2,
+    each with every mu of dominant blocks with entries in [-1, 1]."""
+    out = []
+    for n, step in ((2, 1), (3, 3)):
+        blocks = dominant_vecs(n, -1, 1)
+        twists = [m for m in range(-(4**n - 1), 4**n) if is_caruso_simple(n, 4, m)][::step]
+        out += [(caruso_datum(n, 2, 2, m), mu) for m in twists for mu in itertools.product(blocks, repeat=2)]
+    return out
+
+
+class TestMoveTable:
+    """build_graph reads each stratum's accepted moves from a table keyed by
+    (shape, w, lowered mu) and the lowered lam_nat, shared by every central
+    shift and every twist of (shape, w)."""
+
+    @staticmethod
+    def matches_edge_oracle(datum, mu):
+        """Checks that the table's moves of each stratum are exactly the roots
+        the edge oracle accepts from it; returns the number of strata."""
+        graph = build_graph(datum, mu)
+        if len(graph.vertices) < 2:
+            return 0
+        table = move_table(datum, mu)
+        for s in graph.vertices:
+            want = [alpha for alpha in all_roots(datum.shape) if edge_exists(datum, mu, s.lam, alpha)]
+            got = table[lowered(s.nat, mu)]
+            assert [alpha for alpha, _, _, _ in got] == want, (datum.tau, mu, s.lam)
+            assert all((alpha.block, alpha.i, alpha.j) == (k, i, j) for alpha, k, i, j in got)
+        return len(graph.vertices)
+
+    def test_gl3_sweep_matches_edge_oracle(self):
+        assert sum(self.matches_edge_oracle(d, mu) for d, mu, _ in gl3_sweep_instances()) > 9000
+
+    def test_f2_shapes_match_edge_oracle(self):
+        assert sum(self.matches_edge_oracle(d, mu) for d, mu in f2_pairs()) > 200
+
+    def test_central_shift_hits_the_table(self, monkeypatch):
+        datum, mu = caruso_datum(3, 1, 2, 1), ((3, 1, -3),)
+        want = build_graph(datum, mu)
+        assert len(want.vertices) == 6
+        before = connectivity._move_table.cache_info()
+        monkeypatch.setattr(connectivity, "_edge_ok", lambda *args: pytest.fail("_edge_ok called"))
+        for c in (-7, 5, 11):
+            d, m = central_twist(datum, mu, ((c,) * 3,))
+            graph = build_graph(d, m)
+            assert graph.edges == want.edges and graph.components == want.components
+        after = connectivity._move_table.cache_info()
+        assert after.misses == before.misses and after.hits == before.hits + 3
+
+    def test_table_holds_only_candidates_of_the_lowered_mu(self):
+        # every twist of p = 2 and p = 3, under three shifts, fills the tables
+        # of its (shape, w); each key is a candidate of the lowered mu
+        tables = {}
+        for p, m in sweep_twists():
+            base = caruso_datum(3, 1, p, m)
+            for mu in dominant_vecs(3, -3, 3):
+                for c in (-2, 0, 3):
+                    d, shifted_mu = central_twist(base, (mu,), ((c,) * 3,))
+                    if len(build_graph(d, shifted_mu).vertices) > 1:
+                        tables[(d.shape, d.w, lowered(shifted_mu, shifted_mu))] = move_table(d, shifted_mu)
+        filled = 0
+        for (_, _, mu0), table in tables.items():
+            candidates = set(itertools.product(*map(candidate_blocks, mu0)))
+            assert set(table) <= candidates and len(table) <= len(candidates)
+            filled += len(table)
+        assert len(tables) > 20 and filled > 200
 
 
 def _stuck_normal_form(real):

@@ -18,6 +18,7 @@ from conftest import (
     candidate_product,
     contracting_datum,
     dominant_vecs,
+    gl3_sweep_instances,
     product_strata,
     walk_by_box,
     walk_by_exact_count,
@@ -26,10 +27,10 @@ from conftest import (
 from kisin import connectivity, oracle, strata
 from kisin.cli import CASES, counterexample, main
 from kisin.connectivity import build_graph, pi0_report
-from kisin.core import ExtAffine, GroupShape, cochar_add
+from kisin.core import ExtAffine, GroupShape, cochar_add, cochar_sub
 from kisin.errors import ConfigError, EnumerationCapError, KisinError, TheoremViolationError
 from kisin.multicopy import decompose_mu, make_multi
-from kisin.normal_form import _solve_plan, alcove_reduce, caruso_datum, is_caruso_simple, make_datum
+from kisin.normal_form import _solve_plan, alcove_reduce, caruso_datum, is_caruso_simple, make_datum, solve_affine_integral
 from kisin.oracle import GF, kisin_points
 from kisin.strata import (
     _distinct_permutations,
@@ -412,7 +413,7 @@ class TestEnumerationCap:
         box = max(strata._candidate_box((b,)) for b in mu)
         monkeypatch.setenv("KISIN_MAX_ENUM", str(box - 1))
         forbid(monkeypatch, "candidate_blocks")
-        forbid(monkeypatch, "_residue_table")
+        forbid(monkeypatch, "_candidate_table")
         with pytest.raises(EnumerationCapError, match=f"^{box} candidates in the box of block"):
             enumerate_strata(datum, mu)
 
@@ -479,18 +480,36 @@ def forbid(monkeypatch, name):
     monkeypatch.setattr(strata, name, lambda *args: pytest.fail(f"{name} called"))
 
 
+def move_partials(monkeypatch, by):
+    """Patches the join's candidate tables so that every candidate's partial
+    of position 0 moves by `by`, each candidate still filed under its true
+    residue: on a one-block datum the numerator of x[0][0] moves by -by."""
+    real = strata._candidate_table
+
+    def tampered(cut, firsts, mu_block):
+        table = real(cut, firsts, mu_block)
+        return {r: [(v, (part[0] + by,) + part[1:]) for v, part in entries] for r, entries in table.items()}
+
+    monkeypatch.setattr(strata, "_candidate_table", tampered)
+
+
 class TestTheoremViolation:
     def test_residue_match_without_integral_preimage(self, monkeypatch):
+        # the survivors are still found by their residues, but the numerator
+        # of x[0][0] is off by one, and 3^|c| - 1 does not divide it
         datum, mu = counterexample(CASES["a"], 3)
+        assert datum.shape.blocks == 1 and abs(datum.plan.dens[0]) > 1
         forbid(monkeypatch, "_walk")
-        monkeypatch.setattr(strata, "solve_affine_integral", lambda shape, w, rhs: None)
+        move_partials(monkeypatch, 1)
         with pytest.raises(TheoremViolationError, match="integrality congruence"):
             enumerate_strata(datum, mu)
 
     def test_solved_label_must_twist_back_to_its_candidate(self, monkeypatch):
+        # the numerator of x[0][0] moves by its denominator, so each survivor
+        # still divides out, to a label with its first entry moved by one
         datum, mu = counterexample(CASES["a"], 3)
         forbid(monkeypatch, "_walk")
-        monkeypatch.setattr(strata, "solve_affine_integral", off_by_one)
+        move_partials(monkeypatch, -datum.plan.dens[0])
         with pytest.raises(TheoremViolationError, match="whose lam_nat is"):
             enumerate_strata(datum, mu)
 
@@ -511,7 +530,7 @@ class TestTheoremViolation:
     def test_empty_variety_solves_nothing(self, monkeypatch):
         # block sum 1 cannot meet tau's residue, so no candidate is solved
         datum, _ = counterexample(CASES["a"], 3)
-        monkeypatch.setattr(strata, "solve_affine_integral", lambda shape, w, rhs: pytest.fail("solved"))
+        forbid(monkeypatch, "_subtraction_solve")
         assert enumerate_strata(datum, ((1, 0, 0, 0),)) == ()
 
 
@@ -547,7 +566,7 @@ class TestCandidateGeneration:
 
 
 # ---------------------------------------------------------------------------
-# the join up to central shift, from the cached residue tables
+# the join up to central shift, from the cached candidate tables
 
 SHIFTS = (-7, 0, 5)
 
@@ -618,17 +637,17 @@ class TestJoinUpToShift:
     def test_tables_are_shared_up_to_shift(self):
         datum, mu = caruso_datum(3, 1, 3, 5), ((2, 0, -1),)
         strata._join(datum, mu)
-        before = strata._residue_table.cache_info()
+        before = strata._candidate_table.cache_info()
         for c in SHIFTS:
             strata._join(*shifted(datum, mu, c))
-        after = strata._residue_table.cache_info()
+        after = strata._candidate_table.cache_info()
         assert after.misses == before.misses and after.hits == before.hits + len(SHIFTS)
 
     def test_eviction_is_safe(self, monkeypatch):
         pairs = join_pairs()[::7] + lift_pairs()
         want = [strata._join(*shifted(d, mu, c)) for d, mu in pairs for c in SHIFTS]
-        one = functools.lru_cache(maxsize=1)(strata._residue_table.__wrapped__)
-        monkeypatch.setattr(strata, "_residue_table", one)
+        one = functools.lru_cache(maxsize=1)(strata._candidate_table.__wrapped__)
+        monkeypatch.setattr(strata, "_candidate_table", one)
         assert [strata._join(*shifted(d, mu, c)) for d, mu in pairs for c in SHIFTS] == want
         assert one.cache_info().currsize == 1 and one.cache_info().misses > len(pairs)
 
@@ -640,10 +659,10 @@ class TestJoinUpToShift:
         # each bucket of a table with two residues or more also holds a
         # candidate of another residue, so whatever the join reaches, some
         # candidate fails the integrality congruence
-        real, misfiled = strata._residue_table, []
+        real, misfiled = strata._candidate_table, []
 
-        def tampered(rows, moduli, mu_block):
-            table = real(rows, moduli, mu_block)
+        def tampered(cut, firsts, mu_block):
+            table = real(cut, firsts, mu_block)
             keys = list(table)
             if len(keys) == 1:
                 return table
@@ -651,10 +670,96 @@ class TestJoinUpToShift:
             return {k: table[k] + [table[keys[t - 1]][0]] for t, k in enumerate(keys)}
 
         assert strata._join(datum, mu)
-        monkeypatch.setattr(strata, "_residue_table", tampered)
+        monkeypatch.setattr(strata, "_candidate_table", tampered)
         with pytest.raises(TheoremViolationError, match="integrality congruence"):
             strata._join(datum, mu)
         assert misfiled
+
+
+# ---------------------------------------------------------------------------
+# the subtraction solve of the join, against the affine solver
+
+
+def subtraction_matches_solver(datum, mu):
+    """Solves every candidate of mu, whatever its residue, by the join's
+    subtraction from the candidate tables and by ``solve_affine_integral``,
+    and checks that they agree, that the residues the tables file each
+    candidate under sum to the join's target exactly when it is integral,
+    and that each table's partials are the block's share of the solver's
+    numerators.  Returns (candidates, integral)."""
+    lows = [b[-1] for b in mu]
+    mu0 = tuple(tuple(x - c for x in b) for b, c in zip(mu, lows))
+    cuts, firsts = strata._join_plan(datum.shape, datum.w)
+    moduli = [m for _, m in firsts]
+    base = strata._base_numerators(datum, lows)
+    target = tuple(base[i] % m for i, m in firsts)
+    rows, n = _solve_plan(datum.shape, datum.w).rows, datum.shape.n
+    filed = []
+    for k, (cut, b) in enumerate(zip(cuts, mu0)):
+        block = []
+        for residue, entries in strata._candidate_table(cut, firsts, b).items():
+            for v, part in entries:
+                assert part == tuple(sum(r * x for r, x in zip(row[k * n : (k + 1) * n], v)) for row in rows)
+                block.append((residue, (v, part)))
+        assert sorted(v for _, (v, _) in block) == sorted(strata.candidate_blocks(b))
+        filed.append(block)
+    count = integral = 0
+    for choice in itertools.product(*filed):
+        entries = tuple(e for _, e in choice)
+        nu = tuple(tuple(x + c for x in v) for (v, _), c in zip(entries, lows))
+        want = solve_affine_integral(datum.shape, datum.w, cochar_sub(datum.tau, nu))
+        assert strata._subtraction_solve(datum, lows, base, entries) == want, (datum.tau, mu, nu)
+        sums = tuple(sum(col) % m for col, m in zip(zip(*(r for r, _ in choice)), moduli))
+        assert (sums == target) == (want is not None), (datum.tau, mu, nu)
+        count += 1
+        integral += want is not None
+    return count, integral
+
+
+def caruso_pairs(n, f, p, hi, step=1):
+    """Every step-th simple Caruso twist of (n, f, p), each with every mu of
+    dominant blocks with entries in [0, hi]."""
+    blocks = dominant_vecs(n, 0, hi)
+    twists = [m for m in range(-(p ** (n * f) - 1), p ** (n * f)) if is_caruso_simple(n, p**f, m)]
+    return [
+        (caruso_datum(n, f, p, m), mu) for m in twists[::step] for mu in itertools.product(blocks, repeat=f)
+    ]
+
+
+class TestSubtractionSolve:
+    def test_gl3_sweep(self):
+        count = integral = 0
+        for datum, mu, found in gl3_sweep_instances():
+            c, i = subtraction_matches_solver(datum, mu)
+            assert i == len(found)
+            count, integral = count + c, integral + i
+        assert count > 50000 and integral > 10000
+
+    @pytest.mark.parametrize("case", "ab")
+    @pytest.mark.parametrize("p", (3, 5, 7))
+    def test_goldens_down_the_join(self, case, p):
+        datum, mu = counterexample(CASES[case], p)
+        assert subtraction_matches_solver(datum, mu)[1] == 2
+        want = [(s.lam, s.dag, s.nat) for s in enumerate_strata(datum, mu)]
+        assert strata._join(datum, mu) == want
+
+    @pytest.mark.parametrize(
+        "n,f,p,step,least", [(2, 2, 2, 1, 150), (2, 2, 3, 1, 150), (2, 3, 2, 6, 250), (3, 2, 2, 3, 700)]
+    )
+    def test_caruso_shapes(self, n, f, p, step, least):
+        integral = 0
+        for datum, mu in caruso_pairs(n, f, p, 2, step):
+            integral += subtraction_matches_solver(datum, mu)[1]
+        assert integral >= least
+
+    def test_multicopy_lifts_with_unit_eps(self):
+        pairs = [(d, mu) for d, mu in lift_pairs() if 1 in d.shape.eps]
+        lifted = make_multi(caruso_datum(3, 1, 2, 1), 2).lifted
+        pairs += [(lifted, mu) for mu in itertools.product(dominant_vecs(3, 0, 1), repeat=2)]
+        integral = 0
+        for datum, mu in pairs:
+            integral += subtraction_matches_solver(datum, mu)[1]
+        assert len(pairs) > 10 and integral > 10
 
 
 # ---------------------------------------------------------------------------
@@ -759,7 +864,7 @@ class TestStrataMemo:
 
     def test_a_fault_is_raised_on_every_call(self, monkeypatch):
         datum, mu = counterexample(CASES["a"], 3)
-        monkeypatch.setattr(strata, "solve_affine_integral", off_by_one)
+        move_partials(monkeypatch, -datum.plan.dens[0])
         for _ in range(2):
             with pytest.raises(TheoremViolationError, match="whose lam_nat is"):
                 enumerate_strata(datum, mu)
