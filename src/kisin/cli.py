@@ -14,7 +14,9 @@ import argparse
 import json
 import sys
 from functools import lru_cache
+from itertools import chain
 from json.encoder import encode_basestring_ascii
+from typing import NamedTuple, Optional
 
 from . import connectivity, multicopy, normal_form, oracle, strata
 from .core import ExtAffine, GroupShape, Root, is_dominant, is_minuscule
@@ -154,6 +156,20 @@ def ser_stratum(s) -> dict:
     }
 
 
+@lru_cache(maxsize=64)
+def _int_array_breaks(pad: str) -> tuple:
+    """What "], [", ", ", "[[" and "]]" of the repr of a list of int lists
+    become in its report text at indent pad."""
+    inner = pad + "  "
+    deep = inner + "  "
+    return (
+        "\n" + inner + "],\n" + inner + "[\n" + deep,
+        ",\n" + deep,
+        "[\n" + inner + "[\n" + deep,
+        "\n" + inner + "]\n" + pad + "]",
+    )
+
+
 def _json(x, pad: str = "") -> str:
     """The text of ``json.dumps(x, indent=2, sort_keys=True)``, its test oracle,
     built without the pure-Python encoder that any indent selects there.  It
@@ -174,6 +190,17 @@ def _json(x, pad: str = "") -> str:
     if isinstance(x, list):
         if not x:
             return "[]"
+        # a list of non-empty lists of exact ints (a cochar, say) from its
+        # repr, where ", " only separates ints and "], [" only blocks
+        if (
+            type(x[0]) is list
+            and type(x) is list
+            and set(map(type, x)) == {list}
+            and all(x)
+            and set(map(type, chain.from_iterable(x))) == {int}
+        ):
+            blocks, ints, head, tail = _int_array_breaks(pad)
+            return repr(x).replace("], [", blocks).replace(", ", ints).replace("[[", head).replace("]]", tail)
         inner = pad + "  "
         # an exact type test, since bool is a subclass of int
         if set(map(type, x)) == {int}:
@@ -448,70 +475,162 @@ def cmd_verify_counterexample(args) -> int:
 # argument plumbing
 
 
-def _add_instance_args(sp, need_mu=True):
-    sp.add_argument("--p", type=int, required=True)
-    sp.add_argument("--n", type=int, required=True)
-    sp.add_argument("--f", type=int, default=1)
-    sp.add_argument("--eps", type=str, default=None, help="JSON list of scale factors, overrides --f")
-    sp.add_argument("--m", type=int, default=None, help="Caruso parameter")
-    sp.add_argument("--tau", type=str, default=None, help="JSON nested int arrays")
-    sp.add_argument("--w", type=str, default=None, help="JSON one-line permutations (1-indexed)")
-    sp.add_argument("--alcove-reduce", action="store_true", dest="alcove_reduce")
-    if need_mu:
-        sp.add_argument("--mu", type=str, default=None, help="JSON nested int arrays")
+class _Opt(NamedTuple):
+    """One argument of a command: an option string, or a positional's name."""
+
+    flag: str
+    dest: str
+    type: type = str  # bool: a flag that takes no value (store_true)
+    default: object = None
+    required: bool = False
+    choices: Optional[tuple] = None
+    help: Optional[str] = None
+
+
+_INSTANCE = (
+    _Opt("--p", "p", int, required=True),
+    _Opt("--n", "n", int, required=True),
+    _Opt("--f", "f", int, 1),
+    _Opt("--eps", "eps", help="JSON list of scale factors, overrides --f"),
+    _Opt("--m", "m", int, help="Caruso parameter"),
+    _Opt("--tau", "tau", help="JSON nested int arrays"),
+    _Opt("--w", "w", help="JSON one-line permutations (1-indexed)"),
+    _Opt("--alcove-reduce", "alcove_reduce", bool, False),
+)
+_MU = (_Opt("--mu", "mu", help="JSON nested int arrays"),)
+
+# command -> (help, function, arguments in the order argparse lists them)
+COMMANDS = {
+    "normal-form": ("Caruso datum, fixed point, alcove reduction", cmd_normal_form, _INSTANCE),
+    "strata": ("stratum labels with dims and singleton verdicts", cmd_strata, _INSTANCE + _MU),
+    "graph": (
+        "coroot-curve graph and pi0 report",
+        cmd_graph,
+        _INSTANCE + _MU + (_Opt("--out", "out", default="json", choices=("json", "dot")),),
+    ),
+    "multicopy": (
+        "unique zero-dimensional stratum and recursion check",
+        cmd_multicopy,
+        _INSTANCE + _MU + (_Opt("--d", "d", int),),
+    ),
+    "chain-gl3": (
+        "coroot chain between two GL3 strata",
+        cmd_chain_gl3,
+        _INSTANCE + _MU + (_Opt("--lam", "lam", required=True), _Opt("--lam-prime", "lam_prime", required=True)),
+    ),
+    "oracle-count": (
+        "brute-force point enumeration over a small field",
+        cmd_oracle_count,
+        _INSTANCE + _MU + (_Opt("--field-deg", "field_deg", int, 1), _Opt("--box", "box", int, 2)),
+    ),
+    "verify-counterexample": (
+        "golden disconnectedness checks",
+        cmd_verify_counterexample,
+        (_Opt("case", "case", required=True, choices=("a", "b")), _Opt("--p", "p", int, required=True)),
+    ),
+}
+
+# per command: (positionals, options by flag, defaults, required dests)
+_LOOKUP = {
+    cmd: (
+        tuple(o for o in opts if o.flag[0] != "-"),
+        {o.flag: o for o in opts if o.flag[0] == "-"},
+        {o.dest: o.default for o in opts},
+        frozenset(o.dest for o in opts if o.required),
+    )
+    for cmd, (_, _, opts) in COMMANDS.items()
+}
+
+
+def _command_fn(cmd: str):
+    """The function of cmd as this module binds it when arguments are
+    parsed, so that a rebinding of it (a tracing wrapper, say) is seen."""
+    return globals()[COMMANDS[cmd][1].__name__]
 
 
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="kisin", description=__doc__)
     sub = ap.add_subparsers(dest="cmd", required=True)
-
-    sp = sub.add_parser("normal-form", help="Caruso datum, fixed point, alcove reduction")
-    _add_instance_args(sp, need_mu=False)
-    sp.set_defaults(fn=cmd_normal_form)
-
-    sp = sub.add_parser("strata", help="stratum labels with dims and singleton verdicts")
-    _add_instance_args(sp)
-    sp.set_defaults(fn=cmd_strata)
-
-    sp = sub.add_parser("graph", help="coroot-curve graph and pi0 report")
-    _add_instance_args(sp)
-    sp.add_argument("--out", choices=("json", "dot"), default="json")
-    sp.set_defaults(fn=cmd_graph)
-
-    sp = sub.add_parser("multicopy", help="unique zero-dimensional stratum and recursion check")
-    _add_instance_args(sp)
-    sp.add_argument("--d", type=int, default=None)
-    sp.set_defaults(fn=cmd_multicopy)
-
-    sp = sub.add_parser("chain-gl3", help="coroot chain between two GL3 strata")
-    _add_instance_args(sp)
-    sp.add_argument("--lam", type=str, required=True)
-    sp.add_argument("--lam-prime", type=str, required=True, dest="lam_prime")
-    sp.set_defaults(fn=cmd_chain_gl3)
-
-    sp = sub.add_parser("oracle-count", help="brute-force point enumeration over a small field")
-    _add_instance_args(sp)
-    sp.add_argument("--field-deg", type=int, default=1, dest="field_deg")
-    sp.add_argument("--box", type=int, default=2)
-    sp.set_defaults(fn=cmd_oracle_count)
-
-    sp = sub.add_parser("verify-counterexample", help="golden disconnectedness checks")
-    sp.add_argument("case", choices=("a", "b"))
-    sp.add_argument("--p", type=int, required=True)
-    sp.set_defaults(fn=cmd_verify_counterexample)
-
+    for cmd, (text, _, opts) in COMMANDS.items():
+        sp = sub.add_parser(cmd, help=text)
+        for o in opts:
+            if o.flag[0] != "-":
+                sp.add_argument(o.flag, choices=o.choices, help=o.help)
+            elif o.type is bool:
+                sp.add_argument(o.flag, action="store_true", dest=o.dest, help=o.help)
+            else:
+                sp.add_argument(
+                    o.flag, type=o.type, default=o.default, required=o.required, choices=o.choices,
+                    dest=o.dest, help=o.help,
+                )
+        sp.set_defaults(fn=_command_fn(cmd))
     return ap
 
 
 @lru_cache(maxsize=1)
 def _parser() -> argparse.ArgumentParser:
-    """The parser, built on the first main() call rather than at import;
-    parse_args keeps no state between calls, so one serves every call."""
+    """The parser, built on the first call that needs it rather than at
+    import; parse_args keeps no state between calls, so one serves every
+    call."""
     return build_parser()
 
 
+def _plain_args(argv):
+    """The Namespace argparse gives for argv, read from COMMANDS when argv has
+    the plain form, else None.  The plain form is the command, its
+    positionals, then exact option strings, each option that stores followed
+    by a value not starting with -, every value converting by its type and
+    within its choices, and every required option given; a repeated option
+    keeps its last value, as argparse's store does."""
+    if not argv or argv[0] not in _LOOKUP:
+        return None
+    cmd = argv[0]
+    positionals, options, defaults, required = _LOOKUP[cmd]
+    end = len(positionals) + 1
+    if len(argv) < end:
+        return None
+    pairs = list(zip(positionals, argv[1:end]))
+    values = dict(defaults)
+    i = end
+    while i < len(argv):
+        o = options.get(argv[i])
+        if o is None:
+            return None
+        if o.type is bool:
+            values[o.dest] = True
+            i += 1
+        elif i + 1 < len(argv):
+            pairs.append((o, argv[i + 1]))
+            i += 2
+        else:
+            return None
+    for o, token in pairs:
+        if token[:1] == "-":
+            return None
+        try:
+            value = o.type(token)
+        except (TypeError, ValueError):
+            return None
+        if o.choices is not None and value not in o.choices:
+            return None
+        values[o.dest] = value
+    if not required <= {o.dest for o, _ in pairs}:
+        return None
+    return argparse.Namespace(cmd=cmd, fn=_command_fn(cmd), **values)
+
+
+def _parse(argv) -> argparse.Namespace:
+    """The arguments of argv (sys.argv[1:] when None): read from the option
+    table in the plain form, else parsed by argparse, which alone prints help
+    and rejects arguments, with its own messages and exit codes."""
+    if argv is None:
+        argv = sys.argv[1:]
+    args = _plain_args(argv)
+    return args if args is not None else _parser().parse_args(argv)
+
+
 def main(argv=None) -> int:
-    args = _parser().parse_args(argv)
+    args = _parse(argv)
     # reports print exact integers and rationals of any size, so the
     # interpreter's limit on the decimal digits of an int (4,300 by default,
     # absent before Python 3.10.7) is lifted while the command runs

@@ -98,8 +98,6 @@ class _SolvePlan(NamedTuple):
     q: int  # E_N, the full eps product
     cycles: tuple  # the cycles of W = P_N, each walked backwards
     den: int  # D = q^L - 1, L the lcm of the cycle lengths
-    moduli: tuple  # q^|c| - 1 per cycle c
-    coefs: tuple  # per block k, per cycle: the residue row of rhs[k]
     rows: tuple  # per position i of block 0: the row of x[0][i]'s numerator
     dens: tuple  # per position i of block 0: 1 - q^|c|, c its cycle
     winv: tuple  # w_k^{-1} per block, as core.twist_block reads it
@@ -132,9 +130,8 @@ def _solve_plan(shape: GroupShape, w: WeylElt) -> _SolvePlan:
 
     The residues.  The numerators on one cycle are congruent to each other up
     to powers of q modulo q^|c| - 1, so x[0] is integral iff the one at c's
-    first position is divisible by q^|c| - 1.  That numerator is
-    sum_k <coef[k][c], rhs[k]>: the coefficients are its row, cut per block
-    and reduced modulo q^|c| - 1 (the moduli, one per cycle).
+    first position is divisible by q^|c| - 1, a congruence that only the
+    join of ``strata`` reads (``strata._join_plan``).
 
     The plan also holds each w_k^{-1}, which ``core.twist_block`` reads.
     """
@@ -160,7 +157,6 @@ def _solve_plan(shape: GroupShape, w: WeylElt) -> _SolvePlan:
             cyc.append(i)
             i = winv[i]
         cycles.append(tuple(cyc))
-    moduli = tuple(q ** len(cyc) - 1 for cyc in cycles)
     den = q ** math.lcm(*map(len, cycles)) - 1
     place = {}  # position i -> (cycle index, step t with cyc[t] == i)
     for ci, cyc in enumerate(cycles):
@@ -177,13 +173,10 @@ def _solve_plan(shape: GroupShape, w: WeylElt) -> _SolvePlan:
         for t, x in enumerate(cycles[ci]):
             scale[x] = powers[(t - t0) % length]
         rows.append(tuple([e * scale[x] for pk, e in blocks for x in pk]))
-    # the row of each cycle's first position, reduced and cut into blocks of n
-    cuts = [zip(*[iter([x % m for x in rows[cyc[0]]])] * n) for cyc, m in zip(cycles, moduli)]
-    coefs = tuple(zip(*cuts))
     dens = tuple(1 - q ** len(cycles[place[i][0]]) for i in range(n))
     inverse = {wk: perm_inv(wk) for wk in set(w)}
     return _SolvePlan(
-        tuple(prefix_eps), tuple(prefix_perm), q, tuple(cycles), den, moduli, coefs, tuple(rows), dens,
+        tuple(prefix_eps), tuple(prefix_perm), q, tuple(cycles), den, tuple(rows), dens,
         tuple(map(inverse.__getitem__, w)),
     )
 

@@ -34,11 +34,11 @@ every twist of (shape, w) shares it.  The tables sit in one cache, and every
 cache of this module is bounded by _CACHED.
 
 Everything fixed by (shape, w) is built once, in the solve plan that each
-datum holds (``FrobeniusDatum.plan``): the solver's rows, moduli and
-denominators, and the inverse permutations that ``_twist`` hands to
-``core.twist_block``.  The per-label calls (solving a candidate, twisting a
-label) only read it.  What only the join reads (the rows cut per block, the
-cycles' first positions) sits apart in ``_join_plan``, since ``multicopy``
+datum holds (``FrobeniusDatum.plan``): the solver's rows and denominators,
+and the inverse permutations that ``_twist`` hands to ``core.twist_block``.
+The per-label calls (solving a candidate, twisting a label) only read it.
+What only the join reads (the rows cut per block, the cycles' first
+positions and moduli) sits apart in ``_join_plan``, since ``multicopy``
 builds a plan per lift and solves it once or twice.
 
 The cycle walk searches lam directly when every eps_k >= 2.  Dominance gives
@@ -335,16 +335,18 @@ def _residue_join(buckets: list, moduli: tuple, target: tuple):
 
 @lru_cache(maxsize=_CACHED)
 def _join_plan(shape, w: WeylElt) -> tuple:
-    """(cuts, firsts) of the join of (shape, w): cuts[k][i] is block k's slice
-    of the solver's row of position i of block 0, so that the numerator of
-    x[0][i] is sum_k <cuts[k][i], rhs[k]>, and firsts holds (c[0], q^|c| - 1)
-    per cycle c of the solve plan, the position whose numerator decides the
-    cycle's congruence and its modulus.  Built once per (shape, w), apart from
-    the solve plan, which ``multicopy`` builds afresh per lift."""
+    """(cuts, firsts, moduli) of the join of (shape, w): cuts[k][i] is block
+    k's slice of the solver's row of position i of block 0, so that the
+    numerator of x[0][i] is sum_k <cuts[k][i], rhs[k]>, and firsts holds
+    (c[0], q^|c| - 1) per cycle c of the solve plan, the position whose
+    numerator decides the cycle's congruence and its modulus; moduli lists
+    those moduli alone.  Built once per (shape, w), apart from the solve plan,
+    which ``multicopy`` builds afresh per lift."""
     plan = _solve_plan(shape, w)
     n = shape.n
     cuts = tuple(tuple(row[k * n : (k + 1) * n] for row in plan.rows) for k in range(shape.blocks))
-    return cuts, tuple(zip([cyc[0] for cyc in plan.cycles], plan.moduli))
+    moduli = tuple(plan.q ** len(cyc) - 1 for cyc in plan.cycles)
+    return cuts, tuple(zip([cyc[0] for cyc in plan.cycles], moduli)), moduli
 
 
 @lru_cache(maxsize=_CACHED)
@@ -423,12 +425,12 @@ def _join(datum: FrobeniusDatum, mu: Cochar, cap: Optional[int] = None) -> list:
             count *= len(candidate_blocks(b)) ** copies
             if count > cap:
                 raise _cap_error(count, "candidates", cap)
-    cuts, firsts = _join_plan(datum.shape, datum.w)
+    cuts, firsts, moduli = _join_plan(datum.shape, datum.w)
     base = _base_numerators(datum, lows)
     target = tuple([base[i] % m for i, m in firsts])
     buckets = [_candidate_table(cut, firsts, b) for cut, b in zip(cuts, mu0)]
     solved = []
-    for lists in _residue_join(buckets, datum.plan.moduli, target):
+    for lists in _residue_join(buckets, moduli, target):
         for entries in itertools.product(*lists):
             nu0 = tuple([v for v, _ in entries])
             nu = _shift_blocks(nu0, lows) if shift else nu0

@@ -2,9 +2,11 @@ import contextlib
 import dataclasses
 import io
 import json
+import os
 import sys
 from fractions import Fraction
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
@@ -408,14 +410,18 @@ class TestParserReuse:
         return code, out.getvalue(), err.getvalue()
 
     def test_built_once_per_process(self, monkeypatch):
+        # a well-formed run reads the option table and builds no parser; a
+        # rejected run builds it, once per process
         built, real = [], cli.build_parser
         monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or real())
         cli._parser.cache_clear()
         try:
             first, second = self.outcome(self.VALID), self.outcome(self.VALID)
+            assert built == [] and first == second
+            rejected, again = self.outcome(self.REJECTED), self.outcome(self.REJECTED)
         finally:
             cli._parser.cache_clear()
-        assert built == [1] and first == second
+        assert built == [1] and rejected == again and rejected[0] == 2
 
     def test_rejection_then_valid_run_matches_fresh_parser(self):
         cli._parser.cache_clear()
@@ -428,6 +434,127 @@ class TestParserReuse:
         assert fresh[0] == 0 and json.loads(fresh[1])["strata"]
         # a rejection on the reused parser reads as on a fresh one
         assert self.outcome(self.REJECTED) == rejected
+
+
+# values next to the plain form: negative, padded, underscored, not an int,
+# empty, the option terminator, option-like
+_ODD_VALUES = ("-5", " 3", "3_0", "x", "", "--", "-h", "-x", "--p")
+
+
+def _value(o):
+    if o.choices is not None:
+        good = st.sampled_from(o.choices)
+    elif o.type is int:
+        good = st.integers(0, 12).map(str)
+    else:
+        good = st.sampled_from(("[[1,0]]", "[[0,0,0]]", "[1, 0]", "x"))
+    return st.one_of(*[good] * 8, st.sampled_from(_ODD_VALUES + ("xml", "c")))
+
+
+@st.composite
+def _spelling(draw, o):
+    """The tokens of option o, mostly as the plain form spells it."""
+    kind = draw(st.sampled_from(("plain",) * 15 + ("abbrev", "equals", "no value")))
+    flag = o.flag
+    if kind == "abbrev" and len(flag) > 3:
+        flag = flag[: draw(st.integers(3, len(flag) - 1))]
+    if o.type is bool:
+        return [flag + "=x"] if kind == "equals" else [flag]
+    if kind == "no value":
+        return [flag]
+    value = draw(_value(o))
+    return [f"{flag}={value}"] if kind == "equals" else [flag, value]
+
+
+@st.composite
+def _cli_argv(draw):
+    """An argv over one command of the option table: its required options
+    mostly given, any options repeated, in any order and spelling, now and
+    then help, an unknown token or a misplaced positional."""
+    cmd = draw(st.sampled_from(sorted(cli.COMMANDS)))
+    opts = cli.COMMANDS[cmd][2]
+    options = [o for o in opts if o.flag[0] == "-"]
+    chosen = [o for o in options if o.required and draw(st.integers(0, 19))]
+    chosen += draw(st.lists(st.sampled_from(options), max_size=4))
+    groups = [draw(_spelling(o)) for o in draw(st.permutations(chosen))]
+    groups.append(draw(st.sampled_from(([],) * 12 + (["-h"], ["--help"], ["--q", "1"], ["extra"]))))
+    for o in opts:
+        if o.flag[0] != "-":
+            at = draw(st.sampled_from((0,) * 6 + (len(groups),)))
+            groups.insert(at, [draw(_value(o))])
+    head = draw(st.sampled_from((cmd,) * 24 + (cmd[:-1], "-h", "--p")))
+    return [head] + [t for g in groups for t in g]
+
+
+def _outcome(parse, argv):
+    """("args", namespace) or ("exit", code), with stdout and stderr, of
+    parse(argv) at COLUMNS=80."""
+    out, err = io.StringIO(), io.StringIO()
+    with mock.patch.dict(os.environ, {"COLUMNS": "80"}), contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            result = ("args", vars(parse(list(argv))))
+        except SystemExit as exc:
+            result = ("exit", exc.code)
+    return result + (out.getvalue(), err.getvalue())
+
+
+class TestParsePaths:
+    """The plain form is read from cli.COMMANDS; everything else goes to
+    argparse, which is built from the same table and is the test oracle."""
+
+    CHAIN = ["chain-gl3", "--p", "2", "--n", "3", "--m", "1", "--mu", "[[2,1,-2]]", "--lam", "x", "--lam-prime", "y"]
+
+    @settings(max_examples=500, deadline=None, derandomize=True)
+    @given(argv=_cli_argv())
+    @example(argv=["graph", "--p", "3", "--n", "2", "--out", "xml"])
+    @example(argv=["graph", "--p", "3", "--mu", "x"])
+    @example(argv=["graph", "--p", "3", "--n", "2", "--mu", "-x"])
+    @example(argv=["graph", "--p", "3", "--n", "2", "--p", "5"])
+    @example(argv=["verify-counterexample", "c", "--p", "3"])
+    @example(argv=CHAIN[:-4] + ["--l", "x", "--lam-prime", "y"])
+    @example(argv=CHAIN[:-2] + ["--lam-p", "y"])
+    def test_table_path_matches_argparse(self, argv):
+        want = _outcome(cli.build_parser().parse_args, argv)
+        plain = cli._plain_args(argv)
+        if plain is not None:
+            assert want == ("args", vars(plain), "", "")
+        assert _outcome(cli._parse, argv) == want
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["graph", "--p", "3", "--n", "2"],
+            ["graph", "--n", "2", "--p", "3", "--alcove-reduce", "--out", "dot", "--p", "5"],
+            ["verify-counterexample", "b", "--p", "3"],
+            ["oracle-count", "--p", "2", "--n", "2", "--f", " 3", "--box", "3_0", "--mu", "", "--eps", "[1]"],
+            CHAIN,
+        ],
+    )
+    def test_plain_form_takes_the_table_path(self, argv, monkeypatch):
+        want = cli.build_parser().parse_args(argv)
+        monkeypatch.setattr(cli, "_parser", lambda: pytest.fail("argparse parsed a plain argv"))
+        assert cli._plain_args(argv) == want and cli._parse(argv) == want
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            [],
+            ["-h"],
+            ["graph", "-h"],
+            ["graph", "--p=3", "--n", "2"],
+            ["graph", "--p", "3", "--n", "2", "--alc"],
+            ["graph", "--p", "-5", "--n", "2"],
+            ["graph", "--p", "three", "--n", "2"],
+            ["graph", "--p", "3", "--n", "2", "--out", "xml"],
+            ["graph", "--p", "3"],
+            ["graph", "--p", "3", "--n", "2", "extra"],
+            ["graph", "--p", "3", "--n"],
+            ["grap", "--p", "3", "--n", "2"],
+            ["verify-counterexample", "--p", "3", "a"],
+        ],
+    )
+    def test_other_spellings_go_to_argparse(self, argv):
+        assert cli._plain_args(argv) is None
 
 
 def _json_text(valid):
@@ -735,6 +862,18 @@ _REPORTS = st.recursive(
 )
 
 
+# lists of int lists, the shape of every cochar, which _json writes from their
+# repr; with empty inner lists and bools mixed in, which it must not
+_INTS = (
+    st.integers()
+    | st.integers(min_value=10**4300, max_value=10**4400)
+    | st.integers(min_value=-(10**4400), max_value=-(10**4300))
+)
+_INT_ARRAYS = st.lists(st.lists(_INTS, min_size=1, max_size=4), max_size=5) | st.lists(
+    st.lists(_INTS | st.booleans(), max_size=4), max_size=5
+)
+
+
 class TestReportWriter:
     """cli.emit writes every report by cli._json, which must give the bytes
     of json.dumps(report, indent=2, sort_keys=True), its test oracle."""
@@ -746,6 +885,19 @@ class TestReportWriter:
     def test_matches_json_dumps(self, x):
         with _no_digit_limit():
             assert cli._json(x) == json.dumps(x, indent=2, sort_keys=True)
+
+    @settings(max_examples=300, deadline=None, derandomize=True, suppress_health_check=[HealthCheck.too_slow])
+    @given(x=_INT_ARRAYS)
+    @example(x=[[5]])
+    @example(x=[[-1, 2], [3], [-(10**5000), 0]])
+    @example(x=[[1], []])
+    @example(x=[[0, True], [1]])
+    @example(x=[[[1, 2]], [3]])
+    def test_int_arrays_match_json_dumps(self, x):
+        with _no_digit_limit():
+            # at the indents of a report's top level, a value and a nested list
+            for report in (x, {"a": x}, [[x], 0]):
+                assert cli._json(report) == json.dumps(report, indent=2, sort_keys=True)
 
     @pytest.mark.parametrize("x", [1.5, (1, 2), {1: "a"}, object(), {"a": [0, 1.0]}, [{"a": (0,)}], {"a": {None: 0}}])
     def test_refuses_what_reports_do_not_hold(self, x):
@@ -762,7 +914,10 @@ class TestReportWriter:
 
         instances = workloads.generate(workload, 201, 20)
         assert instances
+        parser = cli.build_parser()
         for inst in instances:
+            # every argv of the workload takes the table path, to argparse's namespace
+            assert cli._plain_args(inst["argv"]) == parser.parse_args(inst["argv"]), inst["argv"]
             main(inst["argv"])
             out = capsys.readouterr().out
             with _no_digit_limit():

@@ -689,8 +689,8 @@ def subtraction_matches_solver(datum, mu):
     numerators.  Returns (candidates, integral)."""
     lows = [b[-1] for b in mu]
     mu0 = tuple(tuple(x - c for x in b) for b, c in zip(mu, lows))
-    cuts, firsts = strata._join_plan(datum.shape, datum.w)
-    moduli = [m for _, m in firsts]
+    cuts, firsts, moduli = strata._join_plan(datum.shape, datum.w)
+    assert moduli == tuple(m for _, m in firsts)
     base = strata._base_numerators(datum, lows)
     target = tuple(base[i] % m for i, m in firsts)
     rows, n = _solve_plan(datum.shape, datum.w).rows, datum.shape.n
