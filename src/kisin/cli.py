@@ -555,7 +555,7 @@ def build_parser() -> argparse.ArgumentParser:
         sp = sub.add_parser(cmd, help=text)
         for o in opts:
             if o.flag[0] != "-":
-                sp.add_argument(o.flag, choices=o.choices, help=o.help)
+                sp.add_argument(o.flag, type=o.type, choices=o.choices, help=o.help)
             elif o.type is bool:
                 sp.add_argument(o.flag, action="store_true", dest=o.dest, help=o.help)
             else:

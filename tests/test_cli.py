@@ -442,6 +442,8 @@ _ODD_VALUES = ("-5", " 3", "3_0", "x", "", "--", "-h", "-x", "--p")
 
 
 def _value(o):
+    """A value for o: mostly one the plain form takes, now and then an odd
+    one or one outside any choices."""
     if o.choices is not None:
         good = st.sampled_from(o.choices)
     elif o.type is int:
