@@ -94,6 +94,8 @@ def resolve_datum(args):
     if args.m is not None:
         if args.eps is not None:
             raise ConfigError("Caruso data use --f; --eps needs an explicit --tau/--w")
+        if args.tau is not None:
+            raise ConfigError("--m builds a Caruso datum; it takes no --tau/--w")
         return normal_form.caruso_datum(args.n, args.f, args.p, args.m), None
     if args.tau is None:
         raise ConfigError("either --m (Caruso) or --tau/--w must be given")

@@ -117,11 +117,10 @@ def _solve_plan(shape: GroupShape, w: WeylElt) -> _SolvePlan:
     The rows.  Walk each cycle c of W backwards (c[t+1] = W^{-1}(c[t])) and
     let t(x) be the step of position x on its cycle.  At i = c[t0], x[0][i]
     is sum_t q^t b[c[(t0 + t) mod |c|]], t from 0 to |c| - 1, over
-    1 - q^|c|; that numerator is the one the cycle walk used to build.
-    Since rhs[k][j] lands in b[P_k(j)] scaled by E_k, and b[P_k(j)] enters
-    that sum only when P_k(j) lies on i's cycle, as the term with
-    c[(t0 + t) mod |c|] = P_k(j), that is t = (t(P_k j) - t0) mod |c|, the
-    numerator is the product of the flat right side (rhs[0], ..., rhs[N-1])
+    1 - q^|c|.  Since rhs[k][j] lands in b[P_k(j)] scaled by E_k, and
+    b[P_k(j)] enters that sum only when P_k(j) lies on i's cycle, as the term
+    with c[(t0 + t) mod |c|] = P_k(j), that is t = (t(P_k j) - t0) mod |c|,
+    the numerator is the product of the flat right side (rhs[0], ..., rhs[N-1])
     with the row of i whose entry at (k, j) is
     E_k q^((t(P_k j) - t(i)) mod |c|) when P_k(j) lies on i's cycle and 0
     otherwise.  The rows and the denominators 1 - q^|c| are stored per
@@ -181,51 +180,31 @@ def _solve_plan(shape: GroupShape, w: WeylElt) -> _SolvePlan:
     )
 
 
-def _solve_block0(plan: _SolvePlan, rhs: Cochar) -> list:
+def _solve_block0(plan: _SolvePlan, flat) -> list:
     """The integer numerators of x[0] over plan.dens for the system
-    x = rhs + w(sigma(x)), rhs integral: one product of the plan's rows with
-    the flat right side."""
-    flat = tuple(itertools.chain.from_iterable(rhs))
+    x = rhs + w(sigma(x)), rhs integral, from the flat right side
+    (rhs[0], ..., rhs[N-1]) as one sequence: its product with each of the
+    plan's rows."""
     return [sum(map(mul, row, flat)) for row in plan.rows]
-
-
-def _back_substitute(shape: GroupShape, plan: _SolvePlan, rhs: Cochar, x0, scale: int):
-    """The blocks X_k = scale rhs_k + eps_k w_k(X_{k+1}) from X_0 = x0 down,
-    that is scale times the solution whose block 0 is x0 / scale."""
-    nblocks = shape.blocks
-    out = [None] * nblocks
-    out[0] = tuple(x0)
-    for k in range(nblocks - 1, 0, -1):
-        out[k] = twist_block(rhs[k], plan.winv[k], shape.eps[k], out[(k + 1) % nblocks], scale)
-    return tuple(out)
 
 
 def solve_affine_scaled(shape: GroupShape, w: WeylElt, rhs: Cochar):
     """The solution of x = rhs + w(sigma(x)) for integral rhs, as integers
     over one denominator: (E, D) with x = E / D and D = q^L - 1 (see
     ``_solve_plan``).  Block 0 is x[0]'s numerators over 1 - q^|c|, each
-    scaled by D / (1 - q^|c|) for its cycle c; the other blocks follow in
-    integers.
+    scaled by D / (1 - q^|c|) for its cycle c; blocks N-1 .. 1 follow in
+    integers, E_k = D rhs_k + eps_k w_k(E_{k+1}).
 
     The system is always uniquely solvable: ``GroupShape`` refuses an eps
     pattern that is all 1, and every eps entry is 1 or p, so q >= p >= 2,
     no 1 - q^|c| vanishes and D >= 1."""
     plan = _solve_plan(shape, w)
-    x0 = [nu * (plan.den // de) for nu, de in zip(_solve_block0(plan, rhs), plan.dens)]
-    return _back_substitute(shape, plan, rhs, x0, plan.den), plan.den
-
-
-def solve_affine_integral(shape: GroupShape, w: WeylElt, rhs: Cochar):
-    """Integral solution of x = rhs + w(sigma(x)), or None if none exists;
-    solvable as in ``solve_affine_scaled``."""
-    plan = _solve_plan(shape, w)
-    x0 = []
-    for nu, de in zip(_solve_block0(plan, rhs), plan.dens):
-        quot, rem = divmod(nu, de)
-        if rem:
-            return None
-        x0.append(quot)
-    return _back_substitute(shape, plan, rhs, x0, 1)
+    den, nblocks = plan.den, shape.blocks
+    nums = _solve_block0(plan, tuple(itertools.chain.from_iterable(rhs)))
+    out = [tuple([nu * (den // de) for nu, de in zip(nums, plan.dens)])] * nblocks
+    for k in range(nblocks - 1, 0, -1):
+        out[k] = twist_block(rhs[k], plan.winv[k], shape.eps[k], out[(k + 1) % nblocks], den)
+    return tuple(out), den
 
 
 def _fixed_point_scaled(shape: GroupShape, wt: ExtAffine):

@@ -21,16 +21,17 @@ numerator is <row_i, tau> less, per block k, the partial <row_i on block k,
 nu_k>.  So each block's candidates are kept with their partials in a
 candidate table, bucketed by the residues of the partials, and a join over
 the blocks keeps a partial choice only while the residue still needed is a
-sum the remaining blocks can reach.  Each surviving choice is solved by
-subtraction: block 0 is (base - the sum of its partials) divmod the
-denominators, base = <rows, tau> formed once per call, and blocks N-1 .. 1
-follow by ``core.twist_block``; a remainder, or a label that does not twist
-back to its candidate, is a TheoremViolationError.  Its work follows the
-per-block candidate counts, which grow like p^(n-1) per block.  It runs up
-to central shift (``central_twist``): mu_k and tau_k are lowered by mu_k's
-least entry, so a block's table depends only on the block's slice of the
-rows (``_join_plan``, built once per (shape, w)) and the lowered mu_k, and
-every twist of (shape, w) shares it.  The tables sit in one cache, and every
+sum the remaining blocks can reach.  Each surviving candidate nu is solved
+by ``_solve_label``, the one solve of enumeration, from base less the sum of
+its partials, base = <rows, tau> formed once per call: block 0 divides out
+by the denominators, and blocks N-1 .. 1 follow by ``core.twist_block``; a
+remainder, or a label that does not twist back to nu, is a
+TheoremViolationError.  The join's work follows the per-block candidate
+counts, which grow like p^(n-1) per block.  It runs up to central shift
+(``central_twist``): mu_k and tau_k are lowered by mu_k's least entry, so a
+block's table depends only on the block's slice of the rows
+(``_join_plan``, built once per (shape, w)) and the lowered mu_k, and every
+twist of (shape, w) shares it.  The tables sit in one cache, and every
 cache of this module is bounded by _CACHED.
 
 Everything fixed by (shape, w) is built once, in the solve plan that each
@@ -53,9 +54,10 @@ then lies in [ceil((lam_P - tau_P + lo_k) / eps_k),
 floor((lam_P - tau_P + hi_k) / eps_k)] intersected with [-R, R], lam_P being
 the entry before it, at position P in block k, and the cycle must close at
 its start.  Each product of cycle paths is checked with ``_dominated`` on its
-``_twist``, and each label found must re-solve to itself under
-``solve_affine_integral`` (else TheoremViolationError).  No candidate tuple
-is built.  When some eps_k = 1 (the multi-copy lifts) the step divides by 1,
+``_twist``, and each label found must solve back to itself from its lam_nat
+under the join's ``_solve_label``, block 0's numerators being
+<rows, tau - lam_nat> (else TheoremViolationError).  No candidate tuple is
+built.  When some eps_k = 1 (the multi-copy lifts) the step divides by 1,
 no box follows, and the join is the only path.
 
 The dispatch takes the walk only when its a priori path bound, the product
@@ -106,7 +108,7 @@ from .core import (
     WeylElt,
 )
 from .errors import ConfigError, EnumerationCapError, PreconditionError, TheoremViolationError
-from .normal_form import FrobeniusDatum, _solve_plan, make_datum, solve_affine_integral
+from .normal_form import FrobeniusDatum, _solve_block0, _solve_plan, make_datum
 
 DEFAULT_ENUM_CAP = 10**7
 
@@ -363,36 +365,25 @@ def _candidate_table(cut: tuple, firsts: tuple, mu_block: tuple) -> dict:
     return dict(bucket)
 
 
-def _base_numerators(datum: FrobeniusDatum, lows) -> list:
-    """base[i] = <row_i, tau0> per position i of block 0, tau0 = tau - chi with
-    chi_k = lows[k] on every entry of block k: the numerator of x[0][i]
-    before a candidate's partials are taken off."""
-    flat = [x - c for t, c in zip(datum.tau, lows) for x in t]
-    return [sum(map(mul, row, flat)) for row in datum.plan.rows]
-
-
-def _subtraction_solve(datum: FrobeniusDatum, lows, base: list, entries: tuple) -> Optional[Cochar]:
-    """The solution lam of lam = (tau0 - nu0) + w(sigma(lam)), tau0 as in
-    ``_base_numerators``, for the candidate nu0 whose blocks and partials
-    are entries, one (nu0_k, partials) per block, or None when it is not
-    integral.  Block 0 is (base - sum_k partials_k) divmod plan.dens; blocks
-    N-1 .. 1 follow by ``twist_block`` from tau0_k - nu0_k."""
+def _solve_label(datum: FrobeniusDatum, num0, nu: Cochar) -> Optional[Cochar]:
+    """The label whose lam_nat is nu, that is the solution lam of
+    lam = (tau - nu) + w(sigma(lam)), when it is integral, else None; num0
+    holds its block 0's numerators over plan.dens
+    (``normal_form._solve_block0``).  Block 0 is num0 divmod plan.dens, and
+    blocks N-1 .. 1 follow by ``twist_block`` from tau_k - nu_k.  The one
+    solve of enumeration: the join and the walk differ only in how they form
+    num0."""
     plan = datum.plan
-    num = base
-    for _, part in entries:
-        num = map(sub, num, part)
     x0 = []
-    for x, d in zip(num, plan.dens):
+    for x, d in zip(num0, plan.dens):
         quot, rem = divmod(x, d)
         if rem:
             return None
         x0.append(quot)
-    nblocks = len(entries)
+    nblocks = len(nu)
     lam = [tuple(x0)] * nblocks
     for k in range(nblocks - 1, 0, -1):
-        c = lows[k]
-        rhs = tuple([t - c - v for t, v in zip(datum.tau[k], entries[k][0])])
-        lam[k] = twist_block(rhs, plan.winv[k], datum.shape.eps[k], lam[(k + 1) % nblocks], 1)
+        lam[k] = twist_block(map(sub, datum.tau[k], nu[k]), plan.winv[k], datum.shape.eps[k], lam[(k + 1) % nblocks], 1)
     return tuple(lam)
 
 
@@ -402,16 +393,17 @@ def _join(datum: FrobeniusDatum, mu: Cochar, cap: Optional[int] = None) -> list:
 
     Up to central shift (``central_twist``): with chi_k the least entry of
     mu_k, nu0 = nu - chi runs over the candidates of mu - chi, and the label
-    of nu solves lam = (tau0 - nu0) + w(sigma(lam)), tau0 = tau - chi.  The
-    numerator of x[0][i] is base[i] = <row_i, tau0>, formed once per call,
-    less each block's partials of nu0, read from its candidate table; nu0's
-    preimage is integral iff, per cycle, the partials' residues sum to
-    base's, which is what the join matches.  Complete and duplicate-free:
+    of nu solves lam = (tau0 - nu0) + w(sigma(lam)), tau0 = tau - chi, the
+    same system as for nu, since tau0 - nu0 = tau - nu.  The numerator of
+    x[0][i] is base[i] = <row_i, tau0>, formed once per call, less each
+    block's partials of nu0, read from its candidate table; nu0's preimage
+    is integral iff, per cycle, the partials' residues sum to base's, which
+    is what the join matches.  Complete and duplicate-free:
     candidates nu run over every vector with dominant(nu) <= mu, nu -> lam is
     injective, and the join drops exactly the nu whose preimage is not
-    integral.  Each survivor must divide out (``_subtraction_solve``) and
-    its lam must twist back to nu (else TheoremViolationError), so membership
-    holds by construction.
+    integral.  Each survivor nu is solved by ``_solve_label`` from base less
+    its partials; it must divide out, and its lam must twist back to nu
+    (else TheoremViolationError), so membership holds by construction.
     """
     lows = [b[-1] for b in mu]
     shift = any(lows)  # False when every least entry is 0, where nu0 is nu
@@ -426,7 +418,7 @@ def _join(datum: FrobeniusDatum, mu: Cochar, cap: Optional[int] = None) -> list:
             if count > cap:
                 raise _cap_error(count, "candidates", cap)
     cuts, firsts, moduli = _join_plan(datum.shape, datum.w)
-    base = _base_numerators(datum, lows)
+    base = _solve_block0(datum.plan, [x - c for t, c in zip(datum.tau, lows) for x in t])
     target = tuple([base[i] % m for i, m in firsts])
     buckets = [_candidate_table(cut, firsts, b) for cut, b in zip(cuts, mu0)]
     solved = []
@@ -434,7 +426,10 @@ def _join(datum: FrobeniusDatum, mu: Cochar, cap: Optional[int] = None) -> list:
         for entries in itertools.product(*lists):
             nu0 = tuple([v for v, _ in entries])
             nu = _shift_blocks(nu0, lows) if shift else nu0
-            lam = _subtraction_solve(datum, lows, base, entries)
+            num0 = base
+            for _, part in entries:
+                num0 = map(sub, num0, part)
+            lam = _solve_label(datum, num0, nu)
             if lam is None:
                 raise TheoremViolationError(
                     f"candidate {nu} meets the integrality congruence but its preimage is not integral"
@@ -557,8 +552,8 @@ def _walk(datum: FrobeniusDatum, mu: Cochar, radius: int) -> list:
     box |lam|_inf <= radius.
 
     Every product of cycle paths is checked with _dominated on its _twist,
-    and every label found must re-solve to itself (else
-    TheoremViolationError)."""
+    and every label found must re-solve to itself under ``_solve_label``,
+    from the numerators <rows, tau - lam_nat> (else TheoremViolationError)."""
     shape, w, tau = datum.shape, datum.w, datum.tau
     cycles = _walk_plan(shape, w)
     per_cycle = [_cycle_paths(datum, mu, cyc, radius) for cyc in cycles]
@@ -571,7 +566,8 @@ def _walk(datum: FrobeniusDatum, mu: Cochar, radius: int) -> list:
         lam = tuple(map(tuple, grid))
         dag, nat = _twist(datum, lam)
         if _dominated(nat, mu):
-            again = solve_affine_integral(shape, w, cochar_sub(tau, nat))
+            rhs = tuple(itertools.chain.from_iterable(cochar_sub(tau, nat)))
+            again = _solve_label(datum, _solve_block0(datum.plan, rhs), nat)
             if again != lam:
                 raise TheoremViolationError(f"walked label {lam} has lam_nat {nat}, which solves to {again}")
             out.append((lam, dag, nat))

@@ -33,7 +33,7 @@ from kisin.errors import (
     TheoremViolationError,
 )
 from kisin.multicopy import _check_omega_pattern, varsigma
-from kisin.normal_form import _solve_plan, caruso_datum, is_caruso_simple, make_datum, solve_affine_integral, solve_affine_scaled
+from kisin.normal_form import _solve_block0, _solve_plan, caruso_datum, is_caruso_simple, make_datum, solve_affine_scaled
 from kisin import oracle
 from kisin.oracle import GF
 from kisin.strata import Stratum, _is_label, _require_mu, _strata, _twist, candidate_blocks, enumerate_strata, natural_lambda
@@ -305,6 +305,28 @@ def solve_block0_by_cycle_walk(shape, w, rhs):
             nums[i] = acc
             dens[i] = den
     return nums, dens
+
+
+def solve_affine_integral(shape, w, rhs):
+    """Solver oracle: the integral solution of x = rhs + w(sigma(x)), or None
+    if none exists, as the library solved one right side before the join
+    and the walk shared ``strata._solve_label``.  Block 0 is the plan's
+    numerators divmod its denominators; the other blocks follow from
+    x_k = rhs_k + eps_k w_k(x_{k+1}), k from N - 1 down to 1, by the place
+    action ``act_perm`` rather than ``core.twist_block``."""
+    plan = _solve_plan(shape, w)
+    x0 = []
+    for nu, de in zip(_solve_block0(plan, [x for b in rhs for x in b]), plan.dens):
+        quot, rem = divmod(nu, de)
+        if rem:
+            return None
+        x0.append(quot)
+    nblocks = shape.blocks
+    out = [tuple(x0)] * nblocks
+    for k in range(nblocks - 1, 0, -1):
+        moved = act_perm(w[k], out[(k + 1) % nblocks])
+        out[k] = tuple(r + shape.eps[k] * x for r, x in zip(rhs[k], moved))
+    return tuple(out)
 
 
 # ---------------------------------------------------------------------------

@@ -387,6 +387,21 @@ class TestExitCodes:
         captured = capsys.readouterr()
         assert captured.out == "" and f"config error: {message}\n" == captured.err
 
+    # --m builds the Caruso datum, so an explicit b beside it is refused
+    # rather than ignored
+    @pytest.mark.parametrize(
+        "extra,message",
+        [
+            (["--tau", "[[5,0]]", "--w", "[[2,1]]"], "--m builds a Caruso datum; it takes no --tau/--w"),
+            (["--eps", "[3]"], "Caruso data use --f; --eps needs an explicit --tau/--w"),
+        ],
+        ids=["tau-w", "eps"],
+    )
+    def test_caruso_m_refuses_an_explicit_datum(self, capsys, extra, message):
+        assert main(["strata", "--p", "3", "--n", "2", "--m", "1", "--mu", "[[1,0]]"] + extra) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == f"config error: {message}\n"
+
     def test_malformed_enum_cap(self, capsys, monkeypatch):
         monkeypatch.setenv("KISIN_MAX_ENUM", "abc")
         code = main(["verify-counterexample", "a", "--p", "3"])

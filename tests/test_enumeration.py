@@ -20,6 +20,7 @@ from conftest import (
     dominant_vecs,
     gl3_sweep_instances,
     product_strata,
+    solve_affine_integral,
     walk_by_box,
     walk_by_exact_count,
     walk_plan_by_position_map,
@@ -30,7 +31,7 @@ from kisin.connectivity import build_graph, pi0_report
 from kisin.core import ExtAffine, GroupShape, cochar_add, cochar_sub
 from kisin.errors import ConfigError, EnumerationCapError, KisinError, TheoremViolationError
 from kisin.multicopy import decompose_mu, make_multi
-from kisin.normal_form import _solve_plan, alcove_reduce, caruso_datum, is_caruso_simple, make_datum, solve_affine_integral
+from kisin.normal_form import _solve_block0, _solve_plan, alcove_reduce, caruso_datum, is_caruso_simple, make_datum
 from kisin.oracle import GF, kisin_points
 from kisin.strata import (
     _distinct_permutations,
@@ -467,12 +468,12 @@ class TestEnumerationCap:
             enumerate_strata(datum, mu)
 
 
-_solve = strata.solve_affine_integral
+_solve_label = strata._solve_label
 
 
-def off_by_one(shape, w, rhs):
-    """The affine solver with its first entry moved by one."""
-    lam = _solve(shape, w, rhs)
+def off_by_one(datum, num0, nu):
+    """The solve kernel with its first entry moved by one."""
+    lam = _solve_label(datum, num0, nu)
     return None if lam is None else ((lam[0][0] + 1,) + lam[0][1:],) + lam[1:]
 
 
@@ -516,13 +517,13 @@ class TestTheoremViolation:
     def test_walked_label_must_resolve_to_itself(self, monkeypatch):
         datum, mu = counterexample(CASES["a"], 19)
         forbid(monkeypatch, "_join")
-        monkeypatch.setattr(strata, "solve_affine_integral", off_by_one)
+        monkeypatch.setattr(strata, "_solve_label", off_by_one)
         with pytest.raises(TheoremViolationError, match="walked label .* which solves to"):
             enumerate_strata(datum, mu)
 
     def test_walked_label_violation_exits_4(self, monkeypatch, capsys):
         forbid(monkeypatch, "_join")
-        monkeypatch.setattr(strata, "solve_affine_integral", off_by_one)
+        monkeypatch.setattr(strata, "_solve_label", off_by_one)
         assert main(["verify-counterexample", "b", "--p", "11"]) == 4
         captured = capsys.readouterr()
         assert captured.out == "" and "walked label" in captured.err
@@ -530,7 +531,7 @@ class TestTheoremViolation:
     def test_empty_variety_solves_nothing(self, monkeypatch):
         # block sum 1 cannot meet tau's residue, so no candidate is solved
         datum, _ = counterexample(CASES["a"], 3)
-        forbid(monkeypatch, "_subtraction_solve")
+        forbid(monkeypatch, "_solve_label")
         assert enumerate_strata(datum, ((1, 0, 0, 0),)) == ()
 
 
@@ -677,23 +678,29 @@ class TestJoinUpToShift:
 
 
 # ---------------------------------------------------------------------------
-# the subtraction solve of the join, against the affine solver
+# the solve kernel in the join's and the walk's call forms, against the
+# affine solver
 
 
 def subtraction_matches_solver(datum, mu):
-    """Solves every candidate of mu, whatever its residue, by the join's
-    subtraction from the candidate tables and by ``solve_affine_integral``,
-    and checks that they agree, that the residues the tables file each
-    candidate under sum to the join's target exactly when it is integral,
-    and that each table's partials are the block's share of the solver's
-    numerators.  Returns (candidates, integral)."""
+    """Solves every candidate nu of mu, whatever its residue, by
+    ``strata._solve_label`` in both its call forms and by the oracle
+    ``solve_affine_integral``, and checks that the three agree (None where
+    nu has no integral preimage).  The join's form subtracts the candidate
+    tables' partials from base = <rows, tau0>, tau0 = tau lowered by mu's
+    least entries; the walk's form takes <rows, tau - nu> whole.  Also checks
+    that the residues the tables file each candidate under sum to the join's
+    target exactly when it is integral, and that each table's partials are
+    the block's share of the solver's numerators.  Returns (candidates,
+    integral)."""
     lows = [b[-1] for b in mu]
     mu0 = tuple(tuple(x - c for x in b) for b, c in zip(mu, lows))
     cuts, firsts, moduli = strata._join_plan(datum.shape, datum.w)
     assert moduli == tuple(m for _, m in firsts)
-    base = strata._base_numerators(datum, lows)
+    plan = _solve_plan(datum.shape, datum.w)
+    base = _solve_block0(plan, [x - c for b, c in zip(datum.tau, lows) for x in b])
     target = tuple(base[i] % m for i, m in firsts)
-    rows, n = _solve_plan(datum.shape, datum.w).rows, datum.shape.n
+    rows, n = plan.rows, datum.shape.n
     filed = []
     for k, (cut, b) in enumerate(zip(cuts, mu0)):
         block = []
@@ -708,7 +715,10 @@ def subtraction_matches_solver(datum, mu):
         entries = tuple(e for _, e in choice)
         nu = tuple(tuple(x + c for x in v) for (v, _), c in zip(entries, lows))
         want = solve_affine_integral(datum.shape, datum.w, cochar_sub(datum.tau, nu))
-        assert strata._subtraction_solve(datum, lows, base, entries) == want, (datum.tau, mu, nu)
+        num0 = [x - sum(part[i] for _, part in entries) for i, x in enumerate(base)]
+        assert strata._solve_label(datum, num0, nu) == want, (datum.tau, mu, nu)
+        walked = _solve_block0(plan, [x for b in cochar_sub(datum.tau, nu) for x in b])
+        assert strata._solve_label(datum, walked, nu) == want, (datum.tau, mu, nu)
         sums = tuple(sum(col) % m for col, m in zip(zip(*(r for r, _ in choice)), moduli))
         assert (sums == target) == (want is not None), (datum.tau, mu, nu)
         count += 1
@@ -739,7 +749,8 @@ class TestSubtractionSolve:
     @pytest.mark.parametrize("p", (3, 5, 7))
     def test_goldens_down_the_join(self, case, p):
         datum, mu = counterexample(CASES[case], p)
-        assert subtraction_matches_solver(datum, mu)[1] == 2
+        count, integral = subtraction_matches_solver(datum, mu)
+        assert integral == 2 and count > integral
         want = [(s.lam, s.dag, s.nat) for s in enumerate_strata(datum, mu)]
         assert strata._join(datum, mu) == want
 
@@ -751,6 +762,21 @@ class TestSubtractionSolve:
         for datum, mu in caruso_pairs(n, f, p, 2, step):
             integral += subtraction_matches_solver(datum, mu)[1]
         assert integral >= least
+
+    def test_contracting_shapes(self):
+        # every eps at least 2, as the walk needs, on shapes that GroupShape
+        # does not admit: eps patterns that are not all p or 1
+        rng = random.Random(61)
+        count = integral = 0
+        for _ in range(40):
+            n, f = rng.randint(1, 3), rng.randint(1, 3)
+            eps = [rng.choice((2, 3)) for _ in range(f)]
+            w = tuple(tuple(rng.sample(range(n), n)) for _ in range(f))
+            tau = tuple(tuple(rng.randint(-2, 2) for _ in range(n)) for _ in range(f))
+            mu = tuple(tuple(sorted((rng.randint(-1, 1) for _ in range(n)), reverse=True)) for _ in range(f))
+            c, i = subtraction_matches_solver(contracting_datum(tau, w, eps), mu)
+            count, integral = count + c, integral + i
+        assert integral > 10 and count > integral
 
     def test_multicopy_lifts_with_unit_eps(self):
         pairs = [(d, mu) for d, mu in lift_pairs() if 1 in d.shape.eps]

@@ -19,6 +19,7 @@ from conftest import (
     in_general_position_by_fractions,
     make_datum_by_fractions,
     perm_order,
+    solve_affine_integral,
     solve_block0_by_cycle_walk,
 )
 from kisin import normal_form
@@ -43,7 +44,6 @@ from kisin.normal_form import (
     in_general_position,
     is_caruso_simple,
     make_datum,
-    solve_affine_integral,
     solve_affine_scaled,
 )
 
