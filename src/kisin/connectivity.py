@@ -6,6 +6,12 @@ dominance conditions on lam_nat decide it.  Components merged by such edges
 bound pi_0 from above; the bound is exact when every stratum carries a proven
 singleton certificate, in which case the variety is a finite set of points.
 Disconnectedness is never claimed without those certificates.
+
+A GL_3 chain (f = 1) between labels lam and lam' = lam + d depends only on
+lam_nat(lam) and d, both lowered against mu: lam_nat(lam + d) = lam_nat(lam)
+- d + eps w(d) decides the end's label test from the start's lam_nat, and
+each step moves lam_nat by such an increment.  So the chains read their
+steps from a table per (w, eps, lowered mu), and a refusal is never stored.
 """
 
 from __future__ import annotations
@@ -14,15 +20,15 @@ from dataclasses import dataclass
 from functools import lru_cache
 from operator import add, sub
 
-from .core import Cochar, GroupShape, Perm, WeylElt, _block_dominated, act_perm, perm_inv, twist_block
+from .core import Cochar, GroupShape, Perm, WeylElt, _block_dominated, _dominated, act_perm, perm_inv, twist_block
 from .errors import PreconditionError, TheoremViolationError
 from .normal_form import FrobeniusDatum
 from .strata import (
     _CACHED,
-    _label_nat,
     _require_mu,
     _root_table,
     _shift_blocks,
+    _twist,
     enumerate_strata,
 )
 
@@ -236,52 +242,39 @@ def _is_gl3_label(lam) -> bool:
     )
 
 
-def chain_gl3(datum: FrobeniusDatum, mu: Cochar, lam: Cochar, lam_prime: Cochar):
-    """A coroot chain lam = lam_0, ..., lam_r = lam' inside S for GL_3, f = 1.
+@lru_cache(maxsize=_CACHED)
+def _step_table(w: Perm, e: int, mu0: tuple) -> dict:
+    """(lam_nat lowered, lam' - lam) -> the steps of the chain from lam to
+    lam', for the 3-cycle w, eps = e and the lowered mu0: mu less its least
+    entry, and lam_nat less the same.  A central shift moves lam_nat and mu
+    alike, and for f = 1 lam_nat(lam + d) = lam_nat(lam) - d + e w(d), so the
+    end's lam_nat, both label tests and every step depend on the key only,
+    and every twist of (w, e) shares the table.
 
-    Greedy induction on the max-normalized decomposition of the remaining
-    difference: walk straight when it is a coroot multiple, otherwise step by
-    +c or -(w^2 c), whichever stays in S.  Each step reduces the normal form's
-    leading coefficient by one (asserted); if neither step stays in S the
-    induction hypothesis is violated and a hard error is raised.  Each step
-    must pass ``_edge_ok``, the edge kernel of ``build_graph``, as the edge
-    from the new label back to the old one (asserted); the step (i, j) and
-    its twist are read off the one block, and the kernel's third test, the
-    old label's membership, costs one more 3-entry block.
+    It starts empty and ``chain_gl3`` fills it, one entry per key it decides;
+    a refusal is never stored.  Both endpoints' lowered lam_nat are
+    candidates of mu0, and d -> -d + e w(d) is injective for e >= 2, so the
+    table holds at most len(strata.candidate_blocks(mu0))**2 entries."""
+    return {}
 
-    Membership in S = {lam : dominant(lam_nat) <= mu} is decided by that
-    defining inequality, so no strata are enumerated and no
-    EnumerationCapError can arise.  Both endpoints are tested as labels by
-    ``strata._label_nat``, which twists each once, and the start's lam_nat is
-    kept from that test.  Each step then moves lam_nat by the exact increment
-    -step + eps w(step) of the chain table (``_chain_table``, built once per
-    (w, eps)), since lam_nat(lam + step) = lam_nat(lam) - step + eps w(step)
-    when f = 1, and the stepped lam_nat is tested with
-    ``core._block_dominated`` against mu.  An endpoint that is not a label,
-    or not shaped like one, raises PreconditionError.
 
-    Returns (chain, steps) with steps the coroots lam_{i+1} - lam_i.
-    """
-    shape = datum.shape
-    if shape.n != 3 or shape.blocks != 1:
-        raise PreconditionError("chain construction requires GL_3 with f = 1")
+def _chain_steps(datum: FrobeniusDatum, bound: tuple, nat: tuple, cur: tuple, goal: tuple) -> tuple:
+    """The steps ((step,), ...) of the chain from the label block cur to
+    goal, with nat the lowered lam_nat of cur and bound the lowered mu, or a
+    refusal: PreconditionError when an endpoint is not a label, and
+    TheoremViolationError when the induction fails.  The steps depend on
+    (nat, goal - cur) only; cur itself appears in messages."""
     w = datum.w[0]
-    if any(w[i] == i for i in range(3)):  # a permutation of 3 points is a 3-cycle iff it fixes none
-        raise PreconditionError("chain construction requires a 3-cycle Weyl part")
-    _require_mu(datum, mu)
-    nats = [_label_nat(datum, mu, end) if _is_gl3_label(end) else None for end in (lam, lam_prime)]
-    if None in nats:
+    e = datum.shape.eps[0]
+    diff = tuple(map(sub, goal, cur))
+    end = twist_block(tuple(map(sub, nat, diff)), datum.plan.winv[0], e, diff, 1)  # nat - diff + e w(diff)
+    if not _dominated((nat, end), (bound, bound)):  # both label tests at once
         raise PreconditionError("both endpoints must be stratum labels")
-    if sum(lam[0]) != sum(lam_prime[0]):
+    if sum(diff):
         raise TheoremViolationError("difference of labels is not in the coroot lattice")
 
-    e = shape.eps[0]
     table = _chain_table(w, e)
-    bound = mu[0]
-    chain = [lam]
     steps = []
-    cur, goal = lam[0], lam_prime[0]
-    nat = nats[0][0]
     prev_n1 = None
     while cur != goal:
         row, n1, n2 = _gl3_normal_form(tuple(map(sub, goal, cur)), table)
@@ -301,9 +294,65 @@ def chain_gl3(datum: FrobeniusDatum, mu: Cochar, lam: Cochar, lam_prime: Cochar)
         else:
             raise TheoremViolationError("no admissible coroot step stays in S")
         nxt = tuple(map(add, cur, step))
-        if not _edge_ok(mu, (nxt_nat,), 0, i, j, 0, w[i], w[j], e):  # the edge nxt -> nxt - step = cur
+        if not _edge_ok((bound,), (nxt_nat,), 0, i, j, 0, w[i], w[j], e):  # the edge nxt -> nxt - step = cur
             raise TheoremViolationError(f"chain step {(cur,)} -> {(nxt,)} is not a coroot-curve edge")
         steps.append((step,))
-        chain.append((nxt,))
         cur, nat = nxt, nxt_nat
-    return tuple(chain), tuple(steps)
+    return tuple(steps)
+
+
+def chain_gl3(datum: FrobeniusDatum, mu: Cochar, lam: Cochar, lam_prime: Cochar):
+    """A coroot chain lam = lam_0, ..., lam_r = lam' inside S for GL_3, f = 1.
+
+    Greedy induction on the max-normalized decomposition of the remaining
+    difference: walk straight when it is a coroot multiple, otherwise step by
+    +c or -(w^2 c), whichever stays in S.  Each step reduces the normal form's
+    leading coefficient by one (asserted); if neither step stays in S the
+    induction hypothesis is violated and a hard error is raised.  Each step
+    must pass ``_edge_ok``, the edge kernel of ``build_graph``, as the edge
+    from the new label back to the old one (asserted); the step (i, j) and
+    its twist are read off the one block, and the kernel's third test, the
+    old label's membership, costs one more 3-entry block.
+
+    Membership in S = {lam : dominant(lam_nat) <= mu} is decided by that
+    defining inequality, so no strata are enumerated and no
+    EnumerationCapError can arise.  Every call checks mu, the 3-cycle and
+    both endpoints' shapes, and twists the start only.  The steps are read
+    from the table of (w, eps, mu lowered by its least entry)
+    (``_step_table``) under the start's lowered lam_nat and lam' - lam; a key
+    not seen yet is decided by ``_chain_steps``.  Since lam_nat(lam + d) =
+    lam_nat(lam) - d + eps w(d) when f = 1, the end's lam_nat is the start's
+    plus that increment, and both are tested as labels there.  Each step
+    moves lam_nat by the exact increment of the coroot table
+    (``_chain_table``, built once per (w, eps)), and the stepped lam_nat is
+    tested with ``core._block_dominated`` against mu.  An endpoint that is not
+    a label, or not shaped like one, raises PreconditionError, afresh on
+    every call: a refusal is never stored.
+
+    Returns (chain, steps) with steps the coroots lam_{i+1} - lam_i.
+    """
+    shape = datum.shape
+    if shape.n != 3 or shape.blocks != 1:
+        raise PreconditionError("chain construction requires GL_3 with f = 1")
+    w = datum.w[0]
+    if any(w[i] == i for i in range(3)):  # a permutation of 3 points is a 3-cycle iff it fixes none
+        raise PreconditionError("chain construction requires a 3-cycle Weyl part")
+    _require_mu(datum, mu)
+    if not (_is_gl3_label(lam) and _is_gl3_label(lam_prime)):
+        raise PreconditionError("both endpoints must be stratum labels")
+
+    low = mu[0][-1]
+    bound = tuple([x - low for x in mu[0]])  # a tuple, also for a mu given as lists
+    start, goal = lam[0], lam_prime[0]
+    nat = tuple([x - low for x in _twist(datum, lam)[1][0]])
+    table = _step_table(w, shape.eps[0], bound)
+    key = (nat, tuple(map(sub, goal, start)))
+    steps = table.get(key)
+    if steps is None:
+        steps = table[key] = _chain_steps(datum, bound, nat, start, goal)
+    chain = [lam]
+    cur = start
+    for (step,) in steps:
+        cur = tuple(map(add, cur, step))
+        chain.append((cur,))
+    return tuple(chain), steps

@@ -9,7 +9,7 @@ import math
 
 import pytest
 
-from kisin.connectivity import _GL3_COROOTS, StrataGraph, _UnionFind, _edge_ok, _is_gl3_label, _move_table
+from kisin.connectivity import _GL3_COROOTS, StrataGraph, _UnionFind, _edge_ok, _is_gl3_label, _move_table, _step_table
 from kisin.core import (
     ExtAffine,
     GroupShape,
@@ -41,12 +41,14 @@ from kisin.strata import Stratum, _is_label, _require_mu, _strata, _twist, candi
 
 @pytest.fixture(autouse=True)
 def fresh_strata_memo():
-    """Each test starts with an empty strata memo and no graph move tables,
-    so that a spy or a fault it patches into the enumeration or the edge test
-    is reached, not skipped by an entry that an earlier test left, and no
-    test depends on the order of the others."""
+    """Each test starts with an empty strata memo, no graph move tables and
+    no chain step tables, so that a spy or a fault it patches into the
+    enumeration, the edge test or the chain's induction is reached, not
+    skipped by an entry that an earlier test left, and no test depends on the
+    order of the others."""
     _strata.cache_clear()
     _move_table.cache_clear()
+    _step_table.cache_clear()
 
 
 # ---------------------------------------------------------------------------

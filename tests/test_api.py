@@ -118,12 +118,13 @@ def _cached_defs():
 def test_every_cache_is_bounded():
     cached = list(_cached_defs())
     assert len(cached) >= 10
-    # the graph's move rows and move table, the chains' coroot table and the
-    # join's plan and candidate tables are among them
+    # the graph's move rows and move table, the chains' coroot and step
+    # tables and the join's plan and candidate tables are among them
     assert {
         ("connectivity", "_graph_moves"),
         ("connectivity", "_move_table"),
         ("connectivity", "_chain_table"),
+        ("connectivity", "_step_table"),
         ("strata", "_join_plan"),
         ("strata", "_candidate_table"),
     } <= set(cached)

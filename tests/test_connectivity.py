@@ -24,7 +24,7 @@ from kisin.connectivity import (
 )
 from kisin.multicopy import make_multi
 from kisin.normal_form import caruso_datum, is_caruso_simple, make_datum
-from kisin.strata import _is_label, _twist, candidate_blocks, central_twist, enumerate_strata, stratum_nonempty
+from kisin.strata import _is_label, candidate_blocks, central_twist, enumerate_strata, stratum_nonempty
 
 
 def datum_a(p=3):
@@ -213,6 +213,11 @@ def move_table(datum, mu):
     return connectivity._move_table(datum.shape, datum.w, lowered(mu, mu))
 
 
+def step_table(datum, mu):
+    """The step table chain_gl3 reads for (datum, mu)."""
+    return connectivity._step_table(datum.w[0], datum.shape.eps[0], lowered(mu, mu)[0])
+
+
 def f2_pairs():
     """The simple n = 2 and every third n = 3 Caruso twist of f = 2 at p = 2,
     each with every mu of dominant blocks with entries in [-1, 1]."""
@@ -294,13 +299,14 @@ def _stuck_normal_form(real):
 
 # each assertion of chain_gl3 that no input reaches, by the one collaborator
 # that decides it: (name patched in connectivity, factory from the real value
-# to the fault, lam, lam', message).  Each endpoint's membership is decided
-# by _label_nat, the coroots reach the chain through _chain_table, whose
-# cache the test clears, and each step's membership is decided by
-# _block_dominated on the stepped lam_nat
+# to the fault, lam, lam', message).  Both endpoints' membership is decided
+# by one _dominated call on their lowered lam_nat, the coroots reach the
+# chain through _chain_table, whose cache the test clears, and each step's
+# membership is decided by _block_dominated on the stepped lam_nat.  Each
+# fault is reached on a miss of the step table, which the test clears too
 CHAIN_FAULTS = [
     ("_GL3_COROOTS", lambda real: (), ((0, 0, 0),), ((1, 0, -1),), "no max-normalized coroot decomposition found"),
-    ("_label_nat", lambda real: lambda d, mu, lam: _twist(d, lam)[1], ((0, 0, 0),), ((1, 0, 0),), "difference of labels is not in the coroot lattice"),
+    ("_dominated", lambda real: lambda *args: True, ((0, 0, 0),), ((1, 0, 0),), "difference of labels is not in the coroot lattice"),
     ("_gl3_normal_form", _stuck_normal_form, ((-1, 1, 0),), ((0, -1, 1),), "leading coefficient failed to decrease"),
     ("_block_dominated", lambda real: lambda *args: False, ((0, 0, 0),), ((1, 0, -1),), "no admissible coroot step stays in S"),
 ]
@@ -438,6 +444,39 @@ class TestChains:
             with pytest.raises(PreconditionError):
                 chain_gl3(d, mu, a, b)
 
+    def test_refusal_is_never_stored(self):
+        d = caruso_datum(3, 1, 2, 1)
+        mu = ((2, 1, -2),)
+        good, bad = ((0, 0, 0),), ((9, 0, -9),)
+        assert _is_label(d, mu, good) and not _is_label(d, mu, bad) and sum(bad[0]) == sum(good[0])
+        table = step_table(d, mu)
+        for a, b in ((good, bad), (bad, good)):
+            for _ in range(2):
+                with pytest.raises(PreconditionError, match="must be stratum labels"):
+                    chain_gl3(d, mu, a, b)
+        assert table == {}
+        # a label pair with the same start fills an entry, and the refusal of
+        # another end from that start is still decided afresh
+        chain, steps = chain_gl3(d, mu, good, ((1, 0, -1),))
+        assert list(table.values()) == [steps]
+        for _ in range(2):
+            with pytest.raises(PreconditionError, match="must be stratum labels"):
+                chain_gl3(d, mu, good, bad)
+        assert list(table.values()) == [steps]
+
+    def test_mu_given_as_lists(self):
+        # the table's key is built from tuples, so a mu given as lists reads
+        # the same table as the same mu given as tuples
+        d = caruso_datum(3, 1, 2, 1)
+        mu = ((2, 1, -2),)
+        a, b = ((0, 0, 0),), ((1, 0, -1),)
+        want = chain_gl3(d, mu, a, b)
+        assert chain_gl3(d, [[2, 1, -2]], a, b) == want
+        assert chain_gl3(d, [[2, 1, -2]], b, a) == chain_gl3(d, mu, b, a)
+        info = connectivity._step_table.cache_info()
+        assert info.currsize == 1 and info.misses == 1
+        assert len(step_table(d, mu)) == 2
+
     def test_chain_is_path_in_graph(self):
         d = caruso_datum(3, 1, 2, 1)
         mu = ((2, 1, -2),)
@@ -454,15 +493,23 @@ class TestChains:
         mu = ((2, 1, -2),)
         assert chain_gl3(d, mu, ((0, 0, 0),), ((1, 0, -1),))[1] == (((1, 0, -1),),)
         monkeypatch.setattr(connectivity, "_edge_ok", lambda *args: False)
-        with pytest.raises(TheoremViolationError, match="not a coroot-curve edge"):
-            chain_gl3(d, mu, ((0, 0, 0),), ((1, 0, -1),))
-        assert chain_gl3(d, mu, ((0, 0, 0),), ((0, 0, 0),)) == ((((0, 0, 0),),), ())  # no step, no test
+        connectivity._step_table.cache_clear()  # the unpatched chain's entry would skip the fault
+        try:
+            with pytest.raises(TheoremViolationError, match="not a coroot-curve edge"):
+                chain_gl3(d, mu, ((0, 0, 0),), ((1, 0, -1),))
+            assert chain_gl3(d, mu, ((0, 0, 0),), ((0, 0, 0),)) == ((((0, 0, 0),),), ())  # no step, no test
+        finally:
+            connectivity._step_table.cache_clear()
 
     def test_step_that_is_no_edge_exits_4(self, monkeypatch, capsys):
         monkeypatch.setattr(connectivity, "_edge_ok", lambda *args: False)
         argv = ["chain-gl3", "--p", "2", "--n", "3", "--f", "1", "--m", "1", "--mu", "[[2,1,-2]]",
                 "--lam", "[[0,0,0]]", "--lam-prime", "[[1,0,-1]]"]
-        assert main(argv) == 4
+        connectivity._step_table.cache_clear()
+        try:
+            assert main(argv) == 4
+        finally:
+            connectivity._step_table.cache_clear()
         captured = capsys.readouterr()
         assert captured.out == "" and "not a coroot-curve edge" in captured.err
 
@@ -470,18 +517,24 @@ class TestChains:
     def test_injected_fault_is_a_theorem_violation(self, monkeypatch, capsys, target, fault, lam, lam_prime, message):
         d = caruso_datum(3, 1, 2, 1)
         mu = ((3, 1, -3),)
-        if target != "_label_nat":  # unpatched, the chain has the steps the fault needs
+        if target != "_dominated":  # unpatched, the chain has the steps the fault needs
             assert len(chain_gl3(d, mu, lam, lam_prime)[1]) >= 1 + (target == "_gl3_normal_form")
         monkeypatch.setattr(connectivity, target, fault(getattr(connectivity, target)))
-        connectivity._chain_table.cache_clear()  # built from the patched coroots, and dropped after
+        # the coroot table is built from the patched coroots, and the step
+        # table loses the unpatched chain's entry, so the fault is reached on
+        # a miss; both are dropped after
+        connectivity._chain_table.cache_clear()
+        connectivity._step_table.cache_clear()
         try:
             with pytest.raises(TheoremViolationError, match=message):
                 chain_gl3(d, mu, lam, lam_prime)
+            assert step_table(d, mu) == {}  # a refusal is never stored
             argv = ["chain-gl3", "--p", "2", "--n", "3", "--f", "1", "--m", "1", "--mu", "[[3,1,-3]]",
                     "--lam", json.dumps([lam[0]]), "--lam-prime", json.dumps([lam_prime[0]])]
             assert main(argv) == 4
         finally:
             connectivity._chain_table.cache_clear()
+            connectivity._step_table.cache_clear()
         captured = capsys.readouterr()
         assert captured.out == "" and message in captured.err and "Traceback" not in captured.err
 
@@ -495,17 +548,41 @@ class TestChains:
 
 class TestChainOracle:
     def test_matches_the_retwisting_chain(self):
-        # chain_gl3 steps lam_nat by the increments of its table; the chain
-        # that twisted each step's label afresh is the oracle, on every
-        # ordered label pair of p in {2, 3} and mu of sup-norm <= 4
-        pairs = steps = 0
-        for d, mu, S in gl3_sweep_instances():
+        # chain_gl3 reads its steps from a table per (w, eps, lowered mu),
+        # filled by stepping lam_nat by the increments of the coroot table;
+        # the chain that twisted each step's label afresh is the oracle, on
+        # every ordered label pair of p in {2, 3} and mu of sup-norm <= 4.
+        # The pairs run twice, the second time with the twists (and the mu)
+        # in reverse order, each time from empty tables, so that the entries
+        # one twist fills serve others in both orders
+        instances = gl3_sweep_instances()
+        want = {}
+        for t, (d, mu, S) in enumerate(instances):
             for a, b in itertools.permutations([s.lam for s in S], 2):
-                got = chain_gl3(d, mu, a, b)
-                assert got == chain_gl3_by_retwisting(d, mu, a, b), (d.tau, mu, a, b)
-                pairs += 1
-                steps += len(got[1])
-        assert pairs == 2 * 15084 and steps > pairs
+                want[t, a, b] = chain_gl3_by_retwisting(d, mu, a, b)
+        assert len(want) == 2 * 15084 and sum(len(steps) for _, steps in want.values()) > len(want)
+        indices = range(len(instances))
+        for order in (indices, indices[::-1]):
+            connectivity._step_table.cache_clear()
+            for t in order:
+                d, mu, S = instances[t]
+                for a, b in itertools.permutations([s.lam for s in S], 2):
+                    assert chain_gl3(d, mu, a, b) == want[t, a, b], (d.tau, mu, a, b)
+
+        # each key is a pair of candidates of the lowered mu: the start's
+        # lowered lam_nat and the end's, the start's plus -d + eps w(d), which
+        # is injective in d for eps >= 2
+        tables = {(d.w[0], d.shape.eps[0], lowered(mu, mu)[0]): step_table(d, mu) for d, mu, _ in instances}
+        filled = 0
+        for (w, e, mu0), table in tables.items():
+            candidates = set(candidate_blocks(mu0))
+            assert len(table) <= len(candidates) ** 2
+            for nat, diff in table:
+                end = tuple(x - y + e * z for x, y, z in zip(nat, diff, act_perm(w, diff)))
+                assert nat in candidates and end in candidates, (w, e, mu0, nat, diff)
+            filled += len(table)
+        # most chains are read from an entry that another twist filled
+        assert len(tables) > 100 and 0 < filled < len(want) / 5
 
     @pytest.mark.parametrize("w", [(1, 2, 0), (2, 0, 1)])
     @pytest.mark.parametrize("e", [2, 3, 5])
