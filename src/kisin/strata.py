@@ -31,8 +31,8 @@ counts, which grow like p^(n-1) per block.  It runs up to central shift
 (``central_twist``): mu_k and tau_k are lowered by mu_k's least entry, so a
 block's table depends only on the block's slice of the rows
 (``_join_plan``, built once per (shape, w)) and the lowered mu_k, and every
-twist of (shape, w) shares it.  The tables sit in one cache, and every
-cache of this module is bounded by _CACHED.
+twist of (shape, w) shares it.  The tables sit in one cache, bounded by
+_CACHED like every cache of this module but the label tables (below).
 
 Everything fixed by (shape, w) is built once, in the solve plan that each
 datum holds (``FrobeniusDatum.plan``): the solver's rows and denominators,
@@ -75,12 +75,26 @@ graph (``build_graph``) or the points (``oracle.kisin_points``) of the same
 pair enumerates once.  The cap is part of the key, and a refusal is never
 cached: a call under a lower KISIN_MAX_ENUM refuses as a fresh call does.
 
+A label is fixed by the datum and its lam_nat, whatever the mu, and so are
+its lam_dag, its R- and D-sets and its central and dominant-minuscule
+verdicts.  So each datum keeps a label table (``_label_table``), keyed by
+the whole datum, tau included, that maps lam_nat to that entry.  The join
+looks each surviving candidate up before it solves it, and stores an entry
+only once the label has passed the solve and the twist-back check; the walk
+re-solves every label it finds and stores its entry when there is none.  A
+sweep over mu thus solves each label once per datum, and each record adds
+only what reads mu: the d-set rule, the empty-r-set rule, and the R-set and
+dimension under a minuscule mu.  The tables are bounded by _LABEL_TABLES, a
+few datums: a table holds every label its datum has met, and the sweeps take
+the datums one at a time.
+
 Every invariant of a label (lam_nat, lam_dag, the R- and D-sets, the
-dimension and the singleton certificate) comes from one pass in ``_stratum``
-over the label's (lam_dag, lam_nat) and a root table built once per shape;
-every pairing is an integer difference.  ``make_stratum``, the per-label API,
-validates its arguments and tests membership with the dominance kernel of
-``core``, which also serves the chains and graph edges of ``connectivity``.
+dimension and the singleton certificate) comes from one pass in
+``_label_entry`` over the label's (lam_dag, lam_nat) and a root table built
+once per shape, and the rules that read mu in ``_stratum``; every pairing is
+an integer difference.  ``make_stratum``, the per-label API, validates its
+arguments and tests membership with the dominance kernel of ``core``, which
+also serves the chains and graph edges of ``connectivity``.
 """
 
 from __future__ import annotations
@@ -245,10 +259,11 @@ def _distinct_permutations(block: tuple):
         a[i + 1 :] = a[:i:-1]
 
 
-# Entries kept by each cache of this module: the GL_3 sweep fills 112
-# candidate tables, and the strata memo ``_strata`` needs only the last few
-# (datum, mu, cap) keys, since a caller asks for the strata and then for the
-# graph of the same pair; eviction only recomputes.
+# Entries kept by each cache of this module but the label tables
+# (``_LABEL_TABLES``): the GL_3 sweep fills 112 candidate tables, and the
+# strata memo ``_strata`` needs only the last few (datum, mu, cap) keys, since
+# a caller asks for the strata and then for the graph of the same pair;
+# eviction only recomputes.
 _CACHED = 256
 
 
@@ -387,7 +402,7 @@ def _solve_label(datum: FrobeniusDatum, num0, nu: Cochar) -> Optional[Cochar]:
     return tuple(lam)
 
 
-def _join(datum: FrobeniusDatum, mu: Cochar, cap: Optional[int] = None) -> list:
+def _join(datum: FrobeniusDatum, mu: Cochar, cap: Optional[int] = None, table: Optional[dict] = None) -> list:
     """The labels as sorted (lam, dag, nat) triples, by the residue join of
     the per-block candidate tables.
 
@@ -401,9 +416,15 @@ def _join(datum: FrobeniusDatum, mu: Cochar, cap: Optional[int] = None) -> list:
     is what the join matches.  Complete and duplicate-free:
     candidates nu run over every vector with dominant(nu) <= mu, nu -> lam is
     injective, and the join drops exactly the nu whose preimage is not
-    integral.  Each survivor nu is solved by ``_solve_label`` from base less
-    its partials; it must divide out, and its lam must twist back to nu
-    (else TheoremViolationError), so membership holds by construction.
+    integral.  When the block sums have no integer solution
+    (``block_sums``) no candidate can be integral, and the join returns at
+    once, after the cap checks.
+
+    Each survivor nu is looked up in table, the datum's label table
+    (``_label_table``; a fresh one when none is given).  On a miss it is
+    solved by ``_solve_label`` from base less its partials; it must divide
+    out, and its lam must twist back to nu (else TheoremViolationError), so
+    membership holds by construction, and only then is its entry stored.
     """
     lows = [b[-1] for b in mu]
     shift = any(lows)  # False when every least entry is 0, where nu0 is nu
@@ -417,31 +438,35 @@ def _join(datum: FrobeniusDatum, mu: Cochar, cap: Optional[int] = None) -> list:
             count *= len(candidate_blocks(b)) ** copies
             if count > cap:
                 raise _cap_error(count, "candidates", cap)
+    if block_sums(datum, mu) is None:
+        return []
+    if table is None:
+        table = {}
     cuts, firsts, moduli = _join_plan(datum.shape, datum.w)
     base = _solve_block0(datum.plan, [x - c for t, c in zip(datum.tau, lows) for x in t])
     target = tuple([base[i] % m for i, m in firsts])
     buckets = [_candidate_table(cut, firsts, b) for cut, b in zip(cuts, mu0)]
-    solved = []
+    out = []
     for lists in _residue_join(buckets, moduli, target):
         for entries in itertools.product(*lists):
             nu0 = tuple([v for v, _ in entries])
             nu = _shift_blocks(nu0, lows) if shift else nu0
-            num0 = base
-            for _, part in entries:
-                num0 = map(sub, num0, part)
-            lam = _solve_label(datum, num0, nu)
-            if lam is None:
-                raise TheoremViolationError(
-                    f"candidate {nu} meets the integrality congruence but its preimage is not integral"
-                )
-            solved.append((lam, nu))
-    solved.sort()  # by lam: distinct nu solve to distinct lam
-    out = []
-    for lam, nu in solved:
-        dag, nat = _twist(datum, lam)
-        if nat != nu:
-            raise TheoremViolationError(f"candidate {nu} solves to {lam}, whose lam_nat is {nat}")
-        out.append((lam, dag, nat))
+            entry = table.get(nu)
+            if entry is None:
+                num0 = base
+                for _, part in entries:
+                    num0 = map(sub, num0, part)
+                lam = _solve_label(datum, num0, nu)
+                if lam is None:
+                    raise TheoremViolationError(
+                        f"candidate {nu} meets the integrality congruence but its preimage is not integral"
+                    )
+                dag, nat = _twist(datum, lam)
+                if nat != nu:
+                    raise TheoremViolationError(f"candidate {nu} solves to {lam}, whose lam_nat is {nat}")
+                entry = table[nu] = _label_entry(datum.shape, lam, dag, nat)
+            out.append((entry[0], entry[1], nu))
+    out.sort()  # by lam: distinct nu solve to distinct lam
     return out
 
 
@@ -547,13 +572,18 @@ def _cycle_paths(datum: FrobeniusDatum, mu: Cochar, cyc: tuple, radius: int) -> 
     return [path for path in paths if path[0] in win[path[-1]]]
 
 
-def _walk(datum: FrobeniusDatum, mu: Cochar, radius: int) -> list:
+def _walk(datum: FrobeniusDatum, mu: Cochar, radius: int, table: Optional[dict] = None) -> list:
     """The labels as sorted (lam, dag, nat) triples, by the cycle walk in the
     box |lam|_inf <= radius.
 
     Every product of cycle paths is checked with _dominated on its _twist,
     and every label found must re-solve to itself under ``_solve_label``,
-    from the numerators <rows, tau - lam_nat> (else TheoremViolationError)."""
+    from the numerators <rows, tau - lam_nat> (else TheoremViolationError);
+    only then is its entry stored in table, the datum's label table
+    (``_label_table``), when it has none.  The walk reads no entry: each
+    label it finds is re-solved."""
+    if table is None:
+        table = {}
     shape, w, tau = datum.shape, datum.w, datum.tau
     cycles = _walk_plan(shape, w)
     per_cycle = [_cycle_paths(datum, mu, cyc, radius) for cyc in cycles]
@@ -570,6 +600,8 @@ def _walk(datum: FrobeniusDatum, mu: Cochar, radius: int) -> list:
             again = _solve_label(datum, _solve_block0(datum.plan, rhs), nat)
             if again != lam:
                 raise TheoremViolationError(f"walked label {lam} has lam_nat {nat}, which solves to {again}")
+            if nat not in table:
+                table[nat] = _label_entry(shape, lam, dag, nat)
             out.append((lam, dag, nat))
     out.sort()
     return out
@@ -581,7 +613,10 @@ def enumerate_strata(datum: FrobeniusDatum, mu: Cochar) -> tuple:
     The arguments are validated, mu is taken as a tuple of tuples, and the
     cap is read; the records are then computed once per (datum, mu, cap) by
     ``_strata`` and shared by every later call with equal arguments, such as
-    the one inside ``build_graph``.  A refusal (EnumerationCapError,
+    the one inside ``build_graph``.  Each label is solved and checked the
+    first time its datum meets it, under any mu, and is read from the
+    datum's label table (``_label_table``) after that, so a new mu adds
+    only the rules that read it.  A refusal (EnumerationCapError,
     TheoremViolationError) is raised afresh on every call, never cached, and
     a call under a lower cap is a different key, so it refuses as a fresh
     call does.
@@ -595,22 +630,46 @@ def _strata(datum: FrobeniusDatum, mu: Cochar, cap: int) -> tuple:
     """The strata of checked arguments under the cap.  The labels come from
     the cycle walk when every eps is at least 2 and its path bound, weighted
     by WALK_PATH_COST, is below the box; otherwise from the residue join,
-    handed the cap only when the box exceeds it.  Each record is built from
-    its checked (lam, dag, nat)."""
+    handed the cap only when the box exceeds it.  Either path leaves each
+    label's entry in the datum's label table, and each record is built from
+    that entry and mu."""
     box = _candidate_box(mu)
     # the path bound is at least 2R + 1, so the first two tests only skip work
     radius = _walk_radius(datum, mu) if box > WALK_PATH_COST else None
     bound = _walk_bound(datum, mu, radius) if radius is not None and box > WALK_PATH_COST * (2 * radius + 1) else box
+    table = _label_table(datum)
     if box > WALK_PATH_COST * bound:  # never when the bound was skipped
         if bound > cap:
             raise _cap_error(bound, "walk paths", cap)
-        labels = _walk(datum, mu, radius)
+        labels = _walk(datum, mu, radius, table)
     else:
-        labels = _join(datum, mu, cap if box > cap else None)
+        labels = _join(datum, mu, cap if box > cap else None, table)
     if not labels:
         return ()
-    roots, minuscule = _root_table(datum.shape), is_minuscule(mu)
-    return tuple(_stratum(mu, lam, dag, nat, roots, minuscule) for lam, dag, nat in labels)
+    minuscule = is_minuscule(mu)
+    return tuple([_stratum(mu, nat, table[nat], minuscule) for _, _, nat in labels])
+
+
+# The label tables kept at once.  A table holds one datum's labels under
+# every mu met so far, and the sweeps (the GL_3 benchmark workload and
+# scripts/gl3_sweep.py) take the datums one at a time, each with every mu, so
+# a few suffice.  On the benchmark's seed-201 GL_3 sweep (11,664 records),
+# 4 tables read 8,000 records from an entry; 256 read 8,235, since some
+# twists reduce to one datum, but raised the peak resident set from 24.1 to
+# 25.8 MB (Python 3.11).
+_LABEL_TABLES = 4
+
+
+@lru_cache(maxsize=_LABEL_TABLES)
+def _label_table(datum: FrobeniusDatum) -> dict:
+    """The labels of datum met so far, under any mu: lam_nat -> its entry
+    (``_label_entry``).  Keyed by the whole datum, tau included: a label is
+    determined by its lam_nat only for one tau and w, so central shifts of
+    one twist share nothing.  An entry is stored only once its label has
+    passed the check of the path that found it (the join's solve and
+    twist-back, the walk's re-solve), so a refusal leaves no entry.
+    Eviction only solves again."""
+    return {}
 
 
 # ---------------------------------------------------------------------------
@@ -625,21 +684,21 @@ def _root_table(shape) -> tuple:
     return tuple((a, a.block, a.i, a.j, int(a.positive)) for a in all_roots(shape))
 
 
-def _stratum(mu: Cochar, lam: Cochar, dag: Cochar, nat: Cochar, roots: tuple, minuscule: bool) -> Stratum:
-    """Every invariant of the label lam in one pass, from its (dag, nat), the
-    root table of its shape and whether mu is minuscule; unchecked, membership
-    included.
+def _label_entry(shape, lam: Cochar, dag: Cochar, nat: Cochar) -> tuple:
+    """(lam, dag, R-set, D-set, sorted nat, rule): everything of the record
+    of the label lam that does not depend on mu, in one pass over the root
+    table of its shape; unchecked, membership included.
 
     R(lam) = {alpha : lam_alpha >= 1, <alpha, lam_nat> = -1} and
-    D(lam) = {alpha : lam_alpha >= 0, <alpha, lam_nat> <= -1}; |R(lam)| is the
-    dimension when mu is minuscule.  Both pairings are integer differences
-    read through the root table.  The singleton certificates are tried in
-    order: central lam; dominant and minuscule lam; lam_nat conjugate to mu
-    with lam_alpha = 0 on all of D(lam); minuscule mu with empty R(lam).
-    """
+    D(lam) = {alpha : lam_alpha >= 0, <alpha, lam_nat> <= -1}; both pairings
+    are integer differences read through the root table.  rule is "central"
+    for central lam, else "dominant-minuscule" for dominant and minuscule
+    lam, else None; then sorted nat holds the blockwise decreasing sort of
+    lam_nat when lam_alpha = 0 on all of D(lam) (the d-set rule needs it
+    equal to mu), and is None otherwise."""
     rs, ds = [], []
     d_flat = True  # lam_alpha == 0 on all of D(lam)
-    for a, k, i, j, shift in roots:
+    for a, k, i, j, shift in _root_table(shape):
         pairing = nat[k][i] - nat[k][j]
         if pairing <= -1:
             la = lam[k][i] - lam[k][j] - shift
@@ -652,18 +711,31 @@ def _stratum(mu: Cochar, lam: Cochar, dag: Cochar, nat: Cochar, roots: tuple, mi
         rule = "central"
     elif is_dominant(lam) and is_minuscule(lam):
         rule = "dominant-minuscule"
-    elif d_flat and tuple(tuple(sorted(b, reverse=True)) for b in nat) == mu:
-        rule = "d-set"
-    elif minuscule and not rs:
-        rule = "empty-r-set"
     else:
         rule = None
+    sorted_nat = tuple(tuple(sorted(b, reverse=True)) for b in nat) if d_flat and rule is None else None
+    return lam, dag, tuple(rs), tuple(ds), sorted_nat, rule
+
+
+def _stratum(mu: Cochar, nat: Cochar, entry: tuple, minuscule: bool) -> Stratum:
+    """The record of the label with lam_nat nat and entry
+    (``_label_entry``) under mu, minuscule telling whether mu is; unchecked.
+    |R(lam)| is the dimension when mu is minuscule.  The singleton
+    certificates are tried in order: central lam; dominant and minuscule lam
+    (both in the entry); lam_nat conjugate to mu with lam_alpha = 0 on all of
+    D(lam); minuscule mu with empty R(lam)."""
+    lam, dag, rs, ds, sorted_nat, rule = entry
+    if rule is None:
+        if sorted_nat == mu:
+            rule = "d-set"
+        elif minuscule and not rs:
+            rule = "empty-r-set"
     return Stratum(
         lam,
         nat,
         dag,
-        tuple(rs) if minuscule else None,
-        tuple(ds),
+        rs if minuscule else None,
+        ds,
         len(rs) if minuscule else None,
         "unknown" if rule is None else "proven",
         rule,
@@ -679,7 +751,7 @@ def make_stratum(datum: FrobeniusDatum, mu: Cochar, lam: Cochar) -> Stratum:
     dag, nat = _twist(datum, lam)
     if not _dominated(nat, mu):
         raise PreconditionError("lam is not a stratum label of C_mu(b)")
-    return _stratum(mu, lam, dag, nat, _root_table(datum.shape), is_minuscule(mu))
+    return _stratum(mu, nat, _label_entry(datum.shape, lam, dag, nat), is_minuscule(mu))
 
 
 # ---------------------------------------------------------------------------

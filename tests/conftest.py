@@ -36,17 +36,28 @@ from kisin.multicopy import _check_omega_pattern, varsigma
 from kisin.normal_form import _solve_block0, _solve_plan, caruso_datum, is_caruso_simple, make_datum, solve_affine_scaled
 from kisin import oracle
 from kisin.oracle import GF
-from kisin.strata import Stratum, _is_label, _require_mu, _strata, _twist, candidate_blocks, enumerate_strata, natural_lambda
+from kisin.strata import (
+    Stratum,
+    _is_label,
+    _label_table,
+    _require_mu,
+    _strata,
+    _twist,
+    candidate_blocks,
+    enumerate_strata,
+    natural_lambda,
+)
 
 
 @pytest.fixture(autouse=True)
 def fresh_strata_memo():
-    """Each test starts with an empty strata memo, no graph move tables and
-    no chain step tables, so that a spy or a fault it patches into the
-    enumeration, the edge test or the chain's induction is reached, not
-    skipped by an entry that an earlier test left, and no test depends on the
-    order of the others."""
+    """Each test starts with an empty strata memo, no label tables, no graph
+    move tables and no chain step tables, so that a spy or a fault it patches
+    into the enumeration, the edge test or the chain's induction is reached,
+    not skipped by an entry that an earlier test left, and no test depends on
+    the order of the others."""
     _strata.cache_clear()
+    _label_table.cache_clear()
     _move_table.cache_clear()
     _step_table.cache_clear()
 
@@ -1187,6 +1198,27 @@ def walk_by_box(datum, mu):
     radius = strata._walk_radius(datum, mu)
     box = strata._candidate_box(mu)
     return radius is not None and strata.WALK_PATH_COST * strata._walk_bound(datum, mu, radius) < box
+
+
+def strata_by_fresh_labels(datum, mu):
+    """Strata oracle: the records as the library built them before it kept a
+    label table per datum.  The labels come from the path the dispatch takes
+    on the box (``walk_by_box``), ``strata._walk`` or ``strata._join``, each
+    handed no table, so every label is solved and checked under this mu; each
+    record is built by ``strata._stratum`` from an entry made afresh for it.
+    Neither the strata memo nor a label table is read or filled."""
+    from kisin import strata
+
+    mu = tuple(map(tuple, mu))
+    if walk_by_box(datum, mu):
+        labels = strata._walk(datum, mu, strata._walk_radius(datum, mu))
+    else:
+        labels = strata._join(datum, mu)
+    minuscule = is_minuscule(mu)
+    return tuple(
+        strata._stratum(mu, nat, strata._label_entry(datum.shape, lam, dag, nat), minuscule)
+        for lam, dag, nat in labels
+    )
 
 
 def box_strata(datum, mu, bound=None):

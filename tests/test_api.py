@@ -119,7 +119,8 @@ def test_every_cache_is_bounded():
     cached = list(_cached_defs())
     assert len(cached) >= 10
     # the graph's move rows and move table, the chains' coroot and step
-    # tables and the join's plan and candidate tables are among them
+    # tables, the join's plan and candidate tables and the label tables are
+    # among them
     assert {
         ("connectivity", "_graph_moves"),
         ("connectivity", "_move_table"),
@@ -127,6 +128,7 @@ def test_every_cache_is_bounded():
         ("connectivity", "_step_table"),
         ("strata", "_join_plan"),
         ("strata", "_candidate_table"),
+        ("strata", "_label_table"),
     } <= set(cached)
     unbounded = [
         f"{module}.{name}"

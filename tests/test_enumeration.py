@@ -21,6 +21,7 @@ from conftest import (
     gl3_sweep_instances,
     product_strata,
     solve_affine_integral,
+    strata_by_fresh_labels,
     walk_by_box,
     walk_by_exact_count,
     walk_plan_by_position_map,
@@ -334,6 +335,24 @@ class TestDispatch:
         assert box == strata.WALK_PATH_COST * strata._walk_bound(datum, mu, radius)
         assert dispatched_path(datum, mu) == ["_join"]
 
+    @pytest.mark.parametrize(
+        "datum,mu",
+        [
+            (contracting_datum(((-1, 2, -1), (-2, -2, 1)), ((2, 1, 0), (0, 1, 2)), (3, 3)), ((1, 0, -1), (1, -1, -2))),
+            (caruso_datum(3, 1, 3, 1), ((2, 1, -1),)),
+            (caruso_datum(3, 1, 3, 5), ((3, 0, -3),)),
+        ],
+    )
+    def test_label_free_pair_reads_no_table(self, monkeypatch, datum, mu):
+        # the block sums have no integer solution, so the join returns before
+        # it reads a candidate table or solves a candidate; the first pair is
+        # a tie that keeps the join
+        assert strata.block_sums(datum, mu) is None
+        forbid(monkeypatch, "_candidate_table")
+        forbid(monkeypatch, "_solve_label")
+        assert dispatched_path(datum, mu) == ["_join"]
+        assert enumerate_strata(datum, mu) == ()
+
     def test_verify_counterexamples_at_p101(self, capsys):
         # golden (b) has 28,135,068 candidates here, past the default cap,
         # but the walk's path bound of 96 is within it
@@ -444,6 +463,26 @@ class TestEnumerationCap:
         with pytest.raises(EnumerationCapError, match=message):
             enumerate_strata(caruso_datum(3, 1, 3, 1), ((100000, 0, -100000),))
 
+    def test_label_free_pair_refuses_past_the_cap(self, monkeypatch):
+        # the cap checks come before the join's block-sum exit, so a pair
+        # with no label refuses as before: past its candidate product, and
+        # at once on a huge block box
+        datum, mu = CAP_INPUTS[4]
+        huge = caruso_datum(3, 1, 3, 1), ((100000, 0, -100000),)
+        assert strata.block_sums(datum, mu) is None and strata.block_sums(*huge) is None
+        limit, message = cap_limit(datum, mu)
+        assert message == "49 candidates in the box of block 1 exceed cap 48 (KISIN_MAX_ENUM)"
+        forbid(monkeypatch, "_solve_label")
+        monkeypatch.setenv("KISIN_MAX_ENUM", str(limit - 1))
+        with pytest.raises(EnumerationCapError) as info:
+            enumerate_strata(datum, mu)
+        assert str(info.value) == message
+        monkeypatch.delenv("KISIN_MAX_ENUM")
+        with pytest.raises(EnumerationCapError) as info:
+            enumerate_strata(*huge)
+        assert str(info.value) == "40000400001 candidates in the box of block 1 exceed cap 10000000 (KISIN_MAX_ENUM)"
+        assert enumerate_strata(datum, mu) == ()
+
     def test_counts_print_past_every_digit_limit(self):
         # the digits of a cap message, at the least limit the interpreter
         # accepts, equal str() with the limit lifted
@@ -477,6 +516,15 @@ def off_by_one(datum, num0, nu):
     return None if lam is None else ((lam[0][0] + 1,) + lam[0][1:],) + lam[1:]
 
 
+_twist = strata._twist
+
+
+def twist_off_by_one(datum, lam):
+    """The twist with the first entry of lam_nat moved by one."""
+    dag, nat = _twist(datum, lam)
+    return dag, ((nat[0][0] + 1,) + nat[0][1:],) + nat[1:]
+
+
 def forbid(monkeypatch, name):
     monkeypatch.setattr(strata, name, lambda *args: pytest.fail(f"{name} called"))
 
@@ -504,6 +552,7 @@ class TestTheoremViolation:
         move_partials(monkeypatch, 1)
         with pytest.raises(TheoremViolationError, match="integrality congruence"):
             enumerate_strata(datum, mu)
+        assert strata._label_table(datum) == {}  # the refusal is not stored
 
     def test_solved_label_must_twist_back_to_its_candidate(self, monkeypatch):
         # the numerator of x[0][0] moves by its denominator, so each survivor
@@ -513,6 +562,7 @@ class TestTheoremViolation:
         move_partials(monkeypatch, -datum.plan.dens[0])
         with pytest.raises(TheoremViolationError, match="whose lam_nat is"):
             enumerate_strata(datum, mu)
+        assert strata._label_table(datum) == {}
 
     def test_walked_label_must_resolve_to_itself(self, monkeypatch):
         datum, mu = counterexample(CASES["a"], 19)
@@ -520,6 +570,7 @@ class TestTheoremViolation:
         monkeypatch.setattr(strata, "_solve_label", off_by_one)
         with pytest.raises(TheoremViolationError, match="walked label .* which solves to"):
             enumerate_strata(datum, mu)
+        assert strata._label_table(datum) == {}
 
     def test_walked_label_violation_exits_4(self, monkeypatch, capsys):
         forbid(monkeypatch, "_join")
@@ -533,6 +584,23 @@ class TestTheoremViolation:
         datum, _ = counterexample(CASES["a"], 3)
         forbid(monkeypatch, "_solve_label")
         assert enumerate_strata(datum, ((1, 0, 0, 0),)) == ()
+
+    @pytest.mark.parametrize("fault", ["_solve_label", "_twist"])
+    def test_join_fault_is_reached_past_a_warm_table(self, monkeypatch, fault):
+        # the labels of mu are entries once an unpatched call has met them, so
+        # a fault patched in later is reached only once the table is cleared;
+        # it is then refused and leaves no entry
+        datum, mu = caruso_datum(3, 1, 3, 5), ((3, 1, -3),)
+        want = enumerate_strata(datum, mu)
+        assert len(strata._label_table(datum)) == len(want) > 1
+        monkeypatch.setattr(strata, fault, off_by_one if fault == "_solve_label" else twist_off_by_one)
+        strata._strata.cache_clear()
+        assert enumerate_strata(datum, mu) == want  # read from the table, so the fault is not reached
+        strata._strata.cache_clear()
+        strata._label_table.cache_clear()
+        with pytest.raises(TheoremViolationError, match="whose lam_nat is"):
+            enumerate_strata(datum, mu)
+        assert strata._label_table(datum) == {}
 
 
 class TestCandidateGeneration:
@@ -891,10 +959,10 @@ class TestStrataMemo:
     def test_a_fault_is_raised_on_every_call(self, monkeypatch):
         datum, mu = counterexample(CASES["a"], 3)
         move_partials(monkeypatch, -datum.plan.dens[0])
-        for _ in range(2):
+        for _ in range(3):
             with pytest.raises(TheoremViolationError, match="whose lam_nat is"):
                 enumerate_strata(datum, mu)
-        assert strata._strata.cache_info().currsize == 0
+        assert strata._strata.cache_info().currsize == 0 and strata._label_table(datum) == {}
         monkeypatch.undo()
         assert enumerate_strata(datum, mu) == product_strata(datum, mu)
 
@@ -914,3 +982,121 @@ class TestStrataMemo:
         assert captured.out == "" and "KISIN_MAX_ENUM='abc'" in captured.err
         monkeypatch.delenv("KISIN_MAX_ENUM")
         assert main(argv) == 0 and capsys.readouterr().out == report
+
+
+# ---------------------------------------------------------------------------
+# the label tables: each label of a datum solved and checked once, whatever
+# the mu
+
+
+def clear_tables():
+    strata._strata.cache_clear()
+    strata._label_table.cache_clear()
+
+
+def sweep_groups():
+    """The (datum, mu) of gl3_sweep_instances(), one list per datum (several
+    twists m reduce to one datum), and the number of distinct (datum, label)
+    among them.  The memo and the tables its enumeration filled are
+    cleared."""
+    instances = gl3_sweep_instances()
+    clear_tables()
+    groups = {}
+    for d, mu, _ in instances:
+        groups.setdefault(d, []).append((d, mu))
+    return list(groups.values()), len({(d, s.lam) for d, _, S in instances for s in S})
+
+
+def golden_mu_family(case, p):
+    """The golden datum of case at p, with every mu whose blocks are dominant,
+    have the block sums of the golden mu and lie within one of its entries:
+    the golden mu, mu that dominate it and mu that it dominates."""
+    datum, mu0 = counterexample(CASES[case], p)
+    families = [
+        [v for v in dominant_vecs(len(b), b[-1] - 1, b[0] + 1) if sum(v) == sum(b)] for b in mu0
+    ]
+    return [(datum, mu) for mu in itertools.product(*families)]
+
+
+def assert_matches_fresh_labels(pairs, monkeypatch=None):
+    """enumerate_strata on pairs, in their order, equals the oracle that
+    solves every label afresh.  Returns the records' count and the number of
+    labels the library solved (counted only when monkeypatch is given)."""
+    want = [strata_by_fresh_labels(datum, mu) for datum, mu in pairs]
+    solved = []
+    if monkeypatch is not None:
+        real = strata._solve_label
+        monkeypatch.setattr(strata, "_solve_label", lambda *args: solved.append(args) or real(*args))
+    count = 0
+    for (datum, mu), fresh in zip(pairs, want):
+        got = enumerate_strata(datum, mu)
+        assert got == fresh, (datum.tau, mu)
+        count += len(got)
+    return count, len(solved)
+
+
+class TestLabelTable:
+    @pytest.mark.parametrize("order", [1, -1], ids=["forward", "reverse"])
+    def test_gl3_sweep_solves_each_label_once(self, monkeypatch, order):
+        # datum by datum, each label is solved and checked when its datum
+        # first meets it, and read from the table under every later mu (no
+        # pair here is walked)
+        groups, distinct = sweep_groups()
+        pairs = [pair for group in groups for pair in group]
+        assert not any(walk_by_box(d, mu) for d, mu in pairs)
+        count, solved = assert_matches_fresh_labels(pairs[::order], monkeypatch)
+        assert solved == distinct and count > 10 * distinct
+
+    def test_gl3_sweep_with_datums_interleaved_past_the_bound(self):
+        # mu by mu, every datum in turn: each table is evicted before its
+        # datum returns, and eviction only solves again
+        groups, _ = sweep_groups()
+        assert len(groups) > 3 * strata._LABEL_TABLES
+        interleaved = [pair for row in itertools.zip_longest(*groups) for pair in row if pair]
+        assert assert_matches_fresh_labels(interleaved)[0] > 10000
+        info = strata._label_table.cache_info()
+        assert info.currsize == strata._LABEL_TABLES and info.misses > 10 * len(groups)
+
+    @pytest.mark.parametrize("order", [1, -1], ids=["forward", "reverse"])
+    @pytest.mark.parametrize("n,p,step", [(2, 3, 1), (3, 2, 3)])
+    def test_caruso_f2(self, order, n, p, step):
+        count, _ = assert_matches_fresh_labels(caruso_pairs(n, 2, p, 2, step)[::order])
+        assert count > 150
+
+    @pytest.mark.parametrize("order", [1, -1], ids=["forward", "reverse"])
+    def test_contracting_shapes(self, order):
+        # the goldens' mu families mix walked and joined pairs over one
+        # datum each, so walked labels are read by the join and back
+        pairs = [pair for case, p in (("a", 5), ("a", 7), ("b", 5)) for pair in golden_mu_family(case, p)]
+        walked = sum(walk_by_box(d, mu) for d, mu in pairs)
+        assert 10 < walked < len(pairs) - 10
+        count, _ = assert_matches_fresh_labels(pairs[::order])
+        entries = sum(len(strata._label_table(d)) for d in {d for d, _ in pairs})
+        assert count > 3 * entries > 30
+
+    def test_central_shifts_share_no_table(self):
+        # keyed by the whole datum: a shift copy of a twist solves its labels
+        # again, into its own table, whose keys are the shifted lam_nat
+        datum, mu = caruso_datum(3, 1, 3, 5), ((2, 0, -1),)
+        want = enumerate_strata(datum, mu)
+        for c in SHIFTS:
+            d, m = shifted(datum, mu, c)
+            got = enumerate_strata(d, m)
+            assert [s.lam for s in got] == [s.lam for s in want]
+            assert set(strata._label_table(d)) == {s.nat for s in got}
+        assert strata._label_table.cache_info().currsize == len(set(SHIFTS) | {0})
+
+    @pytest.mark.parametrize("p,path", [(3, "_join"), (5, "_walk")])
+    def test_d_set_rule_is_decided_per_mu(self, p, path):
+        # golden (a)'s label (2,1,1,0) is a d-set singleton under the golden
+        # mu only; under a mu that dominates it the same entry is read, and
+        # the rule is decided again, on either path
+        datum, mu = counterexample(CASES["a"], p)
+        wider = ((mu[0][0] + 1,) + mu[0][1:3] + (mu[0][3] - 1,),)
+        assert dispatched_path(datum, mu) == dispatched_path(datum, wider) == [path]
+        for first, then in ((mu, wider), (wider, mu)):
+            clear_tables()
+            enumerate_strata(datum, first)
+            got = {s.lam: s.singleton_rule for s in enumerate_strata(datum, then)}
+            assert got[((2, 1, 1, 0),)] == ("d-set" if then == mu else None)
+            assert len(strata._label_table(datum)) == 2
