@@ -2,6 +2,12 @@
 """Exhaustive GL3 connectivity sweep: every simple twist and every dominant mu
 up to a sup-norm bound, checking one component and chain reachability.
 
+Each twist takes every mu in decreasing lexicographic order.  Dominance
+refines that order, so each class of mu with one block sum is met first at
+the mu that dominates all of it, and ``kisin.strata`` enumerates each class
+once per datum, filtering the strata of every later mu of the class from its
+labels.  The order changes the speed, never the output.
+
 Usage: python3 scripts/gl3_sweep.py [--primes 2 3] [--mu-bound 4]
 """
 

@@ -67,7 +67,9 @@ def _blocks(args) -> int:
 
 def parse_instance(args) -> None:
     """Replace the JSON strings of --eps, --tau, --w and --mu (when the
-    command has it) with their parsed tuples, checked in that order."""
+    command has it) with their parsed tuples, checked in that order; n and
+    the block count (from --eps, else --f) are checked before --tau, so a
+    bad count is not reported as a misshapen block list."""
     if args.eps is not None:
         try:
             eps = json.loads(args.eps)
@@ -77,6 +79,8 @@ def parse_instance(args) -> None:
             raise ConfigError("eps must be a JSON list of integers")
         args.eps = tuple(eps)
     blocks = _blocks(args)
+    if args.n < 1 or blocks < 1:
+        raise ConfigError("n and blocks must be positive")
     if args.tau is not None or args.w is not None:
         if args.tau is None or args.w is None:
             raise ConfigError("explicit b needs both --tau and --w")

@@ -3,12 +3,13 @@ singleton certificates.
 
 A stratum label lam is nonempty exactly when the twisted difference
 lam_nat = -lam + tau + w(sigma(lam)) is dominated by mu.  Enumeration finds
-the labels in one of two ways, and each checks the KISIN_MAX_ENUM cap against
-its own work, from numbers it already has.  The walk checks its path bound.
-The join checks only when the box (``_candidate_box``), which bounds the
-candidate product, exceeds the cap: each block's box before it builds any
-candidate set, then the running product of the sets' sizes over the distinct
-blocks, each raised to its number of copies.
+the labels in one of two ways, and the KISIN_MAX_ENUM cap is checked against
+the work of the path the dispatch picks, before either runs and before any
+label is read from a table (``_strata``).  The walk checks its path bound.
+The join is checked only when the box (``_candidate_box``), which bounds the
+candidate product, exceeds the cap (``_join_cap``): each block's box before
+any candidate set is built, then the running product of the sets' sizes over
+the distinct blocks, each raised to its number of copies.
 
 The residue join inverts the affine map.  The candidate values nu of lam_nat
 are finite: blockwise vectors whose dominant sort is dominated by mu's block.
@@ -84,7 +85,20 @@ only once the label has passed the solve and the twist-back check; the walk
 re-solves every label it finds and stores its entry when there is none.  A
 sweep over mu thus solves each label once per datum, and each record adds
 only what reads mu: the d-set rule, the empty-r-set rule, and the R-set and
-dimension under a minuscule mu.  The tables are bounded by _LABEL_TABLES, a
+dimension under a minuscule mu.
+
+The same cached object holds the datum's class index, so one eviction drops
+both.  S(mu) = {lam : dominant(lam_nat) <= mu}, and lam_nat does not depend
+on mu, so for mu <= mu' in dominance S(mu) is the set of lam in S(mu') with
+dominant(lam_nat) <= mu.  Dominance needs equal block sums, so the index is
+keyed by the tuple of mu's block sums, and holds one top per class: the last
+mu of the class that was walked or joined, with its labels.  A mu dominated
+by its class's top takes the top's labels whose lam_nat it dominates, and no
+path runs; any other mu is walked or joined and becomes the top.  The sweeps
+list mu in decreasing lexicographic order, which dominance refines, so each
+class is met first at its greedy vector, the one that dominates the whole
+class, and is walked or joined once per datum.  The order changes how often
+a path runs, never the strata.  The tables are bounded by _LABEL_TABLES, a
 few datums: a table holds every label its datum has met, and the sweeps take
 the datums one at a time.
 
@@ -402,7 +416,24 @@ def _solve_label(datum: FrobeniusDatum, num0, nu: Cochar) -> Optional[Cochar]:
     return tuple(lam)
 
 
-def _join(datum: FrobeniusDatum, mu: Cochar, cap: Optional[int] = None, table: Optional[dict] = None) -> list:
+def _join_cap(mu: Cochar, cap: int) -> None:
+    """Refuses the join of mu past the cap, as EnumerationCapError: each
+    block's box (``_candidate_box``) before it builds any candidate set, then
+    the running product of the sets' sizes over the distinct blocks, each
+    raised to its number of copies, so at most one set is built past the cap.
+    The blocks are lowered by their least entries, as the join reads them."""
+    mu0 = [tuple([x - b[-1] for x in b]) for b in mu]
+    for k, b in enumerate(mu0):
+        if (box := _candidate_box((b,))) > cap:
+            raise _cap_error(box, f"candidates in the box of block {k + 1}", cap)
+    count = 1
+    for b, copies in Counter(mu0).items():
+        count *= len(candidate_blocks(b)) ** copies
+        if count > cap:
+            raise _cap_error(count, "candidates", cap)
+
+
+def _join(datum: FrobeniusDatum, mu: Cochar, table: Optional[dict] = None) -> list:
     """The labels as sorted (lam, dag, nat) triples, by the residue join of
     the per-block candidate tables.
 
@@ -418,7 +449,8 @@ def _join(datum: FrobeniusDatum, mu: Cochar, cap: Optional[int] = None, table: O
     injective, and the join drops exactly the nu whose preimage is not
     integral.  When the block sums have no integer solution
     (``block_sums``) no candidate can be integral, and the join returns at
-    once, after the cap checks.
+    once.  The cap is not checked here: ``_strata`` checks it first
+    (``_join_cap``).
 
     Each survivor nu is looked up in table, the datum's label table
     (``_label_table``; a fresh one when none is given).  On a miss it is
@@ -428,18 +460,9 @@ def _join(datum: FrobeniusDatum, mu: Cochar, cap: Optional[int] = None, table: O
     """
     lows = [b[-1] for b in mu]
     shift = any(lows)  # False when every least entry is 0, where nu0 is nu
-    mu0 = _shift_blocks(mu, [-c for c in lows]) if shift else mu
-    if cap is not None:
-        for k, b in enumerate(mu0):
-            if (box := _candidate_box((b,))) > cap:
-                raise _cap_error(box, f"candidates in the box of block {k + 1}", cap)
-        count = 1  # over the distinct blocks, so at most one set is built past the cap
-        for b, copies in Counter(mu0).items():
-            count *= len(candidate_blocks(b)) ** copies
-            if count > cap:
-                raise _cap_error(count, "candidates", cap)
     if block_sums(datum, mu) is None:
         return []
+    mu0 = _shift_blocks(mu, [-c for c in lows]) if shift else mu
     if table is None:
         table = {}
     cuts, firsts, moduli = _join_plan(datum.shape, datum.w)
@@ -616,7 +639,9 @@ def enumerate_strata(datum: FrobeniusDatum, mu: Cochar) -> tuple:
     the one inside ``build_graph``.  Each label is solved and checked the
     first time its datum meets it, under any mu, and is read from the
     datum's label table (``_label_table``) after that, so a new mu adds
-    only the rules that read it.  A refusal (EnumerationCapError,
+    only the rules that read it; a mu dominated by the last walked or joined
+    mu of its class takes that mu's labels, filtered, and runs neither path.
+    A refusal (EnumerationCapError,
     TheoremViolationError) is raised afresh on every call, never cached, and
     a call under a lower cap is a different key, so it refuses as a fresh
     call does.
@@ -629,21 +654,36 @@ def enumerate_strata(datum: FrobeniusDatum, mu: Cochar) -> tuple:
 def _strata(datum: FrobeniusDatum, mu: Cochar, cap: int) -> tuple:
     """The strata of checked arguments under the cap.  The labels come from
     the cycle walk when every eps is at least 2 and its path bound, weighted
-    by WALK_PATH_COST, is below the box; otherwise from the residue join,
-    handed the cap only when the box exceeds it.  Either path leaves each
-    label's entry in the datum's label table, and each record is built from
-    that entry and mu."""
+    by WALK_PATH_COST, is below the box; otherwise from the residue join.
+    The cap is checked first, on the path the dispatch picks: the walk's path
+    bound, or the join's box and candidate product (``_join_cap``) when the
+    box exceeds it.
+
+    Then the datum's class index is read (``_label_table``).  Its key is the
+    tuple of mu's block sums, since mu <= mu' needs equal block sums, and it
+    holds one top per class: a mu' and its labels.  When mu <= mu', the
+    labels of mu are those of mu' whose lam_nat is dominated by mu, since
+    dominant(lam_nat) <= mu implies dominant(lam_nat) <= mu', so the filter
+    is exact.  Otherwise the walk or the join runs, and mu with its labels
+    replaces the class's top; a refusal stores nothing.  Each record is
+    built from its label's entry and mu."""
     box = _candidate_box(mu)
     # the path bound is at least 2R + 1, so the first two tests only skip work
     radius = _walk_radius(datum, mu) if box > WALK_PATH_COST else None
     bound = _walk_bound(datum, mu, radius) if radius is not None and box > WALK_PATH_COST * (2 * radius + 1) else box
-    table = _label_table(datum)
-    if box > WALK_PATH_COST * bound:  # never when the bound was skipped
-        if bound > cap:
-            raise _cap_error(bound, "walk paths", cap)
-        labels = _walk(datum, mu, radius, table)
+    walk = box > WALK_PATH_COST * bound  # never when the bound was skipped
+    if walk and bound > cap:
+        raise _cap_error(bound, "walk paths", cap)
+    if not walk and box > cap:
+        _join_cap(mu, cap)
+    table, classes = _label_table(datum)
+    key = tuple(map(sum, mu))
+    top = classes.get(key)
+    if top is not None and _dominated(mu, top[0]):
+        labels = [t for t in top[1] if _dominated(t[2], mu)]
     else:
-        labels = _join(datum, mu, cap if box > cap else None, table)
+        labels = _walk(datum, mu, radius, table) if walk else _join(datum, mu, table)
+        classes[key] = (mu, labels)
     if not labels:
         return ()
     minuscule = is_minuscule(mu)
@@ -653,23 +693,32 @@ def _strata(datum: FrobeniusDatum, mu: Cochar, cap: int) -> tuple:
 # The label tables kept at once.  A table holds one datum's labels under
 # every mu met so far, and the sweeps (the GL_3 benchmark workload and
 # scripts/gl3_sweep.py) take the datums one at a time, each with every mu, so
-# a few suffice.  On the benchmark's seed-201 GL_3 sweep (11,664 records),
-# 4 tables read 8,000 records from an entry; 256 read 8,235, since some
-# twists reduce to one datum, but raised the peak resident set from 24.1 to
-# 25.8 MB (Python 3.11).
+# a few suffice.  On the benchmark's seed-201 GL_3 sweep (15,120 pairs,
+# 11,664 records), 4 tables build 7,971 records from a class hit, with no
+# walk or join, and 3,671 after one of the 3,414 joins, which solve 3,664
+# labels and read the other 7 from an entry (22 records come from the strata
+# memo).  256 tables build 8,153 from a hit, since some twists reduce to one
+# datum; without the class index, 256 tables raised the peak resident set
+# from 24.1 to 25.8 MB (Python 3.11).
 _LABEL_TABLES = 4
 
 
 @lru_cache(maxsize=_LABEL_TABLES)
-def _label_table(datum: FrobeniusDatum) -> dict:
-    """The labels of datum met so far, under any mu: lam_nat -> its entry
-    (``_label_entry``).  Keyed by the whole datum, tau included: a label is
-    determined by its lam_nat only for one tau and w, so central shifts of
-    one twist share nothing.  An entry is stored only once its label has
-    passed the check of the path that found it (the join's solve and
-    twist-back, the walk's re-solve), so a refusal leaves no entry.
-    Eviction only solves again."""
-    return {}
+def _label_table(datum: FrobeniusDatum) -> tuple:
+    """(entries, classes) of datum, two dicts in one cached object, so that
+    one eviction drops both.
+
+    entries maps the lam_nat of each label met so far, under any mu, to its
+    entry (``_label_entry``).  Keyed by the whole datum, tau included: a
+    label is determined by its lam_nat only for one tau and w, so central
+    shifts of one twist share nothing.  An entry is stored only once its
+    label has passed the check of the path that found it (the join's solve
+    and twist-back, the walk's re-solve), so a refusal leaves no entry.
+
+    classes is the class index of ``_strata``: the block sums of a mu -> its
+    class's top, (mu', sorted (lam, dag, nat) labels of mu').  Every label of
+    a top has its entry.  Eviction only solves again."""
+    return {}, {}
 
 
 # ---------------------------------------------------------------------------

@@ -387,6 +387,25 @@ class TestExitCodes:
         captured = capsys.readouterr()
         assert captured.out == "" and f"config error: {message}\n" == captured.err
 
+    # a block count or n below 1 is refused with the shape's message before
+    # --tau, --w and --mu are parsed against it
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["strata", "--p", "3", "--n", "3", "--f", "-1", "--m", "1", "--mu", "[[1,0,0]]"],
+            ["strata", "--p", "3", "--n", "3", "--f", "0", "--m", "1", "--mu", "[[1,0,0]]"],
+            ["strata", "--p", "3", "--n", "3", "--f", "0", "--m", "1", "--mu", "[]"],
+            ["strata", "--p", "3", "--n", "0", "--f", "1", "--m", "1", "--mu", "[[1,0,0]]"],
+            ["graph", "--p", "3", "--n", "3", "--eps", "[]", "--tau", "[[0,0,0]]", "--w", "[[1,2,3]]", "--mu", "[[1,0,0]]"],
+            ["normal-form", "--p", "3", "--n", "2", "--eps", "[]", "--tau", "[]", "--w", "[]"],
+        ],
+        ids=["f-negative", "f-zero", "f-zero-empty-mu", "n-zero", "eps-empty", "eps-empty-no-mu"],
+    )
+    def test_block_count_below_one(self, capsys, argv):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == "config error: n and blocks must be positive\n"
+
     # --m builds the Caruso datum, so an explicit b beside it is refused
     # rather than ignored
     @pytest.mark.parametrize(

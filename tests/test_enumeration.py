@@ -8,6 +8,7 @@ import itertools
 import json
 import random
 import sys
+from collections import Counter
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -61,9 +62,13 @@ def spy_dispatch(mp):
 
 def dispatched_path(datum, mu):
     """The paths enumerate_strata takes on (datum, mu), by name; the memo is
-    bypassed, so the dispatch runs even when the strata are cached."""
+    bypassed and the call is handed an empty label table of its own, so the
+    dispatch runs even when the strata are cached or a class of the datum's
+    index holds a top that dominates mu, and the datum's table is left as it
+    was."""
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(strata, "_strata", strata._strata.__wrapped__)
+        mp.setattr(strata, "_label_table", lambda datum: ({}, {}))
         taken = spy_dispatch(mp)
         enumerate_strata(datum, mu)
     return taken
@@ -552,7 +557,7 @@ class TestTheoremViolation:
         move_partials(monkeypatch, 1)
         with pytest.raises(TheoremViolationError, match="integrality congruence"):
             enumerate_strata(datum, mu)
-        assert strata._label_table(datum) == {}  # the refusal is not stored
+        assert strata._label_table(datum) == ({}, {})  # the refusal stores no entry and no class
 
     def test_solved_label_must_twist_back_to_its_candidate(self, monkeypatch):
         # the numerator of x[0][0] moves by its denominator, so each survivor
@@ -562,7 +567,7 @@ class TestTheoremViolation:
         move_partials(monkeypatch, -datum.plan.dens[0])
         with pytest.raises(TheoremViolationError, match="whose lam_nat is"):
             enumerate_strata(datum, mu)
-        assert strata._label_table(datum) == {}
+        assert strata._label_table(datum) == ({}, {})
 
     def test_walked_label_must_resolve_to_itself(self, monkeypatch):
         datum, mu = counterexample(CASES["a"], 19)
@@ -570,7 +575,7 @@ class TestTheoremViolation:
         monkeypatch.setattr(strata, "_solve_label", off_by_one)
         with pytest.raises(TheoremViolationError, match="walked label .* which solves to"):
             enumerate_strata(datum, mu)
-        assert strata._label_table(datum) == {}
+        assert strata._label_table(datum) == ({}, {})
 
     def test_walked_label_violation_exits_4(self, monkeypatch, capsys):
         forbid(monkeypatch, "_join")
@@ -589,18 +594,22 @@ class TestTheoremViolation:
     def test_join_fault_is_reached_past_a_warm_table(self, monkeypatch, fault):
         # the labels of mu are entries once an unpatched call has met them, so
         # a fault patched in later is reached only once the table is cleared;
-        # it is then refused and leaves no entry
+        # it is then refused and leaves no entry and no class
         datum, mu = caruso_datum(3, 1, 3, 5), ((3, 1, -3),)
         want = enumerate_strata(datum, mu)
-        assert len(strata._label_table(datum)) == len(want) > 1
+        entries, classes = strata._label_table(datum)
+        assert len(entries) == len(want) > 1 and len(classes) == 1
         monkeypatch.setattr(strata, fault, off_by_one if fault == "_solve_label" else twist_off_by_one)
         strata._strata.cache_clear()
-        assert enumerate_strata(datum, mu) == want  # read from the table, so the fault is not reached
+        assert enumerate_strata(datum, mu) == want  # a class hit: no path runs
+        strata._strata.cache_clear()
+        classes.clear()
+        assert enumerate_strata(datum, mu) == want  # the join reads the entries, so the fault is not reached
         strata._strata.cache_clear()
         strata._label_table.cache_clear()
         with pytest.raises(TheoremViolationError, match="whose lam_nat is"):
             enumerate_strata(datum, mu)
-        assert strata._label_table(datum) == {}
+        assert strata._label_table(datum) == ({}, {})
 
 
 class TestCandidateGeneration:
@@ -962,7 +971,7 @@ class TestStrataMemo:
         for _ in range(3):
             with pytest.raises(TheoremViolationError, match="whose lam_nat is"):
                 enumerate_strata(datum, mu)
-        assert strata._strata.cache_info().currsize == 0 and strata._label_table(datum) == {}
+        assert strata._strata.cache_info().currsize == 0 and strata._label_table(datum) == ({}, {})
         monkeypatch.undo()
         assert enumerate_strata(datum, mu) == product_strata(datum, mu)
 
@@ -1035,16 +1044,28 @@ def assert_matches_fresh_labels(pairs, monkeypatch=None):
     return count, len(solved)
 
 
+ORDERS = ("forward", "reverse", "shuffled")
+
+
+def ordered(pairs, order):
+    """pairs as listed (the mu of each datum in decreasing lexicographic
+    order, as the sweeps list them), reversed, or shuffled by a fixed seed.
+    Only the first order meets each class of mu at a mu that dominates it."""
+    if order == "shuffled":
+        return random.Random(7).sample(pairs, len(pairs))
+    return pairs if order == "forward" else pairs[::-1]
+
+
 class TestLabelTable:
-    @pytest.mark.parametrize("order", [1, -1], ids=["forward", "reverse"])
+    @pytest.mark.parametrize("order", ORDERS)
     def test_gl3_sweep_solves_each_label_once(self, monkeypatch, order):
         # datum by datum, each label is solved and checked when its datum
         # first meets it, and read from the table under every later mu (no
         # pair here is walked)
         groups, distinct = sweep_groups()
-        pairs = [pair for group in groups for pair in group]
+        pairs = [pair for group in groups for pair in ordered(group, order)]
         assert not any(walk_by_box(d, mu) for d, mu in pairs)
-        count, solved = assert_matches_fresh_labels(pairs[::order], monkeypatch)
+        count, solved = assert_matches_fresh_labels(pairs, monkeypatch)
         assert solved == distinct and count > 10 * distinct
 
     def test_gl3_sweep_with_datums_interleaved_past_the_bound(self):
@@ -1057,21 +1078,22 @@ class TestLabelTable:
         info = strata._label_table.cache_info()
         assert info.currsize == strata._LABEL_TABLES and info.misses > 10 * len(groups)
 
-    @pytest.mark.parametrize("order", [1, -1], ids=["forward", "reverse"])
+    @pytest.mark.parametrize("order", ORDERS)
     @pytest.mark.parametrize("n,p,step", [(2, 3, 1), (3, 2, 3)])
     def test_caruso_f2(self, order, n, p, step):
-        count, _ = assert_matches_fresh_labels(caruso_pairs(n, 2, p, 2, step)[::order])
+        count, _ = assert_matches_fresh_labels(ordered(caruso_pairs(n, 2, p, 2, step), order))
         assert count > 150
 
-    @pytest.mark.parametrize("order", [1, -1], ids=["forward", "reverse"])
+    @pytest.mark.parametrize("order", ORDERS)
     def test_contracting_shapes(self, order):
         # the goldens' mu families mix walked and joined pairs over one
-        # datum each, so walked labels are read by the join and back
+        # datum each, so walked labels are read by the join and back, and a
+        # class's top may have been walked or joined
         pairs = [pair for case, p in (("a", 5), ("a", 7), ("b", 5)) for pair in golden_mu_family(case, p)]
         walked = sum(walk_by_box(d, mu) for d, mu in pairs)
         assert 10 < walked < len(pairs) - 10
-        count, _ = assert_matches_fresh_labels(pairs[::order])
-        entries = sum(len(strata._label_table(d)) for d in {d for d, _ in pairs})
+        count, _ = assert_matches_fresh_labels(ordered(pairs, order))
+        entries = sum(len(strata._label_table(d)[0]) for d in {d for d, _ in pairs})
         assert count > 3 * entries > 30
 
     def test_central_shifts_share_no_table(self):
@@ -1083,7 +1105,7 @@ class TestLabelTable:
             d, m = shifted(datum, mu, c)
             got = enumerate_strata(d, m)
             assert [s.lam for s in got] == [s.lam for s in want]
-            assert set(strata._label_table(d)) == {s.nat for s in got}
+            assert set(strata._label_table(d)[0]) == {s.nat for s in got}
         assert strata._label_table.cache_info().currsize == len(set(SHIFTS) | {0})
 
     @pytest.mark.parametrize("p,path", [(3, "_join"), (5, "_walk")])
@@ -1099,4 +1121,80 @@ class TestLabelTable:
             enumerate_strata(datum, first)
             got = {s.lam: s.singleton_rule for s in enumerate_strata(datum, then)}
             assert got[((2, 1, 1, 0),)] == ("d-set" if then == mu else None)
-            assert len(strata._label_table(datum)) == 2
+            assert len(strata._label_table(datum)[0]) == 2
+
+
+# ---------------------------------------------------------------------------
+# the class index: one walk or join per class of mu with equal block sums
+
+
+def sweep_order(datums, blocks, f):
+    """Each distinct datum in turn, each with every mu of f blocks taken from
+    blocks, in decreasing lexicographic order, as the sweeps list them."""
+    mus = sorted(itertools.product(blocks, repeat=f), reverse=True)
+    return [(d, mu) for d in dict.fromkeys(datums) for mu in mus]
+
+
+def paths_per_class(monkeypatch, pairs):
+    """enumerate_strata on pairs, in their order: the records, and how often
+    each path ran per (path, datum, block sums of mu)."""
+    runs = Counter()
+    for name in ("_walk", "_join"):
+        real = getattr(strata, name)
+
+        def spy(datum, mu, *rest, name=name, real=real):
+            runs[name, datum, tuple(map(sum, mu))] += 1
+            return real(datum, mu, *rest)
+
+        monkeypatch.setattr(strata, name, spy)
+    got = [enumerate_strata(d, mu) for d, mu in pairs]
+    monkeypatch.undo()
+    return got, runs
+
+
+class TestClassIndex:
+    @pytest.mark.parametrize("f,p,bound", [(1, 2, 3), (1, 3, 3), (2, 2, 1)])
+    def test_one_path_per_class_in_the_sweep_order(self, monkeypatch, f, p, bound):
+        # decreasing lexicographic order meets each class first at its greedy
+        # vector, which dominates the whole class, so the walk or the join
+        # runs once per (datum, block sums) and every later mu of the class
+        # is filtered from that top's labels
+        pairs = sweep_order(gl3_twists(f, p), dominant_vecs(3, -bound, bound), f)
+        got, runs = paths_per_class(monkeypatch, pairs)
+        assert set(runs.values()) == {1}
+        assert {(d, sums) for _, d, sums in runs} == {(d, tuple(map(sum, mu))) for d, mu in pairs}
+        if f == 1:
+            assert {name for name, _, _ in runs} == {"_join"}
+        assert 2 * len(runs) < len(pairs)
+        last = pairs[-1][0]
+        greedy = {}
+        for d, mu in pairs:
+            if d == last:
+                greedy.setdefault(tuple(map(sum, mu)), mu)
+        assert {sums: top for sums, (top, _) in strata._label_table(last)[1].items()} == greedy
+        assert got == [strata_by_fresh_labels(d, mu) for d, mu in pairs]
+        assert sum(map(len, got)) > 300
+
+    @pytest.mark.parametrize("datum,mu", CAP_INPUTS)
+    def test_a_hit_refuses_as_a_fresh_call(self, monkeypatch, datum, mu):
+        # the class of mu holds a top that dominates it, but the cap is
+        # checked first, on mu's own path: the join's box and candidate
+        # count, or the walk's path bound; a refusal stores nothing
+        monkeypatch.delenv("KISIN_MAX_ENUM", raising=False)
+        top = tuple((b[0] + 1,) + b[1:-1] + (b[-1] - 1,) for b in mu)
+        enumerate_strata(datum, top)
+        want = enumerate_strata(datum, mu)
+        classes = strata._label_table(datum)[1]
+        assert [t for t, _ in classes.values()] == [top]  # mu was a hit
+        limit, message = cap_limit(datum, mu)
+        monkeypatch.setenv("KISIN_MAX_ENUM", str(limit - 1))
+        with pytest.raises(EnumerationCapError) as hit:
+            enumerate_strata(datum, mu)
+        assert [t for t, _ in classes.values()] == [top]
+        clear_tables()
+        with pytest.raises(EnumerationCapError) as fresh:
+            enumerate_strata(datum, mu)
+        assert str(hit.value) == str(fresh.value) == message
+        assert strata._label_table(datum) == ({}, {})
+        monkeypatch.delenv("KISIN_MAX_ENUM")
+        assert enumerate_strata(datum, mu) == want
