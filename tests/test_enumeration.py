@@ -1137,7 +1137,8 @@ def sweep_order(datums, blocks, f):
 
 def paths_per_class(monkeypatch, pairs):
     """enumerate_strata on pairs, in their order: the records, and how often
-    each path ran per (path, datum, block sums of mu)."""
+    each path ran per (path, datum, block sums of mu).  The patches of
+    monkeypatch are undone on return."""
     runs = Counter()
     for name in ("_walk", "_join"):
         real = getattr(strata, name)
