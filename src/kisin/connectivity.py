@@ -12,6 +12,9 @@ lam_nat(lam) and d, both lowered against mu: lam_nat(lam + d) = lam_nat(lam)
 - d + eps w(d) decides the end's label test from the start's lam_nat, and
 each step moves lam_nat by such an increment.  So the chains read their
 steps from a table per (w, eps, lowered mu), and a refusal is never stored.
+What depends on (datum, mu) alone, the checks of the shape, the 3-cycle and
+mu and the lowered mu and tau, is held in a context cached per (datum, mu),
+so a sweep that chains every pair of labels of one mu checks mu once.
 """
 
 from __future__ import annotations
@@ -28,7 +31,6 @@ from .strata import (
     _require_mu,
     _root_table,
     _shift_blocks,
-    _twist,
     enumerate_strata,
 )
 
@@ -233,13 +235,10 @@ def _gl3_normal_form(diff: tuple, table: tuple):
 
 def _is_gl3_label(lam) -> bool:
     """Whether lam is shaped like a GL_3, f = 1 label: ((a, b, c),) with ints."""
-    return (
-        isinstance(lam, tuple)
-        and len(lam) == 1
-        and isinstance(lam[0], tuple)
-        and len(lam[0]) == 3
-        and all(type(x) is int for x in lam[0])
-    )
+    if not (isinstance(lam, tuple) and len(lam) == 1 and isinstance(lam[0], tuple) and len(lam[0]) == 3):
+        return False
+    a, b, c = lam[0]
+    return type(a) is int and type(b) is int and type(c) is int
 
 
 @lru_cache(maxsize=_CACHED)
@@ -258,16 +257,16 @@ def _step_table(w: Perm, e: int, mu0: tuple) -> dict:
     return {}
 
 
-def _chain_steps(datum: FrobeniusDatum, bound: tuple, nat: tuple, cur: tuple, goal: tuple) -> tuple:
+def _chain_steps(ctx: tuple, nat: tuple, cur: tuple, goal: tuple) -> tuple:
     """The steps ((step,), ...) of the chain from the label block cur to
-    goal, with nat the lowered lam_nat of cur and bound the lowered mu, or a
-    refusal: PreconditionError when an endpoint is not a label, and
-    TheoremViolationError when the induction fails.  The steps depend on
-    (nat, goal - cur) only; cur itself appears in messages."""
-    w = datum.w[0]
-    e = datum.shape.eps[0]
+    goal, with ctx the chain context of (datum, mu) (``_chain_context``) and
+    nat the lowered lam_nat of cur, or a refusal: PreconditionError when an
+    endpoint is not a label, and TheoremViolationError when the induction
+    fails.  The steps depend on (nat, goal - cur) only; cur itself appears in
+    messages."""
+    bound, _, winv, e, w = ctx
     diff = tuple(map(sub, goal, cur))
-    end = twist_block(tuple(map(sub, nat, diff)), datum.plan.winv[0], e, diff, 1)  # nat - diff + e w(diff)
+    end = twist_block(tuple(map(sub, nat, diff)), winv, e, diff, 1)  # nat - diff + e w(diff)
     if not _dominated((nat, end), (bound, bound)):  # both label tests at once
         raise PreconditionError("both endpoints must be stratum labels")
     if sum(diff):
@@ -301,6 +300,32 @@ def _chain_steps(datum: FrobeniusDatum, bound: tuple, nat: tuple, cur: tuple, go
     return tuple(steps)
 
 
+@lru_cache(maxsize=_CACHED)
+def _chain_context(datum: FrobeniusDatum, mu: Cochar) -> tuple:
+    """The checks and values of ``chain_gl3`` fixed by (datum, mu): GL_3 with
+    f = 1, a 3-cycle Weyl part, then mu (``strata._require_mu``), refused in
+    that order; then (bound, tau0, winv, e, w) with bound the block of mu less
+    its least entry, tau0 the block of tau less the same, w the Weyl part,
+    winv its inverse and e = eps.  A refusal is raised afresh on
+    every call, never stored.  Plain values only: the step table is looked up
+    on each call, so a table dropped from its own cache is never read."""
+    shape = datum.shape
+    if shape.n != 3 or shape.blocks != 1:
+        raise PreconditionError("chain construction requires GL_3 with f = 1")
+    w = datum.w[0]
+    if any(w[i] == i for i in range(3)):  # a permutation of 3 points is a 3-cycle iff it fixes none
+        raise PreconditionError("chain construction requires a 3-cycle Weyl part")
+    _require_mu(datum, mu)
+    low = mu[0][-1]
+    return (
+        tuple([x - low for x in mu[0]]),  # a tuple, also for a mu given as lists
+        tuple([x - low for x in datum.tau[0]]),
+        datum.plan.winv[0],
+        shape.eps[0],
+        w,
+    )
+
+
 def chain_gl3(datum: FrobeniusDatum, mu: Cochar, lam: Cochar, lam_prime: Cochar):
     """A coroot chain lam = lam_0, ..., lam_r = lam' inside S for GL_3, f = 1.
 
@@ -316,43 +341,44 @@ def chain_gl3(datum: FrobeniusDatum, mu: Cochar, lam: Cochar, lam_prime: Cochar)
 
     Membership in S = {lam : dominant(lam_nat) <= mu} is decided by that
     defining inequality, so no strata are enumerated and no
-    EnumerationCapError can arise.  Every call checks mu, the 3-cycle and
-    both endpoints' shapes, and twists the start only.  The steps are read
-    from the table of (w, eps, mu lowered by its least entry)
-    (``_step_table``) under the start's lowered lam_nat and lam' - lam; a key
-    not seen yet is decided by ``_chain_steps``.  Since lam_nat(lam + d) =
-    lam_nat(lam) - d + eps w(d) when f = 1, the end's lam_nat is the start's
-    plus that increment, and both are tested as labels there.  Each step
-    moves lam_nat by the exact increment of the coroot table
-    (``_chain_table``, built once per (w, eps)), and the stepped lam_nat is
-    tested with ``core._block_dominated`` against mu.  An endpoint that is not
-    a label, or not shaped like one, raises PreconditionError, afresh on
-    every call: a refusal is never stored.
+    EnumerationCapError can arise.  The shape, the 3-cycle and mu are
+    checked once per (datum, mu), in the chain context (``_chain_context``),
+    which also lowers mu and tau; a mu that cannot be a cache key, such as
+    one given as lists, is checked on every call.  Every call checks both
+    endpoints' shapes and computes the start's lowered lam_nat from its three
+    entries.  The steps are read from the table of (w, eps, mu lowered by its
+    least entry) (``_step_table``) under the start's lowered lam_nat and
+    lam' - lam; a key not seen yet is decided by ``_chain_steps``.  Since
+    lam_nat(lam + d) = lam_nat(lam) - d + eps w(d) when f = 1, the end's
+    lam_nat is the start's plus that increment, and both are tested as labels
+    there.  Each step moves lam_nat by the exact increment of the coroot
+    table (``_chain_table``, built once per (w, eps)), and the stepped
+    lam_nat is tested with ``core._block_dominated`` against mu.  An endpoint
+    that is not a label, or not shaped like one, raises PreconditionError,
+    afresh on every call: a refusal is never stored.
 
     Returns (chain, steps) with steps the coroots lam_{i+1} - lam_i.
     """
-    shape = datum.shape
-    if shape.n != 3 or shape.blocks != 1:
-        raise PreconditionError("chain construction requires GL_3 with f = 1")
-    w = datum.w[0]
-    if any(w[i] == i for i in range(3)):  # a permutation of 3 points is a 3-cycle iff it fixes none
-        raise PreconditionError("chain construction requires a 3-cycle Weyl part")
-    _require_mu(datum, mu)
+    try:
+        ctx = _chain_context(datum, mu)
+    except TypeError:  # mu is no cache key (or its checks raised TypeError, which they raise again here)
+        ctx = _chain_context.__wrapped__(datum, mu)
     if not (_is_gl3_label(lam) and _is_gl3_label(lam_prime)):
         raise PreconditionError("both endpoints must be stratum labels")
-
-    low = mu[0][-1]
-    bound = tuple([x - low for x in mu[0]])  # a tuple, also for a mu given as lists
+    bound, tau0, winv, e, w = ctx
     start, goal = lam[0], lam_prime[0]
-    nat = tuple([x - low for x in _twist(datum, lam)[1][0]])
-    table = _step_table(w, shape.eps[0], bound)
-    key = (nat, tuple(map(sub, goal, start)))
+    a, b, c = start
+    # lam_nat = tau + e w(lam) - lam, place i taking e lam[winv[i]], lowered
+    nat = (tau0[0] + e * start[winv[0]] - a, tau0[1] + e * start[winv[1]] - b, tau0[2] + e * start[winv[2]] - c)
+    table = _step_table(w, e, bound)
+    key = (nat, (goal[0] - a, goal[1] - b, goal[2] - c))
     steps = table.get(key)
     if steps is None:
-        steps = table[key] = _chain_steps(datum, bound, nat, start, goal)
+        steps = table[key] = _chain_steps(ctx, nat, start, goal)
     chain = [lam]
-    cur = start
-    for (step,) in steps:
-        cur = tuple(map(add, cur, step))
-        chain.append((cur,))
+    for ((x, y, z),) in steps:
+        a += x
+        b += y
+        c += z
+        chain.append(((a, b, c),))
     return tuple(chain), steps

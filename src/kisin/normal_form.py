@@ -69,6 +69,13 @@ class FrobeniusDatum:
         return _solve_plan(self.shape, self.w)
 
     @cached_property
+    def tau_weight(self) -> int:
+        """sum_k E_k sum(tau_k), E_k the solve plan's prefix scales: the part
+        of the block-sum identity that mu does not enter
+        (``strata.block_sums``), formed once per datum."""
+        return sum(map(mul, self.plan.prefix_eps, map(sum, self.tau)))
+
+    @cached_property
     def _hash(self) -> int:
         return hash((self.shape, self.wt, self.e_num, self.e_den, self.alcove_ok))
 

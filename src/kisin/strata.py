@@ -11,6 +11,16 @@ candidate product, exceeds the cap (``_join_cap``): each block's box before
 any candidate set is built, then the running product of the sets' sizes over
 the distinct blocks, each raised to its number of copies.
 
+A pair whose block sums have no integer solution (``block_sums``) has no
+label, since every label meets that identity.  Within the cap neither path
+can refuse: the walk refuses only when its bound exceeds the cap, and is
+taken only when the box exceeds WALK_PATH_COST times that bound, and the
+join refuses only when the box exceeds the cap.  So such a label-free pair
+with box <= cap returns () as soon as its box is formed, by one congruence
+on mu's block sums (``_label_free``): no path runs, and no walk radius,
+label table or class index is read.  Past the cap it is dispatched and
+checked as any other pair, and the join returns at its block-sum test.
+
 The residue join inverts the affine map.  The candidate values nu of lam_nat
 are finite: blockwise vectors whose dominant sort is dominated by mu's block.
 Each nu has exactly one rational preimage, because 1 - w*sigma is
@@ -94,10 +104,12 @@ dominant(lam_nat) <= mu.  Dominance needs equal block sums, so the index is
 keyed by the tuple of mu's block sums, and holds one top per class: the last
 mu of the class that was walked or joined, with its labels.  A mu dominated
 by its class's top takes the top's labels whose lam_nat it dominates, and no
-path runs; any other mu is walked or joined and becomes the top.  The sweeps
-list mu in decreasing lexicographic order, which dominance refines, so each
-class is met first at its greedy vector, the one that dominates the whole
-class, and is walked or joined once per datum.  The order changes how often
+path runs; any other mu is walked or joined and becomes the top.  A
+label-free mu within the cap returns before the index is read (above), so
+its class gets no top.  The sweeps list mu in decreasing lexicographic
+order, which dominance refines, so each class is met first at its greedy
+vector, the one that dominates the whole class, and is walked or joined
+once per datum.  The order changes how often
 a path runs, never the strata.  The tables are bounded by _LABEL_TABLES, a
 few datums: a table holds every label its datum has met, and the sweeps take
 the datums one at a time.
@@ -115,6 +127,7 @@ from __future__ import annotations
 
 import itertools
 import os
+import sys
 from collections import Counter, defaultdict
 from dataclasses import dataclass
 from functools import lru_cache
@@ -274,10 +287,14 @@ def _distinct_permutations(block: tuple):
 
 
 # Entries kept by each cache of this module but the label tables
-# (``_LABEL_TABLES``): the GL_3 sweep fills 112 candidate tables, and the
-# strata memo ``_strata`` needs only the last few (datum, mu, cap) keys, since
-# a caller asks for the strata and then for the graph of the same pair;
-# eviction only recomputes.
+# (``_LABEL_TABLES``), and by each cache of ``connectivity``: the GL_3 sweep
+# fills 112 candidate tables; the strata memo ``_strata`` needs only the last
+# few (datum, mu, cap) keys, since a caller asks for the strata and then for
+# the graph of the same pair, and it also keeps the () of a label-free pair
+# within the cap, which runs no path; the chain contexts
+# (``connectivity._chain_context``), which check mu once per (datum, mu), need
+# one key at a time, since a sweep chains every pair of labels of one mu
+# before the next; eviction only recomputes.
 _CACHED = 256
 
 
@@ -448,8 +465,9 @@ def _join(datum: FrobeniusDatum, mu: Cochar, table: Optional[dict] = None) -> li
     candidates nu run over every vector with dominant(nu) <= mu, nu -> lam is
     injective, and the join drops exactly the nu whose preimage is not
     integral.  When the block sums have no integer solution
-    (``block_sums``) no candidate can be integral, and the join returns at
-    once.  The cap is not checked here: ``_strata`` checks it first
+    (``_label_free``) no candidate can be integral, and the join returns at
+    once; ``_strata`` returns before the join for such a pair within the
+    cap.  The cap is not checked here: ``_strata`` checks it first
     (``_join_cap``).
 
     Each survivor nu is looked up in table, the datum's label table
@@ -460,7 +478,7 @@ def _join(datum: FrobeniusDatum, mu: Cochar, table: Optional[dict] = None) -> li
     """
     lows = [b[-1] for b in mu]
     shift = any(lows)  # False when every least entry is 0, where nu0 is nu
-    if block_sums(datum, mu) is None:
+    if _label_free(datum, mu):
         return []
     mu0 = _shift_blocks(mu, [-c for c in lows]) if shift else mu
     if table is None:
@@ -633,18 +651,19 @@ def _walk(datum: FrobeniusDatum, mu: Cochar, radius: int, table: Optional[dict] 
 def enumerate_strata(datum: FrobeniusDatum, mu: Cochar) -> tuple:
     """All strata S = {lam : dominant(lam_nat) <= mu}, sorted by lam.
 
-    The arguments are validated, mu is taken as a tuple of tuples, and the
-    cap is read; the records are then computed once per (datum, mu, cap) by
-    ``_strata`` and shared by every later call with equal arguments, such as
-    the one inside ``build_graph``.  Each label is solved and checked the
-    first time its datum meets it, under any mu, and is read from the
-    datum's label table (``_label_table``) after that, so a new mu adds
-    only the rules that read it; a mu dominated by the last walked or joined
-    mu of its class takes that mu's labels, filtered, and runs neither path.
-    A refusal (EnumerationCapError,
-    TheoremViolationError) is raised afresh on every call, never cached, and
-    a call under a lower cap is a different key, so it refuses as a fresh
-    call does.
+    The arguments are validated and the cap is read on every call; mu is
+    taken as a tuple of tuples, and the records are then computed once per
+    (datum, mu, cap) by ``_strata`` and shared by every later call with
+    equal arguments, such as the one inside ``build_graph``.  A label-free
+    mu (no integer block sums) within the cap returns () there and runs no
+    path.  Each label is solved and checked the first time its datum meets
+    it, under any mu, and is read from the datum's label table
+    (``_label_table``) after that, so a new mu adds only the rules that
+    read it; a mu dominated by the last walked or joined mu of its class
+    takes that mu's labels, filtered, and runs neither path.  A refusal
+    (EnumerationCapError, TheoremViolationError) is raised afresh on every
+    call, never cached, and a call under a lower cap is a different key, so
+    it refuses as a fresh call does.
     """
     _require_mu(datum, mu)
     return _strata(datum, _cochar(mu), _enum_cap())
@@ -652,9 +671,13 @@ def enumerate_strata(datum: FrobeniusDatum, mu: Cochar) -> tuple:
 
 @lru_cache(maxsize=_CACHED)
 def _strata(datum: FrobeniusDatum, mu: Cochar, cap: int) -> tuple:
-    """The strata of checked arguments under the cap.  The labels come from
-    the cycle walk when every eps is at least 2 and its path bound, weighted
-    by WALK_PATH_COST, is below the box; otherwise from the residue join.
+    """The strata of checked arguments under the cap, computed once per
+    (datum, mu, cap).  A label-free mu (``_label_free``) whose box is within
+    the cap returns () first, before the dispatch: no path can refuse there
+    and none could find a label, so no path runs and no table is read.
+    Otherwise the labels come from the cycle walk when every eps is at least
+    2 and its path bound, weighted by WALK_PATH_COST, is below the box, and
+    from the residue join when not.
     The cap is checked first, on the path the dispatch picks: the walk's path
     bound, or the join's box and candidate product (``_join_cap``) when the
     box exceeds it.
@@ -668,6 +691,8 @@ def _strata(datum: FrobeniusDatum, mu: Cochar, cap: int) -> tuple:
     replaces the class's top; a refusal stores nothing.  Each record is
     built from its label's entry and mu."""
     box = _candidate_box(mu)
+    if box <= cap and _label_free(datum, mu):
+        return ()  # within the cap no path refuses, and no label exists
     # the path bound is at least 2R + 1, so the first two tests only skip work
     radius = _walk_radius(datum, mu) if box > WALK_PATH_COST else None
     bound = _walk_bound(datum, mu, radius) if radius is not None and box > WALK_PATH_COST * (2 * radius + 1) else box
@@ -719,6 +744,21 @@ def _label_table(datum: FrobeniusDatum) -> tuple:
     class's top, (mu', sorted (lam, dag, nat) labels of mu').  Every label of
     a top has its entry.  Eviction only solves again."""
     return {}, {}
+
+
+def clear_caches() -> None:
+    """Empties every ``lru_cache`` of the library: those held by the
+    module globals of each imported module of this package (the strata memo,
+    the label tables, the candidate, move and step tables, the chain
+    contexts, the solve plans and the rest).  Caches only save work, so no
+    result changes; a caller that patches a layer calls this first, so that
+    no entry filled before the patch skips it."""
+    prefix = __package__ + "."
+    for name, module in list(sys.modules.items()):
+        if name.startswith(prefix):
+            for obj in list(vars(module).values()):
+                if hasattr(obj, "cache_clear"):
+                    obj.cache_clear()
 
 
 # ---------------------------------------------------------------------------
@@ -833,6 +873,15 @@ def omega_reduction(mu: Cochar):
 def sum_profile(lam: Cochar) -> tuple:
     """Per-block coordinate sums; constant across all strata of one variety."""
     return tuple(sum(b) for b in lam)
+
+
+def _label_free(datum: FrobeniusDatum, mu: Cochar) -> bool:
+    """Whether (datum, mu) has no label, that is whether s_0 of
+    ``block_sums`` is not an integer: q - 1 does not divide
+    sum_k E_k (sum(tau_k) - sum(mu_k)), whose tau part the datum holds
+    (``FrobeniusDatum.tau_weight``); unchecked."""
+    plan = datum.plan
+    return (datum.tau_weight - sum(map(mul, plan.prefix_eps, map(sum, mu)))) % (plan.q - 1) != 0
 
 
 def block_sums(datum: FrobeniusDatum, mu: Cochar) -> Optional[tuple]:

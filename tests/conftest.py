@@ -9,7 +9,7 @@ import math
 
 import pytest
 
-from kisin.connectivity import _GL3_COROOTS, StrataGraph, _UnionFind, _edge_ok, _is_gl3_label, _move_table, _step_table
+from kisin.connectivity import _GL3_COROOTS, StrataGraph, _UnionFind, _edge_ok, _is_gl3_label
 from kisin.core import (
     ExtAffine,
     GroupShape,
@@ -39,27 +39,24 @@ from kisin.oracle import GF
 from kisin.strata import (
     Stratum,
     _is_label,
-    _label_table,
     _require_mu,
-    _strata,
     _twist,
     candidate_blocks,
+    clear_caches,
     enumerate_strata,
     natural_lambda,
 )
 
 
 @pytest.fixture(autouse=True)
-def fresh_strata_memo():
-    """Each test starts with an empty strata memo, no label tables, no graph
-    move tables and no chain step tables, so that a spy or a fault it patches
-    into the enumeration, the edge test or the chain's induction is reached,
-    not skipped by an entry that an earlier test left, and no test depends on
-    the order of the others."""
-    _strata.cache_clear()
-    _label_table.cache_clear()
-    _move_table.cache_clear()
-    _step_table.cache_clear()
+def fresh_caches():
+    """Each test starts with every cache of the library empty
+    (``strata.clear_caches``): no strata memo, label table, move or step
+    table, chain context or candidate table, so that a spy or a fault it
+    patches into the enumeration, the edge test or the chain's induction is
+    reached, not skipped by an entry that an earlier test left, and no test
+    depends on the order of the others."""
+    clear_caches()
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,9 @@ TESTS = ROOT / "tests"
 
 # Public names whose only callers are tests, each with the reason it stays;
 # methods are keyed as Class.method.
-TEST_ONLY = {}
+TEST_ONLY = {
+    "clear_caches": "the autouse fixture of tests/conftest.py empties every cache of the library with it",
+}
 
 FUNCS = (ast.FunctionDef, ast.AsyncFunctionDef)
 DEFS = FUNCS + (ast.ClassDef,)
@@ -119,13 +121,14 @@ def test_every_cache_is_bounded():
     cached = list(_cached_defs())
     assert len(cached) >= 10
     # the graph's move rows and move table, the chains' coroot and step
-    # tables, the join's plan and candidate tables and the label tables are
+    # tables and contexts, the join's plan and candidate tables and the label tables are
     # among them
     assert {
         ("connectivity", "_graph_moves"),
         ("connectivity", "_move_table"),
         ("connectivity", "_chain_table"),
         ("connectivity", "_step_table"),
+        ("connectivity", "_chain_context"),
         ("strata", "_join_plan"),
         ("strata", "_candidate_table"),
         ("strata", "_label_table"),

@@ -2,6 +2,7 @@ import itertools
 import json
 import random
 import re
+from collections import Counter
 
 import pytest
 
@@ -24,7 +25,8 @@ from kisin.connectivity import (
 )
 from kisin.multicopy import make_multi
 from kisin.normal_form import caruso_datum, is_caruso_simple, make_datum
-from kisin.strata import _is_label, candidate_blocks, central_twist, enumerate_strata, stratum_nonempty
+from kisin.connectivity import _is_gl3_label
+from kisin.strata import _is_label, _require_mu, candidate_blocks, central_twist, enumerate_strata, stratum_nonempty
 
 
 def datum_a(p=3):
@@ -544,6 +546,108 @@ class TestChains:
         r = pi0_report(g)
         assert r.exactness == "exact"
         assert (r.upper_bound == len(g.vertices)) == (len(g.edges) == 0)
+
+
+def chain_refusal_per_call(datum, mu, lam, lam_prime):
+    """The refusal, as (type, message), of the checks chain_gl3 ran on every
+    call before it kept a context per (datum, mu): GL_3 with f = 1, the
+    3-cycle, mu (alcove, dominance, shape), both endpoints' shapes, then both
+    endpoints as labels; None when all pass."""
+    try:
+        shape = datum.shape
+        if shape.n != 3 or shape.blocks != 1:
+            raise PreconditionError("chain construction requires GL_3 with f = 1")
+        if any(datum.w[0][i] == i for i in range(3)):
+            raise PreconditionError("chain construction requires a 3-cycle Weyl part")
+        _require_mu(datum, mu)
+        if not (_is_gl3_label(lam) and _is_gl3_label(lam_prime)):
+            raise PreconditionError("both endpoints must be stratum labels")
+        mu = tuple(map(tuple, mu))
+        if not (_is_label(datum, mu, lam) and _is_label(datum, mu, lam_prime)):
+            raise PreconditionError("both endpoints must be stratum labels")
+    except Exception as exc:
+        return type(exc), str(exc)
+    return None
+
+
+def refusal(call):
+    try:
+        call()
+    except Exception as exc:
+        return type(exc), str(exc)
+    return None
+
+
+class TestChainContext:
+    """chain_gl3 checks the shape, the 3-cycle and mu once per (datum, mu),
+    in a cached context; every refusal must still be the one the per-call
+    checks gave, in their order, on a first call and on a repeat."""
+
+    GOOD_MU = ((2, 1, -2),)
+    MUS = [
+        GOOD_MU,
+        [[2, 1, -2]],
+        ([2, 1, -2],),
+        ((1, 0, 0), (1, 0, 0)),  # two blocks
+        ((2, 1),),  # a block of length 2
+        ((-2, 1, 2),),  # not dominant
+        [[-2, 1, 2]],
+        ((2, 1, "x"),),  # dominance compares an int with a str: TypeError
+        [[2, 1, "x"]],
+        (3, 0, 0),  # blocks that are ints: TypeError
+        None,
+    ]
+    ENDS = [((1, 0, -1),), ((0, 0, 0),), ((9, 0, -9),), ((0, 0),), [[1, 0, -1]], ((1.0, 0, -1),), None]
+
+    @staticmethod
+    def datums():
+        gl3 = GroupShape.res_field(3, 1, 2)
+        return [
+            caruso_datum(3, 1, 2, 1),
+            caruso_datum(2, 1, 3, 1),  # GL_2
+            caruso_datum(3, 2, 2, next(m for m in range(1, 64) if is_caruso_simple(3, 4, m))),  # f = 2
+            make_datum(gl3, ExtAffine(((0, 0, 0),), ((0, 2, 1),))),  # w fixes a point
+            make_datum(gl3, ExtAffine(((0, 0, 0),), ((1, 2, 0),))),  # a 3-cycle off the alcove
+        ]
+
+    def test_refusals_match_the_per_call_checks(self):
+        seen = Counter()
+        for datum in self.datums():
+            for mu in self.MUS:
+                for lam, lam_prime in itertools.product(self.ENDS, repeat=2):
+                    want = chain_refusal_per_call(datum, mu, lam, lam_prime)
+                    for _ in range(2):  # a first call, then a repeat past the context
+                        got = refusal(lambda: chain_gl3(datum, mu, lam, lam_prime))
+                        assert got == want, (datum.shape, datum.w, mu, lam, lam_prime)
+                    seen[want[1] if want else "chain"] += 1
+        assert seen["chain"] == 3 * 2 * 2  # three spellings of mu, two labels at each end
+        assert len(seen) >= 8, seen
+        assert connectivity._chain_context.cache_info().currsize == 1  # only the good mu as tuples is stored
+
+    def test_mu_spellings_read_one_step_table(self, monkeypatch):
+        d = caruso_datum(3, 1, 2, 1)
+        a, b = ((0, 0, 0),), ((1, 0, -1),)
+        keys = []
+        real = connectivity._step_table
+        monkeypatch.setattr(connectivity, "_step_table", lambda *args: keys.append(args) or real(*args))
+        want = chain_gl3(d, self.GOOD_MU, a, b)
+        for mu in self.MUS[1:3]:
+            assert chain_gl3(d, mu, a, b) == want
+        assert len(set(keys)) == 1 and len(keys) == 3
+        assert real.cache_info().currsize == 1 and len(step_table(d, self.GOOD_MU)) == 1
+
+    def test_cleared_step_table_is_not_kept_by_the_context(self):
+        # the context holds plain values, so a step table dropped from its
+        # own cache between two calls on one (datum, mu) is looked up again,
+        # and the new entry lands in the live table
+        d, mu = caruso_datum(3, 1, 2, 1), self.GOOD_MU
+        a, b = ((0, 0, 0),), ((1, 0, -1),)
+        chain_gl3(d, mu, a, b)
+        connectivity._step_table.cache_clear()
+        _, steps = chain_gl3(d, mu, b, a)
+        assert list(step_table(d, mu).values()) == [steps]
+        info = connectivity._chain_context.cache_info()
+        assert info.currsize == 1 and info.hits == 1
 
 
 class TestChainOracle:

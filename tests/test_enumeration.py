@@ -74,11 +74,21 @@ def dispatched_path(datum, mu):
     return taken
 
 
+def label_free_within_the_cap(datum, mu):
+    """Whether (datum, mu) has no label (``block_sums`` is None) and its box
+    is within the cap, where enumerate_strata returns () before any path."""
+    return strata.block_sums(datum, mu) is None and strata._candidate_box(mu) <= strata._enum_cap()
+
+
 def assert_dispatch_follows_the_box(datum, mu):
     """enumerate_strata takes the path of the rule on the box, which walks
-    wherever the rule on the exact product walks, since box >= product."""
+    wherever the rule on the exact product walks, since box >= product; a
+    label-free pair within the cap takes no path."""
     walk = walk_by_box(datum, mu)
-    assert dispatched_path(datum, mu) == (["_walk"] if walk else ["_join"]), mu
+    if label_free_within_the_cap(datum, mu):
+        assert dispatched_path(datum, mu) == [], mu
+    else:
+        assert dispatched_path(datum, mu) == (["_walk"] if walk else ["_join"]), mu
     assert walk or not walk_by_exact_count(datum, mu), mu
 
 
@@ -329,16 +339,22 @@ class TestDispatch:
         [
             (((-1, 2, -1), (-2, -2, 1)), ((2, 1, 0), (0, 1, 2)), ((1, 0, -1), (1, -1, -2))),
             (((1, 1, 2, -1), (-2, -1, -2, 1)), ((3, 2, 0, 1), (2, 0, 1, 3)), ((1, 0, 0, -1), (0, -1, -1, -1))),
+            (((1, -1, 1), (-1, 0, 0)), ((0, 1, 2), (0, 2, 1)), ((2, 1, 0), (2, 0, -1))),
         ],
     )
     def test_tie_keeps_the_join(self, tau, w, mu):
-        # the box equals WALK_PATH_COST times the path bound, past both prefilters
+        # the box equals WALK_PATH_COST times the path bound, past both
+        # prefilters; the first pair is label-free, so within the cap it
+        # takes no path at all, and the others have labels and keep the join
         datum = contracting_datum(tau, w, (3, 3))
         radius = strata._walk_radius(datum, mu)
         box = strata._candidate_box(mu)
         assert box > strata.WALK_PATH_COST * (2 * radius + 1)
         assert box == strata.WALK_PATH_COST * strata._walk_bound(datum, mu, radius)
-        assert dispatched_path(datum, mu) == ["_join"]
+        free = strata.block_sums(datum, mu) is None
+        assert free == (tau == (((-1, 2, -1), (-2, -2, 1))))
+        assert dispatched_path(datum, mu) == ([] if free else ["_join"])
+        assert enumerate_strata(datum, mu) == product_strata(datum, mu)
 
     @pytest.mark.parametrize(
         "datum,mu",
@@ -349,14 +365,36 @@ class TestDispatch:
         ],
     )
     def test_label_free_pair_reads_no_table(self, monkeypatch, datum, mu):
-        # the block sums have no integer solution, so the join returns before
-        # it reads a candidate table or solves a candidate; the first pair is
-        # a tie that keeps the join
+        # the block sums have no integer solution and the box is within the
+        # cap, so enumeration returns before it picks a path, reads a
+        # candidate table or solves a candidate; the first pair is a tie that
+        # would keep the join
         assert strata.block_sums(datum, mu) is None
         forbid(monkeypatch, "_candidate_table")
         forbid(monkeypatch, "_solve_label")
-        assert dispatched_path(datum, mu) == ["_join"]
+        assert dispatched_path(datum, mu) == []
         assert enumerate_strata(datum, mu) == ()
+        # the join, called directly, still returns at its block-sum test
+        assert strata._join(datum, mu) == []
+
+    def test_label_free_sweep_pairs_take_no_path(self, monkeypatch):
+        # every label-free pair of the GL_3 sweep's grid (p in {2, 3}, every
+        # simple twist, every dominant mu of sup-norm <= 4) returns () before
+        # the dispatch: no radius, no walk or join, no label table or class
+        datums = [caruso_datum(3, 1, p, m) for p in (2, 3) for m in range(-(p**3 - 1), p**3) if is_caruso_simple(3, p, m)]
+        pairs = [(d, (v,)) for d in datums for v in dominant_vecs(3, -4, 4)]
+        free = [(d, mu) for d, mu in pairs if strata.block_sums(d, mu) is None]
+        nonempty = {(d, mu) for d, mu, _ in gl3_sweep_instances()}
+        assert len(free) > 1000 and nonempty.isdisjoint(free)
+        assert len(nonempty) + len(free) <= len(pairs)
+        strata.clear_caches()
+        for name in ("_join", "_walk", "_walk_radius", "_join_cap"):
+            forbid(monkeypatch, name)
+        for d, mu in free:
+            assert enumerate_strata(d, mu) == ()
+        assert strata._label_table.cache_info().currsize == 0
+        monkeypatch.undo()
+        assert all(strata._label_table(d)[1] == {} for d in datums[-strata._LABEL_TABLES :])
 
     def test_verify_counterexamples_at_p101(self, capsys):
         # golden (b) has 28,135,068 candidates here, past the default cap,
@@ -487,6 +525,19 @@ class TestEnumerationCap:
             enumerate_strata(*huge)
         assert str(info.value) == "40000400001 candidates in the box of block 1 exceed cap 10000000 (KISIN_MAX_ENUM)"
         assert enumerate_strata(datum, mu) == ()
+
+    def test_label_free_pair_past_the_cap_exits_3(self, monkeypatch, capsys):
+        # the CLI's refusal of the label-free pair past the default cap keeps
+        # its exit code and message: the label-free return is taken only
+        # within the cap
+        monkeypatch.delenv("KISIN_MAX_ENUM", raising=False)
+        assert strata.block_sums(caruso_datum(3, 1, 3, 1), ((100000, 0, -100000),)) is None
+        argv = ["graph", "--p", "3", "--n", "3", "--f", "1", "--m", "1", "--mu", "[[100000,0,-100000]]"]
+        for _ in range(2):
+            assert main(argv) == 3
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert "40000400001 candidates in the box of block 1 exceed cap 10000000 (KISIN_MAX_ENUM)" in captured.err
 
     def test_counts_print_past_every_digit_limit(self):
         # the digits of a cap message, at the least limit the interpreter
@@ -1159,18 +1210,23 @@ class TestClassIndex:
         # decreasing lexicographic order meets each class first at its greedy
         # vector, which dominates the whole class, so the walk or the join
         # runs once per (datum, block sums) and every later mu of the class
-        # is filtered from that top's labels
+        # is filtered from that top's labels; a label-free class (within the
+        # cap, as every pair here is) runs no path and gets no top
         pairs = sweep_order(gl3_twists(f, p), dominant_vecs(3, -bound, bound), f)
+        free = [label_free_within_the_cap(d, mu) for d, mu in pairs]
+        assert any(free) == (p == 3 or f == 2)  # q - 1 = 1 divides every block-sum identity at q = 2
         got, runs = paths_per_class(monkeypatch, pairs)
         assert set(runs.values()) == {1}
-        assert {(d, sums) for _, d, sums in runs} == {(d, tuple(map(sum, mu))) for d, mu in pairs}
+        assert {(d, sums) for _, d, sums in runs} == {
+            (d, tuple(map(sum, mu))) for (d, mu), x in zip(pairs, free) if not x
+        }
         if f == 1:
             assert {name for name, _, _ in runs} == {"_join"}
         assert 2 * len(runs) < len(pairs)
         last = pairs[-1][0]
         greedy = {}
-        for d, mu in pairs:
-            if d == last:
+        for (d, mu), x in zip(pairs, free):
+            if d == last and not x:
                 greedy.setdefault(tuple(map(sum, mu)), mu)
         assert {sums: top for sums, (top, _) in strata._label_table(last)[1].items()} == greedy
         assert got == [strata_by_fresh_labels(d, mu) for d, mu in pairs]
@@ -1186,12 +1242,15 @@ class TestClassIndex:
         enumerate_strata(datum, top)
         want = enumerate_strata(datum, mu)
         classes = strata._label_table(datum)[1]
-        assert [t for t, _ in classes.values()] == [top]  # mu was a hit
+        # mu was a hit; a label-free class within the cap installs no top
+        tops = [] if label_free_within_the_cap(datum, top) else [top]
+        assert tops == ([] if strata.block_sums(datum, mu) is None else [top])
+        assert [t for t, _ in classes.values()] == tops
         limit, message = cap_limit(datum, mu)
         monkeypatch.setenv("KISIN_MAX_ENUM", str(limit - 1))
         with pytest.raises(EnumerationCapError) as hit:
             enumerate_strata(datum, mu)
-        assert [t for t, _ in classes.values()] == [top]
+        assert [t for t, _ in classes.values()] == tops
         clear_tables()
         with pytest.raises(EnumerationCapError) as fresh:
             enumerate_strata(datum, mu)

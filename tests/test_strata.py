@@ -1,6 +1,7 @@
 import dataclasses
 import itertools
 import random
+import sys
 from types import SimpleNamespace
 
 import pytest
@@ -18,8 +19,11 @@ from kisin.core import ExtAffine, GroupShape
 from kisin.errors import ConfigError, EnumerationCapError, PreconditionError
 from kisin.multicopy import decompose_mu, make_multi
 from kisin.normal_form import caruso_datum, is_caruso_simple, make_datum
+from kisin.connectivity import build_graph, chain_gl3
 from kisin.strata import (
+    _label_free,
     block_sums,
+    clear_caches,
     central_twist,
     dominant_blocks_leq,
     enumerate_strata,
@@ -375,6 +379,7 @@ class TestBlockSums:
                 seen["eps 1"] += 1 in eps
             want = block_sums_by_fractions(datum, mu)
             got = block_sums(datum, mu)
+            assert _label_free(datum, mu) == (got is None), (datum, mu)
             if all(x.denominator == 1 for x in want):
                 assert got == want, (datum, mu)
                 seen["integral"] += 1
@@ -404,3 +409,45 @@ class TestBlockSums:
                         assert all(sum_profile(s.lam) == sums for s in S), (m, v)
                         nonempty += bool(S)
         assert none > 1000 and nonempty > 1000
+
+
+def library_caches():
+    """(module name, global name, cache) of every object with cache_clear
+    among the module globals of the imported modules of kisin."""
+    return [
+        (name, key, obj)
+        for name, module in sorted(sys.modules.items())
+        if name.startswith("kisin.")
+        for key, obj in sorted(vars(module).items())
+        if hasattr(obj, "cache_clear")
+    ]
+
+
+class TestClearCaches:
+    def test_every_cache_of_the_library_is_emptied(self, capsys):
+        import kisin.cli  # imports every layer
+
+        datum, mu = caruso_datum(3, 1, 2, 1), ((2, 1, -2),)
+        labels = [s.lam for s in enumerate_strata(datum, mu)]
+        chain_gl3(datum, mu, labels[0], labels[-1])
+        build_graph(datum, mu)
+        argv = ["oracle-count", "--p", "2", "--n", "2", "--f", "1", "--m", "1", "--mu", "[[1,0]]", "--box", "1"]
+        assert kisin.cli.main(argv) == 0
+        assert kisin.cli.main(["graph", "--p", "3", "--n", "2", "--mu", "[[1,0]]", "--m=1"]) == 0
+        capsys.readouterr()
+        caches = library_caches()
+        filled = {f"{name}.{key}" for name, key, obj in caches if obj.cache_info().currsize}
+        assert {
+            "kisin.strata._strata",
+            "kisin.strata._label_table",
+            "kisin.strata._candidate_table",
+            "kisin.connectivity._chain_context",
+            "kisin.connectivity._step_table",
+            "kisin.connectivity._move_table",
+            "kisin.normal_form._solve_plan",
+            "kisin.oracle._minor_plan",
+            "kisin.cli._parser",
+        } <= filled
+        clear_caches()
+        assert [f"{name}.{key}" for name, key, obj in caches if obj.cache_info().currsize] == []
+        assert [f"{name}.{key}" for name, key, obj in library_caches() if obj.cache_info().currsize] == []
