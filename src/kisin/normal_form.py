@@ -80,8 +80,9 @@ class FrobeniusDatum:
         return hash((self.shape, self.wt, self.e_num, self.e_den, self.alcove_ok))
 
     def __hash__(self) -> int:
-        # the hash by value of the generated one, computed once: the strata
-        # memo and the caches keyed on a datum look it up on every call
+        # the hash by value of the generated one, computed once: the datum's
+        # enumeration state and the other caches keyed on a datum look it up
+        # on every call
         return self._hash
 
     @property

@@ -4,8 +4,8 @@ singleton certificates.
 A stratum label lam is nonempty exactly when the twisted difference
 lam_nat = -lam + tau + w(sigma(lam)) is dominated by mu.  Enumeration finds
 the labels in one of two ways, and the KISIN_MAX_ENUM cap is checked against
-the work of the path the dispatch picks, before either runs and before any
-label is read from a table (``_strata``).  The walk checks its path bound.
+the work of the path the dispatch picks, before either runs and before the
+datum's state is read (``enumerate_strata``).  The walk checks its path bound.
 The join is checked only when the box (``_candidate_box``), which bounds the
 candidate product, exceeds the cap (``_join_cap``): each block's box before
 any candidate set is built, then the running product of the sets' sizes over
@@ -17,9 +17,9 @@ can refuse: the walk refuses only when its bound exceeds the cap, and is
 taken only when the box exceeds WALK_PATH_COST times that bound, and the
 join refuses only when the box exceeds the cap.  So such a label-free pair
 with box <= cap returns () as soon as its box is formed, by one congruence
-on mu's block sums (``_label_free``): no path runs, and no walk radius,
-label table or class index is read.  Past the cap it is dispatched and
-checked as any other pair, and the join returns at its block-sum test.
+on mu's block sums (``_label_free``): no path runs, and no walk radius or
+state is read.  Past the cap it is dispatched and checked as any other
+pair, and the join returns at its block-sum test.
 
 The residue join inverts the affine map.  The candidate values nu of lam_nat
 are finite: blockwise vectors whose dominant sort is dominated by mu's block.
@@ -43,7 +43,7 @@ counts, which grow like p^(n-1) per block.  It runs up to central shift
 block's table depends only on the block's slice of the rows
 (``_join_plan``, built once per (shape, w)) and the lowered mu_k, and every
 twist of (shape, w) shares it.  The tables sit in one cache, bounded by
-_CACHED like every cache of this module but the label tables (below).
+_CACHED like every cache of this module but the datum states (below).
 
 Everything fixed by (shape, w) is built once, in the solve plan that each
 datum holds (``FrobeniusDatum.plan``): the solver's rows and denominators,
@@ -80,39 +80,39 @@ oracle cross-checks) keep the join, which is faster there.  The product of
 candidate sets, each solved, and a box search over lam are kept as test
 oracles.
 
-The strata are computed once per (datum, mu, cap) and kept in a bounded
-memo (``_strata``), so a caller that asks for the strata and then for the
-graph (``build_graph``) or the points (``oracle.kisin_points``) of the same
-pair enumerates once.  The cap is part of the key, and a refusal is never
-cached: a call under a lower KISIN_MAX_ENUM refuses as a fresh call does.
+Each datum keeps one enumeration state (``_state``), keyed by the whole
+datum, tau included, so central shifts of one twist share nothing.  A label
+is fixed by the datum and its lam_nat, whatever the mu, and so are its
+lam_dag, its R- and D-sets and its central and dominant-minuscule verdicts:
+the state's entries map lam_nat to that entry.  The join looks each
+surviving candidate up before it solves it, and stores an entry only once
+the label has passed the solve and the twist-back check; the walk re-solves
+every label it finds and stores its entry when there is none.  A sweep over
+mu thus solves each label once per datum, and each record adds only what
+reads mu: the d-set rule, the empty-r-set rule, and the R-set and dimension
+under a minuscule mu.  S(mu) = {lam : dominant(lam_nat) <= mu}, and lam_nat
+does not depend on mu, so for mu <= mu' in dominance S(mu) is the set of lam
+in S(mu') with dominant(lam_nat) <= mu.  Dominance needs equal block sums,
+so the state's class index is keyed by the tuple of mu's block sums, and
+holds one top per class: the last mu of the class that was walked or
+joined, with its labels.  A mu dominated by its class's top takes the top's
+labels whose lam_nat it dominates, and no path runs; any other mu is walked
+or joined and becomes the top.  The sweeps list mu in decreasing
+lexicographic order, which dominance refines, so each class is met first at
+its greedy vector, the one that dominates the whole class, and is walked or
+joined once per datum; the order changes how often a path runs, never the
+strata.  Last, the state keeps the last mu enumerated and its records, so a
+caller that asks for the strata and then for the graph (``build_graph``) or
+the points (``oracle.kisin_points``) of the same pair enumerates once.
 
-A label is fixed by the datum and its lam_nat, whatever the mu, and so are
-its lam_dag, its R- and D-sets and its central and dominant-minuscule
-verdicts.  So each datum keeps a label table (``_label_table``), keyed by
-the whole datum, tau included, that maps lam_nat to that entry.  The join
-looks each surviving candidate up before it solves it, and stores an entry
-only once the label has passed the solve and the twist-back check; the walk
-re-solves every label it finds and stores its entry when there is none.  A
-sweep over mu thus solves each label once per datum, and each record adds
-only what reads mu: the d-set rule, the empty-r-set rule, and the R-set and
-dimension under a minuscule mu.
-
-The same cached object holds the datum's class index, so one eviction drops
-both.  S(mu) = {lam : dominant(lam_nat) <= mu}, and lam_nat does not depend
-on mu, so for mu <= mu' in dominance S(mu) is the set of lam in S(mu') with
-dominant(lam_nat) <= mu.  Dominance needs equal block sums, so the index is
-keyed by the tuple of mu's block sums, and holds one top per class: the last
-mu of the class that was walked or joined, with its labels.  A mu dominated
-by its class's top takes the top's labels whose lam_nat it dominates, and no
-path runs; any other mu is walked or joined and becomes the top.  A
-label-free mu within the cap returns before the index is read (above), so
-its class gets no top.  The sweeps list mu in decreasing lexicographic
-order, which dominance refines, so each class is met first at its greedy
-vector, the one that dominates the whole class, and is walked or joined
-once per datum.  The order changes how often
-a path runs, never the strata.  The tables are bounded by _LABEL_TABLES, a
-few datums: a table holds every label its datum has met, and the sweeps take
-the datums one at a time.
+No part of the state reads the cap.  Every call checks its arguments, forms
+the box, returns () for a label-free pair within the cap, and checks the cap
+on the path the dispatch picks, all before the state is read: so a refusal
+(EnumerationCapError, TheoremViolationError) stores nothing and is raised
+afresh on every call, and a call under a lower KISIN_MAX_ENUM refuses as a
+fresh call does.  The states are bounded by _LABEL_TABLES, a few datums: a
+state holds every label its datum has met, and the sweeps take the datums
+one at a time.
 
 Every invariant of a label (lam_nat, lam_dag, the R- and D-sets, the
 dimension and the singleton certificate) comes from one pass in
@@ -286,12 +286,9 @@ def _distinct_permutations(block: tuple):
         a[i + 1 :] = a[:i:-1]
 
 
-# Entries kept by each cache of this module but the label tables
+# Entries kept by each cache of this module but the datum states
 # (``_LABEL_TABLES``), and by each cache of ``connectivity``: the GL_3 sweep
-# fills 112 candidate tables; the strata memo ``_strata`` needs only the last
-# few (datum, mu, cap) keys, since a caller asks for the strata and then for
-# the graph of the same pair, and it also keeps the () of a label-free pair
-# within the cap, which runs no path; the chain contexts
+# fills 112 candidate tables; the chain contexts
 # (``connectivity._chain_context``), which check mu once per (datum, mu), need
 # one key at a time, since a sweep chains every pair of labels of one mu
 # before the next; eviction only recomputes.
@@ -466,12 +463,12 @@ def _join(datum: FrobeniusDatum, mu: Cochar, table: Optional[dict] = None) -> li
     injective, and the join drops exactly the nu whose preimage is not
     integral.  When the block sums have no integer solution
     (``_label_free``) no candidate can be integral, and the join returns at
-    once; ``_strata`` returns before the join for such a pair within the
-    cap.  The cap is not checked here: ``_strata`` checks it first
-    (``_join_cap``).
+    once; ``enumerate_strata`` returns before the join for such a pair
+    within the cap.  The cap is not checked here: ``enumerate_strata``
+    checks it first (``_join_cap``).
 
-    Each survivor nu is looked up in table, the datum's label table
-    (``_label_table``; a fresh one when none is given).  On a miss it is
+    Each survivor nu is looked up in table, the entries of the datum's state
+    (``_state``; a fresh dict when none is given).  On a miss it is
     solved by ``_solve_label`` from base less its partials; it must divide
     out, and its lam must twist back to nu (else TheoremViolationError), so
     membership holds by construction, and only then is its entry stored.
@@ -620,8 +617,8 @@ def _walk(datum: FrobeniusDatum, mu: Cochar, radius: int, table: Optional[dict] 
     Every product of cycle paths is checked with _dominated on its _twist,
     and every label found must re-solve to itself under ``_solve_label``,
     from the numerators <rows, tau - lam_nat> (else TheoremViolationError);
-    only then is its entry stored in table, the datum's label table
-    (``_label_table``), when it has none.  The walk reads no entry: each
+    only then is its entry stored in table, the entries of the datum's
+    state (``_state``), when it has none.  The walk reads no entry: each
     label it finds is re-solved."""
     if table is None:
         table = {}
@@ -649,47 +646,20 @@ def _walk(datum: FrobeniusDatum, mu: Cochar, radius: int, table: Optional[dict] 
 
 
 def enumerate_strata(datum: FrobeniusDatum, mu: Cochar) -> tuple:
-    """All strata S = {lam : dominant(lam_nat) <= mu}, sorted by lam.
+    """All strata S = {lam : dominant(lam_nat) <= mu}, sorted by lam; mu may
+    be given as any sequences, and is taken as a tuple of tuples.
 
-    The arguments are validated and the cap is read on every call; mu is
-    taken as a tuple of tuples, and the records are then computed once per
-    (datum, mu, cap) by ``_strata`` and shared by every later call with
-    equal arguments, such as the one inside ``build_graph``.  A label-free
-    mu (no integer block sums) within the cap returns () there and runs no
-    path.  Each label is solved and checked the first time its datum meets
-    it, under any mu, and is read from the datum's label table
-    (``_label_table``) after that, so a new mu adds only the rules that
-    read it; a mu dominated by the last walked or joined mu of its class
-    takes that mu's labels, filtered, and runs neither path.  A refusal
-    (EnumerationCapError, TheoremViolationError) is raised afresh on every
-    call, never cached, and a call under a lower cap is a different key, so
-    it refuses as a fresh call does.
-    """
+    In this order, on every call: the arguments are checked and the cap is
+    read; a label-free mu within the cap returns (); the dispatch picks the
+    walk or the join, and the cap is checked on that path.  Only then is the
+    datum's state (``_state``) read, as the module docstring sets out: the
+    slot's records when mu is its last mu, else the labels of a class's top
+    that dominates mu, filtered, else the path's labels, which become the
+    class's top.  The records, built from the labels' entries and mu, fill
+    the slot."""
     _require_mu(datum, mu)
-    return _strata(datum, _cochar(mu), _enum_cap())
-
-
-@lru_cache(maxsize=_CACHED)
-def _strata(datum: FrobeniusDatum, mu: Cochar, cap: int) -> tuple:
-    """The strata of checked arguments under the cap, computed once per
-    (datum, mu, cap).  A label-free mu (``_label_free``) whose box is within
-    the cap returns () first, before the dispatch: no path can refuse there
-    and none could find a label, so no path runs and no table is read.
-    Otherwise the labels come from the cycle walk when every eps is at least
-    2 and its path bound, weighted by WALK_PATH_COST, is below the box, and
-    from the residue join when not.
-    The cap is checked first, on the path the dispatch picks: the walk's path
-    bound, or the join's box and candidate product (``_join_cap``) when the
-    box exceeds it.
-
-    Then the datum's class index is read (``_label_table``).  Its key is the
-    tuple of mu's block sums, since mu <= mu' needs equal block sums, and it
-    holds one top per class: a mu' and its labels.  When mu <= mu', the
-    labels of mu are those of mu' whose lam_nat is dominated by mu, since
-    dominant(lam_nat) <= mu implies dominant(lam_nat) <= mu', so the filter
-    is exact.  Otherwise the walk or the join runs, and mu with its labels
-    replaces the class's top; a refusal stores nothing.  Each record is
-    built from its label's entry and mu."""
+    mu = _cochar(mu)
+    cap = _enum_cap()
     box = _candidate_box(mu)
     if box <= cap and _label_free(datum, mu):
         return ()  # within the cap no path refuses, and no label exists
@@ -701,56 +671,63 @@ def _strata(datum: FrobeniusDatum, mu: Cochar, cap: int) -> tuple:
         raise _cap_error(bound, "walk paths", cap)
     if not walk and box > cap:
         _join_cap(mu, cap)
-    table, classes = _label_table(datum)
+    state = _state(datum)
+    if state.mu == mu:
+        return state.records
+    entries, classes = state.entries, state.classes
     key = tuple(map(sum, mu))
     top = classes.get(key)
     if top is not None and _dominated(mu, top[0]):
         labels = [t for t in top[1] if _dominated(t[2], mu)]
     else:
-        labels = _walk(datum, mu, radius, table) if walk else _join(datum, mu, table)
+        labels = _walk(datum, mu, radius, entries) if walk else _join(datum, mu, entries)
         classes[key] = (mu, labels)
-    if not labels:
-        return ()
     minuscule = is_minuscule(mu)
-    return tuple([_stratum(mu, nat, table[nat], minuscule) for _, _, nat in labels])
+    state.records = tuple([_stratum(mu, nat, entries[nat], minuscule) for _, _, nat in labels])
+    state.mu = mu
+    return state.records
 
 
-# The label tables kept at once.  A table holds one datum's labels under
+# The datum states kept at once.  A state holds one datum's labels under
 # every mu met so far, and the sweeps (the GL_3 benchmark workload and
 # scripts/gl3_sweep.py) take the datums one at a time, each with every mu, so
 # a few suffice.  On the benchmark's seed-201 GL_3 sweep (15,120 pairs,
-# 11,664 records), 4 tables build 7,971 records from a class hit, with no
-# walk or join, and 3,671 after one of the 3,414 joins, which solve 3,664
-# labels and read the other 7 from an entry (22 records come from the strata
-# memo).  256 tables build 8,153 from a hit, since some twists reduce to one
-# datum; without the class index, 256 tables raised the peak resident set
-# from 24.1 to 25.8 MB (Python 3.11).
+# 11,664 records), 4 states build 7,993 records from a class hit, with no
+# walk or join, and 3,671 after one of the 2,049 joins, which solve 3,664
+# labels and read the other 7 from an entry; the slot hands every record
+# again to ``build_graph``.  256 states build 8,175 from a hit, since some
+# twists reduce to one datum; without the class index, 256 states of label
+# entries raised the peak resident set from 24.1 to 25.8 MB (Python 3.11).
 _LABEL_TABLES = 4
 
 
+class _State:
+    """The enumeration state of one datum.  entries maps the lam_nat of each
+    label met so far, under any mu, to its entry (``_label_entry``), stored
+    only once the label has passed the check of the path that found it;
+    classes maps the block sums of a mu to its class's top, (mu', sorted
+    (lam, dag, nat) labels of mu'), every label of which has its entry; mu
+    and records are the last mu enumerated and its strata."""
+
+    __slots__ = ("entries", "classes", "mu", "records")
+
+    def __init__(self):
+        self.entries, self.classes, self.mu, self.records = {}, {}, None, ()
+
+
 @lru_cache(maxsize=_LABEL_TABLES)
-def _label_table(datum: FrobeniusDatum) -> tuple:
-    """(entries, classes) of datum, two dicts in one cached object, so that
-    one eviction drops both.
-
-    entries maps the lam_nat of each label met so far, under any mu, to its
-    entry (``_label_entry``).  Keyed by the whole datum, tau included: a
-    label is determined by its lam_nat only for one tau and w, so central
-    shifts of one twist share nothing.  An entry is stored only once its
-    label has passed the check of the path that found it (the join's solve
-    and twist-back, the walk's re-solve), so a refusal leaves no entry.
-
-    classes is the class index of ``_strata``: the block sums of a mu -> its
-    class's top, (mu', sorted (lam, dag, nat) labels of mu').  Every label of
-    a top has its entry.  Eviction only solves again."""
-    return {}, {}
+def _state(datum: FrobeniusDatum) -> _State:
+    """The state of datum, keyed by the whole datum, tau included: a label
+    is determined by its lam_nat only for one tau and w.  Eviction only
+    solves again."""
+    return _State()
 
 
 def clear_caches() -> None:
     """Empties every ``lru_cache`` of the library: those held by the
-    module globals of each imported module of this package (the strata memo,
-    the label tables, the candidate, move and step tables, the chain
-    contexts, the solve plans and the rest).  Caches only save work, so no
+    module globals of each imported module of this package (the datum
+    states, the candidate, move and step tables, the chain contexts, the
+    solve plans and the rest).  Caches only save work, so no
     result changes; a caller that patches a layer calls this first, so that
     no entry filled before the patch skips it."""
     prefix = __package__ + "."

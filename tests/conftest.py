@@ -51,8 +51,8 @@ from kisin.strata import (
 @pytest.fixture(autouse=True)
 def fresh_caches():
     """Each test starts with every cache of the library empty
-    (``strata.clear_caches``): no strata memo, label table, move or step
-    table, chain context or candidate table, so that a spy or a fault it
+    (``strata.clear_caches``): no datum state, move or step table, chain
+    context or candidate table, so that a spy or a fault it
     patches into the enumeration, the edge test or the chain's induction is
     reached, not skipped by an entry that an earlier test left, and no test
     depends on the order of the others."""
@@ -1199,11 +1199,11 @@ def walk_by_box(datum, mu):
 
 def strata_by_fresh_labels(datum, mu):
     """Strata oracle: the records as the library built them before it kept a
-    label table per datum.  The labels come from the path the dispatch takes
-    on the box (``walk_by_box``), ``strata._walk`` or ``strata._join``, each
+    state per datum.  The labels come from the path the dispatch takes on
+    the box (``walk_by_box``), ``strata._walk`` or ``strata._join``, each
     handed no table, so every label is solved and checked under this mu; each
     record is built by ``strata._stratum`` from an entry made afresh for it.
-    Neither the strata memo nor a label table is read or filled."""
+    No datum state is read or filled."""
     from kisin import strata
 
     mu = tuple(map(tuple, mu))

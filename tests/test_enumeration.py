@@ -61,17 +61,29 @@ def spy_dispatch(mp):
 
 
 def dispatched_path(datum, mu):
-    """The paths enumerate_strata takes on (datum, mu), by name; the memo is
-    bypassed and the call is handed an empty label table of its own, so the
-    dispatch runs even when the strata are cached or a class of the datum's
-    index holds a top that dominates mu, and the datum's table is left as it
-    was."""
+    """The paths enumerate_strata takes on (datum, mu), by name; the call is
+    handed a fresh state of its own, so the dispatch runs even when the
+    datum's slot holds mu or a class of its index holds a top that dominates
+    mu, and the datum's state is left as it was."""
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(strata, "_strata", strata._strata.__wrapped__)
-        mp.setattr(strata, "_label_table", lambda datum: ({}, {}))
+        mp.setattr(strata, "_state", strata._state.__wrapped__)
         taken = spy_dispatch(mp)
         enumerate_strata(datum, mu)
     return taken
+
+
+def fresh_enumeration(datum, mu):
+    """enumerate_strata on (datum, mu) from a fresh state of its own, which
+    neither reads nor changes the datum's state."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(strata, "_state", strata._state.__wrapped__)
+        return enumerate_strata(datum, mu)
+
+
+def assert_empty_state(datum):
+    """The datum's state holds no entry, no class and no slot."""
+    state = strata._state(datum)
+    assert (state.entries, state.classes, state.mu, state.records) == ({}, {}, None, ())
 
 
 def label_free_within_the_cap(datum, mu):
@@ -367,12 +379,13 @@ class TestDispatch:
     def test_label_free_pair_reads_no_table(self, monkeypatch, datum, mu):
         # the block sums have no integer solution and the box is within the
         # cap, so enumeration returns before it picks a path, reads a
-        # candidate table or solves a candidate; the first pair is a tie that
-        # would keep the join
+        # candidate table or the datum's state, or solves a candidate; the
+        # first pair is a tie that would keep the join
         assert strata.block_sums(datum, mu) is None
         forbid(monkeypatch, "_candidate_table")
         forbid(monkeypatch, "_solve_label")
         assert dispatched_path(datum, mu) == []
+        forbid(monkeypatch, "_state")
         assert enumerate_strata(datum, mu) == ()
         # the join, called directly, still returns at its block-sum test
         assert strata._join(datum, mu) == []
@@ -380,7 +393,7 @@ class TestDispatch:
     def test_label_free_sweep_pairs_take_no_path(self, monkeypatch):
         # every label-free pair of the GL_3 sweep's grid (p in {2, 3}, every
         # simple twist, every dominant mu of sup-norm <= 4) returns () before
-        # the dispatch: no radius, no walk or join, no label table or class
+        # the dispatch: no radius, no walk or join, no datum state or class
         datums = [caruso_datum(3, 1, p, m) for p in (2, 3) for m in range(-(p**3 - 1), p**3) if is_caruso_simple(3, p, m)]
         pairs = [(d, (v,)) for d in datums for v in dominant_vecs(3, -4, 4)]
         free = [(d, mu) for d, mu in pairs if strata.block_sums(d, mu) is None]
@@ -392,9 +405,9 @@ class TestDispatch:
             forbid(monkeypatch, name)
         for d, mu in free:
             assert enumerate_strata(d, mu) == ()
-        assert strata._label_table.cache_info().currsize == 0
+        assert strata._state.cache_info().currsize == 0
         monkeypatch.undo()
-        assert all(strata._label_table(d)[1] == {} for d in datums[-strata._LABEL_TABLES :])
+        assert all(strata._state(d).classes == {} for d in datums[-strata._LABEL_TABLES :])
 
     def test_verify_counterexamples_at_p101(self, capsys):
         # golden (b) has 28,135,068 candidates here, past the default cap,
@@ -608,7 +621,7 @@ class TestTheoremViolation:
         move_partials(monkeypatch, 1)
         with pytest.raises(TheoremViolationError, match="integrality congruence"):
             enumerate_strata(datum, mu)
-        assert strata._label_table(datum) == ({}, {})  # the refusal stores no entry and no class
+        assert_empty_state(datum)  # the refusal stores no entry, no class and no slot
 
     def test_solved_label_must_twist_back_to_its_candidate(self, monkeypatch):
         # the numerator of x[0][0] moves by its denominator, so each survivor
@@ -618,7 +631,7 @@ class TestTheoremViolation:
         move_partials(monkeypatch, -datum.plan.dens[0])
         with pytest.raises(TheoremViolationError, match="whose lam_nat is"):
             enumerate_strata(datum, mu)
-        assert strata._label_table(datum) == ({}, {})
+        assert_empty_state(datum)
 
     def test_walked_label_must_resolve_to_itself(self, monkeypatch):
         datum, mu = counterexample(CASES["a"], 19)
@@ -626,7 +639,7 @@ class TestTheoremViolation:
         monkeypatch.setattr(strata, "_solve_label", off_by_one)
         with pytest.raises(TheoremViolationError, match="walked label .* which solves to"):
             enumerate_strata(datum, mu)
-        assert strata._label_table(datum) == ({}, {})
+        assert_empty_state(datum)
 
     def test_walked_label_violation_exits_4(self, monkeypatch, capsys):
         forbid(monkeypatch, "_join")
@@ -648,19 +661,18 @@ class TestTheoremViolation:
         # it is then refused and leaves no entry and no class
         datum, mu = caruso_datum(3, 1, 3, 5), ((3, 1, -3),)
         want = enumerate_strata(datum, mu)
-        entries, classes = strata._label_table(datum)
-        assert len(entries) == len(want) > 1 and len(classes) == 1
+        state = strata._state(datum)
+        assert len(state.entries) == len(want) > 1 and len(state.classes) == 1
         monkeypatch.setattr(strata, fault, off_by_one if fault == "_solve_label" else twist_off_by_one)
-        strata._strata.cache_clear()
+        state.mu = None  # empty the slot
         assert enumerate_strata(datum, mu) == want  # a class hit: no path runs
-        strata._strata.cache_clear()
-        classes.clear()
+        state.mu = None
+        state.classes.clear()
         assert enumerate_strata(datum, mu) == want  # the join reads the entries, so the fault is not reached
-        strata._strata.cache_clear()
-        strata._label_table.cache_clear()
+        strata._state.cache_clear()
         with pytest.raises(TheoremViolationError, match="whose lam_nat is"):
             enumerate_strata(datum, mu)
-        assert strata._label_table(datum) == ({}, {})
+        assert_empty_state(datum)
 
 
 class TestCandidateGeneration:
@@ -917,7 +929,8 @@ class TestSubtractionSolve:
 
 
 # ---------------------------------------------------------------------------
-# the strata memo: one enumeration per (datum, mu, cap)
+# the slot of the datum's state: the strata of its last mu, so that the
+# graph of the pair just enumerated enumerates nothing
 
 
 def as_lists(v):
@@ -968,8 +981,7 @@ class TestStrataMemo:
         # from ((1, 0, 1), (0, 0, 1)), and pi0 read "upper bound only"
         datum, mu = counterexample(CASES[case], 3)
         listed = enumerate_strata(datum, as_lists(mu))
-        assert listed == enumerate_strata(datum, mu)
-        assert strata._strata.cache_info().currsize == 1
+        assert enumerate_strata(datum, mu) is listed  # the slot holds mu as tuples
         for s in listed:
             assert make_stratum(datum, as_lists(mu), as_lists(s.lam)) == s
             assert stratum_nonempty(datum, as_lists(mu), as_lists(s.lam))
@@ -984,15 +996,15 @@ class TestStrataMemo:
         assert enumerate_strata(listed, mu) is enumerate_strata(datum, mu)
 
     def test_memo_matches_the_uncached_enumeration(self):
+        # against a fresh state per call; the second pass meets every datum
+        # after its state was evicted, and recomputes
         pairs = memo_sweep_pairs()
-        assert len(pairs) > 2 * strata._CACHED  # the second pass evicts and recomputes
-        uncached = strata._strata.__wrapped__
-        cap = strata._enum_cap()
+        assert len(pairs) > 512 and len({d for d, _ in pairs}) > strata._LABEL_TABLES
         first = []
         for datum, mu in pairs:
             got = enumerate_strata(datum, mu)
             assert enumerate_strata(datum, mu) is got
-            assert got == uncached(datum, mu, cap), (datum.tau, mu)
+            assert got == fresh_enumeration(datum, mu), (datum.tau, mu)
             first.append(got)
         assert sum(map(bool, first)) > 100
         assert [enumerate_strata(datum, mu) for datum, mu in pairs] == first
@@ -1003,10 +1015,12 @@ class TestStrataMemo:
         want = enumerate_strata(datum, mu)
         limit, message = cap_limit(datum, mu)
         monkeypatch.setenv("KISIN_MAX_ENUM", str(limit - 1))
+        state = strata._state(datum)
+        slot = state.mu, state.records
         with pytest.raises(EnumerationCapError) as cached:
             enumerate_strata(datum, mu)
-        assert strata._strata.cache_info().currsize == 1  # the refusal is not stored
-        strata._strata.cache_clear()
+        assert (state.mu, state.records) == slot  # the refusal is not stored
+        strata._state.cache_clear()
         with pytest.raises(EnumerationCapError) as fresh:
             enumerate_strata(datum, mu)
         assert str(cached.value) == str(fresh.value) == message
@@ -1022,16 +1036,48 @@ class TestStrataMemo:
         for _ in range(3):
             with pytest.raises(TheoremViolationError, match="whose lam_nat is"):
                 enumerate_strata(datum, mu)
-        assert strata._strata.cache_info().currsize == 0 and strata._label_table(datum) == ({}, {})
+        assert_empty_state(datum)
         monkeypatch.undo()
         assert enumerate_strata(datum, mu) == product_strata(datum, mu)
+
+    def test_slot_serves_the_graph_of_the_last_mu(self, monkeypatch):
+        # the graph of the pair just enumerated takes neither path and shares
+        # its records; along A, B, A, each followed by its graph, every call
+        # equals a fresh-state enumeration, and the slot follows the last mu
+        datum = caruso_datum(3, 1, 3, 5)
+        a, b = ((3, 1, -3),), ((3, -1, -3),)
+        want = {mu: fresh_enumeration(datum, mu) for mu in (a, b)}
+        assert len(want[a]) > 1 and len(want[b]) > 1
+        taken = spy_dispatch(monkeypatch)
+        for mu in (a, b, a):
+            got = enumerate_strata(datum, mu)
+            ran = len(taken)
+            assert build_graph(datum, mu).vertices is got and len(taken) == ran
+            assert got == want[mu] and strata._state(datum).mu == mu
+        assert taken == ["_join", "_join"]  # A and B lie in different classes
+
+    def test_a_refusal_leaves_the_slot(self, monkeypatch):
+        # A fills the slot; B, refused under a cap that A's box is within,
+        # stores nothing, so A again is the very tuple of its first call
+        monkeypatch.delenv("KISIN_MAX_ENUM", raising=False)
+        datum = caruso_datum(3, 1, 3, 5)
+        a, b = ((2, 0, -1),), ((3, 0, -3),)
+        first = enumerate_strata(datum, a)
+        limit, message = cap_limit(datum, b)
+        assert first and strata._candidate_box(a) < limit
+        monkeypatch.setenv("KISIN_MAX_ENUM", str(limit - 1))
+        with pytest.raises(EnumerationCapError) as refused:
+            enumerate_strata(datum, b)
+        assert str(refused.value) == message
+        taken = spy_dispatch(monkeypatch)
+        assert enumerate_strata(datum, a) is first and taken == []
 
     def test_cli_refuses_after_a_cached_call(self, monkeypatch, capsys):
         monkeypatch.delenv("KISIN_MAX_ENUM", raising=False)
         argv = ["graph", "--p", "3", "--n", "3", "--f", "1", "--m", "5", "--mu", "[[2,0,-1]]"]
         assert main(argv) == 0
         report = capsys.readouterr().out
-        assert strata._strata.cache_info().currsize == 1
+        assert strata._state.cache_info().currsize == 1
         monkeypatch.setenv("KISIN_MAX_ENUM", "2")
         assert main(argv) == 3
         captured = capsys.readouterr()
@@ -1045,20 +1091,19 @@ class TestStrataMemo:
 
 
 # ---------------------------------------------------------------------------
-# the label tables: each label of a datum solved and checked once, whatever
+# the label entries of each datum's state: each label of a datum solved and
+# checked once, whatever
 # the mu
 
 
 def clear_tables():
-    strata._strata.cache_clear()
-    strata._label_table.cache_clear()
+    strata._state.cache_clear()
 
 
 def sweep_groups():
     """The (datum, mu) of gl3_sweep_instances(), one list per datum (several
     twists m reduce to one datum), and the number of distinct (datum, label)
-    among them.  The memo and the tables its enumeration filled are
-    cleared."""
+    among them.  The states its enumeration filled are cleared."""
     instances = gl3_sweep_instances()
     clear_tables()
     groups = {}
@@ -1126,7 +1171,7 @@ class TestLabelTable:
         assert len(groups) > 3 * strata._LABEL_TABLES
         interleaved = [pair for row in itertools.zip_longest(*groups) for pair in row if pair]
         assert assert_matches_fresh_labels(interleaved)[0] > 10000
-        info = strata._label_table.cache_info()
+        info = strata._state.cache_info()
         assert info.currsize == strata._LABEL_TABLES and info.misses > 10 * len(groups)
 
     @pytest.mark.parametrize("order", ORDERS)
@@ -1144,7 +1189,7 @@ class TestLabelTable:
         walked = sum(walk_by_box(d, mu) for d, mu in pairs)
         assert 10 < walked < len(pairs) - 10
         count, _ = assert_matches_fresh_labels(ordered(pairs, order))
-        entries = sum(len(strata._label_table(d)[0]) for d in {d for d, _ in pairs})
+        entries = sum(len(strata._state(d).entries) for d in {d for d, _ in pairs})
         assert count > 3 * entries > 30
 
     def test_central_shifts_share_no_table(self):
@@ -1156,8 +1201,8 @@ class TestLabelTable:
             d, m = shifted(datum, mu, c)
             got = enumerate_strata(d, m)
             assert [s.lam for s in got] == [s.lam for s in want]
-            assert set(strata._label_table(d)[0]) == {s.nat for s in got}
-        assert strata._label_table.cache_info().currsize == len(set(SHIFTS) | {0})
+            assert set(strata._state(d).entries) == {s.nat for s in got}
+        assert strata._state.cache_info().currsize == len(set(SHIFTS) | {0})
 
     @pytest.mark.parametrize("p,path", [(3, "_join"), (5, "_walk")])
     def test_d_set_rule_is_decided_per_mu(self, p, path):
@@ -1172,7 +1217,7 @@ class TestLabelTable:
             enumerate_strata(datum, first)
             got = {s.lam: s.singleton_rule for s in enumerate_strata(datum, then)}
             assert got[((2, 1, 1, 0),)] == ("d-set" if then == mu else None)
-            assert len(strata._label_table(datum)[0]) == 2
+            assert len(strata._state(datum).entries) == 2
 
 
 # ---------------------------------------------------------------------------
@@ -1228,7 +1273,7 @@ class TestClassIndex:
         for (d, mu), x in zip(pairs, free):
             if d == last and not x:
                 greedy.setdefault(tuple(map(sum, mu)), mu)
-        assert {sums: top for sums, (top, _) in strata._label_table(last)[1].items()} == greedy
+        assert {sums: top for sums, (top, _) in strata._state(last).classes.items()} == greedy
         assert got == [strata_by_fresh_labels(d, mu) for d, mu in pairs]
         assert sum(map(len, got)) > 300
 
@@ -1241,7 +1286,7 @@ class TestClassIndex:
         top = tuple((b[0] + 1,) + b[1:-1] + (b[-1] - 1,) for b in mu)
         enumerate_strata(datum, top)
         want = enumerate_strata(datum, mu)
-        classes = strata._label_table(datum)[1]
+        classes = strata._state(datum).classes
         # mu was a hit; a label-free class within the cap installs no top
         tops = [] if label_free_within_the_cap(datum, top) else [top]
         assert tops == ([] if strata.block_sums(datum, mu) is None else [top])
@@ -1255,6 +1300,6 @@ class TestClassIndex:
         with pytest.raises(EnumerationCapError) as fresh:
             enumerate_strata(datum, mu)
         assert str(hit.value) == str(fresh.value) == message
-        assert strata._label_table(datum) == ({}, {})
+        assert_empty_state(datum)
         monkeypatch.delenv("KISIN_MAX_ENUM")
         assert enumerate_strata(datum, mu) == want

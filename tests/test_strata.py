@@ -438,8 +438,7 @@ class TestClearCaches:
         caches = library_caches()
         filled = {f"{name}.{key}" for name, key, obj in caches if obj.cache_info().currsize}
         assert {
-            "kisin.strata._strata",
-            "kisin.strata._label_table",
+            "kisin.strata._state",
             "kisin.strata._candidate_table",
             "kisin.connectivity._chain_context",
             "kisin.connectivity._step_table",
