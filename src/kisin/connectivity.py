@@ -2,7 +2,11 @@
 
 An edge between lam and lam' = lam - alpha_cov certifies that the affine line
 u^lam U_alpha(u^{-1}x) closes to a curve joining u^lam and u^lam'; three
-dominance conditions on lam_nat decide it.  Components merged by such edges
+dominance conditions on lam_nat decide it.  They are the same three, in
+another order, for the move back from lam' under -alpha, so the graph takes
+each edge once, from its smaller end, while every accepted move, from either
+end, checks that its neighbour was enumerated; a graph of fewer than two
+strata is built with no test at all.  Components merged by such edges
 bound pi_0 from above; the bound is exact when every stratum carries a proven
 singleton certificate, in which case the variety is a finite set of points.
 Disconnectedness is never claimed without those certificates.
@@ -78,6 +82,17 @@ def _edge_ok(mu: Cochar, nat: Cochar, k: int, i: int, j: int, k2: int, a: int, b
     the third condition says exactly that lam - cov is a label.  When
     k != k2 its block k is the first condition's and its block k2 the
     second's, so it is tested only when k == k2.
+
+    Acceptance is symmetric.  Let lam' = lam - cov be a label, with
+    nat' = nat + cov - twisted.  The reverse move lam' -> lam is the root
+    -alpha, whose coroot is -cov and whose twist is -twisted, so its three
+    vectors are nat' - cov = nat - twisted, nat' + twisted = nat + cov, and
+    nat' - cov + twisted = nat: the second, the first, and lam's own lam_nat,
+    dominated since lam is a label.  So lam -> lam' is accepted exactly when
+    lam' is a label and lam' -> lam is accepted, and ``build_graph`` finds
+    each edge from one end.  lam' > lam exactly when the root is negative,
+    i > j: lam' differs from lam on block k only, first at position
+    min(i, j), where it gains 1 when j < i and loses 1 when i < j.
     """
     up = list(nat[k])
     up[i] += 1
@@ -124,52 +139,58 @@ def _move_table(shape: GroupShape, w: WeylElt, mu0: Cochar) -> dict:
 
 
 def build_graph(datum: FrobeniusDatum, mu: Cochar) -> StrataGraph:
-    """The coroot-curve graph on the strata.  Each stratum's accepted moves
-    are read from the move table of (shape, w, mu lowered per block)
-    (``_move_table``) under its lam_nat lowered the same way; a key not seen
-    yet is decided by ``_edge_ok`` for every root, in all_roots order, on the
-    blocks its coroot and the coroot's twist touch, so for a fixed set of
-    strata the cost is linear in the number of blocks.  lam' = lam - cov is
-    built only for an accepted edge; it is a label, and a lam' missing from
-    the strata means the enumeration lost a label (TheoremViolationError).
-    The strata come from ``enumerate_strata``, whose records are shared: a
-    caller that enumerated the same (datum, mu) already pays nothing here."""
+    """The coroot-curve graph on the strata.  Fewer than two strata have no
+    edge, and are returned at once, each its own component.  Otherwise each
+    stratum's accepted moves are read from the move table of (shape, w, mu
+    lowered per block) (``_move_table``) under its lam_nat lowered the same
+    way; a key not seen yet is decided by ``_edge_ok`` for every root, in
+    all_roots order, on the blocks its coroot and the coroot's twist touch,
+    so for a fixed set of strata the cost is linear in the number of blocks.
+    lam' = lam - cov is built only for an accepted move; it is a label, and a
+    lam' missing from the strata means the enumeration lost a label
+    (TheoremViolationError), from whichever end the move starts.
+
+    Acceptance is symmetric (``_edge_ok``), and lam' > lam exactly when the
+    root is negative (i > j), so each edge is found once, from its smaller
+    end: the edges come in the order of their smaller ends, each end's in
+    all_roots order.  The strata are sorted by lam, so each component, and
+    the components by their least labels, come out sorted.  The strata come
+    from ``enumerate_strata``, whose records are shared: a caller that
+    enumerated the same (datum, mu) just before pays nothing more there."""
     strata = enumerate_strata(datum, mu)
+    if len(strata) < 2:
+        return StrataGraph(strata, (), tuple((s.lam,) for s in strata))
+    index = {s.lam: t for t, s in enumerate(strata)}
+    drop = [-b[-1] for b in mu]
+    shift = any(drop)
+    mu0 = _shift_blocks(mu, drop)  # tuples, also for a mu given as lists
+    table = _move_table(datum.shape, datum.w, mu0)
     uf = _UnionFind(len(strata))
     edges = []
-    if len(strata) > 1:  # one stratum has no edges
-        index = {s.lam: t for t, s in enumerate(strata)}
-        drop = [-b[-1] for b in mu]
-        shift = any(drop)
-        mu0 = _shift_blocks(mu, drop)  # tuples, also for a mu given as lists
-        table = _move_table(datum.shape, datum.w, mu0)
-        moves = _graph_moves(datum.shape, datum.w)
-        seen_pairs = set()
-        for t, s in enumerate(strata):
-            nat0 = _shift_blocks(s.nat, drop) if shift else s.nat
-            accepted = table.get(nat0)
-            if accepted is None:
-                accepted = table[nat0] = tuple(m[:4] for m in moves if _edge_ok(mu0, nat0, *m[1:]))
-            for alpha, k, i, j in accepted:
-                blk = list(s.lam[k])
-                blk[i] -= 1
-                blk[j] += 1
-                lam2 = s.lam[:k] + (tuple(blk),) + s.lam[k + 1 :]
-                t2 = index.get(lam2)
-                if t2 is None:
-                    raise TheoremViolationError(
-                        f"edge {s.lam} -> {lam2} passes the curve test, but {lam2} was not enumerated"
-                    )
-                key = (t, t2) if t < t2 else (t2, t)
-                if key not in seen_pairs:
-                    seen_pairs.add(key)
-                    edges.append((s.lam, lam2, alpha))
-                    uf.union(t, t2)
+    for t, s in enumerate(strata):
+        nat0 = _shift_blocks(s.nat, drop) if shift else s.nat
+        accepted = table.get(nat0)
+        if accepted is None:
+            moves = _graph_moves(datum.shape, datum.w)
+            accepted = table[nat0] = tuple(m[:4] for m in moves if _edge_ok(mu0, nat0, *m[1:]))
+        lam = s.lam
+        for alpha, k, i, j in accepted:
+            blk = list(lam[k])
+            blk[i] -= 1
+            blk[j] += 1
+            lam2 = lam[:k] + (tuple(blk),) + lam[k + 1 :]
+            t2 = index.get(lam2)
+            if t2 is None:
+                raise TheoremViolationError(
+                    f"edge {lam} -> {lam2} passes the curve test, but {lam2} was not enumerated"
+                )
+            if i > j:  # lam2 > lam: the edge's smaller end is lam
+                edges.append((lam, lam2, alpha))
+                uf.union(t, t2)
     comps = {}
     for t, s in enumerate(strata):
         comps.setdefault(uf.find(t), []).append(s.lam)
-    components = tuple(sorted(tuple(sorted(c)) for c in comps.values()))
-    return StrataGraph(strata, tuple(edges), components)
+    return StrataGraph(strata, tuple(edges), tuple(map(tuple, comps.values())))
 
 
 def pi0_report(graph: StrataGraph) -> Pi0Report:

@@ -57,7 +57,11 @@ class GF:
 
     def __init__(self, p: int, r: int = 1):
         if r not in (1, 2):
-            raise ConfigError("coefficient fields are limited to r <= 2")
+            raise ConfigError(
+                f"a coefficient field's degree r must be at least 1, got {r}"
+                if r < 1
+                else "coefficient fields are limited to r <= 2"
+            )
         self.p, self.r, self.q = p, r, p**r
         self.t_poly = self._irreducible_quadratic(p) if r == 2 else None
 

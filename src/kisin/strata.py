@@ -101,9 +101,7 @@ or joined and becomes the top.  The sweeps list mu in decreasing
 lexicographic order, which dominance refines, so each class is met first at
 its greedy vector, the one that dominates the whole class, and is walked or
 joined once per datum; the order changes how often a path runs, never the
-strata.  Last, the state keeps the last mu enumerated and its records, so a
-caller that asks for the strata and then for the graph (``build_graph``) or
-the points (``oracle.kisin_points``) of the same pair enumerates once.
+strata.
 
 No part of the state reads the cap.  Every call checks its arguments, forms
 the box, returns () for a label-free pair within the cap, and checks the cap
@@ -113,6 +111,16 @@ afresh on every call, and a call under a lower KISIN_MAX_ENUM refuses as a
 fresh call does.  The states are bounded by _LABEL_TABLES, a few datums: a
 state holds every label its datum has met, and the sweeps take the datums
 one at a time.
+
+Apart from the states, one slot (``_slot``) holds the last pair enumerated,
+with its records and its need: the walk's path bound, or the join's box, the
+work the cap was checked against.  A caller that asks for the strata and
+then for the graph (``build_graph``) or the points (``oracle.kisin_points``)
+of the same pair enumerates once, and the second call costs two steps: the
+cap is read, and it is compared with the need.  mu is compared as given with
+the slot's mu, a tuple of tuples, so a mu equal to it passes exactly the
+checks that it passed, and a mu given as lists takes the full path; so does
+a cap below the need, which then refuses as a fresh call does.
 
 Every invariant of a label (lam_nat, lam_dag, the R- and D-sets, the
 dimension and the singleton certificate) comes from one pass in
@@ -649,14 +657,20 @@ def enumerate_strata(datum: FrobeniusDatum, mu: Cochar) -> tuple:
     """All strata S = {lam : dominant(lam_nat) <= mu}, sorted by lam; mu may
     be given as any sequences, and is taken as a tuple of tuples.
 
-    In this order, on every call: the arguments are checked and the cap is
-    read; a label-free mu within the cap returns (); the dispatch picks the
-    walk or the join, and the cap is checked on that path.  Only then is the
-    datum's state (``_state``) read, as the module docstring sets out: the
-    slot's records when mu is its last mu, else the labels of a class's top
-    that dominates mu, filtered, else the path's labels, which become the
-    class's top.  The records, built from the labels' entries and mu, fill
-    the slot."""
+    A call on the pair of the slot (``_slot``), the last pair enumerated,
+    returns its records once the cap is read and found at least the pair's
+    need, the work its path checks the cap against.  Every other call, in
+    this order: the arguments are checked and the cap is read; a label-free
+    mu within the cap returns (); the dispatch picks the walk or the join,
+    and the cap is checked on that path.  Only then is the datum's state
+    (``_state``) read, as the module docstring sets out: the labels of a
+    class's top that dominates mu, filtered, else the path's labels, which
+    become the class's top.  The records, built from the labels' entries and
+    mu, fill the slot."""
+    global _slot
+    slot = _slot
+    if slot is not None and mu == slot[1] and (datum is slot[0] or datum == slot[0]) and _enum_cap() >= slot[2]:
+        return slot[3]
     _require_mu(datum, mu)
     mu = _cochar(mu)
     cap = _enum_cap()
@@ -672,8 +686,6 @@ def enumerate_strata(datum: FrobeniusDatum, mu: Cochar) -> tuple:
     if not walk and box > cap:
         _join_cap(mu, cap)
     state = _state(datum)
-    if state.mu == mu:
-        return state.records
     entries, classes = state.entries, state.classes
     key = tuple(map(sum, mu))
     top = classes.get(key)
@@ -683,9 +695,9 @@ def enumerate_strata(datum: FrobeniusDatum, mu: Cochar) -> tuple:
         labels = _walk(datum, mu, radius, entries) if walk else _join(datum, mu, entries)
         classes[key] = (mu, labels)
     minuscule = is_minuscule(mu)
-    state.records = tuple([_stratum(mu, nat, entries[nat], minuscule) for _, _, nat in labels])
-    state.mu = mu
-    return state.records
+    records = tuple([_stratum(mu, nat, entries[nat], minuscule) for _, _, nat in labels])
+    _slot = (datum, mu, bound if walk else box, records)
+    return records
 
 
 # The datum states kept at once.  A state holds one datum's labels under
@@ -694,10 +706,11 @@ def enumerate_strata(datum: FrobeniusDatum, mu: Cochar) -> tuple:
 # a few suffice.  On the benchmark's seed-201 GL_3 sweep (15,120 pairs,
 # 11,664 records), 4 states build 7,993 records from a class hit, with no
 # walk or join, and 3,671 after one of the 2,049 joins, which solve 3,664
-# labels and read the other 7 from an entry; the slot hands every record
-# again to ``build_graph``.  256 states build 8,175 from a hit, since some
-# twists reduce to one datum; without the class index, 256 states of label
-# entries raised the peak resident set from 24.1 to 25.8 MB (Python 3.11).
+# labels and read the other 7 from an entry; the slot (``_slot``) hands
+# every record again to ``build_graph``.  256 states build 8,175 from a hit,
+# since some twists reduce to one datum; without the class index, 256 states
+# of label entries raised the peak resident set from 24.1 to 25.8 MB (Python
+# 3.11).
 _LABEL_TABLES = 4
 
 
@@ -706,13 +719,12 @@ class _State:
     label met so far, under any mu, to its entry (``_label_entry``), stored
     only once the label has passed the check of the path that found it;
     classes maps the block sums of a mu to its class's top, (mu', sorted
-    (lam, dag, nat) labels of mu'), every label of which has its entry; mu
-    and records are the last mu enumerated and its strata."""
+    (lam, dag, nat) labels of mu'), every label of which has its entry."""
 
-    __slots__ = ("entries", "classes", "mu", "records")
+    __slots__ = ("entries", "classes")
 
     def __init__(self):
-        self.entries, self.classes, self.mu, self.records = {}, {}, None, ()
+        self.entries, self.classes = {}, {}
 
 
 @lru_cache(maxsize=_LABEL_TABLES)
@@ -723,13 +735,23 @@ def _state(datum: FrobeniusDatum) -> _State:
     return _State()
 
 
+# The last pair enumerated, whatever its datum, as (datum, mu, need,
+# records): mu as tuples, need the work that its path checks the cap against
+# (the walk's path bound, else the join's box), and its strata; None when
+# empty.  Only a call that walks, joins or filters a class's top fills it, so
+# a refusal or a label-free pair within the cap leaves it as it was.
+_slot = None
+
+
 def clear_caches() -> None:
     """Empties every ``lru_cache`` of the library: those held by the
     module globals of each imported module of this package (the datum
     states, the candidate, move and step tables, the chain contexts, the
-    solve plans and the rest).  Caches only save work, so no
-    result changes; a caller that patches a layer calls this first, so that
-    no entry filled before the patch skips it."""
+    solve plans and the rest), and the slot of the last pair.  Caches only
+    save work, so no result changes; a caller that patches a layer calls
+    this first, so that no entry filled before the patch skips it."""
+    global _slot
+    _slot = None
     prefix = __package__ + "."
     for name, module in list(sys.modules.items()):
         if name.startswith(prefix):

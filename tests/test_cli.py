@@ -421,6 +421,21 @@ class TestExitCodes:
         captured = capsys.readouterr()
         assert captured.out == "" and captured.err == f"config error: {message}\n"
 
+    @pytest.mark.parametrize(
+        "deg,message",
+        [
+            ("0", "a coefficient field's degree r must be at least 1, got 0"),
+            ("-1", "a coefficient field's degree r must be at least 1, got -1"),
+            ("3", "coefficient fields are limited to r <= 2"),
+        ],
+    )
+    def test_field_degree_out_of_range(self, capsys, deg, message):
+        # a degree below 1 names its own bound, not the upper one
+        argv = ["oracle-count", "--p", "3", "--n", "2", "--f", "1", "--m", "1", "--mu", "[[1,0]]", "--field-deg", deg]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == f"config error: {message}\n"
+
     def test_malformed_enum_cap(self, capsys, monkeypatch):
         monkeypatch.setenv("KISIN_MAX_ENUM", "abc")
         code = main(["verify-counterexample", "a", "--p", "3"])

@@ -1,3 +1,4 @@
+import ast
 import itertools
 import json
 import random
@@ -188,6 +189,32 @@ class TestGraphByBlocks:
         assert graph == graph_by_full_cochars(d, mu)
         assert graph.edges
 
+    @pytest.mark.parametrize("end", ["smaller", "larger"])
+    def test_lost_end_of_every_edge_is_a_theorem_violation(self, monkeypatch, capsys, end):
+        # the least label is the smaller end of each of its edges, so only a
+        # positive-root move reaches it, from a larger label, which appends
+        # no edge; the largest label only a negative-root move reaches
+        d = caruso_datum(3, 1, 2, 1)
+        mu = ((3, 1, -3),)
+        graph = build_graph(d, mu)
+        lost = graph.vertices[0 if end == "smaller" else -1].lam
+        ends = [e[:2] for e in graph.edges if lost in e[:2]]
+        assert ends and all(e[0 if end == "smaller" else 1] == lost for e in ends)
+        full = connectivity.enumerate_strata
+        monkeypatch.setattr(
+            connectivity, "enumerate_strata", lambda *args: tuple(s for s in full(*args) if s.lam != lost)
+        )
+        with pytest.raises(TheoremViolationError) as info:
+            build_graph(d, mu)
+        message = rf"edge (.*) -> {re.escape(str(lost))} passes the curve test, but .* was not enumerated"
+        found = re.fullmatch(message, str(info.value))
+        assert found, str(info.value)
+        start = ast.literal_eval(found.group(1))
+        assert (start > lost) == (end == "smaller")
+        assert main(["graph", "--p", "2", "--n", "3", "--f", "1", "--m", "1", "--mu", "[[3,1,-3]]"]) == 4
+        captured = capsys.readouterr()
+        assert captured.out == "" and "was not enumerated" in captured.err and "Traceback" not in captured.err
+
     def test_lost_label_is_a_theorem_violation(self, monkeypatch, capsys):
         d = caruso_datum(3, 1, 2, 1)
         mu = ((3, 1, -3),)
@@ -239,8 +266,10 @@ class TestMoveTable:
     @staticmethod
     def matches_edge_oracle(datum, mu):
         """Checks that the table's moves of each stratum are exactly the roots
-        the edge oracle accepts from it; returns the number of strata."""
+        the edge oracle accepts from it, and that the graph is the oracle's,
+        edge for edge; returns the number of strata."""
         graph = build_graph(datum, mu)
+        assert graph == graph_by_full_cochars(datum, mu), (datum.tau, mu)
         if len(graph.vertices) < 2:
             return 0
         table = move_table(datum, mu)
@@ -287,6 +316,70 @@ class TestMoveTable:
             assert set(table) <= candidates and len(table) <= len(candidates)
             filled += len(table)
         assert len(tables) > 20 and filled > 200
+
+
+def golden_pairs():
+    """Both goldens at p in {3, 5, 7}."""
+    return [counterexample(CASES[case], p) for case in sorted(CASES) for p in (3, 5, 7)]
+
+
+def multicopy_pairs():
+    """The multi-copy lifts of TestGraphByBlocks with d <= 3, each with every
+    mu of its blocks."""
+    out = []
+    for n, p, m in ((2, 2, 1), (2, 3, 1), (3, 2, 1)):
+        blocks = dominant_vecs(n, 0, 2 if n == 2 else 1)
+        for dd in (1, 2, 3):
+            lifted = make_multi(caruso_datum(n, 1, p, m), dd).lifted
+            out += [(lifted, mu) for mu in itertools.product(blocks, repeat=dd)]
+    return out
+
+
+def symmetric_moves(datum, mu):
+    """Checks every move that ``_edge_ok`` accepts from every stratum of
+    (datum, mu): its end lam' = lam - cov is a stratum, the reverse move from
+    lam' under -alpha is accepted, and lam' > lam exactly when i > j, which
+    is what lets build_graph take each edge from its smaller end only; so
+    the graph has half as many edges as accepted moves.  Returns the number
+    of accepted moves."""
+    strata = {s.lam: s for s in enumerate_strata(datum, mu)}
+    moves = connectivity._graph_moves(datum.shape, datum.w)
+    by_root = {(alpha.block, alpha.i, alpha.j): m for m in moves for alpha in m[:1]}
+    accepted = 0
+    for lam, s in strata.items():
+        for alpha, k, i, j, *rest in moves:
+            if not connectivity._edge_ok(mu, s.nat, k, i, j, *rest):
+                continue
+            end = cochar_sub(lam, coroot(alpha, datum.shape))
+            assert end in strata, (datum.tau, mu, lam, alpha)
+            back = by_root[k, j, i]
+            assert connectivity._edge_ok(mu, strata[end].nat, *back[1:]), (datum.tau, mu, lam, alpha)
+            assert (end > lam) == (i > j) == (not alpha.positive)
+            accepted += 1
+    assert accepted == 2 * len(build_graph(datum, mu).edges)
+    return accepted
+
+
+class TestEdgeSymmetry:
+    """The three conditions of lam -> lam' under alpha are those of
+    lam' -> lam under -alpha (``_edge_ok``), so every accepted move has an
+    accepted reverse; build_graph relies on it to find each edge once."""
+
+    def test_gl3_sweep(self):
+        assert sum(symmetric_moves(d, mu) for d, mu, _ in gl3_sweep_instances()) > 20000
+
+    def test_f2_pairs(self):
+        assert sum(symmetric_moves(d, mu) for d, mu in f2_pairs()) > 300
+
+    def test_goldens(self):
+        # each golden has two strata and no edge: no move is accepted
+        assert sum(symmetric_moves(d, mu) for d, mu in golden_pairs()) == 0
+
+    def test_multicopy_lifts(self):
+        assert sum(symmetric_moves(d, mu) for d, mu in multicopy_pairs()) > 300
+
+    def test_found_family(self):
+        assert all(symmetric_moves(*found_family(N)) for N in range(3, 21))
 
 
 def _stuck_normal_form(real):

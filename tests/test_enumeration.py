@@ -7,6 +7,7 @@ import functools
 import itertools
 import json
 import random
+import re
 import sys
 from collections import Counter
 
@@ -62,28 +63,34 @@ def spy_dispatch(mp):
 
 def dispatched_path(datum, mu):
     """The paths enumerate_strata takes on (datum, mu), by name; the call is
-    handed a fresh state of its own, so the dispatch runs even when the
-    datum's slot holds mu or a class of its index holds a top that dominates
-    mu, and the datum's state is left as it was."""
+    handed a fresh state of its own and an empty slot, so the dispatch runs
+    even when the slot holds the pair or a class of the datum's index holds
+    a top that dominates mu, and the state and the slot are left as they
+    were."""
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(strata, "_state", strata._state.__wrapped__)
+        mp.setattr(strata, "_slot", None)
         taken = spy_dispatch(mp)
         enumerate_strata(datum, mu)
     return taken
 
 
 def fresh_enumeration(datum, mu):
-    """enumerate_strata on (datum, mu) from a fresh state of its own, which
-    neither reads nor changes the datum's state."""
+    """enumerate_strata on (datum, mu) from a fresh state of its own and an
+    empty slot, which neither reads nor changes the datum's state or the
+    slot."""
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(strata, "_state", strata._state.__wrapped__)
+        mp.setattr(strata, "_slot", None)
         return enumerate_strata(datum, mu)
 
 
 def assert_empty_state(datum):
-    """The datum's state holds no entry, no class and no slot."""
+    """The datum's state holds no entry and no class, and the slot holds no
+    pair of the datum."""
     state = strata._state(datum)
-    assert (state.entries, state.classes, state.mu, state.records) == ({}, {}, None, ())
+    assert (state.entries, state.classes) == ({}, {})
+    assert strata._slot is None or strata._slot[0] != datum
 
 
 def label_free_within_the_cap(datum, mu):
@@ -475,14 +482,18 @@ class TestEnumerationCap:
     @pytest.mark.parametrize("datum,mu", CAP_INPUTS)
     def test_box_within_the_cap_counts_nothing(self, monkeypatch, datum, mu):
         # at cap = box neither path can refuse, and the join checks nothing:
-        # the dispatch's box is the only one taken
+        # the dispatch's box is the only one taken; the slot's repeat of the
+        # pair forms none
         want = enumerate_strata(datum, mu)
         monkeypatch.setenv("KISIN_MAX_ENUM", str(strata._candidate_box(mu)))
         boxes = []
         real = strata._candidate_box
         monkeypatch.setattr(strata, "_candidate_box", lambda mu: boxes.append(mu) or real(mu))
+        strata._slot = None
         assert enumerate_strata(datum, mu) == want
         assert boxes == [mu]
+        assert enumerate_strata(datum, mu) == want
+        assert boxes == [mu] if want else boxes == [mu, mu]  # a label-free pair fills no slot
 
     @pytest.mark.parametrize("datum,mu", [CAP_INPUTS[2], CAP_INPUTS[4]])
     def test_block_box_refuses_before_any_set_is_built(self, monkeypatch, datum, mu):
@@ -664,12 +675,12 @@ class TestTheoremViolation:
         state = strata._state(datum)
         assert len(state.entries) == len(want) > 1 and len(state.classes) == 1
         monkeypatch.setattr(strata, fault, off_by_one if fault == "_solve_label" else twist_off_by_one)
-        state.mu = None  # empty the slot
+        strata._slot = None  # empty the slot
         assert enumerate_strata(datum, mu) == want  # a class hit: no path runs
-        state.mu = None
+        strata._slot = None
         state.classes.clear()
         assert enumerate_strata(datum, mu) == want  # the join reads the entries, so the fault is not reached
-        strata._state.cache_clear()
+        strata.clear_caches()
         with pytest.raises(TheoremViolationError, match="whose lam_nat is"):
             enumerate_strata(datum, mu)
         assert_empty_state(datum)
@@ -1015,12 +1026,15 @@ class TestStrataMemo:
         want = enumerate_strata(datum, mu)
         limit, message = cap_limit(datum, mu)
         monkeypatch.setenv("KISIN_MAX_ENUM", str(limit - 1))
-        state = strata._state(datum)
-        slot = state.mu, state.records
+        slot = strata._slot
+        if want:
+            assert slot[:2] == (datum, mu) and slot[3] is want
+        else:  # label-free within the default cap, which fills no slot
+            assert slot is None
         with pytest.raises(EnumerationCapError) as cached:
             enumerate_strata(datum, mu)
-        assert (state.mu, state.records) == slot  # the refusal is not stored
-        strata._state.cache_clear()
+        assert strata._slot is slot  # the refusal is not stored
+        strata.clear_caches()
         with pytest.raises(EnumerationCapError) as fresh:
             enumerate_strata(datum, mu)
         assert str(cached.value) == str(fresh.value) == message
@@ -1053,8 +1067,68 @@ class TestStrataMemo:
             got = enumerate_strata(datum, mu)
             ran = len(taken)
             assert build_graph(datum, mu).vertices is got and len(taken) == ran
-            assert got == want[mu] and strata._state(datum).mu == mu
+            assert got == want[mu] and strata._slot[:2] == (datum, mu)
         assert taken == ["_join", "_join"]  # A and B lie in different classes
+
+    @pytest.mark.parametrize("datum,mu", [CAP_INPUTS[0], CAP_INPUTS[2], CAP_INPUTS[5]], ids=["walk", "join", "lift"])
+    def test_repeat_call_reads_only_the_cap(self, monkeypatch, datum, mu):
+        # build_graph right after enumerate_strata on one pair reads the cap
+        # and compares it with the slot's need; it checks no argument, forms
+        # no box or walk radius, tests no block sum and reads no state
+        monkeypatch.delenv("KISIN_MAX_ENUM", raising=False)
+        want = enumerate_strata(datum, mu)
+        walk = walk_by_box(datum, mu)
+        need = strata._walk_bound(datum, mu, strata._walk_radius(datum, mu)) if walk else strata._candidate_box(mu)
+        assert strata._slot == (datum, mu, need, want)
+        with pytest.MonkeyPatch.context() as mp:
+            for name in ("_require_mu", "_label_free", "_walk_radius", "_walk_bound", "_candidate_box", "_state"):
+                forbid(mp, name)
+            assert build_graph(datum, mu).vertices is want
+            mp.setenv("KISIN_MAX_ENUM", str(need))
+            assert enumerate_strata(datum, mu) is want
+        # a cap below the need takes the full path: the join may still pass
+        # its count, and otherwise the refusal is the fresh call's
+        limit, message = cap_limit(datum, mu)
+        taken = spy_dispatch(monkeypatch)
+        for cap in sorted({limit - 1, need - 1}):
+            monkeypatch.setenv("KISIN_MAX_ENUM", str(cap))
+            if cap < limit:
+                with pytest.raises(EnumerationCapError) as refused:
+                    enumerate_strata(datum, mu)
+                assert str(refused.value) == message
+            else:
+                assert enumerate_strata(datum, mu) == want  # the class's top serves it
+        assert taken == []
+        monkeypatch.setenv("KISIN_MAX_ENUM", "1e3")
+        with pytest.raises(ConfigError, match="KISIN_MAX_ENUM='1e3'"):
+            enumerate_strata(datum, mu)
+
+    def test_clear_caches_empties_the_slot(self, monkeypatch):
+        datum, mu = caruso_datum(3, 1, 3, 5), ((3, 1, -3),)
+        want = enumerate_strata(datum, mu)
+        assert strata._slot[3] is want
+        strata.clear_caches()
+        assert strata._slot is None
+        taken = spy_dispatch(monkeypatch)
+        again = enumerate_strata(datum, mu)
+        assert again == want and again is not want and taken == ["_join"]
+
+    def test_label_free_or_refused_call_fills_nothing(self, monkeypatch):
+        # neither a datum state nor the slot is created
+        monkeypatch.delenv("KISIN_MAX_ENUM", raising=False)
+        datum, free = CAP_INPUTS[4]
+        assert strata.block_sums(datum, free) is None
+        assert enumerate_strata(datum, free) == ()
+        assert strata._state.cache_info().currsize == 0 and strata._slot is None
+        mu = ((3, 1, -3),)
+        limit, message = cap_limit(datum, mu)
+        monkeypatch.setenv("KISIN_MAX_ENUM", str(limit - 1))
+        with pytest.raises(EnumerationCapError, match=re.escape(message)):
+            enumerate_strata(datum, mu)
+        assert strata._state.cache_info().currsize == 0 and strata._slot is None
+        with pytest.raises(ConfigError, match="mu must be dominant"):
+            enumerate_strata(datum, ((-3, 1, 3),))
+        assert strata._state.cache_info().currsize == 0 and strata._slot is None
 
     def test_a_refusal_leaves_the_slot(self, monkeypatch):
         # A fills the slot; B, refused under a cap that A's box is within,
@@ -1097,7 +1171,9 @@ class TestStrataMemo:
 
 
 def clear_tables():
+    """Empties every datum's state and the slot of the last pair."""
     strata._state.cache_clear()
+    strata._slot = None
 
 
 def sweep_groups():
