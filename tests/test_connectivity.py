@@ -344,7 +344,7 @@ def symmetric_moves(datum, mu):
     of accepted moves."""
     strata = {s.lam: s for s in enumerate_strata(datum, mu)}
     moves = connectivity._graph_moves(datum.shape, datum.w)
-    by_root = {(alpha.block, alpha.i, alpha.j): m for m in moves for alpha in m[:1]}
+    by_root = {m[1:4]: m for m in moves}  # (block, i, j) -> the root's row
     accepted = 0
     for lam, s in strata.items():
         for alpha, k, i, j, *rest in moves:
