@@ -81,36 +81,34 @@ candidate sets, each solved, and a box search over lam are kept as test
 oracles.
 
 Each datum keeps one enumeration state (``_state``), keyed by the whole
-datum, tau included, so central shifts of one twist share nothing.  A label
-is fixed by the datum and its lam_nat, whatever the mu, and so are its
-lam_dag, its R- and D-sets and its central and dominant-minuscule verdicts:
-the state's entries map lam_nat to that entry.  The join looks each
-surviving candidate up before it solves it, and stores an entry only once
-the label has passed the solve and the twist-back check; the walk re-solves
-every label it finds and stores its entry when there is none.  A sweep over
-mu thus solves each label once per datum, and each record adds only what
-reads mu: the d-set rule, the empty-r-set rule, and the R-set and dimension
-under a minuscule mu.  S(mu) = {lam : dominant(lam_nat) <= mu}, and lam_nat
-does not depend on mu, so for mu <= mu' in dominance S(mu) is the set of lam
-in S(mu') with dominant(lam_nat) <= mu.  Dominance needs equal block sums,
-so the state's class index is keyed by the tuple of mu's block sums, and
-holds one top per class: the last mu of the class that was walked or
-joined, with its labels.  A mu dominated by its class's top takes the top's
-labels whose lam_nat it dominates, and no path runs; any other mu is walked
-or joined and becomes the top.  The sweeps list mu in decreasing
-lexicographic order, which dominance refines, so each class is met first at
-its greedy vector, the one that dominates the whole class, and is walked or
-joined once per datum; the order changes how often a path runs, never the
-strata.
+datum, tau included, so central shifts of one twist share nothing: its class
+index.  S(mu) = {lam : dominant(lam_nat) <= mu}, and lam_nat does not depend
+on mu, so for mu <= mu' in dominance S(mu) is the set of lam in S(mu') with
+dominant(lam_nat) <= mu.  Dominance needs equal block sums, so the index is
+keyed by the tuple of mu's block sums, and holds one top per class: the last
+mu of the class that was walked or joined, with its labels.  Each label is
+held as its lam_nat and its entry (``_label_entry``), built once when the
+path returns it: a label's lam_dag, R- and D-sets and central and
+dominant-minuscule verdicts are fixed by the datum and its lam_nat, whatever
+the mu.  A mu dominated by its class's top takes the top's labels whose
+lam_nat it dominates, and no path runs; any other mu is walked or joined,
+every label solved and checked afresh, and becomes the top.  Each record
+adds only what reads mu: the d-set rule, the empty-r-set rule, and the R-set
+and dimension under a minuscule mu.  A label's lam_nat has the block sums of
+mu, so each label lies in exactly one class.  The sweeps list mu in
+decreasing lexicographic order, which dominance refines, so each class is
+met first at its greedy vector, the one that dominates the whole class, and
+is walked or joined once per datum: a sweep solves each label once per
+datum.  The order changes how often a path runs, and so how often a label
+is solved, never the strata.
 
 No part of the state reads the cap.  Every call checks its arguments, forms
 the box, returns () for a label-free pair within the cap, and checks the cap
 on the path the dispatch picks, all before the state is read: so a refusal
 (EnumerationCapError, TheoremViolationError) stores nothing and is raised
 afresh on every call, and a call under a lower KISIN_MAX_ENUM refuses as a
-fresh call does.  The states are bounded by _LABEL_TABLES, a few datums: a
-state holds every label its datum has met, and the sweeps take the datums
-one at a time.
+fresh call does.  The states are bounded by _STATES, a few datums, since
+the sweeps take the datums one at a time.
 
 Apart from the states, one slot (``_slot``) holds the last pair enumerated,
 with its records and its need: the walk's path bound, or the join's box, the
@@ -221,16 +219,9 @@ def _require_label_args(datum: FrobeniusDatum, mu: Cochar, lam: Cochar) -> tuple
     return _cochar(mu), _cochar(lam)
 
 
-def _label_nat(datum: FrobeniusDatum, mu: Cochar, lam: Cochar) -> Optional[Cochar]:
-    """lam_nat when lam meets the defining inequality dominant(lam_nat) <= mu,
-    else None, unchecked."""
-    nat = _twist(datum, lam)[1]
-    return nat if _dominated(nat, mu) else None
-
-
 def _is_label(datum: FrobeniusDatum, mu: Cochar, lam: Cochar) -> bool:
     """The defining inequality dominant(lam_nat) <= mu, unchecked."""
-    return _label_nat(datum, mu, lam) is not None
+    return _dominated(_twist(datum, lam)[1], mu)
 
 
 def stratum_nonempty(datum: FrobeniusDatum, mu: Cochar, lam: Cochar) -> bool:
@@ -295,7 +286,7 @@ def _distinct_permutations(block: tuple):
 
 
 # Entries kept by each cache of this module but the datum states
-# (``_LABEL_TABLES``), and by each cache of ``connectivity``: the GL_3 sweep
+# (``_STATES``), and by each cache of ``connectivity``: the GL_3 sweep
 # fills 112 candidate tables; the chain contexts
 # (``connectivity._chain_context``), which check mu once per (datum, mu), need
 # one key at a time, since a sweep chains every pair of labels of one mu
@@ -455,7 +446,7 @@ def _join_cap(mu: Cochar, cap: int) -> None:
             raise _cap_error(count, "candidates", cap)
 
 
-def _join(datum: FrobeniusDatum, mu: Cochar, table: Optional[dict] = None) -> list:
+def _join(datum: FrobeniusDatum, mu: Cochar) -> list:
     """The labels as sorted (lam, dag, nat) triples, by the residue join of
     the per-block candidate tables.
 
@@ -475,19 +466,17 @@ def _join(datum: FrobeniusDatum, mu: Cochar, table: Optional[dict] = None) -> li
     within the cap.  The cap is not checked here: ``enumerate_strata``
     checks it first (``_join_cap``).
 
-    Each survivor nu is looked up in table, the entries of the datum's state
-    (``_state``; a fresh dict when none is given).  On a miss it is
-    solved by ``_solve_label`` from base less its partials; it must divide
-    out, and its lam must twist back to nu (else TheoremViolationError), so
-    membership holds by construction, and only then is its entry stored.
+    Each survivor nu is solved by ``_solve_label`` from base less its
+    partials; it must divide out, and its lam must twist back to nu (else
+    TheoremViolationError), so membership holds by construction.  The join
+    reads and fills no state: every call solves and checks every label it
+    returns.
     """
     lows = [b[-1] for b in mu]
     shift = any(lows)  # False when every least entry is 0, where nu0 is nu
     if _label_free(datum, mu):
         return []
     mu0 = _shift_blocks(mu, [-c for c in lows]) if shift else mu
-    if table is None:
-        table = {}
     cuts, firsts, moduli = _join_plan(datum.shape, datum.w)
     base = _solve_block0(datum.plan, [x - c for t, c in zip(datum.tau, lows) for x in t])
     target = tuple([base[i] % m for i, m in firsts])
@@ -497,21 +486,18 @@ def _join(datum: FrobeniusDatum, mu: Cochar, table: Optional[dict] = None) -> li
         for entries in itertools.product(*lists):
             nu0 = tuple([v for v, _ in entries])
             nu = _shift_blocks(nu0, lows) if shift else nu0
-            entry = table.get(nu)
-            if entry is None:
-                num0 = base
-                for _, part in entries:
-                    num0 = map(sub, num0, part)
-                lam = _solve_label(datum, num0, nu)
-                if lam is None:
-                    raise TheoremViolationError(
-                        f"candidate {nu} meets the integrality congruence but its preimage is not integral"
-                    )
-                dag, nat = _twist(datum, lam)
-                if nat != nu:
-                    raise TheoremViolationError(f"candidate {nu} solves to {lam}, whose lam_nat is {nat}")
-                entry = table[nu] = _label_entry(datum.shape, lam, dag, nat)
-            out.append((entry[0], entry[1], nu))
+            num0 = base
+            for _, part in entries:
+                num0 = map(sub, num0, part)
+            lam = _solve_label(datum, num0, nu)
+            if lam is None:
+                raise TheoremViolationError(
+                    f"candidate {nu} meets the integrality congruence but its preimage is not integral"
+                )
+            dag, nat = _twist(datum, lam)
+            if nat != nu:
+                raise TheoremViolationError(f"candidate {nu} solves to {lam}, whose lam_nat is {nat}")
+            out.append((lam, dag, nu))
     out.sort()  # by lam: distinct nu solve to distinct lam
     return out
 
@@ -618,18 +604,14 @@ def _cycle_paths(datum: FrobeniusDatum, mu: Cochar, cyc: tuple, radius: int) -> 
     return [path for path in paths if path[0] in win[path[-1]]]
 
 
-def _walk(datum: FrobeniusDatum, mu: Cochar, radius: int, table: Optional[dict] = None) -> list:
+def _walk(datum: FrobeniusDatum, mu: Cochar, radius: int) -> list:
     """The labels as sorted (lam, dag, nat) triples, by the cycle walk in the
     box |lam|_inf <= radius.
 
     Every product of cycle paths is checked with _dominated on its _twist,
     and every label found must re-solve to itself under ``_solve_label``,
-    from the numerators <rows, tau - lam_nat> (else TheoremViolationError);
-    only then is its entry stored in table, the entries of the datum's
-    state (``_state``), when it has none.  The walk reads no entry: each
-    label it finds is re-solved."""
-    if table is None:
-        table = {}
+    from the numerators <rows, tau - lam_nat> (else TheoremViolationError).
+    Like the join, the walk reads and fills no state."""
     shape, w, tau = datum.shape, datum.w, datum.tau
     cycles = _walk_plan(shape, w)
     per_cycle = [_cycle_paths(datum, mu, cyc, radius) for cyc in cycles]
@@ -646,8 +628,6 @@ def _walk(datum: FrobeniusDatum, mu: Cochar, radius: int, table: Optional[dict] 
             again = _solve_label(datum, _solve_block0(datum.plan, rhs), nat)
             if again != lam:
                 raise TheoremViolationError(f"walked label {lam} has lam_nat {nat}, which solves to {again}")
-            if nat not in table:
-                table[nat] = _label_entry(shape, lam, dag, nat)
             out.append((lam, dag, nat))
     out.sort()
     return out
@@ -664,9 +644,9 @@ def enumerate_strata(datum: FrobeniusDatum, mu: Cochar) -> tuple:
     mu within the cap returns (); the dispatch picks the walk or the join,
     and the cap is checked on that path.  Only then is the datum's state
     (``_state``) read, as the module docstring sets out: the labels of a
-    class's top that dominates mu, filtered, else the path's labels, which
-    become the class's top.  The records, built from the labels' entries and
-    mu, fill the slot."""
+    class's top that dominates mu, filtered, else the path's labels, each
+    paired once with its entry (``_label_entry``), which become the class's
+    top.  The records, built from those entries and mu, fill the slot."""
     global _slot
     slot = _slot
     if slot is not None and mu == slot[1] and (datum is slot[0] or datum == slot[0]) and _enum_cap() >= slot[2]:
@@ -685,54 +665,43 @@ def enumerate_strata(datum: FrobeniusDatum, mu: Cochar) -> tuple:
         raise _cap_error(bound, "walk paths", cap)
     if not walk and box > cap:
         _join_cap(mu, cap)
-    state = _state(datum)
-    entries, classes = state.entries, state.classes
+    classes = _state(datum)
     key = tuple(map(sum, mu))
     top = classes.get(key)
     if top is not None and _dominated(mu, top[0]):
-        labels = [t for t in top[1] if _dominated(t[2], mu)]
+        labels = [label for label in top[1] if _dominated(label[0], mu)]
     else:
-        labels = _walk(datum, mu, radius, entries) if walk else _join(datum, mu, entries)
+        shape = datum.shape
+        found = _walk(datum, mu, radius) if walk else _join(datum, mu)
+        labels = [(nat, _label_entry(shape, lam, dag, nat)) for lam, dag, nat in found]
         classes[key] = (mu, labels)
     minuscule = is_minuscule(mu)
-    records = tuple([_stratum(mu, nat, entries[nat], minuscule) for _, _, nat in labels])
+    records = tuple([_stratum(mu, nat, entry, minuscule) for nat, entry in labels])
     _slot = (datum, mu, bound if walk else box, records)
     return records
 
 
-# The datum states kept at once.  A state holds one datum's labels under
-# every mu met so far, and the sweeps (the GL_3 benchmark workload and
+# The datum states kept at once.  A state holds the tops of one datum's
+# classes met so far, and the sweeps (the GL_3 benchmark workload and
 # scripts/gl3_sweep.py) take the datums one at a time, each with every mu, so
 # a few suffice.  On the benchmark's seed-201 GL_3 sweep (15,120 pairs,
-# 11,664 records), 4 states build 7,993 records from a class hit, with no
-# walk or join, and 3,671 after one of the 2,049 joins, which solve 3,664
-# labels and read the other 7 from an entry; the slot (``_slot``) hands
-# every record again to ``build_graph``.  256 states build 8,175 from a hit,
-# since some twists reduce to one datum; without the class index, 256 states
-# of label entries raised the peak resident set from 24.1 to 25.8 MB (Python
-# 3.11).
-_LABEL_TABLES = 4
+# 11,664 records), 4 states build 7,993 records from a class hit, with no walk
+# or join, and 3,671 after one of the 2,049 joins, which solve each label once;
+# the slot (``_slot``) hands every record again to ``build_graph``.  256
+# states take 1,902 joins and 3,489 solves, since some twists reduce to one
+# datum, and raise the peak resident set of one in-process pass of the list
+# from 22.2 to 24.6 MB (Python 3.11).
+_STATES = 4
 
 
-class _State:
-    """The enumeration state of one datum.  entries maps the lam_nat of each
-    label met so far, under any mu, to its entry (``_label_entry``), stored
-    only once the label has passed the check of the path that found it;
-    classes maps the block sums of a mu to its class's top, (mu', sorted
-    (lam, dag, nat) labels of mu'), every label of which has its entry."""
-
-    __slots__ = ("entries", "classes")
-
-    def __init__(self):
-        self.entries, self.classes = {}, {}
-
-
-@lru_cache(maxsize=_LABEL_TABLES)
-def _state(datum: FrobeniusDatum) -> _State:
-    """The state of datum, keyed by the whole datum, tau included: a label
-    is determined by its lam_nat only for one tau and w.  Eviction only
-    solves again."""
-    return _State()
+@lru_cache(maxsize=_STATES)
+def _state(datum: FrobeniusDatum) -> dict:
+    """The class index of datum: the block sums of a mu -> its class's top,
+    (mu', the labels of mu' sorted by lam, each as (lam_nat, its
+    ``_label_entry``)).  Keyed by the whole datum, tau included: a label is
+    determined by its lam_nat only for one tau and w.  Eviction only solves
+    again."""
+    return {}
 
 
 # The last pair enumerated, whatever its datum, as (datum, mu, need,
@@ -891,13 +860,14 @@ def block_sums(datum: FrobeniusDatum, mu: Cochar) -> Optional[tuple]:
     its sum is sum(mu_k): s_k = c_k + eps_k s_{k+1} with
     c_k = sum(tau_k) - sum(mu_k), cyclic in k.  Unrolled as in
     ``normal_form._solve_plan``, (1 - q) s_0 = sum_k E_k c_k with the prefix
-    scales E_k and the full product q; the other sums follow downwards from
-    k = N - 1."""
+    scales E_k and the full product q, that is the datum's part
+    (``FrobeniusDatum.tau_weight``) less sum_k E_k sum(mu_k), as
+    ``_label_free`` forms it; the other sums follow downwards from k = N - 1."""
     plan, eps = datum.plan, datum.shape.eps
-    c = [sum(t) - sum(m) for t, m in zip(datum.tau, mu)]
-    s0, rem = divmod(sum(map(mul, plan.prefix_eps, c)), 1 - plan.q)
+    s0, rem = divmod(datum.tau_weight - sum(map(mul, plan.prefix_eps, map(sum, mu))), 1 - plan.q)
     if rem:
         return None
+    c = [sum(t) - sum(m) for t, m in zip(datum.tau, mu)]
     sums = [s0] * len(c)
     for k in range(len(c) - 1, 0, -1):
         sums[k] = c[k] + eps[k] * sums[(k + 1) % len(c)]

@@ -1200,10 +1200,10 @@ def walk_by_box(datum, mu):
 def strata_by_fresh_labels(datum, mu):
     """Strata oracle: the records as the library built them before it kept a
     state per datum.  The labels come from the path the dispatch takes on
-    the box (``walk_by_box``), ``strata._walk`` or ``strata._join``, each
-    handed no table, so every label is solved and checked under this mu; each
-    record is built by ``strata._stratum`` from an entry made afresh for it.
-    No datum state is read or filled."""
+    the box (``walk_by_box``), ``strata._walk`` or ``strata._join``, which
+    read no state, so every label is solved and checked under this mu; each
+    record is built by ``strata._stratum`` from an entry made afresh for it
+    by ``strata._label_entry``.  No datum state is read or filled."""
     from kisin import strata
 
     mu = tuple(map(tuple, mu))

@@ -86,10 +86,9 @@ def fresh_enumeration(datum, mu):
 
 
 def assert_empty_state(datum):
-    """The datum's state holds no entry and no class, and the slot holds no
-    pair of the datum."""
-    state = strata._state(datum)
-    assert (state.entries, state.classes) == ({}, {})
+    """The datum's state holds no class, and the slot holds no pair of the
+    datum."""
+    assert strata._state(datum) == {}
     assert strata._slot is None or strata._slot[0] != datum
 
 
@@ -414,7 +413,7 @@ class TestDispatch:
             assert enumerate_strata(d, mu) == ()
         assert strata._state.cache_info().currsize == 0
         monkeypatch.undo()
-        assert all(strata._state(d).classes == {} for d in datums[-strata._LABEL_TABLES :])
+        assert all(strata._state(d) == {} for d in datums[-strata._STATES :])
 
     def test_verify_counterexamples_at_p101(self, capsys):
         # golden (b) has 28,135,068 candidates here, past the default cap,
@@ -632,7 +631,7 @@ class TestTheoremViolation:
         move_partials(monkeypatch, 1)
         with pytest.raises(TheoremViolationError, match="integrality congruence"):
             enumerate_strata(datum, mu)
-        assert_empty_state(datum)  # the refusal stores no entry, no class and no slot
+        assert_empty_state(datum)  # the refusal stores no class and no slot
 
     def test_solved_label_must_twist_back_to_its_candidate(self, monkeypatch):
         # the numerator of x[0][0] moves by its denominator, so each survivor
@@ -667,20 +666,19 @@ class TestTheoremViolation:
 
     @pytest.mark.parametrize("fault", ["_solve_label", "_twist"])
     def test_join_fault_is_reached_past_a_warm_table(self, monkeypatch, fault):
-        # the labels of mu are entries once an unpatched call has met them, so
-        # a fault patched in later is reached only once the table is cleared;
-        # it is then refused and leaves no entry and no class
+        # mu's class holds mu as its top once an unpatched call has met it,
+        # so a fault patched in later is not reached while the top serves mu;
+        # once the top is cleared the join solves and checks every label
+        # again, so the fault is reached, refused, and leaves no class
         datum, mu = caruso_datum(3, 1, 3, 5), ((3, 1, -3),)
         want = enumerate_strata(datum, mu)
-        state = strata._state(datum)
-        assert len(state.entries) == len(want) > 1 and len(state.classes) == 1
+        classes = strata._state(datum)
+        assert len(want) > 1 and [(top, len(labels)) for top, labels in classes.values()] == [(mu, len(want))]
         monkeypatch.setattr(strata, fault, off_by_one if fault == "_solve_label" else twist_off_by_one)
         strata._slot = None  # empty the slot
         assert enumerate_strata(datum, mu) == want  # a class hit: no path runs
         strata._slot = None
-        state.classes.clear()
-        assert enumerate_strata(datum, mu) == want  # the join reads the entries, so the fault is not reached
-        strata.clear_caches()
+        classes.clear()
         with pytest.raises(TheoremViolationError, match="whose lam_nat is"):
             enumerate_strata(datum, mu)
         assert_empty_state(datum)
@@ -1010,7 +1008,7 @@ class TestStrataMemo:
         # against a fresh state per call; the second pass meets every datum
         # after its state was evicted, and recomputes
         pairs = memo_sweep_pairs()
-        assert len(pairs) > 512 and len({d for d, _ in pairs}) > strata._LABEL_TABLES
+        assert len(pairs) > 512 and len({d for d, _ in pairs}) > strata._STATES
         first = []
         for datum, mu in pairs:
             got = enumerate_strata(datum, mu)
@@ -1165,9 +1163,8 @@ class TestStrataMemo:
 
 
 # ---------------------------------------------------------------------------
-# the label entries of each datum's state: each label of a datum solved and
-# checked once, whatever
-# the mu
+# each datum's state: the labels of a class's top, each with its entry, and
+# the records of every mu against the oracle that solves every label afresh
 
 
 def clear_tables():
@@ -1231,24 +1228,27 @@ def ordered(pairs, order):
 class TestLabelTable:
     @pytest.mark.parametrize("order", ORDERS)
     def test_gl3_sweep_solves_each_label_once(self, monkeypatch, order):
-        # datum by datum, each label is solved and checked when its datum
-        # first meets it, and read from the table under every later mu (no
-        # pair here is walked)
+        # datum by datum, in the sweep order each class is joined once, at a
+        # mu that dominates it, so each label is solved and checked once and
+        # read from its class's top under every later mu; in other orders a
+        # class may be joined again, which solves its labels again (no pair
+        # here is walked)
         groups, distinct = sweep_groups()
         pairs = [pair for group in groups for pair in ordered(group, order)]
         assert not any(walk_by_box(d, mu) for d, mu in pairs)
         count, solved = assert_matches_fresh_labels(pairs, monkeypatch)
-        assert solved == distinct and count > 10 * distinct
+        assert count > 10 * distinct
+        assert solved == distinct if order == "forward" else solved >= distinct
 
     def test_gl3_sweep_with_datums_interleaved_past_the_bound(self):
         # mu by mu, every datum in turn: each table is evicted before its
         # datum returns, and eviction only solves again
         groups, _ = sweep_groups()
-        assert len(groups) > 3 * strata._LABEL_TABLES
+        assert len(groups) > 3 * strata._STATES
         interleaved = [pair for row in itertools.zip_longest(*groups) for pair in row if pair]
         assert assert_matches_fresh_labels(interleaved)[0] > 10000
         info = strata._state.cache_info()
-        assert info.currsize == strata._LABEL_TABLES and info.misses > 10 * len(groups)
+        assert info.currsize == strata._STATES and info.misses > 10 * len(groups)
 
     @pytest.mark.parametrize("order", ORDERS)
     @pytest.mark.parametrize("n,p,step", [(2, 3, 1), (3, 2, 3)])
@@ -1259,32 +1259,65 @@ class TestLabelTable:
     @pytest.mark.parametrize("order", ORDERS)
     def test_contracting_shapes(self, order):
         # the goldens' mu families mix walked and joined pairs over one
-        # datum each, so walked labels are read by the join and back, and a
-        # class's top may have been walked or joined
+        # datum each, so a class's top may have been walked or joined, and
+        # a top serves the mu it dominates whichever path they would take
         pairs = [pair for case, p in (("a", 5), ("a", 7), ("b", 5)) for pair in golden_mu_family(case, p)]
         walked = sum(walk_by_box(d, mu) for d, mu in pairs)
         assert 10 < walked < len(pairs) - 10
         count, _ = assert_matches_fresh_labels(ordered(pairs, order))
-        entries = sum(len(strata._state(d).entries) for d in {d for d, _ in pairs})
-        assert count > 3 * entries > 30
+        held = sum(len(labels) for d in {d for d, _ in pairs} for _, labels in strata._state(d).values())
+        assert count > 3 * held > 30
 
     def test_central_shifts_share_no_table(self):
         # keyed by the whole datum: a shift copy of a twist solves its labels
-        # again, into its own table, whose keys are the shifted lam_nat
+        # again, into its own class index, whose top holds the shifted lam_nat
         datum, mu = caruso_datum(3, 1, 3, 5), ((2, 0, -1),)
         want = enumerate_strata(datum, mu)
         for c in SHIFTS:
             d, m = shifted(datum, mu, c)
             got = enumerate_strata(d, m)
             assert [s.lam for s in got] == [s.lam for s in want]
-            assert set(strata._state(d).entries) == {s.nat for s in got}
+            assert [[nat for nat, _ in labels] for _, labels in strata._state(d).values()] == [[s.nat for s in got]]
         assert strata._state.cache_info().currsize == len(set(SHIFTS) | {0})
+
+    def test_tops_hold_the_entries_of_their_labels(self):
+        # in the sweep order, over the GL_3 sweep and both goldens' mu
+        # families (walked and joined), each class's top holds the labels of
+        # its mu, each with the entry built afresh from its lam; a datum's
+        # state is read once its pairs are done, before it can be evicted
+        groups, _ = sweep_groups()
+        for case in "ab":
+            groups.append(sorted(golden_mu_family(case, 5), key=lambda pair: pair[1], reverse=True))
+        tops = 0
+        for group in groups:
+            for d, mu in group:
+                enumerate_strata(d, mu)
+            for top, labels in strata._state(d).values():
+                assert [nat for nat, _ in labels] == [s.nat for s in strata_by_fresh_labels(d, top)]
+                for nat, entry in labels:
+                    dag, fresh = _twist(d, entry[0])
+                    assert fresh == nat and entry == strata._label_entry(d.shape, entry[0], dag, nat)
+                tops += 1
+        assert tops > 100
+
+    def test_a_path_checks_the_labels_its_class_held(self, monkeypatch):
+        # the class of mu holds the labels of a mu that mu dominates; the
+        # join on mu solves and checks those labels again, so a fault of the
+        # twist on them alone is reached
+        datum, low, mu = caruso_datum(3, 1, 3, 5), ((2, 1, -2),), ((3, 1, -3),)
+        held = {s.lam for s in enumerate_strata(datum, low)}
+        assert held and dispatched_path(datum, mu) == ["_join"]
+        monkeypatch.setattr(strata, "_twist", lambda d, lam: (twist_off_by_one if lam in held else _twist)(d, lam))
+        with pytest.raises(TheoremViolationError, match="whose lam_nat is"):
+            enumerate_strata(datum, mu)
+        assert [top for top, _ in strata._state(datum).values()] == [low]
 
     @pytest.mark.parametrize("p,path", [(3, "_join"), (5, "_walk")])
     def test_d_set_rule_is_decided_per_mu(self, p, path):
         # golden (a)'s label (2,1,1,0) is a d-set singleton under the golden
-        # mu only; under a mu that dominates it the same entry is read, and
-        # the rule is decided again, on either path
+        # mu only; the mu that dominates it becomes the class's top, whose
+        # entry of the label serves the golden mu when it comes second, and
+        # the rule is decided per mu, on either path
         datum, mu = counterexample(CASES["a"], p)
         wider = ((mu[0][0] + 1,) + mu[0][1:3] + (mu[0][3] - 1,),)
         assert dispatched_path(datum, mu) == dispatched_path(datum, wider) == [path]
@@ -1293,7 +1326,7 @@ class TestLabelTable:
             enumerate_strata(datum, first)
             got = {s.lam: s.singleton_rule for s in enumerate_strata(datum, then)}
             assert got[((2, 1, 1, 0),)] == ("d-set" if then == mu else None)
-            assert len(strata._state(datum).entries) == 2
+            assert [(top, len(labels)) for top, labels in strata._state(datum).values()] == [(wider, 2)]
 
 
 # ---------------------------------------------------------------------------
@@ -1349,7 +1382,7 @@ class TestClassIndex:
         for (d, mu), x in zip(pairs, free):
             if d == last and not x:
                 greedy.setdefault(tuple(map(sum, mu)), mu)
-        assert {sums: top for sums, (top, _) in strata._state(last).classes.items()} == greedy
+        assert {sums: top for sums, (top, _) in strata._state(last).items()} == greedy
         assert got == [strata_by_fresh_labels(d, mu) for d, mu in pairs]
         assert sum(map(len, got)) > 300
 
@@ -1362,7 +1395,7 @@ class TestClassIndex:
         top = tuple((b[0] + 1,) + b[1:-1] + (b[-1] - 1,) for b in mu)
         enumerate_strata(datum, top)
         want = enumerate_strata(datum, mu)
-        classes = strata._state(datum).classes
+        classes = strata._state(datum)
         # mu was a hit; a label-free class within the cap installs no top
         tops = [] if label_free_within_the_cap(datum, top) else [top]
         assert tops == ([] if strata.block_sums(datum, mu) is None else [top])
