@@ -162,7 +162,6 @@ def ser_stratum(s) -> dict:
     }
 
 
-@lru_cache(maxsize=64)
 def _int_array_breaks(pad: str) -> tuple:
     """What "], [", ", ", "[[" and "]]" of the repr of a list of int lists
     become in its report text at indent pad."""

@@ -162,13 +162,12 @@ def build_graph(datum: FrobeniusDatum, mu: Cochar) -> StrataGraph:
         return StrataGraph(strata, (), tuple((s.lam,) for s in strata))
     index = {s.lam: t for t, s in enumerate(strata)}
     drop = [-b[-1] for b in mu]
-    shift = any(drop)
     mu0 = _shift_blocks(mu, drop)  # tuples, also for a mu given as lists
     table = _move_table(datum.shape, datum.w, mu0)
     uf = _UnionFind(len(strata))
     edges = []
     for t, s in enumerate(strata):
-        nat0 = _shift_blocks(s.nat, drop) if shift else s.nat
+        nat0 = _shift_blocks(s.nat, drop)
         accepted = table.get(nat0)
         if accepted is None:
             moves = _graph_moves(datum.shape, datum.w)

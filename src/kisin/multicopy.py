@@ -85,21 +85,29 @@ def make_multi(base: FrobeniusDatum, d: int) -> MultiDatum:
 
 def decompose_mu(mu: Cochar, d: int) -> Cochar:
     """Spread mu = (m_j omega_1)_j over d copies: block (i, j) is omega_1 for
-    i < m_j and zero otherwise, so the copy-sum reproduces mu."""
+    i < m_j and zero otherwise, so the copy-sum reproduces mu.
+
+    The d f blocks are built only within KISIN_MAX_ENUM's bound on the
+    recursion steps of ``unique_zero_stratum`` on the lift, which mu and d
+    fix: the step into copy i < d - 1 of factor j is the identity unless
+    i < m_j, and the scaled copy d - 1 never is, so factor j has
+    min(m_j, d - 1) + 1 starts, each of d f steps."""
     if d < 1:
         raise ConfigError("d must be positive")
-    out = [None] * (d * len(mu))
-    for j, b in enumerate(mu):
-        n = len(b)
+    for b in mu:
         if any(x != 0 for x in b[1:]) or b[0] < 0:
             raise ConfigError("mu blocks must be non-negative multiples of omega_1")
-        m = b[0]
-        if m > d:
-            raise ConfigError(f"mu multiplicity {m} exceeds d={d}")
-        omega = (1,) + (0,) * (n - 1)
-        zero = (0,) * n
+        if b[0] > d:
+            raise ConfigError(f"mu multiplicity {b[0]} exceeds d={d}")
+    steps = d * len(mu) * sum(min(b[0], d - 1) + 1 for b in mu)
+    if steps > (cap := _enum_cap()):
+        raise _cap_error(steps, "recursion steps", cap)
+    out = [None] * (d * len(mu))
+    for j, b in enumerate(mu):
+        omega = (1,) + (0,) * (len(b) - 1)
+        zero = (0,) * len(b)
         for i in range(d):
-            out[interleave_index(i, j, d)] = omega if i < m else zero
+            out[interleave_index(i, j, d)] = omega if i < b[0] else zero
     return tuple(out)
 
 

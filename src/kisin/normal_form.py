@@ -75,16 +75,6 @@ class FrobeniusDatum:
         (``strata.block_sums``), formed once per datum."""
         return sum(map(mul, self.plan.prefix_eps, map(sum, self.tau)))
 
-    @cached_property
-    def _hash(self) -> int:
-        return hash((self.shape, self.wt, self.e_num, self.e_den, self.alcove_ok))
-
-    def __hash__(self) -> int:
-        # the hash by value of the generated one, computed once: the datum's
-        # enumeration state and the other caches keyed on a datum look it up
-        # on every call
-        return self._hash
-
     @property
     def tau(self) -> Cochar:
         return self.wt.chi

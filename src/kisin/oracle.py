@@ -34,7 +34,7 @@ import itertools
 import operator
 from typing import Iterator
 
-from .core import Cochar
+from .core import Cochar, _is_prime
 from .errors import (
     BoxTooSmallError,
     ConfigError,
@@ -62,6 +62,8 @@ class GF:
                 if r < 1
                 else "coefficient fields are limited to r <= 2"
             )
+        if not _is_prime(p):
+            raise ConfigError(f"p={p} is not prime")
         self.p, self.r, self.q = p, r, p**r
         self.t_poly = self._irreducible_quadratic(p) if r == 2 else None
 
@@ -147,14 +149,7 @@ class Packing:
         Exact zero digits are skipped with z & -z on the union z of the xs,
         and only the digits at the candidate position are read (and checked)."""
         ints = self._flat(xs)
-        return self._scan(ints, functools.reduce(operator.or_, ints, 0))
-
-    def val(self, x) -> int | None:
-        """minval([x]), the same digits read and checked, with no list."""
-        ints = (x,) if self.field.r == 1 else x
-        return self._scan(ints, ints[0] | ints[-1])
-
-    def _scan(self, ints, z: int) -> int | None:  # z: the union of ints
+        z = functools.reduce(operator.or_, ints, 0)
         W, p, mask, half = self.width, self.field.p, self._mask, self._half
         while z:
             t = ((z & -z).bit_length() - 1) // W
@@ -336,7 +331,7 @@ def _eliminate(ring: Packing, rows, shift: int) -> list:
         best = None
         for i in alive_rows:  # ascending, so the first minimum found is topmost
             for j in alive_cols:
-                v = ring.val(work[i][j])
+                v = ring.minval([work[i][j]])
                 if v is not None and (best is None or v - rsh[i] < best[2]):
                     best = (i, j, v - rsh[i])
         if best is None:
@@ -346,7 +341,7 @@ def _eliminate(ring: Packing, rows, shift: int) -> list:
         pivot = work[ip][jp]
         for i in alive_rows:
             a = work[i][jp]
-            va = None if i == ip else ring.val(a)
+            va = None if i == ip else ring.minval([a])
             if va is None:
                 continue
             if i < ip and va - rsh[i] - v < 1:
@@ -500,7 +495,7 @@ def _fill_cells(ring: Packing, B: int, lams, lows, mats, cells, twist, kept) -> 
         T = ring.zero
         for k in range(i + 1, j):
             T = ring.add(T, ring.mul(g[i][k], h[k][j]))
-        v = ring.val(T)
+        v = ring.minval([T])
         if v is not None and v < min(low, floor) - lams[j] + 2 * B:
             return  # a coefficient of g_ij forced below its floor
         forced = sforced = ring.zero

@@ -473,10 +473,9 @@ def _join(datum: FrobeniusDatum, mu: Cochar) -> list:
     returns.
     """
     lows = [b[-1] for b in mu]
-    shift = any(lows)  # False when every least entry is 0, where nu0 is nu
     if _label_free(datum, mu):
         return []
-    mu0 = _shift_blocks(mu, [-c for c in lows]) if shift else mu
+    mu0 = _shift_blocks(mu, [-c for c in lows])
     cuts, firsts, moduli = _join_plan(datum.shape, datum.w)
     base = _solve_block0(datum.plan, [x - c for t, c in zip(datum.tau, lows) for x in t])
     target = tuple([base[i] % m for i, m in firsts])
@@ -485,7 +484,7 @@ def _join(datum: FrobeniusDatum, mu: Cochar) -> list:
     for lists in _residue_join(buckets, moduli, target):
         for entries in itertools.product(*lists):
             nu0 = tuple([v for v, _ in entries])
-            nu = _shift_blocks(nu0, lows) if shift else nu0
+            nu = _shift_blocks(nu0, lows)
             num0 = base
             for _, part in entries:
                 num0 = map(sub, num0, part)

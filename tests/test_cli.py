@@ -3,6 +3,8 @@ import dataclasses
 import io
 import json
 import os
+import resource
+import subprocess
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -810,6 +812,26 @@ class TestDeepInputs:
         monkeypatch.setenv("KISIN_MAX_ENUM", "abc")
         assert main(argv) == 2
         assert "KISIN_MAX_ENUM='abc' is not a non-negative integer" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "extra", (["--mu", "[[1,0]]", "--d", "1000000000"], ["--mu", "[[1000000000,0]]"]), ids=("huge-d", "huge-mu")
+    )
+    def test_multicopy_refuses_a_huge_lift_before_building_it(self, extra):
+        # 10^9 lifted blocks: the recursion steps are counted from mu and d
+        # before any list of the lift is built, so the refusal fits in a
+        # 1.5 GB address space; the run is a child process, so that a lift
+        # built by mistake fails there and not in the test session
+        def limit():
+            resource.setrlimit(resource.RLIMIT_AS, (1500000 * 1024,) * 2)
+
+        env = {k: v for k, v in os.environ.items() if k != "KISIN_MAX_ENUM"}
+        env["PYTHONPATH"] = os.pathsep.join([str(Path(__file__).resolve().parents[1] / "src"), env.get("PYTHONPATH", "")])
+        argv = ["multicopy", "--p", "3", "--n", "2", "--f", "1", "--m", "1", *extra]
+        run = subprocess.run(
+            [sys.executable, "-m", "kisin.cli", *argv], capture_output=True, text=True, env=env, preexec_fn=limit, timeout=60
+        )
+        assert run.returncode == 3 and run.stdout == "" and "Traceback" not in run.stderr
+        assert "recursion steps exceed cap 10000000 (KISIN_MAX_ENUM)" in run.stderr
 
     def test_strata_walk_over_1200_blocks(self, capsys):
         argv = [

@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import random
 from fractions import Fraction as Q
 
@@ -336,6 +337,42 @@ class TestUniqueZeroStratum:
             unique_zero_stratum(multi, mb)
         monkeypatch.setenv("KISIN_MAX_ENUM", "16")
         assert unique_zero_stratum(multi, mb).dim == 0
+
+    def test_decompose_mu_counts_the_recursion_steps_of_the_lift(self, monkeypatch):
+        # decompose_mu counts the steps from mu and d before the lift exists;
+        # at cap 0 it refuses with the count that unique_zero_stratum reads
+        # from the built lift, on every (mu, d) of the grid with block sums
+        compared = 0
+        for n, f, p, m in ((2, 1, 3, 1), (2, 2, 2, 1), (3, 1, 2, 3), (2, 2, 3, 2)):
+            base = caruso_datum(n, f, p, m)
+            for d in range(1, 5):
+                multi = make_multi(base, d)
+                for ms in itertools.product(range(d + 1), repeat=f):
+                    mu = tuple((x,) + (0,) * (n - 1) for x in ms)
+                    monkeypatch.delenv("KISIN_MAX_ENUM", raising=False)
+                    mb = decompose_mu(mu, d)
+                    monkeypatch.setenv("KISIN_MAX_ENUM", "0")
+                    with pytest.raises(EnumerationCapError) as early:
+                        decompose_mu(mu, d)
+                    if block_sums(multi.lifted, mb) is None:
+                        continue  # unique_zero_stratum refuses the empty variety first
+                    with pytest.raises(EnumerationCapError) as built:
+                        unique_zero_stratum(multi, mb)
+                    assert str(early.value) == str(built.value), (n, f, p, m, mu, d)
+                    compared += 1
+        assert compared > 30
+
+    def test_decompose_mu_refuses_before_building_the_blocks(self, monkeypatch):
+        # a million copies: 2 starts of 10^6 steps, refused at once; mu's
+        # shape and its multiplicities stay ConfigErrors ahead of the cap
+        monkeypatch.setenv("KISIN_MAX_ENUM", "100")
+        with pytest.raises(EnumerationCapError, match=r"^2000000 recursion steps exceed cap 100 \(KISIN_MAX_ENUM\)$"):
+            decompose_mu(((1, 0),), 10**6)
+        monkeypatch.setenv("KISIN_MAX_ENUM", "0")
+        with pytest.raises(ConfigError, match="multiples of omega_1"):
+            decompose_mu(((1, 0), (1, 1)), 10**6)
+        with pytest.raises(ConfigError, match="exceeds d=3"):
+            decompose_mu(((1, 0), (4, 0)), 3)
 
     def test_recursion_rejects_positive_dim(self):
         rng = random.Random(67)

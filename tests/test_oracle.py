@@ -111,6 +111,11 @@ class TestGF:
         assert pow(-4 * C, (p - 1) // 2, p) == p - 1
         assert all(pow(-4 * c, (p - 1) // 2, p) == 1 for c in range(1, C))
 
+    @pytest.mark.parametrize("p,r", ((4, 1), (1, 1), (0, 1), (-3, 1), (9, 2)))
+    def test_refuses_a_p_that_is_not_prime(self, p, r):
+        with pytest.raises(ConfigError, match=rf"^p={p} is not prime$"):
+            GF(p, r)
+
     @pytest.mark.parametrize("p,r", ((1000003, 1), (1009, 2), (999999999989, 2)))
     def test_builds_no_table(self, p, r):
         f = GF(p, r)
@@ -142,28 +147,14 @@ class TestPacking:
         ring = Packing(F3, 8)
         assert ring.minval([3 + (1 << 16)]) == 2
         assert ring.minval([3, 6 << 8]) is None
+        assert ring.minval([3 + (6 << 8)]) is None
+        # 3 + t X over F_9: the digit 3 of the first field is zero mod 3
+        assert Packing(F9, 8).minval([(3, 1 << 8)]) == 1
 
     def test_digit_past_the_spare_bit_is_a_theorem_violation(self):
-        ring = Packing(F3, 8)
-        with pytest.raises(TheoremViolationError, match="a packed coefficient passed its bound"):
-            ring.minval([1 << 7])
-
-    @pytest.mark.parametrize("field", (F3, F9))
-    @given(ta=polys)
-    def test_val_is_minval_of_one(self, field, ta):
-        a = series_from_terms(field, {e: x % field.q for e, x in ta.items() if x % field.q})
-        ring = Packing(field, 40)
-        pa = pack_series(ring, a, 3)
-        assert ring.val(pa) == ring.minval([pa])
-
-    def test_val_reads_digits_as_minval_does(self):
-        ring = Packing(F3, 8)
-        assert ring.val(3 + (1 << 16)) == 2
-        assert ring.val(3 + (6 << 8)) is None
-        assert Packing(F9, 8).val((3, 1 << 8)) == 1
         for r, x in ((1, 1 << 7), (2, (0, 1 << 7))):
             with pytest.raises(TheoremViolationError, match="a packed coefficient passed its bound"):
-                Packing(GF(3, r), 8).val(x)
+                Packing(GF(3, r), 8).minval([x])
 
 
 class TestLSeries:
@@ -529,14 +520,14 @@ class TestIwahoriLabel:
         # pivot's valuation, breaks the Iwahori row order
         one = series_from_terms(F3, {0: 1})
         ring, rows, shift = pack_matrix(mat_from_rows(F3, [[one, one], [one, LSeries.zero(F3)]]))
-        real, reads = Packing.val, []
+        real, reads = Packing.minval, []
 
-        def misread(self, x):
+        def misread(self, xs):
             reads.append(None)
-            v = real(self, x)
+            v = real(self, xs)
             return v + 1 if len(reads) <= 2 else v  # the reads of row 0 in the first search
 
-        monkeypatch.setattr(Packing, "val", misread)
+        monkeypatch.setattr(Packing, "minval", misread)
         with pytest.raises(PreconditionError, match="Iwahori row order"):
             iwahori_label(ring, rows, shift)
 
