@@ -148,10 +148,6 @@ def cochar_sub(a: Cochar, b: Cochar) -> Cochar:
     return tuple([tuple(map(sub, ba, bb)) for ba, bb in zip(a, b)])
 
 
-def cochar_scale(k: int, a: Cochar) -> Cochar:
-    return tuple(tuple(k * x for x in b) for b in a)
-
-
 def is_central(v: Cochar) -> bool:
     """Constant within every block."""
     for b in v:

@@ -10,16 +10,19 @@ The zero-dimensional stratum is constructed, not searched for.  Its label
 solves the block recursion of ``recursion_check`` with an h = 0 witness
 block; the block sums of every label follow from mu and tau alone
 (``strata.block_sums``), the witness block then has exactly one candidate,
-and the recursion read backwards is an integer step.  So one walk around the
-blocks from each possible witness finds every solution, in O(N) steps per
-start (``unique_zero_stratum``).  Enumerating the lifted strata is left to
-tell an empty variety from a theorem violation when no walk closes, and stays
-the test oracle for the construction.
+and the recursion read backwards is an integer step.  So walks around the
+blocks from each possible witness find every solution.  A walk stops where
+it meets an earlier walk's start holding that start's witness, so the walks
+of a lift over N blocks take O(N) steps in all (``unique_zero_stratum``).
+Enumerating the lifted strata is left to tell an empty variety from a
+theorem violation when no walk closes, and stays the test oracle for the
+construction.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 
 from .core import (
     Cochar,
@@ -29,7 +32,7 @@ from .core import (
     twist_block,
 )
 from .errors import ConfigError, PreconditionError, TheoremViolationError
-from .normal_form import FrobeniusDatum, _same_point, solve_affine_scaled
+from .normal_form import FrobeniusDatum, _is_fixed_point
 from .strata import Stratum, _cap_error, _enum_cap, block_sums, enumerate_strata, make_stratum
 
 
@@ -53,8 +56,10 @@ def make_multi(base: FrobeniusDatum, d: int) -> MultiDatum:
     """Lift a datum to d copies, the base sitting in the last copy.
 
     The lifted fixed point is the copy-interleaving (e, ..., e); each block
-    equals a block of e, so the alcove certificate is inherited.  The lifted
-    solve must give the interleaved numerators over the base's denominator.
+    equals a block of e, so the alcove certificate is inherited.  The
+    interleaved numerators over the base's denominator must satisfy the
+    lift's defining identity (``normal_form._is_fixed_point``), which
+    certifies them with no solve of the lifted system.
     """
     if d < 1:
         raise ConfigError("d must be positive")
@@ -77,21 +82,26 @@ def make_multi(base: FrobeniusDatum, d: int) -> MultiDatum:
                 tau[k] = base.tau[j]
                 w[k] = base.w[j]
     wt = ExtAffine(tau, w)
-    lifted = FrobeniusDatum(lifted_shape, wt, tuple(num), base.e_den, True)
-    if not _same_point(*solve_affine_scaled(lifted_shape, wt.w, wt.chi), lifted.e_num, lifted.e_den):
+    num = tuple(num)
+    if not _is_fixed_point(lifted_shape, wt, num, base.e_den):
         raise TheoremViolationError("interleaved fixed point fails its identity")
-    return MultiDatum(base, d, lifted)
+    return MultiDatum(base, d, FrobeniusDatum(lifted_shape, wt, num, base.e_den, True))
 
 
 def decompose_mu(mu: Cochar, d: int) -> Cochar:
     """Spread mu = (m_j omega_1)_j over d copies: block (i, j) is omega_1 for
     i < m_j and zero otherwise, so the copy-sum reproduces mu.
 
-    The d f blocks are built only within KISIN_MAX_ENUM's bound on the
-    recursion steps of ``unique_zero_stratum`` on the lift, which mu and d
-    fix: the step into copy i < d - 1 of factor j is the identity unless
-    i < m_j, and the scaled copy d - 1 never is, so factor j has
-    min(m_j, d - 1) + 1 starts, each of d f steps."""
+    The d f blocks are built only within two bounds of KISIN_MAX_ENUM, both
+    fixed by mu and d.  The first is the bound on the recursion steps of
+    ``unique_zero_stratum`` on the lift: the step into copy i < d - 1 of
+    factor j is the identity unless i < m_j, and the scaled copy d - 1 never
+    is, so factor j has min(m_j, d - 1) + 1 walk starts, and no walk takes
+    more than the d f steps around the lift.  The merged walks take far
+    fewer, so this count is an upper bound.  The second is the lift's size,
+    (n + 1) d f entries (n per block and its eps), which bounds the lists
+    of the lift, of its solve plan and of its report once the walk no
+    longer does."""
     if d < 1:
         raise ConfigError("d must be positive")
     for b in mu:
@@ -102,6 +112,8 @@ def decompose_mu(mu: Cochar, d: int) -> Cochar:
     steps = d * len(mu) * sum(min(b[0], d - 1) + 1 for b in mu)
     if steps > (cap := _enum_cap()):
         raise _cap_error(steps, "recursion steps", cap)
+    if (size := d * sum(len(b) + 1 for b in mu)) > cap:
+        raise _cap_error(size, "lifted entries", cap)
     out = [None] * (d * len(mu))
     for j, b in enumerate(mu):
         omega = (1,) + (0,) * (len(b) - 1)
@@ -124,9 +136,9 @@ def varsigma(v: tuple, step: int) -> tuple:
 def _check_omega_pattern(mu_bullet: Cochar) -> tuple:
     ms = []
     for b in mu_bullet:
-        if all(x == 0 for x in b):
+        if not any(b):
             ms.append(0)
-        elif b[0] == 1 and all(x == 0 for x in b[1:]):
+        elif b[0] == 1 and not any(b[1:]):
             ms.append(1)
         else:
             raise ConfigError("mu_bullet blocks must be 0 or omega_1")
@@ -167,7 +179,7 @@ def unique_zero_stratum(multi: MultiDatum, mu_bullet: Cochar) -> Stratum:
        lam_{k+1} = M, -e_i grows with i, so j* is the last of them.  Hence
        lam_k = tau_k + eps_k w_k(lam_{k+1}) - [m_k = 1] unit(w_k(j*)), all
        in integers.
-    4. The starts.  By 2 and 3 a solution is the walk that starts from the
+    4. The walks.  By 2 and 3 a solution is the walk that starts from the
        witness of its block k0 and takes N steps backwards, back to k0,
        ending where it began.  Conversely a closed walk is a label (each
        lam_nat_k is zero or a unit vector, of sum m_k) that solves the
@@ -176,8 +188,26 @@ def unique_zero_stratum(multi: MultiDatum, mu_bullet: Cochar) -> Stratum:
        lam_k0, which is the witness of block k0 - 1 (s_{k0-1} = s_k0), so
        the walk from k0 closes iff the one from k0 - 1 does, on the same
        label: k0 is skipped.  A block with eps = p is never the identity,
-       so some start remains, and the work is N steps per start.
-       KISIN_MAX_ENUM bounds starts times N before any step.
+       so some start remains.  The starts are walked in increasing order,
+       and a walk from k0 stops when it reaches a start k walked before
+       and holds k's witness there (``_closed_walks``).  Each step is
+       determined by the block and the value, so from k on it is the walk
+       from k: it returns to k0 with the value that the walk from k has at
+       k0, and it closes iff that value is k0's witness.  Then the walk from
+       k passes k0 with k0's witness and goes on as the walk from k0 did,
+       back to k with k's witness: it closed too, and on the same label,
+       block for block.  So a stopped walk closes on a label that the walk
+       from k closed on, which by induction over the starts is already
+       among the closed labels, and stopping changes no closed label.
+       The cost.  The step into a copy k - 1 of omega_1 (eps = 1, w = id,
+       tau = 0, m = 1) subtracts 1 at the last maximal entry, which takes
+       the witness of sum s to the witness of sum s - 1 = s_{k-1}, and
+       k - 1 is a start (the step into k - 2 is an omega_1 copy or the
+       scaled copy), walked before k.  So on a multi-copy lift every start
+       but the first copy of each factor stops after one step, and the
+       walks take at most f N + starts steps, not starts times N.
+       KISIN_MAX_ENUM bounds starts times N, an upper bound on the steps,
+       before any step.
     5. The result.  There must be exactly one solution, and ``make_stratum``
        must give it dimension 0; it is then the same record enumeration
        builds.  Anything else is a TheoremViolationError.  When no walk
@@ -187,38 +217,12 @@ def unique_zero_stratum(multi: MultiDatum, mu_bullet: Cochar) -> Stratum:
     """
     ms = _check_omega_pattern(mu_bullet)
     lifted = multi.lifted
-    shape = lifted.shape
-    shape.check_cochar(mu_bullet)
+    lifted.shape.check_cochar(mu_bullet)
     cap = _enum_cap()
     sums = block_sums(lifted, mu_bullet)
     if sums is None:
         raise PreconditionError("the multi-copy variety is empty")
-    big, n = shape.blocks, shape.n
-    origin, ident = (0,) * n, identity_perm(n)
-    # the step into block k, None when it is the identity
-    steps = [
-        None if e == 1 and w == ident and t == origin and not m else (e, w, wi, t, m)
-        for e, w, wi, t, m in zip(shape.eps, lifted.w, lifted.plan.winv, lifted.tau, ms)
-    ]
-    starts = [k for k in range(big) if steps[k - 1] is not None]
-    if len(starts) * big > cap:
-        raise _cap_error(len(starts) * big, "recursion steps", cap)
-    closed = set()
-    for k0 in starts:
-        lam = [None] * big
-        start = cur = lam[k0] = _witness(sums[k0], n)
-        for k in range(k0 - 1, k0 - big - 1, -1):
-            step = steps[k]
-            if step is not None:
-                e, w, wi, t, m = step
-                blk = twist_block(t, wi, e, cur, 1)
-                if m:
-                    i = w[n - 1 - cur[::-1].index(max(cur))]
-                    blk = blk[:i] + (blk[i] - 1,) + blk[i + 1 :]
-                cur = blk
-            lam[k] = cur  # k runs down to k0 - big, which is k0 again
-        if cur == start:
-            closed.add(tuple(lam))
+    closed = _closed_walks(lifted, ms, sums, cap)
     if not closed:
         strata = enumerate_strata(lifted, mu_bullet)
         if not strata:
@@ -233,6 +237,45 @@ def unique_zero_stratum(multi: MultiDatum, mu_bullet: Cochar) -> Stratum:
     if zero.dim != 0:
         raise TheoremViolationError(f"the block recursion's solution {zero.lam} has dimension {zero.dim}")
     return zero
+
+
+def _closed_walks(lifted: FrobeniusDatum, ms: tuple, sums: tuple, cap: int) -> set:
+    """The labels on which the walks of ``unique_zero_stratum``'s step 4
+    close, for mu_bullet's pattern ms and the block sums."""
+    shape = lifted.shape
+    big, n = shape.blocks, shape.n
+    origin, ident = (0,) * n, identity_perm(n)
+    # the step into block k, None when it is the identity
+    steps = [
+        None if e == 1 and w == ident and t == origin and not m else (e, w, wi, t, m)
+        for e, w, wi, t, m in zip(shape.eps, lifted.w, lifted.plan.winv, lifted.tau, ms)
+    ]
+    starts = [k for k in range(big) if steps[k - 1] is not None]
+    if len(starts) * big > cap:
+        raise _cap_error(len(starts) * big, "recursion steps", cap)
+    closed = set()
+    lam = [None] * big  # a closed walk writes every block
+    walked = [None] * big  # the witness at each start walked so far
+    for k0 in starts:
+        start = cur = _witness(sums[k0], n)
+        # k0 - 1 down to 0, then N - 1 down to k0 again
+        for k in chain(range(k0 - 1, -1, -1), range(big - 1, k0 - 1, -1)):
+            step = steps[k]
+            if step is not None:
+                e, w, wi, t, m = step
+                blk = twist_block(t, wi, e, cur, 1)
+                if m:
+                    i = w[n - 1 - cur[::-1].index(max(cur))]
+                    blk = blk[:i] + (blk[i] - 1,) + blk[i + 1 :]
+                cur = blk
+            if cur == walked[k]:
+                break  # the walk from k from here on
+            lam[k] = cur
+        else:
+            if cur == start:
+                closed.add(tuple(lam))
+        walked[k0] = start
+    return closed
 
 
 def recursion_check(multi: MultiDatum, mu_bullet: Cochar, lam_bullet: Cochar):

@@ -36,7 +36,6 @@ from .core import (
     ExtAffine,
     GroupShape,
     WeylElt,
-    cochar_scale,
     identity_perm,
     n_cycle,
     perm_inv,
@@ -212,17 +211,20 @@ def _fixed_point_scaled(shape: GroupShape, wt: ExtAffine):
     return solve_affine_scaled(shape, wt.w, wt.chi)
 
 
-def _same_point(num: Cochar, den: int, num2: Cochar, den2: int) -> bool:
-    """Whether num / den == num2 / den2, by cross-multiplying."""
-    return num == num2 if den == den2 else cochar_scale(den2, num) == cochar_scale(den, num2)
+def _is_fixed_point(shape: GroupShape, wt: ExtAffine, num: Cochar, den: int) -> bool:
+    """Whether num / den is the fixed point of wt*sigma: the identity
+    e = tau + w(sigma(e)) times D, E_k = D tau_k + eps_k w_k(E_{k+1}) for
+    every block k.  The fixed point is unique (q >= 2, see
+    ``solve_affine_scaled``), so the identity certifies the point
+    completely, with no second solve."""
+    winv = _solve_plan(shape, wt.w).winv
+    twisted = (twist_block(t, wi, e, v, den) for t, wi, e, v in zip(wt.chi, winv, shape.eps, num[1:] + num[:1]))
+    return num == tuple(twisted)
 
 
 def make_datum(shape: GroupShape, wt: ExtAffine) -> FrobeniusDatum:
     num, den = _fixed_point_scaled(shape, wt)
-    # E = D tau + w(sigma(E)), the identity e = tau + w(sigma(e)) times D
-    winv = _solve_plan(shape, wt.w).winv
-    twisted = (twist_block(t, wi, e, v, den) for t, wi, e, v in zip(wt.chi, winv, shape.eps, num[1:] + num[:1]))
-    if num != tuple(twisted):
+    if not _is_fixed_point(shape, wt, num, den):
         raise TheoremViolationError("fixed point fails its defining identity")
     return FrobeniusDatum(shape, wt, num, den, in_alcove(num, den))
 
@@ -285,8 +287,9 @@ def alcove_reduce(datum: FrobeniusDatum):
     With e = E / D the floors are E // D, and the transport is by formula
     (``_transport_point``, ``_transport_datum``):
     E'_k = y_k^{-1}(E_k mod D), tau'_k = y_k^{-1}(tau_k + eps_k w_k(chi_{k+1})
-    - chi_k) and w'_k = y_k^{-1} w_k y_{k+1}.  The transported datum's own
-    fixed point must equal E' / D, checked by cross-multiplying.
+    - chi_k) and w'_k = y_k^{-1} w_k y_{k+1}.  E' / D must be the
+    transported datum's fixed point, certified by its defining identity
+    (``_is_fixed_point``).
     """
     shape, num, den = datum.shape, datum.e_num, datum.e_den
     if in_alcove(num, den):
@@ -305,7 +308,7 @@ def alcove_reduce(datum: FrobeniusDatum):
     if not in_alcove(num2, den):
         raise TheoremViolationError("alcove reduction produced a point outside the alcove")
     wt2 = _transport_datum(shape, z, datum.wt)
-    if not _same_point(*_fixed_point_scaled(shape, wt2), num2, den):
+    if not _is_fixed_point(shape, wt2, num2, den):
         raise TheoremViolationError("transported fixed point mismatch")
     return z, FrobeniusDatum(shape, wt2, num2, den, True)
 

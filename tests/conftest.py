@@ -24,6 +24,7 @@ from kisin.core import (
     identity_perm,
     perm_inv,
     perm_mul,
+    twist_block,
 )
 from kisin.errors import (
     ConfigError,
@@ -32,12 +33,13 @@ from kisin.errors import (
     SingularMatrixError,
     TheoremViolationError,
 )
-from kisin.multicopy import _check_omega_pattern, varsigma
+from kisin.multicopy import _check_omega_pattern, _witness, varsigma
 from kisin.normal_form import _solve_block0, _solve_plan, caruso_datum, is_caruso_simple, make_datum, solve_affine_scaled
 from kisin import oracle
 from kisin.oracle import GF
 from kisin.strata import (
     Stratum,
+    _cap_error,
     _is_label,
     _require_mu,
     _twist,
@@ -92,6 +94,10 @@ def sigma0_weyl(shape, w):
 
 def cochar_neg(a):
     return tuple(tuple(-x for x in b) for b in a)
+
+
+def cochar_scale(k, a):
+    return tuple(tuple(k * x for x in b) for b in a)
 
 
 def ext_act(a, v):
@@ -1018,6 +1024,41 @@ def zero_stratum_by_enumeration(multi, mu_bullet):
     if len(zero) != 1:
         raise TheoremViolationError(f"expected exactly one zero-dimensional stratum, found {len(zero)}")
     return zero[0]
+
+
+def closed_walks_from_every_start(lifted, ms, sums, cap):
+    """Walk oracle for ``multicopy._closed_walks``: each start's walk taken
+    all N steps around the lifted blocks, as the library walked before a walk
+    stopped where it met an earlier walk's start; the labels of the walks
+    that close."""
+    shape = lifted.shape
+    big, n = shape.blocks, shape.n
+    origin, ident = (0,) * n, identity_perm(n)
+    # the step into block k, None when it is the identity
+    steps = [
+        None if e == 1 and w == ident and t == origin and not m else (e, w, wi, t, m)
+        for e, w, wi, t, m in zip(shape.eps, lifted.w, lifted.plan.winv, lifted.tau, ms)
+    ]
+    starts = [k for k in range(big) if steps[k - 1] is not None]
+    if len(starts) * big > cap:
+        raise _cap_error(len(starts) * big, "recursion steps", cap)
+    closed = set()
+    for k0 in starts:
+        lam = [None] * big
+        start = cur = lam[k0] = _witness(sums[k0], n)
+        for k in range(k0 - 1, k0 - big - 1, -1):
+            step = steps[k]
+            if step is not None:
+                e, w, wi, t, m = step
+                blk = twist_block(t, wi, e, cur, 1)
+                if m:
+                    i = w[n - 1 - cur[::-1].index(max(cur))]
+                    blk = blk[:i] + (blk[i] - 1,) + blk[i + 1 :]
+                cur = blk
+            lam[k] = cur  # k runs down to k0 - big, which is k0 again
+        if cur == start:
+            closed.add(tuple(lam))
+    return closed
 
 
 def composed_stratum(datum, mu, lam):

@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from conftest import (
     act_sigma,
     act_weyl,
+    cochar_scale,
     dominance_leq,
     dominant,
     dominant_vecs,
@@ -31,7 +32,6 @@ from kisin.core import (
     act_perm,
     all_roots,
     cochar_add,
-    cochar_scale,
     cochar_sub,
     identity_perm,
     perm_inv,

@@ -1,12 +1,15 @@
 import dataclasses
 import itertools
+import json
 import random
+import sys
 from fractions import Fraction as Q
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
 
-from conftest import descent_stats, dominant, zero_stratum_by_enumeration
+from conftest import closed_walks_from_every_start, descent_stats, dominant, zero_stratum_by_enumeration
 from kisin import multicopy
 from kisin.cli import main
 from kisin.core import GroupShape
@@ -22,6 +25,11 @@ from kisin.multicopy import (
 )
 from kisin.normal_form import caruso_datum, is_caruso_simple, make_datum
 from kisin.strata import block_sums, enumerate_strata, sum_profile
+
+
+# (n, f, p, m) of the Caruso data whose lifts are counted and walked in
+# TestUniqueZeroStratum, each for d = 1 .. 4 and every mu of those d
+LIFT_BASES = ((2, 1, 3, 1), (2, 2, 2, 1), (3, 1, 2, 3), (2, 2, 3, 2))
 
 
 def random_simple_m(rng, n, q):
@@ -73,10 +81,15 @@ class TestLifting:
         assert lifted.e_den == base.e_den == 4**3 - 1
         assert lifted.e_num == tuple(base.e_num[k // 3] for k in range(6))
 
-    def test_lifted_solve_mismatch_exits_4(self, monkeypatch, capsys):
-        # the lifted solve over a denominator one too large is another point
-        real = multicopy.solve_affine_scaled
-        monkeypatch.setattr(multicopy, "solve_affine_scaled", lambda *a: (real(*a)[0], real(*a)[1] + 1))
+    def test_corrupt_interleaved_block_exits_4(self, monkeypatch, capsys):
+        # the interleaved point with block 1 moved off it fails the lift's
+        # defining identity
+        real = multicopy._is_fixed_point
+
+        def corrupt(shape, wt, num, den):
+            return real(shape, wt, num[:1] + (tuple(x + 1 for x in num[1]),) + num[2:], den)
+
+        monkeypatch.setattr(multicopy, "_is_fixed_point", corrupt)
         message = "interleaved fixed point fails its identity"
         with pytest.raises(TheoremViolationError, match=message):
             make_multi(caruso_datum(2, 1, 3, 1), 3)
@@ -307,13 +320,15 @@ class TestUniqueZeroStratum:
         self.assert_exits_4(capsys, "expected exactly one zero-dimensional stratum, found 0")
 
     def test_two_closed_walks_exit_4(self, monkeypatch, capsys):
-        # the zero stratum has a witness at more than one start, and the set
-        # of closed walks keeps each label once; a collector that keeps every
-        # closed walk sees two
-        class Walks(list):
-            add = list.append
+        # walks that close on two different labels: the walks' one label and
+        # a second one, its block 0 shifted
+        real = multicopy._closed_walks
 
-        monkeypatch.setattr(multicopy, "set", Walks, raising=False)
+        def two(*args):
+            ((first, *rest),) = closed = real(*args)
+            return closed | {(tuple(x + 1 for x in first), *rest)}
+
+        monkeypatch.setattr(multicopy, "_closed_walks", two)
         self.assert_exits_4(capsys, "expected exactly one zero-dimensional stratum, found 2")
 
     def test_failed_recursion_check_exits_4(self, monkeypatch, capsys):
@@ -343,7 +358,7 @@ class TestUniqueZeroStratum:
         # at cap 0 it refuses with the count that unique_zero_stratum reads
         # from the built lift, on every (mu, d) of the grid with block sums
         compared = 0
-        for n, f, p, m in ((2, 1, 3, 1), (2, 2, 2, 1), (3, 1, 2, 3), (2, 2, 3, 2)):
+        for n, f, p, m in LIFT_BASES:
             base = caruso_datum(n, f, p, m)
             for d in range(1, 5):
                 multi = make_multi(base, d)
@@ -362,12 +377,51 @@ class TestUniqueZeroStratum:
                     compared += 1
         assert compared > 30
 
+    def test_merged_walks_match_the_walks_from_every_start(self, monkeypatch, capsys):
+        # the merged walks close on the labels that the walks from every
+        # start around all N blocks close on (conftest), and the CLI gives
+        # the same report or refusal with either walk: on the lifts of
+        # LIFT_BASES, the 41-copy lifts of CI and seed 201's benchmark lifts
+        argvs = [
+            ["multicopy", "--p", str(p), "--n", str(n), "--f", str(f), "--m", str(m),
+             "--mu", json.dumps([[x] + [0] * (n - 1) for x in ms]), "--d", str(d)]
+            for n, f, p, m in LIFT_BASES
+            for d in range(1, 5)
+            for ms in itertools.product(range(d + 1), repeat=f)
+        ]
+        argvs += [[*self.ARGV[:-1], "[[41,0]]", "--d", d] for d in ("41", "3000")]
+        monkeypatch.setattr(sys, "dont_write_bytecode", True)
+        monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+        import workloads
+
+        argvs += [inst["argv"] for inst in workloads.generate("multicopy-lift", 201, 20)]
+        merged, walks = multicopy._closed_walks, []
+
+        def compared(*args):
+            closed = merged(*args)
+            assert closed == closed_walks_from_every_start(*args)
+            walks.append(len(closed))
+            return closed
+
+        for argv in argvs:
+            runs = []
+            for walk in (compared, closed_walks_from_every_start):
+                monkeypatch.setattr(multicopy, "_closed_walks", walk)
+                runs.append((main(argv), capsys.readouterr()))
+            assert runs[0] == runs[1], argv
+        # walks that close on the zero stratum, and walks that close on none
+        assert set(walks) == {0, 1} and walks.count(1) > 400
+
     def test_decompose_mu_refuses_before_building_the_blocks(self, monkeypatch):
         # a million copies: 2 starts of 10^6 steps, refused at once; mu's
         # shape and its multiplicities stay ConfigErrors ahead of the cap
         monkeypatch.setenv("KISIN_MAX_ENUM", "100")
         with pytest.raises(EnumerationCapError, match=r"^2000000 recursion steps exceed cap 100 \(KISIN_MAX_ENUM\)$"):
             decompose_mu(((1, 0),), 10**6)
+        # 40 copies of zero: 40 steps within the cap, but 3 x 40 entries
+        assert decompose_mu(((0, 0),), 33) == ((0, 0),) * 33
+        with pytest.raises(EnumerationCapError, match=r"^120 lifted entries exceed cap 100 \(KISIN_MAX_ENUM\)$"):
+            decompose_mu(((0, 0),), 40)
         monkeypatch.setenv("KISIN_MAX_ENUM", "0")
         with pytest.raises(ConfigError, match="multiples of omega_1"):
             decompose_mu(((1, 0), (1, 1)), 10**6)

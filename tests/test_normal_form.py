@@ -8,6 +8,7 @@ import pytest
 from conftest import (
     act_sigma,
     act_weyl,
+    cochar_scale,
     alcove_reduce_by_fractions,
     ext_act,
     ext_identity,
@@ -28,7 +29,6 @@ from kisin.core import (
     ExtAffine,
     GroupShape,
     cochar_add,
-    cochar_scale,
     cochar_sub,
     identity_perm,
     n_cycle,
