@@ -418,7 +418,8 @@ class TestUniqueZeroStratum:
         monkeypatch.setenv("KISIN_MAX_ENUM", "100")
         with pytest.raises(EnumerationCapError, match=r"^2000000 recursion steps exceed cap 100 \(KISIN_MAX_ENUM\)$"):
             decompose_mu(((1, 0),), 10**6)
-        # 40 copies of zero: 40 steps within the cap, but 3 x 40 entries
+        # copies of zero: 33 are 99 lifted entries, within the cap, and 40
+        # are 40 steps, within it too, but 120 entries
         assert decompose_mu(((0, 0),), 33) == ((0, 0),) * 33
         with pytest.raises(EnumerationCapError, match=r"^120 lifted entries exceed cap 100 \(KISIN_MAX_ENUM\)$"):
             decompose_mu(((0, 0),), 40)
