@@ -13,10 +13,12 @@ block; the block sums of every label follow from mu and tau alone
 and the recursion read backwards is an integer step.  So walks around the
 blocks from each possible witness find every solution.  A walk stops where
 it meets an earlier walk's start holding that start's witness, so the walks
-of a lift over N blocks take O(N) steps in all (``unique_zero_stratum``).
-Enumerating the lifted strata is left to tell an empty variety from a
-theorem violation when no walk closes, and stays the test oracle for the
-construction.
+of a lift over N blocks take at most (f + 1) N steps in all
+(``unique_zero_stratum``).  KISIN_MAX_ENUM is read once, by
+``decompose_mu``, against one count of the lift that bounds both those
+steps and the entries the run holds.  Enumerating the lifted strata is left
+to tell an empty variety from a theorem violation when no walk closes, and
+stays the test oracle for the construction.
 """
 
 from __future__ import annotations
@@ -92,16 +94,26 @@ def decompose_mu(mu: Cochar, d: int) -> Cochar:
     """Spread mu = (m_j omega_1)_j over d copies: block (i, j) is omega_1 for
     i < m_j and zero otherwise, so the copy-sum reproduces mu.
 
-    The d f blocks are built only within two bounds of KISIN_MAX_ENUM, both
-    fixed by mu and d.  The first is the bound on the recursion steps of
-    ``unique_zero_stratum`` on the lift: the step into copy i < d - 1 of
-    factor j is the identity unless i < m_j, and the scaled copy d - 1 never
-    is, so factor j has min(m_j, d - 1) + 1 walk starts, and no walk takes
-    more than the d f steps around the lift.  The merged walks take far
-    fewer, so this count is an upper bound.  The second is the lift's size,
-    (n + 1) d f entries (n per block and its eps), which bounds the lists
-    of the lift, of its solve plan and of its report once the walk no
-    longer does."""
+    The d f blocks are built only within KISIN_MAX_ENUM, against one count
+    fixed by mu and d before any block exists: d f times the weight
+    max(10 n^2 + 6 n + 7, f + 1), refused as ``N lifted entries exceed cap
+    C``.  The weight bounds two things per lifted block.
+
+    The walk's steps.  ``unique_zero_stratum`` walks at most (f + 1) N
+    steps on any omega pattern over the N = d f blocks (its step 4), so at
+    most f + 1 per block.
+
+    The entries the run holds, a block of a cochar or a permutation
+    counting n and a root one.  The lift's tau, w and e (3 n) and eps (1);
+    mu_bullet (n), its omega pattern and its block sums (2); the solve
+    plan's rows, n rows of n N (n^2), its prefix permutations and their
+    inverses (2 n) and its prefix scales (1); the walk's steps and starts
+    (2) and its values and witnesses (2 n); the root table's n (n - 1) rows
+    of a root and four numbers (5 n^2 - 5 n); the record's lam, nat and dag
+    (3 n) and its R- and D-sets, at most n (n - 1) / 2 roots each, since D
+    holds no root together with its negative (n^2 - n); the report's
+    mu_bullet, lam, nat and dag (4 n), its block sums (1), and R and D as
+    dicts of three numbers (3 n^2 - 3 n).  Together 10 n^2 + 6 n + 7."""
     if d < 1:
         raise ConfigError("d must be positive")
     for b in mu:
@@ -109,10 +121,8 @@ def decompose_mu(mu: Cochar, d: int) -> Cochar:
             raise ConfigError("mu blocks must be non-negative multiples of omega_1")
         if b[0] > d:
             raise ConfigError(f"mu multiplicity {b[0]} exceeds d={d}")
-    steps = d * len(mu) * sum(min(b[0], d - 1) + 1 for b in mu)
-    if steps > (cap := _enum_cap()):
-        raise _cap_error(steps, "recursion steps", cap)
-    if (size := d * sum(len(b) + 1 for b in mu)) > cap:
+    size = d * sum(max(10 * len(b) ** 2 + 6 * len(b) + 7, len(mu) + 1) for b in mu)
+    if size > (cap := _enum_cap()):
         raise _cap_error(size, "lifted entries", cap)
     out = [None] * (d * len(mu))
     for j, b in enumerate(mu):
@@ -199,15 +209,25 @@ def unique_zero_stratum(multi: MultiDatum, mu_bullet: Cochar) -> Stratum:
        block for block.  So a stopped walk closes on a label that the walk
        from k closed on, which by induction over the starts is already
        among the closed labels, and stopping changes no closed label.
-       The cost.  The step into a copy k - 1 of omega_1 (eps = 1, w = id,
-       tau = 0, m = 1) subtracts 1 at the last maximal entry, which takes
-       the witness of sum s to the witness of sum s - 1 = s_{k-1}, and
-       k - 1 is a start (the step into k - 2 is an omega_1 copy or the
-       scaled copy), walked before k.  So on a multi-copy lift every start
-       but the first copy of each factor stops after one step, and the
-       walks take at most f N + starts steps, not starts times N.
-       KISIN_MAX_ENUM bounds starts times N, an upper bound on the steps,
-       before any step.
+       The cost.  Take a start k0 whose first step, into k0 - 1, is not
+       into a scaled block: eps = 1, so w = id and tau = 0, and m = 1.  The
+       steps from there down to the next start k below k0 are identities,
+       and an identity or omega_1 step takes the witness of block k' to
+       the witness of block k' - 1: it subtracts m_{k'-1} at the last
+       maximal entry, and s_{k'-1} = s_k' - m_{k'-1}.  Block 0 is a start,
+       the step into N - 1 being scaled, and it is walked first, so k
+       exists and was walked before, and the walk stops at k after
+       k0 - k steps.  These
+       walks cover disjoint segments of the blocks, so together they take
+       at most N steps.  The other starts follow a scaled block; there are
+       f of them, and each walk takes at most N steps.  So the walks take
+       at most (f + 1) N steps on every omega pattern.  On the copy-major
+       pattern of ``decompose_mu`` the copies of omega_1 come first in each
+       factor, so the block below an omega_1 copy k0 - 1 is a start too,
+       and each walk of the first kind stops after one step: at most
+       f N + starts steps.  Other patterns can take more: p = 3, n = 3,
+       f = 1, m = 9 and d = 8 with the pattern (0, 1, 0, 0, 1, 1, 1, 1)
+       take 15 steps, and f N + starts = 13.
     5. The result.  There must be exactly one solution, and ``make_stratum``
        must give it dimension 0; it is then the same record enumeration
        builds.  Anything else is a TheoremViolationError.  When no walk
@@ -218,11 +238,10 @@ def unique_zero_stratum(multi: MultiDatum, mu_bullet: Cochar) -> Stratum:
     ms = _check_omega_pattern(mu_bullet)
     lifted = multi.lifted
     lifted.shape.check_cochar(mu_bullet)
-    cap = _enum_cap()
     sums = block_sums(lifted, mu_bullet)
     if sums is None:
         raise PreconditionError("the multi-copy variety is empty")
-    closed = _closed_walks(lifted, ms, sums, cap)
+    closed = _closed_walks(lifted, ms, sums)
     if not closed:
         strata = enumerate_strata(lifted, mu_bullet)
         if not strata:
@@ -239,7 +258,7 @@ def unique_zero_stratum(multi: MultiDatum, mu_bullet: Cochar) -> Stratum:
     return zero
 
 
-def _closed_walks(lifted: FrobeniusDatum, ms: tuple, sums: tuple, cap: int) -> set:
+def _closed_walks(lifted: FrobeniusDatum, ms: tuple, sums: tuple) -> set:
     """The labels on which the walks of ``unique_zero_stratum``'s step 4
     close, for mu_bullet's pattern ms and the block sums."""
     shape = lifted.shape
@@ -251,8 +270,6 @@ def _closed_walks(lifted: FrobeniusDatum, ms: tuple, sums: tuple, cap: int) -> s
         for e, w, wi, t, m in zip(shape.eps, lifted.w, lifted.plan.winv, lifted.tau, ms)
     ]
     starts = [k for k in range(big) if steps[k - 1] is not None]
-    if len(starts) * big > cap:
-        raise _cap_error(len(starts) * big, "recursion steps", cap)
     closed = set()
     lam = [None] * big  # a closed walk writes every block
     walked = [None] * big  # the witness at each start walked so far

@@ -40,6 +40,7 @@ from kisin.oracle import GF
 from kisin.strata import (
     Stratum,
     _cap_error,
+    _enum_cap,
     _is_label,
     _require_mu,
     _twist,
@@ -1026,11 +1027,12 @@ def zero_stratum_by_enumeration(multi, mu_bullet):
     return zero[0]
 
 
-def closed_walks_from_every_start(lifted, ms, sums, cap):
+def closed_walks_from_every_start(lifted, ms, sums):
     """Walk oracle for ``multicopy._closed_walks``: each start's walk taken
     all N steps around the lifted blocks, as the library walked before a walk
     stopped where it met an earlier walk's start; the labels of the walks
-    that close."""
+    that close.  Its starts times N steps are refused past KISIN_MAX_ENUM,
+    read here, as the library refused them then."""
     shape = lifted.shape
     big, n = shape.blocks, shape.n
     origin, ident = (0,) * n, identity_perm(n)
@@ -1040,7 +1042,7 @@ def closed_walks_from_every_start(lifted, ms, sums, cap):
         for e, w, wi, t, m in zip(shape.eps, lifted.w, lifted.plan.winv, lifted.tau, ms)
     ]
     starts = [k for k in range(big) if steps[k - 1] is not None]
-    if len(starts) * big > cap:
+    if len(starts) * big > (cap := _enum_cap()):
         raise _cap_error(len(starts) * big, "recursion steps", cap)
     closed = set()
     for k0 in starts:

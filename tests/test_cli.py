@@ -802,35 +802,36 @@ class TestDeepInputs:
         assert len(report["zero_stratum"]["lam"]) == 1000
 
     def test_multicopy_past_the_enumeration_cap(self, capsys, monkeypatch):
-        # 41 copies: 2^41 lifted candidates, and 41 starts of at most 41
-        # recursion steps each
+        # 41 copies: 2^41 lifted candidates, and 41 x 59 lifted entries
         argv = ["multicopy", "--p", "3", "--n", "2", "--f", "1", "--m", "1", "--mu", "[[41,0]]"]
         assert main(argv) == 0
         assert json.loads(capsys.readouterr().out)["recursion_ok"] is True
         monkeypatch.setenv("KISIN_MAX_ENUM", "100")
         assert main(argv) == 3
-        assert "1681 recursion steps exceed cap 100 (KISIN_MAX_ENUM)" in capsys.readouterr().err
+        assert "2419 lifted entries exceed cap 100 (KISIN_MAX_ENUM)" in capsys.readouterr().err
         monkeypatch.setenv("KISIN_MAX_ENUM", "abc")
         assert main(argv) == 2
         assert "KISIN_MAX_ENUM='abc' is not a non-negative integer" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
-        "extra,message",
+        "extra,entries",
         (
-            (["--n", "2", "--mu", "[[1,0]]", "--d", "1000000000"], "recursion steps"),
-            (["--n", "2", "--mu", "[[1000000000,0]]"], "recursion steps"),
-            (["--n", "2", "--mu", "[[0,0]]", "--d", "10000000"], "30000000 lifted entries"),
-            (["--n", "1", "--mu", "[[0]]", "--d", "10000000"], "20000000 lifted entries"),
+            (["--n", "2", "--mu", "[[1,0]]", "--d", "1000000000"], "59000000000"),
+            (["--n", "2", "--mu", "[[1000000000,0]]"], "59000000000"),
+            (["--n", "2", "--mu", "[[0,0]]", "--d", "10000000"], "590000000"),
+            (["--n", "1", "--mu", "[[0]]", "--d", "10000000"], "230000000"),
+            (["--n", "2", "--mu", "[[1,0]]", "--d", "1000000"], "59000000"),
         ),
-        ids=("huge-d", "huge-mu", "huge-size", "huge-size-n1"),
+        ids=("huge-d", "huge-mu", "huge-size", "huge-size-n1", "huge-report"),
     )
-    def test_multicopy_refuses_a_huge_lift_before_building_it(self, extra, message):
-        # 10^9 lifted blocks: the recursion steps are counted from mu and d
-        # before any list of the lift is built, and 10^7 lifted blocks in
-        # exactly 10^7 recursion steps: the lift's (n + 1) d f entries are
-        # counted too, so each refusal fits in a 1.5 GB address space; the
-        # run is a child process, so that a lift built by mistake fails there
-        # and not in the test session
+    def test_multicopy_refuses_a_huge_lift_before_building_it(self, extra, entries):
+        # 10^9, 10^7 and 10^6 lifted blocks: the lift's entries, d f times
+        # 10 n^2 + 6 n + 7, are counted from mu and d before any list of the
+        # lift is built, so each refusal fits in a 1.5 GB address space;
+        # the million blocks of huge-report have a non-empty variety, whose
+        # record and report would not fit there.  The run is a child
+        # process, so that a lift built by mistake fails there and not in
+        # the test session
         def limit():
             resource.setrlimit(resource.RLIMIT_AS, (1500000 * 1024,) * 2)
 
@@ -841,7 +842,7 @@ class TestDeepInputs:
             [sys.executable, "-m", "kisin.cli", *argv], capture_output=True, text=True, env=env, preexec_fn=limit, timeout=60
         )
         assert run.returncode == 3 and run.stdout == "" and "Traceback" not in run.stderr
-        assert f"{message} exceed cap 10000000 (KISIN_MAX_ENUM)" in run.stderr
+        assert f"{entries} lifted entries exceed cap 10000000 (KISIN_MAX_ENUM)" in run.stderr
 
     def test_strata_walk_over_1200_blocks(self, capsys):
         argv = [

@@ -13,7 +13,13 @@ from conftest import closed_walks_from_every_start, descent_stats, dominant, zer
 from kisin import multicopy
 from kisin.cli import main
 from kisin.core import GroupShape
-from kisin.errors import ConfigError, EnumerationCapError, PreconditionError, TheoremViolationError
+from kisin.errors import (
+    ConfigError,
+    EnumerationCapError,
+    NotInGeneralPositionError,
+    PreconditionError,
+    TheoremViolationError,
+)
 from kisin.multicopy import (
     decompose_mu,
     interleave_index,
@@ -27,7 +33,7 @@ from kisin.normal_form import caruso_datum, is_caruso_simple, make_datum
 from kisin.strata import block_sums, enumerate_strata, sum_profile
 
 
-# (n, f, p, m) of the Caruso data whose lifts are counted and walked in
+# (n, f, p, m) of the Caruso data whose lifts are walked in
 # TestUniqueZeroStratum, each for d = 1 .. 4 and every mu of those d
 LIFT_BASES = ((2, 1, 3, 1), (2, 2, 2, 1), (3, 1, 2, 3), (2, 2, 3, 2))
 
@@ -344,38 +350,78 @@ class TestUniqueZeroStratum:
         assert str(exc.value).endswith("has dimension 1")
 
     def test_cap_bounds_the_recursion_steps(self, monkeypatch):
-        # 3 copies of omega_1 and the scaled block: 4 starts of 4 steps
+        # 4 blocks of GL_2 weigh 4 x 59 lifted entries, which bound the
+        # walk's at most 2 x 4 steps too; decompose_mu alone reads the cap,
+        # so a lift built within it is walked under any cap
         multi = make_multi(caruso_datum(2, 1, 3, 1), 4)
+        monkeypatch.setenv("KISIN_MAX_ENUM", "235")
+        with pytest.raises(EnumerationCapError, match=r"^236 lifted entries exceed cap 235 \(KISIN_MAX_ENUM\)$"):
+            decompose_mu(((3, 0),), 4)
+        monkeypatch.setenv("KISIN_MAX_ENUM", "236")
         mb = decompose_mu(((3, 0),), 4)
-        monkeypatch.setenv("KISIN_MAX_ENUM", "15")
-        with pytest.raises(EnumerationCapError, match="16 recursion steps exceed cap 15"):
-            unique_zero_stratum(multi, mb)
-        monkeypatch.setenv("KISIN_MAX_ENUM", "16")
+        monkeypatch.setenv("KISIN_MAX_ENUM", "0")
         assert unique_zero_stratum(multi, mb).dim == 0
 
-    def test_decompose_mu_counts_the_recursion_steps_of_the_lift(self, monkeypatch):
-        # decompose_mu counts the steps from mu and d before the lift exists;
-        # at cap 0 it refuses with the count that unique_zero_stratum reads
-        # from the built lift, on every (mu, d) of the grid with block sums
-        compared = 0
-        for n, f, p, m in LIFT_BASES:
-            base = caruso_datum(n, f, p, m)
-            for d in range(1, 5):
-                multi = make_multi(base, d)
-                for ms in itertools.product(range(d + 1), repeat=f):
-                    mu = tuple((x,) + (0,) * (n - 1) for x in ms)
-                    monkeypatch.delenv("KISIN_MAX_ENUM", raising=False)
-                    mb = decompose_mu(mu, d)
-                    monkeypatch.setenv("KISIN_MAX_ENUM", "0")
-                    with pytest.raises(EnumerationCapError) as early:
-                        decompose_mu(mu, d)
-                    if block_sums(multi.lifted, mb) is None:
-                        continue  # unique_zero_stratum refuses the empty variety first
-                    with pytest.raises(EnumerationCapError) as built:
-                        unique_zero_stratum(multi, mb)
-                    assert str(early.value) == str(built.value), (n, f, p, m, mu, d)
-                    compared += 1
-        assert compared > 30
+    def test_walks_take_at_most_f_plus_one_steps_per_block(self, monkeypatch):
+        # the bound of step 4 that decompose_mu's weight relies on: at most
+        # (f + 1) N steps on every omega pattern, and f N + starts on
+        # decompose_mu's copy-major patterns; on every lift of LIFT_BASES,
+        # the 41-copy lifts of CI and random patterns drawn as
+        # zero_stratum_experiment.py draws them, at up to 8 copies of 3
+        # factors.  [steps, walks] are counted on the iterator of blocks
+        # that each walk runs through
+        counts = [0, 0]
+
+        def counted(*ranges):
+            counts[1] += 1
+            for k in itertools.chain(*ranges):
+                counts[0] += 1
+                yield k
+
+        monkeypatch.setattr(multicopy, "chain", counted)
+
+        def walk(multi, mb):
+            counts[:] = [0, 0]
+            sums = block_sums(multi.lifted, mb)
+            if sums is not None:
+                multicopy._closed_walks(multi.lifted, multicopy._check_omega_pattern(mb), sums)
+            return tuple(counts)
+
+        lifts = [
+            (caruso_datum(n, f, p, m), tuple((x,) + (0,) * (n - 1) for x in ms), d)
+            for n, f, p, m in LIFT_BASES
+            for d in range(1, 5)
+            for ms in itertools.product(range(d + 1), repeat=f)
+        ]
+        lifts += [(caruso_datum(2, 1, 3, 1), ((41, 0),), d) for d in (41, 3000)]
+        for base, mu, d in lifts:
+            steps, walks = walk(make_multi(base, d), decompose_mu(mu, d))
+            f = base.shape.blocks
+            assert steps <= f * d * f + walks, (mu, d)
+        assert (steps, walks) == (3041, 42)
+        # random patterns, some of them past f N + starts
+        rng, sampled, past = random.Random(73), 0, 0
+        while sampled < 400:
+            p = rng.choice((2, 3, 5))
+            n, f, d = rng.randint(1, 4), rng.randint(1, 3), rng.randint(1, 8)
+            m = rng.randint(1, p ** (f * n) - 1)
+            if not is_caruso_simple(n, p**f, m):
+                continue
+            try:
+                multi = make_multi(caruso_datum(n, f, p, m), d)
+            except NotInGeneralPositionError:
+                continue
+            mb = tuple(((1,) + (0,) * (n - 1)) if rng.random() < 0.5 else (0,) * n for _ in range(d * f))
+            steps, walks = walk(multi, mb)
+            if walks:
+                sampled += 1
+                assert steps <= (f + 1) * d * f, (p, n, f, d, m, mb)
+                past += steps > f * d * f + walks
+        assert past > 0
+        # p = 3, n = 3, f = 1, m = 9, d = 8: 15 steps against f N + starts = 13
+        omega, zero = (1, 0, 0), (0, 0, 0)
+        mb = (zero, omega, zero, zero, omega, omega, omega, omega)
+        assert walk(make_multi(caruso_datum(3, 1, 3, 9), 8), mb) == (15, 5)
 
     def test_merged_walks_match_the_walks_from_every_start(self, monkeypatch, capsys):
         # the merged walks close on the labels that the walks from every
@@ -413,16 +459,21 @@ class TestUniqueZeroStratum:
         assert set(walks) == {0, 1} and walks.count(1) > 400
 
     def test_decompose_mu_refuses_before_building_the_blocks(self, monkeypatch):
-        # a million copies: 2 starts of 10^6 steps, refused at once; mu's
+        # a million copies of GL_2 at 59 entries each, refused at once; mu's
         # shape and its multiplicities stay ConfigErrors ahead of the cap
         monkeypatch.setenv("KISIN_MAX_ENUM", "100")
-        with pytest.raises(EnumerationCapError, match=r"^2000000 recursion steps exceed cap 100 \(KISIN_MAX_ENUM\)$"):
+        with pytest.raises(EnumerationCapError, match=r"^59000000 lifted entries exceed cap 100 \(KISIN_MAX_ENUM\)$"):
             decompose_mu(((1, 0),), 10**6)
-        # copies of zero: 33 are 99 lifted entries, within the cap, and 40
-        # are 40 steps, within it too, but 120 entries
-        assert decompose_mu(((0, 0),), 33) == ((0, 0),) * 33
-        with pytest.raises(EnumerationCapError, match=r"^120 lifted entries exceed cap 100 \(KISIN_MAX_ENUM\)$"):
-            decompose_mu(((0, 0),), 40)
+        # copies of zero in GL_1 at 23 entries each: 4 are within the cap, 5
+        # are not
+        assert decompose_mu(((0,),), 4) == ((0,),) * 4
+        with pytest.raises(EnumerationCapError, match=r"^115 lifted entries exceed cap 100 \(KISIN_MAX_ENUM\)$"):
+            decompose_mu(((0,),), 5)
+        # 24 factors of GL_1: the walk's f + 1 = 25 steps per block weigh
+        # more than its 23 entries
+        monkeypatch.setenv("KISIN_MAX_ENUM", "599")
+        with pytest.raises(EnumerationCapError, match=r"^600 lifted entries exceed cap 599 \(KISIN_MAX_ENUM\)$"):
+            decompose_mu(((0,),) * 24, 1)
         monkeypatch.setenv("KISIN_MAX_ENUM", "0")
         with pytest.raises(ConfigError, match="multiples of omega_1"):
             decompose_mu(((1, 0), (1, 1)), 10**6)
