@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from functools import lru_cache
 from itertools import chain
@@ -124,10 +125,6 @@ def ser_cochar(v) -> list:
     return [list(b) for b in v]
 
 
-def ser_rat_cochar(v) -> list:
-    return [[str(x) for x in b] for b in v]
-
-
 def ser_perms(w) -> list:
     return [[x + 1 for x in b] for b in w]
 
@@ -136,14 +133,23 @@ def ser_root(a: Root) -> dict:
     return {"block": a.block + 1, "i": a.i + 1, "j": a.j + 1}
 
 
+def ser_ratio(num: int, den: int) -> str:
+    """num / den for den > 0 in lowest terms by one gcd, as
+    ``FrobeniusDatum.e``'s entries print: "num/den", or the integer alone
+    when den divides num."""
+    g = math.gcd(num, den)
+    return str(num // g) if g == den else f"{num // g}/{den // g}"
+
+
 def ser_datum(datum) -> dict:
+    den = datum.e_den
     return {
         "p": datum.shape.p,
         "n": datum.shape.n,
         "eps": list(datum.shape.eps),
         "tau": ser_cochar(datum.tau),
         "w": ser_perms(datum.w),
-        "e": ser_rat_cochar(datum.e),
+        "e": [[ser_ratio(x, den) for x in b] for b in datum.e_num],
         "alcove_ok": datum.alcove_ok,
     }
 

@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import lru_cache
 from operator import add, ge, sub
 from typing import Iterator
 
@@ -41,6 +42,8 @@ WeylElt = tuple  # N permutations, one per block
 # (Sorenson and Webster, Math. Comp. 86 (2017)); past it p is refused.
 _PRIME_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 _PRIME_BOUND = 3317044064679887385961981
+
+_SHAPES = 256  # cached shapes per builder of GroupShape; eviction only rebuilds
 
 
 def _is_prime(p: int) -> bool:
@@ -75,18 +78,17 @@ class GroupShape:
         if all(e == 1 for e in self.eps):
             raise ConfigError("at least one eps entry must equal p")
 
-    @classmethod
-    def res_field(cls, n: int, f: int, p: int) -> "GroupShape":
-        """Res_{k/F_p}GL_n with [k:F_p] = f: every block scales by p."""
-        return cls(n=n, blocks=f, eps=(p,) * f, p=p)
+    @staticmethod
+    def res_field(n: int, f: int, p: int) -> "GroupShape":
+        """Res_{k/F_p}GL_n with [k:F_p] = f: every block scales by p.  Built
+        and validated once per arguments (``_res_field``)."""
+        return _res_field(n, f, p)
 
-    @classmethod
-    def multi_copy(cls, n: int, f: int, p: int, d: int) -> "GroupShape":
-        """d copies of the res_field shape: N = d*f, scale p on blocks k with d | k+1."""
-        if d < 1:
-            raise ConfigError("d must be positive")
-        eps = tuple(p if (k + 1) % d == 0 else 1 for k in range(d * f))
-        return cls(n=n, blocks=d * f, eps=eps, p=p)
+    @staticmethod
+    def multi_copy(n: int, f: int, p: int, d: int) -> "GroupShape":
+        """d copies of the res_field shape: N = d*f, scale p on blocks k with
+        d | k+1.  Built and validated once per arguments (``_multi_copy``)."""
+        return _multi_copy(n, f, p, d)
 
     def zero_cochar(self) -> Cochar:
         return tuple((0,) * self.n for _ in range(self.blocks))
@@ -101,6 +103,23 @@ class GroupShape:
     def check_weyl(self, w: WeylElt) -> None:
         if len(w) != self.blocks or any(sorted(b) != list(range(self.n)) for b in w):
             raise ConfigError("Weyl element shape mismatch")
+
+
+# The named shapes, each built and validated once per arguments; a refusal
+# raises, so it is never cached.
+
+
+@lru_cache(maxsize=_SHAPES)
+def _res_field(n: int, f: int, p: int) -> GroupShape:
+    return GroupShape(n=n, blocks=f, eps=(p,) * f, p=p)
+
+
+@lru_cache(maxsize=_SHAPES)
+def _multi_copy(n: int, f: int, p: int, d: int) -> GroupShape:
+    if d < 1:
+        raise ConfigError("d must be positive")
+    eps = tuple(p if (k + 1) % d == 0 else 1 for k in range(d * f))
+    return GroupShape(n=n, blocks=d * f, eps=eps, p=p)
 
 
 # ---------------------------------------------------------------------------

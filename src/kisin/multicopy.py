@@ -30,12 +30,24 @@ from .core import (
     Cochar,
     ExtAffine,
     GroupShape,
+    _dominated,
     identity_perm,
     twist_block,
 )
 from .errors import ConfigError, PreconditionError, TheoremViolationError
 from .normal_form import FrobeniusDatum, _is_fixed_point
-from .strata import Stratum, _cap_error, _enum_cap, block_sums, enumerate_strata, make_stratum
+from .strata import (
+    Stratum,
+    _cap_error,
+    _cochar,
+    _enum_cap,
+    _label_entry,
+    _require_alcove,
+    _stratum,
+    _twist,
+    block_sums,
+    enumerate_strata,
+)
 
 
 @dataclass(frozen=True)
@@ -228,9 +240,10 @@ def unique_zero_stratum(multi: MultiDatum, mu_bullet: Cochar) -> Stratum:
        f N + starts steps.  Other patterns can take more: p = 3, n = 3,
        f = 1, m = 9 and d = 8 with the pattern (0, 1, 0, 0, 1, 1, 1, 1)
        take 15 steps, and f N + starts = 13.
-    5. The result.  There must be exactly one solution, and ``make_stratum``
-       must give it dimension 0; it is then the same record enumeration
-       builds.  Anything else is a TheoremViolationError.  When no walk
+    5. The result.  There must be exactly one solution, and its record,
+       built by ``make_stratum``'s steps after the argument checks made
+       above (membership included), must have dimension 0; it is then the
+       same record enumeration builds.  Anything else is a TheoremViolationError.  When no walk
        closes, the strata are enumerated only to tell an empty variety
        (PreconditionError) from a variety without the zero-dimensional
        stratum (TheoremViolationError).
@@ -252,7 +265,14 @@ def unique_zero_stratum(multi: MultiDatum, mu_bullet: Cochar) -> Stratum:
         raise TheoremViolationError(f"expected exactly one zero-dimensional stratum, found {len(zero)}")
     if len(closed) != 1:
         raise TheoremViolationError(f"expected exactly one zero-dimensional stratum, found {len(closed)}")
-    zero = make_stratum(lifted, mu_bullet, closed.pop())
+    # make_stratum's steps after its argument checks, which the lines above
+    # made: the alcove is the only one left
+    _require_alcove(lifted)
+    mu, lam = _cochar(mu_bullet), closed.pop()
+    dag, nat = _twist(lifted, lam)
+    if not _dominated(nat, mu):
+        raise PreconditionError("lam is not a stratum label of C_mu(b)")
+    zero = _stratum(mu, nat, _label_entry(lifted.shape, lam, dag, nat), True)  # omega patterns are minuscule
     if zero.dim != 0:
         raise TheoremViolationError(f"the block recursion's solution {zero.lam} has dimension {zero.dim}")
     return zero

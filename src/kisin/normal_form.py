@@ -1,7 +1,11 @@
 """Caruso normal forms, exact fixed points of wt*sigma, and alcove reduction.
 
-The fixed point of ``u^tau w . sigma`` is always obtained by exact linear
-elimination of ``e = tau + w(sigma(e))``; the closed form from the
+The fixed point of ``u^tau w . sigma`` is obtained by exact linear
+elimination of ``e = tau + w(sigma(e))`` (``make_datum``), or transported
+from a point already solved: into the alcove (``alcove_reduce``), by a
+central twist (``strata.central_twist``) or to a d-copy lift
+(``multicopy.make_multi``).  Every solved or transported point is certified
+by its defining identity (``_is_fixed_point``).  The closed form from the
 simple-module classification is used only as a test oracle.  The map
 ``w sigma`` scales by the product q of the eps pattern per full block cycle,
 so ``1 - w sigma`` is invertible whenever q exceeds 1.
@@ -11,7 +15,8 @@ solver returns (E, D) with e = E / D and D = q^L - 1, L the lcm of the cycle
 lengths of the solver's permutation W (``solve_affine_scaled``).  The
 defining identity, the alcove test, the alcove reduction and the transport
 check all run on (E, D).  ``Fraction``s appear only in ``FrobeniusDatum.e``,
-built once from E / D.
+built on first use from E / D; the reports write E / D entry by entry with
+one gcd (``cli.ser_ratio``).
 
 Alcove reduction transports a datum along z = u^chi y by formula, with no
 group law: z^{-1} wt sigma(z) is u^tau' w' with

@@ -51,7 +51,8 @@ and the inverse permutations that ``_twist`` hands to ``core.twist_block``.
 The per-label calls (solving a candidate, twisting a label) only read it.
 What only the join reads (the rows cut per block, the cycles' first
 positions and moduli) sits apart in ``_join_plan``, since ``multicopy``
-builds a plan per lift and solves it once or twice.
+builds a plan per lift, solves nothing with it and reads only its inverse
+permutations, prefix scales and q.
 
 The cycle walk searches lam directly when every eps_k >= 2.  Dominance gives
 lo_k <= nat_k[j] <= hi_k, lo_k and hi_k the least and largest entry of mu_k,
@@ -155,7 +156,7 @@ from .core import (
     WeylElt,
 )
 from .errors import ConfigError, EnumerationCapError, PreconditionError, TheoremViolationError
-from .normal_form import FrobeniusDatum, _solve_block0, _solve_plan, make_datum
+from .normal_form import FrobeniusDatum, _is_fixed_point, _solve_block0, _solve_plan, in_alcove
 
 DEFAULT_ENUM_CAP = 10**7
 
@@ -715,9 +716,10 @@ def clear_caches() -> None:
     """Empties every ``lru_cache`` of the library: those held by the
     module globals of each imported module of this package (the datum
     states, the candidate, move and step tables, the chain contexts, the
-    solve plans and the rest), and the slot of the last pair.  Caches only
-    save work, so no result changes; a caller that patches a layer calls
-    this first, so that no entry filled before the patch skips it."""
+    solve plans, the named shapes of ``core`` and the rest), and the slot of
+    the last pair.  Caches only save work, so no result changes; a caller
+    that patches a layer calls this first, so that no entry filled before
+    the patch skips it."""
     global _slot
     _slot = None
     prefix = __package__ + "."
@@ -816,15 +818,43 @@ def make_stratum(datum: FrobeniusDatum, mu: Cochar, lam: Cochar) -> Stratum:
 
 def central_twist(datum: FrobeniusDatum, mu: Cochar, chi: Cochar):
     """C_mu(b) = C_{mu+chi}(u^chi b) for central chi; strata correspond via the
-    identity on lam while lam_nat shifts by chi."""
-    datum.shape.check_cochar(chi)
+    identity on lam while lam_nat shifts by chi.
+
+    The twisted datum is transported, not solved.  A zero chi returns the
+    datum itself.  For chi = c_k on block k, e + s solves
+    e' = tau + chi + w(sigma(e')) when s_k = c_k + eps_k s_{k+1} on every
+    entry of block k, since w_k fixes a central block; that is the scalar
+    recursion of ``block_sums``, so (1 - q) s_0 = sum_k E_k c_k with the
+    solve plan's prefix scales E_k and full product q.  On the datum's
+    numerators E / D: E'_k = E_k + D s_k, D s_0 = D sum_k E_k c_k / (1 - q),
+    exact since q - 1 divides D = q^L - 1, then D s_k = D c_k +
+    eps_k D s_{k+1} for k = N - 1 .. 1 in integers.  E' / D must pass the
+    twisted datum's defining identity (``normal_form._is_fixed_point``),
+    which certifies it as the one fixed point.  A central shift keeps each
+    block's order and spread, so the alcove test of E' (``in_alcove``)
+    agrees with the datum's."""
+    shape = datum.shape
+    shape.check_cochar(chi)
     if not is_central(chi):
         raise ConfigError("chi must be central (constant per block)")
+    if not any(map(any, chi)):
+        return datum, cochar_add(mu, chi)
+    plan, den, eps = datum.plan, datum.e_den, shape.eps
+    c = [b[0] for b in chi]
+    s0, rem = divmod(den * sum(map(mul, plan.prefix_eps, c)), 1 - plan.q)
+    if rem:
+        raise TheoremViolationError("central shift of the fixed point is not a multiple of 1 / D")
+    shifts = [s0] * len(c)  # D s_k
+    for k in range(len(c) - 1, 0, -1):
+        shifts[k] = den * c[k] + eps[k] * shifts[(k + 1) % len(c)]
+    num = tuple([tuple([x + s for x in b]) for b, s in zip(datum.e_num, shifts)])
     wt2 = ExtAffine(cochar_add(datum.tau, chi), datum.w)
-    datum2 = make_datum(datum.shape, wt2)
-    if datum.alcove_ok and not datum2.alcove_ok:
+    if not _is_fixed_point(shape, wt2, num, den):
+        raise TheoremViolationError("transported fixed point fails its defining identity")
+    alcove_ok = in_alcove(num, den)
+    if datum.alcove_ok and not alcove_ok:
         raise PreconditionError("central twist unexpectedly left the alcove")
-    return datum2, cochar_add(mu, chi)
+    return FrobeniusDatum(shape, wt2, num, den, alcove_ok), cochar_add(mu, chi)
 
 
 def omega_reduction(mu: Cochar):

@@ -6,6 +6,7 @@ from fractions import Fraction
 from functools import lru_cache
 import itertools
 import math
+import random
 
 import pytest
 
@@ -29,6 +30,7 @@ from kisin.core import (
 from kisin.errors import (
     ConfigError,
     NotInGeneralPositionError,
+    NotSimpleError,
     PreconditionError,
     SingularMatrixError,
     TheoremViolationError,
@@ -1010,6 +1012,32 @@ def count_stable_submodules(n, B, q):
                     nxt.append(new)
         frontier = nxt
     return len(seen)
+
+
+@lru_cache(maxsize=1)
+def caruso_central_twists() -> tuple:
+    """(datum, chi) pairs over the Caruso data with n <= 4, f <= 3 and
+    p <= 7, the first three m of each (n, f, p) that give a datum, each with
+    central chis of entries in [-5, 5]: all eleven when f = 1, else the zero
+    chi and 24 drawn at random, seeded.  Built once: 2,837 pairs."""
+    rng = random.Random(2024)
+    out = []
+    for n, f, p in itertools.product(range(1, 5), range(1, 4), (2, 3, 5, 7)):
+        data = []
+        for m in range(1, p ** (f * n)):
+            if len(data) == 3:
+                break
+            try:
+                data.append(caruso_datum(n, f, p, m))
+            except (NotInGeneralPositionError, NotSimpleError):
+                continue
+        for datum in data:
+            if f == 1:
+                cs = [(c,) for c in range(-5, 6)]
+            else:
+                cs = [(0,) * f] + [tuple(rng.randint(-5, 5) for _ in range(f)) for _ in range(24)]
+            out.extend((datum, tuple((c,) * n for c in cc)) for cc in cs)
+    return tuple(out)
 
 
 def zero_stratum_by_enumeration(multi, mu_bullet):

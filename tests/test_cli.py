@@ -1006,3 +1006,36 @@ class TestReportWriter:
             out = capsys.readouterr().out
             with _no_digit_limit():
                 assert out and out == json.dumps(json.loads(out), indent=2, sort_keys=True) + "\n", inst["argv"]
+
+
+class TestSerDatum:
+    """ser_datum writes e from the integer numerators over e_den, with the
+    bytes of str(Fraction), its test oracle."""
+
+    def test_e_matches_str_fraction_on_the_caruso_grid(self):
+        from conftest import caruso_central_twists
+        from kisin.strata import central_twist
+
+        for datum, chi in caruso_central_twists():
+            twisted, _ = central_twist(datum, datum.shape.zero_cochar(), chi)
+            for d in (datum, twisted):
+                assert cli.ser_datum(d)["e"] == [[str(x) for x in b] for b in d.e], d.wt
+
+    @pytest.mark.parametrize(
+        "shape, wt",
+        [
+            (GroupShape.res_field(2, 1, 2), ExtAffine(((3, 1),), ((0, 1),))),  # D = 1, negative integers
+            (GroupShape.res_field(2, 1, 3), ExtAffine(((5, 0),), ((1, 0),))),  # negative numerators
+            (GroupShape(n=3, blocks=3, eps=(1, 5, 1), p=5), ExtAffine(((1, 0, 3), (0, 0, 0), (2, 2, -1)), ((1, 2, 0), (0, 1, 2), (2, 1, 0)))),
+        ],
+    )
+    def test_e_on_hand_data(self, shape, wt):
+        d = make_datum(shape, wt)
+        assert cli.ser_datum(d)["e"] == [[str(x) for x in b] for b in d.e]
+
+    @pytest.mark.parametrize(
+        "num, den, text",
+        [(0, 7, "0"), (0, 1, "0"), (-3, 6, "-1/2"), (3, 6, "1/2"), (14, 7, "2"), (-14, 7, "-2"), (5, 1, "5"), (-5, 1, "-5"), (-31, 80, "-31/80")],
+    )
+    def test_ratio(self, num, den, text):
+        assert cli.ser_ratio(num, den) == text == str(Fraction(num, den))

@@ -38,6 +38,7 @@ from kisin.core import (
     perm_mul,
     twist_block,
 )
+from kisin import core
 from kisin.errors import ConfigError
 from kisin.normal_form import solve_affine_scaled
 
@@ -78,6 +79,22 @@ class TestShape:
     def test_rejects_composite_p(self):
         with pytest.raises(ConfigError):
             GroupShape(n=2, blocks=1, eps=(4,), p=4)
+
+    def test_named_shapes_are_built_once_and_refusals_never_cached(self):
+        from kisin.strata import clear_caches
+
+        assert GroupShape.res_field(2, 3, 5) is GroupShape.res_field(2, 3, 5)
+        assert GroupShape.multi_copy(2, 2, 3, 2) is GroupShape.multi_copy(2, 2, 3, 2)
+        assert GroupShape.multi_copy(2, 2, 3, 2) == GroupShape(n=2, blocks=4, eps=(1, 3, 1, 3), p=3)
+        before = core._res_field.cache_info().currsize, core._multi_copy.cache_info().currsize
+        for _ in range(2):
+            with pytest.raises(ConfigError, match="p=4 is not prime"):
+                GroupShape.res_field(2, 1, 4)
+            with pytest.raises(ConfigError, match="d must be positive"):
+                GroupShape.multi_copy(2, 1, 3, 0)
+        assert (core._res_field.cache_info().currsize, core._multi_copy.cache_info().currsize) == before
+        clear_caches()
+        assert core._res_field.cache_info().currsize == core._multi_copy.cache_info().currsize == 0
 
 
 def is_prime_by_trial_division(p):

@@ -30,7 +30,7 @@ from kisin.multicopy import (
     varsigma,
 )
 from kisin.normal_form import caruso_datum, is_caruso_simple, make_datum
-from kisin.strata import block_sums, enumerate_strata, sum_profile
+from kisin.strata import block_sums, enumerate_strata, make_stratum, sum_profile
 
 
 # (n, f, p, m) of the Caruso data whose lifts are walked in
@@ -284,6 +284,10 @@ class TestUniqueZeroStratum:
         want = [zero_stratum_by_enumeration(multi, mb) for multi, mb in lifts]
         self.refuse_enumeration(monkeypatch)
         assert [unique_zero_stratum(multi, mb) for multi, mb in lifts] == want
+        # the record is make_stratum's, whose argument checks the construction
+        # makes itself, also for a mu_bullet given as lists
+        assert [make_stratum(multi.lifted, mb, z.lam) for (multi, mb), z in zip(lifts, want)] == want
+        assert [unique_zero_stratum(multi, [list(b) for b in mb]) for multi, mb in lifts] == want
 
     def test_empty_with_integral_sums_enumerates(self, monkeypatch):
         # s_0 = -1 is an integer, no walk closes, and enumeration finds nothing
@@ -342,8 +346,8 @@ class TestUniqueZeroStratum:
         self.assert_exits_4(capsys, "recursion check failed at block 1")
 
     def test_positive_dimension_is_a_violation(self, monkeypatch):
-        real = multicopy.make_stratum
-        monkeypatch.setattr(multicopy, "make_stratum", lambda *a: dataclasses.replace(real(*a), dim=1))
+        real = multicopy._stratum
+        monkeypatch.setattr(multicopy, "_stratum", lambda *a: dataclasses.replace(real(*a), dim=1))
         multi = make_multi(caruso_datum(2, 1, 3, 1), 3)
         with pytest.raises(TheoremViolationError, match="the block recursion's solution") as exc:
             unique_zero_stratum(multi, decompose_mu(((3, 0),), 3))

@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import (
     box_strata,
+    caruso_central_twists,
     composed_stratum,
     contracting_datum,
     dominant,
@@ -16,9 +17,10 @@ from conftest import (
     gauss_solve_fixed_point,
 )
 from kisin.core import ExtAffine, GroupShape
-from kisin.errors import ConfigError, EnumerationCapError, PreconditionError
+from kisin import strata
+from kisin.errors import ConfigError, EnumerationCapError, PreconditionError, TheoremViolationError
 from kisin.multicopy import decompose_mu, make_multi
-from kisin.normal_form import caruso_datum, is_caruso_simple, make_datum
+from kisin.normal_form import FrobeniusDatum, caruso_datum, is_caruso_simple, make_datum
 from kisin.connectivity import build_graph, chain_gl3
 from kisin.strata import (
     _label_free,
@@ -329,6 +331,59 @@ class TestCentralTwist:
     def test_rejects_non_central(self):
         with pytest.raises(ConfigError):
             central_twist(datum_a(), mu_a(), ((1, 0, 0, 0),))
+
+    def test_transport_matches_the_solve(self):
+        # the transport against the solve it replaced: make_datum of the
+        # twisted (tau + chi, w), field for field, e_den and alcove_ok
+        # included, on the Caruso grid and on make_datum data outside the
+        # alcove, with mixed eps patterns and with D = 1
+        explicit = [
+            make_datum(GroupShape.res_field(2, 1, 3), ExtAffine(((5, 0),), ((1, 0),))),
+            make_datum(GroupShape.res_field(2, 1, 2), ExtAffine(((3, 1),), ((0, 1),))),  # D = 1
+            make_datum(GroupShape.res_field(1, 2, 5), ExtAffine(((4,), (-7,)), ((0,), (0,)))),
+            make_datum(GroupShape.res_field(3, 2, 3), ExtAffine(((4, -2, 1), (0, 6, 1)), ((2, 0, 1), (0, 2, 1)))),
+            make_datum(GroupShape(n=3, blocks=3, eps=(1, 5, 1), p=5), ExtAffine(((1, 0, 3), (0, 0, 0), (2, 2, -1)), ((1, 2, 0), (0, 1, 2), (2, 1, 0)))),
+            make_datum(GroupShape.multi_copy(2, 2, 3, 2), ExtAffine(((0, 0), (3, 1), (0, 0), (-2, 0)), ((0, 1), (1, 0), (0, 1), (0, 1)))),
+            datum_b(),
+        ]
+        assert not all(d.alcove_ok for d in explicit) and any(d.e_den == 1 for d in explicit)
+        rng = random.Random(44)
+        pairs = list(caruso_central_twists())
+        for d in explicit:
+            pairs += [(d, tuple((rng.randint(-5, 5),) * d.shape.n for _ in d.tau)) for _ in range(8)]
+        moved = 0
+        for d, chi in pairs:
+            mu = d.shape.zero_cochar()
+            got, mu2 = central_twist(d, mu, chi)
+            want = make_datum(d.shape, ExtAffine(tuple(tuple(t + c for t, c in zip(bt, bc)) for bt, bc in zip(d.tau, chi)), d.w))
+            assert (got.shape, got.wt, got.e_num, got.e_den, got.alcove_ok) == (
+                want.shape, want.wt, want.e_num, want.e_den, want.alcove_ok
+            ), (d.wt, chi)
+            assert mu2 == chi
+            if any(map(any, chi)):
+                moved += 1
+            else:
+                assert got is d
+        assert moved > 2500
+
+    def test_shift_off_the_denominator_is_a_violation(self):
+        # D s_0 = D c / (1 - q) must be an integer, as it is for every datum
+        # the library builds (D = q^L - 1); a datum held over D = 1 with
+        # q = 5 breaks it
+        shape = GroupShape.res_field(1, 1, 5)
+        d = FrobeniusDatum(shape, ExtAffine(((4,),), ((0,),)), ((-1,),), 1, True)
+        assert d.e == make_datum(shape, d.wt).e
+        with pytest.raises(TheoremViolationError, match="central shift of the fixed point is not a multiple of 1 / D"):
+            central_twist(d, ((0,),), ((1,),))
+
+    def test_transport_is_certified(self, monkeypatch):
+        # every non-zero transport runs the defining identity of the twisted
+        # datum; a zero chi hands the datum back and has nothing to certify
+        monkeypatch.setattr(strata, "_is_fixed_point", lambda *a: False)
+        d = datum_b()
+        assert central_twist(d, mu_b(), ((0, 0, 0), (0, 0, 0)))[0] is d
+        with pytest.raises(TheoremViolationError, match="transported fixed point fails its defining identity"):
+            central_twist(d, mu_b(), ((0, 0, 0), (1, 1, 1)))
 
 
 class TestSumProfile:
