@@ -243,10 +243,11 @@ def unique_zero_stratum(multi: MultiDatum, mu_bullet: Cochar) -> Stratum:
     5. The result.  There must be exactly one solution, and its record,
        built by ``make_stratum``'s steps after the argument checks made
        above (membership included), must have dimension 0; it is then the
-       same record enumeration builds.  Anything else is a TheoremViolationError.  When no walk
-       closes, the strata are enumerated only to tell an empty variety
-       (PreconditionError) from a variety without the zero-dimensional
-       stratum (TheoremViolationError).
+       same record enumeration builds.  Anything else is a
+       TheoremViolationError.  When no walk closes, the strata are
+       enumerated only to tell an empty variety (PreconditionError) from a
+       variety without the zero-dimensional stratum
+       (TheoremViolationError).
     """
     ms = _check_omega_pattern(mu_bullet)
     lifted = multi.lifted
