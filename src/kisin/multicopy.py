@@ -30,7 +30,6 @@ from .core import (
     Cochar,
     ExtAffine,
     GroupShape,
-    _dominated,
     identity_perm,
     twist_block,
 )
@@ -41,10 +40,8 @@ from .strata import (
     _cap_error,
     _cochar,
     _enum_cap,
-    _label_entry,
+    _record,
     _require_alcove,
-    _stratum,
-    _twist,
     block_sums,
     enumerate_strata,
 )
@@ -118,14 +115,19 @@ def decompose_mu(mu: Cochar, d: int) -> Cochar:
     The entries the run holds, a block of a cochar or a permutation
     counting n and a root one.  The lift's tau, w and e (3 n) and eps (1);
     mu_bullet (n), its omega pattern and its block sums (2); the solve
-    plan's rows, n rows of n N (n^2), its prefix permutations and their
-    inverses (2 n) and its prefix scales (1); the walk's steps and starts
-    (2) and its values and witnesses (2 n); the root table's n (n - 1) rows
-    of a root and four numbers (5 n^2 - 5 n); the record's lam, nat and dag
-    (3 n) and its R- and D-sets, at most n (n - 1) / 2 roots each, since D
-    holds no root together with its negative (n^2 - n); the report's
-    mu_bullet, lam, nat and dag (4 n), its block sums (1), and R and D as
-    dicts of three numbers (3 n^2 - 3 n).  Together 10 n^2 + 6 n + 7."""
+    plan's inverses of w (n) and prefix scales (1), the only part of it
+    that a lift builds (``normal_form._SolvePlan``); the walk's steps and
+    starts (2) and its values and witnesses (2 n); the root table's
+    n (n - 1) rows of a root and four numbers (5 n^2 - 5 n); the record's
+    lam, nat and dag (3 n) and its R- and D-sets, at most n (n - 1) / 2
+    roots each, since D holds no root together with its negative
+    (n^2 - n); the report's mu_bullet, lam, nat and dag (4 n), its block
+    sums (1), and R and D as dicts of three numbers (3 n^2 - 3 n).
+    Together 9 n^2 + 5 n + 7.  The weight was derived when a lift also held
+    the plan's rows, n rows of n N (n^2), and its prefix permutations (n),
+    and it is kept: lowering it would change which lifts are refused and
+    every count of the refusal, so it bounds the entries with a slack of
+    n^2 + n."""
     if d < 1:
         raise ConfigError("d must be positive")
     for b in mu:
@@ -241,9 +243,9 @@ def unique_zero_stratum(multi: MultiDatum, mu_bullet: Cochar) -> Stratum:
        f = 1, m = 9 and d = 8 with the pattern (0, 1, 0, 0, 1, 1, 1, 1)
        take 15 steps, and f N + starts = 13.
     5. The result.  There must be exactly one solution, and its record,
-       built by ``make_stratum``'s steps after the argument checks made
-       above (membership included), must have dimension 0; it is then the
-       same record enumeration builds.  Anything else is a
+       built by ``make_stratum``'s steps after its argument checks
+       (``strata._record``, membership included), must have dimension 0;
+       it is then the same record enumeration builds.  Anything else is a
        TheoremViolationError.  When no walk closes, the strata are
        enumerated only to tell an empty variety (PreconditionError) from a
        variety without the zero-dimensional stratum
@@ -266,14 +268,9 @@ def unique_zero_stratum(multi: MultiDatum, mu_bullet: Cochar) -> Stratum:
         raise TheoremViolationError(f"expected exactly one zero-dimensional stratum, found {len(zero)}")
     if len(closed) != 1:
         raise TheoremViolationError(f"expected exactly one zero-dimensional stratum, found {len(closed)}")
-    # make_stratum's steps after its argument checks, which the lines above
-    # made: the alcove is the only one left
+    # make_stratum's argument checks, all made above but the alcove's
     _require_alcove(lifted)
-    mu, lam = _cochar(mu_bullet), closed.pop()
-    dag, nat = _twist(lifted, lam)
-    if not _dominated(nat, mu):
-        raise PreconditionError("lam is not a stratum label of C_mu(b)")
-    zero = _stratum(mu, nat, _label_entry(lifted.shape, lam, dag, nat), True)  # omega patterns are minuscule
+    zero = _record(lifted, _cochar(mu_bullet), closed.pop(), True)  # omega patterns are minuscule
     if zero.dim != 0:
         raise TheoremViolationError(f"the block recursion's solution {zero.lam} has dimension {zero.dim}")
     return zero

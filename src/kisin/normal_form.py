@@ -34,7 +34,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from operator import mul
-from typing import NamedTuple
 
 from .core import (
     Cochar,
@@ -75,8 +74,8 @@ class FrobeniusDatum:
     @cached_property
     def tau_weight(self) -> int:
         """sum_k E_k sum(tau_k), E_k the solve plan's prefix scales: the part
-        of the block-sum identity that mu does not enter
-        (``strata.block_sums``), formed once per datum."""
+        of the block-sum identity that mu does not enter, formed once per
+        datum for ``strata._label_free``."""
         return sum(map(mul, self.plan.prefix_eps, map(sum, self.tau)))
 
     @property
@@ -92,17 +91,98 @@ class FrobeniusDatum:
 # the cyclic affine solver
 
 
-class _SolvePlan(NamedTuple):
-    """The data of x = c + w(sigma(x)) fixed by (shape, w); see ``_solve_plan``."""
+class _SolvePlan:
+    """The data of x = c + w(sigma(x)) fixed by (shape, w); see ``_solve_plan``.
 
-    prefix_eps: tuple  # E_k = eps_0 ... eps_{k-1}, for k = 0 .. N
-    prefix_perm: tuple  # P_k = w_0 ... w_{k-1}, for k = 0 .. N
-    q: int  # E_N, the full eps product
-    cycles: tuple  # the cycles of W = P_N, each walked backwards
-    den: int  # D = q^L - 1, L the lcm of the cycle lengths
-    rows: tuple  # per position i of block 0: the row of x[0][i]'s numerator
-    dens: tuple  # per position i of block 0: 1 - q^|c|, c its cycle
-    winv: tuple  # w_k^{-1} per block, as core.twist_block reads it
+    Built at once: what every reader needs, the prefix scales, q and w's
+    inverses.  Built on first read: the solver's prefix permutations,
+    cycles, denominators and rows, and the join's and the walk's data of
+    ``strata``.  A multi-copy lift reads only the first part."""
+
+    def __init__(self, shape: GroupShape, w: WeylElt):
+        self.shape, self.w = shape, w
+        self.prefix_eps = tuple(itertools.accumulate(shape.eps, mul, initial=1))  # E_k, for k = 0 .. N
+        self.q = self.prefix_eps[-1]  # E_N, the full eps product
+        inverse = {wk: perm_inv(wk) for wk in set(w)}
+        self.winv = tuple(map(inverse.__getitem__, w))  # w_k^{-1} per block, as core.twist_block reads it
+
+    @cached_property
+    def prefix_perm(self) -> tuple:
+        """P_k = w_0 ... w_{k-1}, for k = 0 .. N."""
+        return tuple(itertools.accumulate(self.w, perm_mul, initial=identity_perm(self.shape.n)))
+
+    @cached_property
+    def cycles(self) -> tuple:
+        """The cycles of W = P_N, each walked backwards: position i,
+        W^{-1}(i), W^{-2}(i), ..."""
+        winv = perm_inv(self.prefix_perm[-1])
+        seen = [False] * self.shape.n
+        cycles = []
+        for start in range(self.shape.n):
+            cyc = []
+            i = start
+            while not seen[i]:
+                seen[i] = True
+                cyc.append(i)
+                i = winv[i]
+            if cyc:
+                cycles.append(tuple(cyc))
+        return tuple(cycles)
+
+    @cached_property
+    def den(self) -> int:
+        """D = q^L - 1, L the lcm of the cycle lengths."""
+        return self.q ** math.lcm(*map(len, self.cycles)) - 1
+
+    @cached_property
+    def dens(self) -> tuple:
+        """Per position i of block 0: 1 - q^|c|, c its cycle."""
+        dens = [0] * self.shape.n
+        for cyc in self.cycles:
+            for i in cyc:
+                dens[i] = 1 - self.q ** len(cyc)
+        return tuple(dens)
+
+    @cached_property
+    def rows(self) -> tuple:
+        """Per position i of block 0: the row of x[0][i]'s numerator."""
+        n, q = self.shape.n, self.q
+        blocks = list(zip(self.prefix_perm, self.prefix_eps[:-1]))
+        rows = [None] * n
+        for cyc in self.cycles:
+            for t0, i in enumerate(cyc):
+                # the power of q that b[x] carries in x[0][i]'s numerator, 0 off i's cycle
+                scale = [0] * n
+                for t, x in enumerate(cyc):
+                    scale[x] = q ** ((t - t0) % len(cyc))
+                rows[i] = tuple([e * scale[x] for pk, e in blocks for x in pk])
+        return tuple(rows)
+
+    @cached_property
+    def join(self) -> tuple:
+        """(cuts, firsts, moduli) of the join of ``strata``: cuts[k][i] is
+        block k's slice of the row of position i, so that the numerator of
+        x[0][i] is sum_k <cuts[k][i], rhs[k]>, and firsts holds (c[0],
+        q^|c| - 1) per cycle c, the position whose numerator decides the
+        cycle's congruence and its modulus; moduli lists those moduli alone."""
+        n = self.shape.n
+        cuts = tuple(tuple(row[k * n : (k + 1) * n] for row in self.rows) for k in range(self.shape.blocks))
+        moduli = tuple(self.q ** len(cyc) - 1 for cyc in self.cycles)
+        return cuts, tuple(zip([cyc[0] for cyc in self.cycles], moduli)), moduli
+
+    @cached_property
+    def walk(self) -> tuple:
+        """The cycles of the position map (k, j) -> (k+1, w_k^-1(j)) that
+        the walk of ``strata`` follows, each a tuple of positions in walk
+        order: entry t+1 of a cycle is the image of entry t, and the image of
+        the last entry is the first.
+
+        Every cycle meets block 0.  The walk from (0, i) meets block k at
+        P_k^-1(i) and comes back to block 0 at W^-1(i), so each of
+        ``cycles``, a cycle of W read backwards, is one walk cycle, in the
+        order of its least position of block 0."""
+        inv = [perm_inv(pk) for pk in self.prefix_perm[:-1]]
+        return tuple(tuple((k, pk[i]) for i in cyc for k, pk in enumerate(inv)) for cyc in self.cycles)
 
 
 @lru_cache(maxsize=256)  # one plan per (shape, w); eviction only rebuilds
@@ -132,54 +212,13 @@ def _solve_plan(shape: GroupShape, w: WeylElt) -> _SolvePlan:
     The residues.  The numerators on one cycle are congruent to each other up
     to powers of q modulo q^|c| - 1, so x[0] is integral iff the one at c's
     first position is divisible by q^|c| - 1, a congruence that only the
-    join of ``strata`` reads (``strata._join_plan``).
+    join of ``strata`` reads (``_SolvePlan.join``).
 
     The plan also holds each w_k^{-1}, which ``core.twist_block`` reads.
+    Only the prefix scales, q and those inverses are built here; the rest is
+    built on first read (``_SolvePlan``), once per plan.
     """
-    nblocks, n = shape.blocks, shape.n
-    prefix_eps = [1] * (nblocks + 1)
-    prefix_perm = [identity_perm(n)]
-    for k in range(nblocks):
-        prefix_eps[k + 1] = prefix_eps[k] * shape.eps[k]
-        prefix_perm.append(perm_mul(prefix_perm[-1], w[k]))
-    q = prefix_eps[nblocks]
-    big_w = prefix_perm[nblocks]
-    # cycles of big_w, walked backwards: position i, W^{-1}(i), W^{-2}(i), ...
-    winv = perm_inv(big_w)
-    seen = [False] * n
-    cycles = []
-    for start in range(n):
-        if seen[start]:
-            continue
-        cyc = []
-        i = start
-        while not seen[i]:
-            seen[i] = True
-            cyc.append(i)
-            i = winv[i]
-        cycles.append(tuple(cyc))
-    den = q ** math.lcm(*map(len, cycles)) - 1
-    place = {}  # position i -> (cycle index, step t with cyc[t] == i)
-    for ci, cyc in enumerate(cycles):
-        for t, i in enumerate(cyc):
-            place[i] = (ci, t)
-    powers = [q**t for t in range(max(map(len, cycles)))]
-    blocks = list(zip(prefix_perm, prefix_eps[:nblocks]))
-    rows = []
-    for i in range(n):
-        ci, t0 = place[i]
-        length = len(cycles[ci])
-        # the power of q that b[x] carries in x[0][i]'s numerator, 0 off i's cycle
-        scale = [0] * n
-        for t, x in enumerate(cycles[ci]):
-            scale[x] = powers[(t - t0) % length]
-        rows.append(tuple([e * scale[x] for pk, e in blocks for x in pk]))
-    dens = tuple(1 - q ** len(cycles[place[i][0]]) for i in range(n))
-    inverse = {wk: perm_inv(wk) for wk in set(w)}
-    return _SolvePlan(
-        tuple(prefix_eps), tuple(prefix_perm), q, tuple(cycles), den, tuple(rows), dens,
-        tuple(map(inverse.__getitem__, w)),
-    )
+    return _SolvePlan(shape, w)
 
 
 def _solve_block0(plan: _SolvePlan, flat) -> list:
@@ -209,13 +248,6 @@ def solve_affine_scaled(shape: GroupShape, w: WeylElt, rhs: Cochar):
     return tuple(out), den
 
 
-def _fixed_point_scaled(shape: GroupShape, wt: ExtAffine):
-    """(E, D) with E / D the fixed point of wt*sigma."""
-    shape.check_cochar(wt.chi)
-    shape.check_weyl(wt.w)
-    return solve_affine_scaled(shape, wt.w, wt.chi)
-
-
 def _is_fixed_point(shape: GroupShape, wt: ExtAffine, num: Cochar, den: int) -> bool:
     """Whether num / den is the fixed point of wt*sigma: the identity
     e = tau + w(sigma(e)) times D, E_k = D tau_k + eps_k w_k(E_{k+1}) for
@@ -228,7 +260,9 @@ def _is_fixed_point(shape: GroupShape, wt: ExtAffine, num: Cochar, den: int) -> 
 
 
 def make_datum(shape: GroupShape, wt: ExtAffine) -> FrobeniusDatum:
-    num, den = _fixed_point_scaled(shape, wt)
+    shape.check_cochar(wt.chi)
+    shape.check_weyl(wt.w)
+    num, den = solve_affine_scaled(shape, wt.w, wt.chi)
     if not _is_fixed_point(shape, wt, num, den):
         raise TheoremViolationError("fixed point fails its defining identity")
     return FrobeniusDatum(shape, wt, num, den, in_alcove(num, den))

@@ -40,19 +40,20 @@ remainder, or a label that does not twist back to nu, is a
 TheoremViolationError.  The join's work follows the per-block candidate
 counts, which grow like p^(n-1) per block.  It runs up to central shift
 (``central_twist``): mu_k and tau_k are lowered by mu_k's least entry, so a
-block's table depends only on the block's slice of the rows
-(``_join_plan``, built once per (shape, w)) and the lowered mu_k, and every
-twist of (shape, w) shares it.  The tables sit in one cache, bounded by
-_CACHED like every cache of this module but the datum states (below).
+block's table depends only on the block's slice of the rows (the solve
+plan's ``join``) and the lowered mu_k, and every twist of (shape, w) shares
+it.  The tables sit in one cache, bounded by _CACHED like every cache of
+this module but the datum states (below).
 
 Everything fixed by (shape, w) is built once, in the solve plan that each
-datum holds (``FrobeniusDatum.plan``): the solver's rows and denominators,
-and the inverse permutations that ``_twist`` hands to ``core.twist_block``.
-The per-label calls (solving a candidate, twisting a label) only read it.
-What only the join reads (the rows cut per block, the cycles' first
-positions and moduli) sits apart in ``_join_plan``, since ``multicopy``
-builds a plan per lift, solves nothing with it and reads only its inverse
-permutations, prefix scales and q.
+datum holds (``FrobeniusDatum.plan``), and each part of it only when first
+read (``normal_form._SolvePlan``): the inverse permutations that ``_twist``
+hands to ``core.twist_block``, the prefix scales and q at once; the
+solver's rows and denominators, the join's rows cut per block with the
+cycles' first positions and moduli (``join``), and the walk's cycles
+(``walk``) on first read.  The per-label calls (solving a candidate,
+twisting a label) only read it, and a multi-copy lift, which solves
+nothing, builds only the first part.
 
 The cycle walk searches lam directly when every eps_k >= 2.  Dominance gives
 lo_k <= nat_k[j] <= hi_k, lo_k and hi_k the least and largest entry of mu_k,
@@ -150,13 +151,11 @@ from .core import (
     is_central,
     is_dominant,
     is_minuscule,
-    perm_inv,
     twist_block,
     ExtAffine,
-    WeylElt,
 )
 from .errors import ConfigError, EnumerationCapError, PreconditionError, TheoremViolationError
-from .normal_form import FrobeniusDatum, _is_fixed_point, _solve_block0, _solve_plan, in_alcove
+from .normal_form import FrobeniusDatum, _is_fixed_point, _solve_block0, in_alcove
 
 DEFAULT_ENUM_CAP = 10**7
 
@@ -379,22 +378,6 @@ def _residue_join(buckets: list, moduli: tuple, target: tuple):
 
 
 @lru_cache(maxsize=_CACHED)
-def _join_plan(shape, w: WeylElt) -> tuple:
-    """(cuts, firsts, moduli) of the join of (shape, w): cuts[k][i] is block
-    k's slice of the solver's row of position i of block 0, so that the
-    numerator of x[0][i] is sum_k <cuts[k][i], rhs[k]>, and firsts holds
-    (c[0], q^|c| - 1) per cycle c of the solve plan, the position whose
-    numerator decides the cycle's congruence and its modulus; moduli lists
-    those moduli alone.  Built once per (shape, w), apart from the solve plan,
-    which ``multicopy`` builds afresh per lift."""
-    plan = _solve_plan(shape, w)
-    n = shape.n
-    cuts = tuple(tuple(row[k * n : (k + 1) * n] for row in plan.rows) for k in range(shape.blocks))
-    moduli = tuple(plan.q ** len(cyc) - 1 for cyc in plan.cycles)
-    return cuts, tuple(zip([cyc[0] for cyc in plan.cycles], moduli)), moduli
-
-
-@lru_cache(maxsize=_CACHED)
 def _candidate_table(cut: tuple, firsts: tuple, mu_block: tuple) -> dict:
     """The candidates v of mu_block as one block of a join, bucketed by
     residue: residue tuple -> list of (v, partials), partials[i] = <cut[i], v>
@@ -477,7 +460,7 @@ def _join(datum: FrobeniusDatum, mu: Cochar) -> list:
     if _label_free(datum, mu):
         return []
     mu0 = _shift_blocks(mu, [-c for c in lows])
-    cuts, firsts, moduli = _join_plan(datum.shape, datum.w)
+    cuts, firsts, moduli = datum.plan.join
     base = _solve_block0(datum.plan, [x - c for t, c in zip(datum.tau, lows) for x in t])
     target = tuple([base[i] % m for i, m in firsts])
     buckets = [_candidate_table(cut, firsts, b) for cut, b in zip(cuts, mu0)]
@@ -537,21 +520,6 @@ def _candidate_box(mu: Cochar) -> int:
     return box
 
 
-@lru_cache(maxsize=_CACHED)
-def _walk_plan(shape, w: WeylElt) -> tuple:
-    """The cycles of the position map (k, j) -> (k+1, w_k^-1(j)), each a tuple
-    of positions in walk order: entry t+1 of a cycle is the image of entry t,
-    and the image of the last entry is the first.
-
-    Every cycle meets block 0.  The walk from (0, i) meets block k at
-    P_k^-1(i), P_k = w_0 ... w_{k-1}, and comes back to block 0 at W^-1(i),
-    W = P_N, so each cycle of W read backwards, as ``_solve_plan`` stores it,
-    is one walk cycle, in the order of its least position of block 0."""
-    plan = _solve_plan(shape, w)
-    inv = [perm_inv(pk) for pk in plan.prefix_perm[: shape.blocks]]
-    return tuple(tuple((k, pk[i]) for i in cyc for k, pk in enumerate(inv)) for cyc in plan.cycles)
-
-
 def _walk_radius(datum: FrobeniusDatum, mu: Cochar) -> Optional[int]:
     """R = A // (min eps - 1), the proven bound on |lam|_inf of every label,
     or None when some eps is 1; A is the largest max(hi_k - tau_k[j],
@@ -571,7 +539,7 @@ def _walk_bound(datum: FrobeniusDatum, mu: Cochar, radius: int) -> int:
     side = 2 * radius + 1
     widths = [min((m[0] - m[-1]) // e + 1, side) for m, e in zip(mu, datum.shape.eps)]
     bound = 1
-    for cyc in _walk_plan(datum.shape, datum.w):
+    for cyc in datum.plan.walk:
         bound *= side
         for k, _ in cyc[:-1]:
             bound *= widths[k]
@@ -612,8 +580,7 @@ def _walk(datum: FrobeniusDatum, mu: Cochar, radius: int) -> list:
     and every label found must re-solve to itself under ``_solve_label``,
     from the numerators <rows, tau - lam_nat> (else TheoremViolationError).
     Like the join, the walk reads and fills no state."""
-    shape, w, tau = datum.shape, datum.w, datum.tau
-    cycles = _walk_plan(shape, w)
+    shape, tau, cycles = datum.shape, datum.tau, datum.plan.walk
     per_cycle = [_cycle_paths(datum, mu, cyc, radius) for cyc in cycles]
     out = []
     grid = [[0] * shape.n for _ in range(shape.blocks)]
@@ -806,10 +773,17 @@ def make_stratum(datum: FrobeniusDatum, mu: Cochar, lam: Cochar) -> Stratum:
     certificate of SINGLETON_RULES as ("proven", rule), else ("unknown",
     None).  PreconditionError when lam is not a label."""
     mu, lam = _require_label_args(datum, mu, lam)
+    return _record(datum, mu, lam, is_minuscule(mu))
+
+
+def _record(datum: FrobeniusDatum, mu: Cochar, lam: Cochar, minuscule: bool) -> Stratum:
+    """``make_stratum``'s steps after its argument checks, mu and lam taken
+    as tuples of tuples: the twist, the membership test (PreconditionError
+    when lam is not a label) and the record."""
     dag, nat = _twist(datum, lam)
     if not _dominated(nat, mu):
         raise PreconditionError("lam is not a stratum label of C_mu(b)")
-    return _stratum(mu, nat, _label_entry(datum.shape, lam, dag, nat), is_minuscule(mu))
+    return _stratum(mu, nat, _label_entry(datum.shape, lam, dag, nat), minuscule)
 
 
 # ---------------------------------------------------------------------------
@@ -824,36 +798,31 @@ def central_twist(datum: FrobeniusDatum, mu: Cochar, chi: Cochar):
     datum itself.  For chi = c_k on block k, e + s solves
     e' = tau + chi + w(sigma(e')) when s_k = c_k + eps_k s_{k+1} on every
     entry of block k, since w_k fixes a central block; that is the scalar
-    recursion of ``block_sums``, so (1 - q) s_0 = sum_k E_k c_k with the
-    solve plan's prefix scales E_k and full product q.  On the datum's
-    numerators E / D: E'_k = E_k + D s_k, D s_0 = D sum_k E_k c_k / (1 - q),
-    exact since q - 1 divides D = q^L - 1, then D s_k = D c_k +
-    eps_k D s_{k+1} for k = N - 1 .. 1 in integers.  E' / D must pass the
-    twisted datum's defining identity (``normal_form._is_fixed_point``),
-    which certifies it as the one fixed point.  A central shift keeps each
-    block's order and spread, so the alcove test of E' (``in_alcove``)
-    agrees with the datum's."""
+    recursion of ``block_sums`` (``_unroll``).  On the datum's numerators
+    E / D: E'_k = E_k + D s_k, D s the solution of that recursion for D c_k,
+    whose D s_0 = D sum_k E_k c_k / (1 - q) is exact since q - 1 divides
+    D = q^L - 1.  E' / D must pass the twisted datum's defining identity
+    (``normal_form._is_fixed_point``), which certifies it as the one fixed
+    point.  A central shift keeps each block's order and spread, so the
+    alcove test of E' (``in_alcove``) agrees with the datum's; a
+    disagreement either way is a TheoremViolationError."""
     shape = datum.shape
     shape.check_cochar(chi)
     if not is_central(chi):
         raise ConfigError("chi must be central (constant per block)")
     if not any(map(any, chi)):
         return datum, cochar_add(mu, chi)
-    plan, den, eps = datum.plan, datum.e_den, shape.eps
-    c = [b[0] for b in chi]
-    s0, rem = divmod(den * sum(map(mul, plan.prefix_eps, c)), 1 - plan.q)
-    if rem:
+    den = datum.e_den
+    shifts = _unroll(datum, [den * b[0] for b in chi])  # D s_k
+    if shifts is None:
         raise TheoremViolationError("central shift of the fixed point is not a multiple of 1 / D")
-    shifts = [s0] * len(c)  # D s_k
-    for k in range(len(c) - 1, 0, -1):
-        shifts[k] = den * c[k] + eps[k] * shifts[(k + 1) % len(c)]
     num = tuple([tuple([x + s for x in b]) for b, s in zip(datum.e_num, shifts)])
     wt2 = ExtAffine(cochar_add(datum.tau, chi), datum.w)
     if not _is_fixed_point(shape, wt2, num, den):
         raise TheoremViolationError("transported fixed point fails its defining identity")
     alcove_ok = in_alcove(num, den)
-    if datum.alcove_ok and not alcove_ok:
-        raise PreconditionError("central twist unexpectedly left the alcove")
+    if alcove_ok != datum.alcove_ok:
+        raise TheoremViolationError("central twist changed the alcove test of the fixed point")
     return FrobeniusDatum(shape, wt2, num, den, alcove_ok), cochar_add(mu, chi)
 
 
@@ -887,17 +856,22 @@ def block_sums(datum: FrobeniusDatum, mu: Cochar) -> Optional[tuple]:
 
     lam_nat_k = tau_k + eps_k w_k(lam_{k+1}) - lam_k is dominated by mu_k, so
     its sum is sum(mu_k): s_k = c_k + eps_k s_{k+1} with
-    c_k = sum(tau_k) - sum(mu_k), cyclic in k.  Unrolled as in
-    ``normal_form._solve_plan``, (1 - q) s_0 = sum_k E_k c_k with the prefix
-    scales E_k and the full product q, that is the datum's part
-    (``FrobeniusDatum.tau_weight``) less sum_k E_k sum(mu_k), as
-    ``_label_free`` forms it; the other sums follow downwards from k = N - 1."""
+    c_k = sum(tau_k) - sum(mu_k), cyclic in k, solved by ``_unroll``."""
+    sums = _unroll(datum, [sum(t) - sum(m) for t, m in zip(datum.tau, mu)])
+    return None if sums is None else tuple(sums)
+
+
+def _unroll(datum: FrobeniusDatum, c: list) -> Optional[list]:
+    """The solution s of s_k = c_k + eps_k s_{k+1}, cyclic in k, for the
+    datum's eps pattern, or None when s_0 is not an integer.  Unrolled as in
+    ``normal_form._solve_plan``, (1 - q) s_0 = sum_k E_k c_k with the
+    solve plan's prefix scales E_k and full product q; the other entries
+    follow downwards from k = N - 1."""
     plan, eps = datum.plan, datum.shape.eps
-    s0, rem = divmod(datum.tau_weight - sum(map(mul, plan.prefix_eps, map(sum, mu))), 1 - plan.q)
+    s0, rem = divmod(sum(map(mul, plan.prefix_eps, c)), 1 - plan.q)
     if rem:
         return None
-    c = [sum(t) - sum(m) for t, m in zip(datum.tau, mu)]
     sums = [s0] * len(c)
     for k in range(len(c) - 1, 0, -1):
         sums[k] = c[k] + eps[k] * sums[(k + 1) % len(c)]
-    return tuple(sums)
+    return sums

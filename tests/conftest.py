@@ -301,7 +301,8 @@ def solve_block0_by_cycle_walk(shape, w, rhs):
     integer numerators and the per-position denominators 1 - q^|c|: b sums
     the blocks moved to block 0, E_k P_k(rhs[k]), and each cycle of W is
     walked from every one of its positions, summing q^t b along it."""
-    prefix_eps, prefix_perm, q, cycles, *_ = _solve_plan(shape, w)
+    plan = _solve_plan(shape, w)
+    prefix_eps, prefix_perm, q, cycles = plan.prefix_eps, plan.prefix_perm, plan.q, plan.cycles
     n = shape.n
     b = [0] * n
     for k in range(shape.blocks):

@@ -121,7 +121,7 @@ def test_every_cache_is_bounded():
     cached = list(_cached_defs())
     assert len(cached) >= 10
     # the graph's move rows and move table, the chains' coroot and step
-    # tables and contexts, the join's plan and candidate tables and the datum
+    # tables and contexts, the join's candidate tables and the datum
     # states are among them
     assert {
         ("connectivity", "_graph_moves"),
@@ -129,7 +129,6 @@ def test_every_cache_is_bounded():
         ("connectivity", "_chain_table"),
         ("connectivity", "_step_table"),
         ("connectivity", "_chain_context"),
-        ("strata", "_join_plan"),
         ("strata", "_candidate_table"),
         ("strata", "_state"),
     } <= set(cached)

@@ -111,7 +111,7 @@ def assert_dispatch_follows_the_box(datum, mu):
 
 
 def cycle_count(datum):
-    return len(_solve_plan(datum.shape, datum.w)[3])
+    return len(_solve_plan(datum.shape, datum.w).cycles)
 
 
 def reduced(shape, tau, w):
@@ -327,14 +327,15 @@ class TestWalkPlan:
             eps[rng.randrange(blocks)] = p
             shape = GroupShape(n=n, blocks=blocks, eps=tuple(eps), p=p)
             w = tuple(tuple(rng.sample(range(n), n)) for _ in range(blocks))
-            assert strata._walk_plan(shape, w) == walk_plan_by_position_map(shape, w), w
-            shapes.add((n, blocks, len(strata._walk_plan(shape, w))))
+            walk = _solve_plan(shape, w).walk
+            assert walk == walk_plan_by_position_map(shape, w), w
+            shapes.add((n, blocks, len(walk)))
         assert {cycles for _, _, cycles in shapes} == {1, 2, 3, 4}
 
     @pytest.mark.parametrize("case,p", [(c, p) for c in "ab" for p in (3, 5, 211)])
     def test_golden(self, case, p):
         datum, _ = counterexample(CASES[case], p)
-        assert strata._walk_plan(datum.shape, datum.w) == walk_plan_by_position_map(datum.shape, datum.w)
+        assert datum.plan.walk == walk_plan_by_position_map(datum.shape, datum.w)
 
 
 class TestDispatch:
@@ -844,9 +845,9 @@ def subtraction_matches_solver(datum, mu):
     integral)."""
     lows = [b[-1] for b in mu]
     mu0 = tuple(tuple(x - c for x in b) for b, c in zip(mu, lows))
-    cuts, firsts, moduli = strata._join_plan(datum.shape, datum.w)
-    assert moduli == tuple(m for _, m in firsts)
     plan = _solve_plan(datum.shape, datum.w)
+    cuts, firsts, moduli = plan.join
+    assert moduli == tuple(m for _, m in firsts)
     base = _solve_block0(plan, [x - c for b, c in zip(datum.tau, lows) for x in b])
     target = tuple(base[i] % m for i, m in firsts)
     rows, n = plan.rows, datum.shape.n

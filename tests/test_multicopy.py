@@ -4,6 +4,7 @@ import json
 import random
 import sys
 from fractions import Fraction as Q
+from functools import cached_property
 from pathlib import Path
 
 import pytest
@@ -29,8 +30,8 @@ from kisin.multicopy import (
     unique_zero_stratum,
     varsigma,
 )
-from kisin.normal_form import caruso_datum, is_caruso_simple, make_datum
-from kisin.strata import block_sums, enumerate_strata, make_stratum, sum_profile
+from kisin.normal_form import _SolvePlan, caruso_datum, is_caruso_simple, make_datum
+from kisin.strata import block_sums, clear_caches, enumerate_strata, make_stratum, sum_profile
 
 
 # (n, f, p, m) of the Caruso data whose lifts are walked in
@@ -46,6 +47,21 @@ def random_simple_m(rng, n, q):
 
 
 class TestLifting:
+    def test_lift_builds_only_the_eager_plan(self):
+        # the construction and its certificates read only the prefix scales,
+        # q and the inverses of w of the lift's solve plan; its rows, cycles,
+        # prefix permutations and the join's and the walk's data are built on
+        # first read, and the 3,000-copy lift of mu = [[41, 0]] reads none
+        clear_caches()
+        multi = make_multi(caruso_datum(2, 1, 3, 1), 3000)
+        mb = decompose_mu(((41, 0),), 3000)
+        z = unique_zero_stratum(multi, mb)
+        assert recursion_check(multi, mb, z.lam) == (True, None)
+        lazy = {name for name, attr in vars(_SolvePlan).items() if isinstance(attr, cached_property)}
+        assert lazy == {"prefix_perm", "cycles", "den", "dens", "rows", "join", "walk"}
+        built = set(vars(multi.lifted.plan))
+        assert {"prefix_eps", "q", "winv"} <= built and not built & lazy, built
+
     def test_interleave_formula(self):
         # block of (copy i, factor j), both 1-indexed in the bookkeeping note,
         # is i + (j-1)d; 0-indexed that is i + j*d
@@ -346,8 +362,8 @@ class TestUniqueZeroStratum:
         self.assert_exits_4(capsys, "recursion check failed at block 1")
 
     def test_positive_dimension_is_a_violation(self, monkeypatch):
-        real = multicopy._stratum
-        monkeypatch.setattr(multicopy, "_stratum", lambda *a: dataclasses.replace(real(*a), dim=1))
+        real = multicopy._record
+        monkeypatch.setattr(multicopy, "_record", lambda *a: dataclasses.replace(real(*a), dim=1))
         multi = make_multi(caruso_datum(2, 1, 3, 1), 3)
         with pytest.raises(TheoremViolationError, match="the block recursion's solution") as exc:
             unique_zero_stratum(multi, decompose_mu(((3, 0),), 3))

@@ -385,6 +385,19 @@ class TestCentralTwist:
         with pytest.raises(TheoremViolationError, match="transported fixed point fails its defining identity"):
             central_twist(d, mu_b(), ((0, 0, 0), (1, 1, 1)))
 
+    def test_alcove_test_must_agree(self, monkeypatch):
+        # a central shift keeps each block's order and spread, so the alcove
+        # test of the transported point agrees with the datum's; a
+        # disagreement, in either direction, is a theorem violation (exit 4)
+        inside = datum_b()
+        outside = make_datum(GroupShape.res_field(2, 1, 3), ExtAffine(((5, 0),), ((1, 0),)))
+        assert inside.alcove_ok and not outside.alcove_ok
+        for d in (inside, outside):
+            monkeypatch.setattr(strata, "in_alcove", lambda num, den, flipped=not d.alcove_ok: flipped)
+            chi = tuple((1,) * d.shape.n for _ in d.tau)
+            with pytest.raises(TheoremViolationError, match="central twist changed the alcove test of the fixed point"):
+                central_twist(d, d.shape.zero_cochar(), chi)
+
 
 class TestSumProfile:
     def test_counterexample_a(self):
