@@ -6,7 +6,9 @@ from fractions import Fraction
 from functools import lru_cache
 import itertools
 import math
+import os
 import random
+import re
 
 import pytest
 
@@ -40,7 +42,9 @@ from kisin.normal_form import _solve_block0, _solve_plan, caruso_datum, is_carus
 from kisin import oracle
 from kisin.oracle import GF
 from kisin.strata import (
+    DEFAULT_ENUM_CAP,
     Stratum,
+    _candidate_box,
     _cap_error,
     _enum_cap,
     _is_label,
@@ -1222,6 +1226,34 @@ def product_strata(datum, mu):
             out.append(composed_stratum(datum, mu, lam))
     out.sort(key=lambda s: s.lam)
     return tuple(out)
+
+
+def enum_cap_by_environ_get():
+    """The cap read through os.environ.get, the reference of
+    ``strata._enum_cap``, which reads os.environ's dict directly:
+    DEFAULT_ENUM_CAP when KISIN_MAX_ENUM is unset or empty, else the value,
+    which must be ASCII decimal digits."""
+    raw = os.environ.get("KISIN_MAX_ENUM", "")
+    if not raw:
+        return DEFAULT_ENUM_CAP
+    if re.fullmatch("[0-9]+", raw) is None:
+        raise ConfigError(f"KISIN_MAX_ENUM={raw!r} is not a non-negative integer")
+    return int(raw)
+
+
+def require_mu_by_steps(datum, mu):
+    """The checks of every call with a mu and the values that enumeration
+    reads of it, as separate steps: the reference of the one pass
+    ``strata._require_mu``.  The alcove, then ``is_dominant`` on the whole
+    mu, then ``GroupShape.check_cochar``; then mu as tuples, its block sums
+    and its box (``strata._candidate_box``)."""
+    if not datum.alcove_ok:
+        raise PreconditionError("datum's fixed point is not in the alcove")
+    if not is_dominant(mu):
+        raise ConfigError("mu must be dominant")
+    datum.shape.check_cochar(mu)
+    mu = tuple(map(tuple, mu))
+    return mu, tuple(map(sum, mu)), _candidate_box(mu)
 
 
 def candidate_product(mu):

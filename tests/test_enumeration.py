@@ -2,14 +2,17 @@
 box search: the residue join, the cycle walk and the dispatch between them,
 and the candidate generation and count."""
 
+import contextlib
 import dataclasses
 import functools
 import itertools
 import json
+import os
 import random
 import re
 import sys
 from collections import Counter
+from unittest import mock
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -20,8 +23,10 @@ from conftest import (
     candidate_product,
     contracting_datum,
     dominant_vecs,
+    enum_cap_by_environ_get,
     gl3_sweep_instances,
     product_strata,
+    require_mu_by_steps,
     solve_affine_integral,
     strata_by_fresh_labels,
     walk_by_box,
@@ -482,18 +487,28 @@ class TestEnumerationCap:
     @pytest.mark.parametrize("datum,mu", CAP_INPUTS)
     def test_box_within_the_cap_counts_nothing(self, monkeypatch, datum, mu):
         # at cap = box neither path can refuse, and the join checks nothing:
-        # the dispatch's box is the only one taken; the slot's repeat of the
-        # pair forms none
+        # the box of the argument checks (``_require_mu``) is the only one
+        # formed, and no block box is; the slot's repeat of the pair forms
+        # none
         want = enumerate_strata(datum, mu)
-        monkeypatch.setenv("KISIN_MAX_ENUM", str(strata._candidate_box(mu)))
+        box = strata._candidate_box(mu)
+        monkeypatch.setenv("KISIN_MAX_ENUM", str(box))
         boxes = []
-        real = strata._candidate_box
-        monkeypatch.setattr(strata, "_candidate_box", lambda mu: boxes.append(mu) or real(mu))
+        real = strata._require_mu
+
+        def spy(datum, mu):
+            checked = real(datum, mu)
+            boxes.append(checked[2])
+            return checked
+
+        monkeypatch.setattr(strata, "_require_mu", spy)
+        forbid(monkeypatch, "_candidate_box")
+        forbid(monkeypatch, "_join_cap")
         strata._slot = None
         assert enumerate_strata(datum, mu) == want
-        assert boxes == [mu]
+        assert boxes == [box]
         assert enumerate_strata(datum, mu) == want
-        assert boxes == [mu] if want else boxes == [mu, mu]  # a label-free pair fills no slot
+        assert boxes == [box] if want else boxes == [box, box]  # a label-free pair fills no slot
 
     @pytest.mark.parametrize("datum,mu", [CAP_INPUTS[2], CAP_INPUTS[4]])
     def test_block_box_refuses_before_any_set_is_built(self, monkeypatch, datum, mu):
@@ -580,11 +595,213 @@ class TestEnumerationCap:
             sys.set_int_max_str_digits(limit)
 
     @pytest.mark.parametrize("datum,mu", [CAP_INPUTS[0], CAP_INPUTS[2]])
-    @pytest.mark.parametrize("raw", ["abc", "-1", "1e3"])
+    @pytest.mark.parametrize("raw", ["abc", "-1", "1e3", "1_000", " 12 ", "+5", "\u0663"])
     def test_malformed_cap_on_both_paths(self, monkeypatch, datum, mu, raw):
         monkeypatch.setenv("KISIN_MAX_ENUM", raw)
-        with pytest.raises(ConfigError, match="KISIN_MAX_ENUM"):
+        with pytest.raises(ConfigError, match=f"^{re.escape(f'KISIN_MAX_ENUM={raw!r} is not a non-negative integer')}$"):
             enumerate_strata(datum, mu)
+
+
+# The values of KISIN_MAX_ENUM that the direct read is checked on: unset,
+# empty, caps below and within the need of CAP_READ_PAIR, malformed, and a
+# byte that is not UTF-8 (read by os.environ as a lone surrogate).
+CAP_VALUES = [None, "", "0", "7", "007", "abc", "\udcff"]
+CAP_READ_PAIR = (caruso_datum(3, 1, 3, 5), ((3, 1, -3),))  # box 49
+
+
+@contextlib.contextmanager
+def monkeypatched_cap(value):
+    with pytest.MonkeyPatch.context() as mp:
+        if value is None:
+            mp.delenv("KISIN_MAX_ENUM", raising=False)
+        else:
+            mp.setenv("KISIN_MAX_ENUM", value)
+        yield
+
+
+def set_cap(route, value):
+    """Sets KISIN_MAX_ENUM to value (None: unset) by one route; returns a
+    context that holds the value while it is open, and that undoes it on
+    exit for the routes that undo (monkeypatch, patch.dict)."""
+    key = "KISIN_MAX_ENUM"
+    if route == "item":
+        if value is None:
+            os.environ.pop(key, None)
+        else:
+            os.environ[key] = value
+        return contextlib.nullcontext()
+    if route == "bytes":
+        if value is None:
+            os.environb.pop(key.encode(), None)
+        else:
+            os.environb[key.encode()] = os.fsencode(value)
+        return contextlib.nullcontext()
+    if route == "monkeypatch":
+        return monkeypatched_cap(value)
+    values = {k: v for k, v in os.environ.items() if k != key}
+    if value is not None:
+        values[key] = value
+    return mock.patch.dict(os.environ, values, clear=True)
+
+
+def expect_cap(call):
+    """call's result under the cap that os.environ.get reads, or the refusal
+    it must raise: the reference's ConfigError as it is, or the cap error of
+    a cap below the call's need, given as (need, what)."""
+    try:
+        cap = enum_cap_by_environ_get()
+    except ConfigError as exc:
+        with pytest.raises(ConfigError) as info:
+            call["run"]()
+        assert str(info.value) == str(exc)
+        return
+    need, what = call["need"]
+    if cap >= need:
+        assert call["run"]() == call["want"]
+    else:
+        with pytest.raises(EnumerationCapError) as info:
+            call["run"]()
+        assert str(info.value) == f"{need} {what} exceed cap {cap} (KISIN_MAX_ENUM)"
+
+
+class TestCapRead:
+    """strata._enum_cap reads os.environ's dict directly; every route that
+    changes the variable through os.environ reaches it at the very next
+    call."""
+
+    @pytest.mark.parametrize("value", CAP_VALUES)
+    @pytest.mark.parametrize("route", ["item", "monkeypatch", "patch-dict"] + ["bytes"] * os.supports_bytes_environ)
+    def test_read_matches_environ_get(self, monkeypatch, route, value):
+        # recorded, so that the variable is unset again whatever the route does
+        monkeypatch.setenv("KISIN_MAX_ENUM", "")
+        monkeypatch.delenv("KISIN_MAX_ENUM")
+        datum, mu = CAP_READ_PAIR
+        want = enumerate_strata(datum, mu)
+        assert want and strata._candidate_box(mu) == 49
+        calls = [
+            {"run": lambda: enumerate_strata(datum, mu), "need": (49, "candidates in the box of block 1"), "want": want},
+            {"run": lambda: decompose_mu(((1, 0),), 1), "need": (59, "lifted entries"), "want": ((1, 0),)},
+        ]
+        with set_cap(route, value):
+            assert strata._slot[:2] == (datum, mu)  # the next call is a slot hit if the cap admits it
+            try:
+                ref = enum_cap_by_environ_get()
+            except ConfigError as exc:
+                with pytest.raises(ConfigError) as info:
+                    strata._enum_cap()
+                assert str(info.value) == str(exc)
+            else:
+                assert strata._enum_cap() == ref
+            for call in calls:
+                expect_cap(call)
+        # the route's own undo (monkeypatch, patch.dict) is read at once too
+        for call in calls:
+            expect_cap(call)
+
+    def test_every_value_is_met(self):
+        # the values reach the default, a cap within and below the need, and
+        # a refusal of the value
+        seen = set()
+        for value in CAP_VALUES:
+            with monkeypatched_cap(value):
+                try:
+                    seen.add(min(strata._enum_cap(), 50) // 49)  # 1: within, 0: below
+                except ConfigError:
+                    seen.add("refused")
+        assert seen == {0, 1, "refused"}
+
+
+def well_formed_mus(rng, shape, count):
+    """count random dominant mu of shape, each given as tuples or as lists."""
+    out = []
+    for _ in range(count):
+        mu = [sorted((rng.randint(-4, 4) for _ in range(shape.n)), reverse=True) for _ in range(shape.blocks)]
+        out.append(tuple(map(tuple, mu)) if rng.random() < 0.5 else mu)
+    return out
+
+
+def malformed_mus(shape):
+    """mu that fail the argument checks: wrong block count, wrong block
+    length, a non-dominant block, and a shape error in a block before a
+    non-dominant one, where dominance must still win."""
+    n, blocks = shape.n, shape.blocks
+    good = [0] * n
+    up = list(range(n))  # ascending, non-dominant for n >= 2
+    out = [
+        [good] * (blocks + 1),
+        [good] * (blocks - 1),
+        [good] * (blocks - 1) + [good + [0]],
+        [good[:-1]] + [good] * (blocks - 1),
+        [[]] * blocks,
+        [good + [0]] * (blocks + 1),
+    ]
+    if n >= 2:
+        out += [
+            [good] * (blocks - 1) + [up],
+            [good + [0]] + [up] * blocks,
+            [good[:-1]] * blocks + [up],
+            [up] + [good] * blocks,
+            [tuple(up)] * blocks,
+        ]
+    return out
+
+
+def same_outcome(call, reference):
+    """Whether call and reference return equal values or raise the same type
+    of exception with the same message."""
+    try:
+        want = reference()
+    except Exception as exc:  # any refusal, of any type, must match
+        with pytest.raises(type(exc)) as info:
+            call()
+        assert type(info.value) is type(exc) and str(info.value) == str(exc)
+        return exc
+    assert call() == want
+    return None
+
+
+ARGUMENT_DATUMS = [
+    caruso_datum(3, 1, 3, 5),
+    caruso_datum(2, 2, 3, 1),
+    counterexample(CASES["b"], 3)[0],
+    contracting_datum(((-1, 2, -1), (-2, -2, 1)), ((2, 1, 0), (0, 1, 2)), (3, 3)),
+    make_multi(caruso_datum(3, 1, 2, 3), 2).lifted,
+    make_multi(caruso_datum(1, 1, 3, 1), 3).lifted,
+]
+
+
+class TestArgumentChecks:
+    """strata._require_mu, the one pass over mu, against its checks and
+    values as separate steps (``require_mu_by_steps``)."""
+
+    @pytest.mark.parametrize("datum", ARGUMENT_DATUMS, ids=lambda d: f"n{d.shape.n}N{d.shape.blocks}")
+    def test_well_formed_mu_reads_as_the_steps(self, datum):
+        rng = random.Random(f"{datum.shape}")
+        for mu in well_formed_mus(rng, datum.shape, 200):
+            got = strata._require_mu(datum, mu)
+            assert got == require_mu_by_steps(datum, mu), mu
+            assert all(type(b) is tuple for b in got[0]) and type(got[0]) is tuple and type(got[1]) is tuple
+
+    @pytest.mark.parametrize("datum", ARGUMENT_DATUMS, ids=lambda d: f"n{d.shape.n}N{d.shape.blocks}")
+    def test_malformed_mu_refuses_as_the_steps(self, datum):
+        seen = set()
+        outside = dataclasses.replace(datum, alcove_ok=False)
+        for mu in malformed_mus(datum.shape):
+            for d in (datum, outside):
+                for check in (
+                    lambda: strata._require_mu(d, mu),
+                    lambda: enumerate_strata(d, mu),
+                    lambda: stratum_nonempty(d, mu, d.shape.zero_cochar()),
+                ):
+                    exc = same_outcome(check, lambda: require_mu_by_steps(d, mu))
+                    assert exc is not None, mu
+                    seen.add(str(exc).split(":")[0])
+        assert seen >= {"cochar shape mismatch", "datum's fixed point is not in the alcove"}
+        if datum.shape.n >= 2:  # every block of length 1 is dominant
+            assert "mu must be dominant" in seen
+            # dominance wins over a shape error in an earlier block
+            with pytest.raises(ConfigError, match="^mu must be dominant$"):
+                strata._require_mu(datum, [[0] * (datum.shape.n + 1)] + [list(range(datum.shape.n))] * datum.shape.blocks)
 
 
 _solve_label = strata._solve_label
