@@ -23,9 +23,9 @@ so a sweep that chains every pair of labels of one mu checks mu once.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from operator import add, sub
+from typing import NamedTuple
 
 from .core import Cochar, GroupShape, Perm, WeylElt, _block_dominated, _dominated, act_perm, perm_inv, twist_block
 from .errors import PreconditionError, TheoremViolationError
@@ -39,15 +39,13 @@ from .strata import (
 )
 
 
-@dataclass(frozen=True)
-class StrataGraph:
+class StrataGraph(NamedTuple):
     vertices: tuple  # tuple of Stratum
     edges: tuple  # tuple of (lam, lam', Root) with lam' = lam - coroot
     components: tuple  # partition of vertex labels, each a sorted tuple of lam
 
 
-@dataclass(frozen=True)
-class Pi0Report:
+class Pi0Report(NamedTuple):
     upper_bound: int
     exactness: str  # "exact" | "upper bound only" | "empty"
 

@@ -25,7 +25,7 @@ zero-stratum walk and its certificate all call it.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import lru_cache
 from operator import add, ge, sub
 from typing import Iterator
@@ -57,26 +57,26 @@ def _is_prime(p: int) -> bool:
     return all(pow(a, d, p) == 1 or any(pow(a, d << r, p) == p - 1 for r in range(s)) for a in _PRIME_BASES)
 
 
-@dataclass(frozen=True)
-class GroupShape:
-    """Block structure (n, N blocks, per-block Frobenius scale eps) of the group."""
+class GroupShape(namedtuple("GroupShape", "n blocks eps p")):
+    """Block structure (n, N blocks, per-block Frobenius scale eps, a tuple
+    whatever sequence was given) of the group."""
 
-    n: int
-    blocks: int
-    eps: tuple
-    p: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.n < 1 or self.blocks < 1:
+    def __new__(cls, n: int, blocks: int, eps: tuple, p: int):
+        if n < 1 or blocks < 1:
             raise ConfigError("n and blocks must be positive")
-        if not _is_prime(self.p):
-            raise ConfigError(f"p={self.p} is not prime")
-        if len(self.eps) != self.blocks:
+        if not _is_prime(p):
+            raise ConfigError(f"p={p} is not prime")
+        if len(eps) != blocks:
             raise ConfigError("eps pattern length must equal number of blocks")
-        if any(e not in (1, self.p) for e in self.eps):
+        # a tuple, so that the shape hashes: the solve plans key on it
+        eps = tuple(eps)
+        if any(e not in (1, p) for e in eps):
             raise ConfigError("eps entries must be 1 or p")
-        if all(e == 1 for e in self.eps):
+        if all(e == 1 for e in eps):
             raise ConfigError("at least one eps entry must equal p")
+        return tuple.__new__(cls, (n, blocks, eps, p))
 
     @staticmethod
     def res_field(n: int, f: int, p: int) -> "GroupShape":
@@ -223,17 +223,15 @@ def _dominated(v: Cochar, mu: Cochar) -> bool:
 # roots
 
 
-@dataclass(frozen=True)
-class Root:
+class Root(namedtuple("Root", "block i j")):
     """The root e_i - e_j in one block (0-indexed; positive iff i < j)."""
 
-    block: int
-    i: int
-    j: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.i == self.j:
+    def __new__(cls, block: int, i: int, j: int):
+        if i == j:
             raise ConfigError("root indices must be distinct")
+        return tuple.__new__(cls, (block, i, j))
 
     @property
     def positive(self) -> bool:
@@ -250,16 +248,13 @@ def all_roots(shape: GroupShape) -> Iterator[Root]:
 # extended affine Weyl group W~ = Y x| W_0
 
 
-@dataclass(frozen=True)
-class ExtAffine:
+class ExtAffine(namedtuple("ExtAffine", "chi w")):
     """u^chi y with chi an integral cochar and y a Weyl element."""
 
-    chi: Cochar
-    w: WeylElt
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, chi: Cochar, w: WeylElt):
         # held as tuples of tuples whatever sequences were given, so that a
         # datum built on it hashes by value: the caches of solve plans and
         # strata key on it
-        object.__setattr__(self, "chi", tuple(map(tuple, self.chi)))
-        object.__setattr__(self, "w", tuple(map(tuple, self.w)))
+        return tuple.__new__(cls, (tuple(map(tuple, chi)), tuple(map(tuple, w))))

@@ -23,8 +23,8 @@ stays the test oracle for the construction.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import chain
+from typing import NamedTuple
 
 from .core import (
     Cochar,
@@ -47,8 +47,7 @@ from .strata import (
 )
 
 
-@dataclass(frozen=True)
-class MultiDatum:
+class MultiDatum(NamedTuple):
     base: FrobeniusDatum
     d: int
     lifted: FrobeniusDatum

@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from operator import mul
@@ -49,16 +49,18 @@ from .core import (
 from .errors import ConfigError, NotInGeneralPositionError, NotSimpleError, TheoremViolationError
 
 
-@dataclass(frozen=True)
-class FrobeniusDatum:
+class FrobeniusDatum(namedtuple("FrobeniusDatum", "shape wt e_num e_den alcove_ok")):
     """wt = u^tau w together with the exact fixed point e = e_num / e_den of
-    wt*sigma, held as integers over one denominator."""
+    wt*sigma, held as integers over one denominator: a GroupShape, an
+    ExtAffine, the integer numerators, the positive denominator and whether
+    e lies in the alcove.
 
-    shape: GroupShape
-    wt: ExtAffine
-    e_num: Cochar  # integer entries
-    e_den: int  # positive
-    alcove_ok: bool
+    No ``__slots__``, so that the cached properties below have a
+    ``__dict__`` to fill; they enter neither ``==`` nor the hash.  Any
+    assignment is refused, so the datum stays immutable."""
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to {name!r}: FrobeniusDatum is immutable")
 
     @cached_property
     def e(self) -> Cochar:

@@ -142,10 +142,9 @@ import itertools
 import os
 import sys
 from collections import Counter, defaultdict
-from dataclasses import dataclass
 from functools import lru_cache
 from operator import ge, mul, sub
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .core import (
     Cochar,
@@ -167,8 +166,7 @@ DEFAULT_ENUM_CAP = 10**7
 SINGLETON_RULES = ("central", "dominant-minuscule", "d-set", "empty-r-set")
 
 
-@dataclass(frozen=True)
-class Stratum:
+class Stratum(NamedTuple):
     lam: Cochar
     nat: Cochar  # -lam + tau + w(sigma(lam))
     dag: Cochar  # tau + w(sigma(lam)); stored for reference only

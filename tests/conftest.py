@@ -1,7 +1,7 @@
 """Shared test helpers: independent oracles kept deliberately separate from the
 library's own algorithms."""
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 import itertools
@@ -258,10 +258,8 @@ def contracting_datum(tau, w, eps):
     admits eps in {1, p} only, but the walk's bound holds for every eps >= 2,
     so the shape is built past that validation; the label set is defined by
     its inequality for any (tau, w), so the alcove flag is set."""
-    shape = object.__new__(GroupShape)
-    for name, value in (("n", len(tau[0])), ("blocks", len(eps)), ("eps", tuple(eps)), ("p", 2)):
-        object.__setattr__(shape, name, value)
-    return replace(make_datum(shape, ExtAffine(tau, w)), alcove_ok=True)
+    shape = tuple.__new__(GroupShape, (len(tau[0]), len(eps), tuple(eps), 2))
+    return make_datum(shape, ExtAffine(tau, w))._replace(alcove_ok=True)
 
 
 def gauss_solve_fixed_point(shape, w, tau):

@@ -1,5 +1,4 @@
 import contextlib
-import dataclasses
 import io
 import json
 import os
@@ -57,7 +56,7 @@ class TestVerifyCounterexamples:
         # the golden data lie in the alcove; a datum built without the alcove
         # verdict must stop the check
         real = normal_form.make_datum
-        monkeypatch.setattr(normal_form, "make_datum", lambda *a: dataclasses.replace(real(*a), alcove_ok=False))
+        monkeypatch.setattr(normal_form, "make_datum", lambda *a: real(*a)._replace(alcove_ok=False))
         assert main(["verify-counterexample", "a", "--p", "3"]) == 4
         captured = capsys.readouterr()
         assert captured.out == "" and "Traceback" not in captured.err

@@ -381,3 +381,168 @@ class TestExtAffine:
         rng = random.Random(17)
         wt = ExtAffine(rand_cochar(rng, SH32), rand_weyl(rng, SH32))
         assert ext_sigma_conj(SH32, ext_identity(SH32), wt) == wt
+
+
+# The records of the library are named tuples; these reprs were read off the
+# frozen dataclasses they replaced, so a report or a log that prints a record
+# reads the same.
+_RECORD_REPRS = {
+    "GroupShape": "GroupShape(n=2, blocks=1, eps=(3,), p=3)",
+    "Root": "Root(block=0, i=1, j=2)",
+    "ExtAffine": "ExtAffine(chi=((1, 0),), w=((1, 0),))",
+    "FrobeniusDatum": (
+        "FrobeniusDatum(shape=GroupShape(n=2, blocks=1, eps=(3,), p=3), wt=ExtAffine(chi=((1, 0),), w=((1, 0),)), "
+        "e_num=((-1, -3),), e_den=8, alcove_ok=True)"
+    ),
+    "Stratum": (
+        "Stratum(lam=((0, 0),), nat=((1, 0),), dag=((1, 0),), r_set=(), d_set=(Root(block=0, i=1, j=0),), "
+        "dim=0, singleton='proven', singleton_rule='central')"
+    ),
+    "StrataGraph": (
+        "StrataGraph(vertices=(Stratum(lam=((0, 0),), nat=((1, 0),), dag=((1, 0),), r_set=(), "
+        "d_set=(Root(block=0, i=1, j=0),), dim=0, singleton='proven', singleton_rule='central'),), "
+        "edges=(), components=((((0, 0),),),))"
+    ),
+    "Pi0Report": "Pi0Report(upper_bound=1, exactness='exact')",
+    "MultiDatum": (
+        "MultiDatum(base=FrobeniusDatum(shape=GroupShape(n=2, blocks=1, eps=(3,), p=3), "
+        "wt=ExtAffine(chi=((1, 0),), w=((1, 0),)), e_num=((-1, -3),), e_den=8, alcove_ok=True), d=2, "
+        "lifted=FrobeniusDatum(shape=GroupShape(n=2, blocks=2, eps=(1, 3), p=3), "
+        "wt=ExtAffine(chi=((0, 0), (1, 0)), w=((0, 1), (1, 0))), e_num=((-1, -3), (-1, -3)), e_den=8, alcove_ok=True))"
+    ),
+}
+
+
+def _records():
+    """One record of each of the eight types, each built by the library."""
+    from kisin.connectivity import build_graph, pi0_report
+    from kisin.multicopy import make_multi
+    from kisin.normal_form import caruso_datum
+    from kisin.strata import enumerate_strata
+
+    datum = caruso_datum(2, 1, 3, 1)
+    graph = build_graph(datum, ((1, 0),))
+    return {
+        "GroupShape": datum.shape,
+        "Root": Root(0, 1, 2),
+        "ExtAffine": datum.wt,
+        "FrobeniusDatum": datum,
+        "Stratum": enumerate_strata(datum, ((1, 0),))[0],
+        "StrataGraph": graph,
+        "Pi0Report": pi0_report(graph),
+        "MultiDatum": make_multi(datum, 2),
+    }
+
+
+class TestRecords:
+    """The record contract: named tuples that keep the field names, order,
+    keyword construction, repr and hash of the frozen dataclasses they
+    replaced, and stay immutable."""
+
+    @pytest.mark.parametrize("name", sorted(_RECORD_REPRS))
+    def test_hash_is_the_tuple_of_fields(self, name):
+        r = _records()[name]
+        fields = tuple(getattr(r, f) for f in r._fields)
+        # the formula of a frozen dataclass's hash, so no set or dict order moves
+        assert hash(r) == hash(fields)
+        assert type(r).__name__ == name
+
+    @pytest.mark.parametrize("name", sorted(_RECORD_REPRS))
+    def test_repr_is_pinned(self, name):
+        assert repr(_records()[name]) == _RECORD_REPRS[name]
+
+    @pytest.mark.parametrize("name", sorted(_RECORD_REPRS))
+    def test_assignment_is_refused(self, name):
+        r = _records()[name]
+        for field in r._fields:
+            with pytest.raises(AttributeError):
+                setattr(r, field, None)
+        with pytest.raises(AttributeError):
+            r.extra = None
+        assert repr(r) == _RECORD_REPRS[name]
+
+    @pytest.mark.parametrize("name", sorted(_RECORD_REPRS))
+    def test_keyword_construction(self, name):
+        r = _records()[name]
+        again = type(r)(**{f: getattr(r, f) for f in r._fields})
+        assert again == r and type(again) is type(r) and hash(again) == hash(r)
+
+    @pytest.mark.parametrize("name", sorted(_RECORD_REPRS))
+    def test_tuple_behaviour(self, name):
+        # documented, though no code of the library depends on it
+        r = _records()[name]
+        fields = tuple(getattr(r, f) for f in r._fields)
+        assert r == fields and tuple(r) == fields
+
+    @pytest.mark.parametrize(
+        "kwargs, message",
+        (
+            ({"n": 0, "blocks": 1, "eps": (3,), "p": 4}, "n and blocks must be positive"),
+            ({"n": 2, "blocks": 0, "eps": (), "p": 3}, "n and blocks must be positive"),
+            ({"n": 2, "blocks": 1, "eps": (3, 3), "p": 4}, "p=4 is not prime"),
+            ({"n": 2, "blocks": 1, "eps": (3, 3), "p": 3}, "eps pattern length must equal number of blocks"),
+            ({"n": 2, "blocks": 2, "eps": (2, 1), "p": 3}, "eps entries must be 1 or p"),
+            ({"n": 2, "blocks": 2, "eps": [1, 1], "p": 3}, "at least one eps entry must equal p"),
+        ),
+    )
+    def test_shape_refusals_keep_their_messages(self, kwargs, message):
+        # each case also breaks every later check, so the order is pinned too
+        with pytest.raises(ConfigError) as exc:
+            GroupShape(**kwargs)
+        assert str(exc.value) == message
+
+    def test_root_refusal_keeps_its_message(self):
+        with pytest.raises(ConfigError) as exc:
+            Root(block=0, i=1, j=1)
+        assert str(exc.value) == "root indices must be distinct"
+
+    def test_ext_affine_holds_tuples(self):
+        wt = ExtAffine(chi=[[1, 0], [0, 2]], w=[[1, 0], (0, 1)])
+        assert wt.chi == ((1, 0), (0, 2)) and wt.w == ((1, 0), (0, 1))
+        assert type(wt.chi) is tuple and all(type(b) is tuple for b in wt.chi + wt.w)
+        assert hash(wt) == hash(ExtAffine(((1, 0), (0, 2)), ((1, 0), (0, 1))))
+
+    def test_shape_holds_eps_as_a_tuple(self):
+        from kisin.normal_form import make_datum
+
+        listed = GroupShape(n=2, blocks=1, eps=[3], p=3)
+        assert listed.eps == (3,) and type(listed.eps) is tuple
+        assert listed == GroupShape(n=2, blocks=1, eps=(3,), p=3)
+        # the solve-plan cache keys on the shape, so a list eps once raised
+        # TypeError there instead of giving a datum
+        wt = ExtAffine(((1, 0),), ((1, 0),))
+        assert make_datum(listed, wt) == make_datum(GroupShape(n=2, blocks=1, eps=(3,), p=3), wt)
+
+    def test_datum_cached_properties_are_built_once_and_kept_out_of_eq_and_hash(self):
+        from kisin.normal_form import caruso_datum, make_datum
+
+        datum = caruso_datum(2, 1, 3, 1)
+        fresh = make_datum(datum.shape, datum.wt)
+        assert fresh is not datum
+        for name in ("e", "plan", "tau_weight"):
+            first = getattr(datum, name)
+            assert getattr(datum, name) is first and vars(datum)[name] is first
+            assert name not in vars(fresh)
+            assert datum == fresh and hash(datum) == hash(fresh)
+        with pytest.raises(AttributeError):
+            datum.e = None
+        assert datum == tuple(datum) and len(datum) == 5
+
+    def test_replace_returns_a_changed_copy_without_validation(self):
+        shape = GroupShape(n=2, blocks=1, eps=(3,), p=3)
+        assert shape._replace(p=4) == (2, 1, (3,), 4) and shape.p == 3
+        assert type(Root(0, 1, 2)._replace(j=1)) is Root
+
+    def test_import_leaves_dataclasses_and_inspect_out(self):
+        # in a fresh interpreter, since pytest itself imports both
+        import os
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join([str(Path(__file__).resolve().parents[1] / "src"), env.get("PYTHONPATH", "")])
+        code = "import sys, kisin.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+        run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60)
+        assert run.returncode == 0, run.stderr
+        assert run.stdout == "[]\n"

@@ -3,7 +3,6 @@ box search: the residue join, the cycle walk and the dispatch between them,
 and the candidate generation and count."""
 
 import contextlib
-import dataclasses
 import functools
 import itertools
 import json
@@ -787,7 +786,7 @@ class TestArgumentChecks:
     @pytest.mark.parametrize("datum", ARGUMENT_DATUMS, ids=lambda d: f"n{d.shape.n}N{d.shape.blocks}")
     def test_malformed_mu_refuses_as_the_steps(self, datum):
         seen = set()
-        outside = dataclasses.replace(datum, alcove_ok=False)
+        outside = datum._replace(alcove_ok=False)
         for mu in malformed_mus(datum.shape):
             for d in (datum, outside):
                 for check in (
@@ -1001,7 +1000,7 @@ class TestJoinUpToShift:
                 chi = ((c,) * datum.shape.n,) * datum.shape.blocks
                 got = enumerate_strata(*shifted(datum, mu, c))
                 assert got == tuple(
-                    dataclasses.replace(s, nat=cochar_add(s.nat, chi), dag=cochar_add(s.dag, chi)) for s in want
+                    s._replace(nat=cochar_add(s.nat, chi), dag=cochar_add(s.dag, chi)) for s in want
                 ), (datum.tau, mu, c)
 
     def test_tables_are_shared_up_to_shift(self):

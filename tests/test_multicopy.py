@@ -1,4 +1,3 @@
-import dataclasses
 import itertools
 import json
 import random
@@ -341,7 +340,7 @@ class TestUniqueZeroStratum:
         real_witness, real_enumerate = multicopy._witness, multicopy.enumerate_strata
         monkeypatch.setattr(multicopy, "_witness", lambda s, n: real_witness(s + n, n))
         monkeypatch.setattr(
-            multicopy, "enumerate_strata", lambda *a: tuple(dataclasses.replace(s, dim=1) for s in real_enumerate(*a))
+            multicopy, "enumerate_strata", lambda *a: tuple(s._replace(dim=1) for s in real_enumerate(*a))
         )
         self.assert_exits_4(capsys, "expected exactly one zero-dimensional stratum, found 0")
 
@@ -363,7 +362,7 @@ class TestUniqueZeroStratum:
 
     def test_positive_dimension_is_a_violation(self, monkeypatch):
         real = multicopy._record
-        monkeypatch.setattr(multicopy, "_record", lambda *a: dataclasses.replace(real(*a), dim=1))
+        monkeypatch.setattr(multicopy, "_record", lambda *a: real(*a)._replace(dim=1))
         multi = make_multi(caruso_datum(2, 1, 3, 1), 3)
         with pytest.raises(TheoremViolationError, match="the block recursion's solution") as exc:
             unique_zero_stratum(multi, decompose_mu(((3, 0),), 3))

@@ -1,4 +1,3 @@
-import dataclasses
 import math
 import random
 from fractions import Fraction as Q
@@ -457,7 +456,7 @@ def _perturbed_solve(real):
 def _integral_entry(real):
     def make(shape, wt):
         datum = real(shape, wt)
-        return dataclasses.replace(datum, e_num=((0,) + datum.e_num[0][1:],) + datum.e_num[1:])
+        return datum._replace(e_num=((0,) + datum.e_num[0][1:],) + datum.e_num[1:])
 
     return make
 

@@ -2,7 +2,6 @@
 the failing instance and exit non-zero, kept under ``python -O``."""
 
 import ast
-import dataclasses
 import importlib.util
 import sys
 from pathlib import Path
@@ -63,7 +62,7 @@ class TestZeroStratumExperiment:
     def test_construction(self, monkeypatch):
         module = load("zero_stratum_experiment")
         real = module.unique_zero_stratum
-        monkeypatch.setattr(module, "unique_zero_stratum", lambda m, mu: dataclasses.replace(real(m, mu), dim=None))
+        monkeypatch.setattr(module, "unique_zero_stratum", lambda m, mu: real(m, mu)._replace(dim=None))
         assert "!= enumerated" in run(monkeypatch, module, *self.ARGV)
 
     def test_recursion(self, monkeypatch):

@@ -1,4 +1,3 @@
-import dataclasses
 import itertools
 import random
 import sys
@@ -443,7 +442,7 @@ class TestBlockSums:
                 eps[rng.randrange(blocks)] = p
                 shape = GroupShape(n=n, blocks=blocks, eps=tuple(eps), p=p)
                 # the label set is defined by its inequality for any twist
-                datum = dataclasses.replace(make_datum(shape, ExtAffine(tau, w)), alcove_ok=True)
+                datum = make_datum(shape, ExtAffine(tau, w))._replace(alcove_ok=True)
                 seen["eps 1"] += 1 in eps
             want = block_sums_by_fractions(datum, mu)
             got = block_sums(datum, mu)
