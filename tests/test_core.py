@@ -1,5 +1,9 @@
 import itertools
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -39,8 +43,11 @@ from kisin.core import (
     twist_block,
 )
 from kisin import core
+from kisin.connectivity import build_graph, pi0_report
 from kisin.errors import ConfigError
-from kisin.normal_form import solve_affine_scaled
+from kisin.multicopy import make_multi
+from kisin.normal_form import caruso_datum, make_datum, solve_affine_scaled
+from kisin.strata import enumerate_strata
 
 SH4 = GroupShape(n=4, blocks=1, eps=(3,), p=3)
 SH32 = GroupShape.res_field(3, 2, 3)
@@ -415,11 +422,6 @@ _RECORD_REPRS = {
 
 def _records():
     """One record of each of the eight types, each built by the library."""
-    from kisin.connectivity import build_graph, pi0_report
-    from kisin.multicopy import make_multi
-    from kisin.normal_form import caruso_datum
-    from kisin.strata import enumerate_strata
-
     datum = caruso_datum(2, 1, 3, 1)
     graph = build_graph(datum, ((1, 0),))
     return {
@@ -503,8 +505,6 @@ class TestRecords:
         assert hash(wt) == hash(ExtAffine(((1, 0), (0, 2)), ((1, 0), (0, 1))))
 
     def test_shape_holds_eps_as_a_tuple(self):
-        from kisin.normal_form import make_datum
-
         listed = GroupShape(n=2, blocks=1, eps=[3], p=3)
         assert listed.eps == (3,) and type(listed.eps) is tuple
         assert listed == GroupShape(n=2, blocks=1, eps=(3,), p=3)
@@ -514,8 +514,6 @@ class TestRecords:
         assert make_datum(listed, wt) == make_datum(GroupShape(n=2, blocks=1, eps=(3,), p=3), wt)
 
     def test_datum_cached_properties_are_built_once_and_kept_out_of_eq_and_hash(self):
-        from kisin.normal_form import caruso_datum, make_datum
-
         datum = caruso_datum(2, 1, 3, 1)
         fresh = make_datum(datum.shape, datum.wt)
         assert fresh is not datum
@@ -535,11 +533,6 @@ class TestRecords:
 
     def test_import_leaves_dataclasses_and_inspect_out(self):
         # in a fresh interpreter, since pytest itself imports both
-        import os
-        import subprocess
-        import sys
-        from pathlib import Path
-
         env = dict(os.environ)
         env["PYTHONPATH"] = os.pathsep.join([str(Path(__file__).resolve().parents[1] / "src"), env.get("PYTHONPATH", "")])
         code = "import sys, kisin.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
