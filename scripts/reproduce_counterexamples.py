@@ -8,7 +8,7 @@ Usage: python3 scripts/reproduce_counterexamples.py [--primes 3 5]
 
 import argparse
 
-from kisin.cli import CASES, counterexample
+from kisin.cli import CASES, counterexample, ser_ratio
 from kisin.connectivity import build_graph, pi0_report
 
 
@@ -17,7 +17,7 @@ def show(title, datum, mu):
     rep = pi0_report(graph)
     print(f"== {title}")
     print(f"   tau = {datum.tau}, w = {datum.w}, mu = {mu}")
-    print(f"   fixed point e = {tuple(tuple(str(x) for x in b) for b in datum.e)}")
+    print(f"   fixed point e = {tuple(tuple(ser_ratio(x, datum.e_den) for x in b) for b in datum.e_num)}")
     for s in graph.vertices:
         print(
             f"   stratum lam={s.lam}  nat={s.nat}  dim={s.dim if s.dim is not None else '?'}"

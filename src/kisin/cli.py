@@ -134,9 +134,9 @@ def ser_root(a: Root) -> dict:
 
 
 def ser_ratio(num: int, den: int) -> str:
-    """num / den for den > 0 in lowest terms by one gcd, as
-    ``FrobeniusDatum.e``'s entries print: "num/den", or the integer alone
-    when den divides num."""
+    """num / den for den > 0 in lowest terms by one gcd: "num/den" with the
+    sign on num, or the integer alone when den divides num.  Every fixed
+    point, in the reports and the scripts, is written through it."""
     g = math.gcd(num, den)
     return str(num // g) if g == den else f"{num // g}/{den // g}"
 

@@ -237,15 +237,16 @@ def _gl3_normal_form(diff: tuple, table: tuple):
     returns (c's row of the chain table, n1, n2).
 
     Tries each of the six coroots c; existence follows from c + w(c) + w^2(c) = 0.
+    diff sums to zero: ``_chain_steps``, the one caller, refuses any other
+    difference, and each of its steps is a coroot.
     """
     for row in table:
         c, wc, det = row[:3]
         # {c, w(c)} is a unimodular basis of the sum-zero lattice when w is a
-        # 3-cycle, so the 2x2 solve over the first two coordinates is exact
+        # 3-cycle, so the 2x2 solve over the first two coordinates is exact,
+        # and the third coordinate follows, since c, w(c) and diff sum to zero
         n1 = (diff[0] * wc[1] - diff[1] * wc[0]) // det
         n2 = (c[0] * diff[1] - c[1] * diff[0]) // det
-        if n1 * c[2] + n2 * wc[2] != diff[2]:
-            continue
         if n1 == max(abs(n1), abs(n2), abs(n1 - n2)) and n1 >= n2 >= 0:
             return row, n1, n2
     raise TheoremViolationError("no max-normalized coroot decomposition found")

@@ -14,9 +14,9 @@ Fixed points are solved and checked in integers over one denominator: the
 solver returns (E, D) with e = E / D and D = q^L - 1, L the lcm of the cycle
 lengths of the solver's permutation W (``solve_affine_scaled``).  The
 defining identity, the alcove test, the alcove reduction and the transport
-check all run on (E, D).  ``Fraction``s appear only in ``FrobeniusDatum.e``,
-built on first use from E / D; the reports write E / D entry by entry with
-one gcd (``cli.ser_ratio``).
+check all run on (E, D), and the library builds no rational number: the
+reports write E / D entry by entry in lowest terms with one gcd
+(``cli.ser_ratio``).
 
 Alcove reduction transports a datum along z = u^chi y by formula, with no
 group law: z^{-1} wt sigma(z) is u^tau' w' with
@@ -31,7 +31,6 @@ from __future__ import annotations
 import itertools
 import math
 from collections import namedtuple
-from fractions import Fraction
 from functools import cached_property, lru_cache
 from operator import mul
 
@@ -61,11 +60,6 @@ class FrobeniusDatum(namedtuple("FrobeniusDatum", "shape wt e_num e_den alcove_o
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to {name!r}: FrobeniusDatum is immutable")
-
-    @cached_property
-    def e(self) -> Cochar:
-        """The fixed point with rational entries, built on first use."""
-        return tuple(tuple(Fraction(x, self.e_den) for x in b) for b in self.e_num)
 
     @cached_property
     def plan(self) -> "_SolvePlan":

@@ -95,14 +95,14 @@ dominant-minuscule verdicts are fixed by the datum and its lam_nat, whatever
 the mu.  A mu dominated by its class's top takes the top's labels whose
 lam_nat it dominates, and no path runs; any other mu is walked or joined,
 every label solved and checked afresh, and becomes the top.  Each record
-adds only what reads mu: the d-set rule, the empty-r-set rule, and the R-set
-and dimension under a minuscule mu.  A label's lam_nat has the block sums of
-mu, so each label lies in exactly one class.  The sweeps list mu in
-decreasing lexicographic order, which dominance refines, so each class is
-met first at its greedy vector, the one that dominates the whole class, and
-is walked or joined once per datum: a sweep solves each label once per
-datum.  The order changes how often a path runs, and so how often a label
-is solved, never the strata.
+adds only what reads mu: the d-set rule, and the R-set and dimension under
+a minuscule mu.  A label's lam_nat has the block sums of mu, so each label
+lies in exactly one class.  The sweeps list mu in decreasing lexicographic
+order, which dominance refines, so each class is met first at its greedy
+vector, the one that dominates the whole class, and is walked or joined
+once per datum: a sweep solves each label once per datum.  The order
+changes how often a path runs, and so how often a label is solved, never
+the strata.
 
 No part of the state reads the cap.  Every call checks its arguments in one
 pass over mu's blocks (``_require_mu``): the alcove, the dominance of every
@@ -163,7 +163,7 @@ from .normal_form import FrobeniusDatum, _is_fixed_point, _solve_block0, in_alco
 
 DEFAULT_ENUM_CAP = 10**7
 
-SINGLETON_RULES = ("central", "dominant-minuscule", "d-set", "empty-r-set")
+SINGLETON_RULES = ("central", "dominant-minuscule", "d-set")
 
 
 class Stratum(NamedTuple):
@@ -789,13 +789,19 @@ def _stratum(mu: Cochar, nat: Cochar, entry: tuple, minuscule: bool) -> Stratum:
     |R(lam)| is the dimension when mu is minuscule.  The singleton
     certificates are tried in order: central lam; dominant and minuscule lam
     (both in the entry); lam_nat conjugate to mu with lam_alpha = 0 on all of
-    D(lam); minuscule mu with empty R(lam)."""
+    D(lam).
+
+    An empty R(lam) under a minuscule mu needs no rule of its own, since the
+    d-set rule then holds.  A minuscule coweight is minimal in dominance, so
+    each block of lam_nat, whose dominant sort is dominated by mu's block, is
+    a permutation of that block, whose entries differ by at most 1.  So every
+    pairing <alpha, lam_nat> is -1, 0 or 1, D(lam) is the set of alpha with
+    lam_alpha >= 0 and pairing -1, and R(lam) is its subset with
+    lam_alpha >= 1.  An empty R(lam) then forces lam_alpha = 0 on all of
+    D(lam), and lam_nat sorts to mu."""
     lam, dag, rs, ds, sorted_nat, rule = entry
-    if rule is None:
-        if sorted_nat == mu:
-            rule = "d-set"
-        elif minuscule and not rs:
-            rule = "empty-r-set"
+    if rule is None and sorted_nat == mu:
+        rule = "d-set"
     return Stratum(
         lam,
         nat,
@@ -812,7 +818,9 @@ def make_stratum(datum: FrobeniusDatum, mu: Cochar, lam: Cochar) -> Stratum:
     """The Stratum record of a label lam: R(lam) and the dimension (None
     unless mu is minuscule), D(lam), and the first sufficient singleton
     certificate of SINGLETON_RULES as ("proven", rule), else ("unknown",
-    None).  PreconditionError when lam is not a label."""
+    None).  Under a minuscule mu the verdict is "proven" exactly when lam is
+    central, dominant and minuscule, or of dimension 0 (``_stratum``).
+    PreconditionError when lam is not a label."""
     mu, lam = _require_label_args(datum, mu, lam)
     return _record(datum, mu, lam, is_minuscule(mu))
 

@@ -357,6 +357,12 @@ def solve_affine_integral(shape, w, rhs):
 # checked fixed points in integers over one denominator
 
 
+def fixed_point(datum):
+    """A datum's fixed point as Fractions, read from its numerators E over
+    its one denominator D."""
+    return tuple(tuple(Fraction(x, datum.e_den) for x in b) for b in datum.e_num)
+
+
 def fixed_point_by_fractions(shape, wt):
     """The fixed point of wt*sigma as Fractions E / D of the integer solver."""
     shape.check_cochar(wt.chi)
@@ -448,7 +454,7 @@ def recursion_check_by_fractions(multi, mu_bullet, lam_bullet):
     lifted = multi.lifted
     shape = lifted.shape
     shape.check_cochar(lam_bullet)
-    hat = tuple(tuple(Fraction(x) - e for x, e in zip(lb, eb)) for lb, eb in zip(lam_bullet, lifted.e))
+    hat = tuple(tuple(Fraction(x) - e for x, e in zip(lb, eb)) for lb, eb in zip(lam_bullet, fixed_point(lifted)))
     big = shape.blocks
     for k in range(big):
         rhs = act_perm(lifted.w[k], hat[(k + 1) % big])

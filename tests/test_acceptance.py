@@ -14,6 +14,7 @@ from conftest import (
     descent_stats,
     dominance_leq,
     dominant,
+    fixed_point,
     gauss_solve_fixed_point,
     gl3_sweep_instances,
     reachable_by_simple_coroots,
@@ -135,13 +136,13 @@ def test_criterion_3_fixed_points(capsys):
     t0 = time.monotonic()
     da = counterexample_datum_a(3)
     expect_a = ((Q(-1, 10), Q(-3, 10), Q(-7, 10), Q(-9, 10)),)
-    assert da.e == expect_a and da.alcove_ok
+    assert fixed_point(da) == expect_a and da.alcove_ok
     db = counterexample_datum_b(3)
     expect_b = (
         (Q(-1, 52), Q(-9, 52), Q(-29, 52)),
         (Q(-3, 52), Q(-27, 52), Q(-35, 52)),
     )
-    assert db.e == expect_b and db.alcove_ok
+    assert fixed_point(db) == expect_b and db.alcove_ok
     # recompute independently with the dense Gaussian oracle
     assert gauss_solve_fixed_point(da.shape, da.w, da.tau) == expect_a
     assert gauss_solve_fixed_point(db.shape, db.w, db.tau) == expect_b
@@ -220,7 +221,7 @@ def test_criterion_6_descent_lemma(capsys):
         m = rng.randint(1, p**n - 1)
         if not is_caruso_simple(n, p, m):
             continue
-        pool.append(caruso_datum(n, 1, p, m).e[0])
+        pool.append(fixed_point(caruso_datum(n, 1, p, m))[0])
     trials = 10_000
     counts = [0] * 5
     for _ in range(trials):

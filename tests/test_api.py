@@ -3,9 +3,9 @@ library, and every public method or property of its classes, is used by the
 library, the scripts or the benchmark's worker (``perfbench/worker.py``), or
 exported by the package and named in the README.
 Also guard against caches that grow without bound (every lru_cache of the
-library has a maxsize), against rational arithmetic outside the fixed point's
-view (``Fraction`` only in normal_form.py), and against theorem-violation
-messages that no test names."""
+library has a maxsize), against rational arithmetic (no file of the library
+names ``Fraction`` or ``fractions``), and against theorem-violation messages
+that no test names."""
 
 import ast
 import importlib
@@ -140,14 +140,10 @@ def test_every_cache_is_bounded():
     assert unbounded == [], f"caches with no maxsize: {unbounded}"
 
 
-def test_fractions_only_in_normal_form():
-    # fixed points are solved and checked as integers over one denominator;
-    # only FrobeniusDatum.e, in normal_form.py, builds Fractions
-    named = [
-        path.name
-        for path in sorted(PACKAGE.glob("*.py"))
-        if path.name != "normal_form.py" and re.search(r"\b[Ff]ractions?\b", path.read_text())
-    ]
+def test_no_fractions_in_the_library():
+    # fixed points are solved, checked and written as integers over one
+    # denominator, so no file of the library names Fraction or fractions
+    named = [path.name for path in sorted(PACKAGE.glob("*.py")) if re.search(r"\b[Ff]ractions?\b", path.read_text())]
     assert named == []
 
 

@@ -12,6 +12,7 @@ from unittest import mock
 import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
+from conftest import fixed_point
 from kisin import cli, normal_form
 from kisin.cli import main
 from kisin.core import ExtAffine, GroupShape, _is_prime
@@ -913,7 +914,7 @@ class TestDeepInputs:
         assert code == 0 and captured.err == ""
         num, den = json.loads(captured.out)["datum"]["e"][0][0].split("/")
         assert len(den) > 640
-        assert Fraction(int(num), int(den)) == caruso_datum(2, 60, 1000000000039, 1).e[0][0]
+        assert Fraction(int(num), int(den)) == fixed_point(caruso_datum(2, 60, 1000000000039, 1))[0][0]
 
 
 @contextlib.contextmanager
@@ -1018,7 +1019,7 @@ class TestSerDatum:
         for datum, chi in caruso_central_twists():
             twisted, _ = central_twist(datum, datum.shape.zero_cochar(), chi)
             for d in (datum, twisted):
-                assert cli.ser_datum(d)["e"] == [[str(x) for x in b] for b in d.e], d.wt
+                assert cli.ser_datum(d)["e"] == [[str(x) for x in b] for b in fixed_point(d)], d.wt
 
     @pytest.mark.parametrize(
         "shape, wt",
@@ -1030,7 +1031,7 @@ class TestSerDatum:
     )
     def test_e_on_hand_data(self, shape, wt):
         d = make_datum(shape, wt)
-        assert cli.ser_datum(d)["e"] == [[str(x) for x in b] for b in d.e]
+        assert cli.ser_datum(d)["e"] == [[str(x) for x in b] for b in fixed_point(d)]
 
     @pytest.mark.parametrize(
         "num, den, text",

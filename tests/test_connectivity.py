@@ -433,6 +433,24 @@ class TestChains:
                             n1s.add(n1)
                     assert len(n1s) == 1, (w, diff, n1s)
 
+    def test_normal_form_is_exact_on_every_sum_zero_difference(self):
+        # _gl3_normal_form solves on the first two coordinates only: each
+        # det is a unit and diff sums to zero, so the third coordinate of
+        # n1 c + n2 w(c) equals diff's too
+        solved = 0
+        for w in ((1, 2, 0), (2, 0, 1)):
+            for e in (2, 3, 5):
+                table = connectivity._chain_table(w, e)
+                assert {row[2] for row in table} <= {1, -1}
+                for d0, d1 in itertools.product(range(-12, 13), repeat=2):
+                    diff = (d0, d1, -d0 - d1)
+                    if diff == (0, 0, 0):
+                        continue
+                    (c, wc, *_), n1, n2 = connectivity._gl3_normal_form(diff, table)
+                    assert tuple(n1 * x + n2 * y for x, y in zip(c, wc)) == diff, (w, e, diff)
+                    solved += 1
+        assert solved == 2 * 3 * (25**2 - 1)
+
     def test_weyl_part_must_be_a_3_cycle(self):
         # a permutation of 3 points is a 3-cycle iff it fixes no point
         shape, mu, lam = GroupShape.res_field(3, 1, 2), ((0, 0, 0),), ((0, 0, 0),)

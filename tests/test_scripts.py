@@ -2,6 +2,7 @@
 the failing instance and exit non-zero, kept under ``python -O``."""
 
 import ast
+import hashlib
 import importlib.util
 import sys
 from pathlib import Path
@@ -11,6 +12,11 @@ import pytest
 from kisin.connectivity import StrataGraph
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
+
+# sha256 of the stdout of reproduce_counterexamples.py --primes 3 53, as
+# PYTHONPATH=src python3 scripts/reproduce_counterexamples.py --primes 3 53 | sha256sum
+# prints it
+REPRODUCE_3_53 = "006ea245d7d8db34d1fea65f94cf2bcd35126af4b4555988b5d9e6a0ee543bbf"
 
 
 def load(name):
@@ -34,6 +40,14 @@ def test_no_script_asserts():
     for path in sorted(SCRIPTS.glob("*.py")):
         asserts = [node.lineno for node in ast.walk(ast.parse(path.read_text())) if isinstance(node, ast.Assert)]
         assert asserts == [], f"{path.name} asserts on lines {asserts}"
+
+
+def test_reproduce_counterexamples_prints_its_pinned_bytes(monkeypatch, capsys):
+    module = load("reproduce_counterexamples")
+    monkeypatch.setattr(sys, "argv", [module.__file__, "--primes", "3", "53"])
+    module.main()
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == REPRODUCE_3_53, out
 
 
 def test_gl3_sweep_refuses_a_second_component(monkeypatch):

@@ -1,10 +1,11 @@
 import itertools
+import math
 import random
 import sys
 from types import SimpleNamespace
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from conftest import (
     box_strata,
@@ -13,15 +14,18 @@ from conftest import (
     contracting_datum,
     dominant,
     dominant_vecs,
+    fixed_point,
     gauss_solve_fixed_point,
 )
-from kisin.core import ExtAffine, GroupShape
+from kisin.cli import CASES, counterexample
+from kisin.core import ExtAffine, GroupShape, is_central, is_dominant, is_minuscule
 from kisin import strata
-from kisin.errors import ConfigError, EnumerationCapError, PreconditionError, TheoremViolationError
+from kisin.errors import ConfigError, EnumerationCapError, KisinError, PreconditionError, TheoremViolationError
 from kisin.multicopy import decompose_mu, make_multi
-from kisin.normal_form import FrobeniusDatum, caruso_datum, is_caruso_simple, make_datum
+from kisin.normal_form import FrobeniusDatum, alcove_reduce, caruso_datum, is_caruso_simple, make_datum
 from kisin.connectivity import build_graph, chain_gl3
 from kisin.strata import (
+    SINGLETON_RULES,
     _label_free,
     block_sums,
     clear_caches,
@@ -255,23 +259,9 @@ class TestSinglePassOracle:
         assert checked > 100
 
     def test_multicopy_lifted(self):
-        rng = random.Random(20261018)
-        done = 0
-        while done < 25:
-            p, n, f = rng.choice((2, 3)), rng.randint(2, 3), rng.randint(1, 2)
-            m = rng.randint(1, p ** (f * n) - 1)
-            if not is_caruso_simple(n, p**f, m):
-                continue
-            ms = [rng.randint(0, 3) for _ in range(f)]
-            d = max(max(ms), 1) + rng.randint(0, 1)
-            multi = make_multi(caruso_datum(n, f, p, m), d)
-            mu_bullet = decompose_mu(tuple((x,) + (0,) * (n - 1) for x in ms), d)
-            S = enumerate_strata(multi.lifted, mu_bullet)
-            if not S:
-                continue
-            done += 1
-            for s in S:
-                assert assert_single_pass_matches(multi.lifted, mu_bullet, s.lam)
+        for lifted, mu_bullet in multicopy_lifts(random.Random(20261018), 25):
+            for s in enumerate_strata(lifted, mu_bullet):
+                assert assert_single_pass_matches(lifted, mu_bullet, s.lam)
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -297,6 +287,114 @@ class TestSinglePassOracle:
             assert assert_single_pass_matches(d, mu, S[pick % len(S)].lam)
 
 
+def multicopy_lifts(rng, count):
+    """count (lifted datum, mu_bullet) pairs of random Caruso twists with
+    non-empty strata."""
+    out = []
+    while len(out) < count:
+        p, n, f = rng.choice((2, 3)), rng.randint(2, 3), rng.randint(1, 2)
+        m = rng.randint(1, p ** (f * n) - 1)
+        if not is_caruso_simple(n, p**f, m):
+            continue
+        ms = [rng.randint(0, 3) for _ in range(f)]
+        d = max(max(ms), 1) + rng.randint(0, 1)
+        multi = make_multi(caruso_datum(n, f, p, m), d)
+        mu_bullet = decompose_mu(tuple((x,) + (0,) * (n - 1) for x in ms), d)
+        if enumerate_strata(multi.lifted, mu_bullet):
+            out.append((multi.lifted, mu_bullet))
+    return out
+
+
+def minuscule_mu(datum, sums):
+    """The minuscule mu whose blocks 1, 2, ... have the sums sums[1:], and
+    whose block 0 has the first sum from sums[0] on that solves the block-sum
+    identity of datum (one of q - 1 consecutive sums does)."""
+    n = datum.shape.n
+
+    def block(s):
+        c, r = divmod(s, n)
+        return (c + 1,) * r + (c,) * (n - r)
+
+    rest = tuple(map(block, sums[1:]))
+    for s in range(sums[0], sums[0] + math.prod(datum.shape.eps) - 1):
+        mu = (block(s),) + rest
+        if block_sums(datum, mu) is not None:
+            return mu
+    raise AssertionError("no block-0 sum solves the block-sum identity")
+
+
+def assert_empty_r_set_needs_no_rule(datum, mu):
+    """Under the minuscule mu, every stratum with an empty R-set is proven by
+    one of the three rules, and a stratum is proven exactly when its label is
+    central, dominant and minuscule, or of dimension 0.  Returns the number
+    of strata, and of those with an empty R-set that neither label rule
+    proves."""
+    assert is_minuscule(mu)
+    found = enumerate_strata(datum, mu)
+    by_d_set = 0
+    for s in found:
+        special = is_central(s.lam) or (is_dominant(s.lam) and is_minuscule(s.lam))
+        assert (s.singleton == "proven") == (special or s.dim == 0), s
+        if s.r_set == ():
+            assert s.singleton == "proven" and s.singleton_rule in SINGLETON_RULES, s
+            if not special:
+                assert s.singleton_rule == "d-set", s
+                by_d_set += 1
+    return len(found), by_d_set
+
+
+class TestSingletonRules:
+    """Each rule of SINGLETON_RULES proves some stratum, and under a
+    minuscule mu an empty R-set is proven without a rule of its own: the
+    d-set rule holds whenever neither label rule does (``strata._stratum``)."""
+
+    def test_every_rule_is_reachable(self):
+        # golden a gives central and d-set, golden b d-set and dominant-minuscule
+        seen = set()
+        for case in CASES.values():
+            for p in (3, 5):
+                datum, mu = counterexample(case, p)
+                seen.update(s.singleton_rule for s in enumerate_strata(datum, mu))
+        assert seen == set(SINGLETON_RULES)
+
+    def test_gl3_sweep_sample(self):
+        # every stratum here is central or dominant and minuscule
+        checked = 0
+        for p in (2, 3):
+            for m in [m for m in range(-(p**3 - 1), p**3) if is_caruso_simple(3, p, m)][::5]:
+                d = caruso_datum(3, 1, p, m)
+                for flat in itertools.product(range(2, -3, -1), repeat=3):
+                    if flat[0] >= flat[1] >= flat[2] >= flat[0] - 1:
+                        checked += assert_empty_r_set_needs_no_rule(d, (flat,))[0]
+        assert checked >= 20
+
+    def test_multicopy_lifts(self):
+        # each lift has its unique zero-dimensional stratum, which the d-set
+        # rule proves on some of them
+        counts = [assert_empty_r_set_needs_no_rule(*pair) for pair in multicopy_lifts(random.Random(20261022), 25)]
+        assert sum(c[1] for c in counts) >= 5
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(
+        p=st.sampled_from((2, 3)),
+        n=st.integers(1, 4),
+        eps=st.lists(st.booleans(), min_size=1, max_size=3),
+        data=st.data(),
+    )
+    def test_hypothesis_alcove_twists(self, p, n, eps, data):
+        assume(any(eps))
+        blocks = len(eps)
+        shape = GroupShape(n=n, blocks=blocks, eps=tuple(p if e else 1 for e in eps), p=p)
+        w = tuple(tuple(data.draw(st.permutations(range(n)))) for _ in range(blocks))
+        tau = tuple(tuple(data.draw(st.lists(st.integers(-3, 3), min_size=n, max_size=n))) for _ in range(blocks))
+        try:
+            datum = alcove_reduce(make_datum(shape, ExtAffine(tau, w)))[1]
+        except KisinError:
+            assume(False)
+        sums = data.draw(st.lists(st.integers(-2 * n, 2 * n), min_size=blocks, max_size=blocks))
+        assert_empty_r_set_needs_no_rule(datum, minuscule_mu(datum, sums))
+
+
 class TestCentralTwist:
     def test_zero_chi(self):
         d = datum_a()
@@ -313,7 +411,7 @@ class TestCentralTwist:
         chi = ((2, 2, 2), (-1, -1, -1))
         d2, mu2 = central_twist(d, mu_b(), chi)
         d3, mu3 = central_twist(d2, mu2, tuple(tuple(-x for x in b) for b in chi))
-        assert d3.wt == d.wt and mu3 == mu_b() and d3.e == d.e
+        assert d3.wt == d.wt and mu3 == mu_b() and fixed_point(d3) == fixed_point(d)
 
     def test_strata_correspondence(self):
         d = datum_b()
@@ -371,7 +469,7 @@ class TestCentralTwist:
         # q = 5 breaks it
         shape = GroupShape.res_field(1, 1, 5)
         d = FrobeniusDatum(shape, ExtAffine(((4,),), ((0,),)), ((-1,),), 1, True)
-        assert d.e == make_datum(shape, d.wt).e
+        assert fixed_point(d) == fixed_point(make_datum(shape, d.wt))
         with pytest.raises(TheoremViolationError, match="central shift of the fixed point is not a multiple of 1 / D"):
             central_twist(d, ((0,),), ((1,),))
 
